@@ -63,7 +63,6 @@ from .rollout import (
     enumerate_patterns,
     pattern_score,
     pattern_scores,
-    rollout_block,
     select_pattern,
 )
 from .simulate import (
@@ -77,6 +76,7 @@ from .simulate import (
     estimate_metrics,
     noise_streams,
     simulate_trial,
+    simulate_trials,
     theta_sweep,
 )
 from .sparse_mpc import (

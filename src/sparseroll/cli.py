@@ -63,7 +63,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return replace(cfg, **updates) if updates else cfg
 
 
-def cmd_design(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def cmd_design(cfg: ExperimentConfig, out_dir: Path) -> int:
     dm = cfg.build_model()
     gain, err_cov, prior_cov = steady_kalman(dm)
 
@@ -121,10 +121,10 @@ def cmd_design(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     return 0
 
 
-def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     dm = cfg.build_model()
     sim = cfg.sim_config()
-    cells = theta_sweep(sim, dm, cfg.theta_grid, methods=cfg.methods, threads=threads)
+    cells = theta_sweep(sim, dm, cfg.theta_grid, methods=cfg.methods)
 
     ok_cells = [c for c in cells if c.status == "ok"]
     with open(out_dir / "tradeoff.csv", "w", newline="") as fh:
@@ -161,9 +161,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     return 0 if ok_cells else 4
 
 
-def cmd_verify(cfg: ExperimentConfig, out_dir: Path, threads: int,
-               corrupt_terminal: bool = False) -> int:
-    results = run_verification(cfg, threads=threads, corrupt_terminal=corrupt_terminal)
+def cmd_verify(cfg: ExperimentConfig, out_dir: Path, corrupt_terminal: bool = False) -> int:
+    results = run_verification(cfg, corrupt_terminal=corrupt_terminal)
     payload = {
         "all_passed": bool(all(r.passed for r in results)),
         "checks": [
@@ -227,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"output directory (default: ${OUTDIR_ENV} or config output_dir)")
         p.add_argument("--seed", type=int, default=None, help="override sim.seed_base")
         p.add_argument("--trials", type=int, default=None, help="override sim.trials")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for trials")
 
     add_common(sub.add_parser("design", help="write the controller design report"))
     add_common(sub.add_parser("sweep", help="run the theta sweep and write CSVs"))
@@ -251,12 +249,11 @@ def main(argv=None) -> int:
         cfg = _apply_overrides(cfg, args)
         out_dir = _resolve_outdir(args, cfg)
         if args.command == "design":
-            return cmd_design(cfg, out_dir, args.threads)
+            return cmd_design(cfg, out_dir)
         if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir, args.threads)
+            return cmd_sweep(cfg, out_dir)
         if args.command == "verify":
-            return cmd_verify(cfg, out_dir, args.threads,
-                              corrupt_terminal=args.corrupt_terminal)
+            return cmd_verify(cfg, out_dir, corrupt_terminal=args.corrupt_terminal)
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

@@ -11,13 +11,22 @@ issued and the time-varying recursion runs alongside the estimate.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import NonConvergenceError
 from .plant import DiscreteModel
 from .riccati import symmetrize
+
+
+def row_product(x, m):
+    """``x @ m.T`` for a row (n,) or rows (T, n), each row's bits independent of T.
+
+    BLAS switches kernels with the row count (gemv for one row, gemm for
+    more), which changes the last bits of a row; einsum's loop does not.
+    """
+    return np.einsum("...j,ij->...i", x, m)
 
 
 def _filter_step_cov(a, c, w, v, x):
@@ -61,7 +70,11 @@ def stationary_residual(dm: DiscreteModel) -> float:
 
 @dataclass(frozen=True)
 class EstimatorState:
-    """Filter state after processing measurement ``step_index``."""
+    """Filter state after processing measurement ``step_index``.
+
+    ``estimate`` is one state (n,) or a batch (T, n); the gain and the
+    covariances do not depend on the data, so a batch shares them.
+    """
 
     estimate: np.ndarray
     err_cov: np.ndarray
@@ -74,12 +87,13 @@ class EstimatorState:
 def kalman_init(dm: DiscreteModel, y0, steady=None, stationary_tol: float = 1e-8) -> EstimatorState:
     """Initialize the filter from the first measurement.
 
-    ``steady`` may carry a precomputed (gain, err_cov, prior_cov) triple to
-    avoid re-solving the steady-state equation per trial.  If the model's
-    init_cov does not solve the predictive fixed point, the stationary fast
-    path is disabled (with a warning) and time-varying gains are used.
+    ``y0`` is one measurement (m,) or a batch (T, m).  ``steady`` may carry
+    a precomputed (gain, err_cov, prior_cov) triple to avoid re-solving the
+    steady-state equation per call.  If the model's init_cov does not solve
+    the predictive fixed point, the stationary fast path is disabled (with a
+    warning) and time-varying gains are used.
     """
-    y0 = np.asarray(y0, dtype=float).reshape(-1)
+    y0 = np.asarray(y0, dtype=float)
     if steady is None:
         steady = steady_kalman(dm)
     gain, err_cov, prior_cov = steady
@@ -94,7 +108,7 @@ def kalman_init(dm: DiscreteModel, y0, steady=None, stationary_tol: float = 1e-8
         innov = dm.c @ prior_cov @ dm.c.T + dm.meas_cov
         gain = prior_cov @ dm.c.T @ np.linalg.inv(innov)
         err_cov = symmetrize(prior_cov - gain @ dm.c @ prior_cov)
-    estimate = dm.init_mean + gain @ (y0 - dm.c @ dm.init_mean)
+    estimate = dm.init_mean + row_product(y0 - dm.c @ dm.init_mean, gain)
     return EstimatorState(
         estimate=estimate,
         err_cov=err_cov,
@@ -108,13 +122,13 @@ def kalman_init(dm: DiscreteModel, y0, steady=None, stationary_tol: float = 1e-8
 def kalman_step(st: EstimatorState, u, y_next, dm: DiscreteModel) -> EstimatorState:
     """Advance the estimate with input u and the next measurement.
 
-    In stationary mode the gain and covariances are reused unchanged; in
-    time-varying mode they are propagated alongside the estimate.
+    Shape-agnostic: a single estimate takes u (q,) and y_next (m,), a batch
+    (T, n) takes (T, q) and (T, m).  In stationary mode the gain and
+    covariances are reused unchanged; in time-varying mode they are
+    propagated alongside the estimate, once for the whole batch.
     """
-    u = np.asarray(u, dtype=float).reshape(-1)
-    y_next = np.asarray(y_next, dtype=float).reshape(-1)
-    a, b, c = dm.a, dm.b, dm.c
-    pred = a @ st.estimate + b @ u
+    a, c = dm.a, dm.c
+    pred = row_product(st.estimate, a) + row_product(np.asarray(u, dtype=float), dm.b)
     if st.stationary:
         gain, err_cov, prior_cov = st.gain, st.err_cov, st.prior_cov
     else:
@@ -122,12 +136,12 @@ def kalman_step(st: EstimatorState, u, y_next, dm: DiscreteModel) -> EstimatorSt
         innov_cov = c @ prior_cov @ c.T + dm.meas_cov
         gain = prior_cov @ c.T @ np.linalg.inv(innov_cov)
         err_cov = symmetrize(prior_cov - gain @ c @ prior_cov)
-    estimate = pred + gain @ (y_next - c @ pred)
-    return replace(
-        st,
+    estimate = pred + row_product(np.asarray(y_next, dtype=float) - row_product(pred, c), gain)
+    return EstimatorState(
         estimate=estimate,
         err_cov=err_cov,
         gain=gain,
         prior_cov=prior_cov,
         step_index=st.step_index + 1,
+        stationary=st.stationary,
     )

@@ -133,13 +133,19 @@ def periodic_discounted_cost(pol: PeriodicPolicy, lift: LiftedSystem, x0_mean, e
     return initial + noise + series + lift.d_disc + theta / (1.0 - ap)
 
 
-def best_periodic(dm: DiscreteModel, q_weight, r_weight, candidates, err_cov, theta: float):
-    """Smallest-period argmin of the average cost over candidate periods."""
+def best_periodic(dm: DiscreteModel, q_weight, r_weight, candidates, err_cov, theta: float,
+                  design=None):
+    """Smallest-period argmin of the average cost over candidate periods.
+
+    ``design`` replaces :func:`design_periodic` (same signature), e.g. to
+    reuse designs across calls.
+    """
     if not candidates:
         raise ValueError("candidate set must be non-empty")
+    design = design or design_periodic
     best_p, best_cost = None, None
     for p in sorted(set(int(p) for p in candidates)):
-        pol = design_periodic(dm, q_weight, r_weight, p, alpha=1.0)
+        pol = design(dm, q_weight, r_weight, p, alpha=1.0)
         lift = build_lifted(dm, q_weight, r_weight, p, alpha=1.0)
         cost = periodic_average_cost(pol, lift, err_cov, theta)
         if best_cost is None or cost < best_cost:

@@ -9,7 +9,8 @@ state-independent score decomposition
 
 where beta collects the noise and estimation contributions and gamma the
 discounted actuation penalty.  The block controller picks the argmin
-pattern once per block and plays its gains open-loop within the block.
+pattern once per block and plays its gains open-loop within the block;
+a batch of trials picks one pattern per trial in a single scoring call.
 
 Pattern index 1 is always the periodic pattern of the base policy; the
 remaining bit strings follow in lexicographic order (time 0 most
@@ -18,12 +19,10 @@ pattern wins any exact tie.
 """
 
 import itertools
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimator import EstimatorState, kalman_step
 from .exceptions import HorizonMismatchError, NonFiniteError
 from .plant import DiscreteModel
 
@@ -44,11 +43,13 @@ class RolloutTables:
     Arrays are stacked over patterns (first axis, index m-1):
     cost_matrices has shape (M, h+1, n, n) with [:, h] equal to the
     terminal matrix, gains (M, h, q, n), gain_quadratics (M, h, n, n),
-    noise_score and trigger_score (M,).
+    bits (M, h), noise_score and trigger_score (M,).  Only trigger_score
+    depends on theta (see :func:`with_theta`).
     """
 
     horizon: int
     patterns: tuple[TriggerPattern, ...]
+    bits: np.ndarray
     cost_matrices: np.ndarray
     gains: np.ndarray
     gain_quadratics: np.ndarray
@@ -144,28 +145,40 @@ def build_tables(dm: DiscreteModel, q_weight, r_weight, terminal, h: int, p: int
     noise_trace = np.einsum("mtij,ji->mt", cost_matrices[:, 1:], dm.proc_cov)
     est_trace = np.einsum("mtij,tji->mt", gain_quadratics, cov_seq)
     noise_score = (weights * (noise_trace + est_trace)).sum(axis=1)
-    trigger_score = theta * (weights * bits).sum(axis=1)
 
     return RolloutTables(
         horizon=h,
         patterns=tuple(patterns),
+        bits=bits,
         cost_matrices=cost_matrices,
         gains=gains,
         gain_quadratics=gain_quadratics,
         noise_score=noise_score,
-        trigger_score=trigger_score,
+        trigger_score=_trigger_score(bits, alpha, theta),
         terminal=terminal,
         discount=float(alpha),
         model=dm,
     )
 
 
+def _trigger_score(bits: np.ndarray, alpha: float, theta: float) -> np.ndarray:
+    return theta * (alpha ** np.arange(bits.shape[1]) * bits).sum(axis=1)
+
+
+def with_theta(tables: RolloutTables, theta: float) -> RolloutTables:
+    """The same tables at another actuation weight; the large arrays are shared."""
+    return replace(tables, trigger_score=_trigger_score(tables.bits, tables.discount, theta))
+
+
 def pattern_scores(tables: RolloutTables, estimate, err_cov) -> np.ndarray:
-    """Vector of pattern scores at the given estimate and filter covariance."""
-    x = np.asarray(estimate, dtype=float).reshape(-1)
+    """Pattern scores at one estimate (n,) -> (M,), or at a batch (T, n) -> (T, M)."""
+    x = np.asarray(estimate, dtype=float)
+    if x.ndim != 2:
+        x = x.reshape(-1)
     sigma = np.atleast_2d(np.asarray(err_cov, dtype=float))
-    p0 = tables.cost_matrices[:, 0]
-    quad = np.einsum("i,mij,j->m", x, p0, x)
+    # one gather of the strided slice beats two einsum passes over it
+    p0 = np.ascontiguousarray(tables.cost_matrices[:, 0])
+    quad = np.einsum("...i,mij,...j->...m", x, p0, x)
     trace = np.einsum("mij,ji->m", p0, sigma)
     return quad + trace + tables.noise_score + tables.trigger_score
 
@@ -183,14 +196,18 @@ def pattern_score(tables: RolloutTables, m: int, estimate, err_cov) -> float:
     )
 
 
-def select_pattern(tables: RolloutTables, estimate, err_cov) -> int:
-    """Argmin pattern index; exact ties resolve to the smallest index."""
-    return int(np.argmin(pattern_scores(tables, estimate, err_cov))) + 1
+def select_pattern(tables: RolloutTables, estimate, err_cov):
+    """Argmin pattern index; exact ties resolve to the smallest index.
+
+    Returns an int for one estimate and an int array for a batch (T, n).
+    """
+    picks = np.argmin(pattern_scores(tables, estimate, err_cov), axis=-1) + 1
+    return int(picks) if picks.ndim == 0 else picks
 
 
 @dataclass
 class RolloutPolicy:
-    """Receding-horizon block controller state.
+    """Receding-horizon block controller over a batch of trials.
 
     ``forced_pattern`` pins the selection (diagnostic hook used to compare
     against the base policy on identical noise).
@@ -199,9 +216,8 @@ class RolloutPolicy:
     tables: RolloutTables
     period: int
     theta: float
-    selected_pattern: int = 1
-    block_phase: int = 0
     forced_pattern: int | None = None
+    _block: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tables.horizon % self.period != 0:
@@ -209,46 +225,15 @@ class RolloutPolicy:
                 f"horizon h={self.tables.horizon} is not a multiple of period p={self.period}"
             )
 
-
-class StepRecord(NamedTuple):
-    state: np.ndarray
-    estimate: np.ndarray
-    input: np.ndarray
-    trigger: int
-    output: np.ndarray
-    stage_cost: float
-
-
-def rollout_block(pol: RolloutPolicy, est: EstimatorState, plant, h: int):
-    """Execute one lookahead block: select a pattern, then play its gains.
-
-    ``plant`` must expose ``state``, ``output``, ``step(u) -> y_next``,
-    ``stage_cost(x, u)`` and ``model`` (the :class:`DiscreteModel`).
-    Returns (step records, updated policy, updated estimator state).
-    """
-    if h != pol.tables.horizon:
-        raise ValueError("block length must equal the table horizon")
-    if est.step_index % h != 0:
-        raise ValueError("rollout blocks must start at a block boundary")
-    dm: DiscreteModel = plant.model
-    if pol.forced_pattern is not None:
-        m = pol.forced_pattern
-    else:
-        m = select_pattern(pol.tables, est.estimate, est.err_cov)
-    bits = pol.tables.patterns[m - 1].bits
-    gains = pol.tables.gains[m - 1]
-
-    records = []
-    zero_u = np.zeros(dm.n_inputs)
-    for tau in range(h):
-        trigger = bits[tau]
-        u = gains[tau] @ est.estimate if trigger else zero_u
-        x = plant.state
-        cost = plant.stage_cost(x, u)
-        y_now = plant.output
-        records.append(StepRecord(x, est.estimate, u, trigger, y_now, cost))
-        y_next = plant.step(u)
-        est = kalman_step(est, u, y_next, dm)
-
-    new_pol = replace(pol, selected_pattern=m, block_phase=0)
-    return records, new_pol, est
+    def decide(self, est, k: int):
+        """Inputs and triggers of step k for the estimates (T, n); patterns change per block."""
+        tables = self.tables
+        tau = k % tables.horizon
+        if tau == 0:
+            forced = self.forced_pattern
+            picks = (select_pattern(tables, est.estimate, est.err_cov) if forced is None
+                     else np.full(len(est.estimate), forced)) - 1
+            self._block = (tables.bits[picks], tables.gains[picks])
+        bits, gains = self._block
+        u = np.einsum("tqn,tn->tq", gains[:, tau], est.estimate)
+        return np.where(bits[:, tau, None] == 1, u, 0.0), bits[:, tau]

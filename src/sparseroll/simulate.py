@@ -1,24 +1,24 @@
 """Closed-loop Monte Carlo simulation and trade-off estimation.
 
-The per-step order follows the information structure of the problem:
-measure, update the estimate, decide (u, delta), pay the stage cost, then
-evolve the plant.  Noise is drawn from counter-based generators keyed on
-(seed_base, trial), so results are reproducible regardless of how trials
-are scheduled, and all methods compared at the same trial index consume
-identical noise (common random numbers).
+One engine runs a batch of trials as a single closed loop over (T, n)
+arrays; a single trial is the batch of one.  The per-step order follows the
+information structure of the problem: measure, update the estimate, decide
+(u, delta), pay the stage cost, then evolve the plant.  Noise is drawn from
+counter-based generators keyed on (seed_base, trial), so a trial's result
+does not depend on which trials share its batch, and all methods compared
+at the same trial index consume identical noise (common random numbers).
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import kalman_init, kalman_step, steady_kalman
+from .estimator import kalman_init, kalman_step, row_product, steady_kalman
 from .exceptions import NonFiniteError
 from .periodic import best_periodic, design_periodic
 from .plant import DiscreteModel
-from .rollout import RolloutPolicy, StepRecord, build_tables, rollout_block
+from .rollout import RolloutPolicy, build_tables, with_theta
 from .sparse_mpc import AdmmState, build_mpc_problem, mpc_controller_step
 
 METHODS = ("rollout", "periodic", "sparse_mpc")
@@ -61,14 +61,18 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimTrace:
-    """Per-step closed-loop records of one trial."""
+    """Per-step closed-loop records of one trial.
 
-    states: np.ndarray
-    estimates: np.ndarray
-    inputs: np.ndarray
+    A sweep keeps only the stage costs and triggers; the other records are
+    filled for :func:`simulate_trial` and ``keep_traces``.
+    """
+
     triggers: np.ndarray
-    outputs: np.ndarray
     stage_costs: np.ndarray
+    states: np.ndarray | None = None
+    estimates: np.ndarray | None = None
+    inputs: np.ndarray | None = None
+    outputs: np.ndarray | None = None
 
     @property
     def control_cost(self) -> float:
@@ -123,126 +127,108 @@ def noise_streams(dm: DiscreteModel, seed_base: int, trial: int, n_steps: int):
     return x0, w_seq, v_seq
 
 
-class PlantSim:
-    """True plant stepped against recorded noise sequences."""
-
-    def __init__(self, dm: DiscreteModel, q_weight, r_weight, x0, w_seq, v_seq):
-        self.model = dm
-        self._q = np.atleast_2d(np.asarray(q_weight, dtype=float))
-        self._r = np.atleast_2d(np.asarray(r_weight, dtype=float))
-        self._x = np.asarray(x0, dtype=float).copy()
-        self._w = w_seq
-        self._v = v_seq
-        self._k = 0
-        self._y = dm.c @ self._x + v_seq[0]
-
-    @property
-    def state(self) -> np.ndarray:
-        return self._x
-
-    @property
-    def output(self) -> np.ndarray:
-        return self._y
-
-    def stage_cost(self, x, u) -> float:
-        return float(x @ self._q @ x + u @ self._r @ u)
-
-    def step(self, u) -> np.ndarray:
-        dm = self.model
-        k = self._k
-        x_next = dm.a @ self._x + dm.b @ np.asarray(u, dtype=float) + self._w[k]
-        if not np.isfinite(x_next).all():
-            raise NonFiniteError(f"state became non-finite at step {k + 1}")
-        self._x = x_next
-        self._y = dm.c @ x_next + self._v[k + 1]
-        self._k = k + 1
-        return self._y
-
-
 class PeriodicController:
     """Apply the periodic gain at multiples of the period, zero otherwise."""
 
     def __init__(self, gain: np.ndarray, period: int):
         self.gain = gain
         self.period = period
-        self._zero = np.zeros(gain.shape[0])
 
     def decide(self, est, k: int):
         if k % self.period == 0:
-            return self.gain @ est.estimate, 1
-        return self._zero, 0
+            return row_product(est.estimate, self.gain), 1
+        return np.zeros((len(est.estimate), self.gain.shape[0])), 0
 
 
 class SparseMpcController:
-    """Warm-started receding-horizon sparse MPC."""
+    """Warm-started receding-horizon sparse MPC with ADMM penalty rho.
 
-    def __init__(self, problem, dm: DiscreteModel, tol: float = 1e-8, max_iter: int = 10_000):
+    Each trial keeps its own warm start and the trials are solved in order,
+    so a trial sees the same solves whatever batch it runs in.
+    """
+
+    def __init__(self, problem, dm: DiscreteModel, tol: float = 1e-8, max_iter: int = 10_000,
+                 penalty: float = 1.0):
         self.problem = problem
         self.dm = dm
         self.tol = tol
         self.max_iter = max_iter
-        dim = problem.quad_matrix.shape[0]
-        self._warm = AdmmState(
-            primal=np.zeros(dim), auxiliary=np.zeros(dim), dual=np.zeros(dim), penalty=1.0,
-        )
+        self.penalty = penalty
+        self._warm: list[AdmmState] = []
 
     def decide(self, est, k: int):
-        u, delta, self._warm = mpc_controller_step(
-            est, self.problem, self.dm, state=self._warm, tol=self.tol, max_iter=self.max_iter,
-        )
-        return u, delta
+        if k == 0:
+            dim = self.problem.quad_matrix.shape[0]
+            self._warm = [AdmmState(np.zeros(dim), np.zeros(dim), np.zeros(dim), self.penalty)
+                          for _ in est.estimate]
+        u, delta, self._warm = zip(*(
+            mpc_controller_step(x, self.problem, self.dm, state=warm, tol=self.tol,
+                                max_iter=self.max_iter)
+            for x, warm in zip(est.estimate, self._warm)))
+        return np.array(u), np.array(delta, dtype=np.int8)
 
 
-def _trace_from_records(records: list[StepRecord]) -> SimTrace:
-    return SimTrace(
-        states=np.array([r.state for r in records]),
-        estimates=np.array([r.estimate for r in records]),
-        inputs=np.array([r.input for r in records]),
-        triggers=np.array([r.trigger for r in records], dtype=np.int8),
-        outputs=np.array([r.output for r in records]),
-        stage_costs=np.array([r.stage_cost for r in records]),
-    )
+def simulate_trials(cfg: SimConfig, dm: DiscreteModel, controller, trials, steady=None,
+                    noise=None, keep_traces: bool = False) -> list[SimTrace]:
+    """Run the given trials as one closed loop over (T, n) arrays; one trace per trial.
+
+    ``controller.decide(est, k)`` gets the batched :class:`EstimatorState` and
+    returns u (T, q) and delta (T,), or values that broadcast to them.  The
+    trial keys select the noise draws unless ``noise`` gives per-trial
+    (x0, w_seq, v_seq).  A non-finite state raises :class:`NonFiniteError`.
+    """
+    trials = tuple(int(t) for t in trials)
+    n_steps = cfg.horizon_steps
+    if isinstance(controller, RolloutPolicy) and n_steps % controller.tables.horizon != 0:
+        raise ValueError("horizon_steps must be a multiple of the block length")
+    if noise is None:
+        noise = [noise_streams(dm, cfg.seed_base, t, n_steps) for t in trials]
+    x0s, w_seqs, v_seqs = zip(*noise)
+    x = np.array(x0s, dtype=float)
+    w = np.stack(w_seqs, axis=1)                      # (N, T, n)
+    v = np.stack(v_seqs, axis=1)                      # (N + 1, T, m)
+    y = row_product(x, dm.c) + v[0]
+    est = kalman_init(dm, y, steady=steady)
+
+    n_trials = len(trials)
+    stage_costs = np.empty((n_trials, n_steps))
+    triggers = np.empty((n_trials, n_steps), dtype=np.int8)
+    records = {name: np.empty((n_trials, n_steps, dim)) for name, dim in (
+        ("states", dm.n_states), ("estimates", dm.n_states),
+        ("inputs", dm.n_inputs), ("outputs", dm.n_outputs))} if keep_traces else {}
+    for k in range(n_steps):
+        u, delta = controller.decide(est, k)
+        u = np.asarray(u, dtype=float)
+        if u.shape != (n_trials, dm.n_inputs):
+            u = np.broadcast_to(u, (n_trials, dm.n_inputs))
+        triggers[:, k] = delta
+        stage_costs[:, k] = (np.einsum("ti,ij,tj->t", x, cfg.q_weight, x)
+                             + np.einsum("ti,ij,tj->t", u, cfg.r_weight, u))
+        if records:
+            for name, value in (("states", x), ("estimates", est.estimate),
+                                ("inputs", u), ("outputs", y)):
+                records[name][:, k] = value
+        x = row_product(x, dm.a) + row_product(u, dm.b) + w[k]
+        if not np.isfinite(x).all():
+            bad = trials[int(np.argmin(np.isfinite(x).all(axis=1)))]
+            raise NonFiniteError(f"state became non-finite at step {k + 1} in trial {bad}")
+        y = row_product(x, dm.c) + v[k + 1]
+        est = kalman_step(est, u, y, dm)
+
+    return [SimTrace(triggers=triggers[t], stage_costs=stage_costs[t],
+                     **{name: rec[t] for name, rec in records.items()})
+            for t in range(n_trials)]
 
 
 def simulate_trial(cfg: SimConfig, dm: DiscreteModel, controller, seed: int,
                    steady=None, noise=None) -> SimTrace:
-    """Run one closed-loop trial with the given controller.
+    """Run one closed-loop trial: the batch-of-one call of :func:`simulate_trials`.
 
-    ``controller`` is either a :class:`RolloutPolicy` (block execution) or
-    any object with ``decide(est, k) -> (u, delta)``.  ``seed`` is the trial
-    key combined with ``cfg.seed_base`` for the noise draw; ``noise`` may
-    inject an explicit (x0, w_seq, v_seq) realization instead.
+    ``seed`` is the trial key; ``noise`` may inject an explicit
+    (x0, w_seq, v_seq) realization instead.
     """
-    n_steps = cfg.horizon_steps
-    if noise is None:
-        x0, w_seq, v_seq = noise_streams(dm, cfg.seed_base, seed, n_steps)
-    else:
-        x0, w_seq, v_seq = noise
-    plant = PlantSim(dm, cfg.q_weight, cfg.r_weight, x0, w_seq, v_seq)
-    if steady is None:
-        steady = steady_kalman(dm)
-    est = kalman_init(dm, plant.output, steady=steady)
-
-    records: list[StepRecord] = []
-    if isinstance(controller, RolloutPolicy):
-        h = controller.tables.horizon
-        if n_steps % h != 0:
-            raise ValueError("horizon_steps must be a multiple of the block length")
-        pol = controller
-        for _ in range(n_steps // h):
-            block_records, pol, est = rollout_block(pol, est, plant, h)
-            records.extend(block_records)
-    else:
-        for k in range(n_steps):
-            u, delta = controller.decide(est, k)
-            u = np.asarray(u, dtype=float).reshape(-1)
-            x = plant.state
-            records.append(
-                StepRecord(x, est.estimate, u, int(delta), plant.output, plant.stage_cost(x, u))
-            )
-            y_next = plant.step(u)
-            est = kalman_step(est, u, y_next, dm)
-    return _trace_from_records(records)
+    return simulate_trials(cfg, dm, controller, [seed], steady=steady,
+                           noise=None if noise is None else [noise], keep_traces=True)[0]
 
 
 def estimate_metrics(traces, theta: float) -> Metrics:
@@ -269,33 +255,54 @@ def estimate_metrics(traces, theta: float) -> Metrics:
     )
 
 
+def _shared(shared: dict, key, build):
+    """``shared[key]``, built on a miss; a build that raises stores nothing."""
+    if key not in shared:
+        shared[key] = build()
+    return shared[key]
+
+
 def make_controller_factory(method: str, cfg: SimConfig, dm: DiscreteModel, theta: float,
-                            steady=None):
+                            steady=None, shared: dict | None = None):
     """Design the controller for one (method, theta) cell.
 
-    Returns (factory, info) where factory() yields a fresh per-trial
-    controller and info carries design byproducts (chosen period, tables).
+    Returns (factory, info) where factory() yields a fresh controller for a
+    batch of trials and info carries design byproducts (chosen period,
+    tables).  ``shared`` is a dict that lives for one sweep: the parts that
+    do not depend on theta (periodic designs, the Riccati arrays of the
+    rollout tables, the MPC terminal cost) are built once and reused from it.
     """
     if steady is None:
         steady = steady_kalman(dm)
     _, err_cov, _ = steady
     q_w, r_w = cfg.q_weight, cfg.r_weight
+    shared = {} if shared is None else shared
+
+    def design(dm, q_w, r_w, p, alpha=1.0):
+        return _shared(shared, ("periodic", p, alpha),
+                       lambda: design_periodic(dm, q_w, r_w, p, alpha=alpha))
+
     if method == "rollout":
-        base = design_periodic(dm, q_w, r_w, cfg.p, alpha=cfg.alpha)
-        tables = build_tables(dm, q_w, r_w, base.cost_matrix, cfg.h, cfg.p,
-                              theta, cfg.alpha, err_cov)
+        base = design(dm, q_w, r_w, cfg.p, alpha=cfg.alpha)
+        tables = with_theta(_shared(shared, ("tables", cfg.h, cfg.p, cfg.alpha), lambda: (
+            build_tables(dm, q_w, r_w, base.cost_matrix, cfg.h, cfg.p, theta, cfg.alpha, err_cov)
+        )), theta)
         info = {"tables": tables, "base_policy": base, "p": cfg.p, "h": cfg.h}
         return (lambda: RolloutPolicy(tables=tables, period=cfg.p, theta=theta)), info
     if method == "periodic":
-        p_star, formula_cost = best_periodic(dm, q_w, r_w, cfg.candidates, err_cov, theta)
-        pol = design_periodic(dm, q_w, r_w, p_star, alpha=1.0)
+        p_star, formula_cost = best_periodic(dm, q_w, r_w, cfg.candidates, err_cov, theta,
+                                             design=design)
+        pol = design(dm, q_w, r_w, p_star, alpha=1.0)
         info = {"p": p_star, "formula_cost": formula_cost, "policy": pol}
         return (lambda: PeriodicController(pol.feedback_gain, p_star)), info
     if method == "sparse_mpc":
-        problem = build_mpc_problem(dm, q_w, r_w, cfg.mpc_horizon, theta)
+        problem = build_mpc_problem(dm, q_w, r_w, cfg.mpc_horizon, theta,
+                                    terminal=shared.get("mpc_terminal"))
+        shared["mpc_terminal"] = problem.terminal_weight
         info = {"problem": problem}
         return (
-            lambda: SparseMpcController(problem, dm, tol=cfg.mpc_tol, max_iter=cfg.mpc_max_iter)
+            lambda: SparseMpcController(problem, dm, tol=cfg.mpc_tol, max_iter=cfg.mpc_max_iter,
+                                        penalty=cfg.mpc_penalty)
         ), info
     raise ValueError(f"unknown method {method!r}")
 
@@ -312,32 +319,30 @@ class SweepCell:
 
 
 def theta_sweep(cfg: SimConfig, dm: DiscreteModel, theta_grid, methods=METHODS,
-                threads: int = 1, keep_traces: bool = False):
+                keep_traces: bool = False):
     """Run every enabled method over the theta grid with common random numbers.
 
-    Per-cell failures are recorded in the returned cells' status and the
-    sweep continues.  Aggregation order is fixed by trial index, so results
-    do not depend on the thread count.
+    Each cell runs all its trials as one batch.  The noise and the
+    theta-independent designs are made once per call and shared by the
+    cells.  Per-cell failures are recorded in the returned cells' status and
+    the sweep continues.
     """
     cells: list[SweepCell] = []
     steady = steady_kalman(dm)
+    shared: dict = {}
+    trials = range(cfg.trials)
     for theta in theta_grid:
         for method in methods:
             try:
-                factory, info = make_controller_factory(method, cfg, dm, theta, steady=steady)
-
-                def one_trial(trial, factory=factory):
-                    return simulate_trial(cfg, dm, factory(), trial, steady=steady)
-
-                if threads > 1:
-                    with ThreadPoolExecutor(max_workers=threads) as pool:
-                        traces = list(pool.map(one_trial, range(cfg.trials)))
-                else:
-                    traces = [one_trial(t) for t in range(cfg.trials)]
+                factory, info = make_controller_factory(method, cfg, dm, theta, steady=steady,
+                                                        shared=shared)
+                noise = _shared(shared, "noise", lambda: [
+                    noise_streams(dm, cfg.seed_base, t, cfg.horizon_steps) for t in trials])
+                traces = simulate_trials(cfg, dm, factory(), trials, steady=steady, noise=noise,
+                                         keep_traces=keep_traces)
                 metrics = estimate_metrics(traces, theta)
                 if keep_traces:
-                    info = dict(info)
-                    info["traces"] = traces
+                    info = dict(info, traces=traces)
                 cells.append(SweepCell(theta=float(theta), method=method, metrics=metrics,
                                        status="ok", info=info))
             except Exception as exc:  # noqa: BLE001 - cell isolation is the contract

@@ -43,10 +43,6 @@ class MpcProblem:
         if min_eigenvalue(self.quad_matrix) <= 0.0:
             raise ValueError("condensed quadratic cost must be positive definite")
 
-    @property
-    def n_blocks(self) -> int:
-        return self.horizon
-
 
 @dataclass
 class AdmmState:

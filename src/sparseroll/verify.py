@@ -24,7 +24,7 @@ from .simulate import (
     check_mean_square_stability,
     check_performance_bound,
     estimate_metrics,
-    simulate_trial,
+    simulate_trials,
     theta_sweep,
 )
 from .sparse_mpc import build_mpc_problem, solve_sparse_mpc, subgradient_residual
@@ -121,11 +121,10 @@ def _oracle_agreement_check(cfg: ExperimentConfig, n_draws: int = 100) -> CheckR
                        f"{n_draws} draws, worst relative score gap = {worst:.3e}")
 
 
-def _performance_bound_check(cfg: ExperimentConfig, threads: int) -> CheckResult:
+def _performance_bound_check(cfg: ExperimentConfig) -> CheckResult:
     dm = cfg.build_model()
     sim = cfg.sim_config()
-    cells = theta_sweep(sim, dm, cfg.theta_grid, methods=("rollout", "periodic"),
-                        threads=threads)
+    cells = theta_sweep(sim, dm, cfg.theta_grid, methods=("rollout", "periodic"))
     by_key = {(c.theta, c.method): c for c in cells}
     worst_margin = math.inf
     for theta in cfg.theta_grid:
@@ -142,15 +141,14 @@ def _performance_bound_check(cfg: ExperimentConfig, threads: int) -> CheckResult
                        f"holds at all {len(cfg.theta_grid)} thetas; worst margin = {worst_margin:.4f}")
 
 
-def _stability_check(cfg: ExperimentConfig, threads: int) -> CheckResult:
+def _stability_check(cfg: ExperimentConfig) -> CheckResult:
     dm = cfg.build_model()
     sim = cfg.sim_config()
     grid = sorted(cfg.theta_grid)
     probe = sorted({grid[0], grid[len(grid) // 2], grid[-1]})
     window = max(10, cfg.horizon_steps // 12)
     for theta in probe:
-        cells = theta_sweep(sim, dm, [theta], methods=("rollout",), threads=threads,
-                            keep_traces=True)
+        cells = theta_sweep(sim, dm, [theta], methods=("rollout",), keep_traces=True)
         cell = cells[0]
         if cell.status != "ok":
             return CheckResult("mean_square_stability", False, f"cell failure at theta={theta}")
@@ -163,7 +161,7 @@ def _stability_check(cfg: ExperimentConfig, threads: int) -> CheckResult:
     return CheckResult("mean_square_stability", True, f"bounded at thetas {probe}")
 
 
-def _periodic_formula_check(cfg: ExperimentConfig, threads: int) -> CheckResult:
+def _periodic_formula_check(cfg: ExperimentConfig) -> CheckResult:
     # Stationary start isolates the long-run average from the initial transient.
     dm = cfg.build_model()
     dm = dm.with_init(np.zeros(dm.n_states), dm.init_cov)
@@ -175,10 +173,8 @@ def _periodic_formula_check(cfg: ExperimentConfig, threads: int) -> CheckResult:
         pol = design_periodic(dm, cfg.q_weight, cfg.r_weight, p, alpha=1.0)
         lift = build_lifted(dm, cfg.q_weight, cfg.r_weight, p, alpha=1.0)
         formula = periodic_average_cost(pol, lift, err_cov, theta=0.0)
-        traces = [
-            simulate_trial(sim, dm, PeriodicController(pol.feedback_gain, p), t, steady=steady)
-            for t in range(cfg.trials)
-        ]
+        traces = simulate_trials(sim, dm, PeriodicController(pol.feedback_gain, p),
+                                 range(cfg.trials), steady=steady)
         metrics = estimate_metrics(traces, theta=0.0)
         gap = abs(metrics.avg_control_cost - formula)
         limit = 3.0 * max(metrics.stderr_control_cost, 1e-12)
@@ -212,14 +208,14 @@ def _mpc_kkt_check(cfg: ExperimentConfig) -> CheckResult:
                        f"worst KKT residual = {worst:.3e}, theta=0 gap = {lin_gap:.3e}")
 
 
-def _ordering_check(cfg: ExperimentConfig, threads: int) -> CheckResult:
+def _ordering_check(cfg: ExperimentConfig) -> CheckResult:
     if "sparse_mpc" not in cfg.methods:
         return CheckResult("tradeoff_ordering", True, "skipped (sparse_mpc disabled)")
     dm = cfg.build_model()
     theta = cfg.theta_grid[len(cfg.theta_grid) // 2]
     trials = min(cfg.trials, 15)
     sim = replace(cfg.sim_config(), trials=trials)
-    cells = theta_sweep(sim, dm, [theta], methods=("rollout", "sparse_mpc"), threads=threads)
+    cells = theta_sweep(sim, dm, [theta], methods=("rollout", "sparse_mpc"))
     by = {c.method: c for c in cells}
     if any(c.status != "ok" for c in cells):
         return CheckResult("tradeoff_ordering", False, "cell failure")
@@ -236,8 +232,7 @@ def _ordering_check(cfg: ExperimentConfig, threads: int) -> CheckResult:
     )
 
 
-def run_verification(cfg: ExperimentConfig, threads: int = 1,
-                     corrupt_terminal: bool = False) -> list[CheckResult]:
+def run_verification(cfg: ExperimentConfig, corrupt_terminal: bool = False) -> list[CheckResult]:
     """Run the full verification suite; returns one result per check."""
     checks = [
         _scalar_dare_check(),
@@ -245,10 +240,10 @@ def run_verification(cfg: ExperimentConfig, threads: int = 1,
         _discretization_check(cfg),
         _base_cost_identity_check(cfg, corrupt_terminal),
         _oracle_agreement_check(cfg),
-        _performance_bound_check(cfg, threads),
-        _stability_check(cfg, threads),
-        _periodic_formula_check(cfg, threads),
+        _performance_bound_check(cfg),
+        _stability_check(cfg),
+        _periodic_formula_check(cfg),
         _mpc_kkt_check(cfg),
-        _ordering_check(cfg, threads),
+        _ordering_check(cfg),
     ]
     return checks

@@ -239,17 +239,21 @@ def test_criterion_9_sweep_determinism(tmp_path):
     }
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(raw))
-    blobs = []
-    for name, threads in (("r1", "1"), ("r2", "1"), ("r3", "4")):
+    blobs, first_rows = [], []
+    for name, trials in (("r1", "2"), ("r2", "2"), ("r3", "4")):
         out = tmp_path / name
         assert cli.main(["sweep", "--config", str(path), "--out", str(out),
-                         "--threads", threads]) == 0
+                         "--trials", trials]) == 0
         blobs.append((out / "tradeoff.csv").read_bytes()
                      + (out / "pertrial.csv").read_bytes()
                      + (out / "failures.csv").read_bytes())
-    assert blobs[0] == blobs[1] == blobs[2]
+        pertrial = (out / "pertrial.csv").read_bytes().splitlines()[1:]
+        first_rows.append([row for row in pertrial if int(row.split(b",")[2]) < 2])
+        assert (out / "failures.csv").read_text() == cli.FAILURES_HEADER + "\n"
+    assert blobs[0] == blobs[1]
+    assert len(first_rows[0]) == 2 * 3 * 2 and first_rows[0] == first_rows[2]
     _report("criterion 9 (sweep determinism)",
-            "byte-identical CSVs across repeats and thread counts")
+            "byte-identical CSVs across repeats; trials 0-1 byte-identical at 2 and 4 trials")
 
 
 def test_criterion_10_analytic_scalar_goldens(scalar_model):

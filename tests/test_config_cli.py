@@ -118,18 +118,26 @@ def test_cmd_sweep_periodic_rate_exact(tmp_path):
     assert float(row[3]) == 20.0 / 60.0
 
 
-def test_cmd_sweep_deterministic_and_thread_invariant(tmp_path):
+def first_trials(pertrial: bytes, k: int) -> list[bytes]:
+    """The pertrial.csv rows of trials 0..k-1, in file order."""
+    return [row for row in pertrial.splitlines()[1:] if int(row.split(b",")[2]) < k]
+
+
+def test_cmd_sweep_deterministic_and_batch_invariant(tmp_path):
     raw = small_config_dict(methods=["rollout", "periodic", "sparse_mpc"],
                             sim={"trials": 2, "horizon_steps": 36, "seed_base": 7})
     path = write_config(tmp_path, raw)
     outputs = []
-    for name, threads in (("a", "1"), ("b", "1"), ("c", "3")):
+    for name, trials in (("a", "2"), ("b", "2"), ("c", "4")):
         out = tmp_path / name
         assert cli.main(["sweep", "--config", str(path), "--out", str(out),
-                         "--threads", threads]) == 0
-        outputs.append((out / "tradeoff.csv").read_bytes()
-                       + (out / "pertrial.csv").read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
+                         "--trials", trials]) == 0
+        outputs.append(((out / "tradeoff.csv").read_bytes(), (out / "pertrial.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    # trials 0 and 1 give the same bytes whether or not trials 2 and 3 share their batch
+    rows = first_trials(outputs[0][1], 2)
+    assert len(rows) == 2 * 3 * 2  # thetas x methods x trials
+    assert rows == first_trials(outputs[2][1], 2)
 
 
 def test_cmd_plotdata(tmp_path):

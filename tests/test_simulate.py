@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import sparseroll as sr
+from sparseroll import simulate
 from sparseroll.exceptions import NonFiniteError
-from sparseroll.simulate import PeriodicController
+from sparseroll.simulate import PeriodicController, SparseMpcController
 
 
 def bench_cfg(**kw):
@@ -206,22 +209,178 @@ def test_theta_sweep_isolates_cell_failures():
     cfg = sr.SimConfig(horizon_steps=20, trials=1, seed_base=1,
                        q_weight=np.eye(2), r_weight=[[1.0]],
                        controller_kind="periodic", candidates=(2,))
-    cells = sr.theta_sweep(cfg, dm, [0.1], methods=("periodic",))
-    assert len(cells) == 1
-    assert cells[0].status.startswith("error:")
-    assert cells[0].metrics is None
+    cells = sr.theta_sweep(cfg, dm, [0.1, 0.2], methods=("periodic",))
+    assert len(cells) == 2
+    # a failed design is not shared: every cell that needs it records the failure
+    for cell in cells:
+        assert cell.status.startswith("error:") and cell.status == cells[0].status
+        assert cell.metrics is None
 
 
-def test_theta_sweep_thread_invariance(benchmark_model):
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_nonfinite_error_names_step_and_trial():
+    dm = sr.DiscreteModel(a=[[4.0]], b=[[1.0]], c=[[1.0]], proc_cov=[[1.0]],
+                          meas_cov=[[1.0]], init_mean=[1.0], init_cov=[[1.0]])
+    cfg = sr.SimConfig(horizon_steps=600, trials=2, seed_base=2,
+                       q_weight=[[1.0]], r_weight=[[1.0]], controller_kind="periodic")
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError,
+                                                   match=r"at step \d+ in trial (5|6)$"):
+        sr.simulate_trials(cfg, dm, PeriodicController(np.zeros((1, 1)), 1), [5, 6])
+
+
+def test_theta_sweep_designs_once_per_call(benchmark_model, monkeypatch):
+    # theta-independent designs are shared by the cells of one sweep, not across sweeps
+    periods, tables = [], []
+    design, build = simulate.design_periodic, simulate.build_tables
+    monkeypatch.setattr(simulate, "design_periodic",
+                        lambda *a, **kw: periods.append(a[3]) or design(*a, **kw))
+    monkeypatch.setattr(simulate, "build_tables",
+                        lambda *a, **kw: tables.append(a[5]) or build(*a, **kw))
+    cfg = bench_cfg(trials=1, horizon_steps=12)
+    grid = [0.1, 0.3]
+    fresh = {c.theta: c for c in (
+        sr.theta_sweep(cfg, benchmark_model, [theta], methods=("rollout",))[0] for theta in grid)}
+    for _ in range(2):
+        periods.clear()
+        tables.clear()
+        cells = sr.theta_sweep(cfg, benchmark_model, grid, methods=("rollout", "periodic"))
+        assert all(c.status == "ok" for c in cells)
+        assert sorted(periods) == [1, 2, 3, 6] and tables == [6]
+    rollout = [c for c in cells if c.method == "rollout"]
+    assert rollout[0].info["tables"].gains is rollout[1].info["tables"].gains
+    for cell in rollout:
+        expect = fresh[cell.theta]
+        assert np.array_equal(cell.info["tables"].trigger_score,
+                              expect.info["tables"].trigger_score)
+        assert np.array_equal(cell.metrics.per_trial_cost, expect.metrics.per_trial_cost)
+
+
+def test_theta_sweep_batch_composition_invariance(benchmark_model):
+    # a trial's result must not depend on which trials share its batch
     cfg = bench_cfg(trials=4, horizon_steps=60)
     grid = [0.1, 0.3]
-    seq = sr.theta_sweep(cfg, benchmark_model, grid, methods=("rollout", "periodic"))
-    par = sr.theta_sweep(cfg, benchmark_model, grid, methods=("rollout", "periodic"),
-                         threads=3)
-    for a, b in zip(seq, par):
-        assert a.theta == b.theta and a.method == b.method and a.status == b.status
+    methods = ("rollout", "periodic")
+    first = sr.theta_sweep(cfg, benchmark_model, grid, methods=methods)
+    again = sr.theta_sweep(cfg, benchmark_model, grid, methods=methods)
+    double = sr.theta_sweep(replace(cfg, trials=8), benchmark_model, grid, methods=methods)
+    for a, b, c in zip(first, again, double):
+        assert a.theta == b.theta == c.theta and a.method == b.method == c.method
+        assert a.status == b.status == c.status == "ok"
         assert np.array_equal(a.metrics.per_trial_cost, b.metrics.per_trial_cost)
         assert np.array_equal(a.metrics.per_trial_rate, b.metrics.per_trial_rate)
+        assert np.array_equal(a.metrics.per_trial_cost, c.metrics.per_trial_cost[:4])
+        assert np.array_equal(a.metrics.per_trial_rate, c.metrics.per_trial_rate[:4])
+
+
+def test_single_trial_is_the_batch_of_one(benchmark_model, benchmark_steady):
+    cfg = bench_cfg(horizon_steps=60)
+    pol, _ = rollout_policy(benchmark_model)
+    kept = sr.simulate_trials(cfg, benchmark_model, pol, [3, 7, 9], steady=benchmark_steady,
+                              keep_traces=True)
+    lean = sr.simulate_trials(cfg, benchmark_model, pol, [3, 7, 9], steady=benchmark_steady)
+    for row, trial in enumerate((3, 7, 9)):
+        alone = sr.simulate_trial(cfg, benchmark_model, pol, trial, steady=benchmark_steady)
+        for name in ("states", "estimates", "inputs", "triggers", "outputs", "stage_costs"):
+            assert np.array_equal(getattr(alone, name), getattr(kept[row], name)), name
+        assert np.array_equal(alone.stage_costs, lean[row].stage_costs)
+        assert np.array_equal(alone.triggers, lean[row].triggers)
+        assert lean[row].states is None
+
+
+def _reference_trial(dm, q_w, r_w, noise, steady, decide):
+    """Plain per-trial loop: the textbook filter and plant, one vector at a time.
+
+    ``decide(xhat, sigma, k)`` returns (u, delta).  The time-varying filter
+    runs whenever init_cov is not the predictive fixed point.
+    """
+    x, w_seq, v_seq = noise
+    a, b, c = dm.a, dm.b, dm.c
+    gain, sigma, _ = steady
+    time_varying = np.abs(dm.init_cov - steady[2]).max() > 1e-8
+    if time_varying:
+        prior = dm.init_cov
+        gain = prior @ c.T @ np.linalg.inv(c @ prior @ c.T + dm.meas_cov)
+        sigma = prior - gain @ c @ prior
+    xhat = dm.init_mean + gain @ (c @ x + v_seq[0] - c @ dm.init_mean)
+    costs, triggers = [], []
+    for k in range(len(w_seq)):
+        u, delta = decide(xhat, sigma, k)
+        costs.append(x @ q_w @ x + u @ r_w @ u)
+        triggers.append(delta)
+        x = a @ x + b @ u + w_seq[k]
+        y = c @ x + v_seq[k + 1]
+        if time_varying:
+            prior = a @ sigma @ a.T + dm.proc_cov
+            gain = prior @ c.T @ np.linalg.inv(c @ prior @ c.T + dm.meas_cov)
+            sigma = prior - gain @ c @ prior
+        pred = a @ xhat + b @ u
+        xhat = pred + gain @ (y - c @ pred)
+    return np.array(costs), np.array(triggers)
+
+
+def _reference_deciders(method, dm, theta):
+    """Per-trial decision functions built straight from the design routines."""
+    q_w, r_w = sr.BENCHMARK_Q, sr.BENCHMARK_R
+    if method == "periodic":
+        gain = sr.design_periodic(dm, q_w, r_w, 3).feedback_gain
+
+        def make():
+            return lambda xhat, sigma, k: ((gain @ xhat, 1) if k % 3 == 0 else (np.zeros(1), 0))
+
+        return make, PeriodicController(gain, 3)
+    if method == "rollout":
+        pol, _ = rollout_policy(dm, theta=theta)
+
+        def make():
+            chosen = {}
+
+            def decide(xhat, sigma, k):
+                if k % 6 == 0:
+                    chosen["m"] = sr.select_pattern(pol.tables, xhat, sigma)
+                m, tau = chosen["m"], k % 6
+                if pol.tables.patterns[m - 1].bits[tau]:
+                    return pol.tables.gains[m - 1, tau] @ xhat, 1
+                return np.zeros(1), 0
+
+            return decide
+
+        return make, pol
+    prob = sr.build_mpc_problem(dm, q_w, r_w, horizon=30, theta=theta)
+    dim = prob.quad_matrix.shape[0]
+
+    def make():
+        warm = [sr.AdmmState(primal=np.zeros(dim), auxiliary=np.zeros(dim),
+                             dual=np.zeros(dim), penalty=1.0)]
+
+        def decide(xhat, sigma, k):
+            u, delta, warm[0] = sr.mpc_controller_step(xhat, prob, dm, state=warm[0])
+            return u, delta
+
+        return decide
+
+    return make, SparseMpcController(prob, dm)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("method", ["rollout", "periodic", "sparse_mpc", "periodic-tv",
+                                    "rollout-tv"])
+@pytest.mark.parametrize("seed_base", [123, 2024])
+def test_batched_engine_matches_per_trial_reference(benchmark_model, method, seed_base):
+    # the time-varying model shares one gain sequence across the whole batch
+    method, _, tv = method.partition("-")
+    dm = benchmark_model.with_init(benchmark_model.init_mean, np.eye(4)) if tv else benchmark_model
+    steady = sr.steady_kalman(benchmark_model)
+    cfg = bench_cfg(horizon_steps=36 if method == "sparse_mpc" else 120, seed_base=seed_base)
+    make, controller = _reference_deciders(method, benchmark_model, theta=0.2)
+    trials = [0, 1, 5]
+    traces = sr.simulate_trials(cfg, dm, controller, trials, steady=steady)
+    for row, trial in enumerate(trials):
+        noise = sr.noise_streams(dm, seed_base, trial, cfg.horizon_steps)
+        costs, triggers = _reference_trial(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, noise, steady,
+                                           make())
+        assert np.array_equal(traces[row].triggers, triggers)
+        ref, got = costs.mean(), traces[row].control_cost
+        assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 def test_stability_report_contents(benchmark_model, benchmark_steady):

@@ -140,6 +140,37 @@ def test_nonconvergence_raises(benchmark_model):
         sr.solve_sparse_mpc(prob, np.array([1.0, -1.0, 0.2, 0.1]), max_iter=2)
 
 
+def test_admm_penalty_changes_iterations_not_solution(bench_problem):
+    # rho steers the ADMM path; the accepted solution is the same optimum within tol
+    x = np.array([1.0, -1.0, 0.2, 0.1])
+    tol = 1e-8
+    dim = bench_problem.quad_matrix.shape[0]
+    solutions, iterations = [], []
+    for rho in (1.0, 10.0):
+        state = sr.AdmmState(primal=np.zeros(dim), auxiliary=np.zeros(dim),
+                             dual=np.zeros(dim), penalty=rho)
+        u_seq, iters = sr.solve_sparse_mpc(bench_problem, x, tol=tol, state=state)
+        assert sr.subgradient_residual(bench_problem, u_seq, x) <= tol
+        solutions.append(u_seq)
+        iterations.append(iters)
+    assert iterations[0] != iterations[1]
+    assert np.abs(solutions[0] - solutions[1]).max() <= tol
+
+
+def test_config_penalty_reaches_the_solver(benchmark_model):
+    # sparse_mpc.penalty is the rho of every solve in a sweep cell
+    costs = []
+    for rho in (1.0, 10.0):
+        cfg = sr.SimConfig(horizon_steps=12, trials=1, seed_base=17,
+                           q_weight=sr.BENCHMARK_Q, r_weight=sr.BENCHMARK_R,
+                           controller_kind="sparse_mpc", mpc_penalty=rho)
+        (cell,) = sr.theta_sweep(cfg, benchmark_model, [0.2], methods=("sparse_mpc",))
+        assert cell.status == "ok"
+        costs.append(cell.metrics.avg_control_cost)
+    assert costs[0] != costs[1]
+    assert abs(costs[0] - costs[1]) <= 1e-6 * costs[0]
+
+
 def test_controller_step_zero_estimate(benchmark_model, bench_problem, benchmark_steady):
     gain, err_cov, prior = benchmark_steady
     est = sr.EstimatorState(estimate=np.zeros(4), err_cov=err_cov, gain=gain,
