@@ -170,16 +170,25 @@ def with_theta(tables: RolloutTables, theta: float) -> RolloutTables:
     return replace(tables, trigger_score=_trigger_score(tables.bits, tables.discount, theta))
 
 
-def pattern_scores(tables: RolloutTables, estimate, err_cov) -> np.ndarray:
-    """Pattern scores at one estimate (n,) -> (M,), or at a batch (T, n) -> (T, M)."""
+def score_traces(tables: RolloutTables, err_cov) -> np.ndarray:
+    """The constant score term tr(P0[m] Sigma) of every pattern, (M,)."""
+    sigma = np.atleast_2d(np.asarray(err_cov, dtype=float))
+    return np.einsum("mij,ji->m", np.ascontiguousarray(tables.cost_matrices[:, 0]), sigma)
+
+
+def pattern_scores(tables: RolloutTables, estimate, err_cov, trace=None) -> np.ndarray:
+    """Pattern scores at one estimate (n,) -> (M,), or at a batch (T, n) -> (T, M).
+
+    ``trace`` is :func:`score_traces` at ``err_cov`` when the caller keeps it.
+    """
     x = np.asarray(estimate, dtype=float)
     if x.ndim != 2:
         x = x.reshape(-1)
-    sigma = np.atleast_2d(np.asarray(err_cov, dtype=float))
+    if trace is None:
+        trace = score_traces(tables, err_cov)
     # one gather of the strided slice beats two einsum passes over it
     p0 = np.ascontiguousarray(tables.cost_matrices[:, 0])
     quad = np.einsum("...i,mij,...j->...m", x, p0, x)
-    trace = np.einsum("mij,ji->m", p0, sigma)
     return quad + trace + tables.noise_score + tables.trigger_score
 
 
@@ -196,12 +205,13 @@ def pattern_score(tables: RolloutTables, m: int, estimate, err_cov) -> float:
     )
 
 
-def select_pattern(tables: RolloutTables, estimate, err_cov):
+def select_pattern(tables: RolloutTables, estimate, err_cov, trace=None):
     """Argmin pattern index; exact ties resolve to the smallest index.
 
     Returns an int for one estimate and an int array for a batch (T, n).
+    ``trace`` is passed on to :func:`pattern_scores`.
     """
-    picks = np.argmin(pattern_scores(tables, estimate, err_cov), axis=-1) + 1
+    picks = np.argmin(pattern_scores(tables, estimate, err_cov, trace), axis=-1) + 1
     return int(picks) if picks.ndim == 0 else picks
 
 
@@ -210,7 +220,9 @@ class RolloutPolicy:
     """Receding-horizon block controller over a batch of trials.
 
     ``forced_pattern`` pins the selection (diagnostic hook used to compare
-    against the base policy on identical noise).
+    against the base policy on identical noise).  The score traces are kept
+    for the last filter covariance seen, by identity: the stationary filter
+    passes the same array every block, the time-varying one a new array.
     """
 
     tables: RolloutTables
@@ -218,6 +230,7 @@ class RolloutPolicy:
     theta: float
     forced_pattern: int | None = None
     _block: tuple = field(default=(), init=False, repr=False, compare=False)
+    _traces: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tables.horizon % self.period != 0:
@@ -231,8 +244,10 @@ class RolloutPolicy:
         tau = k % tables.horizon
         if tau == 0:
             forced = self.forced_pattern
-            picks = (select_pattern(tables, est.estimate, est.err_cov) if forced is None
-                     else np.full(len(est.estimate), forced)) - 1
+            if forced is None and self._traces[0] is not est.err_cov:
+                self._traces = (est.err_cov, score_traces(tables, est.err_cov))
+            picks = (select_pattern(tables, est.estimate, est.err_cov, self._traces[1])
+                     if forced is None else np.full(len(est.estimate), forced)) - 1
             self._block = (tables.bits[picks], tables.gains[picks])
         bits, gains = self._block
         u = np.einsum("tqn,tn->tq", gains[:, tau], est.estimate)

@@ -10,7 +10,7 @@ at the same trial index consume identical noise (common random numbers).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .exceptions import NonFiniteError
 from .periodic import best_periodic, design_periodic
 from .plant import DiscreteModel
 from .rollout import RolloutPolicy, build_tables, with_theta
-from .sparse_mpc import AdmmState, build_mpc_problem, mpc_controller_step
+from .sparse_mpc import AdmmState, admm_factor, build_mpc_problem, first_inputs, solve_admm
 
 METHODS = ("rollout", "periodic", "sparse_mpc")
 
@@ -143,29 +143,32 @@ class PeriodicController:
 class SparseMpcController:
     """Warm-started receding-horizon sparse MPC with ADMM penalty rho.
 
-    Each trial keeps its own warm start and the trials are solved in order,
-    so a trial sees the same solves whatever batch it runs in.
+    The trials of a batch are solved in lockstep with one Cholesky factor
+    (``factor``, made here when not given), and each keeps its own warm
+    start, so a trial sees the same solves whatever batch it runs in.
     """
 
     def __init__(self, problem, dm: DiscreteModel, tol: float = 1e-8, max_iter: int = 10_000,
-                 penalty: float = 1.0):
+                 penalty: float = 1.0, factor=None):
         self.problem = problem
         self.dm = dm
         self.tol = tol
         self.max_iter = max_iter
         self.penalty = penalty
-        self._warm: list[AdmmState] = []
+        self.factor = admm_factor(problem, penalty) if factor is None else factor
+        self._warm: AdmmState | None = None
 
     def decide(self, est, k: int):
         if k == 0:
-            dim = self.problem.quad_matrix.shape[0]
-            self._warm = [AdmmState(np.zeros(dim), np.zeros(dim), np.zeros(dim), self.penalty)
-                          for _ in est.estimate]
-        u, delta, self._warm = zip(*(
-            mpc_controller_step(x, self.problem, self.dm, state=warm, tol=self.tol,
-                                max_iter=self.max_iter)
-            for x, warm in zip(est.estimate, self._warm)))
-        return np.array(u), np.array(delta, dtype=np.int8)
+            if est.estimate.shape[-1] != self.dm.n_states:
+                raise ValueError("estimate dimension does not match the model")
+            shape = (len(est.estimate), self.problem.quad_matrix.shape[0])
+            self._warm = AdmmState(np.zeros(shape), np.zeros(shape), np.zeros(shape),
+                                   self.penalty)
+        z, _ = solve_admm(self.problem, est.estimate, self._warm, self.factor, tol=self.tol,
+                          max_iter=self.max_iter)
+        self._warm = self._warm.shifted(self.problem.group_size)
+        return first_inputs(z, self.problem.group_size)
 
 
 def simulate_trials(cfg: SimConfig, dm: DiscreteModel, controller, trials, steady=None,
@@ -270,7 +273,8 @@ def make_controller_factory(method: str, cfg: SimConfig, dm: DiscreteModel, thet
     batch of trials and info carries design byproducts (chosen period,
     tables).  ``shared`` is a dict that lives for one sweep: the parts that
     do not depend on theta (periodic designs, the Riccati arrays of the
-    rollout tables, the MPC terminal cost) are built once and reused from it.
+    rollout tables, the condensed MPC problem and its ADMM factor) are built
+    once and reused from it.
     """
     if steady is None:
         steady = steady_kalman(dm)
@@ -296,13 +300,16 @@ def make_controller_factory(method: str, cfg: SimConfig, dm: DiscreteModel, thet
         info = {"p": p_star, "formula_cost": formula_cost, "policy": pol}
         return (lambda: PeriodicController(pol.feedback_gain, p_star)), info
     if method == "sparse_mpc":
-        problem = build_mpc_problem(dm, q_w, r_w, cfg.mpc_horizon, theta,
-                                    terminal=shared.get("mpc_terminal"))
-        shared["mpc_terminal"] = problem.terminal_weight
+        def build_mpc():
+            problem = build_mpc_problem(dm, q_w, r_w, cfg.mpc_horizon, 0.0)
+            return problem, admm_factor(problem, cfg.mpc_penalty)
+
+        problem, factor = _shared(shared, ("mpc", cfg.mpc_horizon, cfg.mpc_penalty), build_mpc)
+        problem = replace(problem, group_weight=float(theta))
         info = {"problem": problem}
         return (
             lambda: SparseMpcController(problem, dm, tol=cfg.mpc_tol, max_iter=cfg.mpc_max_iter,
-                                        penalty=cfg.mpc_penalty)
+                                        penalty=cfg.mpc_penalty, factor=factor)
         ), info
     raise ValueError(f"unknown method {method!r}")
 

@@ -5,6 +5,7 @@ import pytest
 
 import sparseroll as sr
 from sparseroll.exceptions import HorizonMismatchError, NonFiniteError
+from sparseroll.rollout import score_traces
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -121,6 +122,25 @@ def test_score_even_in_estimate(benchmark_tables, rng):
         s_minus = sr.pattern_scores(tables, -x, err_cov)
         assert np.array_equal(s_plus, s_minus)
         assert sr.select_pattern(tables, x, err_cov) == sr.select_pattern(tables, -x, err_cov)
+
+
+def test_cached_score_traces_match_uncached(benchmark_tables, benchmark_steady, rng):
+    # the policy keeps tr(P0 Sigma) per covariance object; scores and picks stay bit-identical
+    _, _, err_cov, tables = benchmark_tables
+    x = rng.standard_normal((5, 4)) * rng.uniform(0.1, 3.0, size=(5, 1))
+    trace = score_traces(tables, err_cov)
+    assert np.array_equal(sr.pattern_scores(tables, x, err_cov, trace),
+                          sr.pattern_scores(tables, x, err_cov))
+    gain, _, prior = benchmark_steady
+    pol = sr.RolloutPolicy(tables=tables, period=6, theta=0.2)
+    for sigma in (err_cov, err_cov, 3.0 * err_cov):
+        est = sr.EstimatorState(estimate=x, err_cov=sigma, gain=gain, prior_cov=prior,
+                                step_index=0)
+        _, bits = pol.decide(est, 0)
+        picks = sr.select_pattern(tables, x, sigma)
+        assert pol._traces[0] is sigma
+        assert np.array_equal(bits, tables.bits[picks - 1, 0])
+        assert np.array_equal(pol._block[0], tables.bits[picks - 1])
 
 
 def test_huge_theta_selects_all_zero(benchmark_model):

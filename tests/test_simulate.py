@@ -1,11 +1,13 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import sparseroll as sr
 from sparseroll import simulate
-from sparseroll.exceptions import NonFiniteError
+from sparseroll.exceptions import NonConvergenceError, NonFiniteError
 from sparseroll.simulate import PeriodicController, SparseMpcController
 
 
@@ -230,29 +232,57 @@ def test_nonfinite_error_names_step_and_trial():
 
 def test_theta_sweep_designs_once_per_call(benchmark_model, monkeypatch):
     # theta-independent designs are shared by the cells of one sweep, not across sweeps
-    periods, tables = [], []
+    periods, tables, mpc_problems, factors = [], [], [], []
     design, build = simulate.design_periodic, simulate.build_tables
+    build_mpc, factorise = simulate.build_mpc_problem, simulate.admm_factor
     monkeypatch.setattr(simulate, "design_periodic",
                         lambda *a, **kw: periods.append(a[3]) or design(*a, **kw))
     monkeypatch.setattr(simulate, "build_tables",
                         lambda *a, **kw: tables.append(a[5]) or build(*a, **kw))
+    monkeypatch.setattr(simulate, "build_mpc_problem",
+                        lambda *a, **kw: mpc_problems.append(a[3]) or build_mpc(*a, **kw))
+    monkeypatch.setattr(simulate, "admm_factor",
+                        lambda *a, **kw: factors.append(a[1]) or factorise(*a, **kw))
     cfg = bench_cfg(trials=1, horizon_steps=12)
     grid = [0.1, 0.3]
-    fresh = {c.theta: c for c in (
-        sr.theta_sweep(cfg, benchmark_model, [theta], methods=("rollout",))[0] for theta in grid)}
+    methods = ("rollout", "sparse_mpc")
+    fresh = {(c.theta, c.method): c for theta in grid
+             for c in sr.theta_sweep(cfg, benchmark_model, [theta], methods=methods)}
     for _ in range(2):
-        periods.clear()
-        tables.clear()
-        cells = sr.theta_sweep(cfg, benchmark_model, grid, methods=("rollout", "periodic"))
+        for calls in (periods, tables, mpc_problems, factors):
+            calls.clear()
+        cells = sr.theta_sweep(cfg, benchmark_model, grid, methods=methods + ("periodic",))
         assert all(c.status == "ok" for c in cells)
         assert sorted(periods) == [1, 2, 3, 6] and tables == [6]
+        # one condensed problem and one Cholesky factor of H + rho I per sweep
+        assert mpc_problems == [30] and factors == [1.0]
     rollout = [c for c in cells if c.method == "rollout"]
     assert rollout[0].info["tables"].gains is rollout[1].info["tables"].gains
-    for cell in rollout:
-        expect = fresh[cell.theta]
-        assert np.array_equal(cell.info["tables"].trigger_score,
-                              expect.info["tables"].trigger_score)
+    mpc = [c for c in cells if c.method == "sparse_mpc"]
+    assert mpc[0].info["problem"].quad_matrix is mpc[1].info["problem"].quad_matrix
+    assert [c.info["problem"].group_weight for c in mpc] == grid
+    for cell in rollout + mpc:
+        expect = fresh[cell.theta, cell.method]
+        if cell.method == "rollout":
+            assert np.array_equal(cell.info["tables"].trigger_score,
+                                  expect.info["tables"].trigger_score)
         assert np.array_equal(cell.metrics.per_trial_cost, expect.metrics.per_trial_cost)
+        assert np.array_equal(cell.metrics.per_trial_rate, expect.metrics.per_trial_rate)
+
+
+def test_theta_sweep_records_admm_nonconvergence(benchmark_model):
+    # the batched solver keeps the failure type; the cell status names a trial
+    cfg = bench_cfg(trials=3, horizon_steps=12, controller_kind="sparse_mpc", mpc_max_iter=2)
+    cells = sr.theta_sweep(cfg, benchmark_model, [0.1, 0.3], methods=("sparse_mpc",))
+    for cell in cells:
+        assert cell.metrics is None
+        assert re.fullmatch(r"error: ADMM did not converge in 2 iterations for trial [0-2] "
+                            r"of the batch \(primal .*, dual .*\)", cell.status), cell.status
+    prob = sr.build_mpc_problem(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R, 30, 0.1)
+    with pytest.raises(NonConvergenceError) as err:
+        sr.simulate_trials(cfg, benchmark_model,
+                           SparseMpcController(prob, benchmark_model, max_iter=2), range(3))
+    assert err.value.iterations == 2 and err.value.residual > 0.0
 
 
 def test_theta_sweep_batch_composition_invariance(benchmark_model):
@@ -346,15 +376,47 @@ def _reference_deciders(method, dm, theta):
 
         return make, pol
     prob = sr.build_mpc_problem(dm, q_w, r_w, horizon=30, theta=theta)
-    dim = prob.quad_matrix.shape[0]
+    dim, q, rho, relax, tol = prob.quad_matrix.shape[0], prob.group_size, 1.0, 1.5, 1e-8
+    factor = sla.cho_factor(prob.quad_matrix + rho * np.eye(dim))
+
+    def kkt(u, f):
+        # worst block violation of the subgradient conditions, block by block
+        grad = (prob.quad_matrix @ u + f).reshape(-1, q)
+        worst = 0.0
+        for g, block in zip(grad, u.reshape(-1, q)):
+            norm = np.linalg.norm(block)
+            if norm == 0.0:
+                worst = max(worst, np.linalg.norm(g) - theta)
+            else:
+                worst = max(worst, np.linalg.norm(g + theta * block / norm))
+        return worst
 
     def make():
-        warm = [sr.AdmmState(primal=np.zeros(dim), auxiliary=np.zeros(dim),
-                             dual=np.zeros(dim), penalty=1.0)]
+        # textbook over-relaxed scaled ADMM for one trial, warm-started by a one-block shift
+        warm = {"z": np.zeros(dim), "w": np.zeros(dim)}
 
         def decide(xhat, sigma, k):
-            u, delta, warm[0] = sr.mpc_controller_step(xhat, prob, dm, state=warm[0])
-            return u, delta
+            f = prob.lin_matrix @ xhat
+            z, w = warm["z"], warm["w"]
+            for _ in range(10_000):
+                u = sla.cho_solve(factor, rho * (z - w) - f)
+                u_relaxed = relax * u + (1.0 - relax) * z
+                z_old, z = z, np.zeros(dim)
+                for i, block in enumerate((u_relaxed + w).reshape(-1, q)):
+                    norm = np.linalg.norm(block)
+                    if norm > theta / rho:
+                        z[i * q:(i + 1) * q] = (norm - theta / rho) / norm * block
+                w = w + u_relaxed - z
+                if (np.linalg.norm(u - z) < tol and rho * np.linalg.norm(z - z_old) < tol
+                        and kkt(z, f) <= tol):
+                    break
+            else:
+                raise AssertionError("reference ADMM did not converge")
+            warm["z"] = np.concatenate([z[q:], np.zeros(q)])
+            warm["w"] = np.concatenate([w[q:], np.zeros(q)])
+            if np.linalg.norm(z[:q]) > 1e-9:
+                return z[:q], 1
+            return np.zeros(q), 0
 
         return decide
 

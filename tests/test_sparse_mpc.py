@@ -3,7 +3,7 @@ import pytest
 
 import sparseroll as sr
 from sparseroll.exceptions import NonConvergenceError
-from sparseroll.sparse_mpc import ZERO_TOL, mpc_objective
+from sparseroll.sparse_mpc import ZERO_TOL, admm_factor, mpc_objective, solve_admm
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +138,51 @@ def test_nonconvergence_raises(benchmark_model):
                                 horizon=30, theta=0.2)
     with pytest.raises(NonConvergenceError):
         sr.solve_sparse_mpc(prob, np.array([1.0, -1.0, 0.2, 0.1]), max_iter=2)
+
+
+def _cold(rows, dim):
+    return sr.AdmmState(primal=np.zeros((rows, dim)), auxiliary=np.zeros((rows, dim)),
+                        dual=np.zeros((rows, dim)), penalty=1.0)
+
+
+def test_admm_rows_independent_of_batch(bench_problem, rng):
+    # a row leaves the batch when it converges; alone or batched it follows the same iterates
+    dim = bench_problem.quad_matrix.shape[0]
+    factor = admm_factor(bench_problem, 1.0)
+    estimates = rng.standard_normal((6, 4)) * np.array([[0.0], [0.05], [0.5], [1.0], [2.0], [4.0]])
+    batch = _cold(6, dim)
+    for step in range(3):
+        # the second and third solves start from shifted warm starts, as in the controller
+        start = sr.AdmmState(batch.primal, batch.auxiliary, batch.dual, batch.penalty)
+        z, iters = solve_admm(bench_problem, estimates, batch, factor)
+        assert len(set(iters.tolist())) > 1
+        for row, x in enumerate(estimates):
+            alone = sr.AdmmState(start.primal[row:row + 1], start.auxiliary[row:row + 1],
+                                 start.dual[row:row + 1], start.penalty)
+            z1, iters1 = solve_admm(bench_problem, x[None], alone, factor)
+            assert iters1[0] == iters[row]
+            assert np.array_equal(z1[0], z[row])
+            assert np.array_equal(alone.dual[0], batch.dual[row])
+            assert np.array_equal(alone.primal[0], batch.primal[row])
+            if step == 0:
+                # the public single-instance solver is the batch of one
+                u_seq, it = sr.solve_sparse_mpc(bench_problem, x)
+                assert it == iters[row] and np.array_equal(u_seq.reshape(-1), z[row])
+        batch = batch.shifted(bench_problem.group_size)
+        estimates = estimates * 0.9
+
+
+def test_admm_nonconvergence_names_first_active_row(bench_problem):
+    # row 0 (zero estimate) converges at once; row 1 is the first still running at the cap
+    dim = bench_problem.quad_matrix.shape[0]
+    estimates = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, -1.0, 0.2, 0.1], [2.0, 0.0, 0.0, 1.0]])
+    state = _cold(3, dim)
+    with pytest.raises(NonConvergenceError,
+                       match=r"in 2 iterations for trial 1 of the batch") as err:
+        solve_admm(bench_problem, estimates, state, max_iter=2)
+    assert err.value.iterations == 2
+    assert np.isfinite(err.value.residual) and err.value.residual > 1e-8
+    assert np.all(state.auxiliary == 0.0)
 
 
 def test_admm_penalty_changes_iterations_not_solution(bench_problem):
