@@ -19,6 +19,7 @@ from .benchmark import (
     BENCHMARK_X0_MEAN,
     benchmark_discrete_model,
 )
+from .config import ExperimentConfig
 from .estimator import EstimatorState, kalman_init, kalman_step, steady_kalman
 from .exceptions import (
     AssumptionViolatedError,
@@ -67,7 +68,6 @@ from .rollout import (
 )
 from .simulate import (
     Metrics,
-    SimConfig,
     SimTrace,
     StabilityReport,
     SweepCell,
@@ -84,7 +84,6 @@ from .sparse_mpc import (
     MpcProblem,
     block_soft_threshold,
     build_mpc_problem,
-    mpc_controller_step,
     solve_sparse_mpc,
     subgradient_residual,
 )

@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +54,6 @@ def _resolve_outdir(args, cfg: ExperimentConfig) -> Path:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    from dataclasses import replace
-
     updates = {}
     if args.seed is not None:
         updates["seed_base"] = args.seed
@@ -122,9 +121,7 @@ def cmd_design(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
-    dm = cfg.build_model()
-    sim = cfg.sim_config()
-    cells = theta_sweep(sim, dm, cfg.theta_grid, methods=cfg.methods)
+    cells = theta_sweep(cfg, cfg.build_model(), cfg.theta_grid, methods=cfg.methods)
 
     ok_cells = [c for c in cells if c.status == "ok"]
     with open(out_dir / "tradeoff.csv", "w", newline="") as fh:

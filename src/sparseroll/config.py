@@ -1,12 +1,16 @@
-"""Experiment configuration: loading, validation, canonical form.
+"""Experiment configuration: the one config type, its YAML form and validation.
 
-A single YAML file pins every knob of an experiment (model source, cost,
-theta grid, per-method parameters, trial counts, seeds).  Validation is
-eager: dimension consistency, definiteness, horizon divisibility and the
-non-pathological-sampling condition are all checked at load time so that
-runs fail before any compute happens.
+An :class:`ExperimentConfig` pins every knob of an experiment (model source,
+cost, theta grid, per-method parameters, trial counts, seeds), and its
+defaults are the benchmark study.  It validates itself on construction, so
+``dataclasses.replace`` and the CLI overrides are checked like a loaded
+file.  :func:`parse_config` reads the YAML sections over the defaults and
+adds the checks that need the built model (dimensions and non-pathological
+sampling), so runs fail before any compute happens.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,38 +36,171 @@ from .riccati import (
     min_eigenvalue,
     require_symmetric,
 )
-from .simulate import METHODS, SimConfig
+
+METHODS = ("rollout", "periodic", "sparse_mpc")
 
 MAX_LOOKAHEAD = 20  # 2^h patterns are enumerated exhaustively
 
 _MODEL_SOURCES = ("builtin-benchmark", "matrices-from-file")
 
+# YAML location of each field: (section, key), or (key,) at the top level.
+_YAML_KEYS = {
+    "model_source": ("model", "source"),
+    "sample_period": ("model", "sample_period"),
+    "model_file": ("model", "file"),
+    "init_mean": ("model", "init_mean"),
+    "q_weight": ("cost", "q"),
+    "r_weight": ("cost", "r"),
+    "theta_grid": ("theta", "grid"),
+    "methods": ("methods",),
+    "h": ("rollout", "h"),
+    "p": ("rollout", "p"),
+    "alpha": ("rollout", "alpha"),
+    "candidates": ("periodic", "candidates"),
+    "mpc_horizon": ("sparse_mpc", "horizon"),
+    "mpc_penalty": ("sparse_mpc", "penalty"),
+    "mpc_tol": ("sparse_mpc", "tol"),
+    "mpc_max_iter": ("sparse_mpc", "max_iter"),
+    "trials": ("sim", "trials"),
+    "horizon_steps": ("sim", "horizon_steps"),
+    "seed_base": ("sim", "seed_base"),
+    "output_dir": ("output_dir",),
+}
+
+
+def _number(value, label) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{label} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, label) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{label} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _method(value, label) -> str:
+    if value not in METHODS:
+        raise ConfigError(f"unknown method {value!r}; valid: {METHODS}")
+    return value
+
+
+def _matrix(value, label) -> np.ndarray:
+    try:
+        m = np.atleast_2d(np.asarray(value, dtype=float))
+    except (TypeError, ValueError):
+        m = None
+    if m is None or m.ndim != 2 or not np.isfinite(m).all():
+        raise ConfigError(f"{label} must be 'benchmark' or a finite matrix")
+    return m
+
+
+def _list_of(convert):
+    def converter(value, label):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{label} must be a list, got {value!r}")
+        return tuple(convert(v, f"{label}[{i}]") for i, v in enumerate(value))
+    return converter
+
+
+# Normalises each field to its type; raises ConfigError naming the YAML key.
+_CONVERT = {
+    "sample_period": _number,
+    "init_mean": lambda value, label: None if value is None else _list_of(_number)(value, label),
+    "q_weight": _matrix,
+    "r_weight": _matrix,
+    "theta_grid": _list_of(_number),
+    "methods": _list_of(_method),
+    "h": _integer,
+    "p": _integer,
+    "alpha": _number,
+    "candidates": _list_of(_integer),
+    "mpc_horizon": _integer,
+    "mpc_penalty": _number,
+    "mpc_tol": _number,
+    "mpc_max_iter": _integer,
+    "trials": _integer,
+    "horizon_steps": _integer,
+    "seed_base": _integer,
+    "output_dir": lambda value, label: str(value),
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description (see configs/benchmark.yaml)."""
+    """One experiment (see configs/benchmark.yaml); the defaults are the benchmark study.
 
-    model_source: str
-    sample_period: float
-    model_file: str | None
-    init_mean: tuple[float, ...] | None
-    q_weight: np.ndarray
-    r_weight: np.ndarray
-    theta_grid: tuple[float, ...]
-    methods: tuple[str, ...]
-    h: int
-    p: int
-    alpha: float
-    candidates: tuple[int, ...]
-    mpc_horizon: int
-    mpc_penalty: float
-    mpc_tol: float
-    mpc_max_iter: int
-    trials: int
-    horizon_steps: int
-    seed_base: int
-    output_dir: str
+    The model-free checks run on construction and raise :class:`ConfigError`.
+    """
+
+    model_source: str = "builtin-benchmark"
+    sample_period: float = BENCHMARK_TS
+    model_file: str | None = None
+    init_mean: tuple[float, ...] | None = None
+    q_weight: np.ndarray = field(default_factory=BENCHMARK_Q.copy)
+    r_weight: np.ndarray = field(default_factory=BENCHMARK_R.copy)
+    theta_grid: tuple[float, ...] = BENCHMARK_THETA_GRID
+    methods: tuple[str, ...] = METHODS
+    h: int = BENCHMARK_H
+    p: int = BENCHMARK_H
+    alpha: float = 1.0
+    candidates: tuple[int, ...] = BENCHMARK_PERIOD_CANDIDATES
+    mpc_horizon: int = BENCHMARK_MPC_HORIZON
+    mpc_penalty: float = 1.0
+    mpc_tol: float = 1e-8
+    mpc_max_iter: int = 10_000
+    trials: int = BENCHMARK_TRIALS
+    horizon_steps: int = BENCHMARK_HORIZON_STEPS
+    seed_base: int = 20240601
+    output_dir: str = "results"
     source_path: str | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        for name, convert in _CONVERT.items():
+            value = convert(getattr(self, name), ".".join(_YAML_KEYS[name]))
+            object.__setattr__(self, name, value)
+
+        if self.model_source not in _MODEL_SOURCES:
+            raise ConfigError(f"model.source must be one of {_MODEL_SOURCES}")
+        if self.model_source == "matrices-from-file" and not self.model_file:
+            raise ConfigError("model.source matrices-from-file requires model.file")
+        if self.sample_period <= 0.0:
+            raise ConfigError("model.sample_period must be > 0")
+        if not self.theta_grid:
+            raise ConfigError("theta grid must be non-empty")
+        if any(t <= 0.0 for t in self.theta_grid):
+            raise ConfigError("every theta must be > 0")
+        if not self.methods:
+            raise ConfigError("at least one method must be enabled")
+        if self.trials < 1 or self.horizon_steps < 1:
+            raise ConfigError("sim.trials and sim.horizon_steps must be >= 1")
+        if not 0.0 < self.alpha <= 1.0:
+            raise ConfigError("rollout.alpha must lie in (0, 1]")
+        if self.h < 1 or self.p < 1:
+            raise ConfigError("rollout.h and rollout.p must be >= 1")
+        if self.h > MAX_LOOKAHEAD:
+            raise ConfigError(f"rollout.h must be <= {MAX_LOOKAHEAD} (exhaustive 2^h enumeration)")
+        if self.h % self.p != 0:
+            raise ConfigError(f"rollout.h={self.h} must be a multiple of rollout.p={self.p}")
+        if "rollout" in self.methods and self.horizon_steps % self.h != 0:
+            raise ConfigError("sim.horizon_steps must be a multiple of rollout.h")
+        if self.mpc_horizon < 1:
+            raise ConfigError("sparse_mpc.horizon must be >= 1")
+        if self.mpc_penalty <= 0.0 or self.mpc_tol <= 0.0 or self.mpc_max_iter < 1:
+            raise ConfigError("sparse_mpc solver parameters must be positive")
+        if not self.candidates or any(c < 1 for c in self.candidates):
+            raise ConfigError("periodic.candidates must be positive integers")
+
+        try:
+            require_symmetric(self.q_weight, "cost.q")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        q_scale = max(1.0, float(np.linalg.norm(self.q_weight, "fro")))
+        if min_eigenvalue(self.q_weight) < -1e-10 * q_scale:
+            raise ConfigError("cost.q must be positive semidefinite")
+        if min_eigenvalue(self.r_weight) <= 0.0:
+            raise ConfigError("cost.r must be positive definite")
 
     def build_model(self) -> DiscreteModel:
         if self.model_source == "builtin-benchmark":
@@ -90,55 +227,20 @@ class ExperimentConfig:
             dm = dm.with_init(np.array(self.init_mean), dm.init_cov)
         return dm
 
-    def sim_config(self, controller_kind: str = "rollout", theta: float | None = None) -> SimConfig:
-        return SimConfig(
-            horizon_steps=self.horizon_steps,
-            trials=self.trials,
-            seed_base=self.seed_base,
-            q_weight=self.q_weight,
-            r_weight=self.r_weight,
-            controller_kind=controller_kind,
-            theta=self.theta_grid[0] if theta is None else theta,
-            h=self.h,
-            p=self.p,
-            alpha=self.alpha,
-            candidates=self.candidates,
-            mpc_horizon=self.mpc_horizon,
-            mpc_penalty=self.mpc_penalty,
-            mpc_tol=self.mpc_tol,
-            mpc_max_iter=self.mpc_max_iter,
-        )
-
     def canonical_dict(self) -> dict:
-        """Normalized content for round-trip and determinism checks."""
-        return {
-            "model": {
-                "source": self.model_source,
-                "sample_period": self.sample_period,
-                "file": self.model_file,
-                "init_mean": list(self.init_mean) if self.init_mean is not None else None,
-            },
-            "cost": {
-                "q": [[float(v) for v in row] for row in self.q_weight],
-                "r": [[float(v) for v in row] for row in self.r_weight],
-            },
-            "theta": {"grid": [float(t) for t in self.theta_grid]},
-            "methods": list(self.methods),
-            "rollout": {"h": self.h, "p": self.p, "alpha": self.alpha},
-            "periodic": {"candidates": list(self.candidates)},
-            "sparse_mpc": {
-                "horizon": self.mpc_horizon,
-                "penalty": self.mpc_penalty,
-                "tol": self.mpc_tol,
-                "max_iter": self.mpc_max_iter,
-            },
-            "sim": {
-                "trials": self.trials,
-                "horizon_steps": self.horizon_steps,
-                "seed_base": self.seed_base,
-            },
-            "output_dir": self.output_dir,
-        }
+        """Normalized content for round-trip and determinism checks, in the YAML layout."""
+        out: dict = {}
+        for name, (*sections, key) in _YAML_KEYS.items():
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            elif isinstance(value, tuple):
+                value = list(value)
+            target = out
+            for section in sections:
+                target = target.setdefault(section, {})
+            target[key] = value
+        return out
 
 
 def _expect_mapping(raw, name):
@@ -149,129 +251,37 @@ def _expect_mapping(raw, name):
     return raw
 
 
-def _theta_values(section) -> tuple[float, ...]:
-    if isinstance(section, dict) and "grid" in section:
-        grid = section["grid"]
-    elif isinstance(section, dict):
-        start, stop, step = section.get("start"), section.get("stop"), section.get("step")
-        if None in (start, stop, step):
-            raise ConfigError("theta section needs either 'grid' or start/stop/step")
-        count = int(round((stop - start) / step)) + 1
-        grid = [round(start + i * step, 12) for i in range(count)]
-    else:
-        grid = section
-    try:
-        values = tuple(float(t) for t in grid)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"theta grid is not numeric: {exc}") from exc
-    if not values:
-        raise ConfigError("theta grid must be non-empty")
-    if any(t <= 0.0 for t in values):
-        raise ConfigError("every theta must be > 0")
-    return values
+def _theta_values(section):
+    """The theta grid as written: a list, ``{grid: [...]}`` or ``{start, stop, step}``."""
+    if not isinstance(section, dict):
+        return section
+    if "grid" in section:
+        return section["grid"]
+    keys = ("start", "stop", "step")
+    if any(section.get(key) is None for key in keys):
+        raise ConfigError("theta section needs either 'grid' or start/stop/step")
+    start, stop, step = (_number(section[key], f"theta.{key}") for key in keys)
+    if step <= 0.0:
+        raise ConfigError("theta.step must be > 0")
+    count = int(round((stop - start) / step)) + 1
+    return [round(start + i * step, 12) for i in range(count)]
 
 
 def parse_config(raw: dict, source_path: str | None = None) -> ExperimentConfig:
-    """Validate a parsed YAML mapping into an ExperimentConfig."""
+    """Read a parsed YAML mapping over the defaults and validate it against its model."""
     raw = _expect_mapping(raw, "config")
-    model = _expect_mapping(raw.get("model"), "model")
-    cost = _expect_mapping(raw.get("cost"), "cost")
-    rollout = _expect_mapping(raw.get("rollout"), "rollout")
-    periodic = _expect_mapping(raw.get("periodic"), "periodic")
-    mpc = _expect_mapping(raw.get("sparse_mpc"), "sparse_mpc")
-    sim = _expect_mapping(raw.get("sim"), "sim")
+    values = {}
+    for name, (*sections, key) in _YAML_KEYS.items():
+        if name == "theta_grid":
+            continue
+        source = _expect_mapping(raw.get(sections[0]), sections[0]) if sections else raw
+        if key in source and not (name in ("q_weight", "r_weight") and source[key] == "benchmark"):
+            values[name] = source[key]
+    if "theta" in raw:
+        values["theta_grid"] = _theta_values(raw["theta"])
+    cfg = ExperimentConfig(**values, source_path=source_path)
 
-    source = model.get("source", "builtin-benchmark")
-    if source not in _MODEL_SOURCES:
-        raise ConfigError(f"model.source must be one of {_MODEL_SOURCES}")
-    if source == "matrices-from-file" and not model.get("file"):
-        raise ConfigError("model.source matrices-from-file requires model.file")
-
-    q_raw = cost.get("q", "benchmark")
-    if isinstance(q_raw, str):
-        if q_raw != "benchmark":
-            raise ConfigError("cost.q must be 'benchmark' or a matrix")
-        q_weight = BENCHMARK_Q.copy()
-    else:
-        q_weight = np.atleast_2d(np.asarray(q_raw, dtype=float))
-    r_raw = cost.get("r", "benchmark")
-    if isinstance(r_raw, str):
-        if r_raw != "benchmark":
-            raise ConfigError("cost.r must be 'benchmark' or a matrix/scalar")
-        r_weight = BENCHMARK_R.copy()
-    else:
-        r_weight = np.atleast_2d(np.asarray(r_raw, dtype=float))
-
-    theta_grid = _theta_values(raw.get("theta", {"grid": list(BENCHMARK_THETA_GRID)}))
-
-    methods = tuple(raw.get("methods", list(METHODS)))
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}; valid: {METHODS}")
-    if not methods:
-        raise ConfigError("at least one method must be enabled")
-
-    init_mean = model.get("init_mean")
-    cfg = ExperimentConfig(
-        model_source=source,
-        sample_period=float(model.get("sample_period", BENCHMARK_TS)),
-        model_file=model.get("file"),
-        init_mean=tuple(float(v) for v in init_mean) if init_mean is not None else None,
-        q_weight=q_weight,
-        r_weight=r_weight,
-        theta_grid=theta_grid,
-        methods=methods,
-        h=int(rollout.get("h", BENCHMARK_H)),
-        p=int(rollout.get("p", BENCHMARK_H)),
-        alpha=float(rollout.get("alpha", 1.0)),
-        candidates=tuple(int(c) for c in periodic.get("candidates", BENCHMARK_PERIOD_CANDIDATES)),
-        mpc_horizon=int(mpc.get("horizon", BENCHMARK_MPC_HORIZON)),
-        mpc_penalty=float(mpc.get("penalty", 1.0)),
-        mpc_tol=float(mpc.get("tol", 1e-8)),
-        mpc_max_iter=int(mpc.get("max_iter", 10_000)),
-        trials=int(sim.get("trials", BENCHMARK_TRIALS)),
-        horizon_steps=int(sim.get("horizon_steps", BENCHMARK_HORIZON_STEPS)),
-        seed_base=int(sim.get("seed_base", 20240601)),
-        output_dir=str(raw.get("output_dir", "results")),
-        source_path=source_path,
-    )
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.sample_period <= 0.0:
-        raise ConfigError("model.sample_period must be > 0")
-    if cfg.trials < 1 or cfg.horizon_steps < 1:
-        raise ConfigError("sim.trials and sim.horizon_steps must be >= 1")
-    if not 0.0 < cfg.alpha <= 1.0:
-        raise ConfigError("rollout.alpha must lie in (0, 1]")
-    if cfg.h < 1 or cfg.p < 1:
-        raise ConfigError("rollout.h and rollout.p must be >= 1")
-    if cfg.h > MAX_LOOKAHEAD:
-        raise ConfigError(f"rollout.h must be <= {MAX_LOOKAHEAD} (exhaustive 2^h enumeration)")
-    if cfg.h % cfg.p != 0:
-        raise ConfigError(f"rollout.h={cfg.h} must be a multiple of rollout.p={cfg.p}")
-    if "rollout" in cfg.methods and cfg.horizon_steps % cfg.h != 0:
-        raise ConfigError("sim.horizon_steps must be a multiple of rollout.h")
-    if cfg.mpc_horizon < 1:
-        raise ConfigError("sparse_mpc.horizon must be >= 1")
-    if cfg.mpc_penalty <= 0.0 or cfg.mpc_tol <= 0.0 or cfg.mpc_max_iter < 1:
-        raise ConfigError("sparse_mpc solver parameters must be positive")
-    if not cfg.candidates or any(c < 1 for c in cfg.candidates):
-        raise ConfigError("periodic.candidates must be positive integers")
-
-    try:
-        require_symmetric(cfg.q_weight, "cost.q")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    q_scale = max(1.0, float(np.linalg.norm(cfg.q_weight, "fro")))
-    if min_eigenvalue(cfg.q_weight) < -1e-10 * q_scale:
-        raise ConfigError("cost.q must be positive semidefinite")
-    if min_eigenvalue(cfg.r_weight) <= 0.0:
-        raise ConfigError("cost.r must be positive definite")
-
-    # Model-coupled checks: dimensions, definiteness, non-pathological lifting.
+    # Model-coupled checks: dimensions and non-pathological lifting.
     try:
         dm = cfg.build_model()
     except ConfigError:
@@ -286,6 +296,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     for p in set(cfg.candidates) | {cfg.p}:
         if not check_pathological_sampling(dm.a, p):
             raise ConfigError(f"pathological sampling at period p={p}")
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

@@ -14,49 +14,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import METHODS, ExperimentConfig
 from .estimator import kalman_init, kalman_step, row_product, steady_kalman
 from .exceptions import NonFiniteError
 from .periodic import best_periodic, design_periodic
 from .plant import DiscreteModel
 from .rollout import RolloutPolicy, build_tables, with_theta
 from .sparse_mpc import AdmmState, admm_factor, build_mpc_problem, first_inputs, solve_admm
-
-METHODS = ("rollout", "periodic", "sparse_mpc")
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Everything needed to reproduce one experiment cell or sweep."""
-
-    horizon_steps: int
-    trials: int
-    seed_base: int
-    q_weight: np.ndarray
-    r_weight: np.ndarray
-    controller_kind: str = "rollout"
-    theta: float = 0.1
-    h: int = 6
-    p: int = 6
-    alpha: float = 1.0
-    candidates: tuple[int, ...] = (1, 2, 3, 6)
-    mpc_horizon: int = 30
-    mpc_penalty: float = 1.0
-    mpc_tol: float = 1e-8
-    mpc_max_iter: int = 10_000
-
-    def __post_init__(self):
-        if self.horizon_steps < 1 or self.trials < 1:
-            raise ValueError("horizon_steps and trials must be >= 1")
-        if self.controller_kind not in METHODS:
-            raise ValueError(f"unknown controller kind {self.controller_kind!r}")
-        if self.controller_kind == "rollout":
-            if self.h % self.p != 0:
-                raise ValueError("rollout requires h to be a multiple of p")
-            if self.horizon_steps % self.h != 0:
-                raise ValueError("rollout requires horizon_steps to be a multiple of h")
-        object.__setattr__(self, "q_weight", np.atleast_2d(np.asarray(self.q_weight, dtype=float)))
-        object.__setattr__(self, "r_weight", np.atleast_2d(np.asarray(self.r_weight, dtype=float)))
-        object.__setattr__(self, "candidates", tuple(int(c) for c in self.candidates))
 
 
 @dataclass(frozen=True)
@@ -171,7 +135,7 @@ class SparseMpcController:
         return first_inputs(z, self.problem.group_size)
 
 
-def simulate_trials(cfg: SimConfig, dm: DiscreteModel, controller, trials, steady=None,
+def simulate_trials(cfg: ExperimentConfig, dm: DiscreteModel, controller, trials, steady=None,
                     noise=None, keep_traces: bool = False) -> list[SimTrace]:
     """Run the given trials as one closed loop over (T, n) arrays; one trace per trial.
 
@@ -223,7 +187,7 @@ def simulate_trials(cfg: SimConfig, dm: DiscreteModel, controller, trials, stead
             for t in range(n_trials)]
 
 
-def simulate_trial(cfg: SimConfig, dm: DiscreteModel, controller, seed: int,
+def simulate_trial(cfg: ExperimentConfig, dm: DiscreteModel, controller, seed: int,
                    steady=None, noise=None) -> SimTrace:
     """Run one closed-loop trial: the batch-of-one call of :func:`simulate_trials`.
 
@@ -265,7 +229,7 @@ def _shared(shared: dict, key, build):
     return shared[key]
 
 
-def make_controller_factory(method: str, cfg: SimConfig, dm: DiscreteModel, theta: float,
+def make_controller_factory(method: str, cfg: ExperimentConfig, dm: DiscreteModel, theta: float,
                             steady=None, shared: dict | None = None):
     """Design the controller for one (method, theta) cell.
 
@@ -325,7 +289,7 @@ class SweepCell:
     info: dict = field(default_factory=dict, repr=False)
 
 
-def theta_sweep(cfg: SimConfig, dm: DiscreteModel, theta_grid, methods=METHODS,
+def theta_sweep(cfg: ExperimentConfig, dm: DiscreteModel, theta_grid, methods=METHODS,
                 keep_traces: bool = False):
     """Run every enabled method over the theta grid with common random numbers.
 

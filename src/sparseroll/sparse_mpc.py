@@ -32,6 +32,9 @@ from .riccati import RiccatiProblem, min_eigenvalue, solve_dare
 # Inputs with norm at or below this are treated as "no actuation".
 ZERO_TOL = 1e-9
 
+# Over-relaxation factor of the ADMM iteration.
+RELAX = 1.5
+
 # Called directly: cho_solve's argument checks cost as much as the solve.
 _potrs = get_lapack_funcs("potrs")
 
@@ -182,7 +185,7 @@ def subgradient_residual(prob: MpcProblem, u_seq, estimate) -> float:
 
 
 def solve_admm(prob: MpcProblem, estimates, state: AdmmState, factor=None, tol: float = 1e-8,
-               max_iter: int = 10_000, relax: float = 1.5, on_iterate=None):
+               max_iter: int = 10_000, on_iterate=None):
     """Solve the instances at the estimates (T, n) in lockstep by over-relaxed scaled ADMM.
 
     ``state`` holds the (T, H q) warm starts and the penalty rho; it is
@@ -212,7 +215,7 @@ def solve_admm(prob: MpcProblem, estimates, state: AdmmState, factor=None, tol: 
 
     for it in range(1, max_iter + 1):
         u = _potrs(c, (rho * (z - w) - f).T, lower=lower, overwrite_b=True)[0].T
-        u_relaxed = relax * u + (1.0 - relax) * z
+        u_relaxed = RELAX * u + (1.0 - RELAX) * z
         v = (u_relaxed + w).reshape(blocks)
         norms = _row_norms(v)[..., None]
         scale = np.zeros_like(norms)
@@ -252,8 +255,7 @@ def solve_admm(prob: MpcProblem, estimates, state: AdmmState, factor=None, tol: 
 
 
 def solve_sparse_mpc(prob: MpcProblem, estimate, tol: float = 1e-8, max_iter: int = 10_000,
-                     state: AdmmState | None = None, relax: float = 1.5,
-                     collect_objective: bool = False):
+                     state: AdmmState | None = None, collect_objective: bool = False):
     """Solve one condensed sparse-MPC instance: the batch-of-one :func:`solve_admm`.
 
     Returns (u_seq, iterations) with u_seq of shape (horizon, group_size);
@@ -273,7 +275,7 @@ def solve_sparse_mpc(prob: MpcProblem, estimate, tol: float = 1e-8, max_iter: in
     batch = AdmmState(state.primal[None], state.auxiliary[None], state.dual[None], state.penalty)
     objectives = []
     z, iterations = solve_admm(
-        prob, x, batch, tol=tol, max_iter=max_iter, relax=relax,
+        prob, x, batch, tol=tol, max_iter=max_iter,
         on_iterate=(lambda z, f: objectives.append(mpc_objective(prob, z[0], f[0])))
         if collect_objective else None)
     for name in ("primal", "auxiliary", "dual", "primal_residual", "dual_residual"):
@@ -294,19 +296,3 @@ def first_inputs(z: np.ndarray, group_size: int):
     u0 = z[:, :group_size]
     delta = _row_norms(u0) > ZERO_TOL
     return np.where(delta[:, None], u0, 0.0), delta.astype(np.int8)
-
-
-def mpc_controller_step(est, prob: MpcProblem, dm: DiscreteModel, state: AdmmState | None = None,
-                        tol: float = 1e-8, max_iter: int = 10_000):
-    """Solve at the current estimate and apply the first input.
-
-    Returns (u, delta, warm_state) for one trial, as :func:`first_inputs`
-    decides them.
-    """
-    estimate = est.estimate if hasattr(est, "estimate") else np.asarray(est, dtype=float)
-    if estimate.shape[0] != dm.n_states:
-        raise ValueError("estimate dimension does not match the model")
-    u_seq, _ = solve_sparse_mpc(prob, estimate, tol=tol, max_iter=max_iter, state=state)
-    u0, delta = first_inputs(u_seq.reshape(1, -1), prob.group_size)
-    warm = state.shifted(prob.group_size) if state is not None else None
-    return u0[0], int(delta[0]), warm

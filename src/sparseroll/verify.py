@@ -122,9 +122,7 @@ def _oracle_agreement_check(cfg: ExperimentConfig, n_draws: int = 100) -> CheckR
 
 
 def _performance_bound_check(cfg: ExperimentConfig) -> CheckResult:
-    dm = cfg.build_model()
-    sim = cfg.sim_config()
-    cells = theta_sweep(sim, dm, cfg.theta_grid, methods=("rollout", "periodic"))
+    cells = theta_sweep(cfg, cfg.build_model(), cfg.theta_grid, methods=("rollout", "periodic"))
     by_key = {(c.theta, c.method): c for c in cells}
     worst_margin = math.inf
     for theta in cfg.theta_grid:
@@ -142,14 +140,15 @@ def _performance_bound_check(cfg: ExperimentConfig) -> CheckResult:
 
 
 def _stability_check(cfg: ExperimentConfig) -> CheckResult:
-    dm = cfg.build_model()
-    sim = cfg.sim_config()
+    window = max(10, cfg.horizon_steps // 12)
+    if cfg.horizon_steps < 4 * window:
+        return CheckResult("mean_square_stability", False,
+                           f"horizon of {cfg.horizon_steps} steps is too short for four "
+                           f"windows of {window} steps")
     grid = sorted(cfg.theta_grid)
     probe = sorted({grid[0], grid[len(grid) // 2], grid[-1]})
-    window = max(10, cfg.horizon_steps // 12)
-    for theta in probe:
-        cells = theta_sweep(sim, dm, [theta], methods=("rollout",), keep_traces=True)
-        cell = cells[0]
+    cells = theta_sweep(cfg, cfg.build_model(), probe, methods=("rollout",), keep_traces=True)
+    for theta, cell in zip(probe, cells):
         if cell.status != "ok":
             return CheckResult("mean_square_stability", False, f"cell failure at theta={theta}")
         bounded, report = check_mean_square_stability(cell.info["traces"], window)
@@ -167,13 +166,12 @@ def _periodic_formula_check(cfg: ExperimentConfig) -> CheckResult:
     dm = dm.with_init(np.zeros(dm.n_states), dm.init_cov)
     steady = steady_kalman(dm)
     _, err_cov, _ = steady
-    sim = cfg.sim_config(controller_kind="periodic")
     details = []
     for p in cfg.candidates:
         pol = design_periodic(dm, cfg.q_weight, cfg.r_weight, p, alpha=1.0)
         lift = build_lifted(dm, cfg.q_weight, cfg.r_weight, p, alpha=1.0)
         formula = periodic_average_cost(pol, lift, err_cov, theta=0.0)
-        traces = simulate_trials(sim, dm, PeriodicController(pol.feedback_gain, p),
+        traces = simulate_trials(cfg, dm, PeriodicController(pol.feedback_gain, p),
                                  range(cfg.trials), steady=steady)
         metrics = estimate_metrics(traces, theta=0.0)
         gap = abs(metrics.avg_control_cost - formula)
@@ -214,8 +212,8 @@ def _ordering_check(cfg: ExperimentConfig) -> CheckResult:
     dm = cfg.build_model()
     theta = cfg.theta_grid[len(cfg.theta_grid) // 2]
     trials = min(cfg.trials, 15)
-    sim = replace(cfg.sim_config(), trials=trials)
-    cells = theta_sweep(sim, dm, [theta], methods=("rollout", "sparse_mpc"))
+    cells = theta_sweep(replace(cfg, trials=trials), dm, [theta],
+                        methods=("rollout", "sparse_mpc"))
     by = {c.method: c for c in cells}
     if any(c.status != "ok" for c in cells):
         return CheckResult("tradeoff_ordering", False, "cell failure")

@@ -14,11 +14,8 @@ import yaml
 
 import sparseroll as sr
 import sparseroll.cli as cli
-from scipy.integrate import quad_vec
-from scipy.linalg import expm
+from sparseroll import verify
 from sparseroll.simulate import PeriodicController
-
-PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 THETA_GRID = sr.BENCHMARK_THETA_GRID
 TRIALS = sr.BENCHMARK_TRIALS
@@ -84,10 +81,10 @@ def test_criterion_2_oracle_equivalence(bench, scalar_model):
 @pytest.fixture(scope="module")
 def benchmark_sweep(bench):
     dm, _, _, _ = bench
-    cfg = sr.SimConfig(horizon_steps=N_STEPS, trials=TRIALS, seed_base=20240601,
-                       q_weight=sr.BENCHMARK_Q, r_weight=sr.BENCHMARK_R,
-                       controller_kind="rollout", h=6, p=6,
-                       candidates=sr.BENCHMARK_PERIOD_CANDIDATES)
+    cfg = sr.ExperimentConfig(horizon_steps=N_STEPS, trials=TRIALS, seed_base=20240601,
+                              q_weight=sr.BENCHMARK_Q, r_weight=sr.BENCHMARK_R,
+                              methods=("rollout",), h=6, p=6,
+                              candidates=sr.BENCHMARK_PERIOD_CANDIDATES)
     start = time.perf_counter()
     cells = sr.theta_sweep(cfg, dm, THETA_GRID, methods=("rollout", "periodic"),
                            keep_traces=True)
@@ -116,9 +113,9 @@ def test_criterion_4_periodic_formula_vs_simulation(stationary_benchmark):
     dm = stationary_benchmark
     steady = sr.steady_kalman(dm)
     _, err_cov, _ = steady
-    cfg = sr.SimConfig(horizon_steps=N_STEPS, trials=TRIALS, seed_base=77,
-                       q_weight=sr.BENCHMARK_Q, r_weight=sr.BENCHMARK_R,
-                       controller_kind="periodic")
+    cfg = sr.ExperimentConfig(horizon_steps=N_STEPS, trials=TRIALS, seed_base=77,
+                              q_weight=sr.BENCHMARK_Q, r_weight=sr.BENCHMARK_R,
+                              methods=("periodic",))
     gaps = []
     for p in (1, 2, 3, 6):
         pol = sr.design_periodic(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, p, alpha=1.0)
@@ -154,8 +151,8 @@ def test_criterion_5_mean_square_stability(bench, benchmark_sweep):
         def decide(self, est, k):
             return np.zeros(1), 0
 
-    cfg = sr.SimConfig(horizon_steps=N_STEPS, trials=10, seed_base=13,
-                       q_weight=[[1.0]], r_weight=[[1.0]], controller_kind="periodic")
+    cfg = sr.ExperimentConfig(horizon_steps=N_STEPS, trials=10, seed_base=13,
+                              q_weight=[[1.0]], r_weight=[[1.0]], methods=("periodic",))
     import warnings
 
     with warnings.catch_warnings():
@@ -186,19 +183,10 @@ def test_criterion_6_decision_monotonicity(bench):
     _report("criterion 6 (decision monotonicity in theta)", "1000 draws, 0 violations")
 
 
-def test_criterion_7_discretization_oracle(bench):
-    dm, _, _, _ = bench
-    cm = sr.build_benchmark_model()
-    w = cm.d_cont @ cm.d_cont.T
-
-    def integrand(tau):
-        e = expm(cm.a_cont * tau)
-        return e @ w @ e.T
-
-    ref, _ = quad_vec(integrand, 0.0, 0.1, epsabs=1e-13, epsrel=1e-13)
-    err = float(np.abs(dm.proc_cov - ref).max())
-    assert err < 1e-9
-    _report("criterion 7 (discretization oracle)", f"max elementwise deviation {err:.2e}")
+def test_criterion_7_discretization_oracle():
+    check = verify._discretization_check(sr.ExperimentConfig())
+    assert check.passed, check.detail
+    _report("criterion 7 (discretization oracle)", check.detail)
 
 
 def test_criterion_8_sparse_mpc_optimality(bench):
@@ -256,17 +244,11 @@ def test_criterion_9_sweep_determinism(tmp_path):
             "byte-identical CSVs across repeats; trials 0-1 byte-identical at 2 and 4 trials")
 
 
-def test_criterion_10_analytic_scalar_goldens(scalar_model):
-    prob = sr.RiccatiProblem([[1.0]], [[1.0]], [[1.0]], [[0.0]], [[1.0]], discount=1.0)
-    sol = sr.solve_dare(prob)
-    dare_err = abs(sol.cost_matrix[0, 0] - PHI)
-    gain_err = abs(sol.gain[0, 0] + PHI / (PHI + 1.0))
-    gain, err_cov, prior = sr.steady_kalman(scalar_model)
-    kalman_errs = (abs(prior[0, 0] - PHI), abs(gain[0, 0] - PHI / (PHI + 1.0)),
-                   abs(err_cov[0, 0] - (PHI - 1.0)))
-    worst = max(dare_err, gain_err, *kalman_errs)
-    assert worst < 1e-10
-    _report("criterion 10 (analytic scalar goldens)", f"worst deviation {worst:.2e}")
+def test_criterion_10_analytic_scalar_goldens():
+    checks = (verify._scalar_dare_check(), verify._scalar_kalman_check())
+    for check in checks:
+        assert check.passed, check.detail
+    _report("criterion 10 (analytic scalar goldens)", "; ".join(c.detail for c in checks))
 
 
 def test_rollout_rate_monotone_in_theta(benchmark_sweep):
@@ -296,9 +278,9 @@ def test_figure_orderings(bench, benchmark_sweep):
     assert ro_full.total <= pe_full.total + pooled_tot
 
     trials = 12
-    cfg = sr.SimConfig(horizon_steps=N_STEPS, trials=trials, seed_base=20240601,
-                       q_weight=sr.BENCHMARK_Q, r_weight=sr.BENCHMARK_R,
-                       controller_kind="rollout", h=6, p=6)
+    cfg = sr.ExperimentConfig(horizon_steps=N_STEPS, trials=trials, seed_base=20240601,
+                              q_weight=sr.BENCHMARK_Q, r_weight=sr.BENCHMARK_R,
+                              methods=("rollout",), h=6, p=6)
     cells_small = sr.theta_sweep(cfg, dm, [theta], methods=("rollout", "sparse_mpc"))
     by = {c.method: c.metrics for c in cells_small}
     ro, mpc = by["rollout"], by["sparse_mpc"]

@@ -72,6 +72,50 @@ def test_config_validation_failures(tmp_path):
         parse_config(small_config_dict(model={"source": "matrices-from-file"}))
 
 
+MALFORMED = {
+    "theta step 0": {"theta": {"start": 0.1, "stop": 0.3, "step": 0}},
+    "theta start text": {"theta": {"start": "a", "stop": 0.3, "step": 0.1}},
+    "trials text": {"sim": {"trials": "x"}},
+    "h text": {"rollout": {"h": "x"}},
+    "candidates scalar": {"periodic": {"candidates": 3}},
+    "theta nan": {"theta": {"grid": [float("nan")]}},
+    "theta inf": {"theta": {"grid": [float("inf")]}},
+    "tol nan": {"sparse_mpc": {"tol": float("nan")}},
+    "trials fractional": {"sim": {"trials": 1.5}},
+}
+
+
+@pytest.mark.parametrize("overrides", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_config_is_a_config_error(tmp_path, capsys, overrides):
+    raw = small_config_dict(**overrides)
+    raw.update((k, v) for k, v in overrides.items() if k == "theta")  # replace, not merge
+    with pytest.raises(ConfigError):
+        parse_config(raw)
+    path = write_config(tmp_path, raw)
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "design"])
+def test_cli_overrides_are_validated(tmp_path, capsys, command):
+    code = cli.main([command, "--config", str(SCALAR_CONFIG), "--out", str(tmp_path / "out"),
+                     "--trials", "0"])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cmd_verify_short_horizon_fails_stability(tmp_path):
+    raw = yaml.safe_load(SCALAR_CONFIG.read_text())
+    raw["model"]["file"] = str(SCALAR_CONFIG.parent / raw["model"]["file"])
+    raw["sim"].update(trials=4, horizon_steps=30)
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 5
+    checks = {c["name"]: c for c in json.loads((out / "verify_report.json").read_text())["checks"]}
+    stability = checks["mean_square_stability"]
+    assert not stability["passed"] and "too short" in stability["detail"]
+
+
 def test_cmd_design_report(tmp_path, capsys):
     path = write_config(tmp_path, small_config_dict())
     code = cli.main(["design", "--config", str(path), "--out", str(tmp_path / "out")])

@@ -123,9 +123,9 @@ def test_step_is_linear_in_inputs(benchmark_model, benchmark_steady, rng):
 
 def test_innovation_whiteness(stationary_benchmark, benchmark_steady):
     dm = stationary_benchmark
-    cfg = sr.SimConfig(horizon_steps=5000, trials=1, seed_base=3,
-                       q_weight=sr.BENCHMARK_Q, r_weight=sr.BENCHMARK_R,
-                       controller_kind="periodic", h=1, p=1)
+    cfg = sr.ExperimentConfig(horizon_steps=5000, trials=1, seed_base=3,
+                              q_weight=sr.BENCHMARK_Q, r_weight=sr.BENCHMARK_R,
+                              methods=("periodic",), h=1, p=1)
     pol = sr.design_periodic(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, 2)
     from sparseroll.simulate import PeriodicController
 

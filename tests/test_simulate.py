@@ -7,16 +7,15 @@ import scipy.linalg as sla
 
 import sparseroll as sr
 from sparseroll import simulate
-from sparseroll.exceptions import NonConvergenceError, NonFiniteError
+from sparseroll.exceptions import ConfigError, NonConvergenceError, NonFiniteError
 from sparseroll.simulate import PeriodicController, SparseMpcController
 
 
 def bench_cfg(**kw):
     base = dict(horizon_steps=600, trials=3, seed_base=123,
-                q_weight=sr.BENCHMARK_Q, r_weight=sr.BENCHMARK_R,
-                controller_kind="rollout", theta=0.2, h=6, p=6)
+                q_weight=sr.BENCHMARK_Q, r_weight=sr.BENCHMARK_R, h=6, p=6)
     base.update(kw)
-    return sr.SimConfig(**base)
+    return sr.ExperimentConfig(**base)
 
 
 def rollout_policy(dm, theta=0.2, h=6, p=6, forced=None):
@@ -48,7 +47,7 @@ def test_trigger_input_consistency(benchmark_model, benchmark_steady):
 def test_zero_noise_matches_linear_recursion(benchmark_model, benchmark_steady):
     # deterministic closed loop equals the matrix recursion with a perfect estimate
     dm = benchmark_model
-    cfg = bench_cfg(controller_kind="periodic", horizon_steps=120, trials=1)
+    cfg = bench_cfg(methods=("periodic",), horizon_steps=120, trials=1)
     pol = sr.design_periodic(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, 1, alpha=1.0)
     noise = (dm.init_mean.copy(), np.zeros((120, 4)), np.zeros((121, 2)))
     trace = sr.simulate_trial(cfg, dm, PeriodicController(pol.feedback_gain, 1), 0,
@@ -62,7 +61,7 @@ def test_zero_noise_matches_linear_recursion(benchmark_model, benchmark_steady):
 
 
 def test_metrics_periodic_rate_exact(benchmark_model, benchmark_steady):
-    cfg = bench_cfg(controller_kind="periodic", trials=2)
+    cfg = bench_cfg(methods=("periodic",), trials=2)
     pol = sr.design_periodic(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R, 3)
     traces = [
         sr.simulate_trial(cfg, benchmark_model, PeriodicController(pol.feedback_gain, 3), t,
@@ -75,9 +74,9 @@ def test_metrics_periodic_rate_exact(benchmark_model, benchmark_steady):
 
 
 def test_metrics_single_step_cost(benchmark_model, benchmark_steady):
-    cfg = sr.SimConfig(horizon_steps=1, trials=1, seed_base=5,
-                       q_weight=sr.BENCHMARK_Q, r_weight=sr.BENCHMARK_R,
-                       controller_kind="periodic")
+    cfg = sr.ExperimentConfig(horizon_steps=1, trials=1, seed_base=5,
+                              q_weight=sr.BENCHMARK_Q, r_weight=sr.BENCHMARK_R,
+                              methods=("periodic",))
 
     class NullController:
         def decide(self, est, k):
@@ -142,9 +141,9 @@ def test_check_performance_bound_scalar_monte_carlo(scalar_model):
     base = sr.design_periodic(dm, [[1.0]], [[1.0]], p, alpha=1.0)
     tables = sr.build_tables(dm, [[1.0]], [[1.0]], base.cost_matrix, h, p,
                              theta, 1.0, err_cov)
-    cfg = sr.SimConfig(horizon_steps=n_steps, trials=trials, seed_base=55,
-                       q_weight=[[1.0]], r_weight=[[1.0]],
-                       controller_kind="rollout", h=h, p=p, theta=theta)
+    cfg = sr.ExperimentConfig(horizon_steps=n_steps, trials=trials, seed_base=55,
+                              q_weight=[[1.0]], r_weight=[[1.0]],
+                              methods=("rollout",), h=h, p=p)
     ro_traces, pe_traces = [], []
     for t in range(trials):
         pol = sr.RolloutPolicy(tables=tables, period=p, theta=theta)
@@ -179,9 +178,9 @@ def test_mean_square_stability_controls():
             return np.zeros(1), 0
 
     for dm, expect in ((stable, True), (unstable, False)):
-        cfg = sr.SimConfig(horizon_steps=600, trials=8, seed_base=31,
-                           q_weight=[[1.0]], r_weight=[[1.0]],
-                           controller_kind="periodic")
+        cfg = sr.ExperimentConfig(horizon_steps=600, trials=8, seed_base=31,
+                                  q_weight=[[1.0]], r_weight=[[1.0]],
+                                  methods=("periodic",))
         with np.errstate(over="ignore"):
             traces = [sr.simulate_trial(cfg, dm, Null(), t) for t in range(8)]
         bounded, report = sr.check_mean_square_stability(traces, window_len=50)
@@ -197,8 +196,8 @@ def test_nonfinite_state_aborts():
         def decide(self, est, k):
             return np.zeros(1), 0
 
-    cfg = sr.SimConfig(horizon_steps=600, trials=1, seed_base=2,
-                       q_weight=[[1.0]], r_weight=[[1.0]], controller_kind="periodic")
+    cfg = sr.ExperimentConfig(horizon_steps=600, trials=1, seed_base=2,
+                              q_weight=[[1.0]], r_weight=[[1.0]], methods=("periodic",))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
         sr.simulate_trial(cfg, dm, Null(), 0)
 
@@ -208,9 +207,9 @@ def test_theta_sweep_isolates_cell_failures():
     dm = sr.DiscreteModel(a=np.diag([1.0, -1.0]), b=[[1.0], [1.0]], c=np.eye(2),
                           proc_cov=np.eye(2), meas_cov=np.eye(2),
                           init_mean=np.zeros(2), init_cov=np.eye(2))
-    cfg = sr.SimConfig(horizon_steps=20, trials=1, seed_base=1,
-                       q_weight=np.eye(2), r_weight=[[1.0]],
-                       controller_kind="periodic", candidates=(2,))
+    cfg = sr.ExperimentConfig(horizon_steps=20, trials=1, seed_base=1,
+                              q_weight=np.eye(2), r_weight=[[1.0]],
+                              methods=("periodic",), candidates=(2,))
     cells = sr.theta_sweep(cfg, dm, [0.1, 0.2], methods=("periodic",))
     assert len(cells) == 2
     # a failed design is not shared: every cell that needs it records the failure
@@ -223,8 +222,8 @@ def test_theta_sweep_isolates_cell_failures():
 def test_nonfinite_error_names_step_and_trial():
     dm = sr.DiscreteModel(a=[[4.0]], b=[[1.0]], c=[[1.0]], proc_cov=[[1.0]],
                           meas_cov=[[1.0]], init_mean=[1.0], init_cov=[[1.0]])
-    cfg = sr.SimConfig(horizon_steps=600, trials=2, seed_base=2,
-                       q_weight=[[1.0]], r_weight=[[1.0]], controller_kind="periodic")
+    cfg = sr.ExperimentConfig(horizon_steps=600, trials=2, seed_base=2,
+                              q_weight=[[1.0]], r_weight=[[1.0]], methods=("periodic",))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError,
                                                    match=r"at step \d+ in trial (5|6)$"):
         sr.simulate_trials(cfg, dm, PeriodicController(np.zeros((1, 1)), 1), [5, 6])
@@ -272,7 +271,7 @@ def test_theta_sweep_designs_once_per_call(benchmark_model, monkeypatch):
 
 def test_theta_sweep_records_admm_nonconvergence(benchmark_model):
     # the batched solver keeps the failure type; the cell status names a trial
-    cfg = bench_cfg(trials=3, horizon_steps=12, controller_kind="sparse_mpc", mpc_max_iter=2)
+    cfg = bench_cfg(trials=3, horizon_steps=12, methods=("sparse_mpc",), mpc_max_iter=2)
     cells = sr.theta_sweep(cfg, benchmark_model, [0.1, 0.3], methods=("sparse_mpc",))
     for cell in cells:
         assert cell.metrics is None
@@ -456,12 +455,12 @@ def test_stability_report_contents(benchmark_model, benchmark_steady):
     assert report.slope <= 3.0 * report.slope_stderr
 
 
-def test_sim_config_validation():
-    with pytest.raises(ValueError):
+def test_experiment_config_validation():
+    with pytest.raises(ConfigError):
         bench_cfg(horizon_steps=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         bench_cfg(h=5, p=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         bench_cfg(horizon_steps=601)
-    with pytest.raises(ValueError):
-        bench_cfg(controller_kind="other")
+    with pytest.raises(ConfigError):
+        bench_cfg(methods=("other",))

@@ -3,6 +3,7 @@ import pytest
 
 import sparseroll as sr
 from sparseroll.exceptions import NonConvergenceError
+from sparseroll.simulate import SparseMpcController
 from sparseroll.sparse_mpc import ZERO_TOL, admm_factor, mpc_objective, solve_admm
 
 
@@ -206,9 +207,9 @@ def test_config_penalty_reaches_the_solver(benchmark_model):
     # sparse_mpc.penalty is the rho of every solve in a sweep cell
     costs = []
     for rho in (1.0, 10.0):
-        cfg = sr.SimConfig(horizon_steps=12, trials=1, seed_base=17,
-                           q_weight=sr.BENCHMARK_Q, r_weight=sr.BENCHMARK_R,
-                           controller_kind="sparse_mpc", mpc_penalty=rho)
+        cfg = sr.ExperimentConfig(horizon_steps=12, trials=1, seed_base=17,
+                                  q_weight=sr.BENCHMARK_Q, r_weight=sr.BENCHMARK_R,
+                                  methods=("sparse_mpc",), mpc_penalty=rho)
         (cell,) = sr.theta_sweep(cfg, benchmark_model, [0.2], methods=("sparse_mpc",))
         assert cell.status == "ok"
         costs.append(cell.metrics.avg_control_cost)
@@ -218,9 +219,9 @@ def test_config_penalty_reaches_the_solver(benchmark_model):
 
 def test_controller_step_zero_estimate(benchmark_model, bench_problem, benchmark_steady):
     gain, err_cov, prior = benchmark_steady
-    est = sr.EstimatorState(estimate=np.zeros(4), err_cov=err_cov, gain=gain,
+    est = sr.EstimatorState(estimate=np.zeros((1, 4)), err_cov=err_cov, gain=gain,
                             prior_cov=prior, step_index=0)
-    u, delta, _ = sr.mpc_controller_step(est, bench_problem, benchmark_model)
+    (u,), (delta,) = SparseMpcController(bench_problem, benchmark_model).decide(est, 0)
     assert delta == 0
     assert np.all(u == 0.0)
 
@@ -229,19 +230,17 @@ def test_controller_step_theta_zero_triggers(benchmark_model, benchmark_steady, 
     prob = sr.build_mpc_problem(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R,
                                 horizon=30, theta=0.0)
     gain, err_cov, prior = benchmark_steady
-    est = sr.EstimatorState(estimate=rng.standard_normal(4), err_cov=err_cov,
+    est = sr.EstimatorState(estimate=rng.standard_normal((1, 4)), err_cov=err_cov,
                             gain=gain, prior_cov=prior, step_index=0)
-    u, delta, _ = sr.mpc_controller_step(est, prob, benchmark_model)
+    (u,), (delta,) = SparseMpcController(prob, benchmark_model).decide(est, 0)
     assert delta == 1
     assert np.linalg.norm(u) > ZERO_TOL
 
 
 def test_closed_loop_actuation_rate_interior(benchmark_model):
-    cfg = sr.SimConfig(horizon_steps=600, trials=1, seed_base=17,
-                       q_weight=sr.BENCHMARK_Q, r_weight=sr.BENCHMARK_R,
-                       controller_kind="sparse_mpc", theta=0.2)
-    from sparseroll.simulate import SparseMpcController
-
+    cfg = sr.ExperimentConfig(horizon_steps=600, trials=1, seed_base=17,
+                              q_weight=sr.BENCHMARK_Q, r_weight=sr.BENCHMARK_R,
+                              methods=("sparse_mpc",))
     prob = sr.build_mpc_problem(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R,
                                 horizon=30, theta=0.2)
     trace = sr.simulate_trial(cfg, benchmark_model, SparseMpcController(prob, benchmark_model), 0)
