@@ -62,6 +62,7 @@ from .rollout import (
     TriggerPattern,
     build_tables,
     enumerate_patterns,
+    pattern_bits,
     pattern_score,
     pattern_scores,
     select_pattern,

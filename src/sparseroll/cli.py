@@ -21,7 +21,7 @@ from .estimator import steady_kalman
 from .exceptions import ConfigError, SparseRollError
 from .periodic import design_periodic, periodic_average_cost
 from .plant import build_lifted
-from .rollout import build_tables
+from .rollout import RolloutTables, build_tables
 from .simulate import theta_sweep
 from .verify import run_verification
 
@@ -33,6 +33,7 @@ PERTRIAL_HEADER = "theta,method,trial,control_cost,actuation_rate,total_cost,see
 FAILURES_HEADER = "theta,method,status"
 FIG_TRADEOFF_HEADER = "method,theta,avg_actuation_rate,avg_control_cost"
 FIG_THETA_HEADER = "theta,method,avg_control_cost,stderr_cost,avg_actuation_rate,stderr_rate"
+DIGEST_CHUNK = 1024  # patterns per sha256 update
 
 
 def _fmt(x) -> str:
@@ -105,19 +106,28 @@ def cmd_design(cfg: ExperimentConfig, out_dir: Path) -> int:
     tables = build_tables(dm, cfg.q_weight, cfg.r_weight, base.cost_matrix,
                           cfg.h, cfg.p, cfg.theta_grid[0], cfg.alpha, err_cov)
     resid = float(
-        np.linalg.norm(tables.cost_matrices[0, 0] - base.cost_matrix, "fro")
+        np.linalg.norm(tables.cost_matrix(1, 0) - base.cost_matrix, "fro")
         / np.linalg.norm(base.cost_matrix, "fro")
     )
-    digest = hashlib.sha256(np.ascontiguousarray(tables.cost_matrices).tobytes()).hexdigest()
     lines.append(f"# Lookahead tables (h={cfg.h}, p={cfg.p}, alpha={cfg.alpha})")
-    lines.append(f"patterns = {len(tables.patterns)}")
-    lines.append(f"cost_matrices_sha256 = {digest}")
+    lines.append(f"patterns = {len(tables.bits)}")
+    lines.append(f"cost_matrices_sha256 = {_cost_matrices_digest(tables)}")
     lines.append(f"base_cost_identity_residual = {resid:.6e}")
 
     report = "\n".join(lines) + "\n"
     (out_dir / "design_report.txt").write_text(report)
     sys.stdout.write(report)
     return 0
+
+
+def _cost_matrices_digest(tables: RolloutTables) -> str:
+    """sha256 of every pattern's cost matrices at steps 0..h, as one (M, h+1, n, n) C array."""
+    digest = hashlib.sha256()
+    count = len(tables.bits)
+    for lo in range(1, count + 1, DIGEST_CHUNK):
+        chunk = np.arange(lo, min(lo + DIGEST_CHUNK, count + 1))
+        digest.update(tables.cost_matrices[tables.nodes(chunk)])
+    return digest.hexdigest()
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:

@@ -36,10 +36,12 @@ from .riccati import (
     min_eigenvalue,
     require_symmetric,
 )
+from .rollout import memory_estimate
 
 METHODS = ("rollout", "periodic", "sparse_mpc")
 
 MAX_LOOKAHEAD = 20  # 2^h patterns are enumerated exhaustively
+LOOKAHEAD_MEMORY_BUDGET = 1 << 30  # bytes for the lookahead tables and scores of one design
 
 _MODEL_SOURCES = ("builtin-benchmark", "matrices-from-file")
 
@@ -132,6 +134,7 @@ class ExperimentConfig:
     """One experiment (see configs/benchmark.yaml); the defaults are the benchmark study.
 
     The model-free checks run on construction and raise :class:`ConfigError`.
+    Equality and the hash follow :meth:`canonical_dict`.
     """
 
     model_source: str = "builtin-benchmark"
@@ -202,6 +205,22 @@ class ExperimentConfig:
         if min_eigenvalue(self.r_weight) <= 0.0:
             raise ConfigError("cost.r must be positive definite")
 
+        need = memory_estimate(self.h, len(self.q_weight), len(self.r_weight), self.trials)
+        if need > LOOKAHEAD_MEMORY_BUDGET:
+            raise ConfigError(
+                f"rollout.h={self.h} needs about {need / 2**20:.0f} MB for the lookahead tables "
+                f"and the scores of {self.trials} trials, above the "
+                f"{LOOKAHEAD_MEMORY_BUDGET / 2**20:.0f} MB budget"
+            )
+
+    def __eq__(self, other):
+        if not isinstance(other, ExperimentConfig):
+            return NotImplemented
+        return self.canonical_dict() == other.canonical_dict()
+
+    def __hash__(self):
+        return hash(_frozen(self.canonical_dict()))
+
     def build_model(self) -> DiscreteModel:
         if self.model_source == "builtin-benchmark":
             return benchmark_discrete_model(ts=self.sample_period, init_mean=self.init_mean)
@@ -241,6 +260,15 @@ class ExperimentConfig:
                 target = target.setdefault(section, {})
             target[key] = value
         return out
+
+
+def _frozen(value):
+    """A hashable copy of nested dicts and lists."""
+    if isinstance(value, dict):
+        return tuple((key, _frozen(v)) for key, v in value.items())
+    if isinstance(value, list):
+        return tuple(_frozen(v) for v in value)
+    return value
 
 
 def _expect_mapping(raw, name):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .plant import DiscreteModel
-from .rollout import RolloutTables, enumerate_patterns
+from .rollout import RolloutTables, pattern_bits
 
 
 @dataclass(frozen=True)
@@ -74,14 +74,14 @@ def oracle_select(dm: DiscreteModel, q_weight, r_weight, terminal, h: int, p: in
     trace_term_sigma = float(np.trace(terminal @ sigma))
 
     scores: dict[int, float] = {}
-    for pat in enumerate_patterns(h, p):
-        gains = _pattern_gains(a, b, q, r, terminal, pat.bits, alpha)
+    for index, bits in enumerate(pattern_bits(h, p).tolist(), start=1):
+        gains = _pattern_gains(a, b, q, r, terminal, bits, alpha)
         second = np.outer(x_hat, x_hat)
         cost = 0.0
         weight = 1.0
         for tau in range(h):
             cost += weight * (float(np.trace(q @ second)) + trace_q_sigma)
-            if pat.bits[tau]:
+            if bits[tau]:
                 f = gains[tau]
                 cost += weight * (float(np.trace(f.T @ r @ f @ second)) + theta)
                 closed = a + b @ f
@@ -90,7 +90,7 @@ def oracle_select(dm: DiscreteModel, q_weight, r_weight, terminal, h: int, p: in
             second = closed @ second @ closed.T + est_noise
             weight *= alpha
         cost += weight * (float(np.trace(terminal @ second)) + trace_term_sigma)
-        scores[pat.index] = cost
+        scores[index] = cost
 
     best = min(scores, key=lambda m: (scores[m], m))
     return OracleResult(best_pattern=best, best_score=scores[best], all_scores=scores)
@@ -105,15 +105,12 @@ def closed_loop_matrices(tables: RolloutTables, m: int):
     trailing block the identity.  Over one block the estimate satisfies
     x_hat_next_block = phi x_hat + gamma [omega_0; ...; omega_{h-1}].
     """
-    if not 1 <= m <= len(tables.patterns):
-        raise ValueError(f"pattern index {m} out of range")
-    pat = tables.patterns[m - 1]
-    gains = tables.gains[m - 1]
+    gains = tables.path_gains(m)
     a, b = tables.model.a, tables.model.b
     h = tables.horizon
     n = a.shape[0]
 
-    thetas = [a + b @ gains[s] if pat.bits[s] else a for s in range(h)]
+    thetas = [a + b @ gains[s] if tables.bits[m - 1, s] else a for s in range(h)]
 
     blocks = [np.eye(n)] * h
     for j in reversed(range(h - 1)):

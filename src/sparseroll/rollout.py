@@ -12,14 +12,21 @@ discounted actuation penalty.  The block controller picks the argmin
 pattern once per block and plays its gains open-loop within the block;
 a batch of trials picks one pattern per trial in a single scoring call.
 
+The cost matrix of a pattern at step s depends only on its bits from s on,
+so the passes share their suffixes: the tables are a binary suffix tree
+whose level s holds the 2^(h-s) distinct matrices of step s, and each level
+is one batched update of the level below it.  That is 2^(h+1) - 1 stored
+matrices instead of (h+1) 2^h, and 2^h - 1 Riccati updates instead of
+h 2^(h-1).
+
 Pattern index 1 is always the periodic pattern of the base policy; the
 remaining bit strings follow in lexicographic order (time 0 most
 significant).  Ties in the argmin go to the smallest index, so the base
 pattern wins any exact tie.
 """
 
-import itertools
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -38,17 +45,22 @@ class TriggerPattern:
 
 @dataclass(frozen=True)
 class RolloutTables:
-    """Precomputed per-pattern recursion results for one lookahead design.
+    """The backward recursions of all 2^h patterns of one lookahead design, as a suffix tree.
 
-    Arrays are stacked over patterns (first axis, index m-1):
-    cost_matrices has shape (M, h+1, n, n) with [:, h] equal to the
-    terminal matrix, gains (M, h, q, n), gain_quadratics (M, h, n, n),
-    bits (M, h), noise_score and trigger_score (M,).  Only trigger_score
-    depends on theta (see :func:`with_theta`).
+    ``cost_matrices`` (2^(h+1) - 1, n, n) holds the tree level by level,
+    from the terminal matrix (level h, index 0) down to level 0.  Level s
+    starts at index 2^(h-s) - 1 and holds the matrices of step s by the
+    integer value of the suffix bits[s:] (time s most significant), except
+    level 0, which holds P0 in pattern order (:attr:`p0`).  ``gains``
+    (2^h - 1, q, n) and ``gain_quadratics`` (2^h - 1, n, n) sit at the
+    index of the matrix they are computed from: the gain of an actuated
+    step s at the index of the pattern's matrix at step s + 1.  ``bits``
+    (M, h), ``noise_score`` and ``trigger_score`` (M,) are in pattern order.
+    Only trigger_score depends on theta (see :func:`with_theta`).
+    :meth:`nodes` gives a pattern's path through the tree.
     """
 
     horizon: int
-    patterns: tuple[TriggerPattern, ...]
     bits: np.ndarray
     cost_matrices: np.ndarray
     gains: np.ndarray
@@ -59,26 +71,124 @@ class RolloutTables:
     discount: float
     model: DiscreteModel
 
+    @property
+    def p0(self) -> np.ndarray:
+        """The step-0 cost matrix of every pattern, (M, n, n); a contiguous view."""
+        return self.cost_matrices[len(self.bits) - 1:]
 
-def periodic_bits(h: int, p: int) -> tuple[int, ...]:
-    return tuple(1 if k % p == 0 else 0 for k in range(h))
+    def nodes(self, m) -> np.ndarray:
+        """Tree index of the cost matrix of pattern m (1-based) at steps 0..h, (..., h+1)."""
+        pos, bits = self._rows(m)
+        idx = self._suffix_nodes(bits)
+        idx[..., 0] = len(self.bits) - 1 + pos  # level 0 is in pattern order
+        return idx
+
+    def cost_matrix(self, m: int, s: int) -> np.ndarray:
+        """Cost-to-go matrix (n, n) of pattern m (1-based) at step s in 0..h."""
+        return self.cost_matrices[self.nodes(m)[s]]
+
+    def gain(self, m: int, s: int) -> np.ndarray:
+        """Feedback gain (q, n) of pattern m at step s in 0..h-1; zero on an idle step."""
+        return self.path_gains(m)[s]
+
+    def path_gains(self, m) -> np.ndarray:
+        """Gains (..., h, q, n) of the patterns m (1-based) at steps 0..h-1; zero when idle."""
+        _, bits = self._rows(m)
+        return self.gains[self._suffix_nodes(bits)[..., 1:]] * bits[..., None, None]
+
+    def _rows(self, m):
+        pos = np.asarray(m) - 1
+        if pos.size and not (0 <= pos.min() and pos.max() < len(self.bits)):
+            raise ValueError(f"pattern index {m} out of range")
+        return pos, self.bits[pos]
+
+    def _suffix_nodes(self, bits):
+        # level s starts at 2^(h-s) - 1 and is indexed by the low h-s bits of the pattern's
+        # value; at s = 0 that is the bit-value order, not the pattern order of the tree
+        place, masks = _level_masks(self.horizon)
+        return masks + (bits.dot(place)[..., None] & masks)
 
 
-def enumerate_patterns(h: int, p: int) -> list[TriggerPattern]:
-    """All 2^h patterns; index 1 is the periodic one, the rest lexicographic."""
+@cache
+def _level_masks(h: int) -> tuple[np.ndarray, np.ndarray]:
+    """The place value of each of h bits, and 2^(h-s) - 1 for s = 0..h."""
+    return 1 << np.arange(h - 1, -1, -1), (1 << np.arange(h, -1, -1)) - 1
+
+
+def _base_value(h: int, p: int) -> int:
+    """Integer value of the periodic pattern's bits (time 0 most significant)."""
     if h < 1:
         raise ValueError("horizon must be >= 1")
     if h % p != 0:
         raise HorizonMismatchError(f"horizon h={h} is not a multiple of period p={p}")
-    base = periodic_bits(h, p)
-    patterns = [TriggerPattern(index=1, bits=base, actuation_count=sum(base))]
-    idx = 2
-    for bits in itertools.product((0, 1), repeat=h):
-        if bits == base:
-            continue
-        patterns.append(TriggerPattern(index=idx, bits=bits, actuation_count=sum(bits)))
-        idx += 1
-    return patterns
+    return sum(1 << (h - 1 - k) for k in range(0, h, p))
+
+
+def _in_pattern_order(rows: np.ndarray, base: int) -> np.ndarray:
+    """Rows indexed by bit value, reordered: the base row first, then the others in order."""
+    return np.concatenate([rows[base:base + 1], rows[:base], rows[base + 1:]])
+
+
+def pattern_bits(h: int, p: int) -> np.ndarray:
+    """The (2^h, h) int8 bits of every pattern in pattern order; row m-1 is pattern m."""
+    base = _base_value(h, p)
+    bits = np.zeros((1 << h, h), dtype=np.int8)
+    for s in range(h):
+        bits.reshape(1 << s, 2, -1, h)[:, 1, :, s] = 1
+    return _in_pattern_order(bits, base)
+
+
+def enumerate_patterns(h: int, p: int) -> list[TriggerPattern]:
+    """All 2^h patterns; index 1 is the periodic one, the rest lexicographic."""
+    return [TriggerPattern(index=i, bits=tuple(row), actuation_count=sum(row))
+            for i, row in enumerate(pattern_bits(h, p).tolist(), start=1)]
+
+
+def _backward_tree(a, b, q, r, terminal, h: int, alpha: float, base: int):
+    """The suffix tree of cost matrices with the gains and gain quadratics (see RolloutTables).
+
+    Each level is one batched update of the level below: its idle half the
+    open-loop update, its actuated half the Riccati update.  ``base`` is the
+    bit value of the base pattern, which level 0 puts first.
+    """
+    n, nu = b.shape
+    m_count = 1 << h
+    cost_matrices = np.empty((2 * m_count - 1, n, n))
+    gains = np.empty((m_count - 1, nu, n))
+    gain_quadratics = np.empty((m_count - 1, n, n))
+    cost_matrices[0] = terminal
+
+    # overflow in the open-loop branch is caught by the finiteness check of the caller
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in reversed(range(h)):
+            # level s + 1 is [lo, lo + k); level s, its idle then its actuated parents, follows
+            k = 1 << (h - s - 1)
+            lo = k - 1
+            p_stack = cost_matrices[lo:lo + k]
+            open_update = q + alpha * (a.T @ p_stack @ a)
+            idle = 0.5 * (open_update + np.swapaxes(open_update, 1, 2))
+            btp = b.T @ p_stack                                     # (k, q, n)
+            denom = alpha * (btp @ b) + r                           # (k, q, q)
+            btpa = btp @ a
+            gain = np.linalg.solve(denom, btpa)
+            f = -alpha * gain
+            gains[lo:lo + k] = f
+            mq = np.swapaxes(f, 1, 2) @ denom @ f
+            gain_quadratics[lo:lo + k] = 0.5 * (mq + np.swapaxes(mq, 1, 2))
+            p_new = open_update - alpha**2 * (np.swapaxes(btpa, 1, 2) @ gain)
+            actuated = 0.5 * (p_new + np.swapaxes(p_new, 1, 2))
+            level = cost_matrices[lo + k:lo + 3 * k]
+            if s:
+                level[:k] = idle
+                level[k:] = actuated
+            else:
+                # pattern order; every idle-first pattern precedes the base, which starts actuated
+                level[1:k + 1] = idle
+                j = base - k
+                level[0] = actuated[j]
+                level[k + 1:base + 1] = actuated[:j]
+                level[base + 1:] = actuated[j + 1:]
+    return cost_matrices, gains, gain_quadratics
 
 
 def build_tables(dm: DiscreteModel, q_weight, r_weight, terminal, h: int, p: int,
@@ -90,65 +200,43 @@ def build_tables(dm: DiscreteModel, q_weight, r_weight, terminal, h: int, p: int
     covariance; a stack of h covariances selects the transient form in
     which the estimation term uses the covariance at each lookahead offset.
     """
-    a = dm.a
-    b = dm.b
     n = dm.n_states
-    nu = dm.n_inputs
     q = np.atleast_2d(np.asarray(q_weight, dtype=float))
     r = np.atleast_2d(np.asarray(r_weight, dtype=float))
     terminal = np.atleast_2d(np.asarray(terminal, dtype=float))
     err_cov = np.asarray(err_cov, dtype=float)
-    if err_cov.ndim == 2:
-        cov_seq = np.broadcast_to(err_cov, (h, n, n))
-    else:
-        if err_cov.shape != (h, n, n):
-            raise ValueError("err_cov must be (n, n) or a stack of h covariances")
-        cov_seq = err_cov
+    if err_cov.ndim != 2 and err_cov.shape != (h, n, n):
+        raise ValueError("err_cov must be (n, n) or a stack of h covariances")
 
-    patterns = enumerate_patterns(h, p)
-    bits = np.array([pat.bits for pat in patterns], dtype=np.int8)
-    m_count = len(patterns)
-
-    cost_matrices = np.empty((m_count, h + 1, n, n))
-    gains = np.zeros((m_count, h, nu, n))
-    gain_quadratics = np.zeros((m_count, h, n, n))
-    cost_matrices[:, h] = terminal
-
-    p_stack = np.broadcast_to(terminal, (m_count, n, n)).copy()
-    # overflow in the open-loop branch is caught by the finiteness check below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in reversed(range(h)):
-            open_update = q + alpha * (a.T @ p_stack @ a)
-            act = bits[:, s] == 1
-            if act.any():
-                p_act = p_stack[act]
-                btp = b.T @ p_act                                   # (Ma, q, n)
-                denom = alpha * (btp @ b) + r                       # (Ma, q, q)
-                btpa = btp @ a
-                k = np.linalg.solve(denom, btpa)
-                f = -alpha * k
-                gains[act, s] = f
-                mq = np.swapaxes(f, 1, 2) @ denom @ f
-                gain_quadratics[act, s] = 0.5 * (mq + np.swapaxes(mq, 1, 2))
-                p_new = open_update[act] - alpha**2 * (np.swapaxes(btpa, 1, 2) @ k)
-                p_stack[act] = 0.5 * (p_new + np.swapaxes(p_new, 1, 2))
-            idle = ~act
-            if idle.any():
-                p_new = open_update[idle]
-                p_stack[idle] = 0.5 * (p_new + np.swapaxes(p_new, 1, 2))
-            cost_matrices[:, s] = p_stack
+    base = _base_value(h, p)
+    m_count = 1 << h
+    cost_matrices, gains, gain_quadratics = _backward_tree(dm.a, dm.b, q, r, terminal, h, alpha,
+                                                           base)
 
     if not np.isfinite(cost_matrices).all():
         raise NonFiniteError("non-finite entry in backward recursion (unstable open-loop growth)")
 
-    weights = alpha ** np.arange(h)
-    noise_trace = np.einsum("mtij,ji->mt", cost_matrices[:, 1:], dm.proc_cov)
-    est_trace = np.einsum("mtij,tji->mt", gain_quadratics, cov_seq)
-    noise_score = (weights * (noise_trace + est_trace)).sum(axis=1)
+    # The step-t noise and estimation terms of every pattern, rows by bit value.  Each
+    # einsum form sums tr(X C) in the order of the per-pattern form it replaces.
+    noise_node = np.einsum("sij,ij->s", cost_matrices[:m_count - 1],
+                           np.ascontiguousarray(dm.proc_cov.T))
+    if err_cov.ndim == 2:
+        est_node = np.einsum("sij,ji->s", gain_quadratics, err_cov)
+    terms = np.empty((m_count, h))
+    for t in range(h):
+        k = 1 << (h - t - 1)
+        lo = k - 1
+        terms.reshape(-1, k, h)[:, :, t] = noise_node[lo:lo + k]
+        est = (est_node[lo:lo + k] if err_cov.ndim == 2
+               else np.einsum("sij,ij->s", gain_quadratics[lo:lo + k],
+                              np.ascontiguousarray(err_cov[t].T)))
+        terms.reshape(-1, 2, k, h)[:, 1, :, t] += est
+    terms *= alpha ** np.arange(h)
+    noise_score = _in_pattern_order(terms.sum(axis=1), base)
 
+    bits = pattern_bits(h, p)
     return RolloutTables(
         horizon=h,
-        patterns=tuple(patterns),
         bits=bits,
         cost_matrices=cost_matrices,
         gains=gains,
@@ -159,6 +247,21 @@ def build_tables(dm: DiscreteModel, q_weight, r_weight, terminal, h: int, p: int
         discount=float(alpha),
         model=dm,
     )
+
+
+def memory_estimate(h: int, n: int, nu: int, trials: int) -> int:
+    """Peak bytes of a lookahead design: its tables, build temporaries and block scores.
+
+    The tables are the arrays :func:`build_tables` returns.  Its temporaries
+    peak at the level-0 update, about seven (2^(h-1), n, n) stacks, or at
+    the (2^h, h) noise-score terms.  Scoring a block of ``trials``
+    estimates holds about three (trials, 2^h) arrays.
+    """
+    m = 1 << h
+    tables = 8 * ((2 * m - 1) * n * n + (m - 1) * (nu * n + n * n) + 2 * m) + m * h
+    build = 8 * max(7 * (m // 2) * n * n, m * h)
+    scores = 8 * 3 * trials * m
+    return tables + build + scores
 
 
 def _trigger_score(bits: np.ndarray, alpha: float, theta: float) -> np.ndarray:
@@ -173,7 +276,7 @@ def with_theta(tables: RolloutTables, theta: float) -> RolloutTables:
 def score_traces(tables: RolloutTables, err_cov) -> np.ndarray:
     """The constant score term tr(P0[m] Sigma) of every pattern, (M,)."""
     sigma = np.atleast_2d(np.asarray(err_cov, dtype=float))
-    return np.einsum("mij,ji->m", np.ascontiguousarray(tables.cost_matrices[:, 0]), sigma)
+    return np.einsum("mij,ji->m", tables.p0, sigma)
 
 
 def pattern_scores(tables: RolloutTables, estimate, err_cov, trace=None) -> np.ndarray:
@@ -186,19 +289,15 @@ def pattern_scores(tables: RolloutTables, estimate, err_cov, trace=None) -> np.n
         x = x.reshape(-1)
     if trace is None:
         trace = score_traces(tables, err_cov)
-    # one gather of the strided slice beats two einsum passes over it
-    p0 = np.ascontiguousarray(tables.cost_matrices[:, 0])
-    quad = np.einsum("...i,mij,...j->...m", x, p0, x)
+    quad = np.einsum("...i,mij,...j->...m", x, tables.p0, x)
     return quad + trace + tables.noise_score + tables.trigger_score
 
 
 def pattern_score(tables: RolloutTables, m: int, estimate, err_cov) -> float:
     """Score of pattern m (1-based): quadratic + trace + noise + penalty."""
-    if not 1 <= m <= len(tables.patterns):
-        raise ValueError(f"pattern index {m} out of range")
+    p0 = tables.cost_matrix(m, 0)
     x = np.asarray(estimate, dtype=float).reshape(-1)
     sigma = np.atleast_2d(np.asarray(err_cov, dtype=float))
-    p0 = tables.cost_matrices[m - 1, 0]
     return float(
         x @ p0 @ x + np.trace(p0 @ sigma)
         + tables.noise_score[m - 1] + tables.trigger_score[m - 1]
@@ -247,8 +346,8 @@ class RolloutPolicy:
             if forced is None and self._traces[0] is not est.err_cov:
                 self._traces = (est.err_cov, score_traces(tables, est.err_cov))
             picks = (select_pattern(tables, est.estimate, est.err_cov, self._traces[1])
-                     if forced is None else np.full(len(est.estimate), forced)) - 1
-            self._block = (tables.bits[picks], tables.gains[picks])
+                     if forced is None else np.full(len(est.estimate), forced))
+            self._block = (tables.bits[picks - 1], tables.path_gains(picks))
         bits, gains = self._block
         u = np.einsum("tqn,tn->tq", gains[:, tau], est.estimate)
         return np.where(bits[:, tau, None] == 1, u, 0.0), bits[:, tau]

@@ -92,7 +92,7 @@ def _base_cost_identity_check(cfg: ExperimentConfig, corrupt_terminal: bool) -> 
     tables = build_tables(dm, cfg.q_weight, cfg.r_weight, terminal, cfg.h, cfg.p,
                           cfg.theta_grid[0], cfg.alpha, err_cov)
     resid = float(
-        np.linalg.norm(tables.cost_matrices[0, 0] - pol.cost_matrix, "fro")
+        np.linalg.norm(tables.cost_matrix(1, 0) - pol.cost_matrix, "fro")
         / np.linalg.norm(pol.cost_matrix, "fro")
     )
     return CheckResult("base_cost_identity", resid < 1e-8, f"relative residual = {resid:.3e}")

@@ -38,7 +38,7 @@ def test_criterion_1_base_cost_identity(bench):
     start = time.perf_counter()
     tables = sr.build_tables(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, base6.cost_matrix,
                              6, 6, 0.2, 1.0, err_cov)
-    resid = (np.linalg.norm(tables.cost_matrices[0, 0] - base6.cost_matrix, "fro")
+    resid = (np.linalg.norm(tables.cost_matrix(1, 0) - base6.cost_matrix, "fro")
              / np.linalg.norm(base6.cost_matrix, "fro"))
     elapsed = time.perf_counter() - start
     assert resid < 1e-8
@@ -176,8 +176,8 @@ def test_criterion_6_decision_monotonicity(bench):
                                6, 6, t1, 1.0, err_cov)
         tab2 = sr.build_tables(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, base6.cost_matrix,
                                6, 6, t2, 1.0, err_cov)
-        c1 = tab1.patterns[sr.select_pattern(tab1, x, err_cov) - 1].actuation_count
-        c2 = tab2.patterns[sr.select_pattern(tab2, x, err_cov) - 1].actuation_count
+        c1 = tab1.bits[sr.select_pattern(tab1, x, err_cov) - 1].sum()
+        c2 = tab2.bits[sr.select_pattern(tab2, x, err_cov) - 1].sum()
         violations += c2 > c1
     assert violations == 0
     _report("criterion 6 (decision monotonicity in theta)", "1000 draws, 0 violations")

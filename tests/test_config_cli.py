@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 import yaml
 
 import sparseroll.cli as cli
-from sparseroll.config import load_config, parse_config
+from sparseroll.config import ExperimentConfig, load_config, parse_config
 from sparseroll.exceptions import ConfigError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -53,6 +54,23 @@ def test_config_round_trip(tmp_path):
     path = write_config(tmp_path, canon)
     again = load_config(path)
     assert again.canonical_dict() == canon
+
+
+def test_config_equality_and_hash():
+    first, second = load_config(BENCHMARK_CONFIG), load_config(BENCHMARK_CONFIG)
+    assert first == second and hash(first) == hash(second)
+    other_q = replace(first, q_weight=2.0 * first.q_weight)
+    assert other_q != first
+    assert replace(first, seed_base=first.seed_base + 1) != first
+    assert len({first, second, other_q}) == 2
+
+
+def test_lookahead_memory_budget_at_load():
+    # the estimate rejects a 2^20-pattern design before any table is built
+    with pytest.raises(ConfigError, match="MB budget"):
+        ExperimentConfig(h=20, p=2, trials=50, horizon_steps=600)
+    load_config(BENCHMARK_CONFIG)
+    assert ExperimentConfig(h=14, p=7, trials=50, horizon_steps=294).h == 14
 
 
 def test_config_validation_failures(tmp_path):
@@ -124,6 +142,16 @@ def test_cmd_design_report(tmp_path, capsys):
     assert "0.1336" in report
     assert "base_cost_identity_residual" in report
     assert "cost_matrices_sha256" in report
+
+
+def test_cmd_design_digest_of_benchmark_tables(tmp_path, capsys):
+    # the digest hashes every pattern's (h+1, n, n) cost matrices in pattern order
+    out = tmp_path / "out"
+    assert cli.main(["design", "--config", str(BENCHMARK_CONFIG), "--out", str(out)]) == 0
+    report = (out / "design_report.txt").read_text()
+    assert "patterns = 64\n" in report
+    assert ("cost_matrices_sha256 = "
+            "88cf014b1535ed7e3a9e2a955652e3c41a15b223e74ad875dfb81ac8b68e7396\n") in report
 
 
 def test_cmd_design_config_error_exit(tmp_path, capsys):

@@ -74,7 +74,7 @@ def test_scaling_moves_toward_more_actuation(setup, rng):
 
 def test_closed_loop_matrices_no_feedback(setup):
     dm, _, err_cov, tables = setup
-    all_zero = [p.index for p in tables.patterns if p.actuation_count == 0][0]
+    all_zero = [m for m, bits in enumerate(tables.bits, start=1) if bits.sum() == 0][0]
     phi, gamma = sr.closed_loop_matrices(tables, all_zero)
     a6 = np.linalg.matrix_power(dm.a, 6)
     assert np.allclose(phi, a6, rtol=1e-12)
@@ -87,7 +87,6 @@ def test_closed_loop_estimate_propagation(setup, rng):
     dm, _, err_cov, tables = setup
     gain, _, prior = sr.steady_kalman(dm)
     m = 17
-    pat = tables.patterns[m - 1]
     phi, gamma_map = sr.closed_loop_matrices(tables, m)
 
     x_hat = rng.standard_normal(4)
@@ -98,7 +97,7 @@ def test_closed_loop_estimate_propagation(setup, rng):
     x = x_true
     for s in range(6):
         err = x - est.estimate
-        u = tables.gains[m - 1, s] @ est.estimate if pat.bits[s] else np.zeros(1)
+        u = tables.gain(m, s) @ est.estimate if tables.bits[m - 1, s] else np.zeros(1)
         w = rng.multivariate_normal(np.zeros(4), dm.proc_cov)
         v = rng.multivariate_normal(np.zeros(2), dm.meas_cov)
         omegas.append(gain @ (dm.c @ (dm.a @ err + w) + v))

@@ -10,6 +10,62 @@ from sparseroll.rollout import score_traces
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
+def _flat(tables):
+    """The tables in the per-pattern layout: costs (M, h+1, n, n), gains, gain quadratics."""
+    nodes = tables.nodes(np.arange(1, len(tables.bits) + 1))
+    actuated = (tables.bits == 1)[..., None, None]
+    return (tables.cost_matrices[nodes],
+            np.where(actuated, tables.gains[nodes[:, 1:]], 0.0),
+            np.where(actuated, tables.gain_quadratics[nodes[:, 1:]], 0.0))
+
+
+def _flat_recursion(dm, q_weight, r_weight, terminal, h, p, alpha, err_cov):
+    """The per-pattern backward recursion that the suffix tree replaced, as it was.
+
+    Returns bits, cost matrices (M, h+1, n, n), gains (M, h, q, n), gain
+    quadratics (M, h, n, n) and noise scores (M,) in pattern order.
+    """
+    a, b = dm.a, dm.b
+    n, nu = dm.n_states, dm.n_inputs
+    q = np.atleast_2d(np.asarray(q_weight, dtype=float))
+    r = np.atleast_2d(np.asarray(r_weight, dtype=float))
+    terminal = np.atleast_2d(np.asarray(terminal, dtype=float))
+    err_cov = np.asarray(err_cov, dtype=float)
+    cov_seq = np.broadcast_to(err_cov, (h, n, n)) if err_cov.ndim == 2 else err_cov
+    bits = np.array([pat.bits for pat in sr.enumerate_patterns(h, p)], dtype=np.int8)
+    m_count = len(bits)
+    cost_matrices = np.empty((m_count, h + 1, n, n))
+    gains = np.zeros((m_count, h, nu, n))
+    gain_quadratics = np.zeros((m_count, h, n, n))
+    cost_matrices[:, h] = terminal
+    p_stack = np.broadcast_to(terminal, (m_count, n, n)).copy()
+    for s in reversed(range(h)):
+        open_update = q + alpha * (a.T @ p_stack @ a)
+        act = bits[:, s] == 1
+        if act.any():
+            p_act = p_stack[act]
+            btp = b.T @ p_act
+            denom = alpha * (btp @ b) + r
+            btpa = btp @ a
+            k = np.linalg.solve(denom, btpa)
+            f = -alpha * k
+            gains[act, s] = f
+            mq = np.swapaxes(f, 1, 2) @ denom @ f
+            gain_quadratics[act, s] = 0.5 * (mq + np.swapaxes(mq, 1, 2))
+            p_new = open_update[act] - alpha**2 * (np.swapaxes(btpa, 1, 2) @ k)
+            p_stack[act] = 0.5 * (p_new + np.swapaxes(p_new, 1, 2))
+        idle = ~act
+        if idle.any():
+            p_new = open_update[idle]
+            p_stack[idle] = 0.5 * (p_new + np.swapaxes(p_new, 1, 2))
+        cost_matrices[:, s] = p_stack
+    weights = alpha ** np.arange(h)
+    noise_trace = np.einsum("mtij,ji->mt", cost_matrices[:, 1:], dm.proc_cov)
+    est_trace = np.einsum("mtij,tji->mt", gain_quadratics, cov_seq)
+    noise_score = (weights * (noise_trace + est_trace)).sum(axis=1)
+    return bits, cost_matrices, gains, gain_quadratics, noise_score
+
+
 @pytest.fixture(scope="module")
 def benchmark_tables(benchmark_model):
     dm = benchmark_model
@@ -47,10 +103,10 @@ def test_enumeration_horizon_mismatch():
 
 def test_base_pattern_recovers_terminal(benchmark_tables):
     _, pol, _, tables = benchmark_tables
-    resid = (np.linalg.norm(tables.cost_matrices[0, 0] - pol.cost_matrix, "fro")
+    resid = (np.linalg.norm(tables.cost_matrix(1, 0) - pol.cost_matrix, "fro")
              / np.linalg.norm(pol.cost_matrix, "fro"))
     assert resid < 1e-8
-    assert np.array_equal(tables.cost_matrices[:, 6], np.broadcast_to(pol.cost_matrix, (64, 4, 4)))
+    assert np.array_equal(_flat(tables)[0][:, 6], np.broadcast_to(pol.cost_matrix, (64, 4, 4)))
 
 
 def test_scalar_all_ones_single_step_fixed_point(scalar_model):
@@ -58,7 +114,7 @@ def test_scalar_all_ones_single_step_fixed_point(scalar_model):
     terminal = np.array([[PHI]])
     tables = sr.build_tables(scalar_model, [[1.0]], [[1.0]], terminal, 1, 1,
                              theta=0.0, alpha=1.0, err_cov=[[PHI - 1.0]])
-    actuated = tables.cost_matrices[0, 0, 0, 0]
+    actuated = tables.cost_matrix(1, 0)[0, 0]
     assert abs(actuated - PHI) < 1e-12
     by_hand = 1.0 + PHI - PHI**2 / (PHI + 1.0)
     assert abs(actuated - by_hand) < 1e-12
@@ -70,17 +126,17 @@ def test_trigger_score_values(benchmark_model):
     pol = sr.design_periodic(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, 2, alpha=1.0)
     tables = sr.build_tables(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, pol.cost_matrix,
                              6, 2, 0.1, 1.0, err_cov)
-    for pat, gamma in zip(tables.patterns, tables.trigger_score):
-        assert abs(gamma - 0.1 * pat.actuation_count) < 1e-15
-    idx = [p.bits for p in tables.patterns].index((1, 0, 1, 0, 1, 0))
+    for bits, gamma in zip(tables.bits, tables.trigger_score):
+        assert abs(gamma - 0.1 * bits.sum()) < 1e-15
+    idx = [tuple(bits) for bits in tables.bits.tolist()].index((1, 0, 1, 0, 1, 0))
     assert abs(tables.trigger_score[idx] - 0.3) < 1e-15
 
 
 def test_discounted_trigger_score(scalar_model):
     tables = sr.build_tables(scalar_model, [[1.0]], [[1.0]], [[PHI]], 3, 1,
                              theta=0.5, alpha=0.5, err_cov=[[PHI - 1.0]])
-    for pat, gamma in zip(tables.patterns, tables.trigger_score):
-        expected = 0.5 * sum(0.5**t * b for t, b in enumerate(pat.bits))
+    for bits, gamma in zip(tables.bits.tolist(), tables.trigger_score):
+        expected = 0.5 * sum(0.5**t * b for t, b in enumerate(bits))
         assert abs(gamma - expected) < 1e-15
 
 
@@ -109,7 +165,7 @@ def test_base_pattern_score_closed_form(benchmark_tables):
 def test_score_at_zero_estimate(benchmark_tables):
     _, _, err_cov, tables = benchmark_tables
     for m in (1, 5, 64):
-        expected = (float(np.trace(tables.cost_matrices[m - 1, 0] @ err_cov))
+        expected = (float(np.trace(tables.cost_matrix(m, 0) @ err_cov))
                     + tables.noise_score[m - 1] + tables.trigger_score[m - 1])
         assert abs(sr.pattern_score(tables, m, np.zeros(4), err_cov) - expected) < 1e-12
 
@@ -150,7 +206,7 @@ def test_huge_theta_selects_all_zero(benchmark_model):
     tables = sr.build_tables(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, pol.cost_matrix,
                              6, 6, 1e9, 1.0, err_cov)
     m = sr.select_pattern(tables, np.array([1.0, -1.0, 0.3, 0.2]), err_cov)
-    assert tables.patterns[m - 1].actuation_count == 0
+    assert tables.bits[m - 1].sum() == 0
 
 
 def test_lookahead_dominance(benchmark_tables, rng):
@@ -175,13 +231,12 @@ def test_theta_monotone_actuation(benchmark_model, rng):
         x = rng.standard_normal(4) * rng.uniform(0.05, 2.0)
         m1 = sr.select_pattern(tab1, x, err_cov)
         m2 = sr.select_pattern(tab2, x, err_cov)
-        assert (tab2.patterns[m2 - 1].actuation_count
-                <= tab1.patterns[m1 - 1].actuation_count)
+        assert tab2.bits[m2 - 1].sum() <= tab1.bits[m1 - 1].sum()
 
 
 def test_cost_matrices_symmetric_psd(benchmark_tables):
     _, _, _, tables = benchmark_tables
-    pm = tables.cost_matrices
+    pm = _flat(tables)[0]
     assert np.abs(pm - np.swapaxes(pm, -1, -2)).max() < 1e-12
     eigs = np.linalg.eigvalsh(pm.reshape(-1, 4, 4))
     assert eigs.min() > -1e-9
@@ -196,19 +251,21 @@ def test_alpha_continuity(benchmark_model):
         tabs[alpha] = sr.build_tables(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, pol.cost_matrix,
                                       6, 6, 0.2, alpha, err_cov)
     a, b = tabs[1.0], tabs[1.0 - 1e-8]
-    rel = (np.abs(a.cost_matrices - b.cost_matrices).max()
-           / max(1.0, np.abs(a.cost_matrices).max()))
+    costs_a, costs_b = _flat(a)[0], _flat(b)[0]
+    rel = np.abs(costs_a - costs_b).max() / max(1.0, np.abs(costs_a).max())
     assert rel < 1e-5
     assert np.abs(a.noise_score - b.noise_score).max() < 1e-5 * max(1.0, np.abs(a.noise_score).max())
 
 
 def test_gain_quadratics_zero_on_idle_steps(benchmark_tables):
     _, _, _, tables = benchmark_tables
-    for mi, pat in enumerate(tables.patterns):
-        for s, bit in enumerate(pat.bits):
+    _, gains, gain_quadratics = _flat(tables)
+    for mi, bits in enumerate(tables.bits.tolist()):
+        for s, bit in enumerate(bits):
             if not bit:
-                assert np.all(tables.gains[mi, s] == 0.0)
-                assert np.all(tables.gain_quadratics[mi, s] == 0.0)
+                assert np.all(gains[mi, s] == 0.0)
+                assert np.all(tables.gain(mi + 1, s) == 0.0)
+                assert np.all(gain_quadratics[mi, s] == 0.0)
 
 
 def test_transient_covariance_stack_support(benchmark_model):
@@ -244,12 +301,64 @@ def test_free_actuation_reduces_to_lqg(scalar_model):
     pol = sr.design_periodic(dm, [[1.0]], [[1.0]], 1, alpha=1.0)
     tables = sr.build_tables(dm, [[1.0]], [[1.0]], pol.cost_matrix, 1, 1,
                              theta=0.0, alpha=1.0, err_cov=err_cov)
-    p_act = tables.cost_matrices[0, 0, 0, 0]
-    p_idle = tables.cost_matrices[1, 0, 0, 0]
+    p_act = tables.cost_matrix(1, 0)[0, 0]
+    p_idle = tables.cost_matrix(2, 0)[0, 0]
     assert p_act < p_idle  # scalar Riccati gap is positive
     for x in np.linspace(-3.0, 3.0, 25):
         if abs(x) < 1e-2:
             continue  # the gap vanishes exactly at the origin
         assert sr.select_pattern(tables, np.array([x]), err_cov) == 1
     # and the applied gain is the standard LQG feedback
-    assert abs(tables.gains[0, 0, 0, 0] - pol.feedback_gain[0, 0]) < 1e-10
+    assert abs(tables.gain(1, 0)[0, 0] - pol.feedback_gain[0, 0]) < 1e-10
+
+
+@pytest.mark.parametrize("h,p,alpha", [(1, 1, 1.0), (6, 6, 1.0), (6, 3, 1.0), (10, 2, 0.9)])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_tree_matches_flat_recursion(benchmark_model, h, p, alpha, stacked):
+    # every (pattern, step) entry of the tree is bit-identical to the per-pattern recursion
+    dm = benchmark_model
+    _, err_cov, _ = sr.steady_kalman(dm)
+    if stacked:
+        err_cov = np.stack([err_cov * (1.0 + 0.1 * t) for t in range(h)])
+    pol = sr.design_periodic(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, p, alpha=alpha)
+    tables = sr.build_tables(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, pol.cost_matrix,
+                             h, p, 0.2, alpha, err_cov)
+    bits, costs, gains, gain_quadratics, noise_score = _flat_recursion(
+        dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, pol.cost_matrix, h, p, alpha, err_cov)
+    assert tables.cost_matrices.shape == (2 ** (h + 1) - 1, 4, 4)
+    assert tables.gains.shape == (2**h - 1, 1, 4)
+    assert np.array_equal(tables.bits, bits)
+    assert np.array_equal(tables.bits, sr.pattern_bits(h, p))
+    tree_costs, tree_gains, tree_quadratics = _flat(tables)
+    assert np.array_equal(tree_costs, costs)
+    assert np.array_equal(tree_gains, gains)
+    assert np.array_equal(tree_quadratics, gain_quadratics)
+    assert np.array_equal(tables.noise_score, noise_score)
+    assert np.array_equal(tables.p0, costs[:, 0])
+    assert np.array_equal(tables.path_gains(np.arange(1, len(bits) + 1)), gains)
+    for m in range(1, min(len(bits), 64) + 1):
+        for s in range(h):
+            assert np.array_equal(tables.cost_matrix(m, s), costs[m - 1, s])
+            assert np.array_equal(tables.gain(m, s), gains[m - 1, s])
+        assert np.array_equal(tables.cost_matrix(m, h), costs[m - 1, h])
+
+
+def test_pattern_index_out_of_range(benchmark_tables):
+    _, _, err_cov, tables = benchmark_tables
+    for m in (0, 65):
+        with pytest.raises(ValueError, match="out of range"):
+            sr.pattern_score(tables, m, np.zeros(4), err_cov)
+        with pytest.raises(ValueError, match="out of range"):
+            sr.closed_loop_matrices(tables, m)
+
+
+def test_deep_lookahead_tables_are_small(benchmark_model):
+    # h = 14 stores 2^15 - 1 cost matrices, not 15 * 2^14
+    dm = benchmark_model
+    _, err_cov, _ = sr.steady_kalman(dm)
+    pol = sr.design_periodic(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, 7, alpha=1.0)
+    tables = sr.build_tables(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, pol.cost_matrix,
+                             14, 7, 0.2, 1.0, err_cov)
+    total = sum(v.nbytes for v in vars(tables).values() if isinstance(v, np.ndarray))
+    assert total < 10 * 2**20
+    assert len(tables.bits) == 2**14 and tables.p0.shape == (2**14, 4, 4)

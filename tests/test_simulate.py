@@ -162,7 +162,7 @@ def test_rollout_runs_in_blocks(benchmark_model, benchmark_steady):
     assert trace.states.shape == (600, 4)
     # within every 6-step block the triggers follow a single pattern
     bits = trace.triggers.reshape(100, 6)
-    known = {p.bits for p in pol.tables.patterns}
+    known = {tuple(bits) for bits in pol.tables.bits.tolist()}
     assert all(tuple(row) in known for row in bits)
 
 
@@ -367,8 +367,8 @@ def _reference_deciders(method, dm, theta):
                 if k % 6 == 0:
                     chosen["m"] = sr.select_pattern(pol.tables, xhat, sigma)
                 m, tau = chosen["m"], k % 6
-                if pol.tables.patterns[m - 1].bits[tau]:
-                    return pol.tables.gains[m - 1, tau] @ xhat, 1
+                if pol.tables.bits[m - 1, tau]:
+                    return pol.tables.gain(m, tau) @ xhat, 1
                 return np.zeros(1), 0
 
             return decide
