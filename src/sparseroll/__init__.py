@@ -7,18 +7,6 @@ actuation-rate trade-off against periodic control and a group-sparse MPC
 relaxation.
 """
 
-from .benchmark import (
-    BENCHMARK_H,
-    BENCHMARK_HORIZON_STEPS,
-    BENCHMARK_PERIOD_CANDIDATES,
-    BENCHMARK_Q,
-    BENCHMARK_R,
-    BENCHMARK_THETA_GRID,
-    BENCHMARK_TRIALS,
-    BENCHMARK_TS,
-    BENCHMARK_X0_MEAN,
-    benchmark_discrete_model,
-)
 from .config import ExperimentConfig
 from .estimator import EstimatorState, kalman_init, kalman_step, steady_kalman
 from .exceptions import (
@@ -49,8 +37,6 @@ from .plant import (
 from .riccati import (
     RiccatiProblem,
     RiccatiSolution,
-    check_controllability,
-    check_lifted_observability,
     check_observability,
     check_pathological_sampling,
     riccati_residual,
@@ -59,11 +45,8 @@ from .riccati import (
 from .rollout import (
     RolloutPolicy,
     RolloutTables,
-    TriggerPattern,
     build_tables,
-    enumerate_patterns,
     pattern_bits,
-    pattern_score,
     pattern_scores,
     select_pattern,
 )

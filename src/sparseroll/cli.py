@@ -23,7 +23,7 @@ from .periodic import design_periodic, periodic_average_cost
 from .plant import build_lifted
 from .rollout import RolloutTables, build_tables
 from .simulate import theta_sweep
-from .verify import run_verification
+from .verify import base_cost_residual, run_verification
 
 OUTDIR_ENV = "SPARSEROLL_OUTDIR"
 
@@ -105,10 +105,7 @@ def cmd_design(cfg: ExperimentConfig, out_dir: Path) -> int:
     base = design_periodic(dm, cfg.q_weight, cfg.r_weight, cfg.p, alpha=cfg.alpha)
     tables = build_tables(dm, cfg.q_weight, cfg.r_weight, base.cost_matrix,
                           cfg.h, cfg.p, cfg.theta_grid[0], cfg.alpha, err_cov)
-    resid = float(
-        np.linalg.norm(tables.cost_matrix(1, 0) - base.cost_matrix, "fro")
-        / np.linalg.norm(base.cost_matrix, "fro")
-    )
+    resid = base_cost_residual(tables, base.cost_matrix)
     lines.append(f"# Lookahead tables (h={cfg.h}, p={cfg.p}, alpha={cfg.alpha})")
     lines.append(f"patterns = {len(tables.bits)}")
     lines.append(f"cost_matrices_sha256 = {_cost_matrices_digest(tables)}")

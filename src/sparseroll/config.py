@@ -17,20 +17,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .benchmark import (
-    BENCHMARK_H,
-    BENCHMARK_HORIZON_STEPS,
-    BENCHMARK_MPC_HORIZON,
-    BENCHMARK_PERIOD_CANDIDATES,
-    BENCHMARK_Q,
-    BENCHMARK_R,
-    BENCHMARK_THETA_GRID,
-    BENCHMARK_TRIALS,
-    BENCHMARK_TS,
-    benchmark_discrete_model,
-)
+from .estimator import steady_kalman
 from .exceptions import ConfigError
-from .plant import DiscreteModel
+from .plant import DiscreteModel, build_benchmark_model, discretize
 from .riccati import (
     check_pathological_sampling,
     min_eigenvalue,
@@ -133,28 +122,36 @@ _CONVERT = {
 class ExperimentConfig:
     """One experiment (see configs/benchmark.yaml); the defaults are the benchmark study.
 
-    The model-free checks run on construction and raise :class:`ConfigError`.
-    Equality and the hash follow :meth:`canonical_dict`.
+    The builtin model starts from the mean [1, -1, 0, 0] unless ``init_mean``
+    is given, with the predictive filter fixed point as its covariance, so
+    the Kalman filter is stationary from the first step.  The model-free
+    checks run on construction and raise :class:`ConfigError`.  Equality and
+    the hash follow :meth:`canonical_dict`.
     """
 
     model_source: str = "builtin-benchmark"
-    sample_period: float = BENCHMARK_TS
+    sample_period: float = 0.1
     model_file: str | None = None
     init_mean: tuple[float, ...] | None = None
-    q_weight: np.ndarray = field(default_factory=BENCHMARK_Q.copy)
-    r_weight: np.ndarray = field(default_factory=BENCHMARK_R.copy)
-    theta_grid: tuple[float, ...] = BENCHMARK_THETA_GRID
+    q_weight: np.ndarray = field(default_factory=lambda: np.array([
+        [0.1336, -0.0936, -0.0327, 0.0347],
+        [-0.0936, 0.1336, 0.0347, -0.0327],
+        [-0.0327, 0.0347, 0.0377, 0.0024],
+        [0.0347, -0.0327, 0.0024, 0.0377],
+    ]))
+    r_weight: np.ndarray = field(default_factory=lambda: np.array([[0.1]]))
+    theta_grid: tuple[float, ...] = tuple(round(0.02 * k, 2) for k in range(1, 21))
     methods: tuple[str, ...] = METHODS
-    h: int = BENCHMARK_H
-    p: int = BENCHMARK_H
+    h: int = 6
+    p: int = 6
     alpha: float = 1.0
-    candidates: tuple[int, ...] = BENCHMARK_PERIOD_CANDIDATES
-    mpc_horizon: int = BENCHMARK_MPC_HORIZON
+    candidates: tuple[int, ...] = (1, 2, 3, 6)
+    mpc_horizon: int = 30
     mpc_penalty: float = 1.0
     mpc_tol: float = 1e-8
     mpc_max_iter: int = 10_000
-    trials: int = BENCHMARK_TRIALS
-    horizon_steps: int = BENCHMARK_HORIZON_STEPS
+    trials: int = 50
+    horizon_steps: int = 600
     seed_base: int = 20240601
     output_dir: str = "results"
     source_path: str | None = field(default=None, compare=False)
@@ -223,28 +220,29 @@ class ExperimentConfig:
 
     def build_model(self) -> DiscreteModel:
         if self.model_source == "builtin-benchmark":
-            return benchmark_discrete_model(ts=self.sample_period, init_mean=self.init_mean)
+            dm = discretize(build_benchmark_model(), self.sample_period)
+            _, _, prior_cov = steady_kalman(dm)
+            mean = (1.0, -1.0, 0.0, 0.0) if self.init_mean is None else self.init_mean
+            return dm.with_init(np.array(mean), prior_cov)
         base = Path(self.model_file)
         if not base.is_absolute() and self.source_path:
             base = Path(self.source_path).parent / base
         try:
             with open(base) as fh:
                 raw = yaml.safe_load(fh)
-            dm = DiscreteModel(
+            return DiscreteModel(
                 a=np.array(raw["a"], dtype=float),
                 b=np.array(raw["b"], dtype=float),
                 c=np.array(raw["c"], dtype=float),
                 proc_cov=np.array(raw["proc_cov"], dtype=float),
                 meas_cov=np.array(raw["meas_cov"], dtype=float),
-                init_mean=np.array(raw["init_mean"], dtype=float),
+                init_mean=np.array(raw["init_mean"] if self.init_mean is None else self.init_mean,
+                                   dtype=float),
                 init_cov=np.array(raw["init_cov"], dtype=float),
                 sample_period=raw.get("sample_period"),
             )
         except (OSError, KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"model file {base}: {exc}") from exc
-        if self.init_mean is not None:
-            dm = dm.with_init(np.array(self.init_mean), dm.init_cov)
-        return dm
 
     def canonical_dict(self) -> dict:
         """Normalized content for round-trip and determinism checks, in the YAML layout."""

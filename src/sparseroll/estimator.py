@@ -38,6 +38,13 @@ def _filter_step_cov(a, c, w, v, x):
     return nxt, post, gain_t.T
 
 
+def _measurement_update(dm: DiscreteModel, prior_cov):
+    """Time-varying filter gain and posterior covariance from a predictive covariance."""
+    innov_cov = dm.c @ prior_cov @ dm.c.T + dm.meas_cov
+    gain = prior_cov @ dm.c.T @ np.linalg.inv(innov_cov)
+    return gain, symmetrize(prior_cov - gain @ dm.c @ prior_cov)
+
+
 def steady_kalman(dm: DiscreteModel, tol: float = 1e-12, max_iter: int = 200_000):
     """Stationary Kalman gain with its posterior and predictive covariances.
 
@@ -105,9 +112,7 @@ def kalman_init(dm: DiscreteModel, y0, steady=None, stationary_tol: float = 1e-8
             stacklevel=2,
         )
         prior_cov = dm.init_cov
-        innov = dm.c @ prior_cov @ dm.c.T + dm.meas_cov
-        gain = prior_cov @ dm.c.T @ np.linalg.inv(innov)
-        err_cov = symmetrize(prior_cov - gain @ dm.c @ prior_cov)
+        gain, err_cov = _measurement_update(dm, prior_cov)
     estimate = dm.init_mean + row_product(y0 - dm.c @ dm.init_mean, gain)
     return EstimatorState(
         estimate=estimate,
@@ -133,9 +138,7 @@ def kalman_step(st: EstimatorState, u, y_next, dm: DiscreteModel) -> EstimatorSt
         gain, err_cov, prior_cov = st.gain, st.err_cov, st.prior_cov
     else:
         prior_cov = symmetrize(a @ st.err_cov @ a.T + dm.proc_cov)
-        innov_cov = c @ prior_cov @ c.T + dm.meas_cov
-        gain = prior_cov @ c.T @ np.linalg.inv(innov_cov)
-        err_cov = symmetrize(prior_cov - gain @ c @ prior_cov)
+        gain, err_cov = _measurement_update(dm, prior_cov)
     estimate = pred + row_product(np.asarray(y_next, dtype=float) - row_product(pred, c), gain)
     return EstimatorState(
         estimate=estimate,

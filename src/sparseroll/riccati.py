@@ -5,9 +5,8 @@ The solver handles the cross-weighted, discounted fixed-point equation
     P = Q + g A'PA - (g A'PB + S)(g B'PB + R)^{-1} (g B'PA + S'),
 
 with discount g in (0, 1], state weight Q >= 0, cross weight S and input
-weight R > 0.  The structural predicates (observability, controllability,
-non-pathological sampling, lifted observability) gate every controller
-design built on top of this module.
+weight R > 0.  The structural predicates (observability and
+non-pathological sampling) gate every periodic design built on this module.
 
 All functions are pure; returned matrices are freshly allocated.
 """
@@ -26,8 +25,7 @@ COND_LIMIT = 1e12
 
 
 def _as_matrix(x) -> np.ndarray:
-    m = np.atleast_2d(np.asarray(x, dtype=float))
-    return m
+    return np.atleast_2d(np.asarray(x, dtype=float))
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -181,9 +179,7 @@ def _numeric_rank(m: np.ndarray, tol_rank: float) -> int:
 def check_observability(a: np.ndarray, c_half: np.ndarray, tol_rank: float = 1e-9) -> bool:
     """Numeric rank test on the stacked observability matrix of (a, c_half)."""
     a = _as_matrix(a)
-    c = np.asarray(c_half, dtype=float)
-    if c.ndim == 1:
-        c = c.reshape(1, -1)
+    c = _as_matrix(c_half)
     n = a.shape[0]
     blocks = []
     row = c
@@ -191,14 +187,6 @@ def check_observability(a: np.ndarray, c_half: np.ndarray, tol_rank: float = 1e-
         blocks.append(row)
         row = row @ a
     return _numeric_rank(np.vstack(blocks), tol_rank) == n
-
-
-def check_controllability(a: np.ndarray, b: np.ndarray, tol_rank: float = 1e-9) -> bool:
-    """Dual of :func:`check_observability` on the pair (a, b)."""
-    b = np.asarray(b, dtype=float)
-    if b.ndim == 1:
-        b = b.reshape(-1, 1)
-    return check_observability(_as_matrix(a).T, b.T, tol_rank)
 
 
 def check_pathological_sampling(a: np.ndarray, p: int, tol: float = 1e-9) -> bool:
@@ -221,19 +209,3 @@ def check_pathological_sampling(a: np.ndarray, p: int, tol: float = 1e-9) -> boo
                 if abs(l1 - l2 * rot) < tol:
                     return False
     return True
-
-
-def check_lifted_observability(a: np.ndarray, q_weight: np.ndarray, p: int, tol_rank: float = 1e-9) -> bool:
-    """Observability of the p-step lifted pair (a^p, Q_p^{1/2}).
-
-    For an observable (a, q_weight^{1/2}) this must return True for every
-    p >= 1; the function exists as a runnable regression of that fact.
-    """
-    a = _as_matrix(a)
-    q = _as_matrix(q_weight)
-    q_lift = np.zeros_like(q)
-    a_pow = np.eye(a.shape[0])
-    for _ in range(p):
-        q_lift += a_pow.T @ q @ a_pow
-        a_pow = a @ a_pow
-    return check_observability(a_pow, psd_sqrt(symmetrize(q_lift)), tol_rank)

@@ -35,15 +35,6 @@ from .plant import DiscreteModel
 
 
 @dataclass(frozen=True)
-class TriggerPattern:
-    """One binary actuation schedule for a lookahead block."""
-
-    index: int
-    bits: tuple[int, ...]
-    actuation_count: int
-
-
-@dataclass(frozen=True)
 class RolloutTables:
     """The backward recursions of all 2^h patterns of one lookahead design, as a suffix tree.
 
@@ -136,12 +127,6 @@ def pattern_bits(h: int, p: int) -> np.ndarray:
     for s in range(h):
         bits.reshape(1 << s, 2, -1, h)[:, 1, :, s] = 1
     return _in_pattern_order(bits, base)
-
-
-def enumerate_patterns(h: int, p: int) -> list[TriggerPattern]:
-    """All 2^h patterns; index 1 is the periodic one, the rest lexicographic."""
-    return [TriggerPattern(index=i, bits=tuple(row), actuation_count=sum(row))
-            for i, row in enumerate(pattern_bits(h, p).tolist(), start=1)]
 
 
 def _backward_tree(a, b, q, r, terminal, h: int, alpha: float, base: int):
@@ -293,17 +278,6 @@ def pattern_scores(tables: RolloutTables, estimate, err_cov, trace=None) -> np.n
     return quad + trace + tables.noise_score + tables.trigger_score
 
 
-def pattern_score(tables: RolloutTables, m: int, estimate, err_cov) -> float:
-    """Score of pattern m (1-based): quadratic + trace + noise + penalty."""
-    p0 = tables.cost_matrix(m, 0)
-    x = np.asarray(estimate, dtype=float).reshape(-1)
-    sigma = np.atleast_2d(np.asarray(err_cov, dtype=float))
-    return float(
-        x @ p0 @ x + np.trace(p0 @ sigma)
-        + tables.noise_score[m - 1] + tables.trigger_score[m - 1]
-    )
-
-
 def select_pattern(tables: RolloutTables, estimate, err_cov, trace=None):
     """Argmin pattern index; exact ties resolve to the smallest index.
 
@@ -318,24 +292,18 @@ def select_pattern(tables: RolloutTables, estimate, err_cov, trace=None):
 class RolloutPolicy:
     """Receding-horizon block controller over a batch of trials.
 
-    ``forced_pattern`` pins the selection (diagnostic hook used to compare
-    against the base policy on identical noise).  The score traces are kept
-    for the last filter covariance seen, by identity: the stationary filter
-    passes the same array every block, the time-varying one a new array.
+    The actuation weight is the one the tables were scored at (see
+    :func:`with_theta`).  ``forced_pattern`` pins the selection (diagnostic
+    hook used to compare against the base policy on identical noise).  The
+    score traces are kept for the last filter covariance seen, by identity:
+    the stationary filter passes the same array every block, the
+    time-varying one a new array.
     """
 
     tables: RolloutTables
-    period: int
-    theta: float
     forced_pattern: int | None = None
     _block: tuple = field(default=(), init=False, repr=False, compare=False)
     _traces: tuple = field(default=(None, None), init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.tables.horizon % self.period != 0:
-            raise HorizonMismatchError(
-                f"horizon h={self.tables.horizon} is not a multiple of period p={self.period}"
-            )
 
     def decide(self, est, k: int):
         """Inputs and triggers of step k for the estimates (T, n); patterns change per block."""

@@ -256,7 +256,7 @@ def make_controller_factory(method: str, cfg: ExperimentConfig, dm: DiscreteMode
             build_tables(dm, q_w, r_w, base.cost_matrix, cfg.h, cfg.p, theta, cfg.alpha, err_cov)
         )), theta)
         info = {"tables": tables, "base_policy": base, "p": cfg.p, "h": cfg.h}
-        return (lambda: RolloutPolicy(tables=tables, period=cfg.p, theta=theta)), info
+        return (lambda: RolloutPolicy(tables=tables)), info
     if method == "periodic":
         p_star, formula_cost = best_periodic(dm, q_w, r_w, cfg.candidates, err_cov, theta,
                                              design=design)

@@ -139,20 +139,20 @@ def admm_factor(prob: MpcProblem, rho: float):
     return sla.cho_factor(prob.quad_matrix + rho * np.eye(prob.quad_matrix.shape[0]))
 
 
-def block_soft_threshold(v, kappa: float) -> np.ndarray:
-    """Proximal map of kappa * ||.||_2: shrink toward zero, exactly zero inside."""
-    if kappa < 0.0:
-        raise ValueError("kappa must be nonnegative")
-    v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if norm <= kappa:
-        return np.zeros_like(v)
-    return (1.0 - kappa / norm) * v
-
-
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis; each row's bits independent of the batch."""
     return np.sqrt(np.add.reduce(v * v, axis=-1))
+
+
+def block_soft_threshold(v, kappa: float) -> np.ndarray:
+    """Proximal map of kappa * ||.||_2 on each last-axis block: shrink, exactly zero inside."""
+    if kappa < 0.0:
+        raise ValueError("kappa must be nonnegative")
+    v = np.asarray(v, dtype=float)
+    norms = _row_norms(v)[..., None]
+    scale = np.zeros_like(norms)
+    np.divide(norms - kappa, norms, out=scale, where=norms > kappa)
+    return scale * v
 
 
 def mpc_objective(prob: MpcProblem, u_flat: np.ndarray, f: np.ndarray) -> float:
@@ -217,10 +217,7 @@ def solve_admm(prob: MpcProblem, estimates, state: AdmmState, factor=None, tol: 
         u = _potrs(c, (rho * (z - w) - f).T, lower=lower, overwrite_b=True)[0].T
         u_relaxed = RELAX * u + (1.0 - RELAX) * z
         v = (u_relaxed + w).reshape(blocks)
-        norms = _row_norms(v)[..., None]
-        scale = np.zeros_like(norms)
-        np.divide(norms - kappa, norms, out=scale, where=norms > kappa)
-        z_old, z = z, (scale * v).reshape(len(rows), dim)
+        z_old, z = z, block_soft_threshold(v, kappa).reshape(len(rows), dim)
         w = w + u_relaxed - z
         primal_res = _row_norms(u - z)
         dual_res = rho * _row_norms(z - z_old)

@@ -16,9 +16,9 @@ from .config import ExperimentConfig
 from .estimator import steady_kalman
 from .oracle import oracle_select
 from .periodic import design_periodic, periodic_average_cost
-from .plant import build_benchmark_model, build_lifted
+from .plant import DiscreteModel, build_benchmark_model, build_lifted
 from .riccati import RiccatiProblem, solve_dare
-from .rollout import build_tables, pattern_score, select_pattern
+from .rollout import RolloutTables, build_tables, pattern_scores, select_pattern
 from .simulate import (
     PeriodicController,
     check_mean_square_stability,
@@ -52,8 +52,6 @@ def _scalar_dare_check() -> CheckResult:
 
 
 def _scalar_kalman_check() -> CheckResult:
-    from .plant import DiscreteModel
-
     dm = DiscreteModel(
         a=[[1.0]], b=[[1.0]], c=[[1.0]], proc_cov=[[1.0]], meas_cov=[[1.0]],
         init_mean=[0.0], init_cov=[[1.0]],
@@ -82,6 +80,12 @@ def _discretization_check(cfg: ExperimentConfig) -> CheckResult:
     return CheckResult("discretization_quadrature", err < 1e-9, f"max abs deviation = {err:.3e}")
 
 
+def base_cost_residual(tables: RolloutTables, base_cost) -> float:
+    """Relative Frobenius gap between the base pattern's step-0 cost matrix and ``base_cost``."""
+    return float(np.linalg.norm(tables.cost_matrix(1, 0) - base_cost, "fro")
+                 / np.linalg.norm(base_cost, "fro"))
+
+
 def _base_cost_identity_check(cfg: ExperimentConfig, corrupt_terminal: bool) -> CheckResult:
     dm = cfg.build_model()
     _, err_cov, _ = steady_kalman(dm)
@@ -91,10 +95,7 @@ def _base_cost_identity_check(cfg: ExperimentConfig, corrupt_terminal: bool) -> 
         terminal = terminal * 1.10  # deliberate corruption hook for negative tests
     tables = build_tables(dm, cfg.q_weight, cfg.r_weight, terminal, cfg.h, cfg.p,
                           cfg.theta_grid[0], cfg.alpha, err_cov)
-    resid = float(
-        np.linalg.norm(tables.cost_matrix(1, 0) - pol.cost_matrix, "fro")
-        / np.linalg.norm(pol.cost_matrix, "fro")
-    )
+    resid = base_cost_residual(tables, pol.cost_matrix)
     return CheckResult("base_cost_identity", resid < 1e-8, f"relative residual = {resid:.3e}")
 
 
@@ -108,14 +109,14 @@ def _oracle_agreement_check(cfg: ExperimentConfig, n_draws: int = 100) -> CheckR
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed_base)))
     worst = 0.0
     for _ in range(n_draws):
-        x = rng.standard_normal(dm.n_states) * rng.uniform(0.05, 2.0)
+        x = rng.standard_normal(dm.n_states) * rng.uniform(0.05, 2.5)
         res = oracle_select(dm, cfg.q_weight, cfg.r_weight, pol.cost_matrix, cfg.h, cfg.p,
                             theta, cfg.alpha, x, err_cov)
         sel = select_pattern(tables, x, err_cov)
         if sel != res.best_pattern:
             return CheckResult("oracle_agreement", False,
                                f"pattern mismatch {sel} vs {res.best_pattern}")
-        score = pattern_score(tables, sel, x, err_cov)
+        score = pattern_scores(tables, x, err_cov)[sel - 1]
         worst = max(worst, abs(score - res.best_score) / max(1e-12, abs(res.best_score)))
     return CheckResult("oracle_agreement", worst < 1e-8,
                        f"{n_draws} draws, worst relative score gap = {worst:.3e}")
@@ -193,14 +194,16 @@ def _mpc_kkt_check(cfg: ExperimentConfig) -> CheckResult:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed_base + 1)))
     worst = 0.0
     for _ in range(20):
-        x = rng.standard_normal(dm.n_states) * rng.uniform(0.2, 3.0)
+        x = rng.standard_normal(dm.n_states) * rng.uniform(0.1, 3.0)
         u_seq, _ = solve_sparse_mpc(prob, x, tol=cfg.mpc_tol, max_iter=cfg.mpc_max_iter)
         worst = max(worst, subgradient_residual(prob, u_seq, x))
     prob0 = build_mpc_problem(dm, cfg.q_weight, cfg.r_weight, cfg.mpc_horizon, 0.0)
-    x = rng.standard_normal(dm.n_states)
-    u_seq, _ = solve_sparse_mpc(prob0, x, tol=1e-10, max_iter=cfg.mpc_max_iter)
-    direct = np.linalg.solve(prob0.quad_matrix, -(prob0.lin_matrix @ x))
-    lin_gap = float(np.abs(u_seq.reshape(-1) - direct).max())
+    lin_gap = 0.0
+    for _ in range(5):
+        x = rng.standard_normal(dm.n_states)
+        u_seq, _ = solve_sparse_mpc(prob0, x, tol=1e-10, max_iter=cfg.mpc_max_iter)
+        direct = np.linalg.solve(prob0.quad_matrix, -(prob0.lin_matrix @ x))
+        lin_gap = max(lin_gap, float(np.abs(u_seq.reshape(-1) - direct).max()))
     ok = worst <= 1e-6 and lin_gap <= 1e-8
     return CheckResult("mpc_optimality", ok,
                        f"worst KKT residual = {worst:.3e}, theta=0 gap = {lin_gap:.3e}")

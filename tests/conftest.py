@@ -10,7 +10,7 @@ PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 @pytest.fixture(scope="session")
 def benchmark_model():
-    return sr.benchmark_discrete_model()
+    return sr.ExperimentConfig().build_model()
 
 
 @pytest.fixture(scope="session")

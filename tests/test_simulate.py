@@ -10,20 +10,22 @@ from sparseroll import simulate
 from sparseroll.exceptions import ConfigError, NonConvergenceError, NonFiniteError
 from sparseroll.simulate import PeriodicController, SparseMpcController
 
+BENCH = sr.ExperimentConfig()  # the benchmark study
+
 
 def bench_cfg(**kw):
     base = dict(horizon_steps=600, trials=3, seed_base=123,
-                q_weight=sr.BENCHMARK_Q, r_weight=sr.BENCHMARK_R, h=6, p=6)
+                q_weight=BENCH.q_weight, r_weight=BENCH.r_weight, h=6, p=6)
     base.update(kw)
     return sr.ExperimentConfig(**base)
 
 
 def rollout_policy(dm, theta=0.2, h=6, p=6, forced=None):
     _, err_cov, _ = sr.steady_kalman(dm)
-    base = sr.design_periodic(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, p, alpha=1.0)
-    tables = sr.build_tables(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, base.cost_matrix,
+    base = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, p, alpha=1.0)
+    tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, base.cost_matrix,
                              h, p, theta, 1.0, err_cov)
-    return sr.RolloutPolicy(tables=tables, period=p, theta=theta, forced_pattern=forced), base
+    return sr.RolloutPolicy(tables=tables, forced_pattern=forced), base
 
 
 def test_same_seed_bit_identical(benchmark_model, benchmark_steady):
@@ -48,7 +50,7 @@ def test_zero_noise_matches_linear_recursion(benchmark_model, benchmark_steady):
     # deterministic closed loop equals the matrix recursion with a perfect estimate
     dm = benchmark_model
     cfg = bench_cfg(methods=("periodic",), horizon_steps=120, trials=1)
-    pol = sr.design_periodic(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, 1, alpha=1.0)
+    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 1, alpha=1.0)
     noise = (dm.init_mean.copy(), np.zeros((120, 4)), np.zeros((121, 2)))
     trace = sr.simulate_trial(cfg, dm, PeriodicController(pol.feedback_gain, 1), 0,
                               steady=benchmark_steady, noise=noise)
@@ -62,7 +64,7 @@ def test_zero_noise_matches_linear_recursion(benchmark_model, benchmark_steady):
 
 def test_metrics_periodic_rate_exact(benchmark_model, benchmark_steady):
     cfg = bench_cfg(methods=("periodic",), trials=2)
-    pol = sr.design_periodic(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R, 3)
+    pol = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, 3)
     traces = [
         sr.simulate_trial(cfg, benchmark_model, PeriodicController(pol.feedback_gain, 3), t,
                           steady=benchmark_steady)
@@ -75,7 +77,7 @@ def test_metrics_periodic_rate_exact(benchmark_model, benchmark_steady):
 
 def test_metrics_single_step_cost(benchmark_model, benchmark_steady):
     cfg = sr.ExperimentConfig(horizon_steps=1, trials=1, seed_base=5,
-                              q_weight=sr.BENCHMARK_Q, r_weight=sr.BENCHMARK_R,
+                              q_weight=BENCH.q_weight, r_weight=BENCH.r_weight,
                               methods=("periodic",))
 
     class NullController:
@@ -86,7 +88,7 @@ def test_metrics_single_step_cost(benchmark_model, benchmark_steady):
                               steady=benchmark_steady)
     metrics = sr.estimate_metrics([trace], theta=0.0)
     x0 = trace.states[0]
-    assert abs(metrics.avg_control_cost - x0 @ sr.BENCHMARK_Q @ x0) < 1e-12
+    assert abs(metrics.avg_control_cost - x0 @ BENCH.q_weight @ x0) < 1e-12
 
 
 def test_common_random_numbers_across_methods(benchmark_model, benchmark_steady):
@@ -146,7 +148,7 @@ def test_check_performance_bound_scalar_monte_carlo(scalar_model):
                               methods=("rollout",), h=h, p=p)
     ro_traces, pe_traces = [], []
     for t in range(trials):
-        pol = sr.RolloutPolicy(tables=tables, period=p, theta=theta)
+        pol = sr.RolloutPolicy(tables=tables)
         ro_traces.append(sr.simulate_trial(cfg, dm, pol, t, steady=steady))
         pe_traces.append(sr.simulate_trial(
             cfg, dm, PeriodicController(base.feedback_gain, p), t, steady=steady))
@@ -277,7 +279,7 @@ def test_theta_sweep_records_admm_nonconvergence(benchmark_model):
         assert cell.metrics is None
         assert re.fullmatch(r"error: ADMM did not converge in 2 iterations for trial [0-2] "
                             r"of the batch \(primal .*, dual .*\)", cell.status), cell.status
-    prob = sr.build_mpc_problem(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R, 30, 0.1)
+    prob = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight, 30, 0.1)
     with pytest.raises(NonConvergenceError) as err:
         sr.simulate_trials(cfg, benchmark_model,
                            SparseMpcController(prob, benchmark_model, max_iter=2), range(3))
@@ -349,7 +351,7 @@ def _reference_trial(dm, q_w, r_w, noise, steady, decide):
 
 def _reference_deciders(method, dm, theta):
     """Per-trial decision functions built straight from the design routines."""
-    q_w, r_w = sr.BENCHMARK_Q, sr.BENCHMARK_R
+    q_w, r_w = BENCH.q_weight, BENCH.r_weight
     if method == "periodic":
         gain = sr.design_periodic(dm, q_w, r_w, 3).feedback_gain
 
@@ -437,7 +439,7 @@ def test_batched_engine_matches_per_trial_reference(benchmark_model, method, see
     traces = sr.simulate_trials(cfg, dm, controller, trials, steady=steady)
     for row, trial in enumerate(trials):
         noise = sr.noise_streams(dm, seed_base, trial, cfg.horizon_steps)
-        costs, triggers = _reference_trial(dm, sr.BENCHMARK_Q, sr.BENCHMARK_R, noise, steady,
+        costs, triggers = _reference_trial(dm, BENCH.q_weight, BENCH.r_weight, noise, steady,
                                            make())
         assert np.array_equal(traces[row].triggers, triggers)
         ref, got = costs.mean(), traces[row].control_cost

@@ -6,10 +6,12 @@ from sparseroll.exceptions import NonConvergenceError
 from sparseroll.simulate import SparseMpcController
 from sparseroll.sparse_mpc import ZERO_TOL, admm_factor, mpc_objective, solve_admm
 
+BENCH = sr.ExperimentConfig()  # the benchmark study
+
 
 @pytest.fixture(scope="module")
 def bench_problem(benchmark_model):
-    return sr.build_mpc_problem(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R,
+    return sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight,
                                 horizon=30, theta=0.2)
 
 
@@ -22,10 +24,25 @@ def test_block_soft_threshold_examples():
     with pytest.raises(ValueError):
         sr.block_soft_threshold([1.0], -0.1)
 
+    # a (2, 3, 2) batch shrinks each last-axis block on its own
+    v = np.array([[[3.0, 4.0], [0.3, 0.4], [0.0, 0.0]],
+                  [[-6.0, 8.0], [1.2, -1.6], [0.0, 5.0]]])
+    kappa = 1.0
+    out = sr.block_soft_threshold(v, kappa)
+    assert out.shape == v.shape
+    for block, got in zip(v.reshape(-1, 2), out.reshape(-1, 2)):
+        norm = float(np.linalg.norm(block))
+        if norm <= kappa:
+            assert np.array_equal(got, np.zeros(2))
+        else:
+            assert np.allclose(got, (1.0 - kappa / norm) * block, rtol=1e-15, atol=0.0)
+    assert np.array_equal(out[0, 1], np.zeros(2)) and np.array_equal(out[0, 2], np.zeros(2))
+    assert np.array_equal(sr.block_soft_threshold(v, 0.0), v)
+
 
 def test_terminal_weight_defaults_to_cost_to_go(benchmark_model, bench_problem):
-    prob = sr.RiccatiProblem(benchmark_model.a, benchmark_model.b, sr.BENCHMARK_Q,
-                             np.zeros((4, 1)), sr.BENCHMARK_R, discount=1.0)
+    prob = sr.RiccatiProblem(benchmark_model.a, benchmark_model.b, BENCH.q_weight,
+                             np.zeros((4, 1)), BENCH.r_weight, discount=1.0)
     expected = sr.solve_dare(prob).cost_matrix
     assert np.allclose(bench_problem.terminal_weight, expected, rtol=1e-10)
 
@@ -45,7 +62,7 @@ def test_prediction_matrices_consistent(benchmark_model, bench_problem, rng):
 
 
 def test_zero_theta_matches_direct_solve(benchmark_model, rng):
-    prob = sr.build_mpc_problem(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R,
+    prob = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight,
                                 horizon=30, theta=0.0)
     x = rng.standard_normal(4)
     u_seq, iters = sr.solve_sparse_mpc(prob, x, tol=1e-10)
@@ -56,11 +73,11 @@ def test_zero_theta_matches_direct_solve(benchmark_model, rng):
 
 def test_large_theta_gives_zero(benchmark_model, rng):
     x = rng.standard_normal(4)
-    base = sr.build_mpc_problem(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R,
+    base = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight,
                                 horizon=30, theta=0.0)
     f = base.lin_matrix @ x
     big = float(np.abs(f).max()) * 31.0 + 1.0
-    prob = sr.build_mpc_problem(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R,
+    prob = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight,
                                 horizon=30, theta=big)
     u_seq, _ = sr.solve_sparse_mpc(prob, x)
     assert np.all(u_seq == 0.0)
@@ -68,7 +85,7 @@ def test_large_theta_gives_zero(benchmark_model, rng):
 
 def test_kkt_conditions_on_random_instances(benchmark_model, rng):
     for theta in (0.05, 0.2, 0.6):
-        prob = sr.build_mpc_problem(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R,
+        prob = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight,
                                     horizon=30, theta=theta)
         for _ in range(5):
             x = rng.standard_normal(4) * rng.uniform(0.2, 3.0)
@@ -97,7 +114,7 @@ def _ista_reference(prob, f, n_iter=60_000):
 
 
 def test_objective_matches_proximal_gradient_reference(benchmark_model, rng):
-    prob = sr.build_mpc_problem(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R,
+    prob = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight,
                                 horizon=10, theta=0.3)
     x = rng.standard_normal(4) * 2.0
     f = prob.lin_matrix @ x
@@ -110,7 +127,7 @@ def test_objective_matches_proximal_gradient_reference(benchmark_model, rng):
 
 
 def test_objective_monotone_after_burn_in(benchmark_model, rng):
-    prob = sr.build_mpc_problem(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R,
+    prob = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight,
                                 horizon=30, theta=0.2)
     for _ in range(5):
         x = rng.standard_normal(4) * rng.uniform(0.5, 2.0)
@@ -123,7 +140,7 @@ def test_objective_monotone_after_burn_in(benchmark_model, rng):
 
 
 def test_warm_start_reuses_iterates(benchmark_model):
-    prob = sr.build_mpc_problem(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R,
+    prob = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight,
                                 horizon=30, theta=0.2)
     x = np.array([1.0, -1.0, 0.2, 0.1])
     state = sr.AdmmState(primal=np.zeros(30), auxiliary=np.zeros(30),
@@ -135,7 +152,7 @@ def test_warm_start_reuses_iterates(benchmark_model):
 
 
 def test_nonconvergence_raises(benchmark_model):
-    prob = sr.build_mpc_problem(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R,
+    prob = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight,
                                 horizon=30, theta=0.2)
     with pytest.raises(NonConvergenceError):
         sr.solve_sparse_mpc(prob, np.array([1.0, -1.0, 0.2, 0.1]), max_iter=2)
@@ -208,7 +225,7 @@ def test_config_penalty_reaches_the_solver(benchmark_model):
     costs = []
     for rho in (1.0, 10.0):
         cfg = sr.ExperimentConfig(horizon_steps=12, trials=1, seed_base=17,
-                                  q_weight=sr.BENCHMARK_Q, r_weight=sr.BENCHMARK_R,
+                                  q_weight=BENCH.q_weight, r_weight=BENCH.r_weight,
                                   methods=("sparse_mpc",), mpc_penalty=rho)
         (cell,) = sr.theta_sweep(cfg, benchmark_model, [0.2], methods=("sparse_mpc",))
         assert cell.status == "ok"
@@ -227,7 +244,7 @@ def test_controller_step_zero_estimate(benchmark_model, bench_problem, benchmark
 
 
 def test_controller_step_theta_zero_triggers(benchmark_model, benchmark_steady, rng):
-    prob = sr.build_mpc_problem(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R,
+    prob = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight,
                                 horizon=30, theta=0.0)
     gain, err_cov, prior = benchmark_steady
     est = sr.EstimatorState(estimate=rng.standard_normal((1, 4)), err_cov=err_cov,
@@ -239,9 +256,9 @@ def test_controller_step_theta_zero_triggers(benchmark_model, benchmark_steady, 
 
 def test_closed_loop_actuation_rate_interior(benchmark_model):
     cfg = sr.ExperimentConfig(horizon_steps=600, trials=1, seed_base=17,
-                              q_weight=sr.BENCHMARK_Q, r_weight=sr.BENCHMARK_R,
+                              q_weight=BENCH.q_weight, r_weight=BENCH.r_weight,
                               methods=("sparse_mpc",))
-    prob = sr.build_mpc_problem(benchmark_model, sr.BENCHMARK_Q, sr.BENCHMARK_R,
+    prob = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight,
                                 horizon=30, theta=0.2)
     trace = sr.simulate_trial(cfg, benchmark_model, SparseMpcController(prob, benchmark_model), 0)
     rate = trace.actuation_rate
