@@ -19,10 +19,9 @@ import numpy as np
 from .config import ExperimentConfig, load_config
 from .estimator import steady_kalman
 from .exceptions import ConfigError, SparseRollError
-from .periodic import design_periodic, periodic_average_cost
-from .plant import build_lifted
+from .periodic import cheapest_period, design_candidates, periodic_average_cost
 from .rollout import RolloutTables, build_tables
-from .simulate import theta_sweep
+from .simulate import rollout_base, theta_sweep
 from .verify import base_cost_residual, run_verification
 
 OUTDIR_ENV = "SPARSEROLL_OUTDIR"
@@ -82,19 +81,16 @@ def cmd_design(cfg: ExperimentConfig, out_dir: Path) -> int:
     lines.append("")
 
     lines.append("# Periodic designs: average cost per (theta, p); * marks the argmin")
-    designs = {}
+    designs = design_candidates(dm, cfg.q_weight, cfg.r_weight, cfg.candidates)
     for p in cfg.candidates:
-        pol = design_periodic(dm, cfg.q_weight, cfg.r_weight, p, alpha=1.0)
-        lift = build_lifted(dm, cfg.q_weight, cfg.r_weight, p, alpha=1.0)
-        designs[p] = (pol, lift)
-        min_eig = float(np.linalg.eigvalsh(pol.cost_matrix).min())
+        min_eig = float(np.linalg.eigvalsh(designs[p][0].cost_matrix).min())
         lines.append(f"p={p}: cost_matrix min eigenvalue = {min_eig:.6g}")
     header = "theta      " + "  ".join(f"p={p:<8d}" for p in cfg.candidates)
     lines.append(header)
     for theta in cfg.theta_grid:
-        costs = {p: periodic_average_cost(pol, lift, err_cov, theta)
-                 for p, (pol, lift) in designs.items()}
-        best = min(costs, key=lambda p: (costs[p], p))
+        costs = {p: periodic_average_cost(*design, err_cov, theta)
+                 for p, design in designs.items()}
+        best, _ = cheapest_period(designs, err_cov, theta)
         row = f"{theta:<9.4g}  "
         row += "  ".join(
             f"{costs[p]:.6f}" + ("*" if p == best else " ") for p in cfg.candidates
@@ -102,9 +98,9 @@ def cmd_design(cfg: ExperimentConfig, out_dir: Path) -> int:
         lines.append(row)
     lines.append("")
 
-    base = design_periodic(dm, cfg.q_weight, cfg.r_weight, cfg.p, alpha=cfg.alpha)
+    base = rollout_base(cfg, dm, designs)
     tables = build_tables(dm, cfg.q_weight, cfg.r_weight, base.cost_matrix,
-                          cfg.h, cfg.p, cfg.theta_grid[0], cfg.alpha, err_cov)
+                          cfg.h, cfg.p, cfg.alpha, err_cov)
     resid = base_cost_residual(tables, base.cost_matrix)
     lines.append(f"# Lookahead tables (h={cfg.h}, p={cfg.p}, alpha={cfg.alpha})")
     lines.append(f"patterns = {len(tables.bits)}")
@@ -128,7 +124,7 @@ def _cost_matrices_digest(tables: RolloutTables) -> str:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
-    cells = theta_sweep(cfg, cfg.build_model(), cfg.theta_grid, methods=cfg.methods)
+    cells = theta_sweep(cfg, cfg.build_model())
 
     ok_cells = [c for c in cells if c.status == "ok"]
     with open(out_dir / "tradeoff.csv", "w", newline="") as fh:

@@ -77,7 +77,7 @@ def stationary_residual(dm: DiscreteModel) -> float:
 
 @dataclass(frozen=True)
 class EstimatorState:
-    """Filter state after processing measurement ``step_index``.
+    """Filter state after processing the latest measurement.
 
     ``estimate`` is one state (n,) or a batch (T, n); the gain and the
     covariances do not depend on the data, so a batch shares them.
@@ -87,7 +87,6 @@ class EstimatorState:
     err_cov: np.ndarray
     gain: np.ndarray
     prior_cov: np.ndarray
-    step_index: int
     stationary: bool = True
 
 
@@ -119,7 +118,6 @@ def kalman_init(dm: DiscreteModel, y0, steady=None, stationary_tol: float = 1e-8
         err_cov=err_cov,
         gain=gain,
         prior_cov=prior_cov,
-        step_index=0,
         stationary=stationary,
     )
 
@@ -145,6 +143,5 @@ def kalman_step(st: EstimatorState, u, y_next, dm: DiscreteModel) -> EstimatorSt
         err_cov=err_cov,
         gain=gain,
         prior_cov=prior_cov,
-        step_index=st.step_index + 1,
         stationary=st.stationary,
     )

@@ -133,21 +133,25 @@ def periodic_discounted_cost(pol: PeriodicPolicy, lift: LiftedSystem, x0_mean, e
     return initial + noise + series + lift.d_disc + theta / (1.0 - ap)
 
 
-def best_periodic(dm: DiscreteModel, q_weight, r_weight, candidates, err_cov, theta: float,
-                  design=None):
-    """Smallest-period argmin of the average cost over candidate periods.
-
-    ``design`` replaces :func:`design_periodic` (same signature), e.g. to
-    reuse designs across calls.
-    """
+def design_candidates(dm: DiscreteModel, q_weight, r_weight, candidates) -> dict:
+    """``{p: (policy, lifted system)}`` at discount 1 for each candidate period, in ascending p."""
     if not candidates:
         raise ValueError("candidate set must be non-empty")
-    design = design or design_periodic
+    return {p: (design_periodic(dm, q_weight, r_weight, p, alpha=1.0),
+                build_lifted(dm, q_weight, r_weight, p, alpha=1.0))
+            for p in sorted(set(int(p) for p in candidates))}
+
+
+def cheapest_period(designs: dict, err_cov, theta: float):
+    """Smallest-period argmin of the average cost over :func:`design_candidates`; (p, cost)."""
     best_p, best_cost = None, None
-    for p in sorted(set(int(p) for p in candidates)):
-        pol = design(dm, q_weight, r_weight, p, alpha=1.0)
-        lift = build_lifted(dm, q_weight, r_weight, p, alpha=1.0)
-        cost = periodic_average_cost(pol, lift, err_cov, theta)
+    for p in sorted(designs):
+        cost = periodic_average_cost(*designs[p], err_cov, theta)
         if best_cost is None or cost < best_cost:
             best_p, best_cost = p, cost
     return best_p, best_cost
+
+
+def best_periodic(dm: DiscreteModel, q_weight, r_weight, candidates, err_cov, theta: float):
+    """Smallest-period argmin of the average cost over candidate periods; (p, cost)."""
+    return cheapest_period(design_candidates(dm, q_weight, r_weight, candidates), err_cov, theta)

@@ -7,10 +7,12 @@ state-independent score decomposition
 
     score(m, x) = x' P0[m] x + tr(P0[m] Sigma) + beta[m] + gamma[m],
 
-where beta collects the noise and estimation contributions and gamma the
-discounted actuation penalty.  The block controller picks the argmin
-pattern once per block and plays its gains open-loop within the block;
-a batch of trials picks one pattern per trial in a single scoring call.
+where beta collects the noise and estimation contributions and gamma is
+theta times the pattern's discounted actuation count.  Only gamma depends
+on theta, so one set of tables serves a whole theta grid.  The block
+controller picks the argmin pattern once per block and plays its gains
+open-loop within the block; a batch of trials picks one pattern per trial
+in a single scoring call.
 
 The cost matrix of a pattern at step s depends only on its bits from s on,
 so the passes share their suffixes: the tables are a binary suffix tree
@@ -25,7 +27,7 @@ significant).  Ties in the argmin go to the smallest index, so the base
 pattern wins any exact tie.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -46,9 +48,10 @@ class RolloutTables:
     (2^h - 1, q, n) and ``gain_quadratics`` (2^h - 1, n, n) sit at the
     index of the matrix they are computed from: the gain of an actuated
     step s at the index of the pattern's matrix at step s + 1.  ``bits``
-    (M, h), ``noise_score`` and ``trigger_score`` (M,) are in pattern order.
-    Only trigger_score depends on theta (see :func:`with_theta`).
-    :meth:`nodes` gives a pattern's path through the tree.
+    (M, h), ``noise_score`` and ``trigger_weight`` (M,) are in pattern order;
+    the trigger weight is the discounted actuation count sum_t alpha^t bits_t,
+    which :func:`pattern_scores` multiplies by theta.  :meth:`nodes` gives a
+    pattern's path through the tree.
     """
 
     horizon: int
@@ -57,9 +60,7 @@ class RolloutTables:
     gains: np.ndarray
     gain_quadratics: np.ndarray
     noise_score: np.ndarray
-    trigger_score: np.ndarray
-    terminal: np.ndarray
-    discount: float
+    trigger_weight: np.ndarray
     model: DiscreteModel
 
     @property
@@ -177,7 +178,7 @@ def _backward_tree(a, b, q, r, terminal, h: int, alpha: float, base: int):
 
 
 def build_tables(dm: DiscreteModel, q_weight, r_weight, terminal, h: int, p: int,
-                 theta: float, alpha: float, err_cov) -> RolloutTables:
+                 alpha: float, err_cov) -> RolloutTables:
     """Backward recursions, gains and score constants for all 2^h patterns.
 
     ``terminal`` must be the lifted-design cost matrix of the base periodic
@@ -227,9 +228,7 @@ def build_tables(dm: DiscreteModel, q_weight, r_weight, terminal, h: int, p: int
         gains=gains,
         gain_quadratics=gain_quadratics,
         noise_score=noise_score,
-        trigger_score=_trigger_score(bits, alpha, theta),
-        terminal=terminal,
-        discount=float(alpha),
+        trigger_weight=(alpha ** np.arange(h) * bits).sum(axis=1),
         model=dm,
     )
 
@@ -249,23 +248,15 @@ def memory_estimate(h: int, n: int, nu: int, trials: int) -> int:
     return tables + build + scores
 
 
-def _trigger_score(bits: np.ndarray, alpha: float, theta: float) -> np.ndarray:
-    return theta * (alpha ** np.arange(bits.shape[1]) * bits).sum(axis=1)
-
-
-def with_theta(tables: RolloutTables, theta: float) -> RolloutTables:
-    """The same tables at another actuation weight; the large arrays are shared."""
-    return replace(tables, trigger_score=_trigger_score(tables.bits, tables.discount, theta))
-
-
 def score_traces(tables: RolloutTables, err_cov) -> np.ndarray:
     """The constant score term tr(P0[m] Sigma) of every pattern, (M,)."""
     sigma = np.atleast_2d(np.asarray(err_cov, dtype=float))
     return np.einsum("mij,ji->m", tables.p0, sigma)
 
 
-def pattern_scores(tables: RolloutTables, estimate, err_cov, trace=None) -> np.ndarray:
-    """Pattern scores at one estimate (n,) -> (M,), or at a batch (T, n) -> (T, M).
+def pattern_scores(tables: RolloutTables, estimate, err_cov, theta: float,
+                   trace=None) -> np.ndarray:
+    """Scores at actuation weight theta: one estimate (n,) -> (M,), a batch (T, n) -> (T, M).
 
     ``trace`` is :func:`score_traces` at ``err_cov`` when the caller keeps it.
     """
@@ -275,25 +266,24 @@ def pattern_scores(tables: RolloutTables, estimate, err_cov, trace=None) -> np.n
     if trace is None:
         trace = score_traces(tables, err_cov)
     quad = np.einsum("...i,mij,...j->...m", x, tables.p0, x)
-    return quad + trace + tables.noise_score + tables.trigger_score
+    return quad + trace + tables.noise_score + theta * tables.trigger_weight
 
 
-def select_pattern(tables: RolloutTables, estimate, err_cov, trace=None):
+def select_pattern(tables: RolloutTables, estimate, err_cov, theta: float, trace=None):
     """Argmin pattern index; exact ties resolve to the smallest index.
 
     Returns an int for one estimate and an int array for a batch (T, n).
     ``trace`` is passed on to :func:`pattern_scores`.
     """
-    picks = np.argmin(pattern_scores(tables, estimate, err_cov, trace), axis=-1) + 1
+    picks = np.argmin(pattern_scores(tables, estimate, err_cov, theta, trace), axis=-1) + 1
     return int(picks) if picks.ndim == 0 else picks
 
 
 @dataclass
 class RolloutPolicy:
-    """Receding-horizon block controller over a batch of trials.
+    """Receding-horizon block controller over a batch of trials at actuation weight theta.
 
-    The actuation weight is the one the tables were scored at (see
-    :func:`with_theta`).  ``forced_pattern`` pins the selection (diagnostic
+    ``forced_pattern`` pins the selection (diagnostic
     hook used to compare against the base policy on identical noise).  The
     score traces are kept for the last filter covariance seen, by identity:
     the stationary filter passes the same array every block, the
@@ -301,6 +291,7 @@ class RolloutPolicy:
     """
 
     tables: RolloutTables
+    theta: float
     forced_pattern: int | None = None
     _block: tuple = field(default=(), init=False, repr=False, compare=False)
     _traces: tuple = field(default=(None, None), init=False, repr=False, compare=False)
@@ -313,7 +304,8 @@ class RolloutPolicy:
             forced = self.forced_pattern
             if forced is None and self._traces[0] is not est.err_cov:
                 self._traces = (est.err_cov, score_traces(tables, est.err_cov))
-            picks = (select_pattern(tables, est.estimate, est.err_cov, self._traces[1])
+            picks = (select_pattern(tables, est.estimate, est.err_cov, self.theta,
+                                    self._traces[1])
                      if forced is None else np.full(len(est.estimate), forced))
             self._block = (tables.bits[picks - 1], tables.path_gains(picks))
         bits, gains = self._block

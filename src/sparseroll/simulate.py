@@ -14,12 +14,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import METHODS, ExperimentConfig
+from .config import ExperimentConfig
 from .estimator import kalman_init, kalman_step, row_product, steady_kalman
 from .exceptions import NonFiniteError
-from .periodic import best_periodic, design_periodic
+from .periodic import PeriodicPolicy, cheapest_period, design_candidates, design_periodic
 from .plant import DiscreteModel
-from .rollout import RolloutPolicy, build_tables, with_theta
+from .rollout import RolloutPolicy, build_tables
 from .sparse_mpc import AdmmState, admm_factor, build_mpc_problem, first_inputs, solve_admm
 
 
@@ -222,100 +222,82 @@ def estimate_metrics(traces, theta: float) -> Metrics:
     )
 
 
-def _shared(shared: dict, key, build):
-    """``shared[key]``, built on a miss; a build that raises stores nothing."""
-    if key not in shared:
-        shared[key] = build()
-    return shared[key]
+def rollout_base(cfg: ExperimentConfig, dm: DiscreteModel, designs=None) -> PeriodicPolicy:
+    """The period-p base policy of rollout, taken from :func:`design_candidates` when it has it."""
+    if cfg.alpha == 1.0 and isinstance(designs, dict) and cfg.p in designs:
+        return designs[cfg.p][0]
+    return design_periodic(dm, cfg.q_weight, cfg.r_weight, cfg.p, alpha=cfg.alpha)
 
 
-def make_controller_factory(method: str, cfg: ExperimentConfig, dm: DiscreteModel, theta: float,
-                            steady=None, shared: dict | None = None):
-    """Design the controller for one (method, theta) cell.
-
-    Returns (factory, info) where factory() yields a fresh controller for a
-    batch of trials and info carries design byproducts (chosen period,
-    tables).  ``shared`` is a dict that lives for one sweep: the parts that
-    do not depend on theta (periodic designs, the Riccati arrays of the
-    rollout tables, the condensed MPC problem and its ADMM factor) are built
-    once and reused from it.
-    """
-    if steady is None:
-        steady = steady_kalman(dm)
-    _, err_cov, _ = steady
-    q_w, r_w = cfg.q_weight, cfg.r_weight
-    shared = {} if shared is None else shared
-
-    def design(dm, q_w, r_w, p, alpha=1.0):
-        return _shared(shared, ("periodic", p, alpha),
-                       lambda: design_periodic(dm, q_w, r_w, p, alpha=alpha))
-
-    if method == "rollout":
-        base = design(dm, q_w, r_w, cfg.p, alpha=cfg.alpha)
-        tables = with_theta(_shared(shared, ("tables", cfg.h, cfg.p, cfg.alpha), lambda: (
-            build_tables(dm, q_w, r_w, base.cost_matrix, cfg.h, cfg.p, theta, cfg.alpha, err_cov)
-        )), theta)
-        info = {"tables": tables, "base_policy": base, "p": cfg.p, "h": cfg.h}
-        return (lambda: RolloutPolicy(tables=tables)), info
-    if method == "periodic":
-        p_star, formula_cost = best_periodic(dm, q_w, r_w, cfg.candidates, err_cov, theta,
-                                             design=design)
-        pol = design(dm, q_w, r_w, p_star, alpha=1.0)
-        info = {"p": p_star, "formula_cost": formula_cost, "policy": pol}
-        return (lambda: PeriodicController(pol.feedback_gain, p_star)), info
-    if method == "sparse_mpc":
-        def build_mpc():
-            problem = build_mpc_problem(dm, q_w, r_w, cfg.mpc_horizon, 0.0)
-            return problem, admm_factor(problem, cfg.mpc_penalty)
-
-        problem, factor = _shared(shared, ("mpc", cfg.mpc_horizon, cfg.mpc_penalty), build_mpc)
-        problem = replace(problem, group_weight=float(theta))
-        info = {"problem": problem}
-        return (
-            lambda: SparseMpcController(problem, dm, tol=cfg.mpc_tol, max_iter=cfg.mpc_max_iter,
-                                        penalty=cfg.mpc_penalty, factor=factor)
-        ), info
-    raise ValueError(f"unknown method {method!r}")
+def _designed(build):
+    """``build()``, or the exception it raised: that fails every cell that needs the design."""
+    try:
+        return build()
+    except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+        return exc
 
 
 @dataclass(frozen=True)
 class SweepCell:
-    """One (theta, method) aggregate of a sweep; metrics None on failure."""
+    """One (theta, method) aggregate of a sweep; metrics None on failure, traces when kept."""
 
     theta: float
     method: str
     metrics: Metrics | None
     status: str = "ok"
-    info: dict = field(default_factory=dict, repr=False)
+    traces: list[SimTrace] | None = field(default=None, repr=False)
 
 
-def theta_sweep(cfg: ExperimentConfig, dm: DiscreteModel, theta_grid, methods=METHODS,
-                keep_traces: bool = False):
-    """Run every enabled method over the theta grid with common random numbers.
+def theta_sweep(cfg: ExperimentConfig, dm: DiscreteModel, keep_traces: bool = False):
+    """Run every method of ``cfg`` over its theta grid with common random numbers.
 
-    Each cell runs all its trials as one batch.  The noise and the
-    theta-independent designs are made once per call and shared by the
-    cells.  Per-cell failures are recorded in the returned cells' status and
-    the sweep continues.
+    The designs do not depend on theta: the filter, the candidate periodic
+    designs, the rollout tables and the MPC problem with its ADMM factor are
+    made once per call, and each cell runs all its trials as one batch.  A
+    failed design or run is recorded in the status of the cells it affects
+    and the sweep continues.
     """
-    cells: list[SweepCell] = []
     steady = steady_kalman(dm)
-    shared: dict = {}
+    _, err_cov, _ = steady
+    q_w, r_w = cfg.q_weight, cfg.r_weight
+    designs = {}
+    if "periodic" in cfg.methods:
+        designs["periodic"] = _designed(lambda: design_candidates(dm, q_w, r_w, cfg.candidates))
+    if "rollout" in cfg.methods:
+        designs["rollout"] = _designed(lambda: build_tables(
+            dm, q_w, r_w, rollout_base(cfg, dm, designs.get("periodic")).cost_matrix,
+            cfg.h, cfg.p, cfg.alpha, err_cov))
+    if "sparse_mpc" in cfg.methods:
+        def mpc_design():
+            problem = build_mpc_problem(dm, q_w, r_w, cfg.mpc_horizon, 0.0)
+            return problem, admm_factor(problem, cfg.mpc_penalty)
+
+        designs["sparse_mpc"] = _designed(mpc_design)
+
     trials = range(cfg.trials)
-    for theta in theta_grid:
-        for method in methods:
+    noise = [noise_streams(dm, cfg.seed_base, t, cfg.horizon_steps) for t in trials]
+    cells: list[SweepCell] = []
+    for theta in cfg.theta_grid:
+        for method in cfg.methods:
+            design = designs[method]
             try:
-                factory, info = make_controller_factory(method, cfg, dm, theta, steady=steady,
-                                                        shared=shared)
-                noise = _shared(shared, "noise", lambda: [
-                    noise_streams(dm, cfg.seed_base, t, cfg.horizon_steps) for t in trials])
-                traces = simulate_trials(cfg, dm, factory(), trials, steady=steady, noise=noise,
+                if isinstance(design, Exception):
+                    raise design
+                if method == "rollout":
+                    controller = RolloutPolicy(design, theta)
+                elif method == "periodic":
+                    p_star, _ = cheapest_period(design, err_cov, theta)
+                    controller = PeriodicController(design[p_star][0].feedback_gain, p_star)
+                else:
+                    problem, factor = design
+                    controller = SparseMpcController(
+                        replace(problem, group_weight=float(theta)), dm, tol=cfg.mpc_tol,
+                        max_iter=cfg.mpc_max_iter, penalty=cfg.mpc_penalty, factor=factor)
+                traces = simulate_trials(cfg, dm, controller, trials, steady=steady, noise=noise,
                                          keep_traces=keep_traces)
-                metrics = estimate_metrics(traces, theta)
-                if keep_traces:
-                    info = dict(info, traces=traces)
-                cells.append(SweepCell(theta=float(theta), method=method, metrics=metrics,
-                                       status="ok", info=info))
+                cells.append(SweepCell(theta=float(theta), method=method,
+                                       metrics=estimate_metrics(traces, theta),
+                                       traces=traces if keep_traces else None))
             except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
                 cells.append(SweepCell(theta=float(theta), method=method, metrics=None,
                                        status=f"error: {exc}"))

@@ -15,8 +15,9 @@ from scipy.linalg import expm
 from .config import ExperimentConfig
 from .estimator import steady_kalman
 from .oracle import oracle_select
-from .periodic import design_periodic, periodic_average_cost
-from .plant import DiscreteModel, build_benchmark_model, build_lifted
+from .exceptions import ConfigError
+from .periodic import design_candidates, design_periodic, periodic_average_cost
+from .plant import DiscreteModel, build_benchmark_model
 from .riccati import RiccatiProblem, solve_dare
 from .rollout import RolloutTables, build_tables, pattern_scores, select_pattern
 from .simulate import (
@@ -93,8 +94,8 @@ def _base_cost_identity_check(cfg: ExperimentConfig, corrupt_terminal: bool) -> 
     terminal = pol.cost_matrix
     if corrupt_terminal:
         terminal = terminal * 1.10  # deliberate corruption hook for negative tests
-    tables = build_tables(dm, cfg.q_weight, cfg.r_weight, terminal, cfg.h, cfg.p,
-                          cfg.theta_grid[0], cfg.alpha, err_cov)
+    tables = build_tables(dm, cfg.q_weight, cfg.r_weight, terminal, cfg.h, cfg.p, cfg.alpha,
+                          err_cov)
     resid = base_cost_residual(tables, pol.cost_matrix)
     return CheckResult("base_cost_identity", resid < 1e-8, f"relative residual = {resid:.3e}")
 
@@ -105,25 +106,28 @@ def _oracle_agreement_check(cfg: ExperimentConfig, n_draws: int = 100) -> CheckR
     theta = cfg.theta_grid[len(cfg.theta_grid) // 2]
     pol = design_periodic(dm, cfg.q_weight, cfg.r_weight, cfg.p, alpha=cfg.alpha)
     tables = build_tables(dm, cfg.q_weight, cfg.r_weight, pol.cost_matrix, cfg.h, cfg.p,
-                          theta, cfg.alpha, err_cov)
+                          cfg.alpha, err_cov)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed_base)))
     worst = 0.0
     for _ in range(n_draws):
         x = rng.standard_normal(dm.n_states) * rng.uniform(0.05, 2.5)
         res = oracle_select(dm, cfg.q_weight, cfg.r_weight, pol.cost_matrix, cfg.h, cfg.p,
                             theta, cfg.alpha, x, err_cov)
-        sel = select_pattern(tables, x, err_cov)
+        sel = select_pattern(tables, x, err_cov, theta)
         if sel != res.best_pattern:
             return CheckResult("oracle_agreement", False,
                                f"pattern mismatch {sel} vs {res.best_pattern}")
-        score = pattern_scores(tables, x, err_cov)[sel - 1]
+        score = pattern_scores(tables, x, err_cov, theta)[sel - 1]
         worst = max(worst, abs(score - res.best_score) / max(1e-12, abs(res.best_score)))
     return CheckResult("oracle_agreement", worst < 1e-8,
                        f"{n_draws} draws, worst relative score gap = {worst:.3e}")
 
 
 def _performance_bound_check(cfg: ExperimentConfig) -> CheckResult:
-    cells = theta_sweep(cfg, cfg.build_model(), cfg.theta_grid, methods=("rollout", "periodic"))
+    try:
+        cells = theta_sweep(replace(cfg, methods=("rollout", "periodic")), cfg.build_model())
+    except ConfigError as exc:
+        return CheckResult("performance_bound", False, f"ConfigError: {exc}")
     by_key = {(c.theta, c.method): c for c in cells}
     worst_margin = math.inf
     for theta in cfg.theta_grid:
@@ -148,11 +152,15 @@ def _stability_check(cfg: ExperimentConfig) -> CheckResult:
                            f"windows of {window} steps")
     grid = sorted(cfg.theta_grid)
     probe = sorted({grid[0], grid[len(grid) // 2], grid[-1]})
-    cells = theta_sweep(cfg, cfg.build_model(), probe, methods=("rollout",), keep_traces=True)
+    try:
+        cells = theta_sweep(replace(cfg, theta_grid=probe, methods=("rollout",)),
+                            cfg.build_model(), keep_traces=True)
+    except ConfigError as exc:
+        return CheckResult("mean_square_stability", False, f"ConfigError: {exc}")
     for theta, cell in zip(probe, cells):
         if cell.status != "ok":
             return CheckResult("mean_square_stability", False, f"cell failure at theta={theta}")
-        bounded, report = check_mean_square_stability(cell.info["traces"], window)
+        bounded, report = check_mean_square_stability(cell.traces, window)
         if not bounded:
             return CheckResult(
                 "mean_square_stability", False,
@@ -168,9 +176,8 @@ def _periodic_formula_check(cfg: ExperimentConfig) -> CheckResult:
     steady = steady_kalman(dm)
     _, err_cov, _ = steady
     details = []
-    for p in cfg.candidates:
-        pol = design_periodic(dm, cfg.q_weight, cfg.r_weight, p, alpha=1.0)
-        lift = build_lifted(dm, cfg.q_weight, cfg.r_weight, p, alpha=1.0)
+    for p, (pol, lift) in design_candidates(dm, cfg.q_weight, cfg.r_weight,
+                                            cfg.candidates).items():
         formula = periodic_average_cost(pol, lift, err_cov, theta=0.0)
         traces = simulate_trials(cfg, dm, PeriodicController(pol.feedback_gain, p),
                                  range(cfg.trials), steady=steady)
@@ -187,16 +194,17 @@ def _periodic_formula_check(cfg: ExperimentConfig) -> CheckResult:
     return CheckResult("periodic_formula_vs_sim", True, "; ".join(details))
 
 
-def _mpc_kkt_check(cfg: ExperimentConfig) -> CheckResult:
+def _mpc_kkt_check(cfg: ExperimentConfig, thetas) -> CheckResult:
+    """KKT residual at 20 fresh states per theta, then the theta=0 solve against the linear one."""
     dm = cfg.build_model()
-    theta = cfg.theta_grid[len(cfg.theta_grid) // 2]
-    prob = build_mpc_problem(dm, cfg.q_weight, cfg.r_weight, cfg.mpc_horizon, theta)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed_base + 1)))
     worst = 0.0
-    for _ in range(20):
-        x = rng.standard_normal(dm.n_states) * rng.uniform(0.1, 3.0)
-        u_seq, _ = solve_sparse_mpc(prob, x, tol=cfg.mpc_tol, max_iter=cfg.mpc_max_iter)
-        worst = max(worst, subgradient_residual(prob, u_seq, x))
+    for theta in thetas:
+        prob = build_mpc_problem(dm, cfg.q_weight, cfg.r_weight, cfg.mpc_horizon, theta)
+        for _ in range(20):
+            x = rng.standard_normal(dm.n_states) * rng.uniform(0.1, 3.0)
+            u_seq, _ = solve_sparse_mpc(prob, x, tol=cfg.mpc_tol, max_iter=cfg.mpc_max_iter)
+            worst = max(worst, subgradient_residual(prob, u_seq, x))
     prob0 = build_mpc_problem(dm, cfg.q_weight, cfg.r_weight, cfg.mpc_horizon, 0.0)
     lin_gap = 0.0
     for _ in range(5):
@@ -215,8 +223,11 @@ def _ordering_check(cfg: ExperimentConfig) -> CheckResult:
     dm = cfg.build_model()
     theta = cfg.theta_grid[len(cfg.theta_grid) // 2]
     trials = min(cfg.trials, 15)
-    cells = theta_sweep(replace(cfg, trials=trials), dm, [theta],
-                        methods=("rollout", "sparse_mpc"))
+    try:
+        cells = theta_sweep(replace(cfg, trials=trials, theta_grid=(theta,),
+                                    methods=("rollout", "sparse_mpc")), dm)
+    except ConfigError as exc:
+        return CheckResult("tradeoff_ordering", False, f"ConfigError: {exc}")
     by = {c.method: c for c in cells}
     if any(c.status != "ok" for c in cells):
         return CheckResult("tradeoff_ordering", False, "cell failure")
@@ -244,7 +255,7 @@ def run_verification(cfg: ExperimentConfig, corrupt_terminal: bool = False) -> l
         _performance_bound_check(cfg),
         _stability_check(cfg),
         _periodic_formula_check(cfg),
-        _mpc_kkt_check(cfg),
+        _mpc_kkt_check(cfg, [cfg.theta_grid[len(cfg.theta_grid) // 2]]),
         _ordering_check(cfg),
     ]
     return checks

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import sparseroll as sr
 import sparseroll.cli as cli
 from sparseroll.config import ExperimentConfig, load_config, parse_config
 from sparseroll.exceptions import ConfigError
@@ -134,6 +135,22 @@ def test_cmd_verify_short_horizon_fails_stability(tmp_path):
     assert not stability["passed"] and "too short" in stability["detail"]
 
 
+def test_cmd_verify_config_that_cannot_run_rollout(tmp_path):
+    # periodic only, with a horizon that is no multiple of h = 6: the rollout checks FAIL
+    raw = small_config_dict(methods=["periodic"],
+                            sim={"trials": 4, "horizon_steps": 100, "seed_base": 99})
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 5
+    checks = {c["name"]: c for c in json.loads((out / "verify_report.json").read_text())["checks"]}
+    assert len(checks) == 10
+    for name in ("performance_bound", "mean_square_stability"):
+        assert not checks[name]["passed"]
+        assert checks[name]["detail"] == ("ConfigError: sim.horizon_steps must be a multiple "
+                                          "of rollout.h")
+    assert checks["tradeoff_ordering"]["passed"]  # skipped: sparse_mpc is not enabled
+
+
 def test_cmd_design_report(tmp_path, capsys):
     path = write_config(tmp_path, small_config_dict())
     code = cli.main(["design", "--config", str(path), "--out", str(tmp_path / "out")])
@@ -142,6 +159,34 @@ def test_cmd_design_report(tmp_path, capsys):
     assert "0.1336" in report
     assert "base_cost_identity_residual" in report
     assert "cost_matrices_sha256" in report
+
+
+def test_cmd_design_periodic_table(tmp_path, capsys):
+    # each theta row stars the period best_periodic picks; each entry is the closed-form cost
+    grid, candidates = [0.02, 0.05, 0.1, 0.2], [6, 3, 2, 1]
+    path = write_config(tmp_path, small_config_dict(theta={"grid": grid},
+                                                    periodic={"candidates": candidates}))
+    out = tmp_path / "out"
+    assert cli.main(["design", "--config", str(path), "--out", str(out)]) == 0
+    lines = (out / "design_report.txt").read_text().splitlines()
+    top = lines.index("# Periodic designs: average cost per (theta, p); * marks the argmin")
+    header = top + 1 + len(candidates)
+    assert lines[header].split() == ["theta"] + [f"p={p}" for p in candidates]
+    cfg = load_config(path)
+    dm = cfg.build_model()
+    _, err_cov, _ = sr.steady_kalman(dm)
+    starred = []
+    for theta, row in zip(grid, lines[header + 1:header + 1 + len(grid)]):
+        first, *entries = row.split()
+        assert float(first) == theta and len(entries) == len(candidates)
+        for p, entry in zip(candidates, entries):
+            pol = sr.design_periodic(dm, cfg.q_weight, cfg.r_weight, p)
+            lift = sr.build_lifted(dm, cfg.q_weight, cfg.r_weight, p)
+            assert entry.rstrip("*") == f"{sr.periodic_average_cost(pol, lift, err_cov, theta):.6f}"
+        best, _ = sr.best_periodic(dm, cfg.q_weight, cfg.r_weight, candidates, err_cov, theta)
+        assert [p for p, entry in zip(candidates, entries) if entry.endswith("*")] == [best]
+        starred.append(best)
+    assert starred == [1, 2, 3, 6]
 
 
 def test_cmd_design_digest_of_benchmark_tables(tmp_path, capsys):

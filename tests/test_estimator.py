@@ -66,7 +66,7 @@ def test_kalman_init_examples(benchmark_model, benchmark_steady):
     y0 = dm.c @ dm.init_mean
     est = sr.kalman_init(dm, y0, steady=benchmark_steady)
     assert np.allclose(est.estimate, dm.init_mean)
-    assert est.step_index == 0 and est.stationary
+    assert est.stationary
 
     # degenerate zero gain ignores the measurement entirely
     gain, err_cov, prior = benchmark_steady
@@ -89,7 +89,6 @@ def test_zero_innovation_step(benchmark_model, benchmark_steady):
     predicted_output = dm.c @ (dm.a @ est.estimate)
     nxt = sr.kalman_step(est, u, predicted_output, dm)
     assert np.allclose(nxt.estimate, dm.a @ est.estimate, atol=1e-14)
-    assert nxt.step_index == 1
 
 
 def test_noise_free_error_contraction(benchmark_model, benchmark_steady):
@@ -110,7 +109,7 @@ def test_step_is_linear_in_inputs(benchmark_model, benchmark_steady, rng):
 
     def step(xhat, u, y):
         st = sr.EstimatorState(estimate=xhat, err_cov=base.err_cov, gain=base.gain,
-                               prior_cov=base.prior_cov, step_index=0)
+                               prior_cov=base.prior_cov)
         return sr.kalman_step(st, u, y, dm).estimate
 
     for _ in range(10):

@@ -12,7 +12,7 @@ def setup(benchmark_model):
     _, err_cov, _ = sr.steady_kalman(dm)
     pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 6, alpha=1.0)
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
-                             6, 6, 0.2, 1.0, err_cov)
+                             6, 6, 1.0, err_cov)
     return dm, pol, err_cov, tables
 
 
@@ -22,9 +22,9 @@ def test_agreement_with_table_selection(setup, rng):
         x = rng.standard_normal(4) * rng.uniform(0.05, 2.5)
         res = sr.oracle_select(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                                6, 6, 0.2, 1.0, x, err_cov)
-        sel = sr.select_pattern(tables, x, err_cov)
+        sel = sr.select_pattern(tables, x, err_cov, 0.2)
         assert sel == res.best_pattern
-        score = sr.pattern_scores(tables, x, err_cov)[sel - 1]
+        score = sr.pattern_scores(tables, x, err_cov, 0.2)[sel - 1]
         assert abs(score - res.best_score) < 1e-8 * max(1.0, abs(res.best_score))
 
 
@@ -93,7 +93,7 @@ def test_closed_loop_estimate_propagation(setup, rng):
     x_hat = rng.standard_normal(4)
     x_true = x_hat + rng.multivariate_normal(np.zeros(4), err_cov)
     est = sr.EstimatorState(estimate=x_hat, err_cov=err_cov, gain=gain,
-                            prior_cov=prior, step_index=0)
+                            prior_cov=prior)
     omegas = []
     x = x_true
     for s in range(6):

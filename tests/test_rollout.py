@@ -9,6 +9,7 @@ from sparseroll.rollout import score_traces
 
 BENCH = sr.ExperimentConfig()  # the benchmark study
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
+THETA = 0.2  # actuation weight the benchmark tables are scored at
 
 
 def _flat(tables):
@@ -73,7 +74,7 @@ def benchmark_tables(benchmark_model):
     _, err_cov, _ = sr.steady_kalman(dm)
     pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 6, alpha=1.0)
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
-                             6, 6, 0.2, 1.0, err_cov)
+                             6, 6, 1.0, err_cov)
     return dm, pol, err_cov, tables
 
 
@@ -113,7 +114,7 @@ def test_scalar_all_ones_single_step_fixed_point(scalar_model):
     # one actuated backward step from the fixed point stays at the fixed point
     terminal = np.array([[PHI]])
     tables = sr.build_tables(scalar_model, [[1.0]], [[1.0]], terminal, 1, 1,
-                             theta=0.0, alpha=1.0, err_cov=[[PHI - 1.0]])
+                             alpha=1.0, err_cov=[[PHI - 1.0]])
     actuated = tables.cost_matrix(1, 0)[0, 0]
     assert abs(actuated - PHI) < 1e-12
     by_hand = 1.0 + PHI - PHI**2 / (PHI + 1.0)
@@ -125,19 +126,24 @@ def test_trigger_score_values(benchmark_model):
     _, err_cov, _ = sr.steady_kalman(dm)
     pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 2, alpha=1.0)
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
-                             6, 2, 0.1, 1.0, err_cov)
-    for bits, gamma in zip(tables.bits, tables.trigger_score):
-        assert abs(gamma - 0.1 * bits.sum()) < 1e-15
+                             6, 2, 1.0, err_cov)
+    for bits, weight in zip(tables.bits, tables.trigger_weight):
+        assert weight == bits.sum()
     idx = [tuple(bits) for bits in tables.bits.tolist()].index((1, 0, 1, 0, 1, 0))
-    assert abs(tables.trigger_score[idx] - 0.3) < 1e-15
+    assert abs(0.1 * tables.trigger_weight[idx] - 0.3) < 1e-15
+    # theta enters the score as theta * weight, last
+    x = np.array([1.0, -1.0, 0.3, 0.2])
+    assert np.array_equal(sr.pattern_scores(tables, x, err_cov, 0.1),
+                          sr.pattern_scores(tables, x, err_cov, 0.0)
+                          + 0.1 * tables.trigger_weight)
 
 
 def test_discounted_trigger_score(scalar_model):
     tables = sr.build_tables(scalar_model, [[1.0]], [[1.0]], [[PHI]], 3, 1,
-                             theta=0.5, alpha=0.5, err_cov=[[PHI - 1.0]])
-    for bits, gamma in zip(tables.bits.tolist(), tables.trigger_score):
-        expected = 0.5 * sum(0.5**t * b for t, b in enumerate(bits))
-        assert abs(gamma - expected) < 1e-15
+                             alpha=0.5, err_cov=[[PHI - 1.0]])
+    for bits, weight in zip(tables.bits.tolist(), tables.trigger_weight):
+        expected = sum(0.5**t * b for t, b in enumerate(bits))
+        assert abs(weight - expected) < 1e-15
 
 
 def test_base_pattern_score_closed_form(benchmark_tables):
@@ -152,12 +158,12 @@ def test_base_pattern_score_closed_form(benchmark_tables):
     )
     gamma1_closed = cap_h * theta
     assert abs(tables.noise_score[0] - beta1_closed) < 1e-8 * abs(beta1_closed)
-    assert abs(tables.trigger_score[0] - gamma1_closed) < 1e-12
+    assert abs(theta * tables.trigger_weight[0] - gamma1_closed) < 1e-12
 
     rng = np.random.default_rng(5)
     for _ in range(10):
         x = rng.standard_normal(4)
-        gap = (sr.pattern_scores(tables, x, err_cov)[0]
+        gap = (sr.pattern_scores(tables, x, err_cov, theta)[0]
                - float(np.trace(pol.cost_matrix @ err_cov)) - beta1_closed - gamma1_closed)
         assert abs(gap - x @ pol.cost_matrix @ x) < 1e-8 * max(1.0, abs(gap))
 
@@ -166,18 +172,20 @@ def test_score_at_zero_estimate(benchmark_tables):
     _, _, err_cov, tables = benchmark_tables
     for m in (1, 5, 64):
         expected = (float(np.trace(tables.cost_matrix(m, 0) @ err_cov))
-                    + tables.noise_score[m - 1] + tables.trigger_score[m - 1])
-        assert abs(sr.pattern_scores(tables, np.zeros(4), err_cov)[m - 1] - expected) < 1e-12
+                    + tables.noise_score[m - 1] + THETA * tables.trigger_weight[m - 1])
+        assert abs(sr.pattern_scores(tables, np.zeros(4), err_cov, THETA)[m - 1]
+                   - expected) < 1e-12
 
 
 def test_score_even_in_estimate(benchmark_tables, rng):
     _, _, err_cov, tables = benchmark_tables
     for _ in range(20):
         x = rng.standard_normal(4) * rng.uniform(0.1, 3.0)
-        s_plus = sr.pattern_scores(tables, x, err_cov)
-        s_minus = sr.pattern_scores(tables, -x, err_cov)
+        s_plus = sr.pattern_scores(tables, x, err_cov, THETA)
+        s_minus = sr.pattern_scores(tables, -x, err_cov, THETA)
         assert np.array_equal(s_plus, s_minus)
-        assert sr.select_pattern(tables, x, err_cov) == sr.select_pattern(tables, -x, err_cov)
+        assert (sr.select_pattern(tables, x, err_cov, THETA)
+                == sr.select_pattern(tables, -x, err_cov, THETA))
 
 
 def test_cached_score_traces_match_uncached(benchmark_tables, benchmark_steady, rng):
@@ -185,15 +193,14 @@ def test_cached_score_traces_match_uncached(benchmark_tables, benchmark_steady, 
     _, _, err_cov, tables = benchmark_tables
     x = rng.standard_normal((5, 4)) * rng.uniform(0.1, 3.0, size=(5, 1))
     trace = score_traces(tables, err_cov)
-    assert np.array_equal(sr.pattern_scores(tables, x, err_cov, trace),
-                          sr.pattern_scores(tables, x, err_cov))
+    assert np.array_equal(sr.pattern_scores(tables, x, err_cov, THETA, trace),
+                          sr.pattern_scores(tables, x, err_cov, THETA))
     gain, _, prior = benchmark_steady
-    pol = sr.RolloutPolicy(tables=tables)
+    pol = sr.RolloutPolicy(tables=tables, theta=THETA)
     for sigma in (err_cov, err_cov, 3.0 * err_cov):
-        est = sr.EstimatorState(estimate=x, err_cov=sigma, gain=gain, prior_cov=prior,
-                                step_index=0)
+        est = sr.EstimatorState(estimate=x, err_cov=sigma, gain=gain, prior_cov=prior)
         _, bits = pol.decide(est, 0)
-        picks = sr.select_pattern(tables, x, sigma)
+        picks = sr.select_pattern(tables, x, sigma, THETA)
         assert pol._traces[0] is sigma
         assert np.array_equal(bits, tables.bits[picks - 1, 0])
         assert np.array_equal(pol._block[0], tables.bits[picks - 1])
@@ -204,8 +211,8 @@ def test_huge_theta_selects_all_zero(benchmark_model):
     _, err_cov, _ = sr.steady_kalman(dm)
     pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 6, alpha=1.0)
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
-                             6, 6, 1e9, 1.0, err_cov)
-    m = sr.select_pattern(tables, np.array([1.0, -1.0, 0.3, 0.2]), err_cov)
+                             6, 6, 1.0, err_cov)
+    m = sr.select_pattern(tables, np.array([1.0, -1.0, 0.3, 0.2]), err_cov, 1e9)
     assert tables.bits[m - 1].sum() == 0
 
 
@@ -213,7 +220,7 @@ def test_lookahead_dominance(benchmark_tables, rng):
     _, _, err_cov, tables = benchmark_tables
     for _ in range(50):
         x = rng.standard_normal(4) * rng.uniform(0.05, 3.0)
-        scores = sr.pattern_scores(tables, x, err_cov)
+        scores = sr.pattern_scores(tables, x, err_cov, THETA)
         assert scores.min() <= scores[0] + 1e-12
 
 
@@ -221,17 +228,15 @@ def test_theta_monotone_actuation(benchmark_model, rng):
     dm = benchmark_model
     _, err_cov, _ = sr.steady_kalman(dm)
     pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 6, alpha=1.0)
+    tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
+                             6, 6, 1.0, err_cov)
     for _ in range(25):
         t1 = rng.uniform(0.01, 0.5)
         t2 = t1 + rng.uniform(0.01, 0.5)
-        tab1 = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
-                               6, 6, t1, 1.0, err_cov)
-        tab2 = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
-                               6, 6, t2, 1.0, err_cov)
         x = rng.standard_normal(4) * rng.uniform(0.05, 2.0)
-        m1 = sr.select_pattern(tab1, x, err_cov)
-        m2 = sr.select_pattern(tab2, x, err_cov)
-        assert tab2.bits[m2 - 1].sum() <= tab1.bits[m1 - 1].sum()
+        m1 = sr.select_pattern(tables, x, err_cov, t1)
+        m2 = sr.select_pattern(tables, x, err_cov, t2)
+        assert tables.bits[m2 - 1].sum() <= tables.bits[m1 - 1].sum()
 
 
 def test_cost_matrices_symmetric_psd(benchmark_tables):
@@ -249,7 +254,7 @@ def test_alpha_continuity(benchmark_model):
     for alpha in (1.0, 1.0 - 1e-8):
         pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 6, alpha=alpha)
         tabs[alpha] = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
-                                      6, 6, 0.2, alpha, err_cov)
+                                      6, 6, alpha, err_cov)
     a, b = tabs[1.0], tabs[1.0 - 1e-8]
     costs_a, costs_b = _flat(a)[0], _flat(b)[0]
     rel = np.abs(costs_a - costs_b).max() / max(1.0, np.abs(costs_a).max())
@@ -274,9 +279,9 @@ def test_transient_covariance_stack_support(benchmark_model):
     pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 2, alpha=1.0)
     stack = np.broadcast_to(err_cov, (4, 4, 4)).copy()
     tables_stack = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
-                                   4, 2, 0.1, 1.0, stack)
+                                   4, 2, 1.0, stack)
     tables_flat = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
-                                  4, 2, 0.1, 1.0, err_cov)
+                                  4, 2, 1.0, err_cov)
     assert np.allclose(tables_stack.noise_score, tables_flat.noise_score)
 
 
@@ -284,7 +289,7 @@ def test_nonfinite_recursion_detected():
     dm = sr.DiscreteModel(a=[[1e80]], b=[[1.0]], c=[[1.0]], proc_cov=[[1.0]],
                           meas_cov=[[1.0]], init_mean=[0.0], init_cov=[[1.0]])
     with pytest.raises(NonFiniteError):
-        sr.build_tables(dm, [[1.0]], [[1.0]], [[1.0]], 4, 2, 0.1, 1.0, [[1.0]])
+        sr.build_tables(dm, [[1.0]], [[1.0]], [[1.0]], 4, 2, 1.0, [[1.0]])
 
 
 def test_free_actuation_reduces_to_lqg(scalar_model):
@@ -294,14 +299,14 @@ def test_free_actuation_reduces_to_lqg(scalar_model):
     _, err_cov, _ = sr.steady_kalman(dm)
     pol = sr.design_periodic(dm, [[1.0]], [[1.0]], 1, alpha=1.0)
     tables = sr.build_tables(dm, [[1.0]], [[1.0]], pol.cost_matrix, 1, 1,
-                             theta=0.0, alpha=1.0, err_cov=err_cov)
+                             alpha=1.0, err_cov=err_cov)
     p_act = tables.cost_matrix(1, 0)[0, 0]
     p_idle = tables.cost_matrix(2, 0)[0, 0]
     assert p_act < p_idle  # scalar Riccati gap is positive
     for x in np.linspace(-3.0, 3.0, 25):
         if abs(x) < 1e-2:
             continue  # the gap vanishes exactly at the origin
-        assert sr.select_pattern(tables, np.array([x]), err_cov) == 1
+        assert sr.select_pattern(tables, np.array([x]), err_cov, 0.0) == 1
     # and the applied gain is the standard LQG feedback
     assert abs(tables.gain(1, 0)[0, 0] - pol.feedback_gain[0, 0]) < 1e-10
 
@@ -316,7 +321,7 @@ def test_tree_matches_flat_recursion(benchmark_model, h, p, alpha, stacked):
         err_cov = np.stack([err_cov * (1.0 + 0.1 * t) for t in range(h)])
     pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, p, alpha=alpha)
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
-                             h, p, 0.2, alpha, err_cov)
+                             h, p, alpha, err_cov)
     bits, costs, gains, gain_quadratics, noise_score = _flat_recursion(
         dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix, h, p, alpha, err_cov)
     assert tables.cost_matrices.shape == (2 ** (h + 1) - 1, 4, 4)
@@ -352,7 +357,7 @@ def test_deep_lookahead_tables_are_small(benchmark_model):
     _, err_cov, _ = sr.steady_kalman(dm)
     pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 7, alpha=1.0)
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
-                             14, 7, 0.2, 1.0, err_cov)
+                             14, 7, 1.0, err_cov)
     total = sum(v.nbytes for v in vars(tables).values() if isinstance(v, np.ndarray))
     assert total < 10 * 2**20
     assert len(tables.bits) == 2**14 and tables.p0.shape == (2**14, 4, 4)

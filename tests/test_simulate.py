@@ -24,8 +24,8 @@ def rollout_policy(dm, theta=0.2, h=6, p=6, forced=None):
     _, err_cov, _ = sr.steady_kalman(dm)
     base = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, p, alpha=1.0)
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, base.cost_matrix,
-                             h, p, theta, 1.0, err_cov)
-    return sr.RolloutPolicy(tables=tables, forced_pattern=forced), base
+                             h, p, 1.0, err_cov)
+    return sr.RolloutPolicy(tables=tables, theta=theta, forced_pattern=forced), base
 
 
 def test_same_seed_bit_identical(benchmark_model, benchmark_steady):
@@ -141,14 +141,13 @@ def test_check_performance_bound_scalar_monte_carlo(scalar_model):
     _, err_cov, _ = steady
     h, p, theta, trials, n_steps = 4, 2, 0.3, 200, 200
     base = sr.design_periodic(dm, [[1.0]], [[1.0]], p, alpha=1.0)
-    tables = sr.build_tables(dm, [[1.0]], [[1.0]], base.cost_matrix, h, p,
-                             theta, 1.0, err_cov)
+    tables = sr.build_tables(dm, [[1.0]], [[1.0]], base.cost_matrix, h, p, 1.0, err_cov)
     cfg = sr.ExperimentConfig(horizon_steps=n_steps, trials=trials, seed_base=55,
                               q_weight=[[1.0]], r_weight=[[1.0]],
                               methods=("rollout",), h=h, p=p)
     ro_traces, pe_traces = [], []
     for t in range(trials):
-        pol = sr.RolloutPolicy(tables=tables)
+        pol = sr.RolloutPolicy(tables=tables, theta=theta)
         ro_traces.append(sr.simulate_trial(cfg, dm, pol, t, steady=steady))
         pe_traces.append(sr.simulate_trial(
             cfg, dm, PeriodicController(base.feedback_gain, p), t, steady=steady))
@@ -211,13 +210,34 @@ def test_theta_sweep_isolates_cell_failures():
                           init_mean=np.zeros(2), init_cov=np.eye(2))
     cfg = sr.ExperimentConfig(horizon_steps=20, trials=1, seed_base=1,
                               q_weight=np.eye(2), r_weight=[[1.0]],
-                              methods=("periodic",), candidates=(2,))
-    cells = sr.theta_sweep(cfg, dm, [0.1, 0.2], methods=("periodic",))
+                              methods=("periodic",), candidates=(2,), theta_grid=(0.1, 0.2))
+    cells = sr.theta_sweep(cfg, dm)
     assert len(cells) == 2
     # a failed design is not shared: every cell that needs it records the failure
     for cell in cells:
         assert cell.status.startswith("error:") and cell.status == cells[0].status
         assert cell.metrics is None
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_theta_sweep_design_failure_stays_in_its_method():
+    # the period-2 design is pathological; the rollout base at p = 1 is designed on its own
+    dm = sr.DiscreteModel(a=np.diag([1.0, -1.0]), b=[[1.0], [1.0]], c=np.eye(2),
+                          proc_cov=np.eye(2), meas_cov=np.eye(2),
+                          init_mean=np.zeros(2), init_cov=np.eye(2))
+    cfg = sr.ExperimentConfig(horizon_steps=20, trials=2, seed_base=1,
+                              q_weight=np.eye(2), r_weight=[[1.0]], theta_grid=(0.1, 0.2),
+                              methods=("rollout", "periodic"), h=2, p=1, candidates=(2,))
+    cells = sr.theta_sweep(cfg, dm)
+    assert [(c.theta, c.method) for c in cells] == [
+        (0.1, "rollout"), (0.1, "periodic"), (0.2, "rollout"), (0.2, "periodic")]
+    for cell in cells:
+        if cell.method == "periodic":
+            assert cell.status == "error: pathological sampling: lifting by p=2 breaks " \
+                                  "stabilizability" and cell.metrics is None
+        else:
+            assert cell.status == "ok" and cell.metrics.trials == 2
+            assert np.isfinite(cell.metrics.total)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -233,9 +253,12 @@ def test_nonfinite_error_names_step_and_trial():
 
 def test_theta_sweep_designs_once_per_call(benchmark_model, monkeypatch):
     # theta-independent designs are shared by the cells of one sweep, not across sweeps
-    periods, tables, mpc_problems, factors = [], [], [], []
+    periods, tables, mpc_problems, factors, controllers = [], [], [], [], []
     design, build = simulate.design_periodic, simulate.build_tables
     build_mpc, factorise = simulate.build_mpc_problem, simulate.admm_factor
+    run = simulate.simulate_trials
+    monkeypatch.setattr(sr.periodic, "design_periodic",
+                        lambda *a, **kw: periods.append(a[3]) or design(*a, **kw))
     monkeypatch.setattr(simulate, "design_periodic",
                         lambda *a, **kw: periods.append(a[3]) or design(*a, **kw))
     monkeypatch.setattr(simulate, "build_tables",
@@ -244,37 +267,45 @@ def test_theta_sweep_designs_once_per_call(benchmark_model, monkeypatch):
                         lambda *a, **kw: mpc_problems.append(a[3]) or build_mpc(*a, **kw))
     monkeypatch.setattr(simulate, "admm_factor",
                         lambda *a, **kw: factors.append(a[1]) or factorise(*a, **kw))
-    cfg = bench_cfg(trials=1, horizon_steps=12)
-    grid = [0.1, 0.3]
-    methods = ("rollout", "sparse_mpc")
+    monkeypatch.setattr(simulate, "simulate_trials",
+                        lambda *a, **kw: controllers.append(a[2]) or run(*a, **kw))
+    grid = (0.1, 0.3)
+    cfg = bench_cfg(trials=1, horizon_steps=12, theta_grid=grid,
+                    methods=("rollout", "sparse_mpc", "periodic"))
     fresh = {(c.theta, c.method): c for theta in grid
-             for c in sr.theta_sweep(cfg, benchmark_model, [theta], methods=methods)}
+             for c in sr.theta_sweep(replace(cfg, theta_grid=(theta,),
+                                             methods=("rollout", "sparse_mpc")),
+                                     benchmark_model)}
     for _ in range(2):
-        for calls in (periods, tables, mpc_problems, factors):
+        for calls in (periods, tables, mpc_problems, factors, controllers):
             calls.clear()
-        cells = sr.theta_sweep(cfg, benchmark_model, grid, methods=methods + ("periodic",))
+        cells = sr.theta_sweep(cfg, benchmark_model)
         assert all(c.status == "ok" for c in cells)
+        # the candidate design of p = 6 is the rollout base: each period is designed once
         assert sorted(periods) == [1, 2, 3, 6] and tables == [6]
         # one condensed problem and one Cholesky factor of H + rho I per sweep
         assert mpc_problems == [30] and factors == [1.0]
-    rollout = [c for c in cells if c.method == "rollout"]
-    assert rollout[0].info["tables"].gains is rollout[1].info["tables"].gains
-    mpc = [c for c in cells if c.method == "sparse_mpc"]
-    assert mpc[0].info["problem"].quad_matrix is mpc[1].info["problem"].quad_matrix
-    assert [c.info["problem"].group_weight for c in mpc] == grid
-    for cell in rollout + mpc:
+    by_method = {m: [c for c, cell in zip(controllers, cells) if cell.method == m]
+                 for m in cfg.methods}
+    rollout, mpc = by_method["rollout"], by_method["sparse_mpc"]
+    assert rollout[0].tables is rollout[1].tables
+    assert [c.theta for c in rollout] == list(grid)
+    assert mpc[0].problem.quad_matrix is mpc[1].problem.quad_matrix
+    assert mpc[0].factor is mpc[1].factor
+    assert [c.problem.group_weight for c in mpc] == list(grid)
+    for cell in cells:
+        if cell.method == "periodic":
+            continue
         expect = fresh[cell.theta, cell.method]
-        if cell.method == "rollout":
-            assert np.array_equal(cell.info["tables"].trigger_score,
-                                  expect.info["tables"].trigger_score)
         assert np.array_equal(cell.metrics.per_trial_cost, expect.metrics.per_trial_cost)
         assert np.array_equal(cell.metrics.per_trial_rate, expect.metrics.per_trial_rate)
 
 
 def test_theta_sweep_records_admm_nonconvergence(benchmark_model):
     # the batched solver keeps the failure type; the cell status names a trial
-    cfg = bench_cfg(trials=3, horizon_steps=12, methods=("sparse_mpc",), mpc_max_iter=2)
-    cells = sr.theta_sweep(cfg, benchmark_model, [0.1, 0.3], methods=("sparse_mpc",))
+    cfg = bench_cfg(trials=3, horizon_steps=12, methods=("sparse_mpc",), mpc_max_iter=2,
+                    theta_grid=(0.1, 0.3))
+    cells = sr.theta_sweep(cfg, benchmark_model)
     for cell in cells:
         assert cell.metrics is None
         assert re.fullmatch(r"error: ADMM did not converge in 2 iterations for trial [0-2] "
@@ -288,12 +319,11 @@ def test_theta_sweep_records_admm_nonconvergence(benchmark_model):
 
 def test_theta_sweep_batch_composition_invariance(benchmark_model):
     # a trial's result must not depend on which trials share its batch
-    cfg = bench_cfg(trials=4, horizon_steps=60)
-    grid = [0.1, 0.3]
-    methods = ("rollout", "periodic")
-    first = sr.theta_sweep(cfg, benchmark_model, grid, methods=methods)
-    again = sr.theta_sweep(cfg, benchmark_model, grid, methods=methods)
-    double = sr.theta_sweep(replace(cfg, trials=8), benchmark_model, grid, methods=methods)
+    cfg = bench_cfg(trials=4, horizon_steps=60, theta_grid=(0.1, 0.3),
+                    methods=("rollout", "periodic"))
+    first = sr.theta_sweep(cfg, benchmark_model)
+    again = sr.theta_sweep(cfg, benchmark_model)
+    double = sr.theta_sweep(replace(cfg, trials=8), benchmark_model)
     for a, b, c in zip(first, again, double):
         assert a.theta == b.theta == c.theta and a.method == b.method == c.method
         assert a.status == b.status == c.status == "ok"
@@ -367,7 +397,7 @@ def _reference_deciders(method, dm, theta):
 
             def decide(xhat, sigma, k):
                 if k % 6 == 0:
-                    chosen["m"] = sr.select_pattern(pol.tables, xhat, sigma)
+                    chosen["m"] = sr.select_pattern(pol.tables, xhat, sigma, theta)
                 m, tau = chosen["m"], k % 6
                 if pol.tables.bits[m - 1, tau]:
                     return pol.tables.gain(m, tau) @ xhat, 1

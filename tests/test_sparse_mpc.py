@@ -226,8 +226,8 @@ def test_config_penalty_reaches_the_solver(benchmark_model):
     for rho in (1.0, 10.0):
         cfg = sr.ExperimentConfig(horizon_steps=12, trials=1, seed_base=17,
                                   q_weight=BENCH.q_weight, r_weight=BENCH.r_weight,
-                                  methods=("sparse_mpc",), mpc_penalty=rho)
-        (cell,) = sr.theta_sweep(cfg, benchmark_model, [0.2], methods=("sparse_mpc",))
+                                  methods=("sparse_mpc",), mpc_penalty=rho, theta_grid=(0.2,))
+        (cell,) = sr.theta_sweep(cfg, benchmark_model)
         assert cell.status == "ok"
         costs.append(cell.metrics.avg_control_cost)
     assert costs[0] != costs[1]
@@ -237,7 +237,7 @@ def test_config_penalty_reaches_the_solver(benchmark_model):
 def test_controller_step_zero_estimate(benchmark_model, bench_problem, benchmark_steady):
     gain, err_cov, prior = benchmark_steady
     est = sr.EstimatorState(estimate=np.zeros((1, 4)), err_cov=err_cov, gain=gain,
-                            prior_cov=prior, step_index=0)
+                            prior_cov=prior)
     (u,), (delta,) = SparseMpcController(bench_problem, benchmark_model).decide(est, 0)
     assert delta == 0
     assert np.all(u == 0.0)
@@ -248,7 +248,7 @@ def test_controller_step_theta_zero_triggers(benchmark_model, benchmark_steady, 
                                 horizon=30, theta=0.0)
     gain, err_cov, prior = benchmark_steady
     est = sr.EstimatorState(estimate=rng.standard_normal((1, 4)), err_cov=err_cov,
-                            gain=gain, prior_cov=prior, step_index=0)
+                            gain=gain, prior_cov=prior)
     (u,), (delta,) = SparseMpcController(prob, benchmark_model).decide(est, 0)
     assert delta == 1
     assert np.linalg.norm(u) > ZERO_TOL
