@@ -64,12 +64,9 @@ from .simulate import (
     theta_sweep,
 )
 from .sparse_mpc import (
-    AdmmState,
     MpcProblem,
     block_soft_threshold,
     build_mpc_problem,
-    solve_sparse_mpc,
-    subgradient_residual,
 )
 
 __version__ = "0.1.0"

@@ -182,17 +182,16 @@ def build_tables(dm: DiscreteModel, q_weight, r_weight, terminal, h: int, p: int
     """Backward recursions, gains and score constants for all 2^h patterns.
 
     ``terminal`` must be the lifted-design cost matrix of the base periodic
-    policy at the same discount.  ``err_cov`` is the stationary filter
-    covariance; a stack of h covariances selects the transient form in
-    which the estimation term uses the covariance at each lookahead offset.
+    policy at the same discount.  ``err_cov`` is the (n, n) stationary
+    filter covariance.
     """
     n = dm.n_states
     q = np.atleast_2d(np.asarray(q_weight, dtype=float))
     r = np.atleast_2d(np.asarray(r_weight, dtype=float))
     terminal = np.atleast_2d(np.asarray(terminal, dtype=float))
     err_cov = np.asarray(err_cov, dtype=float)
-    if err_cov.ndim != 2 and err_cov.shape != (h, n, n):
-        raise ValueError("err_cov must be (n, n) or a stack of h covariances")
+    if err_cov.shape != (n, n):
+        raise ValueError("err_cov must be the (n, n) filter covariance")
 
     base = _base_value(h, p)
     m_count = 1 << h
@@ -206,17 +205,13 @@ def build_tables(dm: DiscreteModel, q_weight, r_weight, terminal, h: int, p: int
     # einsum form sums tr(X C) in the order of the per-pattern form it replaces.
     noise_node = np.einsum("sij,ij->s", cost_matrices[:m_count - 1],
                            np.ascontiguousarray(dm.proc_cov.T))
-    if err_cov.ndim == 2:
-        est_node = np.einsum("sij,ji->s", gain_quadratics, err_cov)
+    est_node = np.einsum("sij,ji->s", gain_quadratics, err_cov)
     terms = np.empty((m_count, h))
     for t in range(h):
         k = 1 << (h - t - 1)
         lo = k - 1
         terms.reshape(-1, k, h)[:, :, t] = noise_node[lo:lo + k]
-        est = (est_node[lo:lo + k] if err_cov.ndim == 2
-               else np.einsum("sij,ij->s", gain_quadratics[lo:lo + k],
-                              np.ascontiguousarray(err_cov[t].T)))
-        terms.reshape(-1, 2, k, h)[:, 1, :, t] += est
+        terms.reshape(-1, 2, k, h)[:, 1, :, t] += est_node[lo:lo + k]
     terms *= alpha ** np.arange(h)
     noise_score = _in_pattern_order(terms.sum(axis=1), base)
 

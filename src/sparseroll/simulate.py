@@ -10,7 +10,7 @@ at the same trial index consume identical noise (common random numbers).
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .exceptions import NonFiniteError
 from .periodic import PeriodicPolicy, cheapest_period, design_candidates, design_periodic
 from .plant import DiscreteModel
 from .rollout import RolloutPolicy, build_tables
-from .sparse_mpc import AdmmState, admm_factor, build_mpc_problem, first_inputs, solve_admm
+from .sparse_mpc import admm_factor, build_mpc_problem, first_inputs, solve_admm
 
 
 @dataclass(frozen=True)
@@ -105,34 +105,36 @@ class PeriodicController:
 
 
 class SparseMpcController:
-    """Warm-started receding-horizon sparse MPC with ADMM penalty rho.
+    """Warm-started receding-horizon sparse MPC at group weight theta.
 
-    The trials of a batch are solved in lockstep with one Cholesky factor
-    (``factor``, made here when not given), and each keeps its own warm
-    start, so a trial sees the same solves whatever batch it runs in.
+    ``factor`` is :func:`admm_factor` of ``problem``; neither depends on
+    theta, so the cells of a sweep share them.  The trials of a batch are
+    solved in lockstep, and each keeps its own (z, w) warm start, so a trial
+    sees the same solves whatever batch it runs in.
     """
 
-    def __init__(self, problem, dm: DiscreteModel, tol: float = 1e-8, max_iter: int = 10_000,
-                 penalty: float = 1.0, factor=None):
+    def __init__(self, problem, theta: float, factor, tol: float, max_iter: int):
         self.problem = problem
-        self.dm = dm
+        self.theta = theta
+        self.factor = factor
         self.tol = tol
         self.max_iter = max_iter
-        self.penalty = penalty
-        self.factor = admm_factor(problem, penalty) if factor is None else factor
-        self._warm: AdmmState | None = None
+        self._warm = None
 
     def decide(self, est, k: int):
+        prob = self.problem
         if k == 0:
-            if est.estimate.shape[-1] != self.dm.n_states:
+            if est.estimate.shape[-1] != prob.lin_matrix.shape[1]:
                 raise ValueError("estimate dimension does not match the model")
-            shape = (len(est.estimate), self.problem.quad_matrix.shape[0])
-            self._warm = AdmmState(np.zeros(shape), np.zeros(shape), np.zeros(shape),
-                                   self.penalty)
-        z, _ = solve_admm(self.problem, est.estimate, self._warm, self.factor, tol=self.tol,
-                          max_iter=self.max_iter)
-        self._warm = self._warm.shifted(self.problem.group_size)
-        return first_inputs(z, self.problem.group_size)
+            zeros = np.zeros((len(est.estimate), prob.quad_matrix.shape[0]))
+            self._warm = (zeros, zeros)
+        z, w, _ = solve_admm(prob, est.estimate, self.theta, self._warm, self.factor, self.tol,
+                             self.max_iter)
+        # receding horizon: start the next solve from these iterates, one block on
+        q = prob.group_size
+        self._warm = tuple(np.concatenate([v[:, q:], np.zeros((len(v), q))], axis=1)
+                           for v in (z, w))
+        return first_inputs(z, q)
 
 
 def simulate_trials(cfg: ExperimentConfig, dm: DiscreteModel, controller, trials, steady=None,
@@ -248,14 +250,15 @@ class SweepCell:
     traces: list[SimTrace] | None = field(default=None, repr=False)
 
 
-def theta_sweep(cfg: ExperimentConfig, dm: DiscreteModel, keep_traces: bool = False):
+def theta_sweep(cfg: ExperimentConfig, dm: DiscreteModel, keep_traces=()):
     """Run every method of ``cfg`` over its theta grid with common random numbers.
 
     The designs do not depend on theta: the filter, the candidate periodic
     designs, the rollout tables and the MPC problem with its ADMM factor are
-    made once per call, and each cell runs all its trials as one batch.  A
-    failed design or run is recorded in the status of the cells it affects
-    and the sweep continues.
+    made once per call, and each cell runs all its trials as one batch.  The
+    cells at the thetas in ``keep_traces`` keep their full traces.  A failed
+    design or run is recorded in the status of the cells it affects and the
+    sweep continues.
     """
     steady = steady_kalman(dm)
     _, err_cov, _ = steady
@@ -269,7 +272,7 @@ def theta_sweep(cfg: ExperimentConfig, dm: DiscreteModel, keep_traces: bool = Fa
             cfg.h, cfg.p, cfg.alpha, err_cov))
     if "sparse_mpc" in cfg.methods:
         def mpc_design():
-            problem = build_mpc_problem(dm, q_w, r_w, cfg.mpc_horizon, 0.0)
+            problem = build_mpc_problem(dm, q_w, r_w, cfg.mpc_horizon)
             return problem, admm_factor(problem, cfg.mpc_penalty)
 
         designs["sparse_mpc"] = _designed(mpc_design)
@@ -290,14 +293,14 @@ def theta_sweep(cfg: ExperimentConfig, dm: DiscreteModel, keep_traces: bool = Fa
                     controller = PeriodicController(design[p_star][0].feedback_gain, p_star)
                 else:
                     problem, factor = design
-                    controller = SparseMpcController(
-                        replace(problem, group_weight=float(theta)), dm, tol=cfg.mpc_tol,
-                        max_iter=cfg.mpc_max_iter, penalty=cfg.mpc_penalty, factor=factor)
+                    controller = SparseMpcController(problem, theta, factor, cfg.mpc_tol,
+                                                     cfg.mpc_max_iter)
+                keep = theta in keep_traces
                 traces = simulate_trials(cfg, dm, controller, trials, steady=steady, noise=noise,
-                                         keep_traces=keep_traces)
+                                         keep_traces=keep)
                 cells.append(SweepCell(theta=float(theta), method=method,
                                        metrics=estimate_metrics(traces, theta),
-                                       traces=traces if keep_traces else None))
+                                       traces=traces if keep else None))
             except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
                 cells.append(SweepCell(theta=float(theta), method=method, metrics=None,
                                        status=f"error: {exc}"))

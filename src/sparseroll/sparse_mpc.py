@@ -9,13 +9,15 @@ cost-to-go weight.  The group penalty is the convex surrogate for the
 actuation count; its proximal operator (block soft thresholding) produces
 exact zero blocks, so triggering decisions fall out of the solution.
 
-Solved by scaled ADMM with over-relaxation.  The quadratic subproblem of
-every iteration is a solve with H + rho I, which depends on neither theta
-nor the estimate, so its Cholesky factor is made once per cell (a sweep
-shares it across cells).  All trials of a cell are solved in lockstep over
-(T, H q) arrays: one LAPACK ``potrs`` call per iteration covers every
-active trial, and a trial leaves the batch at the iteration it converges,
-so each trial follows the same iterates as when it is solved alone.
+Solved by scaled ADMM with over-relaxation.  Theta enters only the shrink
+threshold theta / rho and the optimality test, never the condensed problem:
+the quadratic subproblem of every iteration is a solve with H + rho I, which
+depends on neither theta nor the estimate, so one problem and one Cholesky
+factor serve every theta of a sweep.  All trials of a cell are solved in
+lockstep over (T, H q) arrays: one LAPACK ``potrs`` call per iteration
+covers every active trial, and a trial leaves the batch at the iteration it
+converges, so each trial follows the same iterates as when it is solved
+alone.
 """
 
 from dataclasses import dataclass
@@ -41,61 +43,27 @@ _potrs = get_lapack_funcs("potrs")
 
 @dataclass(frozen=True)
 class MpcProblem:
-    """Condensed sparse-MPC data for one prediction horizon."""
+    """Condensed sparse-MPC data for one prediction horizon; theta is a solve argument."""
 
     horizon: int
     phi: np.ndarray            # stacked A^1..A^H          (H n, n)
     psi: np.ndarray            # block lower-triangular    (H n, H q)
     quad_matrix: np.ndarray    # H in the objective        (H q, H q)
     lin_matrix: np.ndarray     # f(x) = lin_matrix @ x     (H q, n)
-    group_weight: float        # theta
     group_size: int            # q
     terminal_weight: np.ndarray
 
     def __post_init__(self):
-        if self.group_weight < 0.0:
-            raise ValueError("group weight must be nonnegative")
         if min_eigenvalue(self.quad_matrix) <= 0.0:
             raise ValueError("condensed quadratic cost must be positive definite")
 
 
-@dataclass
-class AdmmState:
-    """Splitting iterates carried across warm-started solves.
-
-    The iterates are (dim,) for one solve or (T, dim) for a batch of
-    trials; the residuals are floats or (T,) arrays to match.
-    """
-
-    primal: np.ndarray
-    auxiliary: np.ndarray
-    dual: np.ndarray
-    penalty: float
-    primal_residual: float | np.ndarray = np.inf
-    dual_residual: float | np.ndarray = np.inf
-
-    def shifted(self, group_size: int) -> "AdmmState":
-        """Shift iterates one block forward (receding-horizon warm start)."""
-        def shift(v):
-            out = np.zeros_like(v)
-            out[..., :-group_size] = v[..., group_size:]
-            return out
-
-        return AdmmState(
-            primal=shift(self.primal),
-            auxiliary=shift(self.auxiliary),
-            dual=shift(self.dual),
-            penalty=self.penalty,
-        )
-
-
-def build_mpc_problem(dm: DiscreteModel, q_weight, r_weight, horizon: int, theta: float,
+def build_mpc_problem(dm: DiscreteModel, q_weight, r_weight, horizon: int,
                       terminal=None) -> MpcProblem:
     """Condense the prediction model and cost over the given horizon.
 
     ``terminal`` defaults to the unlifted (period-1, undiscounted) Riccati
-    cost matrix, the standard stabilizing cost-to-go choice.  Only
-    ``group_weight`` depends on theta.
+    cost matrix, the standard stabilizing cost-to-go choice.
     """
     if horizon < 1:
         raise ValueError("prediction horizon must be >= 1")
@@ -128,15 +96,14 @@ def build_mpc_problem(dm: DiscreteModel, q_weight, r_weight, horizon: int, theta
         psi=psi,
         quad_matrix=0.5 * (quad + quad.T),
         lin_matrix=lin,
-        group_weight=float(theta),
         group_size=q,
         terminal_weight=terminal,
     )
 
 
 def admm_factor(prob: MpcProblem, rho: float):
-    """Cholesky factor ``(c, lower)`` of H + rho I, shared by every solve at this rho."""
-    return sla.cho_factor(prob.quad_matrix + rho * np.eye(prob.quad_matrix.shape[0]))
+    """``((c, lower), rho)``: the Cholesky factor of H + rho I with its penalty rho."""
+    return sla.cho_factor(prob.quad_matrix + rho * np.eye(prob.quad_matrix.shape[0])), rho
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -155,16 +122,20 @@ def block_soft_threshold(v, kappa: float) -> np.ndarray:
     return scale * v
 
 
-def mpc_objective(prob: MpcProblem, u_flat: np.ndarray, f: np.ndarray) -> float:
+def mpc_objective(prob: MpcProblem, u_flat: np.ndarray, f: np.ndarray, theta: float) -> float:
     groups = u_flat.reshape(prob.horizon, prob.group_size)
-    penalty = prob.group_weight * np.linalg.norm(groups, axis=1).sum()
+    penalty = theta * np.linalg.norm(groups, axis=1).sum()
     return float(0.5 * u_flat @ prob.quad_matrix @ u_flat + f @ u_flat + penalty)
 
 
-def _kkt_residuals(prob: MpcProblem, u: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Worst block violation of the subgradient conditions for each row of u (T, H q)."""
+def kkt_residuals(prob: MpcProblem, u: np.ndarray, f: np.ndarray, theta: float) -> np.ndarray:
+    """Worst block violation of the subgradient conditions for each row of u (T, H q).
+
+    ``f`` is ``row_product(estimates, prob.lin_matrix)``.  Zero blocks
+    require the quadratic gradient norm to stay below theta; nonzero blocks
+    require gradient plus theta times their direction to vanish.
+    """
     shape = (len(u), prob.horizon, prob.group_size)
-    theta = prob.group_weight
     grad = (row_product(u, prob.quad_matrix) + f).reshape(shape)
     u = u.reshape(shape)
     norms = _row_norms(u)[..., None]
@@ -174,44 +145,32 @@ def _kkt_residuals(prob: MpcProblem, u: np.ndarray, f: np.ndarray) -> np.ndarray
                     np.maximum(_row_norms(grad) - theta, 0.0)).max(axis=1)
 
 
-def subgradient_residual(prob: MpcProblem, u_seq, estimate) -> float:
-    """Worst block violation of the first-order optimality conditions.
-
-    Zero blocks require the quadratic gradient norm to stay below theta;
-    nonzero blocks require gradient plus scaled direction to vanish.
-    """
-    f = row_product(np.asarray(estimate, dtype=float).reshape(1, -1), prob.lin_matrix)
-    return float(_kkt_residuals(prob, np.asarray(u_seq, dtype=float).reshape(1, -1), f)[0])
-
-
-def solve_admm(prob: MpcProblem, estimates, state: AdmmState, factor=None, tol: float = 1e-8,
-               max_iter: int = 10_000, on_iterate=None):
+def solve_admm(prob: MpcProblem, estimates, theta: float, warm, factor, tol: float,
+               max_iter: int, on_iterate=None):
     """Solve the instances at the estimates (T, n) in lockstep by over-relaxed scaled ADMM.
 
-    ``state`` holds the (T, H q) warm starts and the penalty rho; it is
-    updated in place on success.  ``factor`` is :func:`admm_factor` at
-    that rho, made here when not given.  A row is frozen and leaves the
-    batch at the first iteration where its primal and dual residuals are
-    below ``tol`` and its subgradient residual is at most ``tol``, so a
-    row's iterates and count do not depend on the other rows.
-    ``on_iterate(z, f)`` sees the active rows after every iteration.
+    ``warm`` is the (z, w) pair of (T, H q) starting iterates: a previous
+    solve's result, shifted, or zeros.  ``factor`` is :func:`admm_factor`,
+    whose rho is the penalty.  A row is frozen and leaves the batch at the
+    first iteration where its primal and dual residuals are below ``tol``
+    and its subgradient residual is at most ``tol``, so a row's iterates
+    and count do not depend on the other rows.  ``on_iterate(z, f)`` sees
+    the active rows after every iteration.
 
-    Returns (z, iterations): the solutions (T, H q), whose zero blocks are
-    exact zeros from the proximal step, and the iteration count per row.
-    Raises :class:`NonConvergenceError` naming the first batch row still
-    active after ``max_iter`` iterations.
+    Returns (z, w, iterations): the solutions (T, H q), whose zero blocks
+    are exact zeros from the proximal step, the scaled duals and the
+    iteration count per row.  Raises :class:`NonConvergenceError` naming
+    the first batch row still active after ``max_iter`` iterations.
     """
     f = row_product(np.asarray(estimates, dtype=float), prob.lin_matrix)
-    rho = state.penalty
-    c, lower = admm_factor(prob, rho) if factor is None else factor
-    kappa = prob.group_weight / rho
+    (c, lower), rho = factor
+    kappa = theta / rho
     n_rows, dim = f.shape
     blocks = (-1, prob.horizon, prob.group_size)
-    results = {name: np.empty((n_rows, dim)) for name in ("primal", "auxiliary", "dual")}
-    results.update(primal_residual=np.empty(n_rows), dual_residual=np.empty(n_rows))
+    z_out, w_out = np.empty((n_rows, dim)), np.empty((n_rows, dim))
     iterations = np.zeros(n_rows, dtype=int)
     rows = np.arange(n_rows)
-    z, w = state.auxiliary, state.dual
+    z, w = warm
 
     for it in range(1, max_iter + 1):
         u = _potrs(c, (rho * (z - w) - f).T, lower=lower, overwrite_b=True)[0].T
@@ -226,13 +185,11 @@ def solve_admm(prob: MpcProblem, estimates, state: AdmmState, factor=None, tol: 
         done = (primal_res < tol) & (dual_res < tol)
         if not done.any():
             continue
-        done[done] = _kkt_residuals(prob, z[done], f[done]) <= tol
+        done[done] = kkt_residuals(prob, z[done], f[done], theta) <= tol
         if not done.any():
             continue
         finished = rows[done]
-        for name, value in (("primal", u), ("auxiliary", z), ("dual", w),
-                            ("primal_residual", primal_res), ("dual_residual", dual_res)):
-            results[name][finished] = value[done]
+        z_out[finished], w_out[finished] = z[done], w[done]
         iterations[finished] = it
         keep = ~done
         rows, f, z, w = rows[keep], f[keep], z[keep], w[keep]
@@ -245,42 +202,7 @@ def solve_admm(prob: MpcProblem, estimates, state: AdmmState, factor=None, tol: 
             residual=float(max(primal_res[0], dual_res[0])),
             iterations=max_iter,
         )
-
-    for name, value in results.items():
-        setattr(state, name, value)
-    return results["auxiliary"], iterations
-
-
-def solve_sparse_mpc(prob: MpcProblem, estimate, tol: float = 1e-8, max_iter: int = 10_000,
-                     state: AdmmState | None = None, collect_objective: bool = False):
-    """Solve one condensed sparse-MPC instance: the batch-of-one :func:`solve_admm`.
-
-    Returns (u_seq, iterations) with u_seq of shape (horizon, group_size);
-    zero blocks are exact zeros from the proximal step.  Accepted solutions
-    satisfy the block subgradient conditions at ``tol``: zero blocks have
-    quadratic-gradient norm below theta + tol, nonzero blocks stationarity
-    residual below tol.  ``state`` is updated in place when given, enabling
-    warm starts across steps.  With ``collect_objective`` the per-iteration
-    objective values are returned as a third element.
-    """
-    x = np.asarray(estimate, dtype=float).reshape(1, -1)
-    dim = prob.quad_matrix.shape[0]
-    if state is None:
-        state = AdmmState(
-            primal=np.zeros(dim), auxiliary=np.zeros(dim), dual=np.zeros(dim), penalty=1.0,
-        )
-    batch = AdmmState(state.primal[None], state.auxiliary[None], state.dual[None], state.penalty)
-    objectives = []
-    z, iterations = solve_admm(
-        prob, x, batch, tol=tol, max_iter=max_iter,
-        on_iterate=(lambda z, f: objectives.append(mpc_objective(prob, z[0], f[0])))
-        if collect_objective else None)
-    for name in ("primal", "auxiliary", "dual", "primal_residual", "dual_residual"):
-        setattr(state, name, getattr(batch, name)[0])
-    u_seq = z[0].reshape(prob.horizon, prob.group_size)
-    if collect_objective:
-        return u_seq, int(iterations[0]), objectives
-    return u_seq, int(iterations[0])
+    return z_out, w_out, iterations
 
 
 def first_inputs(z: np.ndarray, group_size: int):

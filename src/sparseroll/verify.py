@@ -13,7 +13,7 @@ from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
 from .config import ExperimentConfig
-from .estimator import steady_kalman
+from .estimator import row_product, steady_kalman
 from .oracle import oracle_select
 from .exceptions import ConfigError
 from .periodic import design_candidates, design_periodic, periodic_average_cost
@@ -28,7 +28,7 @@ from .simulate import (
     simulate_trials,
     theta_sweep,
 )
-from .sparse_mpc import build_mpc_problem, solve_sparse_mpc, subgradient_residual
+from .sparse_mpc import admm_factor, build_mpc_problem, kkt_residuals, solve_admm
 
 GOLDEN_PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -123,11 +123,9 @@ def _oracle_agreement_check(cfg: ExperimentConfig, n_draws: int = 100) -> CheckR
                        f"{n_draws} draws, worst relative score gap = {worst:.3e}")
 
 
-def _performance_bound_check(cfg: ExperimentConfig) -> CheckResult:
-    try:
-        cells = theta_sweep(replace(cfg, methods=("rollout", "periodic")), cfg.build_model())
-    except ConfigError as exc:
-        return CheckResult("performance_bound", False, f"ConfigError: {exc}")
+def _performance_bound_check(cfg: ExperimentConfig, cells) -> CheckResult:
+    if isinstance(cells, ConfigError):
+        return CheckResult("performance_bound", False, f"ConfigError: {cells}")
     by_key = {(c.theta, c.method): c for c in cells}
     worst_margin = math.inf
     for theta in cfg.theta_grid:
@@ -144,20 +142,17 @@ def _performance_bound_check(cfg: ExperimentConfig) -> CheckResult:
                        f"holds at all {len(cfg.theta_grid)} thetas; worst margin = {worst_margin:.4f}")
 
 
-def _stability_check(cfg: ExperimentConfig) -> CheckResult:
+def _stability_check(cfg: ExperimentConfig, cells, probe) -> CheckResult:
     window = max(10, cfg.horizon_steps // 12)
     if cfg.horizon_steps < 4 * window:
         return CheckResult("mean_square_stability", False,
                            f"horizon of {cfg.horizon_steps} steps is too short for four "
                            f"windows of {window} steps")
-    grid = sorted(cfg.theta_grid)
-    probe = sorted({grid[0], grid[len(grid) // 2], grid[-1]})
-    try:
-        cells = theta_sweep(replace(cfg, theta_grid=probe, methods=("rollout",)),
-                            cfg.build_model(), keep_traces=True)
-    except ConfigError as exc:
-        return CheckResult("mean_square_stability", False, f"ConfigError: {exc}")
-    for theta, cell in zip(probe, cells):
+    if isinstance(cells, ConfigError):
+        return CheckResult("mean_square_stability", False, f"ConfigError: {cells}")
+    by_theta = {c.theta: c for c in cells if c.method == "rollout"}
+    for theta in probe:
+        cell = by_theta[theta]
         if cell.status != "ok":
             return CheckResult("mean_square_stability", False, f"cell failure at theta={theta}")
         bounded, report = check_mean_square_stability(cell.traces, window)
@@ -198,22 +193,21 @@ def _mpc_kkt_check(cfg: ExperimentConfig, thetas) -> CheckResult:
     """KKT residual at 20 fresh states per theta, then the theta=0 solve against the linear one."""
     dm = cfg.build_model()
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed_base + 1)))
+    prob = build_mpc_problem(dm, cfg.q_weight, cfg.r_weight, cfg.mpc_horizon)
+    factor = admm_factor(prob, 1.0)
+    cold = np.zeros((20, prob.quad_matrix.shape[0]))
     worst = 0.0
     for theta in thetas:
-        prob = build_mpc_problem(dm, cfg.q_weight, cfg.r_weight, cfg.mpc_horizon, theta)
-        for _ in range(20):
-            x = rng.standard_normal(dm.n_states) * rng.uniform(0.1, 3.0)
-            u_seq, _ = solve_sparse_mpc(prob, x, tol=cfg.mpc_tol, max_iter=cfg.mpc_max_iter)
-            worst = max(worst, subgradient_residual(prob, u_seq, x))
-    prob0 = build_mpc_problem(dm, cfg.q_weight, cfg.r_weight, cfg.mpc_horizon, 0.0)
-    lin_gap = 0.0
-    for _ in range(5):
-        x = rng.standard_normal(dm.n_states)
-        u_seq, _ = solve_sparse_mpc(prob0, x, tol=1e-10, max_iter=cfg.mpc_max_iter)
-        direct = np.linalg.solve(prob0.quad_matrix, -(prob0.lin_matrix @ x))
-        lin_gap = max(lin_gap, float(np.abs(u_seq.reshape(-1) - direct).max()))
-    ok = worst <= 1e-6 and lin_gap <= 1e-8
-    return CheckResult("mpc_optimality", ok,
+        xs = np.array([rng.standard_normal(dm.n_states) * rng.uniform(0.1, 3.0)
+                       for _ in range(20)])
+        z, _, _ = solve_admm(prob, xs, theta, (cold, cold), factor, cfg.mpc_tol, cfg.mpc_max_iter)
+        worst = max(worst, float(kkt_residuals(prob, z, row_product(xs, prob.lin_matrix),
+                                               theta).max()))
+    xs = np.array([rng.standard_normal(dm.n_states) for _ in range(5)])
+    z, _, _ = solve_admm(prob, xs, 0.0, (cold[:5], cold[:5]), factor, 1e-10, cfg.mpc_max_iter)
+    direct = [np.linalg.solve(prob.quad_matrix, -(prob.lin_matrix @ x)) for x in xs]
+    lin_gap = float(np.abs(z - direct).max())
+    return CheckResult("mpc_optimality", worst <= 1e-6 and lin_gap <= 1e-8,
                        f"worst KKT residual = {worst:.3e}, theta=0 gap = {lin_gap:.3e}")
 
 
@@ -246,16 +240,22 @@ def _ordering_check(cfg: ExperimentConfig) -> CheckResult:
 
 def run_verification(cfg: ExperimentConfig, corrupt_terminal: bool = False) -> list[CheckResult]:
     """Run the full verification suite; returns one result per check."""
-    checks = [
+    grid = sorted(cfg.theta_grid)
+    probe = sorted({grid[0], grid[len(grid) // 2], grid[-1]})
+    try:  # one sweep serves the bound at every theta and the stability test at the probe
+        cells = theta_sweep(replace(cfg, methods=("rollout", "periodic")), cfg.build_model(),
+                            keep_traces=probe)
+    except ConfigError as exc:
+        cells = exc
+    return [
         _scalar_dare_check(),
         _scalar_kalman_check(),
         _discretization_check(cfg),
         _base_cost_identity_check(cfg, corrupt_terminal),
         _oracle_agreement_check(cfg),
-        _performance_bound_check(cfg),
-        _stability_check(cfg),
+        _performance_bound_check(cfg, cells),
+        _stability_check(cfg, cells, probe),
         _periodic_formula_check(cfg),
         _mpc_kkt_check(cfg, [cfg.theta_grid[len(cfg.theta_grid) // 2]]),
         _ordering_check(cfg),
     ]
-    return checks

@@ -23,6 +23,7 @@ BENCH = sr.ExperimentConfig()  # the benchmark study
 THETA_GRID = BENCH.theta_grid
 TRIALS = BENCH.trials
 N_STEPS = BENCH.horizon_steps
+STABILITY_THETAS = (0.02, 0.2, 0.4)  # criterion 5 reads these cells' traces
 SCALAR_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "scalar.yaml"
 
 
@@ -68,7 +69,7 @@ def benchmark_sweep(bench):
                               theta_grid=THETA_GRID, methods=("rollout", "periodic"), h=6, p=6,
                               candidates=BENCH.candidates)
     start = time.perf_counter()
-    cells = sr.theta_sweep(cfg, dm, keep_traces=True)
+    cells = sr.theta_sweep(cfg, dm, keep_traces=STABILITY_THETAS)
     elapsed = time.perf_counter() - start
     return cells, elapsed
 
@@ -101,7 +102,7 @@ def test_criterion_4_periodic_formula_vs_simulation():
 def test_criterion_5_mean_square_stability(bench, benchmark_sweep):
     cells, _ = benchmark_sweep
     by_key = {(c.theta, c.method): c for c in cells}
-    for theta in (0.02, 0.2, 0.4):
+    for theta in STABILITY_THETAS:
         cell = by_key[(theta, "rollout")]
         bounded, report = sr.check_mean_square_stability(cell.traces, window_len=50)
         assert bounded, f"theta={theta}: slope {report.slope:.3e} +- {report.slope_stderr:.3e}"

@@ -7,6 +7,7 @@ import yaml
 
 import sparseroll as sr
 import sparseroll.cli as cli
+from sparseroll import verify
 from sparseroll.config import ExperimentConfig, load_config, parse_config
 from sparseroll.exceptions import ConfigError
 
@@ -149,6 +150,24 @@ def test_cmd_verify_config_that_cannot_run_rollout(tmp_path):
         assert checks[name]["detail"] == ("ConfigError: sim.horizon_steps must be a multiple "
                                           "of rollout.h")
     assert checks["tradeoff_ordering"]["passed"]  # skipped: sparse_mpc is not enabled
+
+
+def test_verify_one_sweep_serves_bound_and_stability(monkeypatch):
+    # the bound and stability checks read one rollout/periodic sweep, traces kept at the probe
+    calls = []
+    sweep = verify.theta_sweep
+    monkeypatch.setattr(verify, "theta_sweep", lambda cfg, dm, keep_traces=(): calls.append(
+        (cfg.methods, list(keep_traces))) or sweep(cfg, dm, keep_traces))
+    cfg = parse_config(small_config_dict(theta={"grid": [0.1, 0.2, 0.3, 0.4]},
+                                         methods=["rollout", "periodic", "sparse_mpc"]))
+    results = {c.name: c for c in verify.run_verification(cfg)}
+    assert len(results) == 10
+    probe = [0.1, 0.3, 0.4]
+    assert calls == [(("rollout", "periodic"), probe), (("rollout", "sparse_mpc"), [])]
+    # the same result as a sweep of the rollout cells at the probe thetas alone
+    alone = sweep(replace(cfg, theta_grid=probe, methods=("rollout",)), cfg.build_model(),
+                  keep_traces=probe)
+    assert verify._stability_check(cfg, alone, probe) == results["mean_square_stability"]
 
 
 def test_cmd_design_report(tmp_path, capsys):

@@ -33,7 +33,7 @@ def _flat_recursion(dm, q_weight, r_weight, terminal, h, p, alpha, err_cov):
     r = np.atleast_2d(np.asarray(r_weight, dtype=float))
     terminal = np.atleast_2d(np.asarray(terminal, dtype=float))
     err_cov = np.asarray(err_cov, dtype=float)
-    cov_seq = np.broadcast_to(err_cov, (h, n, n)) if err_cov.ndim == 2 else err_cov
+    cov_seq = np.broadcast_to(err_cov, (h, n, n))
     bits = sr.pattern_bits(h, p)
     m_count = len(bits)
     cost_matrices = np.empty((m_count, h + 1, n, n))
@@ -273,18 +273,6 @@ def test_gain_quadratics_zero_on_idle_steps(benchmark_tables):
                 assert np.all(gain_quadratics[mi, s] == 0.0)
 
 
-def test_transient_covariance_stack_support(benchmark_model):
-    dm = benchmark_model
-    _, err_cov, _ = sr.steady_kalman(dm)
-    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 2, alpha=1.0)
-    stack = np.broadcast_to(err_cov, (4, 4, 4)).copy()
-    tables_stack = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
-                                   4, 2, 1.0, stack)
-    tables_flat = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
-                                  4, 2, 1.0, err_cov)
-    assert np.allclose(tables_stack.noise_score, tables_flat.noise_score)
-
-
 def test_nonfinite_recursion_detected():
     dm = sr.DiscreteModel(a=[[1e80]], b=[[1.0]], c=[[1.0]], proc_cov=[[1.0]],
                           meas_cov=[[1.0]], init_mean=[0.0], init_cov=[[1.0]])
@@ -314,12 +302,17 @@ def test_free_actuation_reduces_to_lqg(scalar_model):
 @pytest.mark.parametrize("h,p,alpha", [(1, 1, 1.0), (6, 6, 1.0), (6, 3, 1.0), (10, 2, 0.9)])
 @pytest.mark.parametrize("stacked", [False, True])
 def test_tree_matches_flat_recursion(benchmark_model, h, p, alpha, stacked):
-    # every (pattern, step) entry of the tree is bit-identical to the per-pattern recursion
+    # every (pattern, step) entry of the tree is bit-identical to the per-pattern recursion;
+    # the tables take the stationary (n, n) covariance only, never a stack of h of them
     dm = benchmark_model
     _, err_cov, _ = sr.steady_kalman(dm)
-    if stacked:
-        err_cov = np.stack([err_cov * (1.0 + 0.1 * t) for t in range(h)])
     pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, p, alpha=alpha)
+    if stacked:
+        stack = np.stack([err_cov * (1.0 + 0.1 * t) for t in range(h)])
+        with pytest.raises(ValueError, match=r"\(n, n\) filter covariance"):
+            sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
+                            h, p, alpha, stack)
+        return
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                              h, p, alpha, err_cov)
     bits, costs, gains, gain_quadratics, noise_score = _flat_recursion(

@@ -9,6 +9,7 @@ import sparseroll as sr
 from sparseroll import simulate
 from sparseroll.exceptions import ConfigError, NonConvergenceError, NonFiniteError
 from sparseroll.simulate import PeriodicController, SparseMpcController
+from sparseroll.sparse_mpc import admm_factor
 
 BENCH = sr.ExperimentConfig()  # the benchmark study
 
@@ -290,9 +291,9 @@ def test_theta_sweep_designs_once_per_call(benchmark_model, monkeypatch):
     rollout, mpc = by_method["rollout"], by_method["sparse_mpc"]
     assert rollout[0].tables is rollout[1].tables
     assert [c.theta for c in rollout] == list(grid)
-    assert mpc[0].problem.quad_matrix is mpc[1].problem.quad_matrix
+    assert mpc[0].problem is mpc[1].problem
     assert mpc[0].factor is mpc[1].factor
-    assert [c.problem.group_weight for c in mpc] == list(grid)
+    assert [c.theta for c in mpc] == list(grid)
     for cell in cells:
         if cell.method == "periodic":
             continue
@@ -310,10 +311,10 @@ def test_theta_sweep_records_admm_nonconvergence(benchmark_model):
         assert cell.metrics is None
         assert re.fullmatch(r"error: ADMM did not converge in 2 iterations for trial [0-2] "
                             r"of the batch \(primal .*, dual .*\)", cell.status), cell.status
-    prob = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight, 30, 0.1)
+    prob = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight, 30)
+    controller = SparseMpcController(prob, 0.1, admm_factor(prob, 1.0), 1e-8, 2)
     with pytest.raises(NonConvergenceError) as err:
-        sr.simulate_trials(cfg, benchmark_model,
-                           SparseMpcController(prob, benchmark_model, max_iter=2), range(3))
+        sr.simulate_trials(cfg, benchmark_model, controller, range(3))
     assert err.value.iterations == 2 and err.value.residual > 0.0
 
 
@@ -406,7 +407,7 @@ def _reference_deciders(method, dm, theta):
             return decide
 
         return make, pol
-    prob = sr.build_mpc_problem(dm, q_w, r_w, horizon=30, theta=theta)
+    prob = sr.build_mpc_problem(dm, q_w, r_w, horizon=30)
     dim, q, rho, relax, tol = prob.quad_matrix.shape[0], prob.group_size, 1.0, 1.5, 1e-8
     factor = sla.cho_factor(prob.quad_matrix + rho * np.eye(dim))
 
@@ -451,7 +452,7 @@ def _reference_deciders(method, dm, theta):
 
         return decide
 
-    return make, SparseMpcController(prob, dm)
+    return make, SparseMpcController(prob, theta, admm_factor(prob, rho), tol, 10_000)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

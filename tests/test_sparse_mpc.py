@@ -2,17 +2,35 @@ import numpy as np
 import pytest
 
 import sparseroll as sr
+from sparseroll import verify
 from sparseroll.exceptions import NonConvergenceError
 from sparseroll.simulate import SparseMpcController
-from sparseroll.sparse_mpc import ZERO_TOL, admm_factor, mpc_objective, solve_admm
+from sparseroll.sparse_mpc import ZERO_TOL, admm_factor, kkt_residuals, mpc_objective, solve_admm
 
 BENCH = sr.ExperimentConfig()  # the benchmark study
+THETA = 0.2  # group weight of the benchmark problem's solves
 
 
 @pytest.fixture(scope="module")
 def bench_problem(benchmark_model):
-    return sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight,
-                                horizon=30, theta=0.2)
+    return sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight, horizon=30)
+
+
+def _cold(prob, rows):
+    zeros = np.zeros((rows, prob.quad_matrix.shape[0]))
+    return zeros, zeros
+
+
+def _solve(prob, x, theta, tol=1e-8, rho=1.0, warm=None, max_iter=10_000, on_iterate=None):
+    """One instance as the batch of one: (z, w, iterations) of its row."""
+    warm = _cold(prob, 1) if warm is None else tuple(v[None] for v in warm)
+    z, w, iters = solve_admm(prob, np.asarray(x, dtype=float)[None], theta, warm,
+                             admm_factor(prob, rho), tol, max_iter, on_iterate)
+    return z[0], w[0], int(iters[0])
+
+
+def _kkt(prob, z, x, theta):
+    return float(kkt_residuals(prob, z[None], (prob.lin_matrix @ x)[None], theta)[0])
 
 
 def test_block_soft_threshold_examples():
@@ -61,42 +79,34 @@ def test_prediction_matrices_consistent(benchmark_model, bench_problem, rng):
     assert np.allclose(stacked, np.concatenate(states), rtol=1e-12)
 
 
-def test_zero_theta_matches_direct_solve(benchmark_model, rng):
-    prob = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight,
-                                horizon=30, theta=0.0)
+def test_zero_theta_matches_direct_solve(bench_problem, rng):
     x = rng.standard_normal(4)
-    u_seq, iters = sr.solve_sparse_mpc(prob, x, tol=1e-10)
-    direct = np.linalg.solve(prob.quad_matrix, -(prob.lin_matrix @ x))
-    assert np.abs(u_seq.reshape(-1) - direct).max() < 1e-8
+    z, _, iters = _solve(bench_problem, x, 0.0, tol=1e-10)
+    direct = np.linalg.solve(bench_problem.quad_matrix, -(bench_problem.lin_matrix @ x))
+    assert np.abs(z - direct).max() < 1e-8
     assert iters >= 1
 
 
-def test_large_theta_gives_zero(benchmark_model, rng):
+def test_large_theta_gives_zero(bench_problem, rng):
     x = rng.standard_normal(4)
-    base = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight,
-                                horizon=30, theta=0.0)
-    f = base.lin_matrix @ x
+    f = bench_problem.lin_matrix @ x
     big = float(np.abs(f).max()) * 31.0 + 1.0
-    prob = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight,
-                                horizon=30, theta=big)
-    u_seq, _ = sr.solve_sparse_mpc(prob, x)
-    assert np.all(u_seq == 0.0)
+    z, _, _ = _solve(bench_problem, x, big)
+    assert np.all(z == 0.0)
 
 
-def test_kkt_conditions_on_random_instances(benchmark_model, rng):
+def test_kkt_conditions_on_random_instances(bench_problem, rng):
     for theta in (0.05, 0.2, 0.6):
-        prob = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight,
-                                    horizon=30, theta=theta)
         for _ in range(5):
             x = rng.standard_normal(4) * rng.uniform(0.2, 3.0)
-            u_seq, _ = sr.solve_sparse_mpc(prob, x, tol=1e-8)
-            assert sr.subgradient_residual(prob, u_seq, x) <= 1e-6
+            z, _, _ = _solve(bench_problem, x, theta, tol=1e-8)
+            assert _kkt(bench_problem, z, x, theta) <= 1e-6
             # zero blocks are exact zeros, not small numbers
-            norms = np.linalg.norm(u_seq, axis=1)
+            norms = np.linalg.norm(z.reshape(30, 1), axis=1)
             assert np.all((norms == 0.0) | (norms > ZERO_TOL))
 
 
-def _ista_reference(prob, f, n_iter=60_000):
+def _ista_reference(prob, f, theta, n_iter=60_000):
     # slow independent reference: proximal gradient with fixed step 1/L
     lip = float(np.linalg.eigvalsh(prob.quad_matrix).max())
     step = 1.0 / lip
@@ -107,31 +117,33 @@ def _ista_reference(prob, f, n_iter=60_000):
         v = (u - step * g).reshape(hgroups, q)
         norms = np.linalg.norm(v, axis=1, keepdims=True)
         scale = np.zeros_like(norms)
-        kappa = step * prob.group_weight
+        kappa = step * theta
         np.divide(norms - kappa, norms, out=scale, where=norms > kappa)
         u = (scale * v).reshape(-1)
     return u
 
 
 def test_objective_matches_proximal_gradient_reference(benchmark_model, rng):
-    prob = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight,
-                                horizon=10, theta=0.3)
+    prob = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight, horizon=10)
+    theta = 0.3
     x = rng.standard_normal(4) * 2.0
     f = prob.lin_matrix @ x
-    u_seq, _ = sr.solve_sparse_mpc(prob, x, tol=1e-10)
-    ref = _ista_reference(prob, f)
-    obj_admm = mpc_objective(prob, u_seq.reshape(-1), f)
-    obj_ref = mpc_objective(prob, ref, f)
+    z, _, _ = _solve(prob, x, theta, tol=1e-10)
+    ref = _ista_reference(prob, f, theta)
+    obj_admm = mpc_objective(prob, z, f, theta)
+    obj_ref = mpc_objective(prob, ref, f, theta)
     assert abs(obj_admm - obj_ref) <= 1e-6 * max(1.0, abs(obj_ref))
     assert obj_admm <= obj_ref + 1e-9
 
 
-def test_objective_monotone_after_burn_in(benchmark_model, rng):
-    prob = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight,
-                                horizon=30, theta=0.2)
+def test_objective_monotone_after_burn_in(bench_problem, rng):
+    prob = bench_problem
     for _ in range(5):
         x = rng.standard_normal(4) * rng.uniform(0.5, 2.0)
-        _, iters, objs = sr.solve_sparse_mpc(prob, x, collect_objective=True)
+        objs = []
+        _, _, iters = _solve(prob, x, THETA, on_iterate=lambda z, f: objs.append(
+            mpc_objective(prob, z[0], f[0], THETA)))
+        assert len(objs) == iters
         objs = np.asarray(objs)
         burn = min(100, len(objs) // 2)
         increases = np.diff(objs[burn:])
@@ -139,82 +151,66 @@ def test_objective_monotone_after_burn_in(benchmark_model, rng):
             assert increases.max() <= 1e-10
 
 
-def test_warm_start_reuses_iterates(benchmark_model):
-    prob = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight,
-                                horizon=30, theta=0.2)
+def test_warm_start_reuses_iterates(bench_problem):
     x = np.array([1.0, -1.0, 0.2, 0.1])
-    state = sr.AdmmState(primal=np.zeros(30), auxiliary=np.zeros(30),
-                         dual=np.zeros(30), penalty=1.0)
-    _, cold_iters = sr.solve_sparse_mpc(prob, x, state=state)
-    _, warm_iters = sr.solve_sparse_mpc(prob, x, state=state)
+    z, w, cold_iters = _solve(bench_problem, x, THETA)
+    z_warm, _, warm_iters = _solve(bench_problem, x, THETA, warm=(z, w))
     assert warm_iters <= cold_iters
-    assert state.primal_residual < 1e-8 and state.dual_residual < 1e-8
+    assert _kkt(bench_problem, z_warm, x, THETA) <= 1e-8
+    assert np.abs(z_warm - z).max() <= 1e-8
 
 
-def test_nonconvergence_raises(benchmark_model):
-    prob = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight,
-                                horizon=30, theta=0.2)
+def test_nonconvergence_raises(bench_problem):
     with pytest.raises(NonConvergenceError):
-        sr.solve_sparse_mpc(prob, np.array([1.0, -1.0, 0.2, 0.1]), max_iter=2)
+        _solve(bench_problem, np.array([1.0, -1.0, 0.2, 0.1]), THETA, max_iter=2)
 
 
-def _cold(rows, dim):
-    return sr.AdmmState(primal=np.zeros((rows, dim)), auxiliary=np.zeros((rows, dim)),
-                        dual=np.zeros((rows, dim)), penalty=1.0)
+def _shifted(v, q):
+    return np.concatenate([v[:, q:], np.zeros((len(v), q))], axis=1)
 
 
 def test_admm_rows_independent_of_batch(bench_problem, rng):
     # a row leaves the batch when it converges; alone or batched it follows the same iterates
-    dim = bench_problem.quad_matrix.shape[0]
     factor = admm_factor(bench_problem, 1.0)
     estimates = rng.standard_normal((6, 4)) * np.array([[0.0], [0.05], [0.5], [1.0], [2.0], [4.0]])
-    batch = _cold(6, dim)
-    for step in range(3):
+    warm = _cold(bench_problem, 6)
+    for _ in range(3):
         # the second and third solves start from shifted warm starts, as in the controller
-        start = sr.AdmmState(batch.primal, batch.auxiliary, batch.dual, batch.penalty)
-        z, iters = solve_admm(bench_problem, estimates, batch, factor)
+        z, w, iters = solve_admm(bench_problem, estimates, THETA, warm, factor, 1e-8, 10_000)
         assert len(set(iters.tolist())) > 1
         for row, x in enumerate(estimates):
-            alone = sr.AdmmState(start.primal[row:row + 1], start.auxiliary[row:row + 1],
-                                 start.dual[row:row + 1], start.penalty)
-            z1, iters1 = solve_admm(bench_problem, x[None], alone, factor)
+            alone = tuple(v[row:row + 1] for v in warm)
+            z1, w1, iters1 = solve_admm(bench_problem, x[None], THETA, alone, factor, 1e-8,
+                                        10_000)
             assert iters1[0] == iters[row]
             assert np.array_equal(z1[0], z[row])
-            assert np.array_equal(alone.dual[0], batch.dual[row])
-            assert np.array_equal(alone.primal[0], batch.primal[row])
-            if step == 0:
-                # the public single-instance solver is the batch of one
-                u_seq, it = sr.solve_sparse_mpc(bench_problem, x)
-                assert it == iters[row] and np.array_equal(u_seq.reshape(-1), z[row])
-        batch = batch.shifted(bench_problem.group_size)
+            assert np.array_equal(w1[0], w[row])
+        warm = tuple(_shifted(v, bench_problem.group_size) for v in (z, w))
         estimates = estimates * 0.9
 
 
 def test_admm_nonconvergence_names_first_active_row(bench_problem):
     # row 0 (zero estimate) converges at once; row 1 is the first still running at the cap
-    dim = bench_problem.quad_matrix.shape[0]
     estimates = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, -1.0, 0.2, 0.1], [2.0, 0.0, 0.0, 1.0]])
-    state = _cold(3, dim)
+    warm = _cold(bench_problem, 3)
     with pytest.raises(NonConvergenceError,
                        match=r"in 2 iterations for trial 1 of the batch") as err:
-        solve_admm(bench_problem, estimates, state, max_iter=2)
+        solve_admm(bench_problem, estimates, THETA, warm, admm_factor(bench_problem, 1.0),
+                   1e-8, 2)
     assert err.value.iterations == 2
     assert np.isfinite(err.value.residual) and err.value.residual > 1e-8
-    assert np.all(state.auxiliary == 0.0)
+    assert all(np.all(v == 0.0) for v in warm)
 
 
 def test_admm_penalty_changes_iterations_not_solution(bench_problem):
     # rho steers the ADMM path; the accepted solution is the same optimum within tol
     x = np.array([1.0, -1.0, 0.2, 0.1])
     tol = 1e-8
-    dim = bench_problem.quad_matrix.shape[0]
     solutions, iterations = [], []
     for rho in (1.0, 10.0):
-        state = sr.AdmmState(primal=np.zeros(dim), auxiliary=np.zeros(dim),
-                             dual=np.zeros(dim), penalty=rho)
-        u_seq, iters = sr.solve_sparse_mpc(bench_problem, x, tol=tol, state=state)
-        assert sr.subgradient_residual(bench_problem, u_seq, x) <= tol
-        solutions.append(u_seq)
+        z, _, iters = _solve(bench_problem, x, THETA, tol=tol, rho=rho)
+        assert _kkt(bench_problem, z, x, THETA) <= tol
+        solutions.append(z)
         iterations.append(iters)
     assert iterations[0] != iterations[1]
     assert np.abs(solutions[0] - solutions[1]).max() <= tol
@@ -238,31 +234,46 @@ def test_controller_step_zero_estimate(benchmark_model, bench_problem, benchmark
     gain, err_cov, prior = benchmark_steady
     est = sr.EstimatorState(estimate=np.zeros((1, 4)), err_cov=err_cov, gain=gain,
                             prior_cov=prior)
-    (u,), (delta,) = SparseMpcController(bench_problem, benchmark_model).decide(est, 0)
+    controller = SparseMpcController(bench_problem, THETA, admm_factor(bench_problem, 1.0),
+                                     1e-8, 10_000)
+    (u,), (delta,) = controller.decide(est, 0)
     assert delta == 0
     assert np.all(u == 0.0)
 
 
-def test_controller_step_theta_zero_triggers(benchmark_model, benchmark_steady, rng):
-    prob = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight,
-                                horizon=30, theta=0.0)
+def test_controller_step_theta_zero_triggers(bench_problem, benchmark_steady, rng):
     gain, err_cov, prior = benchmark_steady
     est = sr.EstimatorState(estimate=rng.standard_normal((1, 4)), err_cov=err_cov,
                             gain=gain, prior_cov=prior)
-    (u,), (delta,) = SparseMpcController(prob, benchmark_model).decide(est, 0)
+    controller = SparseMpcController(bench_problem, 0.0, admm_factor(bench_problem, 1.0),
+                                     1e-8, 10_000)
+    (u,), (delta,) = controller.decide(est, 0)
     assert delta == 1
     assert np.linalg.norm(u) > ZERO_TOL
 
 
-def test_closed_loop_actuation_rate_interior(benchmark_model):
+def test_closed_loop_actuation_rate_interior(benchmark_model, bench_problem):
     cfg = sr.ExperimentConfig(horizon_steps=600, trials=1, seed_base=17,
                               q_weight=BENCH.q_weight, r_weight=BENCH.r_weight,
                               methods=("sparse_mpc",))
-    prob = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight,
-                                horizon=30, theta=0.2)
-    trace = sr.simulate_trial(cfg, benchmark_model, SparseMpcController(prob, benchmark_model), 0)
+    controller = SparseMpcController(bench_problem, THETA, admm_factor(bench_problem, 1.0),
+                                     1e-8, 10_000)
+    trace = sr.simulate_trial(cfg, benchmark_model, controller, 0)
     rate = trace.actuation_rate
     assert 0.0 < rate < 1.0
     # trigger/input consistency on the recorded trace
     zero_rows = trace.triggers == 0
     assert np.all(trace.inputs[zero_rows] == 0.0)
+
+
+def test_kkt_check_builds_one_problem_and_factor(monkeypatch):
+    # theta is a solve argument: one condensed problem and one factor serve every theta
+    problems, factors = [], []
+    build, factorise = verify.build_mpc_problem, verify.admm_factor
+    monkeypatch.setattr(verify, "build_mpc_problem",
+                        lambda *a, **kw: problems.append(a[3]) or build(*a, **kw))
+    monkeypatch.setattr(verify, "admm_factor",
+                        lambda *a, **kw: factors.append(a[1]) or factorise(*a, **kw))
+    check = verify._mpc_kkt_check(BENCH, (0.05, 0.2, 0.4))
+    assert check.passed, check.detail
+    assert problems == [BENCH.mpc_horizon] and factors == [1.0]
