@@ -2,14 +2,18 @@
 
 
 class SparseRollError(Exception):
-    """Base class for all sparseroll errors."""
+    """Base class for all sparseroll errors; ``row`` is the batch row at fault, if one is."""
+
+    def __init__(self, message="", row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class NonConvergenceError(SparseRollError):
     """An iterative solver hit its iteration cap before meeting tolerance."""
 
-    def __init__(self, message, residual=None, iterations=None):
-        super().__init__(message)
+    def __init__(self, message, residual=None, iterations=None, row=None):
+        super().__init__(message, row)
         self.residual = residual
         self.iterations = iterations
 

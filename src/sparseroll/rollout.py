@@ -276,17 +276,18 @@ def select_pattern(tables: RolloutTables, estimate, err_cov, theta: float, trace
 
 @dataclass
 class RolloutPolicy:
-    """Receding-horizon block controller over a batch of trials at actuation weight theta.
+    """Receding-horizon block controller over a batch of rows at actuation weight theta.
 
-    ``forced_pattern`` pins the selection (diagnostic
-    hook used to compare against the base policy on identical noise).  The
-    score traces are kept for the last filter covariance seen, by identity:
-    the stationary filter passes the same array every block, the
-    time-varying one a new array.
+    ``theta`` is one weight or one per row group (the rows split in order
+    into equal groups, each scored in its own :func:`select_pattern` call).
+    ``forced_pattern`` pins the selection (diagnostic hook used to compare
+    against the base policy on identical noise).  The score traces are kept
+    for the last filter covariance seen, by identity: the stationary filter
+    passes the same array every block, the time-varying one a new array.
     """
 
     tables: RolloutTables
-    theta: float
+    theta: float | tuple
     forced_pattern: int | None = None
     _block: tuple = field(default=(), init=False, repr=False, compare=False)
     _traces: tuple = field(default=(None, None), init=False, repr=False, compare=False)
@@ -299,9 +300,13 @@ class RolloutPolicy:
             forced = self.forced_pattern
             if forced is None and self._traces[0] is not est.err_cov:
                 self._traces = (est.err_cov, score_traces(tables, est.err_cov))
-            picks = (select_pattern(tables, est.estimate, est.err_cov, self.theta,
-                                    self._traces[1])
-                     if forced is None else np.full(len(est.estimate), forced))
+            if forced is None:
+                thetas = np.atleast_1d(self.theta)
+                picks = np.concatenate([
+                    select_pattern(tables, x, est.err_cov, theta, self._traces[1])
+                    for x, theta in zip(np.split(est.estimate, len(thetas)), thetas)])
+            else:
+                picks = np.full(len(est.estimate), forced)
             self._block = (tables.bits[picks - 1], tables.path_gains(picks))
         bits, gains = self._block
         u = np.einsum("tqn,tn->tq", gains[:, tau], est.estimate)

@@ -1,12 +1,13 @@
 """Closed-loop Monte Carlo simulation and trade-off estimation.
 
-One engine runs a batch of trials as a single closed loop over (T, n)
-arrays; a single trial is the batch of one.  The per-step order follows the
-information structure of the problem: measure, update the estimate, decide
-(u, delta), pay the stage cost, then evolve the plant.  Noise is drawn from
-counter-based generators keyed on (seed_base, trial), so a trial's result
-does not depend on which trials share its batch, and all methods compared
-at the same trial index consume identical noise (common random numbers).
+One engine runs a batch of rows, such as every (theta, trial) pair of a
+sweep method, as a single closed loop over (rows, n) arrays; a single trial
+is the batch of one.  The per-step order follows the information structure
+of the problem: measure, update the estimate, decide (u, delta), pay the
+stage cost, then evolve the plant.  Noise is drawn from counter-based
+generators keyed on (seed_base, trial), so a row's result does not depend on
+which rows share its batch, and all rows of one trial index consume
+identical noise (common random numbers).
 """
 
 import math
@@ -64,6 +65,17 @@ class Metrics:
     def trials(self) -> int:
         return len(self.per_trial_cost)
 
+    @classmethod
+    def of(cls, costs: np.ndarray, rates: np.ndarray, theta: float) -> "Metrics":
+        """Means and standard errors of the per-trial costs and rates."""
+        n = len(costs)
+        se_c = float(costs.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        se_r = float(rates.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        avg_c, avg_r = float(costs.mean()), float(rates.mean())
+        return cls(avg_control_cost=avg_c, avg_actuation_rate=avg_r, total=avg_c + theta * avg_r,
+                   stderr_control_cost=se_c, stderr_rate=se_r, theta=theta,
+                   per_trial_cost=costs, per_trial_rate=rates)
+
 
 def _cov_factor(cov: np.ndarray) -> np.ndarray:
     try:
@@ -92,28 +104,30 @@ def noise_streams(dm: DiscreteModel, seed_base: int, trial: int, n_steps: int):
 
 
 class PeriodicController:
-    """Apply the periodic gain at multiples of the period, zero otherwise."""
+    """Apply the gain at multiples of the period, zero otherwise; both may be given per row."""
 
-    def __init__(self, gain: np.ndarray, period: int):
+    def __init__(self, gain: np.ndarray, period):
         self.gain = gain
         self.period = period
 
     def decide(self, est, k: int):
-        if k % self.period == 0:
-            return row_product(est.estimate, self.gain), 1
-        return np.zeros((len(est.estimate), self.gain.shape[0])), 0
+        x = est.estimate
+        gain = np.broadcast_to(self.gain, (len(x),) + self.gain.shape[-2:])
+        on = np.broadcast_to(k % np.asarray(self.period) == 0, (len(x),))
+        return np.where(on[:, None], np.einsum("tqn,tn->tq", gain, x), 0.0), on.astype(np.int8)
 
 
 class SparseMpcController:
     """Warm-started receding-horizon sparse MPC at group weight theta.
 
-    ``factor`` is :func:`admm_factor` of ``problem``; neither depends on
-    theta, so the cells of a sweep share them.  The trials of a batch are
-    solved in lockstep, and each keeps its own (z, w) warm start, so a trial
-    sees the same solves whatever batch it runs in.
+    ``theta`` is one weight or one per row group (the rows split in order
+    into equal groups).  ``factor`` is :func:`admm_factor` of ``problem``;
+    neither depends on theta, so all rows share them.  The rows are solved in
+    lockstep, each with its own (z, w) warm start, so a row sees the same
+    solves whatever batch it runs in.
     """
 
-    def __init__(self, problem, theta: float, factor, tol: float, max_iter: int):
+    def __init__(self, problem, theta, factor, tol: float, max_iter: int):
         self.problem = problem
         self.theta = theta
         self.factor = factor
@@ -128,8 +142,9 @@ class SparseMpcController:
                 raise ValueError("estimate dimension does not match the model")
             zeros = np.zeros((len(est.estimate), prob.quad_matrix.shape[0]))
             self._warm = (zeros, zeros)
-        z, w, _ = solve_admm(prob, est.estimate, self.theta, self._warm, self.factor, self.tol,
-                             self.max_iter)
+            self._rows_theta = np.repeat(self.theta, len(zeros) // np.size(self.theta))
+        z, w, _ = solve_admm(prob, est.estimate, self._rows_theta, self._warm, self.factor,
+                             self.tol, self.max_iter)
         # receding horizon: start the next solve from these iterates, one block on
         q = prob.group_size
         self._warm = tuple(np.concatenate([v[:, q:], np.zeros((len(v), q))], axis=1)
@@ -138,55 +153,63 @@ class SparseMpcController:
 
 
 def simulate_trials(cfg: ExperimentConfig, dm: DiscreteModel, controller, trials, steady=None,
-                    noise=None, keep_traces: bool = False) -> list[SimTrace]:
-    """Run the given trials as one closed loop over (T, n) arrays; one trace per trial.
+                    noise=None, keep_traces=False) -> list[SimTrace]:
+    """Run the given rows as one closed loop over (rows, n) arrays; one trace per row.
 
     ``controller.decide(est, k)`` gets the batched :class:`EstimatorState` and
-    returns u (T, q) and delta (T,), or values that broadcast to them.  The
-    trial keys select the noise draws unless ``noise`` gives per-trial
-    (x0, w_seq, v_seq).  A non-finite state raises :class:`NonFiniteError`.
+    returns u (rows, q) and delta (rows,), or values that broadcast to them.
+    ``trials`` holds each row's trial key; rows of one key share its noise
+    draw, or ``noise[key] = (x0, w_seq, v_seq)``.  The rows selected by
+    ``keep_traces`` (a bool or a mask) record full traces.  A non-finite state
+    raises :class:`NonFiniteError` naming the step and the row's trial key.
     """
     trials = tuple(int(t) for t in trials)
     n_steps = cfg.horizon_steps
     if isinstance(controller, RolloutPolicy) and n_steps % controller.tables.horizon != 0:
         raise ValueError("horizon_steps must be a multiple of the block length")
+    keys, pick = np.unique(trials, return_inverse=True)  # pick: row -> noise column
     if noise is None:
-        noise = [noise_streams(dm, cfg.seed_base, t, n_steps) for t in trials]
-    x0s, w_seqs, v_seqs = zip(*noise)
-    x = np.array(x0s, dtype=float)
-    w = np.stack(w_seqs, axis=1)                      # (N, T, n)
-    v = np.stack(v_seqs, axis=1)                      # (N + 1, T, m)
-    y = row_product(x, dm.c) + v[0]
+        noise = {t: noise_streams(dm, cfg.seed_base, t, n_steps) for t in keys}
+    x0s, w_seqs, v_seqs = zip(*(noise[t] for t in keys))
+    x = np.array(x0s, dtype=float)[pick]
+    w = np.stack(w_seqs, axis=1)                      # (N, keys, n)
+    v = np.stack(v_seqs, axis=1)                      # (N + 1, keys, m)
+    y = row_product(x, dm.c) + v[0, pick]
     est = kalman_init(dm, y, steady=steady)
 
-    n_trials = len(trials)
-    stage_costs = np.empty((n_trials, n_steps))
-    triggers = np.empty((n_trials, n_steps), dtype=np.int8)
-    records = {name: np.empty((n_trials, n_steps, dim)) for name, dim in (
+    n_rows = len(trials)
+    keep = np.broadcast_to(keep_traces, (n_rows,))
+    stage_costs = np.empty((n_rows, n_steps))
+    triggers = np.empty((n_rows, n_steps), dtype=np.int8)
+    records = {name: np.empty((keep.sum(), n_steps, dim)) for name, dim in (
         ("states", dm.n_states), ("estimates", dm.n_states),
-        ("inputs", dm.n_inputs), ("outputs", dm.n_outputs))} if keep_traces else {}
+        ("inputs", dm.n_inputs), ("outputs", dm.n_outputs))} if keep.any() else {}
     for k in range(n_steps):
         u, delta = controller.decide(est, k)
         u = np.asarray(u, dtype=float)
-        if u.shape != (n_trials, dm.n_inputs):
-            u = np.broadcast_to(u, (n_trials, dm.n_inputs))
+        if u.shape != (n_rows, dm.n_inputs):
+            u = np.broadcast_to(u, (n_rows, dm.n_inputs))
         triggers[:, k] = delta
         stage_costs[:, k] = (np.einsum("ti,ij,tj->t", x, cfg.q_weight, x)
                              + np.einsum("ti,ij,tj->t", u, cfg.r_weight, u))
         if records:
             for name, value in (("states", x), ("estimates", est.estimate),
                                 ("inputs", u), ("outputs", y)):
-                records[name][:, k] = value
-        x = row_product(x, dm.a) + row_product(u, dm.b) + w[k]
+                records[name][:, k] = value[keep]
+        x = row_product(x, dm.a) + row_product(u, dm.b) + w[k, pick]
         if not np.isfinite(x).all():
-            bad = trials[int(np.argmin(np.isfinite(x).all(axis=1)))]
-            raise NonFiniteError(f"state became non-finite at step {k + 1} in trial {bad}")
-        y = row_product(x, dm.c) + v[k + 1]
+            row = int(np.argmin(np.isfinite(x).all(axis=1)))
+            raise NonFiniteError(f"state became non-finite at step {k + 1} in trial "
+                                 f"{trials[row]}", row=row)
+        y = row_product(x, dm.c) + v[k + 1, pick]
         est = kalman_step(est, u, y, dm)
 
-    return [SimTrace(triggers=triggers[t], stage_costs=stage_costs[t],
-                     **{name: rec[t] for name, rec in records.items()})
-            for t in range(n_trials)]
+    # a kept trace owns its rows, so it does not hold the arrays of the whole batch alive
+    slot = np.cumsum(keep) - 1
+    return [SimTrace(triggers=triggers[r], stage_costs=stage_costs[r]) if not keep[r] else
+            SimTrace(triggers=triggers[r].copy(), stage_costs=stage_costs[r].copy(),
+                     **{name: rec[slot[r]] for name, rec in records.items()})
+            for r in range(n_rows)]
 
 
 def simulate_trial(cfg: ExperimentConfig, dm: DiscreteModel, controller, seed: int,
@@ -197,7 +220,7 @@ def simulate_trial(cfg: ExperimentConfig, dm: DiscreteModel, controller, seed: i
     (x0, w_seq, v_seq) realization instead.
     """
     return simulate_trials(cfg, dm, controller, [seed], steady=steady,
-                           noise=None if noise is None else [noise], keep_traces=True)[0]
+                           noise=None if noise is None else {seed: noise}, keep_traces=True)[0]
 
 
 def estimate_metrics(traces, theta: float) -> Metrics:
@@ -205,23 +228,8 @@ def estimate_metrics(traces, theta: float) -> Metrics:
     traces = list(traces)
     if not traces:
         raise ValueError("need at least one trace")
-    costs = np.array([t.control_cost for t in traces])
-    rates = np.array([t.actuation_rate for t in traces])
-    n = len(traces)
-    se_c = float(costs.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    se_r = float(rates.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    avg_c = float(costs.mean())
-    avg_r = float(rates.mean())
-    return Metrics(
-        avg_control_cost=avg_c,
-        avg_actuation_rate=avg_r,
-        total=avg_c + theta * avg_r,
-        stderr_control_cost=se_c,
-        stderr_rate=se_r,
-        theta=theta,
-        per_trial_cost=costs,
-        per_trial_rate=rates,
-    )
+    return Metrics.of(np.array([t.control_cost for t in traces]),
+                      np.array([t.actuation_rate for t in traces]), theta)
 
 
 def rollout_base(cfg: ExperimentConfig, dm: DiscreteModel, designs=None) -> PeriodicPolicy:
@@ -255,10 +263,10 @@ def theta_sweep(cfg: ExperimentConfig, dm: DiscreteModel, keep_traces=()):
 
     The designs do not depend on theta: the filter, the candidate periodic
     designs, the rollout tables and the MPC problem with its ADMM factor are
-    made once per call, and each cell runs all its trials as one batch.  The
-    cells at the thetas in ``keep_traces`` keep their full traces.  A failed
-    design or run is recorded in the status of the cells it affects and the
-    sweep continues.
+    made once per call.  Each method then runs once, row g T + t being trial
+    t of theta cell g.  The (theta, method) cells in ``keep_traces`` keep
+    their full traces.  A failure is recorded in the status of the cells it
+    affects (a cell whose rows raise is run alone) and the sweep continues.
     """
     steady = steady_kalman(dm)
     _, err_cov, _ = steady
@@ -277,34 +285,48 @@ def theta_sweep(cfg: ExperimentConfig, dm: DiscreteModel, keep_traces=()):
 
         designs["sparse_mpc"] = _designed(mpc_design)
 
-    trials = range(cfg.trials)
-    noise = [noise_streams(dm, cfg.seed_base, t, cfg.horizon_steps) for t in trials]
-    cells: list[SweepCell] = []
-    for theta in cfg.theta_grid:
-        for method in cfg.methods:
-            design = designs[method]
+    grid, n_trials = cfg.theta_grid, cfg.trials
+
+    def run(method, batch):
+        # one closed loop over the rows of the cells in batch, split back into cells
+        design, thetas = designs[method], tuple(grid[i] for i in batch)
+        if isinstance(design, Exception):
+            raise design
+        if method == "rollout":
+            controller = RolloutPolicy(design, thetas)
+        elif method == "sparse_mpc":
+            controller = SparseMpcController(design[0], thetas, design[1], cfg.mpc_tol,
+                                             cfg.mpc_max_iter)
+        else:
+            periods = np.repeat([cheapest_period(design, err_cov, t)[0] for t in thetas], n_trials)
+            controller = PeriodicController(
+                np.array([design[p][0].feedback_gain for p in periods]), periods)
+        keep = np.repeat([(theta, method) in keep_traces for theta in thetas], n_trials)
+        traces = simulate_trials(cfg, dm, controller, list(range(n_trials)) * len(batch),
+                                 steady=steady, noise=noise, keep_traces=keep)
+        for g, i in enumerate(batch):
+            rows = traces[g * n_trials:(g + 1) * n_trials]
+            cells[i, method] = SweepCell(float(grid[i]), method, estimate_metrics(rows, grid[i]),
+                                         traces=rows if keep[g * n_trials] else None)
+
+    noise = {t: noise_streams(dm, cfg.seed_base, t, cfg.horizon_steps) for t in range(n_trials)}
+    cells = {}
+    for method in cfg.methods:
+        batches = [list(range(len(grid)))]            # theta cells that run as one batch
+        while batches:
+            batch = batches.pop()
             try:
-                if isinstance(design, Exception):
-                    raise design
-                if method == "rollout":
-                    controller = RolloutPolicy(design, theta)
-                elif method == "periodic":
-                    p_star, _ = cheapest_period(design, err_cov, theta)
-                    controller = PeriodicController(design[p_star][0].feedback_gain, p_star)
-                else:
-                    problem, factor = design
-                    controller = SparseMpcController(problem, theta, factor, cfg.mpc_tol,
-                                                     cfg.mpc_max_iter)
-                keep = theta in keep_traces
-                traces = simulate_trials(cfg, dm, controller, trials, steady=steady, noise=noise,
-                                         keep_traces=keep)
-                cells.append(SweepCell(theta=float(theta), method=method,
-                                       metrics=estimate_metrics(traces, theta),
-                                       traces=traces if keep else None))
+                run(method, batch)
             except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                cells.append(SweepCell(theta=float(theta), method=method, metrics=None,
-                                       status=f"error: {exc}"))
-    return cells
+                if len(batch) == 1:
+                    cells[batch[0], method] = SweepCell(float(grid[batch[0]]), method, None,
+                                                        status=f"error: {exc}")
+                elif getattr(exc, "row", None) is None:
+                    batches += [[i] for i in batch]
+                else:  # run the failing cell alone, for its own error, and the rest again
+                    bad = batch[exc.row // n_trials]
+                    batches += [[bad], [i for i in batch if i != bad]]
+    return [cells[i, method] for i in range(len(grid)) for method in cfg.methods]
 
 
 def check_performance_bound(metrics_rollout: Metrics, metrics_periodic: Metrics, h: int):

@@ -13,11 +13,11 @@ Solved by scaled ADMM with over-relaxation.  Theta enters only the shrink
 threshold theta / rho and the optimality test, never the condensed problem:
 the quadratic subproblem of every iteration is a solve with H + rho I, which
 depends on neither theta nor the estimate, so one problem and one Cholesky
-factor serve every theta of a sweep.  All trials of a cell are solved in
-lockstep over (T, H q) arrays: one LAPACK ``potrs`` call per iteration
-covers every active trial, and a trial leaves the batch at the iteration it
-converges, so each trial follows the same iterates as when it is solved
-alone.
+factor serve every theta of a sweep.  The rows of a batch, each with its
+own theta, are solved in lockstep over (T, H q) arrays: one LAPACK ``potrs``
+call per iteration covers every active row, and a row leaves the batch at
+the iteration it converges, so each row follows the same iterates as when
+it is solved alone.
 """
 
 from dataclasses import dataclass
@@ -115,7 +115,11 @@ def block_soft_threshold(v, kappa: float) -> np.ndarray:
     """Proximal map of kappa * ||.||_2 on each last-axis block: shrink, exactly zero inside."""
     if kappa < 0.0:
         raise ValueError("kappa must be nonnegative")
-    v = np.asarray(v, dtype=float)
+    return _shrink(np.asarray(v, dtype=float), kappa)
+
+
+def _shrink(v: np.ndarray, kappa) -> np.ndarray:
+    """:func:`block_soft_threshold` without the sign check; kappa broadcasts against v's blocks."""
     norms = _row_norms(v)[..., None]
     scale = np.zeros_like(norms)
     np.divide(norms - kappa, norms, out=scale, where=norms > kappa)
@@ -128,34 +132,35 @@ def mpc_objective(prob: MpcProblem, u_flat: np.ndarray, f: np.ndarray, theta: fl
     return float(0.5 * u_flat @ prob.quad_matrix @ u_flat + f @ u_flat + penalty)
 
 
-def kkt_residuals(prob: MpcProblem, u: np.ndarray, f: np.ndarray, theta: float) -> np.ndarray:
+def kkt_residuals(prob: MpcProblem, u: np.ndarray, f: np.ndarray, theta) -> np.ndarray:
     """Worst block violation of the subgradient conditions for each row of u (T, H q).
 
-    ``f`` is ``row_product(estimates, prob.lin_matrix)``.  Zero blocks
-    require the quadratic gradient norm to stay below theta; nonzero blocks
-    require gradient plus theta times their direction to vanish.
+    ``f`` is ``row_product(estimates, prob.lin_matrix)``, theta a scalar or
+    (T,).  Zero blocks require the quadratic gradient norm to stay below theta;
+    nonzero blocks require gradient plus theta times their direction to vanish.
     """
     shape = (len(u), prob.horizon, prob.group_size)
+    theta = np.reshape(theta, (-1, 1, 1))
     grad = (row_product(u, prob.quad_matrix) + f).reshape(shape)
     u = u.reshape(shape)
     norms = _row_norms(u)[..., None]
     nonzero = norms > 0.0
     direction = np.divide(theta * u, norms, out=np.zeros_like(u), where=nonzero)
     return np.where(nonzero[..., 0], _row_norms(grad + direction),
-                    np.maximum(_row_norms(grad) - theta, 0.0)).max(axis=1)
+                    np.maximum(_row_norms(grad) - theta[..., 0], 0.0)).max(axis=1)
 
 
-def solve_admm(prob: MpcProblem, estimates, theta: float, warm, factor, tol: float,
+def solve_admm(prob: MpcProblem, estimates, theta, warm, factor, tol: float,
                max_iter: int, on_iterate=None):
     """Solve the instances at the estimates (T, n) in lockstep by over-relaxed scaled ADMM.
 
-    ``warm`` is the (z, w) pair of (T, H q) starting iterates: a previous
-    solve's result, shifted, or zeros.  ``factor`` is :func:`admm_factor`,
-    whose rho is the penalty.  A row is frozen and leaves the batch at the
-    first iteration where its primal and dual residuals are below ``tol``
-    and its subgradient residual is at most ``tol``, so a row's iterates
-    and count do not depend on the other rows.  ``on_iterate(z, f)`` sees
-    the active rows after every iteration.
+    ``theta`` is a scalar or (T,).  ``warm`` is the (z, w) pair of (T, H q)
+    starting iterates: a previous solve's result, shifted, or zeros.
+    ``factor`` is :func:`admm_factor`, whose rho is the penalty.  A row is
+    frozen and leaves the batch at the first iteration where its primal and
+    dual residuals are below ``tol`` and its subgradient residual is at most
+    ``tol``, so a row's iterates and count do not depend on the other rows.
+    ``on_iterate(z, f)`` sees the active rows after every iteration.
 
     Returns (z, w, iterations): the solutions (T, H q), whose zero blocks
     are exact zeros from the proximal step, the scaled duals and the
@@ -164,8 +169,11 @@ def solve_admm(prob: MpcProblem, estimates, theta: float, warm, factor, tol: flo
     """
     f = row_product(np.asarray(estimates, dtype=float), prob.lin_matrix)
     (c, lower), rho = factor
-    kappa = theta / rho
     n_rows, dim = f.shape
+    theta = np.broadcast_to(np.asarray(theta, dtype=float), (n_rows,))
+    if (theta < 0.0).any():
+        raise ValueError("theta must be nonnegative")
+    kappa = (theta / rho)[:, None, None]
     blocks = (-1, prob.horizon, prob.group_size)
     z_out, w_out = np.empty((n_rows, dim)), np.empty((n_rows, dim))
     iterations = np.zeros(n_rows, dtype=int)
@@ -176,7 +184,7 @@ def solve_admm(prob: MpcProblem, estimates, theta: float, warm, factor, tol: flo
         u = _potrs(c, (rho * (z - w) - f).T, lower=lower, overwrite_b=True)[0].T
         u_relaxed = RELAX * u + (1.0 - RELAX) * z
         v = (u_relaxed + w).reshape(blocks)
-        z_old, z = z, block_soft_threshold(v, kappa).reshape(len(rows), dim)
+        z_old, z = z, _shrink(v, kappa).reshape(len(rows), dim)
         w = w + u_relaxed - z
         primal_res = _row_norms(u - z)
         dual_res = rho * _row_norms(z - z_old)
@@ -185,7 +193,7 @@ def solve_admm(prob: MpcProblem, estimates, theta: float, warm, factor, tol: flo
         done = (primal_res < tol) & (dual_res < tol)
         if not done.any():
             continue
-        done[done] = kkt_residuals(prob, z[done], f[done], theta) <= tol
+        done[done] = kkt_residuals(prob, z[done], f[done], theta[done]) <= tol
         if not done.any():
             continue
         finished = rows[done]
@@ -193,6 +201,7 @@ def solve_admm(prob: MpcProblem, estimates, theta: float, warm, factor, tol: flo
         iterations[finished] = it
         keep = ~done
         rows, f, z, w = rows[keep], f[keep], z[keep], w[keep]
+        theta, kappa = theta[keep], kappa[keep]
         if not rows.size:
             break
     else:
@@ -201,6 +210,7 @@ def solve_admm(prob: MpcProblem, estimates, theta: float, warm, factor, tol: flo
             f"(primal {primal_res[0]:.3e}, dual {dual_res[0]:.3e})",
             residual=float(max(primal_res[0], dual_res[0])),
             iterations=max_iter,
+            row=int(rows[0]),
         )
     return z_out, w_out, iterations
 

@@ -21,6 +21,7 @@ from .plant import DiscreteModel, build_benchmark_model
 from .riccati import RiccatiProblem, solve_dare
 from .rollout import RolloutTables, build_tables, pattern_scores, select_pattern
 from .simulate import (
+    Metrics,
     PeriodicController,
     check_mean_square_stability,
     check_performance_bound,
@@ -170,13 +171,15 @@ def _periodic_formula_check(cfg: ExperimentConfig) -> CheckResult:
     dm = dm.with_init(np.zeros(dm.n_states), dm.init_cov)
     steady = steady_kalman(dm)
     _, err_cov, _ = steady
+    designs = design_candidates(dm, cfg.q_weight, cfg.r_weight, cfg.candidates)
+    n = cfg.trials  # one batch: row g n + t is trial t of the g-th candidate period
+    gains = np.repeat([pol.feedback_gain for pol, _ in designs.values()], n, axis=0)
+    traces = simulate_trials(cfg, dm, PeriodicController(gains, np.repeat(list(designs), n)),
+                             list(range(n)) * len(designs), steady=steady)
     details = []
-    for p, (pol, lift) in design_candidates(dm, cfg.q_weight, cfg.r_weight,
-                                            cfg.candidates).items():
+    for g, (p, (pol, lift)) in enumerate(designs.items()):
         formula = periodic_average_cost(pol, lift, err_cov, theta=0.0)
-        traces = simulate_trials(cfg, dm, PeriodicController(pol.feedback_gain, p),
-                                 range(cfg.trials), steady=steady)
-        metrics = estimate_metrics(traces, theta=0.0)
+        metrics = estimate_metrics(traces[g * n:(g + 1) * n], theta=0.0)
         gap = abs(metrics.avg_control_cost - formula)
         limit = 3.0 * max(metrics.stderr_control_cost, 1e-12)
         rate_err = abs(metrics.avg_actuation_rate - 1.0 / p)
@@ -195,14 +198,11 @@ def _mpc_kkt_check(cfg: ExperimentConfig, thetas) -> CheckResult:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed_base + 1)))
     prob = build_mpc_problem(dm, cfg.q_weight, cfg.r_weight, cfg.mpc_horizon)
     factor = admm_factor(prob, 1.0)
-    cold = np.zeros((20, prob.quad_matrix.shape[0]))
-    worst = 0.0
-    for theta in thetas:
-        xs = np.array([rng.standard_normal(dm.n_states) * rng.uniform(0.1, 3.0)
-                       for _ in range(20)])
-        z, _, _ = solve_admm(prob, xs, theta, (cold, cold), factor, cfg.mpc_tol, cfg.mpc_max_iter)
-        worst = max(worst, float(kkt_residuals(prob, z, row_product(xs, prob.lin_matrix),
-                                               theta).max()))
+    theta = np.repeat(thetas, 20)  # one batch, each row with its own theta
+    xs = np.array([rng.standard_normal(dm.n_states) * rng.uniform(0.1, 3.0) for _ in theta])
+    cold = np.zeros((len(xs), prob.quad_matrix.shape[0]))
+    z, _, _ = solve_admm(prob, xs, theta, (cold, cold), factor, cfg.mpc_tol, cfg.mpc_max_iter)
+    worst = float(kkt_residuals(prob, z, row_product(xs, prob.lin_matrix), theta).max())
     xs = np.array([rng.standard_normal(dm.n_states) for _ in range(5)])
     z, _, _ = solve_admm(prob, xs, 0.0, (cold[:5], cold[:5]), factor, 1e-10, cfg.mpc_max_iter)
     direct = [np.linalg.solve(prob.quad_matrix, -(prob.lin_matrix @ x)) for x in xs]
@@ -211,21 +211,21 @@ def _mpc_kkt_check(cfg: ExperimentConfig, thetas) -> CheckResult:
                        f"worst KKT residual = {worst:.3e}, theta=0 gap = {lin_gap:.3e}")
 
 
-def _ordering_check(cfg: ExperimentConfig) -> CheckResult:
+def _ordering_check(cfg: ExperimentConfig, cells) -> CheckResult:
+    """Sparse MPC at the middle theta against the first trials of the sweep's rollout cell."""
     if "sparse_mpc" not in cfg.methods:
         return CheckResult("tradeoff_ordering", True, "skipped (sparse_mpc disabled)")
-    dm = cfg.build_model()
+    if isinstance(cells, ConfigError):
+        return CheckResult("tradeoff_ordering", False, f"ConfigError: {cells}")
     theta = cfg.theta_grid[len(cfg.theta_grid) // 2]
     trials = min(cfg.trials, 15)
-    try:
-        cells = theta_sweep(replace(cfg, trials=trials, theta_grid=(theta,),
-                                    methods=("rollout", "sparse_mpc")), dm)
-    except ConfigError as exc:
-        return CheckResult("tradeoff_ordering", False, f"ConfigError: {exc}")
-    by = {c.method: c for c in cells}
-    if any(c.status != "ok" for c in cells):
+    (mpc,) = theta_sweep(replace(cfg, trials=trials, theta_grid=(theta,),
+                                 methods=("sparse_mpc",)), cfg.build_model())
+    ro = next(c for c in cells if c.theta == theta and c.method == "rollout")
+    if ro.status != "ok" or mpc.status != "ok":
         return CheckResult("tradeoff_ordering", False, "cell failure")
-    ro, mpc = by["rollout"].metrics, by["sparse_mpc"].metrics
+    ro = Metrics.of(ro.metrics.per_trial_cost[:trials], ro.metrics.per_trial_rate[:trials], theta)
+    mpc = mpc.metrics
     se_cost = 3.0 * math.sqrt(ro.stderr_control_cost**2 + mpc.stderr_control_cost**2)
     se_rate = 3.0 * math.sqrt(ro.stderr_rate**2 + mpc.stderr_rate**2)
     cost_ok = mpc.avg_control_cost <= ro.avg_control_cost + se_cost
@@ -242,9 +242,9 @@ def run_verification(cfg: ExperimentConfig, corrupt_terminal: bool = False) -> l
     """Run the full verification suite; returns one result per check."""
     grid = sorted(cfg.theta_grid)
     probe = sorted({grid[0], grid[len(grid) // 2], grid[-1]})
-    try:  # one sweep serves the bound at every theta and the stability test at the probe
+    try:  # one sweep serves the bound, the stability test at the probe and the ordering
         cells = theta_sweep(replace(cfg, methods=("rollout", "periodic")), cfg.build_model(),
-                            keep_traces=probe)
+                            keep_traces=[(theta, "rollout") for theta in probe])
     except ConfigError as exc:
         cells = exc
     return [
@@ -257,5 +257,5 @@ def run_verification(cfg: ExperimentConfig, corrupt_terminal: bool = False) -> l
         _stability_check(cfg, cells, probe),
         _periodic_formula_check(cfg),
         _mpc_kkt_check(cfg, [cfg.theta_grid[len(cfg.theta_grid) // 2]]),
-        _ordering_check(cfg),
+        _ordering_check(cfg, cells),
     ]

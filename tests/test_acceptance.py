@@ -69,7 +69,7 @@ def benchmark_sweep(bench):
                               theta_grid=THETA_GRID, methods=("rollout", "periodic"), h=6, p=6,
                               candidates=BENCH.candidates)
     start = time.perf_counter()
-    cells = sr.theta_sweep(cfg, dm, keep_traces=STABILITY_THETAS)
+    cells = sr.theta_sweep(cfg, dm, keep_traces=[(theta, "rollout") for theta in STABILITY_THETAS])
     elapsed = time.perf_counter() - start
     return cells, elapsed
 

@@ -153,7 +153,8 @@ def test_cmd_verify_config_that_cannot_run_rollout(tmp_path):
 
 
 def test_verify_one_sweep_serves_bound_and_stability(monkeypatch):
-    # the bound and stability checks read one rollout/periodic sweep, traces kept at the probe
+    # the bound, stability and ordering checks read one rollout/periodic sweep, rollout traces
+    # kept at the probe; the ordering check adds only the sparse-MPC cell at the middle theta
     calls = []
     sweep = verify.theta_sweep
     monkeypatch.setattr(verify, "theta_sweep", lambda cfg, dm, keep_traces=(): calls.append(
@@ -163,11 +164,22 @@ def test_verify_one_sweep_serves_bound_and_stability(monkeypatch):
     results = {c.name: c for c in verify.run_verification(cfg)}
     assert len(results) == 10
     probe = [0.1, 0.3, 0.4]
-    assert calls == [(("rollout", "periodic"), probe), (("rollout", "sparse_mpc"), [])]
+    kept = [(theta, "rollout") for theta in probe]
+    assert calls == [(("rollout", "periodic"), kept), (("sparse_mpc",), [])]
     # the same result as a sweep of the rollout cells at the probe thetas alone
     alone = sweep(replace(cfg, theta_grid=probe, methods=("rollout",)), cfg.build_model(),
-                  keep_traces=probe)
+                  keep_traces=kept)
     assert verify._stability_check(cfg, alone, probe) == results["mean_square_stability"]
+    # the ordering reads the first 15 rollout trials of the sweep: the figures of a separate
+    # 15-trial sweep of both methods at the middle theta
+    small = {c.method: c.metrics for c in sweep(
+        replace(cfg, trials=min(cfg.trials, 15), theta_grid=(0.3,),
+                methods=("rollout", "sparse_mpc")), cfg.build_model())}
+    ro, mpc = small["rollout"], small["sparse_mpc"]
+    assert results["tradeoff_ordering"].detail == (
+        f"theta=0.3: mpc cost {mpc.avg_control_cost:.4f} vs rollout {ro.avg_control_cost:.4f}; "
+        f"mpc rate {mpc.avg_actuation_rate:.3f} vs rollout {ro.avg_actuation_rate:.3f} "
+        f"({ro.trials} trials)")
 
 
 def test_cmd_design_report(tmp_path, capsys):

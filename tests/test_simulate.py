@@ -286,14 +286,11 @@ def test_theta_sweep_designs_once_per_call(benchmark_model, monkeypatch):
         assert sorted(periods) == [1, 2, 3, 6] and tables == [6]
         # one condensed problem and one Cholesky factor of H + rho I per sweep
         assert mpc_problems == [30] and factors == [1.0]
-    by_method = {m: [c for c, cell in zip(controllers, cells) if cell.method == m]
-                 for m in cfg.methods}
-    rollout, mpc = by_method["rollout"], by_method["sparse_mpc"]
-    assert rollout[0].tables is rollout[1].tables
-    assert [c.theta for c in rollout] == list(grid)
-    assert mpc[0].problem is mpc[1].problem
-    assert mpc[0].factor is mpc[1].factor
-    assert [c.theta for c in mpc] == list(grid)
+    # one closed loop per method, its controller holding every theta of the grid
+    rollout, mpc, periodic = controllers
+    assert isinstance(rollout, sr.RolloutPolicy) and rollout.theta == grid
+    assert isinstance(mpc, SparseMpcController) and mpc.theta == grid
+    assert isinstance(periodic, PeriodicController) and periodic.gain.shape == (2, 1, 4)
     for cell in cells:
         if cell.method == "periodic":
             continue
@@ -316,6 +313,52 @@ def test_theta_sweep_records_admm_nonconvergence(benchmark_model):
     with pytest.raises(NonConvergenceError) as err:
         sr.simulate_trials(cfg, benchmark_model, controller, range(3))
     assert err.value.iterations == 2 and err.value.residual > 0.0
+
+
+def test_theta_sweep_stacked_cells_match_cells_alone(benchmark_model, monkeypatch):
+    # one closed loop per method gives every cell the bits it has alone; a failing cell
+    # (non-finite state, ADMM cap) keeps the status it has alone, and the rest their bits
+    candidates = simulate.design_candidates
+
+    def overflowing_p3(*args):
+        # the p = 3 gain scaled by 1e300 drives the state to inf at its second actuation
+        designs = candidates(*args)
+        pol, lift = designs[3]
+        designs[3] = (replace(pol, feedback_gain=pol.feedback_gain * 1e300), lift)
+        return designs
+
+    monkeypatch.setattr(simulate, "design_candidates", overflowing_p3)
+    # theta = 0.1 picks p = 3 and needs about 60 ADMM iterations; 10 and 25 pick p = 6
+    # and need at most about 40
+    cfg = bench_cfg(trials=3, horizon_steps=60, theta_grid=(10.0, 0.1, 25.0), mpc_max_iter=50,
+                    methods=("rollout", "periodic", "sparse_mpc"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cells = sr.theta_sweep(cfg, benchmark_model)
+        alone = [c for theta in cfg.theta_grid for c in
+                 sr.theta_sweep(replace(cfg, theta_grid=(theta,)), benchmark_model)]
+    assert [(c.theta, c.method) for c in cells] == [(c.theta, c.method) for c in alone]
+    for cell, ref in zip(cells, alone):
+        assert cell.status == ref.status, (cell.theta, cell.method)
+        if ref.status == "ok":
+            assert np.array_equal(cell.metrics.per_trial_cost, ref.metrics.per_trial_cost)
+            assert np.array_equal(cell.metrics.per_trial_rate, ref.metrics.per_trial_rate)
+    failed = {(c.theta, c.method): c.status for c in cells if c.status != "ok"}
+    assert sorted(failed) == [(0.1, "periodic"), (0.1, "sparse_mpc")]
+    assert re.fullmatch(r"error: state became non-finite at step \d+ in trial [0-2]",
+                        failed[0.1, "periodic"])
+    assert re.fullmatch(r"error: ADMM did not converge in 50 iterations for trial [0-2] of the "
+                        r"batch \(primal .*, dual .*\)", failed[0.1, "sparse_mpc"])
+
+
+def test_theta_sweep_scores_one_cell_per_call(benchmark_model, monkeypatch):
+    # the rollout rows of all thetas run as one batch, but are scored theta by theta
+    rows, scores = [], sr.rollout.pattern_scores
+    monkeypatch.setattr(sr.rollout, "pattern_scores",
+                        lambda tables, x, *a: rows.append(len(x)) or scores(tables, x, *a))
+    cfg = bench_cfg(trials=5, horizon_steps=60, theta_grid=(0.02, 0.2, 0.4),
+                    methods=("rollout",))
+    assert all(c.status == "ok" for c in sr.theta_sweep(cfg, benchmark_model))
+    assert rows == [cfg.trials] * (len(cfg.theta_grid) * cfg.horizon_steps // cfg.h)
 
 
 def test_theta_sweep_batch_composition_invariance(benchmark_model):

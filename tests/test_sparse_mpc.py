@@ -189,6 +189,30 @@ def test_admm_rows_independent_of_batch(bench_problem, rng):
         estimates = estimates * 0.9
 
 
+def test_admm_per_row_theta_matches_scalar_solves(bench_problem, rng):
+    # each row with its own theta follows the iterates of its scalar-theta solve
+    factor, thetas = admm_factor(bench_problem, 1.0), np.array([0.0, 0.05, 0.2, 0.2, 1.0])
+    estimates = rng.standard_normal((5, 4))
+    f = estimates @ bench_problem.lin_matrix.T
+    z, w, iters = solve_admm(bench_problem, estimates, thetas, _cold(bench_problem, 5), factor,
+                             1e-8, 10_000)
+    for row, theta in enumerate(thetas):
+        z1, w1, iters1 = solve_admm(bench_problem, estimates[row:row + 1], theta,
+                                    _cold(bench_problem, 1), factor, 1e-8, 10_000)
+        assert iters1[0] == iters[row]
+        assert np.array_equal(z1[0], z[row]) and np.array_equal(w1[0], w[row])
+        assert kkt_residuals(bench_problem, z1, f[row:row + 1], theta)[0] == \
+            kkt_residuals(bench_problem, z, f, thetas)[row]
+
+
+def test_admm_rejects_negative_theta(bench_problem):
+    # theta is checked at the entry of each solve, a scalar and every row of a (T,) theta
+    factor, estimates = admm_factor(bench_problem, 1.0), np.ones((2, 4))
+    for theta in (-0.1, np.array([0.2, -0.1])):
+        with pytest.raises(ValueError, match="theta must be nonnegative"):
+            solve_admm(bench_problem, estimates, theta, _cold(bench_problem, 2), factor, 1e-8, 10)
+
+
 def test_admm_nonconvergence_names_first_active_row(bench_problem):
     # row 0 (zero estimate) converges at once; row 1 is the first still running at the cap
     estimates = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, -1.0, 0.2, 0.1], [2.0, 0.0, 0.0, 1.0]])
