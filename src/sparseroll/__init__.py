@@ -8,7 +8,7 @@ relaxation.
 """
 
 from .config import ExperimentConfig
-from .estimator import EstimatorState, kalman_init, kalman_step, steady_kalman
+from .estimator import kalman_init, kalman_step, steady_kalman
 from .exceptions import (
     AssumptionViolatedError,
     ConfigError,

@@ -7,12 +7,12 @@ state-independent score decomposition
 
     score(m, x) = x' P0[m] x + tr(P0[m] Sigma) + beta[m] + gamma[m],
 
-where beta collects the noise and estimation contributions and gamma is
-theta times the pattern's discounted actuation count.  Only gamma depends
-on theta, so one set of tables serves a whole theta grid.  The block
-controller picks the argmin pattern once per block and plays its gains
-open-loop within the block; a batch of trials picks one pattern per trial
-in a single scoring call.
+where Sigma is the stationary filter's error covariance, beta collects the
+noise and estimation contributions and gamma is theta times the pattern's
+discounted actuation count.  Only gamma depends on theta, so one set of
+tables serves a whole theta grid.  The block controller picks the argmin
+pattern once per block and plays its gains open-loop within the block; a
+batch of trials picks one pattern per trial in a single scoring call.
 
 The cost matrix of a pattern at step s depends only on its bits from s on,
 so the passes share their suffixes: the tables are a binary suffix tree
@@ -48,10 +48,12 @@ class RolloutTables:
     (2^h - 1, q, n) and ``gain_quadratics`` (2^h - 1, n, n) sit at the
     index of the matrix they are computed from: the gain of an actuated
     step s at the index of the pattern's matrix at step s + 1.  ``bits``
-    (M, h), ``noise_score`` and ``trigger_weight`` (M,) are in pattern order;
-    the trigger weight is the discounted actuation count sum_t alpha^t bits_t,
-    which :func:`pattern_scores` multiplies by theta.  :meth:`nodes` gives a
-    pattern's path through the tree.
+    (M, h), ``error_trace``, ``noise_score`` and ``trigger_weight`` (M,) are
+    in pattern order.  The error trace is tr(P0[m] Sigma) at the stationary
+    filter covariance Sigma that :func:`build_tables` is given, so the tables
+    hold for that filter only; the trigger weight is the discounted actuation
+    count sum_t alpha^t bits_t, which :func:`pattern_scores` multiplies by
+    theta.  :meth:`nodes` gives a pattern's path through the tree.
     """
 
     horizon: int
@@ -59,6 +61,7 @@ class RolloutTables:
     cost_matrices: np.ndarray
     gains: np.ndarray
     gain_quadratics: np.ndarray
+    error_trace: np.ndarray
     noise_score: np.ndarray
     trigger_weight: np.ndarray
     model: DiscreteModel
@@ -182,8 +185,8 @@ def build_tables(dm: DiscreteModel, q_weight, r_weight, terminal, h: int, p: int
     """Backward recursions, gains and score constants for all 2^h patterns.
 
     ``terminal`` must be the lifted-design cost matrix of the base periodic
-    policy at the same discount.  ``err_cov`` is the (n, n) stationary
-    filter covariance.
+    policy at the same discount.  ``err_cov`` is the (n, n) error covariance
+    Sigma of the stationary filter (:func:`~sparseroll.estimator.steady_kalman`).
     """
     n = dm.n_states
     q = np.atleast_2d(np.asarray(q_weight, dtype=float))
@@ -222,6 +225,7 @@ def build_tables(dm: DiscreteModel, q_weight, r_weight, terminal, h: int, p: int
         cost_matrices=cost_matrices,
         gains=gains,
         gain_quadratics=gain_quadratics,
+        error_trace=np.einsum("mij,ji->m", cost_matrices[m_count - 1:], err_cov),
         noise_score=noise_score,
         trigger_weight=(alpha ** np.arange(h) * bits).sum(axis=1),
         model=dm,
@@ -237,40 +241,27 @@ def memory_estimate(h: int, n: int, nu: int, trials: int) -> int:
     estimates holds about three (trials, 2^h) arrays.
     """
     m = 1 << h
-    tables = 8 * ((2 * m - 1) * n * n + (m - 1) * (nu * n + n * n) + 2 * m) + m * h
+    tables = 8 * ((2 * m - 1) * n * n + (m - 1) * (nu * n + n * n) + 3 * m) + m * h
     build = 8 * max(7 * (m // 2) * n * n, m * h)
     scores = 8 * 3 * trials * m
     return tables + build + scores
 
 
-def score_traces(tables: RolloutTables, err_cov) -> np.ndarray:
-    """The constant score term tr(P0[m] Sigma) of every pattern, (M,)."""
-    sigma = np.atleast_2d(np.asarray(err_cov, dtype=float))
-    return np.einsum("mij,ji->m", tables.p0, sigma)
-
-
-def pattern_scores(tables: RolloutTables, estimate, err_cov, theta: float,
-                   trace=None) -> np.ndarray:
-    """Scores at actuation weight theta: one estimate (n,) -> (M,), a batch (T, n) -> (T, M).
-
-    ``trace`` is :func:`score_traces` at ``err_cov`` when the caller keeps it.
-    """
+def pattern_scores(tables: RolloutTables, estimate, theta: float) -> np.ndarray:
+    """Scores at actuation weight theta: one estimate (n,) -> (M,), a batch (T, n) -> (T, M)."""
     x = np.asarray(estimate, dtype=float)
     if x.ndim != 2:
         x = x.reshape(-1)
-    if trace is None:
-        trace = score_traces(tables, err_cov)
     quad = np.einsum("...i,mij,...j->...m", x, tables.p0, x)
-    return quad + trace + tables.noise_score + theta * tables.trigger_weight
+    return quad + tables.error_trace + tables.noise_score + theta * tables.trigger_weight
 
 
-def select_pattern(tables: RolloutTables, estimate, err_cov, theta: float, trace=None):
+def select_pattern(tables: RolloutTables, estimate, theta: float):
     """Argmin pattern index; exact ties resolve to the smallest index.
 
     Returns an int for one estimate and an int array for a batch (T, n).
-    ``trace`` is passed on to :func:`pattern_scores`.
     """
-    picks = np.argmin(pattern_scores(tables, estimate, err_cov, theta, trace), axis=-1) + 1
+    picks = np.argmin(pattern_scores(tables, estimate, theta), axis=-1) + 1
     return int(picks) if picks.ndim == 0 else picks
 
 
@@ -281,33 +272,27 @@ class RolloutPolicy:
     ``theta`` is one weight or one per row group (the rows split in order
     into equal groups, each scored in its own :func:`select_pattern` call).
     ``forced_pattern`` pins the selection (diagnostic hook used to compare
-    against the base policy on identical noise).  The score traces are kept
-    for the last filter covariance seen, by identity: the stationary filter
-    passes the same array every block, the time-varying one a new array.
+    against the base policy on identical noise).
     """
 
     tables: RolloutTables
     theta: float | tuple
     forced_pattern: int | None = None
     _block: tuple = field(default=(), init=False, repr=False, compare=False)
-    _traces: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
-    def decide(self, est, k: int):
+    def decide(self, x_hat, k: int):
         """Inputs and triggers of step k for the estimates (T, n); patterns change per block."""
         tables = self.tables
         tau = k % tables.horizon
         if tau == 0:
-            forced = self.forced_pattern
-            if forced is None and self._traces[0] is not est.err_cov:
-                self._traces = (est.err_cov, score_traces(tables, est.err_cov))
-            if forced is None:
+            if self.forced_pattern is None:
                 thetas = np.atleast_1d(self.theta)
                 picks = np.concatenate([
-                    select_pattern(tables, x, est.err_cov, theta, self._traces[1])
-                    for x, theta in zip(np.split(est.estimate, len(thetas)), thetas)])
+                    select_pattern(tables, x, theta)
+                    for x, theta in zip(np.split(x_hat, len(thetas)), thetas)])
             else:
-                picks = np.full(len(est.estimate), forced)
+                picks = np.full(len(x_hat), self.forced_pattern)
             self._block = (tables.bits[picks - 1], tables.path_gains(picks))
         bits, gains = self._block
-        u = np.einsum("tqn,tn->tq", gains[:, tau], est.estimate)
+        u = np.einsum("tqn,tn->tq", gains[:, tau], x_hat)
         return np.where(bits[:, tau, None] == 1, u, 0.0), bits[:, tau]

@@ -110,11 +110,11 @@ class PeriodicController:
         self.gain = gain
         self.period = period
 
-    def decide(self, est, k: int):
-        x = est.estimate
-        gain = np.broadcast_to(self.gain, (len(x),) + self.gain.shape[-2:])
-        on = np.broadcast_to(k % np.asarray(self.period) == 0, (len(x),))
-        return np.where(on[:, None], np.einsum("tqn,tn->tq", gain, x), 0.0), on.astype(np.int8)
+    def decide(self, x_hat, k: int):
+        gain = np.broadcast_to(self.gain, (len(x_hat),) + self.gain.shape[-2:])
+        on = np.broadcast_to(k % np.asarray(self.period) == 0, (len(x_hat),))
+        return (np.where(on[:, None], np.einsum("tqn,tn->tq", gain, x_hat), 0.0),
+                on.astype(np.int8))
 
 
 class SparseMpcController:
@@ -135,15 +135,15 @@ class SparseMpcController:
         self.max_iter = max_iter
         self._warm = None
 
-    def decide(self, est, k: int):
+    def decide(self, x_hat, k: int):
         prob = self.problem
         if k == 0:
-            if est.estimate.shape[-1] != prob.lin_matrix.shape[1]:
+            if x_hat.shape[-1] != prob.lin_matrix.shape[1]:
                 raise ValueError("estimate dimension does not match the model")
-            zeros = np.zeros((len(est.estimate), prob.quad_matrix.shape[0]))
+            zeros = np.zeros((len(x_hat), prob.quad_matrix.shape[0]))
             self._warm = (zeros, zeros)
             self._rows_theta = np.repeat(self.theta, len(zeros) // np.size(self.theta))
-        z, w, _ = solve_admm(prob, est.estimate, self._rows_theta, self._warm, self.factor,
+        z, w, _ = solve_admm(prob, x_hat, self._rows_theta, self._warm, self.factor,
                              self.tol, self.max_iter)
         # receding horizon: start the next solve from these iterates, one block on
         q = prob.group_size
@@ -156,12 +156,14 @@ def simulate_trials(cfg: ExperimentConfig, dm: DiscreteModel, controller, trials
                     noise=None, keep_traces=False) -> list[SimTrace]:
     """Run the given rows as one closed loop over (rows, n) arrays; one trace per row.
 
-    ``controller.decide(est, k)`` gets the batched :class:`EstimatorState` and
-    returns u (rows, q) and delta (rows,), or values that broadcast to them.
-    ``trials`` holds each row's trial key; rows of one key share its noise
-    draw, or ``noise[key] = (x0, w_seq, v_seq)``.  The rows selected by
-    ``keep_traces`` (a bool or a mask) record full traces.  A non-finite state
-    raises :class:`NonFiniteError` naming the step and the row's trial key.
+    ``controller.decide(x_hat, k)`` gets the estimates (rows, n) and returns
+    u (rows, q) and delta (rows,), or values that broadcast to them.  The
+    filter runs at the gain of ``steady``, the :func:`steady_kalman` triple
+    (solved here when not given).  ``trials`` holds each row's trial key;
+    rows of one key share its noise draw, or ``noise[key] = (x0, w_seq,
+    v_seq)``.  The rows selected by ``keep_traces`` (a bool or a mask) record
+    full traces.  A non-finite state raises :class:`NonFiniteError` naming the
+    step and the row's trial key.
     """
     trials = tuple(int(t) for t in trials)
     n_steps = cfg.horizon_steps
@@ -175,7 +177,8 @@ def simulate_trials(cfg: ExperimentConfig, dm: DiscreteModel, controller, trials
     w = np.stack(w_seqs, axis=1)                      # (N, keys, n)
     v = np.stack(v_seqs, axis=1)                      # (N + 1, keys, m)
     y = row_product(x, dm.c) + v[0, pick]
-    est = kalman_init(dm, y, steady=steady)
+    gain = (steady_kalman(dm) if steady is None else steady)[0]
+    x_hat = kalman_init(dm, y, gain)
 
     n_rows = len(trials)
     keep = np.broadcast_to(keep_traces, (n_rows,))
@@ -185,7 +188,7 @@ def simulate_trials(cfg: ExperimentConfig, dm: DiscreteModel, controller, trials
         ("states", dm.n_states), ("estimates", dm.n_states),
         ("inputs", dm.n_inputs), ("outputs", dm.n_outputs))} if keep.any() else {}
     for k in range(n_steps):
-        u, delta = controller.decide(est, k)
+        u, delta = controller.decide(x_hat, k)
         u = np.asarray(u, dtype=float)
         if u.shape != (n_rows, dm.n_inputs):
             u = np.broadcast_to(u, (n_rows, dm.n_inputs))
@@ -193,16 +196,16 @@ def simulate_trials(cfg: ExperimentConfig, dm: DiscreteModel, controller, trials
         stage_costs[:, k] = (np.einsum("ti,ij,tj->t", x, cfg.q_weight, x)
                              + np.einsum("ti,ij,tj->t", u, cfg.r_weight, u))
         if records:
-            for name, value in (("states", x), ("estimates", est.estimate),
+            for name, value in (("states", x), ("estimates", x_hat),
                                 ("inputs", u), ("outputs", y)):
                 records[name][:, k] = value[keep]
         x = row_product(x, dm.a) + row_product(u, dm.b) + w[k, pick]
         if not np.isfinite(x).all():
             row = int(np.argmin(np.isfinite(x).all(axis=1)))
             raise NonFiniteError(f"state became non-finite at step {k + 1} in trial "
-                                 f"{trials[row]}", row=row)
+                                 f"{trials[row]}")
         y = row_product(x, dm.c) + v[k + 1, pick]
-        est = kalman_step(est, u, y, dm)
+        x_hat = kalman_step(x_hat, u, y, dm, gain)
 
     # a kept trace owns its rows, so it does not hold the arrays of the whole batch alive
     slot = np.cumsum(keep) - 1
@@ -266,7 +269,8 @@ def theta_sweep(cfg: ExperimentConfig, dm: DiscreteModel, keep_traces=()):
     made once per call.  Each method then runs once, row g T + t being trial
     t of theta cell g.  The (theta, method) cells in ``keep_traces`` keep
     their full traces.  A failure is recorded in the status of the cells it
-    affects (a cell whose rows raise is run alone) and the sweep continues.
+    affects and the sweep continues: when a method's closed loop raises, each
+    of its cells runs alone, for its own status.
     """
     steady = steady_kalman(dm)
     _, err_cov, _ = steady
@@ -318,14 +322,11 @@ def theta_sweep(cfg: ExperimentConfig, dm: DiscreteModel, keep_traces=()):
             try:
                 run(method, batch)
             except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                if len(batch) == 1:
+                if len(batch) > 1:
+                    batches += [[i] for i in batch]
+                else:
                     cells[batch[0], method] = SweepCell(float(grid[batch[0]]), method, None,
                                                         status=f"error: {exc}")
-                elif getattr(exc, "row", None) is None:
-                    batches += [[i] for i in batch]
-                else:  # run the failing cell alone, for its own error, and the rest again
-                    bad = batch[exc.row // n_trials]
-                    batches += [[bad], [i for i in batch if i != bad]]
     return [cells[i, method] for i in range(len(grid)) for method in cfg.methods]
 
 

@@ -210,7 +210,6 @@ def solve_admm(prob: MpcProblem, estimates, theta, warm, factor, tol: float,
             f"(primal {primal_res[0]:.3e}, dual {dual_res[0]:.3e})",
             residual=float(max(primal_res[0], dual_res[0])),
             iterations=max_iter,
-            row=int(rows[0]),
         )
     return z_out, w_out, iterations
 

@@ -114,11 +114,11 @@ def _oracle_agreement_check(cfg: ExperimentConfig, n_draws: int = 100) -> CheckR
         x = rng.standard_normal(dm.n_states) * rng.uniform(0.05, 2.5)
         res = oracle_select(dm, cfg.q_weight, cfg.r_weight, pol.cost_matrix, cfg.h, cfg.p,
                             theta, cfg.alpha, x, err_cov)
-        sel = select_pattern(tables, x, err_cov, theta)
+        sel = select_pattern(tables, x, theta)
         if sel != res.best_pattern:
             return CheckResult("oracle_agreement", False,
                                f"pattern mismatch {sel} vs {res.best_pattern}")
-        score = pattern_scores(tables, x, err_cov, theta)[sel - 1]
+        score = pattern_scores(tables, x, theta)[sel - 1]
         worst = max(worst, abs(score - res.best_score) / max(1e-12, abs(res.best_score)))
     return CheckResult("oracle_agreement", worst < 1e-8,
                        f"{n_draws} draws, worst relative score gap = {worst:.3e}")

@@ -112,16 +112,12 @@ def test_criterion_5_mean_square_stability(bench, benchmark_sweep):
                                 meas_cov=[[0.5]], init_mean=[0.0], init_cov=[[1.0]])
 
     class Null:
-        def decide(self, est, k):
+        def decide(self, x_hat, k):
             return np.zeros(1), 0
 
     cfg = sr.ExperimentConfig(horizon_steps=N_STEPS, trials=10, seed_base=13,
                               q_weight=[[1.0]], r_weight=[[1.0]], methods=("periodic",))
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        traces = [sr.simulate_trial(cfg, unstable, Null(), t) for t in range(10)]
+    traces = [sr.simulate_trial(cfg, unstable, Null(), t) for t in range(10)]
     bad_bounded, _ = sr.check_mean_square_stability(traces, window_len=50)
     assert not bad_bounded
     _report("criterion 5 (mean-square stability)",
@@ -138,8 +134,8 @@ def test_criterion_6_decision_monotonicity(bench):
         t1 = gen.uniform(0.005, 0.8)
         t2 = t1 + gen.uniform(0.005, 0.8)
         x = gen.standard_normal(4) * gen.uniform(0.02, 3.0)
-        c1 = tables.bits[sr.select_pattern(tables, x, err_cov, t1) - 1].sum()
-        c2 = tables.bits[sr.select_pattern(tables, x, err_cov, t2) - 1].sum()
+        c1 = tables.bits[sr.select_pattern(tables, x, t1) - 1].sum()
+        c2 = tables.bits[sr.select_pattern(tables, x, t2) - 1].sum()
         violations += c2 > c1
     assert violations == 0
     _report("criterion 6 (decision monotonicity in theta)", "1000 draws, 0 violations")

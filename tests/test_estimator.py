@@ -1,10 +1,8 @@
 import math
 
 import numpy as np
-import pytest
 
 import sparseroll as sr
-from sparseroll.estimator import stationary_residual
 
 BENCH = sr.ExperimentConfig()  # the benchmark study
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -37,14 +35,14 @@ def test_error_covariance_monte_carlo(stationary_benchmark, benchmark_steady):
     x = dm.init_mean + lx @ gen.standard_normal(4)
 
     y0 = dm.c @ x + v_all[0]
-    est = sr.kalman_init(dm, y0, steady=benchmark_steady)
+    est = sr.kalman_init(dm, y0, gain)
     u = np.zeros(1)
     errors = np.empty((n_steps, 4))
     a, b, c = dm.a, dm.b, dm.c
     for k in range(n_steps):
-        errors[k] = x - est.estimate
+        errors[k] = x - est
         x = a @ x + w_all[k]
-        est = sr.kalman_step(est, u, c @ x + v_all[k + 1], dm)
+        est = sr.kalman_step(est, u, c @ x + v_all[k + 1], dm, gain)
     sample_cov = np.cov(errors.T, ddof=1)
     # 5% relative agreement wherever the finite-sample noise floor permits it;
     # entries whose own sampling std exceeds that get a 4-sigma allowance
@@ -62,55 +60,52 @@ def test_error_covariance_monte_carlo(stationary_benchmark, benchmark_steady):
 
 def test_kalman_init_examples(benchmark_model, benchmark_steady):
     dm = benchmark_model
+    gain = benchmark_steady[0]
     # zero innovation leaves the prior mean untouched
     y0 = dm.c @ dm.init_mean
-    est = sr.kalman_init(dm, y0, steady=benchmark_steady)
-    assert np.allclose(est.estimate, dm.init_mean)
-    assert est.stationary
+    est = sr.kalman_init(dm, y0, gain)
+    assert np.allclose(est, dm.init_mean)
 
     # degenerate zero gain ignores the measurement entirely
-    gain, err_cov, prior = benchmark_steady
-    zero_steady = (np.zeros_like(gain), err_cov, prior)
-    est0 = sr.kalman_init(dm, np.array([5.0, -3.0]), steady=zero_steady)
-    assert np.array_equal(est0.estimate, dm.init_mean)
+    est0 = sr.kalman_init(dm, np.array([5.0, -3.0]), np.zeros_like(gain))
+    assert np.array_equal(est0, dm.init_mean)
 
     # triangle bound on the estimate magnitude
     y0 = np.array([2.0, 1.0])
-    est1 = sr.kalman_init(dm, y0, steady=benchmark_steady)
+    est1 = sr.kalman_init(dm, y0, gain)
     bound = (np.linalg.norm(dm.init_mean)
              + np.linalg.norm(gain, 2) * np.linalg.norm(y0 - dm.c @ dm.init_mean))
-    assert np.linalg.norm(est1.estimate) <= bound + 1e-12
+    assert np.linalg.norm(est1) <= bound + 1e-12
 
 
 def test_zero_innovation_step(benchmark_model, benchmark_steady):
     dm = benchmark_model
-    est = sr.kalman_init(dm, dm.c @ dm.init_mean, steady=benchmark_steady)
+    gain = benchmark_steady[0]
+    est = sr.kalman_init(dm, dm.c @ dm.init_mean, gain)
     u = np.zeros(1)
-    predicted_output = dm.c @ (dm.a @ est.estimate)
-    nxt = sr.kalman_step(est, u, predicted_output, dm)
-    assert np.allclose(nxt.estimate, dm.a @ est.estimate, atol=1e-14)
+    predicted_output = dm.c @ (dm.a @ est)
+    nxt = sr.kalman_step(est, u, predicted_output, dm, gain)
+    assert np.allclose(nxt, dm.a @ est, atol=1e-14)
 
 
 def test_noise_free_error_contraction(benchmark_model, benchmark_steady):
     dm = benchmark_model
+    gain = benchmark_steady[0]
     x = dm.init_mean + np.array([0.5, -0.2, 0.1, 0.3])
-    est = sr.kalman_init(dm, dm.c @ x, steady=benchmark_steady)
-    initial = np.linalg.norm(x - est.estimate)
+    est = sr.kalman_init(dm, dm.c @ x, gain)
+    initial = np.linalg.norm(x - est)
     u = np.zeros(1)
     for _ in range(50):
         x = dm.a @ x
-        est = sr.kalman_step(est, u, dm.c @ x, dm)
-    assert np.linalg.norm(x - est.estimate) < 1e-3 * initial
+        est = sr.kalman_step(est, u, dm.c @ x, dm, gain)
+    assert np.linalg.norm(x - est) < 1e-3 * initial
 
 
 def test_step_is_linear_in_inputs(benchmark_model, benchmark_steady, rng):
     dm = benchmark_model
-    base = sr.kalman_init(dm, np.zeros(2), steady=benchmark_steady)
 
     def step(xhat, u, y):
-        st = sr.EstimatorState(estimate=xhat, err_cov=base.err_cov, gain=base.gain,
-                               prior_cov=base.prior_cov)
-        return sr.kalman_step(st, u, y, dm).estimate
+        return sr.kalman_step(xhat, u, y, dm, benchmark_steady[0])
 
     for _ in range(10):
         x1, x2 = rng.standard_normal((2, 4))
@@ -142,39 +137,18 @@ def test_innovation_whiteness(stationary_benchmark, benchmark_steady):
         assert np.abs(corr).max() < 3.0 / math.sqrt(n - lag)
 
 
-def test_stationary_covariance_constant(benchmark_model, benchmark_steady):
-    dm = benchmark_model
-    est = sr.kalman_init(dm, np.zeros(2), steady=benchmark_steady)
-    first_cov = est.err_cov
-    for k in range(5):
-        est = sr.kalman_step(est, np.zeros(1), np.zeros(2), dm)
-        assert est.err_cov is first_cov  # reused, not recomputed
-
-
-def test_time_varying_path_converges(benchmark_model, benchmark_steady):
-    dm = benchmark_model.with_init(benchmark_model.init_mean, np.eye(4))
-    assert stationary_residual(dm) > 1e-8
-    with pytest.warns(UserWarning):
-        est = sr.kalman_init(dm, np.zeros(2), steady=benchmark_steady)
-    assert not est.stationary
-    for _ in range(200):
-        est = sr.kalman_step(est, np.zeros(1), np.zeros(2), dm)
-    _, err_cov, prior = benchmark_steady
-    assert np.allclose(est.err_cov, err_cov, atol=1e-8)
-    assert np.allclose(est.prior_cov, prior, atol=1e-8)
-
-
 def test_filter_is_deterministic_function_of_records(benchmark_model, benchmark_steady, rng):
     dm = benchmark_model
+    gain = benchmark_steady[0]
     ys = rng.standard_normal((20, 2))
     us = rng.standard_normal((20, 1))
 
     def run():
-        est = sr.kalman_init(dm, ys[0], steady=benchmark_steady)
-        out = [est.estimate]
+        est = sr.kalman_init(dm, ys[0], gain)
+        out = [est]
         for k in range(1, 20):
-            est = sr.kalman_step(est, us[k - 1], ys[k], dm)
-            out.append(est.estimate)
+            est = sr.kalman_step(est, us[k - 1], ys[k], dm, gain)
+            out.append(est)
         return np.array(out)
 
     assert np.array_equal(run(), run())

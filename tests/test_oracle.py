@@ -22,9 +22,9 @@ def test_agreement_with_table_selection(setup, rng):
         x = rng.standard_normal(4) * rng.uniform(0.05, 2.5)
         res = sr.oracle_select(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                                6, 6, 0.2, 1.0, x, err_cov)
-        sel = sr.select_pattern(tables, x, err_cov, 0.2)
+        sel = sr.select_pattern(tables, x, 0.2)
         assert sel == res.best_pattern
-        score = sr.pattern_scores(tables, x, err_cov, 0.2)[sel - 1]
+        score = sr.pattern_scores(tables, x, 0.2)[sel - 1]
         assert abs(score - res.best_score) < 1e-8 * max(1.0, abs(res.best_score))
 
 
@@ -86,26 +86,25 @@ def test_closed_loop_matrices_no_feedback(setup):
 def test_closed_loop_estimate_propagation(setup, rng):
     # one block of filter steps must reduce to phi x + gamma [innovation terms]
     dm, _, err_cov, tables = setup
-    gain, _, prior = sr.steady_kalman(dm)
+    gain, _, _ = sr.steady_kalman(dm)
     m = 17
     phi, gamma_map = sr.closed_loop_matrices(tables, m)
 
     x_hat = rng.standard_normal(4)
     x_true = x_hat + rng.multivariate_normal(np.zeros(4), err_cov)
-    est = sr.EstimatorState(estimate=x_hat, err_cov=err_cov, gain=gain,
-                            prior_cov=prior)
+    est = x_hat
     omegas = []
     x = x_true
     for s in range(6):
-        err = x - est.estimate
-        u = tables.gain(m, s) @ est.estimate if tables.bits[m - 1, s] else np.zeros(1)
+        err = x - est
+        u = tables.gain(m, s) @ est if tables.bits[m - 1, s] else np.zeros(1)
         w = rng.multivariate_normal(np.zeros(4), dm.proc_cov)
         v = rng.multivariate_normal(np.zeros(2), dm.meas_cov)
         omegas.append(gain @ (dm.c @ (dm.a @ err + w) + v))
         x = dm.a @ x + dm.b @ u + w
-        est = sr.kalman_step(est, u, dm.c @ x + v, dm)
+        est = sr.kalman_step(est, u, dm.c @ x + v, dm, gain)
     predicted = phi @ x_hat + gamma_map @ np.concatenate(omegas)
-    assert np.linalg.norm(predicted - est.estimate) < 1e-10 * max(1.0, np.linalg.norm(est.estimate))
+    assert np.linalg.norm(predicted - est) < 1e-10 * max(1.0, np.linalg.norm(est))
 
 
 def test_base_pattern_closed_loop_stable(setup):

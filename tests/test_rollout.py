@@ -5,7 +5,6 @@ import pytest
 
 import sparseroll as sr
 from sparseroll.exceptions import HorizonMismatchError, NonFiniteError
-from sparseroll.rollout import score_traces
 
 BENCH = sr.ExperimentConfig()  # the benchmark study
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -133,8 +132,8 @@ def test_trigger_score_values(benchmark_model):
     assert abs(0.1 * tables.trigger_weight[idx] - 0.3) < 1e-15
     # theta enters the score as theta * weight, last
     x = np.array([1.0, -1.0, 0.3, 0.2])
-    assert np.array_equal(sr.pattern_scores(tables, x, err_cov, 0.1),
-                          sr.pattern_scores(tables, x, err_cov, 0.0)
+    assert np.array_equal(sr.pattern_scores(tables, x, 0.1),
+                          sr.pattern_scores(tables, x, 0.0)
                           + 0.1 * tables.trigger_weight)
 
 
@@ -163,7 +162,7 @@ def test_base_pattern_score_closed_form(benchmark_tables):
     rng = np.random.default_rng(5)
     for _ in range(10):
         x = rng.standard_normal(4)
-        gap = (sr.pattern_scores(tables, x, err_cov, theta)[0]
+        gap = (sr.pattern_scores(tables, x, theta)[0]
                - float(np.trace(pol.cost_matrix @ err_cov)) - beta1_closed - gamma1_closed)
         assert abs(gap - x @ pol.cost_matrix @ x) < 1e-8 * max(1.0, abs(gap))
 
@@ -173,37 +172,35 @@ def test_score_at_zero_estimate(benchmark_tables):
     for m in (1, 5, 64):
         expected = (float(np.trace(tables.cost_matrix(m, 0) @ err_cov))
                     + tables.noise_score[m - 1] + THETA * tables.trigger_weight[m - 1])
-        assert abs(sr.pattern_scores(tables, np.zeros(4), err_cov, THETA)[m - 1]
+        assert abs(sr.pattern_scores(tables, np.zeros(4), THETA)[m - 1]
                    - expected) < 1e-12
 
 
 def test_score_even_in_estimate(benchmark_tables, rng):
-    _, _, err_cov, tables = benchmark_tables
+    _, _, _, tables = benchmark_tables
     for _ in range(20):
         x = rng.standard_normal(4) * rng.uniform(0.1, 3.0)
-        s_plus = sr.pattern_scores(tables, x, err_cov, THETA)
-        s_minus = sr.pattern_scores(tables, -x, err_cov, THETA)
+        s_plus = sr.pattern_scores(tables, x, THETA)
+        s_minus = sr.pattern_scores(tables, -x, THETA)
         assert np.array_equal(s_plus, s_minus)
-        assert (sr.select_pattern(tables, x, err_cov, THETA)
-                == sr.select_pattern(tables, -x, err_cov, THETA))
+        assert (sr.select_pattern(tables, x, THETA)
+                == sr.select_pattern(tables, -x, THETA))
 
 
-def test_cached_score_traces_match_uncached(benchmark_tables, benchmark_steady, rng):
-    # the policy keeps tr(P0 Sigma) per covariance object; scores and picks stay bit-identical
+def test_error_trace_is_the_stored_sigma_term(benchmark_tables, rng):
+    # build_tables keeps tr(P0 Sigma); scores add it second, and the policy picks by them
     _, _, err_cov, tables = benchmark_tables
     x = rng.standard_normal((5, 4)) * rng.uniform(0.1, 3.0, size=(5, 1))
-    trace = score_traces(tables, err_cov)
-    assert np.array_equal(sr.pattern_scores(tables, x, err_cov, THETA, trace),
-                          sr.pattern_scores(tables, x, err_cov, THETA))
-    gain, _, prior = benchmark_steady
+    assert np.array_equal(tables.error_trace, np.einsum("mij,ji->m", tables.p0, err_cov))
+    quad = np.einsum("...i,mij,...j->...m", x, tables.p0, x)
+    assert np.array_equal(sr.pattern_scores(tables, x, THETA),
+                          quad + tables.error_trace + tables.noise_score
+                          + THETA * tables.trigger_weight)
     pol = sr.RolloutPolicy(tables=tables, theta=THETA)
-    for sigma in (err_cov, err_cov, 3.0 * err_cov):
-        est = sr.EstimatorState(estimate=x, err_cov=sigma, gain=gain, prior_cov=prior)
-        _, bits = pol.decide(est, 0)
-        picks = sr.select_pattern(tables, x, sigma, THETA)
-        assert pol._traces[0] is sigma
-        assert np.array_equal(bits, tables.bits[picks - 1, 0])
-        assert np.array_equal(pol._block[0], tables.bits[picks - 1])
+    _, bits = pol.decide(x, 0)
+    picks = sr.select_pattern(tables, x, THETA)
+    assert np.array_equal(bits, tables.bits[picks - 1, 0])
+    assert np.array_equal(pol._block[0], tables.bits[picks - 1])
 
 
 def test_huge_theta_selects_all_zero(benchmark_model):
@@ -212,15 +209,15 @@ def test_huge_theta_selects_all_zero(benchmark_model):
     pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 6, alpha=1.0)
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                              6, 6, 1.0, err_cov)
-    m = sr.select_pattern(tables, np.array([1.0, -1.0, 0.3, 0.2]), err_cov, 1e9)
+    m = sr.select_pattern(tables, np.array([1.0, -1.0, 0.3, 0.2]), 1e9)
     assert tables.bits[m - 1].sum() == 0
 
 
 def test_lookahead_dominance(benchmark_tables, rng):
-    _, _, err_cov, tables = benchmark_tables
+    _, _, _, tables = benchmark_tables
     for _ in range(50):
         x = rng.standard_normal(4) * rng.uniform(0.05, 3.0)
-        scores = sr.pattern_scores(tables, x, err_cov, THETA)
+        scores = sr.pattern_scores(tables, x, THETA)
         assert scores.min() <= scores[0] + 1e-12
 
 
@@ -234,8 +231,8 @@ def test_theta_monotone_actuation(benchmark_model, rng):
         t1 = rng.uniform(0.01, 0.5)
         t2 = t1 + rng.uniform(0.01, 0.5)
         x = rng.standard_normal(4) * rng.uniform(0.05, 2.0)
-        m1 = sr.select_pattern(tables, x, err_cov, t1)
-        m2 = sr.select_pattern(tables, x, err_cov, t2)
+        m1 = sr.select_pattern(tables, x, t1)
+        m2 = sr.select_pattern(tables, x, t2)
         assert tables.bits[m2 - 1].sum() <= tables.bits[m1 - 1].sum()
 
 
@@ -294,7 +291,7 @@ def test_free_actuation_reduces_to_lqg(scalar_model):
     for x in np.linspace(-3.0, 3.0, 25):
         if abs(x) < 1e-2:
             continue  # the gap vanishes exactly at the origin
-        assert sr.select_pattern(tables, np.array([x]), err_cov, 0.0) == 1
+        assert sr.select_pattern(tables, np.array([x]), 0.0) == 1
     # and the applied gain is the standard LQG feedback
     assert abs(tables.gain(1, 0)[0, 0] - pol.feedback_gain[0, 0]) < 1e-10
 

@@ -82,7 +82,7 @@ def test_metrics_single_step_cost(benchmark_model, benchmark_steady):
                               methods=("periodic",))
 
     class NullController:
-        def decide(self, est, k):
+        def decide(self, x_hat, k):
             return np.zeros(1), 0
 
     trace = sr.simulate_trial(cfg, benchmark_model, NullController(), 0,
@@ -168,7 +168,6 @@ def test_rollout_runs_in_blocks(benchmark_model, benchmark_steady):
     assert all(tuple(row) in known for row in bits)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_mean_square_stability_controls():
     stable = sr.DiscreteModel(a=[[0.9]], b=[[1.0]], c=[[1.0]], proc_cov=[[0.5]],
                               meas_cov=[[0.5]], init_mean=[0.0], init_cov=[[1.0]])
@@ -176,7 +175,7 @@ def test_mean_square_stability_controls():
                                 meas_cov=[[0.5]], init_mean=[0.0], init_cov=[[1.0]])
 
     class Null:
-        def decide(self, est, k):
+        def decide(self, x_hat, k):
             return np.zeros(1), 0
 
     for dm, expect in ((stable, True), (unstable, False)):
@@ -189,13 +188,12 @@ def test_mean_square_stability_controls():
         assert bounded is expect, report
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_nonfinite_state_aborts():
     dm = sr.DiscreteModel(a=[[4.0]], b=[[1.0]], c=[[1.0]], proc_cov=[[1.0]],
                           meas_cov=[[1.0]], init_mean=[1.0], init_cov=[[1.0]])
 
     class Null:
-        def decide(self, est, k):
+        def decide(self, x_hat, k):
             return np.zeros(1), 0
 
     cfg = sr.ExperimentConfig(horizon_steps=600, trials=1, seed_base=2,
@@ -204,7 +202,6 @@ def test_nonfinite_state_aborts():
         sr.simulate_trial(cfg, dm, Null(), 0)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_theta_sweep_isolates_cell_failures():
     dm = sr.DiscreteModel(a=np.diag([1.0, -1.0]), b=[[1.0], [1.0]], c=np.eye(2),
                           proc_cov=np.eye(2), meas_cov=np.eye(2),
@@ -220,7 +217,6 @@ def test_theta_sweep_isolates_cell_failures():
         assert cell.metrics is None
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_theta_sweep_design_failure_stays_in_its_method():
     # the period-2 design is pathological; the rollout base at p = 1 is designed on its own
     dm = sr.DiscreteModel(a=np.diag([1.0, -1.0]), b=[[1.0], [1.0]], c=np.eye(2),
@@ -241,7 +237,6 @@ def test_theta_sweep_design_failure_stays_in_its_method():
             assert np.isfinite(cell.metrics.total)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_nonfinite_error_names_step_and_trial():
     dm = sr.DiscreteModel(a=[[4.0]], b=[[1.0]], c=[[1.0]], proc_cov=[[1.0]],
                           meas_cov=[[1.0]], init_mean=[1.0], init_cov=[[1.0]])
@@ -393,31 +388,21 @@ def test_single_trial_is_the_batch_of_one(benchmark_model, benchmark_steady):
 
 
 def _reference_trial(dm, q_w, r_w, noise, steady, decide):
-    """Plain per-trial loop: the textbook filter and plant, one vector at a time.
+    """Plain per-trial loop: the textbook stationary filter and plant, one vector at a time.
 
-    ``decide(xhat, sigma, k)`` returns (u, delta).  The time-varying filter
-    runs whenever init_cov is not the predictive fixed point.
+    ``decide(xhat, k)`` returns (u, delta).
     """
     x, w_seq, v_seq = noise
     a, b, c = dm.a, dm.b, dm.c
-    gain, sigma, _ = steady
-    time_varying = np.abs(dm.init_cov - steady[2]).max() > 1e-8
-    if time_varying:
-        prior = dm.init_cov
-        gain = prior @ c.T @ np.linalg.inv(c @ prior @ c.T + dm.meas_cov)
-        sigma = prior - gain @ c @ prior
+    gain = steady[0]
     xhat = dm.init_mean + gain @ (c @ x + v_seq[0] - c @ dm.init_mean)
     costs, triggers = [], []
     for k in range(len(w_seq)):
-        u, delta = decide(xhat, sigma, k)
+        u, delta = decide(xhat, k)
         costs.append(x @ q_w @ x + u @ r_w @ u)
         triggers.append(delta)
         x = a @ x + b @ u + w_seq[k]
         y = c @ x + v_seq[k + 1]
-        if time_varying:
-            prior = a @ sigma @ a.T + dm.proc_cov
-            gain = prior @ c.T @ np.linalg.inv(c @ prior @ c.T + dm.meas_cov)
-            sigma = prior - gain @ c @ prior
         pred = a @ xhat + b @ u
         xhat = pred + gain @ (y - c @ pred)
     return np.array(costs), np.array(triggers)
@@ -430,7 +415,7 @@ def _reference_deciders(method, dm, theta):
         gain = sr.design_periodic(dm, q_w, r_w, 3).feedback_gain
 
         def make():
-            return lambda xhat, sigma, k: ((gain @ xhat, 1) if k % 3 == 0 else (np.zeros(1), 0))
+            return lambda xhat, k: ((gain @ xhat, 1) if k % 3 == 0 else (np.zeros(1), 0))
 
         return make, PeriodicController(gain, 3)
     if method == "rollout":
@@ -439,9 +424,9 @@ def _reference_deciders(method, dm, theta):
         def make():
             chosen = {}
 
-            def decide(xhat, sigma, k):
+            def decide(xhat, k):
                 if k % 6 == 0:
-                    chosen["m"] = sr.select_pattern(pol.tables, xhat, sigma, theta)
+                    chosen["m"] = sr.select_pattern(pol.tables, xhat, theta)
                 m, tau = chosen["m"], k % 6
                 if pol.tables.bits[m - 1, tau]:
                     return pol.tables.gain(m, tau) @ xhat, 1
@@ -470,7 +455,7 @@ def _reference_deciders(method, dm, theta):
         # textbook over-relaxed scaled ADMM for one trial, warm-started by a one-block shift
         warm = {"z": np.zeros(dim), "w": np.zeros(dim)}
 
-        def decide(xhat, sigma, k):
+        def decide(xhat, k):
             f = prob.lin_matrix @ xhat
             z, w = warm["z"], warm["w"]
             for _ in range(10_000):
@@ -498,12 +483,11 @@ def _reference_deciders(method, dm, theta):
     return make, SparseMpcController(prob, theta, admm_factor(prob, rho), tol, 10_000)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("method", ["rollout", "periodic", "sparse_mpc", "periodic-tv",
                                     "rollout-tv"])
 @pytest.mark.parametrize("seed_base", [123, 2024])
 def test_batched_engine_matches_per_trial_reference(benchmark_model, method, seed_base):
-    # the time-varying model shares one gain sequence across the whole batch
+    # the -tv model draws x0 from init_cov = I; the filter still runs at the stationary gain
     method, _, tv = method.partition("-")
     dm = benchmark_model.with_init(benchmark_model.init_mean, np.eye(4)) if tv else benchmark_model
     steady = sr.steady_kalman(benchmark_model)

@@ -254,10 +254,8 @@ def test_config_penalty_reaches_the_solver(benchmark_model):
     assert abs(costs[0] - costs[1]) <= 1e-6 * costs[0]
 
 
-def test_controller_step_zero_estimate(benchmark_model, bench_problem, benchmark_steady):
-    gain, err_cov, prior = benchmark_steady
-    est = sr.EstimatorState(estimate=np.zeros((1, 4)), err_cov=err_cov, gain=gain,
-                            prior_cov=prior)
+def test_controller_step_zero_estimate(benchmark_model, bench_problem):
+    est = np.zeros((1, 4))
     controller = SparseMpcController(bench_problem, THETA, admm_factor(bench_problem, 1.0),
                                      1e-8, 10_000)
     (u,), (delta,) = controller.decide(est, 0)
@@ -265,10 +263,8 @@ def test_controller_step_zero_estimate(benchmark_model, bench_problem, benchmark
     assert np.all(u == 0.0)
 
 
-def test_controller_step_theta_zero_triggers(bench_problem, benchmark_steady, rng):
-    gain, err_cov, prior = benchmark_steady
-    est = sr.EstimatorState(estimate=rng.standard_normal((1, 4)), err_cov=err_cov,
-                            gain=gain, prior_cov=prior)
+def test_controller_step_theta_zero_triggers(bench_problem, rng):
+    est = rng.standard_normal((1, 4))
     controller = SparseMpcController(bench_problem, 0.0, admm_factor(bench_problem, 1.0),
                                      1e-8, 10_000)
     (u,), (delta,) = controller.decide(est, 0)
