@@ -24,7 +24,6 @@ from .periodic import (
     best_periodic,
     design_periodic,
     periodic_average_cost,
-    periodic_discounted_cost,
 )
 from .plant import (
     ContinuousModel,

@@ -99,10 +99,9 @@ def cmd_design(cfg: ExperimentConfig, out_dir: Path) -> int:
     lines.append("")
 
     base = rollout_base(cfg, dm, designs)
-    tables = build_tables(dm, cfg.q_weight, cfg.r_weight, base.cost_matrix,
-                          cfg.h, cfg.p, cfg.alpha, err_cov)
+    tables = build_tables(dm, cfg.q_weight, cfg.r_weight, base.cost_matrix, cfg.h, cfg.p, err_cov)
     resid = base_cost_residual(tables, base.cost_matrix)
-    lines.append(f"# Lookahead tables (h={cfg.h}, p={cfg.p}, alpha={cfg.alpha})")
+    lines.append(f"# Lookahead tables (h={cfg.h}, p={cfg.p})")
     lines.append(f"patterns = {len(tables.bits)}")
     lines.append(f"cost_matrices_sha256 = {_cost_matrices_digest(tables)}")
     lines.append(f"base_cost_identity_residual = {resid:.6e}")

@@ -4,9 +4,10 @@ An :class:`ExperimentConfig` pins every knob of an experiment (model source,
 cost, theta grid, per-method parameters, trial counts, seeds), and its
 defaults are the benchmark study.  It validates itself on construction, so
 ``dataclasses.replace`` and the CLI overrides are checked like a loaded
-file.  :func:`parse_config` reads the YAML sections over the defaults and
-adds the checks that need the built model (dimensions and non-pathological
-sampling), so runs fail before any compute happens.
+file.  :func:`parse_config` rejects keys outside the schema, reads the YAML
+sections over the defaults and adds the checks that need the built model
+(dimensions and non-pathological sampling), so runs fail before any compute
+happens.
 """
 
 import math
@@ -46,7 +47,6 @@ _YAML_KEYS = {
     "methods": ("methods",),
     "h": ("rollout", "h"),
     "p": ("rollout", "p"),
-    "alpha": ("rollout", "alpha"),
     "candidates": ("periodic", "candidates"),
     "mpc_horizon": ("sparse_mpc", "horizon"),
     "mpc_penalty": ("sparse_mpc", "penalty"),
@@ -57,6 +57,8 @@ _YAML_KEYS = {
     "seed_base": ("sim", "seed_base"),
     "output_dir": ("output_dir",),
 }
+# The other keys of the YAML form: the theta range and the criterion of older files.
+_EXTRA_KEYS = (("theta", "start"), ("theta", "stop"), ("theta", "step"), ("rollout", "alpha"))
 
 
 def _number(value, label) -> float:
@@ -105,7 +107,6 @@ _CONVERT = {
     "methods": _list_of(_method),
     "h": _integer,
     "p": _integer,
-    "alpha": _number,
     "candidates": _list_of(_integer),
     "mpc_horizon": _integer,
     "mpc_penalty": _number,
@@ -144,7 +145,6 @@ class ExperimentConfig:
     methods: tuple[str, ...] = METHODS
     h: int = 6
     p: int = 6
-    alpha: float = 1.0
     candidates: tuple[int, ...] = (1, 2, 3, 6)
     mpc_horizon: int = 30
     mpc_penalty: float = 1.0
@@ -175,8 +175,6 @@ class ExperimentConfig:
             raise ConfigError("at least one method must be enabled")
         if self.trials < 1 or self.horizon_steps < 1:
             raise ConfigError("sim.trials and sim.horizon_steps must be >= 1")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigError("rollout.alpha must lie in (0, 1]")
         if self.h < 1 or self.p < 1:
             raise ConfigError("rollout.h and rollout.p must be >= 1")
         if self.h > MAX_LOOKAHEAD:
@@ -293,9 +291,29 @@ def _theta_values(section):
     return [round(start + i * step, 12) for i in range(count)]
 
 
+def _reject_unknown_keys(raw: dict):
+    """ConfigError naming the dotted path of the first key outside the YAML schema."""
+    known = {".".join(path) for path in (*_YAML_KEYS.values(), *_EXTRA_KEYS)}
+    sections = {path.split(".")[0] for path in known if "." in path}
+    for name, value in raw.items():
+        if name not in known and name not in sections:
+            raise ConfigError(f"unknown key {name!r}")
+        for key in value if name in sections and isinstance(value, dict) else ():
+            if f"{name}.{key}" not in known:
+                raise ConfigError(f"unknown key '{name}.{key}'")
+
+
 def parse_config(raw: dict, source_path: str | None = None) -> ExperimentConfig:
-    """Read a parsed YAML mapping over the defaults and validate it against its model."""
+    """Read a parsed YAML mapping over the defaults and validate it against its model.
+
+    Every key must belong to the schema.  ``rollout.alpha`` may still be
+    given, as 1.0: the long-run average cost is the only criterion.
+    """
     raw = _expect_mapping(raw, "config")
+    _reject_unknown_keys(raw)
+    rollout = _expect_mapping(raw.get("rollout"), "rollout")
+    if "alpha" in rollout and _number(rollout["alpha"], "rollout.alpha") != 1.0:
+        raise ConfigError("rollout.alpha must be 1.0 (the long-run average cost)")
     values = {}
     for name, (*sections, key) in _YAML_KEYS.items():
         if name == "theta_grid":

@@ -28,26 +28,26 @@ class OracleResult:
     all_scores: dict[int, float]
 
 
-def _pattern_gains(a, b, q, r, terminal, bits, alpha):
+def _pattern_gains(a, b, q, r, terminal, bits):
     """Backward gain pass for one fixed pattern (independent transcription)."""
     h = len(bits)
     p_mat = terminal.copy()
     gains = [None] * h
     for s in reversed(range(h)):
         if bits[s]:
-            denom = alpha * (b.T @ p_mat @ b) + r
+            denom = b.T @ p_mat @ b + r
             k = np.linalg.solve(denom, b.T @ p_mat @ a)
-            gains[s] = -alpha * k
-            p_mat = q + alpha * (a.T @ p_mat @ a) - alpha**2 * (a.T @ p_mat @ b) @ k
+            gains[s] = -k
+            p_mat = q + a.T @ p_mat @ a - (a.T @ p_mat @ b) @ k
         else:
             gains[s] = np.zeros((b.shape[1], a.shape[0]))
-            p_mat = q + alpha * (a.T @ p_mat @ a)
+            p_mat = q + a.T @ p_mat @ a
         p_mat = 0.5 * (p_mat + p_mat.T)
     return gains
 
 
 def oracle_select(dm: DiscreteModel, q_weight, r_weight, terminal, h: int, p: int,
-                  theta: float, alpha: float, estimate, err_cov) -> OracleResult:
+                  theta: float, estimate, err_cov) -> OracleResult:
     """Exhaustive argmin of the conditional block cost over all patterns.
 
     For each pattern the expected cost is accumulated step by step from the
@@ -75,21 +75,19 @@ def oracle_select(dm: DiscreteModel, q_weight, r_weight, terminal, h: int, p: in
 
     scores: dict[int, float] = {}
     for index, bits in enumerate(pattern_bits(h, p).tolist(), start=1):
-        gains = _pattern_gains(a, b, q, r, terminal, bits, alpha)
+        gains = _pattern_gains(a, b, q, r, terminal, bits)
         second = np.outer(x_hat, x_hat)
         cost = 0.0
-        weight = 1.0
         for tau in range(h):
-            cost += weight * (float(np.trace(q @ second)) + trace_q_sigma)
+            cost += float(np.trace(q @ second)) + trace_q_sigma
             if bits[tau]:
                 f = gains[tau]
-                cost += weight * (float(np.trace(f.T @ r @ f @ second)) + theta)
+                cost += float(np.trace(f.T @ r @ f @ second)) + theta
                 closed = a + b @ f
             else:
                 closed = a
             second = closed @ second @ closed.T + est_noise
-            weight *= alpha
-        cost += weight * (float(np.trace(terminal @ second)) + trace_term_sigma)
+        cost += float(np.trace(terminal @ second)) + trace_term_sigma
         scores[index] = cost
 
     best = min(scores, key=lambda m: (scores[m], m))

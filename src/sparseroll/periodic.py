@@ -1,9 +1,9 @@
 """Optimal periodic actuation policies and their closed-form costs.
 
 A period-p policy applies u = F x_hat every p steps and zero in between.
-The gain comes from the lifted Riccati design; the associated discounted
-and long-run average costs have closed forms evaluated here, which is what
-makes the periodic family a convenient base policy for rollout.
+The gain comes from the lifted Riccati design; the long-run average cost
+has a closed form evaluated here, which is what makes the periodic family a
+convenient base policy for rollout.
 """
 
 from dataclasses import dataclass
@@ -29,12 +29,10 @@ class PeriodicPolicy:
     feedback_gain: np.ndarray
     cost_matrix: np.ndarray
     gain_quadratic: np.ndarray
-    discount: float
 
 
-def design_periodic(dm: DiscreteModel, q_weight, r_weight, p: int, alpha: float = 1.0,
-                    tol: float = 1e-10, max_iter: int = 100_000) -> PeriodicPolicy:
-    """Design the optimal period-p policy at discount alpha.
+def design_periodic(dm: DiscreteModel, q_weight, r_weight, p: int) -> PeriodicPolicy:
+    """Design the period-p policy that is optimal in long-run average cost.
 
     Validates non-pathological sampling for p and observability of the
     state-weight pair before solving the lifted Riccati equation.
@@ -47,35 +45,31 @@ def design_periodic(dm: DiscreteModel, q_weight, r_weight, p: int, alpha: float 
         )
     if not check_observability(dm.a, psd_sqrt(q_weight)):
         raise AssumptionViolatedError("(A, Q^{1/2}) must be observable")
-    lift = build_lifted(dm, q_weight, r_weight, p, alpha)
+    lift = build_lifted(dm, q_weight, r_weight, p)
     prob = RiccatiProblem(
         state_matrix=lift.a_lift,
         input_matrix=lift.b_lift,
         state_weight=lift.q_lift,
         cross_weight=lift.s_lift,
         input_weight=lift.r_lift,
-        discount=alpha**p,
     )
-    sol = solve_dare(prob, tol=tol, max_iter=max_iter)
+    sol = solve_dare(prob)
     pman = sol.cost_matrix
-    denom = alpha**p * (lift.b_lift.T @ pman @ lift.b_lift) + lift.r_lift
+    denom = lift.b_lift.T @ pman @ lift.b_lift + lift.r_lift
     gain_quadratic = sol.gain.T @ denom @ sol.gain
     return PeriodicPolicy(
         period=p,
         feedback_gain=sol.gain,
         cost_matrix=pman,
         gain_quadratic=0.5 * (gain_quadratic + gain_quadratic.T),
-        discount=float(alpha),
     )
 
 
 def periodic_average_cost(pol: PeriodicPolicy, lift: LiftedSystem, err_cov, theta: float) -> float:
     """Long-run average cost of the periodic policy, including theta/p.
 
-    Valid for designs at discount 1 with the stationary filter covariance.
+    ``err_cov`` is the stationary filter covariance.
     """
-    if pol.discount != 1.0:
-        raise ValueError("average cost requires a policy designed at discount 1")
     if pol.period != lift.period:
         raise ValueError("policy and lifted system periods differ")
     err_cov = np.atleast_2d(np.asarray(err_cov, dtype=float))
@@ -85,60 +79,11 @@ def periodic_average_cost(pol: PeriodicPolicy, lift: LiftedSystem, err_cov, thet
     return (noise_term + gain_term + lift.d_avg) / p + theta / p
 
 
-def periodic_discounted_cost(pol: PeriodicPolicy, lift: LiftedSystem, x0_mean, err_cov_seq,
-                             theta: float, series_tol: float = 1e-14) -> float:
-    """Discounted cost of the periodic policy from the initial information.
-
-    ``err_cov_seq`` lists the filter covariances at successive actuation
-    instants; a single matrix (or length-1 sequence) selects the stationary
-    case, where the gain-quadratic series sums in closed form.  Longer
-    sequences are summed term by term, continuing the final entry
-    geometrically until terms fall below ``series_tol`` of the running sum.
-    """
-    alpha = pol.discount
-    if not alpha < 1.0:
-        raise ValueError("discounted cost requires a policy designed at discount < 1")
-    if pol.period != lift.period:
-        raise ValueError("policy and lifted system periods differ")
-    p = pol.period
-    ap = alpha**p
-    x0_mean = np.asarray(x0_mean, dtype=float).reshape(-1)
-
-    covs = np.asarray(err_cov_seq, dtype=float)
-    if covs.ndim == 2:
-        covs = covs[None, :, :]
-    gain_traces = [float(np.trace(pol.gain_quadratic @ s)) for s in covs]
-
-    initial = float(x0_mean @ pol.cost_matrix @ x0_mean + np.trace(pol.cost_matrix @ covs[0]))
-    noise = ap / (1.0 - ap) * float(
-        np.trace(pol.cost_matrix @ lift.d_lift @ lift.proc_cov_lift @ lift.d_lift.T)
-    )
-
-    if len(gain_traces) == 1:
-        series = gain_traces[0] / (1.0 - ap)
-    else:
-        series = 0.0
-        weight = 1.0
-        for tr in gain_traces[:-1]:
-            series += weight * tr
-            weight *= ap
-        tail = gain_traces[-1]
-        while True:
-            term = weight * tail
-            series += term
-            weight *= ap
-            if abs(term) <= series_tol * max(abs(series), 1e-300):
-                break
-
-    return initial + noise + series + lift.d_disc + theta / (1.0 - ap)
-
-
 def design_candidates(dm: DiscreteModel, q_weight, r_weight, candidates) -> dict:
-    """``{p: (policy, lifted system)}`` at discount 1 for each candidate period, in ascending p."""
+    """``{p: (policy, lifted system)}`` for each candidate period, in ascending p."""
     if not candidates:
         raise ValueError("candidate set must be non-empty")
-    return {p: (design_periodic(dm, q_weight, r_weight, p, alpha=1.0),
-                build_lifted(dm, q_weight, r_weight, p, alpha=1.0))
+    return {p: (design_periodic(dm, q_weight, r_weight, p), build_lifted(dm, q_weight, r_weight, p))
             for p in sorted(set(int(p) for p in candidates))}
 
 

@@ -7,8 +7,7 @@ at the block start only) into one lifted step together with the matching
 cost reformulation.
 """
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -131,9 +130,7 @@ class LiftedSystem:
     q_lift: np.ndarray
     s_lift: np.ndarray
     r_lift: np.ndarray
-    d_disc: float               # discounted in-period noise cost constant
-    d_avg: float                # average-cost counterpart
-    discount: float = field(default=1.0)
+    d_avg: float                # in-period noise cost constant of the average cost
 
 
 def _expm_checked(m: np.ndarray) -> np.ndarray:
@@ -187,17 +184,14 @@ def discretize(cm: ContinuousModel, ts: float) -> DiscreteModel:
     )
 
 
-def build_lifted(dm: DiscreteModel, q_weight, r_weight, p: int, alpha: float = 1.0) -> LiftedSystem:
+def build_lifted(dm: DiscreteModel, q_weight, r_weight, p: int) -> LiftedSystem:
     """Aggregate p steps (input at the block start) into one lifted step.
 
-    Also evaluates the in-period noise cost constants: the average-cost one
-    sums tr(Q A^j W A^j') over the strictly-upper triangle of the period,
-    and the discounted one adds the geometric weighting.
+    Also evaluates the in-period noise cost constant of the average cost,
+    the sum of tr(Q A^j W A^j') over the strictly-upper triangle of the period.
     """
     if p < 1:
         raise ValueError("period must be >= 1")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
     a, b, w = dm.a, dm.b, dm.proc_cov
     n = dm.n_states
     q = _mat(q_weight)
@@ -223,13 +217,6 @@ def build_lifted(dm: DiscreteModel, q_weight, r_weight, p: int, alpha: float = 1
 
     noise_traces = [float(np.trace(q @ ai @ w @ ai.T)) for ai in powers]
     d_avg = sum(noise_traces[j] for i in range(1, p) for j in range(i))
-    disc_sum = sum(alpha**i * noise_traces[j] for i in range(1, p) for j in range(i))
-    if disc_sum == 0.0:
-        d_disc = 0.0
-    elif alpha < 1.0:
-        d_disc = disc_sum / (1.0 - alpha**p)
-    else:
-        d_disc = math.inf  # geometric factor diverges at alpha = 1
 
     return LiftedSystem(
         period=p,
@@ -240,9 +227,7 @@ def build_lifted(dm: DiscreteModel, q_weight, r_weight, p: int, alpha: float = 1
         q_lift=symmetrize(q_lift),
         s_lift=s_lift,
         r_lift=symmetrize(r_lift),
-        d_disc=d_disc,
         d_avg=d_avg,
-        discount=float(alpha),
     )
 
 

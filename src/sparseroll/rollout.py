@@ -9,8 +9,8 @@ state-independent score decomposition
 
 where Sigma is the stationary filter's error covariance, beta collects the
 noise and estimation contributions and gamma is theta times the pattern's
-discounted actuation count.  Only gamma depends on theta, so one set of
-tables serves a whole theta grid.  The block controller picks the argmin
+actuation count.  Only gamma depends on theta, so one set of tables serves
+a whole theta grid.  The block controller picks the argmin
 pattern once per block and plays its gains open-loop within the block; a
 batch of trials picks one pattern per trial in a single scoring call.
 
@@ -51,9 +51,9 @@ class RolloutTables:
     (M, h), ``error_trace``, ``noise_score`` and ``trigger_weight`` (M,) are
     in pattern order.  The error trace is tr(P0[m] Sigma) at the stationary
     filter covariance Sigma that :func:`build_tables` is given, so the tables
-    hold for that filter only; the trigger weight is the discounted actuation
-    count sum_t alpha^t bits_t, which :func:`pattern_scores` multiplies by
-    theta.  :meth:`nodes` gives a pattern's path through the tree.
+    hold for that filter only; the trigger weight is the actuation count
+    sum_t bits_t, which :func:`pattern_scores` multiplies by theta.
+    :meth:`nodes` gives a pattern's path through the tree.
     """
 
     horizon: int
@@ -133,7 +133,7 @@ def pattern_bits(h: int, p: int) -> np.ndarray:
     return _in_pattern_order(bits, base)
 
 
-def _backward_tree(a, b, q, r, terminal, h: int, alpha: float, base: int):
+def _backward_tree(a, b, q, r, terminal, h: int, base: int):
     """The suffix tree of cost matrices with the gains and gain quadratics (see RolloutTables).
 
     Each level is one batched update of the level below: its idle half the
@@ -154,17 +154,17 @@ def _backward_tree(a, b, q, r, terminal, h: int, alpha: float, base: int):
             k = 1 << (h - s - 1)
             lo = k - 1
             p_stack = cost_matrices[lo:lo + k]
-            open_update = q + alpha * (a.T @ p_stack @ a)
+            open_update = q + a.T @ p_stack @ a
             idle = 0.5 * (open_update + np.swapaxes(open_update, 1, 2))
             btp = b.T @ p_stack                                     # (k, q, n)
-            denom = alpha * (btp @ b) + r                           # (k, q, q)
+            denom = btp @ b + r                                     # (k, q, q)
             btpa = btp @ a
             gain = np.linalg.solve(denom, btpa)
-            f = -alpha * gain
+            f = -gain
             gains[lo:lo + k] = f
             mq = np.swapaxes(f, 1, 2) @ denom @ f
             gain_quadratics[lo:lo + k] = 0.5 * (mq + np.swapaxes(mq, 1, 2))
-            p_new = open_update - alpha**2 * (np.swapaxes(btpa, 1, 2) @ gain)
+            p_new = open_update - np.swapaxes(btpa, 1, 2) @ gain
             actuated = 0.5 * (p_new + np.swapaxes(p_new, 1, 2))
             level = cost_matrices[lo + k:lo + 3 * k]
             if s:
@@ -181,12 +181,12 @@ def _backward_tree(a, b, q, r, terminal, h: int, alpha: float, base: int):
 
 
 def build_tables(dm: DiscreteModel, q_weight, r_weight, terminal, h: int, p: int,
-                 alpha: float, err_cov) -> RolloutTables:
+                 err_cov) -> RolloutTables:
     """Backward recursions, gains and score constants for all 2^h patterns.
 
     ``terminal`` must be the lifted-design cost matrix of the base periodic
-    policy at the same discount.  ``err_cov`` is the (n, n) error covariance
-    Sigma of the stationary filter (:func:`~sparseroll.estimator.steady_kalman`).
+    policy.  ``err_cov`` is the (n, n) error covariance Sigma of the
+    stationary filter (:func:`~sparseroll.estimator.steady_kalman`).
     """
     n = dm.n_states
     q = np.atleast_2d(np.asarray(q_weight, dtype=float))
@@ -198,8 +198,7 @@ def build_tables(dm: DiscreteModel, q_weight, r_weight, terminal, h: int, p: int
 
     base = _base_value(h, p)
     m_count = 1 << h
-    cost_matrices, gains, gain_quadratics = _backward_tree(dm.a, dm.b, q, r, terminal, h, alpha,
-                                                           base)
+    cost_matrices, gains, gain_quadratics = _backward_tree(dm.a, dm.b, q, r, terminal, h, base)
 
     if not np.isfinite(cost_matrices).all():
         raise NonFiniteError("non-finite entry in backward recursion (unstable open-loop growth)")
@@ -215,7 +214,6 @@ def build_tables(dm: DiscreteModel, q_weight, r_weight, terminal, h: int, p: int
         lo = k - 1
         terms.reshape(-1, k, h)[:, :, t] = noise_node[lo:lo + k]
         terms.reshape(-1, 2, k, h)[:, 1, :, t] += est_node[lo:lo + k]
-    terms *= alpha ** np.arange(h)
     noise_score = _in_pattern_order(terms.sum(axis=1), base)
 
     bits = pattern_bits(h, p)
@@ -227,7 +225,7 @@ def build_tables(dm: DiscreteModel, q_weight, r_weight, terminal, h: int, p: int
         gain_quadratics=gain_quadratics,
         error_trace=np.einsum("mij,ji->m", cost_matrices[m_count - 1:], err_cov),
         noise_score=noise_score,
-        trigger_weight=(alpha ** np.arange(h) * bits).sum(axis=1),
+        trigger_weight=bits.sum(axis=1, dtype=float),
         model=dm,
     )
 

@@ -237,9 +237,9 @@ def estimate_metrics(traces, theta: float) -> Metrics:
 
 def rollout_base(cfg: ExperimentConfig, dm: DiscreteModel, designs=None) -> PeriodicPolicy:
     """The period-p base policy of rollout, taken from :func:`design_candidates` when it has it."""
-    if cfg.alpha == 1.0 and isinstance(designs, dict) and cfg.p in designs:
+    if isinstance(designs, dict) and cfg.p in designs:
         return designs[cfg.p][0]
-    return design_periodic(dm, cfg.q_weight, cfg.r_weight, cfg.p, alpha=cfg.alpha)
+    return design_periodic(dm, cfg.q_weight, cfg.r_weight, cfg.p)
 
 
 def _designed(build):
@@ -281,7 +281,7 @@ def theta_sweep(cfg: ExperimentConfig, dm: DiscreteModel, keep_traces=()):
     if "rollout" in cfg.methods:
         designs["rollout"] = _designed(lambda: build_tables(
             dm, q_w, r_w, rollout_base(cfg, dm, designs.get("periodic")).cost_matrix,
-            cfg.h, cfg.p, cfg.alpha, err_cov))
+            cfg.h, cfg.p, err_cov))
     if "sparse_mpc" in cfg.methods:
         def mpc_design():
             problem = build_mpc_problem(dm, q_w, r_w, cfg.mpc_horizon)

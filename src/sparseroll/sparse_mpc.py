@@ -58,12 +58,11 @@ class MpcProblem:
             raise ValueError("condensed quadratic cost must be positive definite")
 
 
-def build_mpc_problem(dm: DiscreteModel, q_weight, r_weight, horizon: int,
-                      terminal=None) -> MpcProblem:
+def build_mpc_problem(dm: DiscreteModel, q_weight, r_weight, horizon: int) -> MpcProblem:
     """Condense the prediction model and cost over the given horizon.
 
-    ``terminal`` defaults to the unlifted (period-1, undiscounted) Riccati
-    cost matrix, the standard stabilizing cost-to-go choice.
+    The terminal weight is the period-1 Riccati cost matrix, the standard
+    stabilizing cost-to-go choice.
     """
     if horizon < 1:
         raise ValueError("prediction horizon must be >= 1")
@@ -71,10 +70,8 @@ def build_mpc_problem(dm: DiscreteModel, q_weight, r_weight, horizon: int,
     n, q = b.shape
     q_weight = np.atleast_2d(np.asarray(q_weight, dtype=float))
     r_weight = np.atleast_2d(np.asarray(r_weight, dtype=float))
-    if terminal is None:
-        prob = RiccatiProblem(a, b, q_weight, np.zeros((n, q)), r_weight, discount=1.0)
-        terminal = solve_dare(prob).cost_matrix
-    terminal = np.atleast_2d(np.asarray(terminal, dtype=float))
+    prob = RiccatiProblem(a, b, q_weight, np.zeros((n, q)), r_weight, discount=1.0)
+    terminal = solve_dare(prob).cost_matrix
 
     powers = [np.eye(n)]
     for _ in range(horizon):
@@ -124,12 +121,6 @@ def _shrink(v: np.ndarray, kappa) -> np.ndarray:
     scale = np.zeros_like(norms)
     np.divide(norms - kappa, norms, out=scale, where=norms > kappa)
     return scale * v
-
-
-def mpc_objective(prob: MpcProblem, u_flat: np.ndarray, f: np.ndarray, theta: float) -> float:
-    groups = u_flat.reshape(prob.horizon, prob.group_size)
-    penalty = theta * np.linalg.norm(groups, axis=1).sum()
-    return float(0.5 * u_flat @ prob.quad_matrix @ u_flat + f @ u_flat + penalty)
 
 
 def kkt_residuals(prob: MpcProblem, u: np.ndarray, f: np.ndarray, theta) -> np.ndarray:

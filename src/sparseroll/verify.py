@@ -91,12 +91,11 @@ def base_cost_residual(tables: RolloutTables, base_cost) -> float:
 def _base_cost_identity_check(cfg: ExperimentConfig, corrupt_terminal: bool) -> CheckResult:
     dm = cfg.build_model()
     _, err_cov, _ = steady_kalman(dm)
-    pol = design_periodic(dm, cfg.q_weight, cfg.r_weight, cfg.p, alpha=cfg.alpha)
+    pol = design_periodic(dm, cfg.q_weight, cfg.r_weight, cfg.p)
     terminal = pol.cost_matrix
     if corrupt_terminal:
         terminal = terminal * 1.10  # deliberate corruption hook for negative tests
-    tables = build_tables(dm, cfg.q_weight, cfg.r_weight, terminal, cfg.h, cfg.p, cfg.alpha,
-                          err_cov)
+    tables = build_tables(dm, cfg.q_weight, cfg.r_weight, terminal, cfg.h, cfg.p, err_cov)
     resid = base_cost_residual(tables, pol.cost_matrix)
     return CheckResult("base_cost_identity", resid < 1e-8, f"relative residual = {resid:.3e}")
 
@@ -105,15 +104,14 @@ def _oracle_agreement_check(cfg: ExperimentConfig, n_draws: int = 100) -> CheckR
     dm = cfg.build_model()
     _, err_cov, _ = steady_kalman(dm)
     theta = cfg.theta_grid[len(cfg.theta_grid) // 2]
-    pol = design_periodic(dm, cfg.q_weight, cfg.r_weight, cfg.p, alpha=cfg.alpha)
-    tables = build_tables(dm, cfg.q_weight, cfg.r_weight, pol.cost_matrix, cfg.h, cfg.p,
-                          cfg.alpha, err_cov)
+    pol = design_periodic(dm, cfg.q_weight, cfg.r_weight, cfg.p)
+    tables = build_tables(dm, cfg.q_weight, cfg.r_weight, pol.cost_matrix, cfg.h, cfg.p, err_cov)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed_base)))
     worst = 0.0
     for _ in range(n_draws):
         x = rng.standard_normal(dm.n_states) * rng.uniform(0.05, 2.5)
         res = oracle_select(dm, cfg.q_weight, cfg.r_weight, pol.cost_matrix, cfg.h, cfg.p,
-                            theta, cfg.alpha, x, err_cov)
+                            theta, x, err_cov)
         sel = select_pattern(tables, x, theta)
         if sel != res.best_pattern:
             return CheckResult("oracle_agreement", False,

@@ -30,7 +30,7 @@ SCALAR_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "scalar.yaml"
 @pytest.fixture(scope="module")
 def bench(benchmark_model, benchmark_steady):
     _, err_cov, _ = benchmark_steady
-    base6 = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, 6, alpha=1.0)
+    base6 = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, 6)
     return benchmark_model, benchmark_steady, err_cov, base6
 
 
@@ -128,7 +128,7 @@ def test_criterion_6_decision_monotonicity(bench):
     dm, _, err_cov, base6 = bench
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(5150)))
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, base6.cost_matrix,
-                             6, 6, 1.0, err_cov)
+                             6, 6, err_cov)
     violations = 0
     for _ in range(1000):
         t1 = gen.uniform(0.005, 0.8)

@@ -14,6 +14,7 @@ from sparseroll.exceptions import ConfigError
 REPO = Path(__file__).resolve().parents[1]
 BENCHMARK_CONFIG = REPO / "configs" / "benchmark.yaml"
 SCALAR_CONFIG = REPO / "configs" / "scalar.yaml"
+WORKLOADS = sorted((REPO / "perfbench" / "workloads").glob("*.yaml"))
 
 
 def small_config_dict(**overrides):
@@ -48,6 +49,10 @@ def test_shipped_configs_load():
     assert cfg.trials == 50 and cfg.horizon_steps == 600
     scalar = load_config(SCALAR_CONFIG)
     assert scalar.build_model().n_states == 1
+    # the benchmark workloads spell out rollout.alpha: 1.0
+    assert len(WORKLOADS) == 2
+    for path in WORKLOADS:
+        assert load_config(path).methods[0] == "rollout"
 
 
 def test_config_round_trip(tmp_path):
@@ -114,6 +119,38 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, overrides):
     path = write_config(tmp_path, raw)
     assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_alpha_other_than_one_is_a_config_error(tmp_path, capsys):
+    # the long-run average cost is the only criterion; alpha 1.0 still loads
+    assert parse_config(small_config_dict(rollout={"alpha": 1})) == parse_config(
+        small_config_dict())
+    raw = small_config_dict(rollout={"alpha": 0.9})
+    with pytest.raises(ConfigError, match="rollout.alpha"):
+        parse_config(raw)
+    path = write_config(tmp_path, raw)
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "rollout.alpha" in capsys.readouterr().err
+
+
+UNKNOWN = {
+    "top level": ({"foo": 1}, "'foo'"),
+    "misspelt alpha": ({"rollout": {"alpah": 0.5}}, "'rollout.alpah'"),
+    "sim": ({"sim": {"trails": 3}}, "'sim.trails'"),
+    "model": ({"model": {"sampel_period": 0.2}}, "'model.sampel_period'"),
+    "theta": ({"theta": {"start": 0.1, "stop": 0.3, "step": 0.1, "num": 3}}, "'theta.num'"),
+}
+
+
+@pytest.mark.parametrize("overrides,path", UNKNOWN.values(), ids=UNKNOWN.keys())
+def test_unknown_key_is_a_config_error(tmp_path, capsys, overrides, path):
+    raw = small_config_dict(**overrides)
+    raw.update((k, v) for k, v in overrides.items() if k == "theta")  # replace, not merge
+    with pytest.raises(ConfigError, match=f"unknown key {path}"):
+        parse_config(raw)
+    file = write_config(tmp_path, raw)
+    assert cli.main(["sweep", "--config", str(file), "--out", str(tmp_path / "out")]) == 2
+    assert path in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["sweep", "design"])

@@ -10,9 +10,9 @@ BENCH = sr.ExperimentConfig()  # the benchmark study
 def setup(benchmark_model):
     dm = benchmark_model
     _, err_cov, _ = sr.steady_kalman(dm)
-    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 6, alpha=1.0)
+    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 6)
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
-                             6, 6, 1.0, err_cov)
+                             6, 6, err_cov)
     return dm, pol, err_cov, tables
 
 
@@ -21,7 +21,7 @@ def test_agreement_with_table_selection(setup, rng):
     for _ in range(30):
         x = rng.standard_normal(4) * rng.uniform(0.05, 2.5)
         res = sr.oracle_select(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
-                               6, 6, 0.2, 1.0, x, err_cov)
+                               6, 6, 0.2, x, err_cov)
         sel = sr.select_pattern(tables, x, 0.2)
         assert sel == res.best_pattern
         score = sr.pattern_scores(tables, x, 0.2)[sel - 1]
@@ -31,7 +31,7 @@ def test_agreement_with_table_selection(setup, rng):
 def test_result_invariants(setup):
     dm, pol, err_cov, _ = setup
     res = sr.oracle_select(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
-                           6, 6, 0.2, 1.0, np.array([1.0, -1.0, 0.0, 0.0]), err_cov)
+                           6, 6, 0.2, np.array([1.0, -1.0, 0.0, 0.0]), err_cov)
     assert len(res.all_scores) == 64
     assert res.best_score == min(res.all_scores.values())
     ties = [m for m, s in res.all_scores.items() if s == res.best_score]
@@ -42,7 +42,7 @@ def test_two_pattern_closed_form(scalar_model):
     # h=1, p=1, theta=0: actuate iff the quadratic-plus-trace gap is negative
     dm = scalar_model
     _, err_cov, _ = sr.steady_kalman(dm)
-    pol = sr.design_periodic(dm, [[1.0]], [[1.0]], 1, alpha=1.0)
+    pol = sr.design_periodic(dm, [[1.0]], [[1.0]], 1)
     pt = pol.cost_matrix[0, 0]
     a = b = q = r = 1.0
     sigma = err_cov[0, 0]
@@ -51,7 +51,7 @@ def test_two_pattern_closed_form(scalar_model):
     est_noise = gain * prior
     f_gain = -b * pt * a / (b * pt * b + r)
     for x in np.linspace(-3.0, 3.0, 21):
-        res = sr.oracle_select(dm, [[1.0]], [[1.0]], pol.cost_matrix, 1, 1, 0.0, 1.0,
+        res = sr.oracle_select(dm, [[1.0]], [[1.0]], pol.cost_matrix, 1, 1, 0.0,
                                np.array([x]), err_cov)
         cost_act = (q * x**2 + q * sigma + r * (f_gain * x) ** 2
                     + pt * (((a + b * f_gain) * x) ** 2 + est_noise) + pt * sigma)
@@ -68,7 +68,7 @@ def test_scaling_moves_toward_more_actuation(setup, rng):
         counts = []
         for c in (1.0, 2.0):
             res = sr.oracle_select(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
-                                   6, 6, 0.2, 1.0, c * x, err_cov)
+                                   6, 6, 0.2, c * x, err_cov)
             counts.append(sr.pattern_bits(6, 6)[res.best_pattern - 1].sum())
         assert counts[1] >= counts[0]
 
@@ -121,7 +121,7 @@ def test_oracle_base_score_matches_lifted_value(setup):
              + float(np.trace(pol.gain_quadratic @ err_cov)) + lift.d_avg)
     x = np.array([0.7, -0.4, 0.1, 0.2])
     res = sr.oracle_select(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
-                           6, 6, 0.2, 1.0, x, err_cov)
+                           6, 6, 0.2, x, err_cov)
     closed = (float(x @ pol.cost_matrix @ x) + float(np.trace(pol.cost_matrix @ err_cov))
               + beta1 + 0.2)
     assert abs(res.all_scores[1] - closed) < 1e-8 * abs(closed)

@@ -16,7 +16,7 @@ def test_p1_matches_unlifted_lqg(benchmark_model):
     lift = sr.build_lifted(dm, BENCH.q_weight, BENCH.r_weight, 1)
     assert np.array_equal(lift.a_lift, dm.a) and np.array_equal(lift.b_lift, dm.b)
     assert np.array_equal(lift.q_lift, np.atleast_2d(BENCH.q_weight))
-    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 1, alpha=1.0)
+    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 1)
     prob = sr.RiccatiProblem(dm.a, dm.b, BENCH.q_weight, np.zeros((4, 1)),
                              BENCH.r_weight, discount=1.0)
     sol = sr.solve_dare(prob)
@@ -25,13 +25,13 @@ def test_p1_matches_unlifted_lqg(benchmark_model):
 
 
 def test_scalar_analytic_design(scalar_model):
-    pol = sr.design_periodic(scalar_model, [[1.0]], [[1.0]], 1, alpha=1.0)
+    pol = sr.design_periodic(scalar_model, [[1.0]], [[1.0]], 1)
     assert abs(pol.cost_matrix[0, 0] - PHI) < 1e-10
     assert abs(pol.feedback_gain[0, 0] + PHI / (PHI + 1.0)) < 1e-10
 
 
 def test_benchmark_p6_positive_definite(benchmark_model):
-    pol = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, 6, alpha=1.0)
+    pol = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, 6)
     assert np.linalg.eigvalsh(pol.cost_matrix).min() > 0.0
 
 
@@ -44,19 +44,18 @@ def test_design_rejects_pathological_period():
 
 
 def test_gain_first_order_optimality(benchmark_model):
-    for p, alpha in ((1, 1.0), (3, 1.0), (6, 1.0), (2, 0.9)):
-        pol = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, p, alpha=alpha)
-        lift = sr.build_lifted(benchmark_model, BENCH.q_weight, BENCH.r_weight, p, alpha=alpha)
-        ap = alpha**p
+    for p in (1, 3, 6, 2):
+        pol = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, p)
+        lift = sr.build_lifted(benchmark_model, BENCH.q_weight, BENCH.r_weight, p)
         stationarity = (
-            (ap * lift.b_lift.T @ pol.cost_matrix @ lift.b_lift + lift.r_lift) @ pol.feedback_gain
-            + (ap * lift.b_lift.T @ pol.cost_matrix @ lift.a_lift + lift.s_lift.T)
+            (lift.b_lift.T @ pol.cost_matrix @ lift.b_lift + lift.r_lift) @ pol.feedback_gain
+            + (lift.b_lift.T @ pol.cost_matrix @ lift.a_lift + lift.s_lift.T)
         )
         assert np.abs(stationarity).max() < 1e-9
 
 
 def test_average_cost_degenerate_terms(scalar_model):
-    pol = sr.design_periodic(scalar_model, [[1.0]], [[1.0]], 1, alpha=1.0)
+    pol = sr.design_periodic(scalar_model, [[1.0]], [[1.0]], 1)
     lift = sr.build_lifted(scalar_model, [[1.0]], [[1.0]], 1)
     cost = sr.periodic_average_cost(pol, lift, err_cov=[[0.0]], theta=0.0)
     expected = np.trace(pol.cost_matrix @ scalar_model.proc_cov)
@@ -121,50 +120,6 @@ def test_average_cost_monte_carlo_cross_check(stationary_benchmark, benchmark_st
         xh = igc @ pred + gain @ (c @ x + v_all[k + 1])
     empirical = total / n_steps + theta * triggers / n_steps
     assert abs(empirical - formula) / formula < 0.01
-
-
-def test_discounted_cost_against_direct_summation(benchmark_model, benchmark_steady):
-    _, err_cov, _ = benchmark_steady
-    p, alpha, theta = 2, 0.95, 0.1
-    pol = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, p, alpha=alpha)
-    lift = sr.build_lifted(benchmark_model, BENCH.q_weight, BENCH.r_weight, p, alpha=alpha)
-    x0 = np.array([1.0, -1.0, 0.0, 0.0])
-    value = sr.periodic_discounted_cost(pol, lift, x0, err_cov, theta)
-
-    ap = alpha**p
-    direct = float(x0 @ pol.cost_matrix @ x0 + np.trace(pol.cost_matrix @ err_cov))
-    noise = float(np.trace(pol.cost_matrix @ lift.d_lift @ lift.proc_cov_lift @ lift.d_lift.T))
-    gain_tr = float(np.trace(pol.gain_quadratic @ err_cov))
-    for ell in range(10_000):
-        direct += ap ** (ell + 1) * noise + ap**ell * gain_tr
-    direct += lift.d_disc + theta / (1.0 - ap)
-    assert abs(value - direct) / abs(direct) < 1e-10
-
-
-def test_discounted_cost_small_alpha_limit(benchmark_model):
-    alpha = 0.01
-    pol = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, 1, alpha=alpha)
-    lift = sr.build_lifted(benchmark_model, BENCH.q_weight, BENCH.r_weight, 1, alpha=alpha)
-    x0 = np.array([1.0, -1.0, 0.0, 0.0])
-    zero = np.zeros((4, 4))
-    value = sr.periodic_discounted_cost(pol, lift, x0, zero, theta=0.0)
-    leading = float(x0 @ pol.cost_matrix @ x0)
-    assert abs(value - leading) < 0.05 * leading
-    assert abs(value - leading) < 2.0 * alpha * leading
-
-
-def test_discounted_cost_stationary_series_scaling(benchmark_model, benchmark_steady):
-    _, err_cov, _ = benchmark_steady
-    p, alpha = 2, 0.9
-    pol = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, p, alpha=alpha)
-    lift = sr.build_lifted(benchmark_model, BENCH.q_weight, BENCH.r_weight, p, alpha=alpha)
-    x0 = np.zeros(4)
-    with_gain = sr.periodic_discounted_cost(pol, lift, x0, err_cov, theta=0.0)
-    without_gain = sr.periodic_discounted_cost(pol, lift, x0, np.zeros((4, 4)), theta=0.0)
-    series = with_gain - without_gain - float(np.trace(pol.cost_matrix @ err_cov))
-    expected = float(np.trace(pol.gain_quadratic @ err_cov)) / (1.0 - alpha**p)
-    assert abs(series - expected) < 1e-12 * max(1.0, abs(expected))
-    assert abs(1.0 - 0.9**2 - 0.19) < 1e-15
 
 
 def test_best_periodic_prefers_dense_when_control_free(rng):

@@ -88,7 +88,6 @@ def test_build_lifted_identity_at_p1(benchmark_model):
     assert np.allclose(lift.r_lift, BENCH.r_weight)
     assert np.all(lift.s_lift == 0.0)
     assert lift.d_avg == 0.0
-    assert lift.d_disc == 0.0
 
 
 def test_build_lifted_scalar_hand_values():
@@ -148,19 +147,6 @@ def test_lifted_symmetry_and_definiteness(rng):
         assert np.array_equal(lift.proc_cov_lift, expected_block)
 
 
-def test_d_disc_discount_weighting():
-    dm = sr.DiscreteModel(a=[[2.0]], b=[[1.0]], c=[[1.0]], proc_cov=[[1.0]],
-                          meas_cov=[[1.0]], init_mean=[0.0], init_cov=[[1.0]])
-    alpha = 0.9
-    lift = sr.build_lifted(dm, [[1.0]], [[1.0]], 3, alpha=alpha)
-    # hand evaluation: sum_i alpha^i sum_{j<i} tr(q a^j w a^j)
-    traces = [1.0, 4.0]
-    expected = (alpha * traces[0] + alpha**2 * (traces[0] + traces[1])) / (1 - alpha**3)
-    assert abs(lift.d_disc - expected) < 1e-12
-    lift1 = sr.build_lifted(dm, [[1.0]], [[1.0]], 3, alpha=1.0)
-    assert lift1.d_disc == np.inf
-
-
 def test_model_validation_errors():
     with pytest.raises(ValueError):
         sr.DiscreteModel(a=[[1.0]], b=[[1.0]], c=[[1.0]], proc_cov=[[-1.0]],
@@ -179,5 +165,3 @@ def test_model_validation_errors():
 def test_build_lifted_rejects_bad_params(benchmark_model):
     with pytest.raises(ValueError):
         sr.build_lifted(benchmark_model, BENCH.q_weight, BENCH.r_weight, 0)
-    with pytest.raises(ValueError):
-        sr.build_lifted(benchmark_model, BENCH.q_weight, BENCH.r_weight, 2, alpha=0.0)

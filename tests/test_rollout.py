@@ -20,7 +20,7 @@ def _flat(tables):
             np.where(actuated, tables.gain_quadratics[nodes[:, 1:]], 0.0))
 
 
-def _flat_recursion(dm, q_weight, r_weight, terminal, h, p, alpha, err_cov):
+def _flat_recursion(dm, q_weight, r_weight, terminal, h, p, err_cov):
     """The per-pattern backward recursion that the suffix tree replaced, as it was.
 
     Returns bits, cost matrices (M, h+1, n, n), gains (M, h, q, n), gain
@@ -41,29 +41,28 @@ def _flat_recursion(dm, q_weight, r_weight, terminal, h, p, alpha, err_cov):
     cost_matrices[:, h] = terminal
     p_stack = np.broadcast_to(terminal, (m_count, n, n)).copy()
     for s in reversed(range(h)):
-        open_update = q + alpha * (a.T @ p_stack @ a)
+        open_update = q + a.T @ p_stack @ a
         act = bits[:, s] == 1
         if act.any():
             p_act = p_stack[act]
             btp = b.T @ p_act
-            denom = alpha * (btp @ b) + r
+            denom = btp @ b + r
             btpa = btp @ a
             k = np.linalg.solve(denom, btpa)
-            f = -alpha * k
+            f = -k
             gains[act, s] = f
             mq = np.swapaxes(f, 1, 2) @ denom @ f
             gain_quadratics[act, s] = 0.5 * (mq + np.swapaxes(mq, 1, 2))
-            p_new = open_update[act] - alpha**2 * (np.swapaxes(btpa, 1, 2) @ k)
+            p_new = open_update[act] - np.swapaxes(btpa, 1, 2) @ k
             p_stack[act] = 0.5 * (p_new + np.swapaxes(p_new, 1, 2))
         idle = ~act
         if idle.any():
             p_new = open_update[idle]
             p_stack[idle] = 0.5 * (p_new + np.swapaxes(p_new, 1, 2))
         cost_matrices[:, s] = p_stack
-    weights = alpha ** np.arange(h)
     noise_trace = np.einsum("mtij,ji->mt", cost_matrices[:, 1:], dm.proc_cov)
     est_trace = np.einsum("mtij,tji->mt", gain_quadratics, cov_seq)
-    noise_score = (weights * (noise_trace + est_trace)).sum(axis=1)
+    noise_score = (noise_trace + est_trace).sum(axis=1)
     return bits, cost_matrices, gains, gain_quadratics, noise_score
 
 
@@ -71,9 +70,9 @@ def _flat_recursion(dm, q_weight, r_weight, terminal, h, p, alpha, err_cov):
 def benchmark_tables(benchmark_model):
     dm = benchmark_model
     _, err_cov, _ = sr.steady_kalman(dm)
-    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 6, alpha=1.0)
+    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 6)
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
-                             6, 6, 1.0, err_cov)
+                             6, 6, err_cov)
     return dm, pol, err_cov, tables
 
 
@@ -113,7 +112,7 @@ def test_scalar_all_ones_single_step_fixed_point(scalar_model):
     # one actuated backward step from the fixed point stays at the fixed point
     terminal = np.array([[PHI]])
     tables = sr.build_tables(scalar_model, [[1.0]], [[1.0]], terminal, 1, 1,
-                             alpha=1.0, err_cov=[[PHI - 1.0]])
+                             err_cov=[[PHI - 1.0]])
     actuated = tables.cost_matrix(1, 0)[0, 0]
     assert abs(actuated - PHI) < 1e-12
     by_hand = 1.0 + PHI - PHI**2 / (PHI + 1.0)
@@ -123,9 +122,9 @@ def test_scalar_all_ones_single_step_fixed_point(scalar_model):
 def test_trigger_score_values(benchmark_model):
     dm = benchmark_model
     _, err_cov, _ = sr.steady_kalman(dm)
-    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 2, alpha=1.0)
+    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 2)
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
-                             6, 2, 1.0, err_cov)
+                             6, 2, err_cov)
     for bits, weight in zip(tables.bits, tables.trigger_weight):
         assert weight == bits.sum()
     idx = [tuple(bits) for bits in tables.bits.tolist()].index((1, 0, 1, 0, 1, 0))
@@ -135,14 +134,6 @@ def test_trigger_score_values(benchmark_model):
     assert np.array_equal(sr.pattern_scores(tables, x, 0.1),
                           sr.pattern_scores(tables, x, 0.0)
                           + 0.1 * tables.trigger_weight)
-
-
-def test_discounted_trigger_score(scalar_model):
-    tables = sr.build_tables(scalar_model, [[1.0]], [[1.0]], [[PHI]], 3, 1,
-                             alpha=0.5, err_cov=[[PHI - 1.0]])
-    for bits, weight in zip(tables.bits.tolist(), tables.trigger_weight):
-        expected = sum(0.5**t * b for t, b in enumerate(bits))
-        assert abs(weight - expected) < 1e-15
 
 
 def test_base_pattern_score_closed_form(benchmark_tables):
@@ -206,9 +197,9 @@ def test_error_trace_is_the_stored_sigma_term(benchmark_tables, rng):
 def test_huge_theta_selects_all_zero(benchmark_model):
     dm = benchmark_model
     _, err_cov, _ = sr.steady_kalman(dm)
-    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 6, alpha=1.0)
+    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 6)
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
-                             6, 6, 1.0, err_cov)
+                             6, 6, err_cov)
     m = sr.select_pattern(tables, np.array([1.0, -1.0, 0.3, 0.2]), 1e9)
     assert tables.bits[m - 1].sum() == 0
 
@@ -224,9 +215,9 @@ def test_lookahead_dominance(benchmark_tables, rng):
 def test_theta_monotone_actuation(benchmark_model, rng):
     dm = benchmark_model
     _, err_cov, _ = sr.steady_kalman(dm)
-    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 6, alpha=1.0)
+    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 6)
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
-                             6, 6, 1.0, err_cov)
+                             6, 6, err_cov)
     for _ in range(25):
         t1 = rng.uniform(0.01, 0.5)
         t2 = t1 + rng.uniform(0.01, 0.5)
@@ -244,21 +235,6 @@ def test_cost_matrices_symmetric_psd(benchmark_tables):
     assert eigs.min() > -1e-9
 
 
-def test_alpha_continuity(benchmark_model):
-    dm = benchmark_model
-    _, err_cov, _ = sr.steady_kalman(dm)
-    tabs = {}
-    for alpha in (1.0, 1.0 - 1e-8):
-        pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 6, alpha=alpha)
-        tabs[alpha] = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
-                                      6, 6, alpha, err_cov)
-    a, b = tabs[1.0], tabs[1.0 - 1e-8]
-    costs_a, costs_b = _flat(a)[0], _flat(b)[0]
-    rel = np.abs(costs_a - costs_b).max() / max(1.0, np.abs(costs_a).max())
-    assert rel < 1e-5
-    assert np.abs(a.noise_score - b.noise_score).max() < 1e-5 * max(1.0, np.abs(a.noise_score).max())
-
-
 def test_gain_quadratics_zero_on_idle_steps(benchmark_tables):
     _, _, _, tables = benchmark_tables
     _, gains, gain_quadratics = _flat(tables)
@@ -274,7 +250,7 @@ def test_nonfinite_recursion_detected():
     dm = sr.DiscreteModel(a=[[1e80]], b=[[1.0]], c=[[1.0]], proc_cov=[[1.0]],
                           meas_cov=[[1.0]], init_mean=[0.0], init_cov=[[1.0]])
     with pytest.raises(NonFiniteError):
-        sr.build_tables(dm, [[1.0]], [[1.0]], [[1.0]], 4, 2, 1.0, [[1.0]])
+        sr.build_tables(dm, [[1.0]], [[1.0]], [[1.0]], 4, 2, [[1.0]])
 
 
 def test_free_actuation_reduces_to_lqg(scalar_model):
@@ -282,9 +258,9 @@ def test_free_actuation_reduces_to_lqg(scalar_model):
     # cost-to-go is dominated by the idle one and the penalty is free
     dm = scalar_model
     _, err_cov, _ = sr.steady_kalman(dm)
-    pol = sr.design_periodic(dm, [[1.0]], [[1.0]], 1, alpha=1.0)
+    pol = sr.design_periodic(dm, [[1.0]], [[1.0]], 1)
     tables = sr.build_tables(dm, [[1.0]], [[1.0]], pol.cost_matrix, 1, 1,
-                             alpha=1.0, err_cov=err_cov)
+                             err_cov=err_cov)
     p_act = tables.cost_matrix(1, 0)[0, 0]
     p_idle = tables.cost_matrix(2, 0)[0, 0]
     assert p_act < p_idle  # scalar Riccati gap is positive
@@ -296,24 +272,26 @@ def test_free_actuation_reduces_to_lqg(scalar_model):
     assert abs(tables.gain(1, 0)[0, 0] - pol.feedback_gain[0, 0]) < 1e-10
 
 
-@pytest.mark.parametrize("h,p,alpha", [(1, 1, 1.0), (6, 6, 1.0), (6, 3, 1.0), (10, 2, 0.9)])
+# the ids end in the discount 1.0 of the long-run average cost that the tables price
+@pytest.mark.parametrize("h,p", [(1, 1), (6, 6), (6, 3), (10, 2)],
+                         ids=["1-1-1.0", "6-6-1.0", "6-3-1.0", "10-2-1.0"])
 @pytest.mark.parametrize("stacked", [False, True])
-def test_tree_matches_flat_recursion(benchmark_model, h, p, alpha, stacked):
+def test_tree_matches_flat_recursion(benchmark_model, h, p, stacked):
     # every (pattern, step) entry of the tree is bit-identical to the per-pattern recursion;
     # the tables take the stationary (n, n) covariance only, never a stack of h of them
     dm = benchmark_model
     _, err_cov, _ = sr.steady_kalman(dm)
-    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, p, alpha=alpha)
+    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, p)
     if stacked:
         stack = np.stack([err_cov * (1.0 + 0.1 * t) for t in range(h)])
         with pytest.raises(ValueError, match=r"\(n, n\) filter covariance"):
             sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
-                            h, p, alpha, stack)
+                            h, p, stack)
         return
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
-                             h, p, alpha, err_cov)
+                             h, p, err_cov)
     bits, costs, gains, gain_quadratics, noise_score = _flat_recursion(
-        dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix, h, p, alpha, err_cov)
+        dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix, h, p, err_cov)
     assert tables.cost_matrices.shape == (2 ** (h + 1) - 1, 4, 4)
     assert tables.gains.shape == (2**h - 1, 1, 4)
     assert np.array_equal(tables.bits, bits)
@@ -345,9 +323,9 @@ def test_deep_lookahead_tables_are_small(benchmark_model):
     # h = 14 stores 2^15 - 1 cost matrices, not 15 * 2^14
     dm = benchmark_model
     _, err_cov, _ = sr.steady_kalman(dm)
-    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 7, alpha=1.0)
+    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 7)
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
-                             14, 7, 1.0, err_cov)
+                             14, 7, err_cov)
     total = sum(v.nbytes for v in vars(tables).values() if isinstance(v, np.ndarray))
     assert total < 10 * 2**20
     assert len(tables.bits) == 2**14 and tables.p0.shape == (2**14, 4, 4)

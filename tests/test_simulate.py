@@ -23,9 +23,9 @@ def bench_cfg(**kw):
 
 def rollout_policy(dm, theta=0.2, h=6, p=6, forced=None):
     _, err_cov, _ = sr.steady_kalman(dm)
-    base = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, p, alpha=1.0)
+    base = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, p)
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, base.cost_matrix,
-                             h, p, 1.0, err_cov)
+                             h, p, err_cov)
     return sr.RolloutPolicy(tables=tables, theta=theta, forced_pattern=forced), base
 
 
@@ -51,7 +51,7 @@ def test_zero_noise_matches_linear_recursion(benchmark_model, benchmark_steady):
     # deterministic closed loop equals the matrix recursion with a perfect estimate
     dm = benchmark_model
     cfg = bench_cfg(methods=("periodic",), horizon_steps=120, trials=1)
-    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 1, alpha=1.0)
+    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 1)
     noise = (dm.init_mean.copy(), np.zeros((120, 4)), np.zeros((121, 2)))
     trace = sr.simulate_trial(cfg, dm, PeriodicController(pol.feedback_gain, 1), 0,
                               steady=benchmark_steady, noise=noise)
@@ -141,8 +141,8 @@ def test_check_performance_bound_scalar_monte_carlo(scalar_model):
     steady = sr.steady_kalman(dm)
     _, err_cov, _ = steady
     h, p, theta, trials, n_steps = 4, 2, 0.3, 200, 200
-    base = sr.design_periodic(dm, [[1.0]], [[1.0]], p, alpha=1.0)
-    tables = sr.build_tables(dm, [[1.0]], [[1.0]], base.cost_matrix, h, p, 1.0, err_cov)
+    base = sr.design_periodic(dm, [[1.0]], [[1.0]], p)
+    tables = sr.build_tables(dm, [[1.0]], [[1.0]], base.cost_matrix, h, p, err_cov)
     cfg = sr.ExperimentConfig(horizon_steps=n_steps, trials=trials, seed_base=55,
                               q_weight=[[1.0]], r_weight=[[1.0]],
                               methods=("rollout",), h=h, p=p)

@@ -5,10 +5,17 @@ import sparseroll as sr
 from sparseroll import verify
 from sparseroll.exceptions import NonConvergenceError
 from sparseroll.simulate import SparseMpcController
-from sparseroll.sparse_mpc import ZERO_TOL, admm_factor, kkt_residuals, mpc_objective, solve_admm
+from sparseroll.sparse_mpc import ZERO_TOL, admm_factor, kkt_residuals, solve_admm
 
 BENCH = sr.ExperimentConfig()  # the benchmark study
 THETA = 0.2  # group weight of the benchmark problem's solves
+
+
+def mpc_objective(prob, u_flat, f, theta):
+    """The sparse-MPC objective 0.5 U' H U + f' U + theta sum_i ||u_i||_2 at one stacked U."""
+    groups = u_flat.reshape(prob.horizon, prob.group_size)
+    penalty = theta * np.linalg.norm(groups, axis=1).sum()
+    return float(0.5 * u_flat @ prob.quad_matrix @ u_flat + f @ u_flat + penalty)
 
 
 @pytest.fixture(scope="module")
