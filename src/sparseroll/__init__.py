@@ -50,12 +50,14 @@ from .rollout import (
     select_pattern,
 )
 from .simulate import (
+    Design,
     Metrics,
     SimTrace,
     StabilityReport,
     SweepCell,
     check_mean_square_stability,
     check_performance_bound,
+    design,
     estimate_metrics,
     noise_streams,
     simulate_trial,

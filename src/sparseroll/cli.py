@@ -17,11 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, load_config
-from .estimator import steady_kalman
 from .exceptions import ConfigError, SparseRollError
-from .periodic import cheapest_period, design_candidates, periodic_average_cost
-from .rollout import RolloutTables, build_tables
-from .simulate import rollout_base, theta_sweep
+from .periodic import cheapest_period, periodic_average_cost
+from .rollout import RolloutTables
+from .simulate import design, theta_sweep
 from .verify import base_cost_residual, run_verification
 
 OUTDIR_ENV = "SPARSEROLL_OUTDIR"
@@ -62,9 +61,16 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return replace(cfg, **updates) if updates else cfg
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def cmd_design(cfg: ExperimentConfig, out_dir: Path) -> int:
     dm = cfg.build_model()
-    gain, err_cov, prior_cov = steady_kalman(dm)
+    designed = design(cfg, dm, ("rollout", "periodic"))
+    gain, err_cov, prior_cov = designed.steady
 
     lines = ["# Design report", ""]
     lines += _matrix_lines("A", dm.a)
@@ -81,25 +87,20 @@ def cmd_design(cfg: ExperimentConfig, out_dir: Path) -> int:
     lines.append("")
 
     lines.append("# Periodic designs: average cost per (theta, p); * marks the argmin")
-    designs = design_candidates(dm, cfg.q_weight, cfg.r_weight, cfg.candidates)
+    designs = designed["periodic"]
     for p in cfg.candidates:
-        min_eig = float(np.linalg.eigvalsh(designs[p][0].cost_matrix).min())
+        min_eig = float(np.linalg.eigvalsh(designs[p].cost_matrix).min())
         lines.append(f"p={p}: cost_matrix min eigenvalue = {min_eig:.6g}")
     header = "theta      " + "  ".join(f"p={p:<8d}" for p in cfg.candidates)
     lines.append(header)
     for theta in cfg.theta_grid:
-        costs = {p: periodic_average_cost(*design, err_cov, theta)
-                 for p, design in designs.items()}
+        costs = {p: periodic_average_cost(pol, err_cov, theta) for p, pol in designs.items()}
         best, _ = cheapest_period(designs, err_cov, theta)
-        row = f"{theta:<9.4g}  "
-        row += "  ".join(
-            f"{costs[p]:.6f}" + ("*" if p == best else " ") for p in cfg.candidates
-        )
-        lines.append(row)
+        lines.append(f"{theta:<9.4g}  " + "  ".join(
+            f"{costs[p]:.6f}" + ("*" if p == best else " ") for p in cfg.candidates))
     lines.append("")
 
-    base = rollout_base(cfg, dm, designs)
-    tables = build_tables(dm, cfg.q_weight, cfg.r_weight, base.cost_matrix, cfg.h, cfg.p, err_cov)
+    base, tables = designed["rollout"]
     resid = base_cost_residual(tables, base.cost_matrix)
     lines.append(f"# Lookahead tables (h={cfg.h}, p={cfg.p})")
     lines.append(f"patterns = {len(tables.bits)}")
@@ -126,34 +127,18 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     cells = theta_sweep(cfg, cfg.build_model())
 
     ok_cells = [c for c in cells if c.status == "ok"]
-    with open(out_dir / "tradeoff.csv", "w", newline="") as fh:
-        fh.write(TRADEOFF_HEADER + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        for c in ok_cells:
-            m = c.metrics
-            writer.writerow([
-                _fmt(c.theta), c.method, _fmt(m.avg_control_cost), _fmt(m.avg_actuation_rate),
-                _fmt(m.total), _fmt(m.stderr_control_cost), _fmt(m.stderr_rate),
-                m.trials, cfg.seed_base,
-            ])
-    with open(out_dir / "pertrial.csv", "w", newline="") as fh:
-        fh.write(PERTRIAL_HEADER + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        for c in ok_cells:
-            m = c.metrics
-            for trial in range(m.trials):
-                cost = m.per_trial_cost[trial]
-                rate = m.per_trial_rate[trial]
-                writer.writerow([
-                    _fmt(c.theta), c.method, trial, _fmt(cost), _fmt(rate),
-                    _fmt(cost + c.theta * rate), cfg.seed_base,
-                ])
-    with open(out_dir / "failures.csv", "w", newline="") as fh:
-        fh.write(FAILURES_HEADER + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        for c in cells:
-            if c.status != "ok":
-                writer.writerow([_fmt(c.theta), c.method, c.status])
+    _write_csv(out_dir / "tradeoff.csv", TRADEOFF_HEADER, (
+        [_fmt(c.theta), c.method, _fmt(m.avg_control_cost), _fmt(m.avg_actuation_rate),
+         _fmt(m.total), _fmt(m.stderr_control_cost), _fmt(m.stderr_rate), m.trials, cfg.seed_base]
+        for c in ok_cells for m in [c.metrics]))
+    _write_csv(out_dir / "pertrial.csv", PERTRIAL_HEADER, (
+        [_fmt(c.theta), c.method, trial, _fmt(cost), _fmt(rate), _fmt(cost + c.theta * rate),
+         cfg.seed_base]
+        for c in ok_cells
+        for trial, (cost, rate) in enumerate(zip(c.metrics.per_trial_cost,
+                                                 c.metrics.per_trial_rate))))
+    _write_csv(out_dir / "failures.csv", FAILURES_HEADER,
+               ([_fmt(c.theta), c.method, c.status] for c in cells if c.status != "ok"))
 
     n_failed = len(cells) - len(ok_cells)
     sys.stdout.write(f"sweep: {len(ok_cells)} cells ok, {n_failed} failed -> {out_dir}\n")
@@ -195,18 +180,12 @@ def cmd_plotdata(sweep_csv: str, out_dir: Path) -> int:
         sys.stderr.write("sweep file has malformed rows\n")
         return 2
 
-    with open(out_dir / "fig_tradeoff.csv", "w", newline="") as fh:
-        fh.write(FIG_TRADEOFF_HEADER + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        for r in rows:
-            writer.writerow([r["method"], r["theta"], r["avg_actuation_rate"],
-                             r["avg_control_cost"]])
-    with open(out_dir / "fig_theta.csv", "w", newline="") as fh:
-        fh.write(FIG_THETA_HEADER + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        for r in sorted(rows, key=lambda r: (float(r["theta"]), r["method"])):
-            writer.writerow([r["theta"], r["method"], r["avg_control_cost"],
-                             r["stderr_cost"], r["avg_actuation_rate"], r["stderr_rate"]])
+    _write_csv(out_dir / "fig_tradeoff.csv", FIG_TRADEOFF_HEADER, (
+        [r["method"], r["theta"], r["avg_actuation_rate"], r["avg_control_cost"]] for r in rows))
+    _write_csv(out_dir / "fig_theta.csv", FIG_THETA_HEADER, (
+        [r["theta"], r["method"], r["avg_control_cost"], r["stderr_cost"],
+         r["avg_actuation_rate"], r["stderr_rate"]]
+        for r in sorted(rows, key=lambda r: (float(r["theta"]), r["method"]))))
     sys.stdout.write(f"plot data written to {out_dir}\n")
     return 0
 

@@ -12,23 +12,19 @@ import numpy as np
 
 from .exceptions import AssumptionViolatedError
 from .plant import DiscreteModel, LiftedSystem, build_lifted
-from .riccati import (
-    RiccatiProblem,
-    check_observability,
-    check_pathological_sampling,
-    psd_sqrt,
-    solve_dare,
-)
+from .riccati import (RiccatiProblem, check_observability, check_pathological_sampling,
+                      psd_sqrt, solve_dare)
 
 
 @dataclass(frozen=True)
 class PeriodicPolicy:
-    """Feedback gain, lifted cost matrix and gain quadratic for one period."""
+    """One period's feedback gain, lifted cost matrix and gain quadratic, with its lifted system."""
 
     period: int
     feedback_gain: np.ndarray
     cost_matrix: np.ndarray
     gain_quadratic: np.ndarray
+    lifted: LiftedSystem
 
 
 def design_periodic(dm: DiscreteModel, q_weight, r_weight, p: int) -> PeriodicPolicy:
@@ -46,32 +42,21 @@ def design_periodic(dm: DiscreteModel, q_weight, r_weight, p: int) -> PeriodicPo
     if not check_observability(dm.a, psd_sqrt(q_weight)):
         raise AssumptionViolatedError("(A, Q^{1/2}) must be observable")
     lift = build_lifted(dm, q_weight, r_weight, p)
-    prob = RiccatiProblem(
-        state_matrix=lift.a_lift,
-        input_matrix=lift.b_lift,
-        state_weight=lift.q_lift,
-        cross_weight=lift.s_lift,
-        input_weight=lift.r_lift,
-    )
-    sol = solve_dare(prob)
+    sol = solve_dare(RiccatiProblem(lift.a_lift, lift.b_lift, lift.q_lift, lift.s_lift,
+                                    lift.r_lift))
     pman = sol.cost_matrix
     denom = lift.b_lift.T @ pman @ lift.b_lift + lift.r_lift
     gain_quadratic = sol.gain.T @ denom @ sol.gain
-    return PeriodicPolicy(
-        period=p,
-        feedback_gain=sol.gain,
-        cost_matrix=pman,
-        gain_quadratic=0.5 * (gain_quadratic + gain_quadratic.T),
-    )
+    return PeriodicPolicy(period=p, feedback_gain=sol.gain, cost_matrix=pman,
+                          gain_quadratic=0.5 * (gain_quadratic + gain_quadratic.T), lifted=lift)
 
 
-def periodic_average_cost(pol: PeriodicPolicy, lift: LiftedSystem, err_cov, theta: float) -> float:
+def periodic_average_cost(pol: PeriodicPolicy, err_cov, theta: float) -> float:
     """Long-run average cost of the periodic policy, including theta/p.
 
     ``err_cov`` is the stationary filter covariance.
     """
-    if pol.period != lift.period:
-        raise ValueError("policy and lifted system periods differ")
+    lift = pol.lifted
     err_cov = np.atleast_2d(np.asarray(err_cov, dtype=float))
     p = pol.period
     noise_term = float(np.trace(pol.cost_matrix @ lift.d_lift @ lift.proc_cov_lift @ lift.d_lift.T))
@@ -80,21 +65,18 @@ def periodic_average_cost(pol: PeriodicPolicy, lift: LiftedSystem, err_cov, thet
 
 
 def design_candidates(dm: DiscreteModel, q_weight, r_weight, candidates) -> dict:
-    """``{p: (policy, lifted system)}`` for each candidate period, in ascending p."""
+    """``{p: policy}`` for each candidate period, in ascending p."""
     if not candidates:
         raise ValueError("candidate set must be non-empty")
-    return {p: (design_periodic(dm, q_weight, r_weight, p), build_lifted(dm, q_weight, r_weight, p))
+    return {p: design_periodic(dm, q_weight, r_weight, p)
             for p in sorted(set(int(p) for p in candidates))}
 
 
 def cheapest_period(designs: dict, err_cov, theta: float):
     """Smallest-period argmin of the average cost over :func:`design_candidates`; (p, cost)."""
-    best_p, best_cost = None, None
-    for p in sorted(designs):
-        cost = periodic_average_cost(*designs[p], err_cov, theta)
-        if best_cost is None or cost < best_cost:
-            best_p, best_cost = p, cost
-    return best_p, best_cost
+    costs = {p: periodic_average_cost(designs[p], err_cov, theta) for p in sorted(designs)}
+    best = min(costs, key=costs.get)  # the first of equal minima: the smallest period
+    return best, costs[best]
 
 
 def best_periodic(dm: DiscreteModel, q_weight, r_weight, candidates, err_cov, theta: float):

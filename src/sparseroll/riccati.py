@@ -1,11 +1,12 @@
-"""Discounted discrete-time algebraic Riccati equations and structural checks.
+"""Discrete-time algebraic Riccati equations and structural checks.
 
-The solver handles the cross-weighted, discounted fixed-point equation
+Every design here solves the cross-weighted, undiscounted equation
 
-    P = Q + g A'PA - (g A'PB + S)(g B'PB + R)^{-1} (g B'PA + S'),
+    P = Q + A'PA - (A'PB + S)(B'PB + R)^{-1} (B'PA + S'),
 
-with discount g in (0, 1], state weight Q >= 0, cross weight S and input
-weight R > 0.  The structural predicates (observability and
+with Q >= 0 and R > 0.  ``RiccatiProblem.discount`` (g in (0, 1], scaling
+A'PA, A'PB and B'PB) is always 1.0; it stays while the benchmark's Riccati
+cross-check reads it.  The structural predicates (observability and
 non-pathological sampling) gate every periodic design built on this module.
 
 All functions are pure; returned matrices are freshly allocated.

@@ -245,17 +245,21 @@ def memory_estimate(h: int, n: int, nu: int, trials: int) -> int:
     return tables + build + scores
 
 
-def pattern_scores(tables: RolloutTables, estimate, theta: float) -> np.ndarray:
-    """Scores at actuation weight theta: one estimate (n,) -> (M,), a batch (T, n) -> (T, M)."""
+def pattern_scores(tables: RolloutTables, estimate, theta) -> np.ndarray:
+    """Scores at actuation weight theta: one estimate (n,) -> (M,), a batch (T, n) -> (T, M).
+
+    ``theta`` is one weight or, for a batch, one per row (T,).
+    """
     x = np.asarray(estimate, dtype=float)
     if x.ndim != 2:
         x = x.reshape(-1)
     quad = np.einsum("...i,mij,...j->...m", x, tables.p0, x)
+    theta = np.asarray(theta, dtype=float)[..., None]
     return quad + tables.error_trace + tables.noise_score + theta * tables.trigger_weight
 
 
-def select_pattern(tables: RolloutTables, estimate, theta: float):
-    """Argmin pattern index; exact ties resolve to the smallest index.
+def select_pattern(tables: RolloutTables, estimate, theta):
+    """Argmin pattern index at theta, one weight or one per row; ties go to the smallest index.
 
     Returns an int for one estimate and an int array for a batch (T, n).
     """
@@ -267,14 +271,13 @@ def select_pattern(tables: RolloutTables, estimate, theta: float):
 class RolloutPolicy:
     """Receding-horizon block controller over a batch of rows at actuation weight theta.
 
-    ``theta`` is one weight or one per row group (the rows split in order
-    into equal groups, each scored in its own :func:`select_pattern` call).
-    ``forced_pattern`` pins the selection (diagnostic hook used to compare
-    against the base policy on identical noise).
+    ``theta`` is one weight or one per row.  ``forced_pattern`` pins the
+    selection (diagnostic hook used to compare against the base policy on
+    identical noise).
     """
 
     tables: RolloutTables
-    theta: float | tuple
+    theta: float | np.ndarray
     forced_pattern: int | None = None
     _block: tuple = field(default=(), init=False, repr=False, compare=False)
 
@@ -284,10 +287,7 @@ class RolloutPolicy:
         tau = k % tables.horizon
         if tau == 0:
             if self.forced_pattern is None:
-                thetas = np.atleast_1d(self.theta)
-                picks = np.concatenate([
-                    select_pattern(tables, x, theta)
-                    for x, theta in zip(np.split(x_hat, len(thetas)), thetas)])
+                picks = select_pattern(tables, x_hat, self.theta)
             else:
                 picks = np.full(len(x_hat), self.forced_pattern)
             self._block = (tables.bits[picks - 1], tables.path_gains(picks))

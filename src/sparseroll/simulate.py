@@ -18,7 +18,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .estimator import kalman_init, kalman_step, row_product, steady_kalman
 from .exceptions import NonFiniteError
-from .periodic import PeriodicPolicy, cheapest_period, design_candidates, design_periodic
+from .periodic import cheapest_period, design_candidates, design_periodic
 from .plant import DiscreteModel
 from .rollout import RolloutPolicy, build_tables
 from .sparse_mpc import admm_factor, build_mpc_problem, first_inputs, solve_admm
@@ -120,11 +120,10 @@ class PeriodicController:
 class SparseMpcController:
     """Warm-started receding-horizon sparse MPC at group weight theta.
 
-    ``theta`` is one weight or one per row group (the rows split in order
-    into equal groups).  ``factor`` is :func:`admm_factor` of ``problem``;
-    neither depends on theta, so all rows share them.  The rows are solved in
-    lockstep, each with its own (z, w) warm start, so a row sees the same
-    solves whatever batch it runs in.
+    ``theta`` is one weight or one per row.  ``factor`` is :func:`admm_factor`
+    of ``problem``; neither depends on theta, so all rows share them.  The
+    rows are solved in lockstep, each with its own (z, w) warm start, so a
+    row sees the same solves whatever batch it runs in.
     """
 
     def __init__(self, problem, theta, factor, tol: float, max_iter: int):
@@ -142,14 +141,19 @@ class SparseMpcController:
                 raise ValueError("estimate dimension does not match the model")
             zeros = np.zeros((len(x_hat), prob.quad_matrix.shape[0]))
             self._warm = (zeros, zeros)
-            self._rows_theta = np.repeat(self.theta, len(zeros) // np.size(self.theta))
-        z, w, _ = solve_admm(prob, x_hat, self._rows_theta, self._warm, self.factor,
-                             self.tol, self.max_iter)
+        z, w, _ = solve_admm(prob, x_hat, self.theta, self._warm, self.factor, self.tol,
+                             self.max_iter)
         # receding horizon: start the next solve from these iterates, one block on
         q = prob.group_size
         self._warm = tuple(np.concatenate([v[:, q:], np.zeros((len(v), q))], axis=1)
                            for v in (z, w))
         return first_inputs(z, q)
+
+
+def _stacked_noise(dm: DiscreteModel, seed_base: int, keys, n_steps: int):
+    """Each key's :func:`noise_streams`, stacked: x0 (K, n), w (N, K, n), v (N+1, K, m)."""
+    x0s, w_seqs, v_seqs = zip(*(noise_streams(dm, seed_base, t, n_steps) for t in keys))
+    return np.array(x0s), np.stack(w_seqs, axis=1), np.stack(v_seqs, axis=1)
 
 
 def simulate_trials(cfg: ExperimentConfig, dm: DiscreteModel, controller, trials, steady=None,
@@ -160,22 +164,19 @@ def simulate_trials(cfg: ExperimentConfig, dm: DiscreteModel, controller, trials
     u (rows, q) and delta (rows,), or values that broadcast to them.  The
     filter runs at the gain of ``steady``, the :func:`steady_kalman` triple
     (solved here when not given).  ``trials`` holds each row's trial key;
-    rows of one key share its noise draw, or ``noise[key] = (x0, w_seq,
-    v_seq)``.  The rows selected by ``keep_traces`` (a bool or a mask) record
-    full traces.  A non-finite state raises :class:`NonFiniteError` naming the
-    step and the row's trial key.
+    rows of one key share its noise draw, or ``noise``, the stacked
+    (x0 (K, n), w (N, K, n), v (N+1, K, m)) realization of the K distinct
+    keys in ascending order.  The rows selected by ``keep_traces`` (a bool
+    or a mask) record full traces.  A non-finite state raises
+    :class:`NonFiniteError` naming the step and the row's trial key.
     """
     trials = tuple(int(t) for t in trials)
     n_steps = cfg.horizon_steps
     if isinstance(controller, RolloutPolicy) and n_steps % controller.tables.horizon != 0:
         raise ValueError("horizon_steps must be a multiple of the block length")
     keys, pick = np.unique(trials, return_inverse=True)  # pick: row -> noise column
-    if noise is None:
-        noise = {t: noise_streams(dm, cfg.seed_base, t, n_steps) for t in keys}
-    x0s, w_seqs, v_seqs = zip(*(noise[t] for t in keys))
-    x = np.array(x0s, dtype=float)[pick]
-    w = np.stack(w_seqs, axis=1)                      # (N, keys, n)
-    v = np.stack(v_seqs, axis=1)                      # (N + 1, keys, m)
+    x0, w, v = _stacked_noise(dm, cfg.seed_base, keys, n_steps) if noise is None else noise
+    x = x0[pick]
     y = row_product(x, dm.c) + v[0, pick]
     gain = (steady_kalman(dm) if steady is None else steady)[0]
     x_hat = kalman_init(dm, y, gain)
@@ -222,8 +223,10 @@ def simulate_trial(cfg: ExperimentConfig, dm: DiscreteModel, controller, seed: i
     ``seed`` is the trial key; ``noise`` may inject an explicit
     (x0, w_seq, v_seq) realization instead.
     """
-    return simulate_trials(cfg, dm, controller, [seed], steady=steady,
-                           noise=None if noise is None else {seed: noise}, keep_traces=True)[0]
+    if noise is not None:  # the one realization as a stack of one key
+        noise = tuple(np.expand_dims(np.asarray(a, dtype=float), -2) for a in noise)
+    return simulate_trials(cfg, dm, controller, [seed], steady=steady, noise=noise,
+                           keep_traces=True)[0]
 
 
 def estimate_metrics(traces, theta: float) -> Metrics:
@@ -235,19 +238,59 @@ def estimate_metrics(traces, theta: float) -> Metrics:
                       np.array([t.actuation_rate for t in traces]), theta)
 
 
-def rollout_base(cfg: ExperimentConfig, dm: DiscreteModel, designs=None) -> PeriodicPolicy:
-    """The period-p base policy of rollout, taken from :func:`design_candidates` when it has it."""
-    if isinstance(designs, dict) and cfg.p in designs:
-        return designs[cfg.p][0]
-    return design_periodic(dm, cfg.q_weight, cfg.r_weight, cfg.p)
+@dataclass(frozen=True)
+class Design:
+    """The theta-independent design of a config: the :func:`steady_kalman` triple and ``methods``.
+
+    ``methods`` maps each designed method to its design or to the exception
+    that building it raised: ``periodic`` to ``{p: PeriodicPolicy}``,
+    ``rollout`` to (base policy, :class:`RolloutTables`) and ``sparse_mpc``
+    to (problem, :func:`admm_factor` at the configured penalty).
+    """
+
+    steady: tuple
+    methods: dict
+
+    def __getitem__(self, method: str):
+        """The design of ``method``; raises the exception that building it raised."""
+        entry = self.methods[method]
+        if isinstance(entry, Exception):
+            raise entry
+        return entry
 
 
-def _designed(build):
-    """``build()``, or the exception it raised: that fails every cell that needs the design."""
-    try:
-        return build()
-    except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-        return exc
+def design(cfg: ExperimentConfig, dm: DiscreteModel, methods=None) -> Design:
+    """The filter and the design of each of ``methods`` (by default ``cfg.methods``), made once.
+
+    The rollout base is the periodic candidate of period p when there is one.
+    """
+    steady = steady_kalman(dm)
+    q_w, r_w = cfg.q_weight, cfg.r_weight
+    designs = {}
+
+    def rollout():
+        candidates = designs.get("periodic")
+        base = (candidates[cfg.p] if isinstance(candidates, dict) and cfg.p in candidates
+                else design_periodic(dm, q_w, r_w, cfg.p))
+        return base, build_tables(dm, q_w, r_w, base.cost_matrix, cfg.h, cfg.p, steady[1])
+
+    def sparse_mpc():
+        problem = build_mpc_problem(dm, q_w, r_w, cfg.mpc_horizon)
+        return problem, admm_factor(problem, cfg.mpc_penalty)
+
+    # periodic first, since its candidates may hold the rollout base
+    builders = {"periodic": lambda: design_candidates(dm, q_w, r_w, cfg.candidates),
+                "rollout": rollout, "sparse_mpc": sparse_mpc}
+    for method, build in builders.items():
+        if method in (cfg.methods if methods is None else methods):
+            try:
+                designs[method] = build()
+            except Exception as exc:  # noqa: BLE001 - a failed design fails what needs it
+                designs[method] = exc
+    return Design(steady, designs)
+
+
+_design = design  # the function, under a name that theta_sweep's argument does not hide
 
 
 @dataclass(frozen=True)
@@ -261,50 +304,39 @@ class SweepCell:
     traces: list[SimTrace] | None = field(default=None, repr=False)
 
 
-def theta_sweep(cfg: ExperimentConfig, dm: DiscreteModel, keep_traces=()):
+def theta_sweep(cfg: ExperimentConfig, dm: DiscreteModel, keep_traces=(), design=None):
     """Run every method of ``cfg`` over its theta grid with common random numbers.
 
-    The designs do not depend on theta: the filter, the candidate periodic
-    designs, the rollout tables and the MPC problem with its ADMM factor are
-    made once per call.  Each method then runs once, row g T + t being trial
-    t of theta cell g.  The (theta, method) cells in ``keep_traces`` keep
-    their full traces.  A failure is recorded in the status of the cells it
-    affects and the sweep continues: when a method's closed loop raises, each
-    of its cells runs alone, for its own status.
+    The designs do not depend on theta: ``design`` is the :class:`Design` of
+    (at least) ``cfg``'s methods, made here when not given, and the noise of
+    every trial is drawn once.  Each method then runs once, row g T + t
+    being trial t of theta cell g at that cell's theta.  The (theta, method)
+    cells in ``keep_traces`` keep their full traces.  A failure is recorded
+    in the status of the cells it affects and the sweep continues: when a
+    method's closed loop raises, each of its cells runs alone, for its own
+    status.
     """
-    steady = steady_kalman(dm)
-    _, err_cov, _ = steady
-    q_w, r_w = cfg.q_weight, cfg.r_weight
-    designs = {}
-    if "periodic" in cfg.methods:
-        designs["periodic"] = _designed(lambda: design_candidates(dm, q_w, r_w, cfg.candidates))
-    if "rollout" in cfg.methods:
-        designs["rollout"] = _designed(lambda: build_tables(
-            dm, q_w, r_w, rollout_base(cfg, dm, designs.get("periodic")).cost_matrix,
-            cfg.h, cfg.p, err_cov))
-    if "sparse_mpc" in cfg.methods:
-        def mpc_design():
-            problem = build_mpc_problem(dm, q_w, r_w, cfg.mpc_horizon)
-            return problem, admm_factor(problem, cfg.mpc_penalty)
-
-        designs["sparse_mpc"] = _designed(mpc_design)
-
+    if design is None:
+        design = _design(cfg, dm)
+    steady = design.steady
     grid, n_trials = cfg.theta_grid, cfg.trials
 
     def run(method, batch):
         # one closed loop over the rows of the cells in batch, split back into cells
-        design, thetas = designs[method], tuple(grid[i] for i in batch)
-        if isinstance(design, Exception):
-            raise design
+        thetas = [grid[i] for i in batch]
+        rows_theta = np.repeat(thetas, n_trials)
         if method == "rollout":
-            controller = RolloutPolicy(design, thetas)
+            controller = RolloutPolicy(design[method][1], rows_theta)
         elif method == "sparse_mpc":
-            controller = SparseMpcController(design[0], thetas, design[1], cfg.mpc_tol,
+            problem, factor = design[method]
+            controller = SparseMpcController(problem, rows_theta, factor, cfg.mpc_tol,
                                              cfg.mpc_max_iter)
         else:
-            periods = np.repeat([cheapest_period(design, err_cov, t)[0] for t in thetas], n_trials)
+            candidates = design[method]
+            periods = np.repeat([cheapest_period(candidates, steady[1], t)[0] for t in thetas],
+                                n_trials)
             controller = PeriodicController(
-                np.array([design[p][0].feedback_gain for p in periods]), periods)
+                np.array([candidates[p].feedback_gain for p in periods]), periods)
         keep = np.repeat([(theta, method) in keep_traces for theta in thetas], n_trials)
         traces = simulate_trials(cfg, dm, controller, list(range(n_trials)) * len(batch),
                                  steady=steady, noise=noise, keep_traces=keep)
@@ -313,7 +345,7 @@ def theta_sweep(cfg: ExperimentConfig, dm: DiscreteModel, keep_traces=()):
             cells[i, method] = SweepCell(float(grid[i]), method, estimate_metrics(rows, grid[i]),
                                          traces=rows if keep[g * n_trials] else None)
 
-    noise = {t: noise_streams(dm, cfg.seed_base, t, cfg.horizon_steps) for t in range(n_trials)}
+    noise = _stacked_noise(dm, cfg.seed_base, range(n_trials), cfg.horizon_steps)
     cells = {}
     for method in cfg.methods:
         batches = [list(range(len(grid)))]            # theta cells that run as one batch

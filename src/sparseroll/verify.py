@@ -16,20 +16,22 @@ from .config import ExperimentConfig
 from .estimator import row_product, steady_kalman
 from .oracle import oracle_select
 from .exceptions import ConfigError
-from .periodic import design_candidates, design_periodic, periodic_average_cost
+from .periodic import periodic_average_cost
 from .plant import DiscreteModel, build_benchmark_model
 from .riccati import RiccatiProblem, solve_dare
 from .rollout import RolloutTables, build_tables, pattern_scores, select_pattern
 from .simulate import (
+    Design,
     Metrics,
     PeriodicController,
     check_mean_square_stability,
     check_performance_bound,
+    design,
     estimate_metrics,
     simulate_trials,
     theta_sweep,
 )
-from .sparse_mpc import admm_factor, build_mpc_problem, kkt_residuals, solve_admm
+from .sparse_mpc import kkt_residuals, solve_admm
 
 GOLDEN_PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -42,11 +44,7 @@ class CheckResult:
 
 
 def _scalar_dare_check() -> CheckResult:
-    prob = RiccatiProblem(
-        state_matrix=[[1.0]], input_matrix=[[1.0]], state_weight=[[1.0]],
-        cross_weight=[[0.0]], input_weight=[[1.0]], discount=1.0,
-    )
-    sol = solve_dare(prob)
+    sol = solve_dare(RiccatiProblem([[1.0]], [[1.0]], [[1.0]], [[0.0]], [[1.0]]))
     err = abs(sol.cost_matrix[0, 0] - GOLDEN_PHI)
     gain_err = abs(sol.gain[0, 0] + GOLDEN_PHI / (GOLDEN_PHI + 1.0))
     ok = err < 1e-10 and gain_err < 1e-10
@@ -54,10 +52,8 @@ def _scalar_dare_check() -> CheckResult:
 
 
 def _scalar_kalman_check() -> CheckResult:
-    dm = DiscreteModel(
-        a=[[1.0]], b=[[1.0]], c=[[1.0]], proc_cov=[[1.0]], meas_cov=[[1.0]],
-        init_mean=[0.0], init_cov=[[1.0]],
-    )
+    dm = DiscreteModel(a=[[1.0]], b=[[1.0]], c=[[1.0]], proc_cov=[[1.0]], meas_cov=[[1.0]],
+                       init_mean=[0.0], init_cov=[[1.0]])
     gain, err_cov, prior = steady_kalman(dm)
     e1 = abs(prior[0, 0] - GOLDEN_PHI)
     e2 = abs(gain[0, 0] - GOLDEN_PHI / (GOLDEN_PHI + 1.0))
@@ -66,11 +62,10 @@ def _scalar_kalman_check() -> CheckResult:
     return CheckResult("scalar_kalman", ok, f"max scalar error = {max(e1, e2, e3):.3e}")
 
 
-def _discretization_check(cfg: ExperimentConfig) -> CheckResult:
+def _discretization_check(cfg: ExperimentConfig, dm: DiscreteModel) -> CheckResult:
     if cfg.model_source != "builtin-benchmark":
         return CheckResult("discretization_quadrature", True, "skipped (file-based model)")
     cm = build_benchmark_model()
-    dm = cfg.build_model()
     w = cm.d_cont @ cm.d_cont.T
 
     def integrand(tau):
@@ -88,24 +83,21 @@ def base_cost_residual(tables: RolloutTables, base_cost) -> float:
                  / np.linalg.norm(base_cost, "fro"))
 
 
-def _base_cost_identity_check(cfg: ExperimentConfig, corrupt_terminal: bool) -> CheckResult:
-    dm = cfg.build_model()
-    _, err_cov, _ = steady_kalman(dm)
-    pol = design_periodic(dm, cfg.q_weight, cfg.r_weight, cfg.p)
-    terminal = pol.cost_matrix
-    if corrupt_terminal:
-        terminal = terminal * 1.10  # deliberate corruption hook for negative tests
-    tables = build_tables(dm, cfg.q_weight, cfg.r_weight, terminal, cfg.h, cfg.p, err_cov)
+def _base_cost_identity_check(cfg: ExperimentConfig, dm: DiscreteModel, designed: Design,
+                              corrupt_terminal: bool) -> CheckResult:
+    pol, tables = designed["rollout"]
+    if corrupt_terminal:  # deliberate corruption hook for negative tests
+        tables = build_tables(dm, cfg.q_weight, cfg.r_weight, pol.cost_matrix * 1.10, cfg.h,
+                              cfg.p, designed.steady[1])
     resid = base_cost_residual(tables, pol.cost_matrix)
     return CheckResult("base_cost_identity", resid < 1e-8, f"relative residual = {resid:.3e}")
 
 
-def _oracle_agreement_check(cfg: ExperimentConfig, n_draws: int = 100) -> CheckResult:
-    dm = cfg.build_model()
-    _, err_cov, _ = steady_kalman(dm)
+def _oracle_agreement_check(cfg: ExperimentConfig, dm: DiscreteModel, designed: Design,
+                            n_draws: int = 100) -> CheckResult:
+    err_cov = designed.steady[1]
     theta = cfg.theta_grid[len(cfg.theta_grid) // 2]
-    pol = design_periodic(dm, cfg.q_weight, cfg.r_weight, cfg.p)
-    tables = build_tables(dm, cfg.q_weight, cfg.r_weight, pol.cost_matrix, cfg.h, cfg.p, err_cov)
+    pol, tables = designed["rollout"]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed_base)))
     worst = 0.0
     for _ in range(n_draws):
@@ -163,39 +155,36 @@ def _stability_check(cfg: ExperimentConfig, cells, probe) -> CheckResult:
     return CheckResult("mean_square_stability", True, f"bounded at thetas {probe}")
 
 
-def _periodic_formula_check(cfg: ExperimentConfig) -> CheckResult:
-    # Stationary start isolates the long-run average from the initial transient.
-    dm = cfg.build_model()
+def _periodic_formula_check(cfg: ExperimentConfig, dm: DiscreteModel,
+                            designed: Design) -> CheckResult:
+    # Stationary start isolates the long-run average from the initial transient; the
+    # filter and the designs do not depend on the initial mean.
     dm = dm.with_init(np.zeros(dm.n_states), dm.init_cov)
-    steady = steady_kalman(dm)
-    _, err_cov, _ = steady
-    designs = design_candidates(dm, cfg.q_weight, cfg.r_weight, cfg.candidates)
+    steady = designed.steady
+    designs = designed["periodic"]
     n = cfg.trials  # one batch: row g n + t is trial t of the g-th candidate period
-    gains = np.repeat([pol.feedback_gain for pol, _ in designs.values()], n, axis=0)
+    gains = np.repeat([pol.feedback_gain for pol in designs.values()], n, axis=0)
     traces = simulate_trials(cfg, dm, PeriodicController(gains, np.repeat(list(designs), n)),
                              list(range(n)) * len(designs), steady=steady)
     details = []
-    for g, (p, (pol, lift)) in enumerate(designs.items()):
-        formula = periodic_average_cost(pol, lift, err_cov, theta=0.0)
+    for g, (p, pol) in enumerate(designs.items()):
+        formula = periodic_average_cost(pol, steady[1], theta=0.0)
         metrics = estimate_metrics(traces[g * n:(g + 1) * n], theta=0.0)
         gap = abs(metrics.avg_control_cost - formula)
         limit = 3.0 * max(metrics.stderr_control_cost, 1e-12)
         rate_err = abs(metrics.avg_actuation_rate - 1.0 / p)
         if gap > limit or rate_err > 1.0 / cfg.horizon_steps:
-            return CheckResult(
-                "periodic_formula_vs_sim", False,
-                f"p={p}: gap {gap:.4e} vs 3se {limit:.4e}, rate err {rate_err:.2e}",
-            )
+            return CheckResult("periodic_formula_vs_sim", False,
+                               f"p={p}: gap {gap:.4e} vs 3se {limit:.4e}, rate err {rate_err:.2e}")
         details.append(f"p={p}: {gap / max(metrics.stderr_control_cost, 1e-12):.2f}se")
     return CheckResult("periodic_formula_vs_sim", True, "; ".join(details))
 
 
-def _mpc_kkt_check(cfg: ExperimentConfig, thetas) -> CheckResult:
+def _mpc_kkt_check(cfg: ExperimentConfig, dm: DiscreteModel, designed: Design,
+                   thetas) -> CheckResult:
     """KKT residual at 20 fresh states per theta, then the theta=0 solve against the linear one."""
-    dm = cfg.build_model()
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed_base + 1)))
-    prob = build_mpc_problem(dm, cfg.q_weight, cfg.r_weight, cfg.mpc_horizon)
-    factor = admm_factor(prob, 1.0)
+    prob, factor = designed["sparse_mpc"]  # the sweep's solver, at the configured penalty
     theta = np.repeat(thetas, 20)  # one batch, each row with its own theta
     xs = np.array([rng.standard_normal(dm.n_states) * rng.uniform(0.1, 3.0) for _ in theta])
     cold = np.zeros((len(xs), prob.quad_matrix.shape[0]))
@@ -209,7 +198,8 @@ def _mpc_kkt_check(cfg: ExperimentConfig, thetas) -> CheckResult:
                        f"worst KKT residual = {worst:.3e}, theta=0 gap = {lin_gap:.3e}")
 
 
-def _ordering_check(cfg: ExperimentConfig, cells) -> CheckResult:
+def _ordering_check(cfg: ExperimentConfig, dm: DiscreteModel, designed: Design,
+                    cells) -> CheckResult:
     """Sparse MPC at the middle theta against the first trials of the sweep's rollout cell."""
     if "sparse_mpc" not in cfg.methods:
         return CheckResult("tradeoff_ordering", True, "skipped (sparse_mpc disabled)")
@@ -218,7 +208,7 @@ def _ordering_check(cfg: ExperimentConfig, cells) -> CheckResult:
     theta = cfg.theta_grid[len(cfg.theta_grid) // 2]
     trials = min(cfg.trials, 15)
     (mpc,) = theta_sweep(replace(cfg, trials=trials, theta_grid=(theta,),
-                                 methods=("sparse_mpc",)), cfg.build_model())
+                                 methods=("sparse_mpc",)), dm, design=designed)
     ro = next(c for c in cells if c.theta == theta and c.method == "rollout")
     if ro.status != "ok" or mpc.status != "ok":
         return CheckResult("tradeoff_ordering", False, "cell failure")
@@ -237,23 +227,36 @@ def _ordering_check(cfg: ExperimentConfig, cells) -> CheckResult:
 
 
 def run_verification(cfg: ExperimentConfig, corrupt_terminal: bool = False) -> list[CheckResult]:
-    """Run the full verification suite; returns one result per check."""
+    """Run the full verification suite on one model and one :class:`Design`; one result per check.
+
+    A method whose design failed fails the checks that need it, naming the exception.
+    """
     grid = sorted(cfg.theta_grid)
     probe = sorted({grid[0], grid[len(grid) // 2], grid[-1]})
+    dm = cfg.build_model()
+    designed = design(cfg, dm, ("rollout", "periodic", "sparse_mpc"))
     try:  # one sweep serves the bound, the stability test at the probe and the ordering
-        cells = theta_sweep(replace(cfg, methods=("rollout", "periodic")), cfg.build_model(),
-                            keep_traces=[(theta, "rollout") for theta in probe])
+        cells = theta_sweep(replace(cfg, methods=("rollout", "periodic")), dm,
+                            keep_traces=[(theta, "rollout") for theta in probe], design=designed)
     except ConfigError as exc:
         cells = exc
+
+    def needs(method, name, check, *args):
+        entry = designed.methods[method]
+        if isinstance(entry, Exception):
+            return CheckResult(name, False, f"{type(entry).__name__}: {entry}")
+        return check(cfg, dm, designed, *args)
+
     return [
         _scalar_dare_check(),
         _scalar_kalman_check(),
-        _discretization_check(cfg),
-        _base_cost_identity_check(cfg, corrupt_terminal),
-        _oracle_agreement_check(cfg),
+        _discretization_check(cfg, dm),
+        needs("rollout", "base_cost_identity", _base_cost_identity_check, corrupt_terminal),
+        needs("rollout", "oracle_agreement", _oracle_agreement_check),
         _performance_bound_check(cfg, cells),
         _stability_check(cfg, cells, probe),
-        _periodic_formula_check(cfg),
-        _mpc_kkt_check(cfg, [cfg.theta_grid[len(cfg.theta_grid) // 2]]),
-        _ordering_check(cfg, cells),
+        needs("periodic", "periodic_formula_vs_sim", _periodic_formula_check),
+        needs("sparse_mpc", "mpc_optimality", _mpc_kkt_check,
+              [cfg.theta_grid[len(cfg.theta_grid) // 2]]),
+        _ordering_check(cfg, dm, designed, cells),
     ]

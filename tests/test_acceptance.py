@@ -38,9 +38,15 @@ def _report(name, detail):
     print(f"PASS {name}: {detail}")
 
 
+def _check(check, cfg, method, *args):
+    """A verify check on the config's model and its design of ``method``, as verify runs it."""
+    dm = cfg.build_model()
+    return check(cfg, dm, sr.design(cfg, dm, (method,)), *args)
+
+
 def test_criterion_1_base_cost_identity():
     start = time.perf_counter()
-    check = verify._base_cost_identity_check(BENCH, corrupt_terminal=False)
+    check = _check(verify._base_cost_identity_check, BENCH, "rollout", False)
     elapsed = time.perf_counter() - start
     assert check.passed, check.detail
     assert elapsed < 1.0
@@ -52,7 +58,7 @@ def test_criterion_2_oracle_equivalence():
     start = time.perf_counter()
     bench = replace(BENCH, theta_grid=(0.2,))
     configs = (replace(load_config(SCALAR_CONFIG), theta_grid=(0.2,)), bench, replace(bench, p=3))
-    checks = [verify._oracle_agreement_check(cfg) for cfg in configs]
+    checks = [_check(verify._oracle_agreement_check, cfg, "rollout") for cfg in configs]
     elapsed = time.perf_counter() - start
     for check in checks:
         assert check.passed, check.detail
@@ -93,8 +99,8 @@ def test_criterion_3_performance_bound(benchmark_sweep):
 
 def test_criterion_4_periodic_formula_vs_simulation():
     # stationary start; each candidate period within 3 SE of its formula, rate within 1/N
-    check = verify._periodic_formula_check(
-        replace(BENCH, trials=50, horizon_steps=600, seed_base=77))
+    check = _check(verify._periodic_formula_check,
+                   replace(BENCH, trials=50, horizon_steps=600, seed_base=77), "periodic")
     assert check.passed, check.detail
     _report("criterion 4 (periodic formula vs simulation)", check.detail)
 
@@ -142,14 +148,15 @@ def test_criterion_6_decision_monotonicity(bench):
 
 
 def test_criterion_7_discretization_oracle():
-    check = verify._discretization_check(sr.ExperimentConfig())
+    cfg = sr.ExperimentConfig()
+    check = verify._discretization_check(cfg, cfg.build_model())
     assert check.passed, check.detail
     _report("criterion 7 (discretization oracle)", check.detail)
 
 
 def test_criterion_8_sparse_mpc_optimality():
     # 20 fresh states at each theta, then the theta=0 solves against the linear solution
-    check = verify._mpc_kkt_check(BENCH, (0.05, 0.2, 0.4))
+    check = _check(verify._mpc_kkt_check, BENCH, "sparse_mpc", (0.05, 0.2, 0.4))
     assert check.passed, check.detail
     _report("criterion 8 (sparse-MPC optimality)", f"theta in (0.05, 0.2, 0.4): {check.detail}")
 

@@ -1,4 +1,6 @@
 import json
+import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,9 +9,9 @@ import yaml
 
 import sparseroll as sr
 import sparseroll.cli as cli
-from sparseroll import verify
+from sparseroll import simulate, verify
 from sparseroll.config import ExperimentConfig, load_config, parse_config
-from sparseroll.exceptions import ConfigError
+from sparseroll.exceptions import AssumptionViolatedError, ConfigError
 
 REPO = Path(__file__).resolve().parents[1]
 BENCHMARK_CONFIG = REPO / "configs" / "benchmark.yaml"
@@ -194,8 +196,8 @@ def test_verify_one_sweep_serves_bound_and_stability(monkeypatch):
     # kept at the probe; the ordering check adds only the sparse-MPC cell at the middle theta
     calls = []
     sweep = verify.theta_sweep
-    monkeypatch.setattr(verify, "theta_sweep", lambda cfg, dm, keep_traces=(): calls.append(
-        (cfg.methods, list(keep_traces))) or sweep(cfg, dm, keep_traces))
+    monkeypatch.setattr(verify, "theta_sweep", lambda cfg, dm, keep_traces=(), **kw: calls.append(
+        (cfg.methods, list(keep_traces))) or sweep(cfg, dm, keep_traces, **kw))
     cfg = parse_config(small_config_dict(theta={"grid": [0.1, 0.2, 0.3, 0.4]},
                                          methods=["rollout", "periodic", "sparse_mpc"]))
     results = {c.name: c for c in verify.run_verification(cfg)}
@@ -217,6 +219,71 @@ def test_verify_one_sweep_serves_bound_and_stability(monkeypatch):
         f"theta=0.3: mpc cost {mpc.avg_control_cost:.4f} vs rollout {ro.avg_control_cost:.4f}; "
         f"mpc rate {mpc.avg_actuation_rate:.3f} vs rollout {ro.avg_actuation_rate:.3f} "
         f"({ro.trials} trials)")
+
+
+def count_design_calls(monkeypatch):
+    """Count model builds and the designs' building blocks; build_lifted by period."""
+    counts = Counter()
+
+    def counted(key, original):
+        def wrapper(*args, **kwargs):
+            counts[key(args)] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ExperimentConfig, "build_model",
+                        counted(lambda a: "build_model", ExperimentConfig.build_model))
+    modules = [m for name, m in sys.modules.items() if name.startswith("sparseroll")]
+    for name, key in (("build_lifted", lambda a: ("build_lifted", a[3])),
+                      ("build_tables", lambda a: "build_tables"),
+                      ("build_mpc_problem", lambda a: "build_mpc_problem")):
+        original = getattr(sr, name)
+        wrapper = counted(key, original)
+        for module in modules:
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+def test_each_command_designs_once(tmp_path, monkeypatch, capsys):
+    # counted from the loaded config on: loading builds one model of its own to validate it
+    bench = replace(load_config(BENCHMARK_CONFIG), trials=2)
+    scalar = replace(load_config(SCALAR_CONFIG), trials=4)
+    path = write_config(tmp_path, small_config_dict(periodic={"candidates": [1, 2]}))
+    small = load_config(path)
+    counts = count_design_calls(monkeypatch)
+    # verify makes one model and one design of all three methods, shared by every check
+    cli.cmd_verify(bench, tmp_path)
+    assert counts == {"build_model": 1, "build_tables": 1, "build_mpc_problem": 1,
+                      **{("build_lifted", p): 1 for p in (1, 2, 3, 6)}}
+    # the rollout base of period p = 1 is the candidate design; the negative control builds
+    # its own tables
+    counts.clear()
+    cli.cmd_verify(scalar, tmp_path, corrupt_terminal=True)
+    assert counts == {"build_model": 1, "build_tables": 2, "build_mpc_problem": 1,
+                      **{("build_lifted", p): 1 for p in (1, 2, 3)}}
+    # a rollout base off the candidates is designed once on its own
+    for command in (cli.cmd_design, cli.cmd_sweep):
+        counts.clear()
+        assert command(small, tmp_path) == 0
+        assert counts == {"build_model": 1, "build_tables": 1,
+                          **{("build_lifted", p): 1 for p in (1, 2, 6)}}, command
+
+
+def test_verify_design_failure_fails_only_the_checks_that_need_it(monkeypatch):
+    # a periodic design that raises fails the periodic checks, naming the exception; the
+    # rollout and MPC checks run on their own designs
+    def pathological(*args):
+        raise AssumptionViolatedError("pathological sampling")
+
+    monkeypatch.setattr(simulate, "design_candidates", pathological)
+    cfg = parse_config(small_config_dict(methods=["rollout", "periodic", "sparse_mpc"]))
+    results = {c.name: c for c in verify.run_verification(cfg)}
+    assert results["periodic_formula_vs_sim"] == verify.CheckResult(
+        "periodic_formula_vs_sim", False, "AssumptionViolatedError: pathological sampling")
+    assert results["performance_bound"].detail == "cell failure at theta=0.1"
+    failed = {name for name, c in results.items() if not c.passed}
+    assert failed == {"periodic_formula_vs_sim", "performance_bound"}
 
 
 def test_cmd_design_report(tmp_path, capsys):
@@ -249,8 +316,7 @@ def test_cmd_design_periodic_table(tmp_path, capsys):
         assert float(first) == theta and len(entries) == len(candidates)
         for p, entry in zip(candidates, entries):
             pol = sr.design_periodic(dm, cfg.q_weight, cfg.r_weight, p)
-            lift = sr.build_lifted(dm, cfg.q_weight, cfg.r_weight, p)
-            assert entry.rstrip("*") == f"{sr.periodic_average_cost(pol, lift, err_cov, theta):.6f}"
+            assert entry.rstrip("*") == f"{sr.periodic_average_cost(pol, err_cov, theta):.6f}"
         best, _ = sr.best_periodic(dm, cfg.q_weight, cfg.r_weight, candidates, err_cov, theta)
         assert [p for p, entry in zip(candidates, entries) if entry.endswith("*")] == [best]
         starred.append(best)

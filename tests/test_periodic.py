@@ -54,10 +54,19 @@ def test_gain_first_order_optimality(benchmark_model):
         assert np.abs(stationarity).max() < 1e-9
 
 
+def test_policy_carries_its_lifted_system(benchmark_model):
+    # the lifted system the gain was designed on, the one its average cost reads
+    for p in (1, 3):
+        pol = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, p)
+        lift = sr.build_lifted(benchmark_model, BENCH.q_weight, BENCH.r_weight, p)
+        assert pol.lifted.period == p and pol.lifted.d_avg == lift.d_avg
+        for name in ("a_lift", "b_lift", "d_lift", "proc_cov_lift", "q_lift", "s_lift", "r_lift"):
+            assert np.array_equal(getattr(pol.lifted, name), getattr(lift, name)), name
+
+
 def test_average_cost_degenerate_terms(scalar_model):
     pol = sr.design_periodic(scalar_model, [[1.0]], [[1.0]], 1)
-    lift = sr.build_lifted(scalar_model, [[1.0]], [[1.0]], 1)
-    cost = sr.periodic_average_cost(pol, lift, err_cov=[[0.0]], theta=0.0)
+    cost = sr.periodic_average_cost(pol, err_cov=[[0.0]], theta=0.0)
     expected = np.trace(pol.cost_matrix @ scalar_model.proc_cov)
     assert abs(cost - expected) < 1e-12
 
@@ -66,17 +75,15 @@ def test_average_cost_theta_slope(benchmark_model, benchmark_steady):
     _, err_cov, _ = benchmark_steady
     for p in (1, 4):
         pol = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, p)
-        lift = sr.build_lifted(benchmark_model, BENCH.q_weight, BENCH.r_weight, p)
-        c1 = sr.periodic_average_cost(pol, lift, err_cov, theta=0.0)
-        c2 = sr.periodic_average_cost(pol, lift, err_cov, theta=0.4)
+        c1 = sr.periodic_average_cost(pol, err_cov, theta=0.0)
+        c2 = sr.periodic_average_cost(pol, err_cov, theta=0.4)
         assert abs((c2 - c1) - 0.4 / p) < 1e-14
 
 
 def test_p1_average_cost_is_classic_lqg(benchmark_model, benchmark_steady):
     _, err_cov, _ = benchmark_steady
     pol = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, 1)
-    lift = sr.build_lifted(benchmark_model, BENCH.q_weight, BENCH.r_weight, 1)
-    cost = sr.periodic_average_cost(pol, lift, err_cov, theta=0.0)
+    cost = sr.periodic_average_cost(pol, err_cov, theta=0.0)
     classic = (np.trace(pol.cost_matrix @ benchmark_model.proc_cov)
                + np.trace(pol.gain_quadratic @ err_cov))
     assert abs(cost - classic) < 1e-12
@@ -88,8 +95,7 @@ def test_average_cost_monte_carlo_cross_check(stationary_benchmark, benchmark_st
     gain, err_cov, _ = benchmark_steady
     p, theta = 2, 0.2
     pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, p)
-    lift = sr.build_lifted(dm, BENCH.q_weight, BENCH.r_weight, p)
-    formula = sr.periodic_average_cost(pol, lift, err_cov, theta)
+    formula = sr.periodic_average_cost(pol, err_cov, theta)
 
     n_steps = 1_000_000
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(99)))
@@ -133,8 +139,7 @@ def test_best_periodic_prefers_dense_when_control_free(rng):
     costs = {}
     for p in (1, 2):
         pol = sr.design_periodic(dm, [[1.0]], [[1e-6]], p)
-        lift = sr.build_lifted(dm, [[1.0]], [[1e-6]], p)
-        costs[p] = sr.periodic_average_cost(pol, lift, err_cov, 0.0)
+        costs[p] = sr.periodic_average_cost(pol, err_cov, 0.0)
     assert costs[1] < costs[2]
     assert abs(cost - costs[1]) < 1e-12
 

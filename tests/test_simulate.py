@@ -281,10 +281,12 @@ def test_theta_sweep_designs_once_per_call(benchmark_model, monkeypatch):
         assert sorted(periods) == [1, 2, 3, 6] and tables == [6]
         # one condensed problem and one Cholesky factor of H + rho I per sweep
         assert mpc_problems == [30] and factors == [1.0]
-    # one closed loop per method, its controller holding every theta of the grid
+    # one closed loop per method, its controller holding the theta of each row
     rollout, mpc, periodic = controllers
-    assert isinstance(rollout, sr.RolloutPolicy) and rollout.theta == grid
-    assert isinstance(mpc, SparseMpcController) and mpc.theta == grid
+    assert isinstance(rollout, sr.RolloutPolicy)
+    assert np.array_equal(rollout.theta, np.repeat(grid, cfg.trials))
+    assert isinstance(mpc, SparseMpcController)
+    assert np.array_equal(mpc.theta, np.repeat(grid, cfg.trials))
     assert isinstance(periodic, PeriodicController) and periodic.gain.shape == (2, 1, 4)
     for cell in cells:
         if cell.method == "periodic":
@@ -318,8 +320,7 @@ def test_theta_sweep_stacked_cells_match_cells_alone(benchmark_model, monkeypatc
     def overflowing_p3(*args):
         # the p = 3 gain scaled by 1e300 drives the state to inf at its second actuation
         designs = candidates(*args)
-        pol, lift = designs[3]
-        designs[3] = (replace(pol, feedback_gain=pol.feedback_gain * 1e300), lift)
+        designs[3] = replace(designs[3], feedback_gain=designs[3].feedback_gain * 1e300)
         return designs
 
     monkeypatch.setattr(simulate, "design_candidates", overflowing_p3)
@@ -345,15 +346,19 @@ def test_theta_sweep_stacked_cells_match_cells_alone(benchmark_model, monkeypatc
                         r"batch \(primal .*, dual .*\)", failed[0.1, "sparse_mpc"])
 
 
-def test_theta_sweep_scores_one_cell_per_call(benchmark_model, monkeypatch):
-    # the rollout rows of all thetas run as one batch, but are scored theta by theta
-    rows, scores = [], sr.rollout.pattern_scores
-    monkeypatch.setattr(sr.rollout, "pattern_scores",
-                        lambda tables, x, *a: rows.append(len(x)) or scores(tables, x, *a))
+def test_theta_sweep_scores_every_cell_in_one_call(benchmark_model, monkeypatch):
+    # the rollout rows of all thetas run as one batch and are scored in one call per block,
+    # each row at its own theta
+    calls, scores = [], sr.rollout.pattern_scores
+    monkeypatch.setattr(sr.rollout, "pattern_scores", lambda tables, x, theta: calls.append(
+        (len(x), np.array(theta))) or scores(tables, x, theta))
     cfg = bench_cfg(trials=5, horizon_steps=60, theta_grid=(0.02, 0.2, 0.4),
                     methods=("rollout",))
     assert all(c.status == "ok" for c in sr.theta_sweep(cfg, benchmark_model))
-    assert rows == [cfg.trials] * (len(cfg.theta_grid) * cfg.horizon_steps // cfg.h)
+    assert len(calls) == cfg.horizon_steps // cfg.h
+    for rows, theta in calls:
+        assert rows == len(cfg.theta_grid) * cfg.trials
+        assert np.array_equal(theta, np.repeat(cfg.theta_grid, cfg.trials))
 
 
 def test_theta_sweep_batch_composition_invariance(benchmark_model):

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import sparseroll as sr
-from sparseroll import verify
+from sparseroll import simulate, verify
 from sparseroll.exceptions import NonConvergenceError
 from sparseroll.simulate import SparseMpcController
 from sparseroll.sparse_mpc import ZERO_TOL, admm_factor, kkt_residuals, solve_admm
@@ -294,13 +296,18 @@ def test_closed_loop_actuation_rate_interior(benchmark_model, bench_problem):
 
 
 def test_kkt_check_builds_one_problem_and_factor(monkeypatch):
-    # theta is a solve argument: one condensed problem and one factor serve every theta
-    problems, factors = [], []
-    build, factorise = verify.build_mpc_problem, verify.admm_factor
-    monkeypatch.setattr(verify, "build_mpc_problem",
+    # theta is a solve argument: the design's one problem and one factor, at the configured
+    # penalty, serve every theta of the check
+    problems, factors, solves = [], [], []
+    build, factorise, solve = simulate.build_mpc_problem, simulate.admm_factor, verify.solve_admm
+    monkeypatch.setattr(simulate, "build_mpc_problem",
                         lambda *a, **kw: problems.append(a[3]) or build(*a, **kw))
-    monkeypatch.setattr(verify, "admm_factor",
+    monkeypatch.setattr(simulate, "admm_factor",
                         lambda *a, **kw: factors.append(a[1]) or factorise(*a, **kw))
-    check = verify._mpc_kkt_check(BENCH, (0.05, 0.2, 0.4))
+    monkeypatch.setattr(verify, "solve_admm",
+                        lambda *a, **kw: solves.append(a[4][1]) or solve(*a, **kw))
+    cfg = replace(BENCH, mpc_penalty=2.0)
+    dm = cfg.build_model()
+    check = verify._mpc_kkt_check(cfg, dm, sr.design(cfg, dm, ("sparse_mpc",)), (0.05, 0.2, 0.4))
     assert check.passed, check.detail
-    assert problems == [BENCH.mpc_horizon] and factors == [1.0]
+    assert problems == [BENCH.mpc_horizon] and factors == [2.0] and solves == [2.0, 2.0]
