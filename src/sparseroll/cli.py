@@ -68,8 +68,8 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def cmd_design(cfg: ExperimentConfig, out_dir: Path) -> int:
-    dm = cfg.build_model()
-    designed = design(cfg, dm, ("rollout", "periodic"))
+    designed = design(cfg, methods=("rollout", "periodic"))
+    dm = designed.model
     gain, err_cov, prior_cov = designed.steady
 
     lines = ["# Design report", ""]
@@ -124,7 +124,7 @@ def _cost_matrices_digest(tables: RolloutTables) -> str:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
-    cells = theta_sweep(cfg, cfg.build_model())
+    cells = theta_sweep(cfg)
 
     ok_cells = [c for c in cells if c.status == "ok"]
     _write_csv(out_dir / "tradeoff.csv", TRADEOFF_HEADER, (

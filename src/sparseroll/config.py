@@ -4,10 +4,10 @@ An :class:`ExperimentConfig` pins every knob of an experiment (model source,
 cost, theta grid, per-method parameters, trial counts, seeds), and its
 defaults are the benchmark study.  It validates itself on construction, so
 ``dataclasses.replace`` and the CLI overrides are checked like a loaded
-file.  :func:`parse_config` rejects keys outside the schema, reads the YAML
-sections over the defaults and adds the checks that need the built model
-(dimensions and non-pathological sampling), so runs fail before any compute
-happens.
+file, and :meth:`ExperimentConfig.build_model` adds the checks that need the
+model (dimensions and non-pathological sampling), so runs fail before any
+design work.  :func:`parse_config` rejects keys outside the schema and reads
+the YAML sections over the defaults.
 """
 
 import math
@@ -119,15 +119,15 @@ _CONVERT = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """One experiment (see configs/benchmark.yaml); the defaults are the benchmark study.
 
     The builtin model starts from the mean [1, -1, 0, 0] unless ``init_mean``
     is given, with the predictive filter fixed point as its covariance, so
     the Kalman filter is stationary from the first step.  The model-free
-    checks run on construction and raise :class:`ConfigError`.  Equality and
-    the hash follow :meth:`canonical_dict`.
+    checks run on construction and the model checks in :meth:`build_model`;
+    both raise :class:`ConfigError`.
     """
 
     model_source: str = "builtin-benchmark"
@@ -154,7 +154,7 @@ class ExperimentConfig:
     horizon_steps: int = 600
     seed_base: int = 20240601
     output_dir: str = "results"
-    source_path: str | None = field(default=None, compare=False)
+    source_path: str | None = None
 
     def __post_init__(self):
         for name, convert in _CONVERT.items():
@@ -200,23 +200,34 @@ class ExperimentConfig:
         if min_eigenvalue(self.r_weight) <= 0.0:
             raise ConfigError("cost.r must be positive definite")
 
-        need = memory_estimate(self.h, len(self.q_weight), len(self.r_weight), self.trials)
+        rows = self.trials * len(self.theta_grid)  # one block scores every (theta, trial) row
+        need = memory_estimate(self.h, len(self.q_weight), len(self.r_weight), rows)
         if need > LOOKAHEAD_MEMORY_BUDGET:
             raise ConfigError(
                 f"rollout.h={self.h} needs about {need / 2**20:.0f} MB for the lookahead tables "
-                f"and the scores of {self.trials} trials, above the "
+                f"and the scores of {rows} rows, above the "
                 f"{LOOKAHEAD_MEMORY_BUDGET / 2**20:.0f} MB budget"
             )
 
-    def __eq__(self, other):
-        if not isinstance(other, ExperimentConfig):
-            return NotImplemented
-        return self.canonical_dict() == other.canonical_dict()
-
-    def __hash__(self):
-        return hash(_frozen(self.canonical_dict()))
-
     def build_model(self) -> DiscreteModel:
+        """The config's model, checked against the config: dimensions and lifting periods."""
+        try:
+            dm = self._model()
+        except ConfigError:
+            raise
+        except Exception as exc:
+            raise ConfigError(f"model construction failed: {exc}") from exc
+        n = dm.n_states
+        if self.q_weight.shape != (n, n):
+            raise ConfigError(f"cost.q must be {n}x{n} for this model")
+        if self.r_weight.shape != (dm.n_inputs, dm.n_inputs):
+            raise ConfigError(f"cost.r must be {dm.n_inputs}x{dm.n_inputs} for this model")
+        for p in set(self.candidates) | {self.p}:
+            if not check_pathological_sampling(dm.a, p):
+                raise ConfigError(f"pathological sampling at period p={p}")
+        return dm
+
+    def _model(self) -> DiscreteModel:
         if self.model_source == "builtin-benchmark":
             dm = discretize(build_benchmark_model(), self.sample_period)
             _, _, prior_cov = steady_kalman(dm)
@@ -258,15 +269,6 @@ class ExperimentConfig:
         return out
 
 
-def _frozen(value):
-    """A hashable copy of nested dicts and lists."""
-    if isinstance(value, dict):
-        return tuple((key, _frozen(v)) for key, v in value.items())
-    if isinstance(value, list):
-        return tuple(_frozen(v) for v in value)
-    return value
-
-
 def _expect_mapping(raw, name):
     if raw is None:
         return {}
@@ -304,7 +306,7 @@ def _reject_unknown_keys(raw: dict):
 
 
 def parse_config(raw: dict, source_path: str | None = None) -> ExperimentConfig:
-    """Read a parsed YAML mapping over the defaults and validate it against its model.
+    """Read a parsed YAML mapping over the defaults; the model is checked when it is built.
 
     Every key must belong to the schema.  ``rollout.alpha`` may still be
     given, as 1.0: the long-run average cost is the only criterion.
@@ -323,24 +325,7 @@ def parse_config(raw: dict, source_path: str | None = None) -> ExperimentConfig:
             values[name] = source[key]
     if "theta" in raw:
         values["theta_grid"] = _theta_values(raw["theta"])
-    cfg = ExperimentConfig(**values, source_path=source_path)
-
-    # Model-coupled checks: dimensions and non-pathological lifting.
-    try:
-        dm = cfg.build_model()
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"model construction failed: {exc}") from exc
-    n = dm.n_states
-    if cfg.q_weight.shape != (n, n):
-        raise ConfigError(f"cost.q must be {n}x{n} for this model")
-    if cfg.r_weight.shape != (dm.n_inputs, dm.n_inputs):
-        raise ConfigError(f"cost.r must be {dm.n_inputs}x{dm.n_inputs} for this model")
-    for p in set(cfg.candidates) | {cfg.p}:
-        if not check_pathological_sampling(dm.a, p):
-            raise ConfigError(f"pathological sampling at period p={p}")
-    return cfg
+    return ExperimentConfig(**values, source_path=source_path)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -230,18 +230,18 @@ def build_tables(dm: DiscreteModel, q_weight, r_weight, terminal, h: int, p: int
     )
 
 
-def memory_estimate(h: int, n: int, nu: int, trials: int) -> int:
+def memory_estimate(h: int, n: int, nu: int, rows: int) -> int:
     """Peak bytes of a lookahead design: its tables, build temporaries and block scores.
 
     The tables are the arrays :func:`build_tables` returns.  Its temporaries
     peak at the level-0 update, about seven (2^(h-1), n, n) stacks, or at
-    the (2^h, h) noise-score terms.  Scoring a block of ``trials``
-    estimates holds about three (trials, 2^h) arrays.
+    the (2^h, h) noise-score terms.  Scoring a block of ``rows`` estimates
+    holds about three (rows, 2^h) arrays.
     """
     m = 1 << h
     tables = 8 * ((2 * m - 1) * n * n + (m - 1) * (nu * n + n * n) + 3 * m) + m * h
     build = 8 * max(7 * (m // 2) * n * n, m * h)
-    scores = 8 * 3 * trials * m
+    scores = 8 * 3 * rows * m
     return tables + build + scores
 
 

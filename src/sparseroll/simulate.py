@@ -240,14 +240,17 @@ def estimate_metrics(traces, theta: float) -> Metrics:
 
 @dataclass(frozen=True)
 class Design:
-    """The theta-independent design of a config: the :func:`steady_kalman` triple and ``methods``.
+    """The theta-independent design of a config: its model, filter and ``methods``.
 
-    ``methods`` maps each designed method to its design or to the exception
-    that building it raised: ``periodic`` to ``{p: PeriodicPolicy}``,
-    ``rollout`` to (base policy, :class:`RolloutTables`) and ``sparse_mpc``
-    to (problem, :func:`admm_factor` at the configured penalty).
+    ``model`` is the :class:`DiscreteModel` the design was made on and
+    ``steady`` its :func:`steady_kalman` triple.  ``methods`` maps each
+    designed method to its design or to the exception that building it
+    raised: ``periodic`` to ``{p: PeriodicPolicy}``, ``rollout`` to (base
+    policy, :class:`RolloutTables`) and ``sparse_mpc`` to (problem,
+    :func:`admm_factor` at the configured penalty).
     """
 
+    model: DiscreteModel
     steady: tuple
     methods: dict
 
@@ -259,11 +262,13 @@ class Design:
         return entry
 
 
-def design(cfg: ExperimentConfig, dm: DiscreteModel, methods=None) -> Design:
-    """The filter and the design of each of ``methods`` (by default ``cfg.methods``), made once.
+def design(cfg: ExperimentConfig, dm: DiscreteModel | None = None, methods=None) -> Design:
+    """The model, filter and design of each of ``methods`` (by default ``cfg.methods``), made once.
 
-    The rollout base is the periodic candidate of period p when there is one.
+    The model is ``cfg.build_model()`` unless ``dm`` is given.  The rollout
+    base is the periodic candidate of period p when there is one.
     """
+    dm = cfg.build_model() if dm is None else dm
     steady = steady_kalman(dm)
     q_w, r_w = cfg.q_weight, cfg.r_weight
     designs = {}
@@ -287,10 +292,7 @@ def design(cfg: ExperimentConfig, dm: DiscreteModel, methods=None) -> Design:
                 designs[method] = build()
             except Exception as exc:  # noqa: BLE001 - a failed design fails what needs it
                 designs[method] = exc
-    return Design(steady, designs)
-
-
-_design = design  # the function, under a name that theta_sweep's argument does not hide
+    return Design(dm, steady, designs)
 
 
 @dataclass(frozen=True)
@@ -304,21 +306,22 @@ class SweepCell:
     traces: list[SimTrace] | None = field(default=None, repr=False)
 
 
-def theta_sweep(cfg: ExperimentConfig, dm: DiscreteModel, keep_traces=(), design=None):
+def theta_sweep(cfg: ExperimentConfig, designed: Design | None = None, keep_traces=()):
     """Run every method of ``cfg`` over its theta grid with common random numbers.
 
-    The designs do not depend on theta: ``design`` is the :class:`Design` of
-    (at least) ``cfg``'s methods, made here when not given, and the noise of
-    every trial is drawn once.  Each method then runs once, row g T + t
-    being trial t of theta cell g at that cell's theta.  The (theta, method)
-    cells in ``keep_traces`` keep their full traces.  A failure is recorded
-    in the status of the cells it affects and the sweep continues: when a
+    The designs do not depend on theta: ``designed`` is the :class:`Design`
+    of (at least) ``cfg``'s methods, made here when not given, and the noise
+    of every trial is drawn once on its model.  Each method then runs once,
+    row g T + t being trial t of theta cell g at that cell's theta.  The
+    (theta, method) cells in ``keep_traces`` keep their full traces.  A
+    failure is recorded in the status of the cells it affects, as
+    ``error: <ExceptionType>: <message>``, and the sweep continues: when a
     method's closed loop raises, each of its cells runs alone, for its own
     status.
     """
-    if design is None:
-        design = _design(cfg, dm)
-    steady = design.steady
+    if designed is None:
+        designed = design(cfg)
+    dm, steady = designed.model, designed.steady
     grid, n_trials = cfg.theta_grid, cfg.trials
 
     def run(method, batch):
@@ -326,13 +329,13 @@ def theta_sweep(cfg: ExperimentConfig, dm: DiscreteModel, keep_traces=(), design
         thetas = [grid[i] for i in batch]
         rows_theta = np.repeat(thetas, n_trials)
         if method == "rollout":
-            controller = RolloutPolicy(design[method][1], rows_theta)
+            controller = RolloutPolicy(designed[method][1], rows_theta)
         elif method == "sparse_mpc":
-            problem, factor = design[method]
+            problem, factor = designed[method]
             controller = SparseMpcController(problem, rows_theta, factor, cfg.mpc_tol,
                                              cfg.mpc_max_iter)
         else:
-            candidates = design[method]
+            candidates = designed[method]
             periods = np.repeat([cheapest_period(candidates, steady[1], t)[0] for t in thetas],
                                 n_trials)
             controller = PeriodicController(
@@ -357,8 +360,9 @@ def theta_sweep(cfg: ExperimentConfig, dm: DiscreteModel, keep_traces=(), design
                 if len(batch) > 1:
                     batches += [[i] for i in batch]
                 else:
-                    cells[batch[0], method] = SweepCell(float(grid[batch[0]]), method, None,
-                                                        status=f"error: {exc}")
+                    cells[batch[0], method] = SweepCell(
+                        float(grid[batch[0]]), method, None,
+                        status=f"error: {type(exc).__name__}: {exc}")
     return [cells[i, method] for i in range(len(grid)) for method in cfg.methods]
 
 

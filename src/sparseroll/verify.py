@@ -62,7 +62,7 @@ def _scalar_kalman_check() -> CheckResult:
     return CheckResult("scalar_kalman", ok, f"max scalar error = {max(e1, e2, e3):.3e}")
 
 
-def _discretization_check(cfg: ExperimentConfig, dm: DiscreteModel) -> CheckResult:
+def _discretization_check(cfg: ExperimentConfig, designed: Design) -> CheckResult:
     if cfg.model_source != "builtin-benchmark":
         return CheckResult("discretization_quadrature", True, "skipped (file-based model)")
     cm = build_benchmark_model()
@@ -73,7 +73,7 @@ def _discretization_check(cfg: ExperimentConfig, dm: DiscreteModel) -> CheckResu
         return e @ w @ e.T
 
     ref, _ = quad_vec(integrand, 0.0, cfg.sample_period, epsabs=1e-13, epsrel=1e-13)
-    err = float(np.abs(dm.proc_cov - ref).max())
+    err = float(np.abs(designed.model.proc_cov - ref).max())
     return CheckResult("discretization_quadrature", err < 1e-9, f"max abs deviation = {err:.3e}")
 
 
@@ -83,19 +83,19 @@ def base_cost_residual(tables: RolloutTables, base_cost) -> float:
                  / np.linalg.norm(base_cost, "fro"))
 
 
-def _base_cost_identity_check(cfg: ExperimentConfig, dm: DiscreteModel, designed: Design,
+def _base_cost_identity_check(cfg: ExperimentConfig, designed: Design,
                               corrupt_terminal: bool) -> CheckResult:
     pol, tables = designed["rollout"]
     if corrupt_terminal:  # deliberate corruption hook for negative tests
-        tables = build_tables(dm, cfg.q_weight, cfg.r_weight, pol.cost_matrix * 1.10, cfg.h,
-                              cfg.p, designed.steady[1])
+        tables = build_tables(designed.model, cfg.q_weight, cfg.r_weight,
+                              pol.cost_matrix * 1.10, cfg.h, cfg.p, designed.steady[1])
     resid = base_cost_residual(tables, pol.cost_matrix)
     return CheckResult("base_cost_identity", resid < 1e-8, f"relative residual = {resid:.3e}")
 
 
-def _oracle_agreement_check(cfg: ExperimentConfig, dm: DiscreteModel, designed: Design,
+def _oracle_agreement_check(cfg: ExperimentConfig, designed: Design,
                             n_draws: int = 100) -> CheckResult:
-    err_cov = designed.steady[1]
+    dm, err_cov = designed.model, designed.steady[1]
     theta = cfg.theta_grid[len(cfg.theta_grid) // 2]
     pol, tables = designed["rollout"]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed_base)))
@@ -155,10 +155,10 @@ def _stability_check(cfg: ExperimentConfig, cells, probe) -> CheckResult:
     return CheckResult("mean_square_stability", True, f"bounded at thetas {probe}")
 
 
-def _periodic_formula_check(cfg: ExperimentConfig, dm: DiscreteModel,
-                            designed: Design) -> CheckResult:
+def _periodic_formula_check(cfg: ExperimentConfig, designed: Design) -> CheckResult:
     # Stationary start isolates the long-run average from the initial transient; the
     # filter and the designs do not depend on the initial mean.
+    dm = designed.model
     dm = dm.with_init(np.zeros(dm.n_states), dm.init_cov)
     steady = designed.steady
     designs = designed["periodic"]
@@ -180,17 +180,17 @@ def _periodic_formula_check(cfg: ExperimentConfig, dm: DiscreteModel,
     return CheckResult("periodic_formula_vs_sim", True, "; ".join(details))
 
 
-def _mpc_kkt_check(cfg: ExperimentConfig, dm: DiscreteModel, designed: Design,
-                   thetas) -> CheckResult:
+def _mpc_kkt_check(cfg: ExperimentConfig, designed: Design, thetas) -> CheckResult:
     """KKT residual at 20 fresh states per theta, then the theta=0 solve against the linear one."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed_base + 1)))
     prob, factor = designed["sparse_mpc"]  # the sweep's solver, at the configured penalty
     theta = np.repeat(thetas, 20)  # one batch, each row with its own theta
-    xs = np.array([rng.standard_normal(dm.n_states) * rng.uniform(0.1, 3.0) for _ in theta])
+    n = designed.model.n_states
+    xs = np.array([rng.standard_normal(n) * rng.uniform(0.1, 3.0) for _ in theta])
     cold = np.zeros((len(xs), prob.quad_matrix.shape[0]))
     z, _, _ = solve_admm(prob, xs, theta, (cold, cold), factor, cfg.mpc_tol, cfg.mpc_max_iter)
     worst = float(kkt_residuals(prob, z, row_product(xs, prob.lin_matrix), theta).max())
-    xs = np.array([rng.standard_normal(dm.n_states) for _ in range(5)])
+    xs = np.array([rng.standard_normal(n) for _ in range(5)])
     z, _, _ = solve_admm(prob, xs, 0.0, (cold[:5], cold[:5]), factor, 1e-10, cfg.mpc_max_iter)
     direct = [np.linalg.solve(prob.quad_matrix, -(prob.lin_matrix @ x)) for x in xs]
     lin_gap = float(np.abs(z - direct).max())
@@ -198,8 +198,7 @@ def _mpc_kkt_check(cfg: ExperimentConfig, dm: DiscreteModel, designed: Design,
                        f"worst KKT residual = {worst:.3e}, theta=0 gap = {lin_gap:.3e}")
 
 
-def _ordering_check(cfg: ExperimentConfig, dm: DiscreteModel, designed: Design,
-                    cells) -> CheckResult:
+def _ordering_check(cfg: ExperimentConfig, designed: Design, cells) -> CheckResult:
     """Sparse MPC at the middle theta against the first trials of the sweep's rollout cell."""
     if "sparse_mpc" not in cfg.methods:
         return CheckResult("tradeoff_ordering", True, "skipped (sparse_mpc disabled)")
@@ -208,7 +207,7 @@ def _ordering_check(cfg: ExperimentConfig, dm: DiscreteModel, designed: Design,
     theta = cfg.theta_grid[len(cfg.theta_grid) // 2]
     trials = min(cfg.trials, 15)
     (mpc,) = theta_sweep(replace(cfg, trials=trials, theta_grid=(theta,),
-                                 methods=("sparse_mpc",)), dm, design=designed)
+                                 methods=("sparse_mpc",)), designed)
     ro = next(c for c in cells if c.theta == theta and c.method == "rollout")
     if ro.status != "ok" or mpc.status != "ok":
         return CheckResult("tradeoff_ordering", False, "cell failure")
@@ -227,17 +226,16 @@ def _ordering_check(cfg: ExperimentConfig, dm: DiscreteModel, designed: Design,
 
 
 def run_verification(cfg: ExperimentConfig, corrupt_terminal: bool = False) -> list[CheckResult]:
-    """Run the full verification suite on one model and one :class:`Design`; one result per check.
+    """Run the full verification suite on one :class:`Design`; one result per check.
 
     A method whose design failed fails the checks that need it, naming the exception.
     """
     grid = sorted(cfg.theta_grid)
     probe = sorted({grid[0], grid[len(grid) // 2], grid[-1]})
-    dm = cfg.build_model()
-    designed = design(cfg, dm, ("rollout", "periodic", "sparse_mpc"))
+    designed = design(cfg, methods=("rollout", "periodic", "sparse_mpc"))
     try:  # one sweep serves the bound, the stability test at the probe and the ordering
-        cells = theta_sweep(replace(cfg, methods=("rollout", "periodic")), dm,
-                            keep_traces=[(theta, "rollout") for theta in probe], design=designed)
+        cells = theta_sweep(replace(cfg, methods=("rollout", "periodic")), designed,
+                            keep_traces=[(theta, "rollout") for theta in probe])
     except ConfigError as exc:
         cells = exc
 
@@ -245,12 +243,12 @@ def run_verification(cfg: ExperimentConfig, corrupt_terminal: bool = False) -> l
         entry = designed.methods[method]
         if isinstance(entry, Exception):
             return CheckResult(name, False, f"{type(entry).__name__}: {entry}")
-        return check(cfg, dm, designed, *args)
+        return check(cfg, designed, *args)
 
     return [
         _scalar_dare_check(),
         _scalar_kalman_check(),
-        _discretization_check(cfg, dm),
+        _discretization_check(cfg, designed),
         needs("rollout", "base_cost_identity", _base_cost_identity_check, corrupt_terminal),
         needs("rollout", "oracle_agreement", _oracle_agreement_check),
         _performance_bound_check(cfg, cells),
@@ -258,5 +256,5 @@ def run_verification(cfg: ExperimentConfig, corrupt_terminal: bool = False) -> l
         needs("periodic", "periodic_formula_vs_sim", _periodic_formula_check),
         needs("sparse_mpc", "mpc_optimality", _mpc_kkt_check,
               [cfg.theta_grid[len(cfg.theta_grid) // 2]]),
-        _ordering_check(cfg, dm, designed, cells),
+        _ordering_check(cfg, designed, cells),
     ]

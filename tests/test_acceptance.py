@@ -39,9 +39,8 @@ def _report(name, detail):
 
 
 def _check(check, cfg, method, *args):
-    """A verify check on the config's model and its design of ``method``, as verify runs it."""
-    dm = cfg.build_model()
-    return check(cfg, dm, sr.design(cfg, dm, (method,)), *args)
+    """A verify check on the config's design of ``method``, as verify runs it."""
+    return check(cfg, sr.design(cfg, methods=(method,)), *args)
 
 
 def test_criterion_1_base_cost_identity():
@@ -68,33 +67,25 @@ def test_criterion_2_oracle_equivalence():
 
 
 @pytest.fixture(scope="module")
-def benchmark_sweep(bench):
-    dm, _, _, _ = bench
+def benchmark_sweep():
     cfg = sr.ExperimentConfig(horizon_steps=N_STEPS, trials=TRIALS, seed_base=20240601,
                               q_weight=BENCH.q_weight, r_weight=BENCH.r_weight,
                               theta_grid=THETA_GRID, methods=("rollout", "periodic"), h=6, p=6,
                               candidates=BENCH.candidates)
     start = time.perf_counter()
-    cells = sr.theta_sweep(cfg, dm, keep_traces=[(theta, "rollout") for theta in STABILITY_THETAS])
+    cells = sr.theta_sweep(cfg, keep_traces=[(theta, "rollout") for theta in STABILITY_THETAS])
     elapsed = time.perf_counter() - start
-    return cells, elapsed
+    return cfg, cells, elapsed
 
 
 def test_criterion_3_performance_bound(benchmark_sweep):
-    cells, elapsed = benchmark_sweep
-    by_key = {(c.theta, c.method): c for c in cells}
-    worst_margin = math.inf
-    for theta in THETA_GRID:
-        ro = by_key[(theta, "rollout")]
-        pe = by_key[(theta, "periodic")]
-        assert ro.status == "ok" and pe.status == "ok"
-        holds, margin = sr.check_performance_bound(ro.metrics, pe.metrics, h=6)
-        assert holds, f"bound violated at theta={theta} (margin {margin:.4f})"
-        worst_margin = min(worst_margin, margin)
+    # at every theta, total(rollout) <= total(periodic) + 1/h + 3 pooled SE, h = 6
+    cfg, cells, elapsed = benchmark_sweep
+    check = verify._performance_bound_check(cfg, cells)
+    assert check.passed, check.detail
     assert elapsed < 300.0
     _report("criterion 3 (lookahead performance bound)",
-            f"{len(THETA_GRID)} thetas x {TRIALS} trials, worst margin "
-            f"{worst_margin:.4f}, sweep {elapsed:.0f}s")
+            f"{len(THETA_GRID)} thetas x {TRIALS} trials: {check.detail}, sweep {elapsed:.0f}s")
 
 
 def test_criterion_4_periodic_formula_vs_simulation():
@@ -105,13 +96,11 @@ def test_criterion_4_periodic_formula_vs_simulation():
     _report("criterion 4 (periodic formula vs simulation)", check.detail)
 
 
-def test_criterion_5_mean_square_stability(bench, benchmark_sweep):
-    cells, _ = benchmark_sweep
-    by_key = {(c.theta, c.method): c for c in cells}
-    for theta in STABILITY_THETAS:
-        cell = by_key[(theta, "rollout")]
-        bounded, report = sr.check_mean_square_stability(cell.traces, window_len=50)
-        assert bounded, f"theta={theta}: slope {report.slope:.3e} +- {report.slope_stderr:.3e}"
+def test_criterion_5_mean_square_stability(benchmark_sweep):
+    # windows of max(10, 600 // 12) = 50 steps, the window of the negative control below
+    cfg, cells, _ = benchmark_sweep
+    check = verify._stability_check(cfg, cells, STABILITY_THETAS)
+    assert check.passed, check.detail
 
     # designed negative control: unstabilized plant must fail the same test
     unstable = sr.DiscreteModel(a=[[1.05]], b=[[1.0]], c=[[1.0]], proc_cov=[[0.5]],
@@ -149,7 +138,7 @@ def test_criterion_6_decision_monotonicity(bench):
 
 def test_criterion_7_discretization_oracle():
     cfg = sr.ExperimentConfig()
-    check = verify._discretization_check(cfg, cfg.build_model())
+    check = verify._discretization_check(cfg, sr.design(cfg, methods=()))
     assert check.passed, check.detail
     _report("criterion 7 (discretization oracle)", check.detail)
 
@@ -201,7 +190,7 @@ def test_criterion_10_analytic_scalar_goldens():
 
 def test_rollout_rate_monotone_in_theta(benchmark_sweep):
     # actuation rate should not increase with theta (2 pooled standard errors)
-    cells, _ = benchmark_sweep
+    _, cells, _ = benchmark_sweep
     rates = [(c.theta, c.metrics) for c in cells if c.method == "rollout"]
     rates.sort(key=lambda item: item[0])
     for (_, lo), (_, hi) in zip(rates, rates[1:]):
@@ -211,11 +200,10 @@ def test_rollout_rate_monotone_in_theta(benchmark_sweep):
             f"rollout rate non-increasing over {len(rates)} thetas (2se)")
 
 
-def test_figure_orderings(bench, benchmark_sweep):
+def test_figure_orderings(benchmark_sweep):
     # qualitative trade-off orderings at 3-standard-error confidence
-    dm, _, _, _ = bench
     theta = 0.2
-    cells, _ = benchmark_sweep
+    _, cells, _ = benchmark_sweep
     by_key = {(c.theta, c.method): c for c in cells}
     ro_full = by_key[(theta, "rollout")].metrics
     pe_full = by_key[(theta, "periodic")].metrics
@@ -229,7 +217,7 @@ def test_figure_orderings(bench, benchmark_sweep):
     cfg = sr.ExperimentConfig(horizon_steps=N_STEPS, trials=trials, seed_base=20240601,
                               q_weight=BENCH.q_weight, r_weight=BENCH.r_weight,
                               theta_grid=(theta,), methods=("rollout", "sparse_mpc"), h=6, p=6)
-    cells_small = sr.theta_sweep(cfg, dm)
+    cells_small = sr.theta_sweep(cfg)
     by = {c.method: c.metrics for c in cells_small}
     ro, mpc = by["rollout"], by["sparse_mpc"]
     se_cost = 3.0 * math.sqrt(ro.stderr_control_cost**2 + mpc.stderr_control_cost**2)

@@ -65,21 +65,20 @@ def test_config_round_trip(tmp_path):
     assert again.canonical_dict() == canon
 
 
-def test_config_equality_and_hash():
-    first, second = load_config(BENCHMARK_CONFIG), load_config(BENCHMARK_CONFIG)
-    assert first == second and hash(first) == hash(second)
-    other_q = replace(first, q_weight=2.0 * first.q_weight)
-    assert other_q != first
-    assert replace(first, seed_base=first.seed_base + 1) != first
-    assert len({first, second, other_q}) == 2
-
-
 def test_lookahead_memory_budget_at_load():
     # the estimate rejects a 2^20-pattern design before any table is built
     with pytest.raises(ConfigError, match="MB budget"):
         ExperimentConfig(h=20, p=2, trials=50, horizon_steps=600)
     load_config(BENCHMARK_CONFIG)
     assert ExperimentConfig(h=14, p=7, trials=50, horizon_steps=294).h == 14
+
+
+def test_lookahead_memory_budget_counts_every_theta_row():
+    # one block scores the rows of every theta cell at once: 20 thetas x 50 trials at h = 16
+    # need about 1.56 GB, one theta about 131 MB
+    with pytest.raises(ConfigError, match="scores of 1000 rows"):
+        ExperimentConfig(h=16, p=8, trials=50, horizon_steps=640)
+    assert ExperimentConfig(h=16, p=8, trials=50, horizon_steps=640, theta_grid=(0.2,)).h == 16
 
 
 def test_config_validation_failures(tmp_path):
@@ -94,7 +93,7 @@ def test_config_validation_failures(tmp_path):
     with pytest.raises(ConfigError, match="multiple of rollout.h"):
         parse_config(small_config_dict(sim={"trials": 1, "horizon_steps": 61, "seed_base": 1}))
     with pytest.raises(ConfigError, match="4x4"):
-        parse_config(small_config_dict(cost={"q": [[1.0]], "r": "benchmark"}))
+        parse_config(small_config_dict(cost={"q": [[1.0]], "r": "benchmark"})).build_model()
     with pytest.raises(ConfigError):
         parse_config(small_config_dict(model={"source": "matrices-from-file"}))
 
@@ -125,8 +124,8 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, overrides):
 
 def test_alpha_other_than_one_is_a_config_error(tmp_path, capsys):
     # the long-run average cost is the only criterion; alpha 1.0 still loads
-    assert parse_config(small_config_dict(rollout={"alpha": 1})) == parse_config(
-        small_config_dict())
+    assert parse_config(small_config_dict(rollout={"alpha": 1})).canonical_dict() == parse_config(
+        small_config_dict()).canonical_dict()
     raw = small_config_dict(rollout={"alpha": 0.9})
     with pytest.raises(ConfigError, match="rollout.alpha"):
         parse_config(raw)
@@ -196,8 +195,8 @@ def test_verify_one_sweep_serves_bound_and_stability(monkeypatch):
     # kept at the probe; the ordering check adds only the sparse-MPC cell at the middle theta
     calls = []
     sweep = verify.theta_sweep
-    monkeypatch.setattr(verify, "theta_sweep", lambda cfg, dm, keep_traces=(), **kw: calls.append(
-        (cfg.methods, list(keep_traces))) or sweep(cfg, dm, keep_traces, **kw))
+    monkeypatch.setattr(verify, "theta_sweep", lambda cfg, designed, keep_traces=(): calls.append(
+        (cfg.methods, list(keep_traces))) or sweep(cfg, designed, keep_traces))
     cfg = parse_config(small_config_dict(theta={"grid": [0.1, 0.2, 0.3, 0.4]},
                                          methods=["rollout", "periodic", "sparse_mpc"]))
     results = {c.name: c for c in verify.run_verification(cfg)}
@@ -206,14 +205,13 @@ def test_verify_one_sweep_serves_bound_and_stability(monkeypatch):
     kept = [(theta, "rollout") for theta in probe]
     assert calls == [(("rollout", "periodic"), kept), (("sparse_mpc",), [])]
     # the same result as a sweep of the rollout cells at the probe thetas alone
-    alone = sweep(replace(cfg, theta_grid=probe, methods=("rollout",)), cfg.build_model(),
-                  keep_traces=kept)
+    alone = sweep(replace(cfg, theta_grid=probe, methods=("rollout",)), keep_traces=kept)
     assert verify._stability_check(cfg, alone, probe) == results["mean_square_stability"]
     # the ordering reads the first 15 rollout trials of the sweep: the figures of a separate
     # 15-trial sweep of both methods at the middle theta
     small = {c.method: c.metrics for c in sweep(
         replace(cfg, trials=min(cfg.trials, 15), theta_grid=(0.3,),
-                methods=("rollout", "sparse_mpc")), cfg.build_model())}
+                methods=("rollout", "sparse_mpc")))}
     ro, mpc = small["rollout"], small["sparse_mpc"]
     assert results["tradeoff_ordering"].detail == (
         f"theta=0.3: mpc cost {mpc.avg_control_cost:.4f} vs rollout {ro.avg_control_cost:.4f}; "
@@ -246,26 +244,29 @@ def count_design_calls(monkeypatch):
 
 
 def test_each_command_designs_once(tmp_path, monkeypatch, capsys):
-    # counted from the loaded config on: loading builds one model of its own to validate it
-    bench = replace(load_config(BENCHMARK_CONFIG), trials=2)
-    scalar = replace(load_config(SCALAR_CONFIG), trials=4)
-    path = write_config(tmp_path, small_config_dict(periodic={"candidates": [1, 2]}))
-    small = load_config(path)
+    # counted from the config file on: loading builds no model, and each command builds one
     counts = count_design_calls(monkeypatch)
+    path = write_config(tmp_path, small_config_dict(periodic={"candidates": [1, 2]}))
+    for config in (BENCHMARK_CONFIG, SCALAR_CONFIG, path):
+        load_config(config)
+    assert counts == {}
+
+    def run(command, config, *flags):
+        counts.clear()
+        return cli.main([command, "--config", str(config), "--out", str(tmp_path), *flags])
+
     # verify makes one model and one design of all three methods, shared by every check
-    cli.cmd_verify(bench, tmp_path)
+    run("verify", BENCHMARK_CONFIG, "--trials", "2")
     assert counts == {"build_model": 1, "build_tables": 1, "build_mpc_problem": 1,
                       **{("build_lifted", p): 1 for p in (1, 2, 3, 6)}}
     # the rollout base of period p = 1 is the candidate design; the negative control builds
     # its own tables
-    counts.clear()
-    cli.cmd_verify(scalar, tmp_path, corrupt_terminal=True)
+    run("verify", SCALAR_CONFIG, "--trials", "4", "--corrupt-terminal")
     assert counts == {"build_model": 1, "build_tables": 2, "build_mpc_problem": 1,
                       **{("build_lifted", p): 1 for p in (1, 2, 3)}}
     # a rollout base off the candidates is designed once on its own
-    for command in (cli.cmd_design, cli.cmd_sweep):
-        counts.clear()
-        assert command(small, tmp_path) == 0
+    for command in ("design", "sweep"):
+        assert run(command, path) == 0
         assert counts == {"build_model": 1, "build_tables": 1,
                           **{("build_lifted", p): 1 for p in (1, 2, 6)}}, command
 
@@ -470,7 +471,7 @@ def test_cmd_design_numeric_failure_exit3(tmp_path):
     assert cli.main(["design", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
 
 
-def test_config_rejects_pathological_candidates(tmp_path):
+def test_config_rejects_pathological_candidates(tmp_path, monkeypatch, capsys):
     model = {
         "a": [[1.0, 0.0], [0.0, -1.0]],
         "b": [[1.0], [1.0]],
@@ -490,8 +491,20 @@ def test_config_rejects_pathological_candidates(tmp_path):
         rollout={"h": 2, "p": 2},
         sim={"trials": 1, "horizon_steps": 30, "seed_base": 3},
     )
-    with pytest.raises(ConfigError, match="pathological"):
-        parse_config(raw, source_path=str(tmp_path / "cfg.yaml"))
+    cfg = parse_config(raw, source_path=str(tmp_path / "cfg.yaml"))
+    with pytest.raises(ConfigError, match="pathological sampling at period p=2"):
+        cfg.build_model()
+    # the model is checked whenever a config builds it, also after dataclasses.replace
+    valid = replace(cfg, candidates=(1,), h=2, p=1)
+    assert valid.build_model().n_states == 2
+    with pytest.raises(ConfigError, match="pathological sampling at period p=2"):
+        replace(valid, candidates=(2,)).build_model()
+    # the CLI exits 2 before any design work
+    counts = count_design_calls(monkeypatch)
+    assert cli.main(["design", "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "pathological sampling" in capsys.readouterr().err
+    assert counts == {"build_model": 1}
 
 
 def test_outdir_env_fallback(tmp_path, monkeypatch):

@@ -209,7 +209,7 @@ def test_theta_sweep_isolates_cell_failures():
     cfg = sr.ExperimentConfig(horizon_steps=20, trials=1, seed_base=1,
                               q_weight=np.eye(2), r_weight=[[1.0]],
                               methods=("periodic",), candidates=(2,), theta_grid=(0.1, 0.2))
-    cells = sr.theta_sweep(cfg, dm)
+    cells = sr.theta_sweep(cfg, sr.design(cfg, dm))
     assert len(cells) == 2
     # a failed design is not shared: every cell that needs it records the failure
     for cell in cells:
@@ -225,13 +225,14 @@ def test_theta_sweep_design_failure_stays_in_its_method():
     cfg = sr.ExperimentConfig(horizon_steps=20, trials=2, seed_base=1,
                               q_weight=np.eye(2), r_weight=[[1.0]], theta_grid=(0.1, 0.2),
                               methods=("rollout", "periodic"), h=2, p=1, candidates=(2,))
-    cells = sr.theta_sweep(cfg, dm)
+    cells = sr.theta_sweep(cfg, sr.design(cfg, dm))
     assert [(c.theta, c.method) for c in cells] == [
         (0.1, "rollout"), (0.1, "periodic"), (0.2, "rollout"), (0.2, "periodic")]
     for cell in cells:
         if cell.method == "periodic":
-            assert cell.status == "error: pathological sampling: lifting by p=2 breaks " \
-                                  "stabilizability" and cell.metrics is None
+            assert cell.status == ("error: AssumptionViolatedError: pathological sampling: "
+                                   "lifting by p=2 breaks stabilizability")
+            assert cell.metrics is None
         else:
             assert cell.status == "ok" and cell.metrics.trials == 2
             assert np.isfinite(cell.metrics.total)
@@ -247,7 +248,7 @@ def test_nonfinite_error_names_step_and_trial():
         sr.simulate_trials(cfg, dm, PeriodicController(np.zeros((1, 1)), 1), [5, 6])
 
 
-def test_theta_sweep_designs_once_per_call(benchmark_model, monkeypatch):
+def test_theta_sweep_designs_once_per_call(monkeypatch):
     # theta-independent designs are shared by the cells of one sweep, not across sweeps
     periods, tables, mpc_problems, factors, controllers = [], [], [], [], []
     design, build = simulate.design_periodic, simulate.build_tables
@@ -270,12 +271,11 @@ def test_theta_sweep_designs_once_per_call(benchmark_model, monkeypatch):
                     methods=("rollout", "sparse_mpc", "periodic"))
     fresh = {(c.theta, c.method): c for theta in grid
              for c in sr.theta_sweep(replace(cfg, theta_grid=(theta,),
-                                             methods=("rollout", "sparse_mpc")),
-                                     benchmark_model)}
+                                             methods=("rollout", "sparse_mpc")))}
     for _ in range(2):
         for calls in (periods, tables, mpc_problems, factors, controllers):
             calls.clear()
-        cells = sr.theta_sweep(cfg, benchmark_model)
+        cells = sr.theta_sweep(cfg)
         assert all(c.status == "ok" for c in cells)
         # the candidate design of p = 6 is the rollout base: each period is designed once
         assert sorted(periods) == [1, 2, 3, 6] and tables == [6]
@@ -300,11 +300,12 @@ def test_theta_sweep_records_admm_nonconvergence(benchmark_model):
     # the batched solver keeps the failure type; the cell status names a trial
     cfg = bench_cfg(trials=3, horizon_steps=12, methods=("sparse_mpc",), mpc_max_iter=2,
                     theta_grid=(0.1, 0.3))
-    cells = sr.theta_sweep(cfg, benchmark_model)
+    cells = sr.theta_sweep(cfg)
     for cell in cells:
         assert cell.metrics is None
-        assert re.fullmatch(r"error: ADMM did not converge in 2 iterations for trial [0-2] "
-                            r"of the batch \(primal .*, dual .*\)", cell.status), cell.status
+        assert re.fullmatch(r"error: NonConvergenceError: ADMM did not converge in 2 iterations "
+                            r"for trial [0-2] of the batch \(primal .*, dual .*\)",
+                            cell.status), cell.status
     prob = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight, 30)
     controller = SparseMpcController(prob, 0.1, admm_factor(prob, 1.0), 1e-8, 2)
     with pytest.raises(NonConvergenceError) as err:
@@ -312,7 +313,7 @@ def test_theta_sweep_records_admm_nonconvergence(benchmark_model):
     assert err.value.iterations == 2 and err.value.residual > 0.0
 
 
-def test_theta_sweep_stacked_cells_match_cells_alone(benchmark_model, monkeypatch):
+def test_theta_sweep_stacked_cells_match_cells_alone(monkeypatch):
     # one closed loop per method gives every cell the bits it has alone; a failing cell
     # (non-finite state, ADMM cap) keeps the status it has alone, and the rest their bits
     candidates = simulate.design_candidates
@@ -329,9 +330,9 @@ def test_theta_sweep_stacked_cells_match_cells_alone(benchmark_model, monkeypatc
     cfg = bench_cfg(trials=3, horizon_steps=60, theta_grid=(10.0, 0.1, 25.0), mpc_max_iter=50,
                     methods=("rollout", "periodic", "sparse_mpc"))
     with np.errstate(over="ignore", invalid="ignore"):
-        cells = sr.theta_sweep(cfg, benchmark_model)
+        cells = sr.theta_sweep(cfg)
         alone = [c for theta in cfg.theta_grid for c in
-                 sr.theta_sweep(replace(cfg, theta_grid=(theta,)), benchmark_model)]
+                 sr.theta_sweep(replace(cfg, theta_grid=(theta,)))]
     assert [(c.theta, c.method) for c in cells] == [(c.theta, c.method) for c in alone]
     for cell, ref in zip(cells, alone):
         assert cell.status == ref.status, (cell.theta, cell.method)
@@ -340,13 +341,14 @@ def test_theta_sweep_stacked_cells_match_cells_alone(benchmark_model, monkeypatc
             assert np.array_equal(cell.metrics.per_trial_rate, ref.metrics.per_trial_rate)
     failed = {(c.theta, c.method): c.status for c in cells if c.status != "ok"}
     assert sorted(failed) == [(0.1, "periodic"), (0.1, "sparse_mpc")]
-    assert re.fullmatch(r"error: state became non-finite at step \d+ in trial [0-2]",
-                        failed[0.1, "periodic"])
-    assert re.fullmatch(r"error: ADMM did not converge in 50 iterations for trial [0-2] of the "
-                        r"batch \(primal .*, dual .*\)", failed[0.1, "sparse_mpc"])
+    assert re.fullmatch(r"error: NonFiniteError: state became non-finite at step \d+ in "
+                        r"trial [0-2]", failed[0.1, "periodic"])
+    assert re.fullmatch(r"error: NonConvergenceError: ADMM did not converge in 50 iterations "
+                        r"for trial [0-2] of the batch \(primal .*, dual .*\)",
+                        failed[0.1, "sparse_mpc"])
 
 
-def test_theta_sweep_scores_every_cell_in_one_call(benchmark_model, monkeypatch):
+def test_theta_sweep_scores_every_cell_in_one_call(monkeypatch):
     # the rollout rows of all thetas run as one batch and are scored in one call per block,
     # each row at its own theta
     calls, scores = [], sr.rollout.pattern_scores
@@ -354,20 +356,20 @@ def test_theta_sweep_scores_every_cell_in_one_call(benchmark_model, monkeypatch)
         (len(x), np.array(theta))) or scores(tables, x, theta))
     cfg = bench_cfg(trials=5, horizon_steps=60, theta_grid=(0.02, 0.2, 0.4),
                     methods=("rollout",))
-    assert all(c.status == "ok" for c in sr.theta_sweep(cfg, benchmark_model))
+    assert all(c.status == "ok" for c in sr.theta_sweep(cfg))
     assert len(calls) == cfg.horizon_steps // cfg.h
     for rows, theta in calls:
         assert rows == len(cfg.theta_grid) * cfg.trials
         assert np.array_equal(theta, np.repeat(cfg.theta_grid, cfg.trials))
 
 
-def test_theta_sweep_batch_composition_invariance(benchmark_model):
+def test_theta_sweep_batch_composition_invariance():
     # a trial's result must not depend on which trials share its batch
     cfg = bench_cfg(trials=4, horizon_steps=60, theta_grid=(0.1, 0.3),
                     methods=("rollout", "periodic"))
-    first = sr.theta_sweep(cfg, benchmark_model)
-    again = sr.theta_sweep(cfg, benchmark_model)
-    double = sr.theta_sweep(replace(cfg, trials=8), benchmark_model)
+    first = sr.theta_sweep(cfg)
+    again = sr.theta_sweep(cfg)
+    double = sr.theta_sweep(replace(cfg, trials=8))
     for a, b, c in zip(first, again, double):
         assert a.theta == b.theta == c.theta and a.method == b.method == c.method
         assert a.status == b.status == c.status == "ok"
@@ -488,13 +490,14 @@ def _reference_deciders(method, dm, theta):
     return make, SparseMpcController(prob, theta, admm_factor(prob, rho), tol, 10_000)
 
 
-@pytest.mark.parametrize("method", ["rollout", "periodic", "sparse_mpc", "periodic-tv",
-                                    "rollout-tv"])
+@pytest.mark.parametrize("method", ["rollout", "periodic", "sparse_mpc", "periodic-unitcov",
+                                    "rollout-unitcov"])
 @pytest.mark.parametrize("seed_base", [123, 2024])
 def test_batched_engine_matches_per_trial_reference(benchmark_model, method, seed_base):
-    # the -tv model draws x0 from init_cov = I; the filter still runs at the stationary gain
-    method, _, tv = method.partition("-")
-    dm = benchmark_model.with_init(benchmark_model.init_mean, np.eye(4)) if tv else benchmark_model
+    # the -unitcov model draws x0 from init_cov = I; the filter still runs at the stationary gain
+    method, _, unit_cov = method.partition("-")
+    dm = (benchmark_model.with_init(benchmark_model.init_mean, np.eye(4)) if unit_cov
+          else benchmark_model)
     steady = sr.steady_kalman(benchmark_model)
     cfg = bench_cfg(horizon_steps=36 if method == "sparse_mpc" else 120, seed_base=seed_base)
     make, controller = _reference_deciders(method, benchmark_model, theta=0.2)

@@ -249,14 +249,14 @@ def test_admm_penalty_changes_iterations_not_solution(bench_problem):
     assert np.abs(solutions[0] - solutions[1]).max() <= tol
 
 
-def test_config_penalty_reaches_the_solver(benchmark_model):
+def test_config_penalty_reaches_the_solver():
     # sparse_mpc.penalty is the rho of every solve in a sweep cell
     costs = []
     for rho in (1.0, 10.0):
         cfg = sr.ExperimentConfig(horizon_steps=12, trials=1, seed_base=17,
                                   q_weight=BENCH.q_weight, r_weight=BENCH.r_weight,
                                   methods=("sparse_mpc",), mpc_penalty=rho, theta_grid=(0.2,))
-        (cell,) = sr.theta_sweep(cfg, benchmark_model)
+        (cell,) = sr.theta_sweep(cfg)
         assert cell.status == "ok"
         costs.append(cell.metrics.avg_control_cost)
     assert costs[0] != costs[1]
@@ -307,7 +307,6 @@ def test_kkt_check_builds_one_problem_and_factor(monkeypatch):
     monkeypatch.setattr(verify, "solve_admm",
                         lambda *a, **kw: solves.append(a[4][1]) or solve(*a, **kw))
     cfg = replace(BENCH, mpc_penalty=2.0)
-    dm = cfg.build_model()
-    check = verify._mpc_kkt_check(cfg, dm, sr.design(cfg, dm, ("sparse_mpc",)), (0.05, 0.2, 0.4))
+    check = verify._mpc_kkt_check(cfg, sr.design(cfg, methods=("sparse_mpc",)), (0.05, 0.2, 0.4))
     assert check.passed, check.detail
     assert problems == [BENCH.mpc_horizon] and factors == [2.0] and solves == [2.0, 2.0]
