@@ -116,10 +116,14 @@ def block_soft_threshold(v, kappa: float) -> np.ndarray:
 
 
 def _shrink(v: np.ndarray, kappa) -> np.ndarray:
-    """:func:`block_soft_threshold` without the sign check; kappa broadcasts against v's blocks."""
-    norms = _row_norms(v)[..., None]
-    scale = np.zeros_like(norms)
-    np.divide(norms - kappa, norms, out=scale, where=norms > kappa)
+    """:func:`block_soft_threshold` without the sign check; kappa (>= 0) broadcasts against v.
+
+    Scales by (norm - kappa) / norm where norm > kappa, else +0, to the bit
+    (NaN and overflow too) and without the masked divide, slow on large batches.
+    """
+    norms = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+    scale = np.fmax(norms - kappa, 0.0)
+    scale /= np.fmax(norms, 5e-324)
     return scale * v
 
 
@@ -156,7 +160,7 @@ def solve_admm(prob: MpcProblem, estimates, theta, warm, factor, tol: float,
     Returns (z, w, iterations): the solutions (T, H q), whose zero blocks
     are exact zeros from the proximal step, the scaled duals and the
     iteration count per row.  Raises :class:`NonConvergenceError` naming
-    the first batch row still active after ``max_iter`` iterations.
+    the first batch row still active after ``max_iter`` iterations, with its residuals.
     """
     f = row_product(np.asarray(estimates, dtype=float), prob.lin_matrix)
     (c, lower), rho = factor
@@ -168,38 +172,46 @@ def solve_admm(prob: MpcProblem, estimates, theta, warm, factor, tol: float,
     blocks = (-1, prob.horizon, prob.group_size)
     z_out, w_out = np.empty((n_rows, dim)), np.empty((n_rows, dim))
     iterations = np.zeros(n_rows, dtype=int)
+    if not n_rows:
+        return z_out, w_out, iterations
     rows = np.arange(n_rows)
     z, w = warm
 
     for it in range(1, max_iter + 1):
-        u = _potrs(c, (rho * (z - w) - f).T, lower=lower, overwrite_b=True)[0].T
-        u_relaxed = RELAX * u + (1.0 - RELAX) * z
-        v = (u_relaxed + w).reshape(blocks)
-        z_old, z = z, _shrink(v, kappa).reshape(len(rows), dim)
-        w = w + u_relaxed - z
+        rhs = z - w
+        rhs *= rho
+        rhs -= f
+        u = _potrs(c, rhs.T, lower=lower, overwrite_b=True)[0].T
+        v = RELAX * u + (1.0 - RELAX) * z
+        v += w
+        z_old, z = z, _shrink(v.reshape(blocks), kappa).reshape(len(rows), dim)
+        w = v - z  # the bits of w + relaxed u - z, as addition commutes
         primal_res = _row_norms(u - z)
-        dual_res = rho * _row_norms(z - z_old)
         if on_iterate is not None:
             on_iterate(z, f)
-        done = (primal_res < tol) & (dual_res < tol)
-        if not done.any():
+        done = primal_res < tol
+        if not np.count_nonzero(done):
+            continue
+        done[done] = rho * _row_norms(z[done] - z_old[done]) < tol
+        if not np.count_nonzero(done):
             continue
         done[done] = kkt_residuals(prob, z[done], f[done], theta[done]) <= tol
-        if not done.any():
+        if not np.count_nonzero(done):
             continue
         finished = rows[done]
         z_out[finished], w_out[finished] = z[done], w[done]
         iterations[finished] = it
         keep = ~done
-        rows, f, z, w = rows[keep], f[keep], z[keep], w[keep]
-        theta, kappa = theta[keep], kappa[keep]
+        rows, f, z, w, z_old = rows[keep], f[keep], z[keep], w[keep], z_old[keep]
+        theta, kappa, primal_res = theta[keep], kappa[keep], primal_res[keep]
         if not rows.size:
             break
     else:
+        dual_res = rho * _row_norms(z[:1] - z_old[:1])[0]
         raise NonConvergenceError(
             f"ADMM did not converge in {max_iter} iterations for trial {rows[0]} of the batch "
-            f"(primal {primal_res[0]:.3e}, dual {dual_res[0]:.3e})",
-            residual=float(max(primal_res[0], dual_res[0])),
+            f"(primal {primal_res[0]:.3e}, dual {dual_res:.3e})",
+            residual=float(max(primal_res[0], dual_res)),
             iterations=max_iter,
         )
     return z_out, w_out, iterations

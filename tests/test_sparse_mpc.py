@@ -2,12 +2,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import get_lapack_funcs
 
 import sparseroll as sr
 from sparseroll import simulate, verify
 from sparseroll.exceptions import NonConvergenceError
 from sparseroll.simulate import SparseMpcController
-from sparseroll.sparse_mpc import ZERO_TOL, admm_factor, kkt_residuals, solve_admm
+from sparseroll.sparse_mpc import RELAX, ZERO_TOL, _shrink, admm_factor, kkt_residuals, solve_admm
 
 BENCH = sr.ExperimentConfig()  # the benchmark study
 THETA = 0.2  # group weight of the benchmark problem's solves
@@ -212,6 +213,148 @@ def test_admm_per_row_theta_matches_scalar_solves(bench_problem, rng):
         assert np.array_equal(z1[0], z[row]) and np.array_equal(w1[0], w[row])
         assert kkt_residuals(bench_problem, z1, f[row:row + 1], theta)[0] == \
             kkt_residuals(bench_problem, z, f, thetas)[row]
+
+
+def _masked_shrink(v, kappa):
+    """The block shrink with a masked divide: (norm - kappa) / norm where norm > kappa, else 0."""
+    norms = np.sqrt(np.add.reduce(v * v, axis=-1))[..., None]
+    scale = np.zeros_like(norms)
+    np.divide(norms - kappa, norms, out=scale, where=norms > kappa)
+    return scale * v
+
+
+def _reference_admm(prob, estimates, theta, warm, factor, tol, max_iter, on_iterate=None):
+    """Reference for solve_admm: the lockstep loop with every residual of every active row."""
+    row_norms = lambda v: np.sqrt(np.add.reduce(v * v, axis=-1))  # noqa: E731
+    potrs = get_lapack_funcs("potrs")
+    f = np.einsum("...j,ij->...i", np.asarray(estimates, dtype=float), prob.lin_matrix)
+    (c, lower), rho = factor
+    n_rows, dim = f.shape
+    theta = np.broadcast_to(np.asarray(theta, dtype=float), (n_rows,))
+    kappa = (theta / rho)[:, None, None]
+    blocks = (-1, prob.horizon, prob.group_size)
+    z_out, w_out = np.empty((n_rows, dim)), np.empty((n_rows, dim))
+    iterations = np.zeros(n_rows, dtype=int)
+    rows = np.arange(n_rows)
+    z, w = warm
+    for it in range(1, max_iter + 1):
+        u = potrs(c, (rho * (z - w) - f).T, lower=lower, overwrite_b=True)[0].T
+        u_relaxed = RELAX * u + (1.0 - RELAX) * z
+        v = (u_relaxed + w).reshape(blocks)
+        z_old, z = z, _masked_shrink(v, kappa).reshape(len(rows), dim)
+        w = w + u_relaxed - z
+        primal_res = row_norms(u - z)
+        dual_res = rho * row_norms(z - z_old)
+        if on_iterate is not None:
+            on_iterate(z, f)
+        done = (primal_res < tol) & (dual_res < tol)
+        if not done.any():
+            continue
+        done[done] = kkt_residuals(prob, z[done], f[done], theta[done]) <= tol
+        if not done.any():
+            continue
+        finished = rows[done]
+        z_out[finished], w_out[finished] = z[done], w[done]
+        iterations[finished] = it
+        keep = ~done
+        rows, f, z, w = rows[keep], f[keep], z[keep], w[keep]
+        theta, kappa = theta[keep], kappa[keep]
+        if not rows.size:
+            break
+    else:
+        raise NonConvergenceError(
+            f"ADMM did not converge in {max_iter} iterations for trial {rows[0]} of the batch "
+            f"(primal {primal_res[0]:.3e}, dual {dual_res[0]:.3e})",
+            residual=float(max(primal_res[0], dual_res[0])),
+            iterations=max_iter,
+        )
+    return z_out, w_out, iterations
+
+
+def _recorder(log):
+    return lambda z, f: log.append(z.tobytes() + f.tobytes())
+
+
+def test_admm_matches_reference_loop_bit_for_bit(bench_problem, rng):
+    # the iterates, counts and on_iterate views of every row equal the reference loop's bytes
+    factor = admm_factor(bench_problem, 1.0)
+    estimates = rng.standard_normal((6, 4)) * np.array([[0.0], [0.05], [0.5], [1.0], [2.0], [4.0]])
+    for theta in (np.array([0.0, 0.02, 0.2, 0.0, 0.4, 1.0]), THETA):
+        warm = _cold(bench_problem, 6)
+        for _ in range(3):
+            # a cold start, then two shifted warm starts, as in the controller
+            seen, expected = [], []
+            z, w, iters = solve_admm(bench_problem, estimates, theta, warm, factor, 1e-8,
+                                     10_000, _recorder(seen))
+            z0, w0, iters0 = _reference_admm(bench_problem, estimates, theta, warm, factor,
+                                             1e-8, 10_000, _recorder(expected))
+            assert len(set(iters.tolist())) > 1
+            assert iters.tobytes() == iters0.tobytes()
+            assert z.tobytes() == z0.tobytes() and w.tobytes() == w0.tobytes()
+            assert seen == expected
+            warm = tuple(_shifted(v, bench_problem.group_size) for v in (z, w))
+        estimates = estimates * 0.9
+
+
+def test_admm_nonconvergence_error_matches_reference_loop(bench_problem):
+    estimates = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, -1.0, 0.2, 0.1], [2.0, 0.0, 0.0, 1.0]])
+    thetas = np.array([THETA, 0.0, 0.4])
+    args = (estimates, thetas, _cold(bench_problem, 3), admm_factor(bench_problem, 1.0), 1e-8, 2)
+    with pytest.raises(NonConvergenceError) as err:
+        solve_admm(bench_problem, *args)
+    with pytest.raises(NonConvergenceError) as expected:
+        _reference_admm(bench_problem, *args)
+    assert str(err.value) == str(expected.value)
+    assert err.value.residual == expected.value.residual
+    assert err.value.iterations == expected.value.iterations == 2
+
+
+def test_admm_nonconvergence_reports_the_named_row(bench_problem):
+    # a row that converges at the cap leaves the batch; the error's residuals are those of the
+    # row it names, the same as when that row is solved alone
+    factor = admm_factor(bench_problem, 1.0)
+    estimates = np.array([[0.1, -0.1, 0.02, 0.01], [2.0, 0.0, 0.0, 1.0]])
+    _, _, iters = solve_admm(bench_problem, estimates, THETA, _cold(bench_problem, 2), factor,
+                             1e-8, 10_000)
+    assert iters[0] < iters[1]
+    with pytest.raises(NonConvergenceError, match="for trial 1 of the batch") as batch:
+        solve_admm(bench_problem, estimates, THETA, _cold(bench_problem, 2), factor, 1e-8,
+                   int(iters[0]))
+    with pytest.raises(NonConvergenceError, match="for trial 0 of the batch") as alone:
+        solve_admm(bench_problem, estimates[1:], THETA, _cold(bench_problem, 1), factor, 1e-8,
+                   int(iters[0]))
+    assert batch.value.residual == alone.value.residual > 1e-8
+    assert str(batch.value).split("(")[1] == str(alone.value).split("(")[1]
+
+
+def test_admm_empty_batch(bench_problem):
+    seen = []
+    z, w, iters = solve_admm(bench_problem, np.zeros((0, 4)), THETA, _cold(bench_problem, 0),
+                             admm_factor(bench_problem, 1.0), 1e-8, 50, _recorder(seen))
+    dim = bench_problem.horizon * bench_problem.group_size
+    assert z.shape == w.shape == (0, dim) and iters.shape == (0,) and not seen
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_shrink_matches_masked_form_on_edge_blocks(q, rng):
+    # zero and signed-zero blocks, norms at kappa, subnormal, overflowing and NaN blocks: the
+    # same bits as the masked divide, signed zeros included, and an overflowed block stays NaN
+    tiny, huge = 5e-324, 1e300
+    edge = [np.full(q, 0.0), np.full(q, -0.0), np.array([-0.0, 0.0][:q]), np.full(q, 2.0),
+            np.array([1.2, -1.6][:q]), np.full(q, tiny), np.array([-tiny, 3 * tiny][:q]),
+            np.full(q, huge), np.array([-huge, 1.0][:q]), np.full(q, np.nan),
+            np.array([np.nan, 0.0][:q]), np.array([-1e-310, 0.0][:q])]
+    blocks = np.concatenate([np.stack(edge), rng.standard_normal((4, q))])
+    v = np.stack([blocks, -blocks, blocks * 1e-160])
+    at_norm = float(np.sqrt(np.add.reduce(np.full(q, 2.0) ** 2)))  # norms == kappa
+    kappas = [0.0, -0.0, at_norm, 1.0, np.inf, np.array([[[0.0]], [[at_norm]], [[0.3]]])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kappa in kappas:
+            got = _shrink(v, kappa)
+            assert got.tobytes() == _masked_shrink(v, kappa).tobytes()
+            assert np.isnan(got[:2, 7]).all() or np.isinf(kappa)
+            if np.ndim(kappa) == 0:
+                assert sr.block_soft_threshold(v, kappa).tobytes() == got.tobytes()
 
 
 def test_admm_rejects_negative_theta(bench_problem):
