@@ -42,6 +42,8 @@ def steady_kalman(dm: DiscreteModel, tol: float = 1e-12, max_iter: int = 200_000
     Returns (gain, err_cov, prior_cov).  Requires (A, proc_cov^{1/2})
     controllable and (A, C) observable for convergence.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     a, c, w, v = dm.a, dm.c, dm.proc_cov, dm.meas_cov
     x = dm.init_cov.copy()
     for _ in range(max_iter):

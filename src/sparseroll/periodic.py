@@ -13,7 +13,7 @@ import numpy as np
 from .exceptions import AssumptionViolatedError
 from .plant import DiscreteModel, LiftedSystem, build_lifted
 from .riccati import (RiccatiProblem, check_observability, check_pathological_sampling,
-                      psd_sqrt, solve_dare)
+                      psd_sqrt, solve_dares, symmetrize)
 
 
 @dataclass(frozen=True)
@@ -28,27 +28,8 @@ class PeriodicPolicy:
 
 
 def design_periodic(dm: DiscreteModel, q_weight, r_weight, p: int) -> PeriodicPolicy:
-    """Design the period-p policy that is optimal in long-run average cost.
-
-    Validates non-pathological sampling for p and observability of the
-    state-weight pair before solving the lifted Riccati equation.
-    """
-    q_weight = np.atleast_2d(np.asarray(q_weight, dtype=float))
-    r_weight = np.atleast_2d(np.asarray(r_weight, dtype=float))
-    if not check_pathological_sampling(dm.a, p):
-        raise AssumptionViolatedError(
-            f"pathological sampling: lifting by p={p} breaks stabilizability"
-        )
-    if not check_observability(dm.a, psd_sqrt(q_weight)):
-        raise AssumptionViolatedError("(A, Q^{1/2}) must be observable")
-    lift = build_lifted(dm, q_weight, r_weight, p)
-    sol = solve_dare(RiccatiProblem(lift.a_lift, lift.b_lift, lift.q_lift, lift.s_lift,
-                                    lift.r_lift))
-    pman = sol.cost_matrix
-    denom = lift.b_lift.T @ pman @ lift.b_lift + lift.r_lift
-    gain_quadratic = sol.gain.T @ denom @ sol.gain
-    return PeriodicPolicy(period=p, feedback_gain=sol.gain, cost_matrix=pman,
-                          gain_quadratic=0.5 * (gain_quadratic + gain_quadratic.T), lifted=lift)
+    """The period-p policy of :func:`design_candidates`."""
+    return design_candidates(dm, q_weight, r_weight, [p])[p]
 
 
 def periodic_average_cost(pol: PeriodicPolicy, err_cov, theta: float) -> float:
@@ -65,11 +46,35 @@ def periodic_average_cost(pol: PeriodicPolicy, err_cov, theta: float) -> float:
 
 
 def design_candidates(dm: DiscreteModel, q_weight, r_weight, candidates) -> dict:
-    """``{p: policy}`` for each candidate period, in ascending p."""
+    """``{p: policy}``, in ascending p, of the period-p policies optimal in long-run average cost.
+
+    Checks sampling and observability for each p, solves all lifted Riccati equations in one
+    :func:`solve_dares` and raises the first failure in ascending p.
+    """
     if not candidates:
         raise ValueError("candidate set must be non-empty")
-    return {p: design_periodic(dm, q_weight, r_weight, p)
-            for p in sorted(set(int(p) for p in candidates))}
+    lifts, failure = {}, None
+    for p in sorted(set(int(p) for p in candidates)):
+        if not check_pathological_sampling(dm.a, p):
+            failure = AssumptionViolatedError(
+                f"pathological sampling: lifting by p={p} breaks stabilizability")
+        elif not check_observability(dm.a, psd_sqrt(q_weight)):
+            failure = AssumptionViolatedError("(A, Q^{1/2}) must be observable")
+        if failure is not None:
+            break  # the smaller periods' solves may fail first
+        lifts[p] = build_lifted(dm, q_weight, r_weight, p)
+    solutions = solve_dares([RiccatiProblem(lift.a_lift, lift.b_lift, lift.q_lift, lift.s_lift,
+                                            lift.r_lift) for lift in lifts.values()])
+    for error in [*solutions, failure]:
+        if isinstance(error, Exception):
+            raise error
+    designs = {}
+    for (p, lift), sol in zip(lifts.items(), solutions):
+        denom = lift.b_lift.T @ sol.cost_matrix @ lift.b_lift + lift.r_lift
+        designs[p] = PeriodicPolicy(period=p, feedback_gain=sol.gain, cost_matrix=sol.cost_matrix,
+                                    gain_quadratic=symmetrize(sol.gain.T @ denom @ sol.gain),
+                                    lifted=lift)
+    return designs
 
 
 def cheapest_period(designs: dict, err_cov, theta: float):

@@ -12,7 +12,8 @@ non-pathological sampling) gate every periodic design built on this module.
 All functions are pure; returned matrices are freshly allocated.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,7 +31,8 @@ def _as_matrix(x) -> np.ndarray:
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    """The symmetric part of a matrix, or of each matrix of a stack."""
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def require_symmetric(m: np.ndarray, name: str, tol: float = SYM_TOL) -> None:
@@ -93,10 +95,11 @@ class RiccatiProblem:
             raise ValueError("input_weight must be positive definite")
         if not 0.0 < self.discount <= 1.0:
             raise ValueError("discount must lie in (0, 1]")
-        object.__setattr__(self, "state_matrix", a)
-        object.__setattr__(self, "input_matrix", b)
+        # C-contiguous, as the bits of the solvers' matrix products depend on the layout
+        object.__setattr__(self, "state_matrix", np.ascontiguousarray(a))
+        object.__setattr__(self, "input_matrix", np.ascontiguousarray(b))
         object.__setattr__(self, "state_weight", symmetrize(q))
-        object.__setattr__(self, "cross_weight", s)
+        object.__setattr__(self, "cross_weight", np.ascontiguousarray(s))
         object.__setattr__(self, "input_weight", symmetrize(r))
         object.__setattr__(self, "discount", float(self.discount))
 
@@ -119,55 +122,97 @@ class RiccatiSolution:
     iterations: int
 
 
-def riccati_step(prob: RiccatiProblem, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One application of the fixed-point map; returns (next P, gain at p)."""
-    a, b = prob.state_matrix, prob.input_matrix
-    g = prob.discount
-    btp = b.T @ p
-    denom = g * (btp @ b) + prob.input_weight
-    if denom.shape[0] > 0:
-        cond = np.linalg.cond(denom)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise IllConditionedError(
-                f"inner inverse condition number {cond:.3e} exceeds {COND_LIMIT:.1e}"
-            )
-    rhs = g * (btp @ a) + prob.cross_weight.T
-    gain = -np.linalg.solve(denom, rhs) if denom.shape[0] > 0 else np.zeros((0, a.shape[0]))
-    p_next = prob.state_weight + g * (a.T @ p @ a) + (g * (a.T @ p @ b) + prob.cross_weight) @ gain
-    return symmetrize(p_next), gain
+def _stack(problems) -> tuple:
+    """A, B, Q, S, R and g of same-shaped problems as (K, ...) arrays, g as (K, 1, 1)."""
+    return tuple(np.stack([np.atleast_2d(getattr(prob, f.name)) for prob in problems])
+                 for f in fields(RiccatiProblem))
+
+
+def _fro(m: np.ndarray) -> float:
+    """``np.linalg.norm(m, "fro")`` of a C-contiguous matrix, bit for bit, but faster."""
+    return math.sqrt(np.vdot(m, m))
+
+
+def _riccati_map(stack: tuple, p: np.ndarray):
+    """The fixed-point map on a stack at ``p``: (next P, gain at p, per-row error or None).
+
+    A row errs when its inner inverse is ill-conditioned; then next P and gain are None.
+    """
+    a, b, q, s, r, g = stack
+    btp = b.transpose(0, 2, 1) @ p
+    denom = g * (btp @ b) + r
+    try:
+        cond = np.linalg.cond(denom).tolist() if denom.shape[-1] else [1.0] * len(p)
+    except np.linalg.LinAlgError:  # the SVD of a NaN matrix fails the whole stack
+        cond = [np.linalg.cond(d) if np.isfinite(d).all() else np.nan for d in denom]
+    errors = [None if c <= COND_LIMIT else IllConditionedError(
+        f"inner inverse condition number {c:.3e} exceeds {COND_LIMIT:.1e}") for c in cond]
+    if any(errors):
+        return None, None, errors
+    gain = -np.linalg.solve(denom, g * (btp @ a) + s.transpose(0, 2, 1))
+    atp = a.transpose(0, 2, 1) @ p
+    return symmetrize(q + g * (atp @ a) + (g * (atp @ b) + s) @ gain), gain, errors
 
 
 def riccati_residual(prob: RiccatiProblem, p: np.ndarray) -> float:
     """Relative Frobenius distance between p and its fixed-point image."""
-    p_next, _ = riccati_step(prob, p)
-    return float(np.linalg.norm(p_next - p, "fro") / max(1.0, np.linalg.norm(p, "fro")))
+    p = np.asarray(p, dtype=float)
+    p_next, _, (error,) = _riccati_map(_stack([prob]), p[None])
+    if error:
+        raise error
+    return float(np.linalg.norm(p_next[0] - p, "fro") / max(1.0, np.linalg.norm(p, "fro")))
+
+
+def solve_dares(problems, tol: float = 1e-10, max_iter: int = 100_000) -> list:
+    """Solve same-shaped Riccati equations in lockstep by fixed-point iteration.
+
+    Iterates the map on the stack from P = state_weight, symmetrizing each step, until a
+    problem's relative Frobenius update falls below ``tol``.  A problem leaves at its failure
+    or after one more map, which gives its ``residual_norm``, so its iterates, count, residual
+    and error are the ones it has alone.  Returns its :class:`RiccatiSolution` or error.
+    """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    results = [None] * len(problems)
+    if not problems:
+        return results
+    stack = _stack(problems)
+    p = stack[2]
+    rows = list(range(len(problems)))  # the problem of each stacked row
+    converged = {}  # problem -> its gain and iteration count at its stopping iteration
+    it = 0
+    while rows:
+        p_next, gain, errors = _riccati_map(stack, p)
+        if p_next is None:  # the ill-conditioned rows leave; the others map again
+            for k, error in zip(rows, errors):
+                results[k] = error
+        else:
+            it += 1
+            steps = p_next - p
+            for i, k in enumerate(rows):
+                if k in converged:  # the map at the converged P gives its residual
+                    res = _fro(steps[i]) / max(1.0, _fro(p[i]))
+                    results[k] = RiccatiSolution(p[i].copy(), residual_norm=res, **converged[k])
+                elif (rel := _fro(steps[i]) / max(1.0, _fro(p_next[i]))) < tol:
+                    converged[k] = {"gain": gain[i].copy(), "iterations": it}
+                elif it >= max_iter:
+                    results[k] = NonConvergenceError(
+                        f"Riccati iteration did not converge in {max_iter} iterations "
+                        f"(residual {rel:.3e})", residual=rel, iterations=max_iter)
+            p = p_next
+        stay = [results[k] is None for k in rows]
+        if not all(stay):
+            stack, p = tuple(x[stay] for x in stack), p[stay]
+            rows = [k for k, keep in zip(rows, stay) if keep]
+    return results
 
 
 def solve_dare(prob: RiccatiProblem, tol: float = 1e-10, max_iter: int = 100_000) -> RiccatiSolution:
-    """Solve the discounted Riccati equation by fixed-point iteration.
-
-    Iterates the map from P = state_weight, symmetrizing each step to
-    suppress floating-point asymmetry drift, until the relative Frobenius
-    update falls below ``tol``.  Convergence is guaranteed under the usual
-    stabilizability/observability conditions on the (discount-scaled) pair.
-    """
-    p = prob.state_weight.copy()
-    for it in range(1, max_iter + 1):
-        p_next, gain = riccati_step(prob, p)
-        rel = np.linalg.norm(p_next - p, "fro") / max(1.0, np.linalg.norm(p_next, "fro"))
-        p = p_next
-        if rel < tol:
-            return RiccatiSolution(
-                cost_matrix=p,
-                gain=gain,
-                residual_norm=riccati_residual(prob, p),
-                iterations=it,
-            )
-    raise NonConvergenceError(
-        f"Riccati iteration did not converge in {max_iter} iterations (residual {rel:.3e})",
-        residual=float(rel),
-        iterations=max_iter,
-    )
+    """:func:`solve_dares` of one problem; raises the error it reports."""
+    (result,) = solve_dares([prob], tol, max_iter)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _numeric_rank(m: np.ndarray, tol_rank: float) -> int:

@@ -99,7 +99,9 @@ def build_mpc_problem(dm: DiscreteModel, q_weight, r_weight, horizon: int) -> Mp
 
 
 def admm_factor(prob: MpcProblem, rho: float):
-    """``((c, lower), rho)``: the Cholesky factor of H + rho I with its penalty rho."""
+    """``((c, lower), rho)``: the Cholesky factor of H + rho I with its penalty rho > 0."""
+    if not 0.0 < rho < np.inf:
+        raise ValueError("the ADMM penalty rho must be positive and finite")
     return sla.cho_factor(prob.quad_matrix + rho * np.eye(prob.quad_matrix.shape[0])), rho
 
 
@@ -168,6 +170,8 @@ def solve_admm(prob: MpcProblem, estimates, theta, warm, factor, tol: float,
     theta = np.broadcast_to(np.asarray(theta, dtype=float), (n_rows,))
     if (theta < 0.0).any():
         raise ValueError("theta must be nonnegative")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     kappa = (theta / rho)[:, None, None]
     blocks = (-1, prob.horizon, prob.group_size)
     z_out, w_out = np.empty((n_rows, dim)), np.empty((n_rows, dim))

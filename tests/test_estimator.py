@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 import sparseroll as sr
 
@@ -152,3 +153,9 @@ def test_filter_is_deterministic_function_of_records(benchmark_model, benchmark_
         return np.array(out)
 
     assert np.array_equal(run(), run())
+
+
+def test_steady_kalman_rejects_iteration_cap_below_one(scalar_model):
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            sr.steady_kalman(scalar_model, max_iter=max_iter)

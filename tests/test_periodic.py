@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import sparseroll as sr
-from sparseroll.exceptions import AssumptionViolatedError
+from sparseroll.exceptions import AssumptionViolatedError, IllConditionedError
+from sparseroll.periodic import design_candidates
 
 BENCH = sr.ExperimentConfig()  # the benchmark study
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -161,3 +162,19 @@ def test_best_periodic_theta_table(benchmark_model, benchmark_steady):
     assert chosen[0] == 1
     assert chosen[-1] == 6
     assert all(b >= a for a, b in zip(chosen, chosen[1:]))
+
+
+def test_candidates_raise_the_smallest_period_failure():
+    # p = 1 fails its solve (rank-one B, tiny R) and p = 2 its sampling check; designed
+    # one period after another, p = 1 fails first, so its error is the one raised
+    dm = sr.DiscreteModel(a=np.diag([1.0, -1.0]), b=np.ones((2, 2)), c=np.eye(2),
+                          proc_cov=np.eye(2), meas_cov=np.eye(2),
+                          init_mean=np.zeros(2), init_cov=np.eye(2))
+    tiny_r = 1e-15 * np.eye(2)
+    with pytest.raises(IllConditionedError):
+        design_candidates(dm, np.eye(2), tiny_r, [2, 1])
+    with pytest.raises(AssumptionViolatedError, match="p=2"):
+        design_candidates(dm, np.eye(2), np.eye(2), [1, 2])
+    with pytest.raises(AssumptionViolatedError, match="p=2"):
+        design_candidates(dm, np.eye(2), tiny_r, [2])
+    assert list(design_candidates(dm, np.eye(2), np.eye(2), [1])) == [1]

@@ -1,12 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparseroll as sr
 from sparseroll.exceptions import IllConditionedError, NonConvergenceError
-from sparseroll.riccati import psd_sqrt, riccati_residual
+from sparseroll.riccati import COND_LIMIT, psd_sqrt, riccati_residual, solve_dares
 
 BENCH = sr.ExperimentConfig()  # the benchmark study
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -155,3 +158,116 @@ def test_ill_conditioned_inner_inverse():
     )
     with pytest.raises(IllConditionedError):
         sr.solve_dare(prob)
+
+
+def _reference_dare(prob, tol=1e-10, max_iter=100_000):
+    """The one-problem fixed-point loop the lockstep solver replaced, kept as its reference."""
+    def step(p):
+        a, b, g = prob.state_matrix, prob.input_matrix, prob.discount
+        btp = b.T @ p
+        denom = g * (btp @ b) + prob.input_weight
+        cond = np.linalg.cond(denom)
+        if not np.isfinite(cond) or cond > COND_LIMIT:
+            raise IllConditionedError(
+                f"inner inverse condition number {cond:.3e} exceeds {COND_LIMIT:.1e}")
+        gain = -np.linalg.solve(denom, g * (btp @ a) + prob.cross_weight.T)
+        p_next = (prob.state_weight + g * (a.T @ p @ a)
+                  + (g * (a.T @ p @ b) + prob.cross_weight) @ gain)
+        return 0.5 * (p_next + p_next.T), gain
+
+    p = prob.state_weight.copy()
+    for it in range(1, max_iter + 1):
+        p_next, gain = step(p)
+        rel = np.linalg.norm(p_next - p, "fro") / max(1.0, np.linalg.norm(p_next, "fro"))
+        p = p_next
+        if rel < tol:
+            p_res, _ = step(p)
+            residual = float(np.linalg.norm(p_res - p, "fro") / max(1.0, np.linalg.norm(p, "fro")))
+            return sr.RiccatiSolution(p, gain, residual, it)
+    raise NonConvergenceError(
+        f"Riccati iteration did not converge in {max_iter} iterations (residual {rel:.3e})",
+        residual=float(rel), iterations=max_iter)
+
+
+def _outcome(solve, *args, **kwargs):
+    """What a solve gives: the solution's bits and diagnostics, or the error's type and data."""
+    try:
+        result = solve(*args, **kwargs)
+    except (IllConditionedError, NonConvergenceError) as exc:
+        result = exc
+    if isinstance(result, Exception):
+        return (type(result), str(result), getattr(result, "residual", None),
+                getattr(result, "iterations", None))
+    return (result.cost_matrix.tobytes(), result.gain.tobytes(), result.residual_norm,
+            result.iterations)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 4), q=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       discounts=st.lists(st.sampled_from([1.0, 0.9]), min_size=1, max_size=5))
+def test_lockstep_matches_each_problem_alone(n, q, seed, discounts):
+    # each problem's P, gain, count and residual are its own, bit for bit, and those of the
+    # one-problem loop the lockstep replaced
+    rng = np.random.default_rng(seed)
+    probs = [random_problem(rng, n, q, g, with_cross=True) for g in discounts]
+    for prob, got in zip(probs, solve_dares(probs)):
+        alone = _outcome(sr.solve_dare, prob)
+        assert _outcome(lambda: got) == alone == _outcome(_reference_dare, prob)
+        assert isinstance(got, sr.RiccatiSolution)
+
+
+def test_lockstep_failures_match_each_problem_alone(rng):
+    # an ill-conditioned, a diverging and a good problem keep their own outcome in any order
+    ill = sr.RiccatiProblem(np.eye(2) * 0.5, np.array([[1.0, 1.0], [0.0, 0.0]]), np.eye(2),
+                            np.zeros((2, 2)), 1e-15 * np.eye(2))
+    diverging = sr.RiccatiProblem(2.0 * np.eye(2), np.zeros((2, 2)), np.eye(2),
+                                  np.zeros((2, 2)), np.eye(2))
+    good = random_problem(rng, n=2, q=2, with_cross=True)
+    alone = [_outcome(sr.solve_dare, prob, max_iter=50) for prob in (ill, diverging, good)]
+    assert [a[0] for a in alone[:2]] == [IllConditionedError, NonConvergenceError]
+    assert alone[1][3] == 50 and alone[2][3] < 50
+    assert alone == [_outcome(_reference_dare, prob, max_iter=50)
+                     for prob in (ill, diverging, good)]
+    for order in itertools.permutations(range(3)):
+        got = solve_dares([(ill, diverging, good)[i] for i in order], max_iter=50)
+        assert [_outcome(lambda r=r: r) for r in got] == [alone[i] for i in order]
+
+
+def test_nan_inner_matrix_fails_only_its_problem():
+    # with B = 0 the diverging P overflows and B'PB turns NaN, whose SVD fails; the other
+    # problem, still iterating, keeps its solution
+    diverging = scalar_problem(a=2.0, b=0.0)
+    slow = scalar_problem(a=1.0, b=1.0, q=1e-4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = solve_dares([diverging, slow])
+        alone = [_outcome(sr.solve_dare, prob) for prob in (diverging, slow)]
+    assert isinstance(got[0], IllConditionedError) and "nan" in str(got[0])
+    assert [_outcome(lambda r=r: r) for r in got] == alone
+    assert alone[1][3] > 600  # still in the stack when the other one fails
+
+
+def test_solution_independent_of_memory_layout(benchmark_model):
+    # the model's A and B are strided views of the exponential's block
+    dm = benchmark_model
+    assert not dm.b.flags.c_contiguous
+    args = (BENCH.q_weight, np.zeros((4, 1)), BENCH.r_weight)
+    strided = sr.RiccatiProblem(dm.a, dm.b, *args)
+    contiguous = sr.RiccatiProblem(np.ascontiguousarray(dm.a), np.ascontiguousarray(dm.b), *args)
+    fortran = sr.RiccatiProblem(np.asfortranarray(dm.a), np.asfortranarray(dm.b), *args)
+    assert all(prob.state_matrix.flags.c_contiguous and prob.input_matrix.flags.c_contiguous
+               for prob in (strided, fortran))
+    outcomes = [_outcome(sr.solve_dare, prob) for prob in (strided, contiguous, fortran)]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def test_lockstep_rejects_mismatched_shapes_and_iteration_caps(rng):
+    with pytest.raises(ValueError, match="same shape"):
+        solve_dares([random_problem(rng, n=3, q=2), random_problem(rng, n=3, q=1)])
+    with pytest.raises(ValueError, match="same shape"):
+        solve_dares([random_problem(rng, n=2, q=1), random_problem(rng, n=3, q=1)])
+    assert solve_dares([]) == []
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            sr.solve_dare(scalar_problem(), max_iter=max_iter)
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            solve_dares([scalar_problem()], max_iter=max_iter)

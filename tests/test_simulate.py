@@ -251,13 +251,12 @@ def test_nonfinite_error_names_step_and_trial():
 def test_theta_sweep_designs_once_per_call(monkeypatch):
     # theta-independent designs are shared by the cells of one sweep, not across sweeps
     periods, tables, mpc_problems, factors, controllers = [], [], [], [], []
-    design, build = simulate.design_periodic, simulate.build_tables
+    lift, build = sr.periodic.build_lifted, simulate.build_tables
     build_mpc, factorise = simulate.build_mpc_problem, simulate.admm_factor
     run = simulate.simulate_trials
-    monkeypatch.setattr(sr.periodic, "design_periodic",
-                        lambda *a, **kw: periods.append(a[3]) or design(*a, **kw))
-    monkeypatch.setattr(simulate, "design_periodic",
-                        lambda *a, **kw: periods.append(a[3]) or design(*a, **kw))
+    # every periodic design, a candidate or the rollout base, lifts its period once
+    monkeypatch.setattr(sr.periodic, "build_lifted",
+                        lambda *a, **kw: periods.append(a[3]) or lift(*a, **kw))
     monkeypatch.setattr(simulate, "build_tables",
                         lambda *a, **kw: tables.append(a[5]) or build(*a, **kw))
     monkeypatch.setattr(simulate, "build_mpc_problem",

@@ -453,3 +453,18 @@ def test_kkt_check_builds_one_problem_and_factor(monkeypatch):
     check = verify._mpc_kkt_check(cfg, sr.design(cfg, methods=("sparse_mpc",)), (0.05, 0.2, 0.4))
     assert check.passed, check.detail
     assert problems == [BENCH.mpc_horizon] and factors == [2.0] and solves == [2.0, 2.0]
+
+
+def test_admm_rejects_iteration_cap_below_one(bench_problem):
+    factor = admm_factor(bench_problem, 1.0)
+    for rows in (1, 0):
+        for max_iter in (0, -1):
+            with pytest.raises(ValueError, match="max_iter must be >= 1"):
+                solve_admm(bench_problem, np.ones((rows, 4)), THETA, _cold(bench_problem, rows),
+                           factor, 1e-8, max_iter)
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.0, -1.0, np.inf, np.nan])
+def test_admm_factor_rejects_nonpositive_or_nonfinite_penalty(bench_problem, rho):
+    with pytest.raises(ValueError, match="penalty rho must be positive and finite"):
+        admm_factor(bench_problem, rho)
