@@ -13,7 +13,7 @@ x0 and as the start of the iteration.
 
 import numpy as np
 
-from .exceptions import NonConvergenceError
+from .exceptions import NonConvergenceError, NonFiniteError
 from .plant import DiscreteModel
 from .riccati import symmetrize
 
@@ -36,19 +36,22 @@ def _filter_step_cov(a, c, w, v, x):
     return nxt, post, gain_t.T
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging covariance fails at its overflow
 def steady_kalman(dm: DiscreteModel, tol: float = 1e-12, max_iter: int = 200_000):
     """Stationary Kalman gain with its posterior and predictive covariances.
 
-    Returns (gain, err_cov, prior_cov).  Requires (A, proc_cov^{1/2})
-    controllable and (A, C) observable for convergence.
+    Returns (gain, err_cov, prior_cov).  Requires (A, proc_cov^{1/2}) controllable and (A, C)
+    observable for convergence; a covariance whose norm is not finite raises NonFiniteError.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     a, c, w, v = dm.a, dm.c, dm.proc_cov, dm.meas_cov
     x = dm.init_cov.copy()
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         x_next, post, gain = _filter_step_cov(a, c, w, v, x)
-        rel = np.linalg.norm(x_next - x, "fro") / max(1.0, np.linalg.norm(x_next, "fro"))
+        if not np.isfinite(norm := np.linalg.norm(x_next, "fro")):
+            raise NonFiniteError(f"filter covariance norm is inf/nan at iteration {it}")
+        rel = np.linalg.norm(x_next - x, "fro") / max(1.0, norm)
         x = x_next
         if rel < tol:
             # one more half-step so gain/posterior correspond to the fixed point

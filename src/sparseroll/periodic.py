@@ -45,36 +45,52 @@ def periodic_average_cost(pol: PeriodicPolicy, err_cov, theta: float) -> float:
     return (noise_term + gain_term + lift.d_avg) / p + theta / p
 
 
+def design_periods(dm: DiscreteModel, q_weight, r_weight, periods, extra=()) -> tuple:
+    """``({p: PeriodicPolicy or error}, [RiccatiSolution or error of each extra problem])``.
+
+    Checks observability once and sampling per period, lifts, and solves the lifted equations
+    and the same-shaped ``extra`` in one :func:`solve_dares`; a failed period maps to its error.
+    """
+    observable = check_observability(dm.a, psd_sqrt(q_weight))
+    designs = {}
+    for p in sorted(set(int(p) for p in periods)):
+        if not check_pathological_sampling(dm.a, p):
+            designs[p] = AssumptionViolatedError(
+                f"pathological sampling: lifting by p={p} breaks stabilizability")
+        elif not observable:
+            designs[p] = AssumptionViolatedError("(A, Q^{1/2}) must be observable")
+        else:
+            designs[p] = build_lifted(dm, q_weight, r_weight, p)
+    lifts = {p: lift for p, lift in designs.items() if isinstance(lift, LiftedSystem)}
+    solutions = solve_dares([RiccatiProblem(lift.a_lift, lift.b_lift, lift.q_lift, lift.s_lift,
+                                            lift.r_lift) for lift in lifts.values()] + list(extra))
+    for (p, lift), sol in zip(lifts.items(), solutions):
+        if not isinstance(sol, Exception):
+            denom = lift.b_lift.T @ sol.cost_matrix @ lift.b_lift + lift.r_lift
+            sol = PeriodicPolicy(period=p, feedback_gain=sol.gain, cost_matrix=sol.cost_matrix,
+                                 gain_quadratic=symmetrize(sol.gain.T @ denom @ sol.gain),
+                                 lifted=lift)
+        designs[p] = sol
+    return designs, solutions[len(lifts):]
+
+
+def period_policies(designs: dict, periods) -> dict:
+    """``{p: policy}`` of ``periods`` out of :func:`design_periods`; raises the first failure."""
+    chosen = {p: designs[p] for p in sorted(set(int(p) for p in periods))}
+    for entry in chosen.values():
+        if isinstance(entry, Exception):
+            raise entry
+    return chosen
+
+
 def design_candidates(dm: DiscreteModel, q_weight, r_weight, candidates) -> dict:
     """``{p: policy}``, in ascending p, of the period-p policies optimal in long-run average cost.
 
-    Checks sampling and observability for each p, solves all lifted Riccati equations in one
-    :func:`solve_dares` and raises the first failure in ascending p.
+    The candidates' :func:`design_periods`; raises the first failure in ascending p.
     """
     if not candidates:
         raise ValueError("candidate set must be non-empty")
-    lifts, failure = {}, None
-    for p in sorted(set(int(p) for p in candidates)):
-        if not check_pathological_sampling(dm.a, p):
-            failure = AssumptionViolatedError(
-                f"pathological sampling: lifting by p={p} breaks stabilizability")
-        elif not check_observability(dm.a, psd_sqrt(q_weight)):
-            failure = AssumptionViolatedError("(A, Q^{1/2}) must be observable")
-        if failure is not None:
-            break  # the smaller periods' solves may fail first
-        lifts[p] = build_lifted(dm, q_weight, r_weight, p)
-    solutions = solve_dares([RiccatiProblem(lift.a_lift, lift.b_lift, lift.q_lift, lift.s_lift,
-                                            lift.r_lift) for lift in lifts.values()])
-    for error in [*solutions, failure]:
-        if isinstance(error, Exception):
-            raise error
-    designs = {}
-    for (p, lift), sol in zip(lifts.items(), solutions):
-        denom = lift.b_lift.T @ sol.cost_matrix @ lift.b_lift + lift.r_lift
-        designs[p] = PeriodicPolicy(period=p, feedback_gain=sol.gain, cost_matrix=sol.cost_matrix,
-                                    gain_quadratic=symmetrize(sol.gain.T @ denom @ sol.gain),
-                                    lifted=lift)
-    return designs
+    return period_policies(design_periods(dm, q_weight, r_weight, candidates)[0], candidates)
 
 
 def cheapest_period(designs: dict, err_cov, theta: float):

@@ -6,8 +6,9 @@ Every design here solves the cross-weighted, undiscounted equation
 
 with Q >= 0 and R > 0.  ``RiccatiProblem.discount`` (g in (0, 1], scaling
 A'PA, A'PB and B'PB) is always 1.0; it stays while the benchmark's Riccati
-cross-check reads it.  The structural predicates (observability and
-non-pathological sampling) gate every periodic design built on this module.
+cross-check reads it.  One :func:`solve_dares` stack solves all of a design's
+equations.  The structural predicates (observability and non-pathological
+sampling) gate every periodic design built on this module.
 
 All functions are pure; returned matrices are freshly allocated.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .exceptions import IllConditionedError, NonConvergenceError
+from .exceptions import IllConditionedError, NonConvergenceError, NonFiniteError
 
 # Relative tolerance used for symmetry / definiteness validation of inputs.
 SYM_TOL = 1e-8
@@ -163,13 +164,15 @@ def riccati_residual(prob: RiccatiProblem, p: np.ndarray) -> float:
     return float(np.linalg.norm(p_next[0] - p, "fro") / max(1.0, np.linalg.norm(p, "fro")))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging row fails alone, at its overflow
 def solve_dares(problems, tol: float = 1e-10, max_iter: int = 100_000) -> list:
     """Solve same-shaped Riccati equations in lockstep by fixed-point iteration.
 
     Iterates the map on the stack from P = state_weight, symmetrizing each step, until a
     problem's relative Frobenius update falls below ``tol``.  A problem leaves at its failure
     or after one more map, which gives its ``residual_norm``, so its iterates, count, residual
-    and error are the ones it has alone.  Returns its :class:`RiccatiSolution` or error.
+    and error are the ones it has alone.  Returns its :class:`RiccatiSolution` or error (a
+    :class:`NonFiniteError` at the first iterate whose norm is not finite).
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -193,7 +196,9 @@ def solve_dares(problems, tol: float = 1e-10, max_iter: int = 100_000) -> list:
                 if k in converged:  # the map at the converged P gives its residual
                     res = _fro(steps[i]) / max(1.0, _fro(p[i]))
                     results[k] = RiccatiSolution(p[i].copy(), residual_norm=res, **converged[k])
-                elif (rel := _fro(steps[i]) / max(1.0, _fro(p_next[i]))) < tol:
+                elif not math.isfinite(norm := _fro(p_next[i])):
+                    results[k] = NonFiniteError(f"Riccati iterate norm is inf/nan at iteration {it}")
+                elif (rel := _fro(steps[i]) / max(1.0, norm)) < tol:
                     converged[k] = {"gain": gain[i].copy(), "iterations": it}
                 elif it >= max_iter:
                     results[k] = NonConvergenceError(

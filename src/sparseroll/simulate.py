@@ -18,8 +18,9 @@ import numpy as np
 from .config import ExperimentConfig
 from .estimator import kalman_init, kalman_step, row_product, steady_kalman
 from .exceptions import NonFiniteError
-from .periodic import cheapest_period, design_candidates, design_periodic
+from .periodic import cheapest_period, design_periods, period_policies
 from .plant import DiscreteModel
+from .riccati import RiccatiProblem
 from .rollout import RolloutPolicy, build_tables
 from .sparse_mpc import admm_factor, build_mpc_problem, first_inputs, solve_admm
 
@@ -242,12 +243,13 @@ def estimate_metrics(traces, theta: float) -> Metrics:
 class Design:
     """The theta-independent design of a config: its model, filter and ``methods``.
 
-    ``model`` is the :class:`DiscreteModel` the design was made on and
-    ``steady`` its :func:`steady_kalman` triple.  ``methods`` maps each
-    designed method to its design or to the exception that building it
-    raised: ``periodic`` to ``{p: PeriodicPolicy}``, ``rollout`` to (base
-    policy, :class:`RolloutTables`) and ``sparse_mpc`` to (problem,
-    :func:`admm_factor` at the configured penalty).
+    ``model`` is the :class:`DiscreteModel` the design was made on and ``steady`` its
+    :func:`steady_kalman` triple.  ``methods`` maps each designed method to its design or to
+    the exception that building it raised: ``periodic`` to ``{p: PeriodicPolicy}`` (or the
+    first failure in ascending candidate p), ``rollout`` to (base policy of period p,
+    :class:`RolloutTables`) and ``sparse_mpc`` to (problem, :func:`admm_factor` at the
+    configured penalty).  Their Riccati equations share one lockstep solve, in which each
+    keeps the bits and the failure it has alone.
     """
 
     model: DiscreteModel
@@ -265,29 +267,35 @@ class Design:
 def design(cfg: ExperimentConfig, dm: DiscreteModel | None = None, methods=None) -> Design:
     """The model, filter and design of each of ``methods`` (by default ``cfg.methods``), made once.
 
-    The model is ``cfg.build_model()`` unless ``dm`` is given.  The rollout
-    base is the periodic candidate of period p when there is one.
+    The model is ``cfg.build_model()`` unless ``dm`` is given.  One :func:`design_periods`
+    call solves every Riccati equation the methods need in one stack: the lifted ones of the
+    candidate periods and of p, and the sparse-MPC terminal.
     """
     dm = cfg.build_model() if dm is None else dm
     steady = steady_kalman(dm)
     q_w, r_w = cfg.q_weight, cfg.r_weight
-    designs = {}
+    methods = cfg.methods if methods is None else methods
+    periods = {*(cfg.candidates if "periodic" in methods else ()),
+               *((cfg.p,) if "rollout" in methods else ())}
+    terminal = ([RiccatiProblem(dm.a, dm.b, q_w, np.zeros(dm.b.shape), r_w)]
+                if "sparse_mpc" in methods else [])
+    policies, terminal = design_periods(dm, q_w, r_w, periods, terminal)
 
     def rollout():
-        candidates = designs.get("periodic")
-        base = (candidates[cfg.p] if isinstance(candidates, dict) and cfg.p in candidates
-                else design_periodic(dm, q_w, r_w, cfg.p))
+        (base,) = period_policies(policies, [cfg.p]).values()
         return base, build_tables(dm, q_w, r_w, base.cost_matrix, cfg.h, cfg.p, steady[1])
 
     def sparse_mpc():
-        problem = build_mpc_problem(dm, q_w, r_w, cfg.mpc_horizon)
+        if isinstance(solution := terminal[0], Exception):
+            raise solution
+        problem = build_mpc_problem(dm, q_w, r_w, cfg.mpc_horizon, solution.cost_matrix)
         return problem, admm_factor(problem, cfg.mpc_penalty)
 
-    # periodic first, since its candidates may hold the rollout base
-    builders = {"periodic": lambda: design_candidates(dm, q_w, r_w, cfg.candidates),
+    builders = {"periodic": lambda: period_policies(policies, cfg.candidates),
                 "rollout": rollout, "sparse_mpc": sparse_mpc}
+    designs = {}
     for method, build in builders.items():
-        if method in (cfg.methods if methods is None else methods):
+        if method in methods:
             try:
                 designs[method] = build()
             except Exception as exc:  # noqa: BLE001 - a failed design fails what needs it

@@ -29,7 +29,7 @@ from scipy.linalg.lapack import get_lapack_funcs
 from .estimator import row_product
 from .exceptions import NonConvergenceError
 from .plant import DiscreteModel
-from .riccati import RiccatiProblem, min_eigenvalue, solve_dare
+from .riccati import min_eigenvalue
 
 # Inputs with norm at or below this are treated as "no actuation".
 ZERO_TOL = 1e-9
@@ -58,11 +58,12 @@ class MpcProblem:
             raise ValueError("condensed quadratic cost must be positive definite")
 
 
-def build_mpc_problem(dm: DiscreteModel, q_weight, r_weight, horizon: int) -> MpcProblem:
+def build_mpc_problem(dm: DiscreteModel, q_weight, r_weight, horizon: int,
+                      terminal) -> MpcProblem:
     """Condense the prediction model and cost over the given horizon.
 
-    The terminal weight is the period-1 Riccati cost matrix, the standard
-    stabilizing cost-to-go choice.
+    ``terminal`` (n, n) is the terminal cost-to-go weight; :func:`~sparseroll.simulate.design`
+    passes the period-1 Riccati cost matrix, the standard stabilizing choice.
     """
     if horizon < 1:
         raise ValueError("prediction horizon must be >= 1")
@@ -70,8 +71,6 @@ def build_mpc_problem(dm: DiscreteModel, q_weight, r_weight, horizon: int) -> Mp
     n, q = b.shape
     q_weight = np.atleast_2d(np.asarray(q_weight, dtype=float))
     r_weight = np.atleast_2d(np.asarray(r_weight, dtype=float))
-    prob = RiccatiProblem(a, b, q_weight, np.zeros((n, q)), r_weight, discount=1.0)
-    terminal = solve_dare(prob).cost_matrix
 
     powers = [np.eye(n)]
     for _ in range(horizon):

@@ -34,6 +34,16 @@ def scalar_model():
     )
 
 
+@pytest.fixture(scope="session")
+def mpc_problem():
+    """Builds the condensed sparse-MPC problem at the period-1 Riccati terminal, as design does."""
+    def build(dm, q_weight, r_weight, horizon):
+        terminal = sr.solve_dare(sr.RiccatiProblem(dm.a, dm.b, q_weight, np.zeros(dm.b.shape),
+                                                   r_weight)).cost_matrix
+        return sr.build_mpc_problem(dm, q_weight, r_weight, horizon, terminal)
+    return build
+
+
 @pytest.fixture()
 def rng():
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(20240601)))

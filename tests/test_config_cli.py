@@ -220,7 +220,11 @@ def test_verify_one_sweep_serves_bound_and_stability(monkeypatch):
 
 
 def count_design_calls(monkeypatch):
-    """Count model builds and the designs' building blocks; build_lifted by period."""
+    """Count model builds and the designs' building blocks; build_lifted by period.
+
+    ``solve_dares`` is counted where the designs call it, outside :mod:`sparseroll.riccati`:
+    ``solve_dare``, the batch of one that the ``scalar_dare`` check solves, is not a design.
+    """
     counts = Counter()
 
     def counted(key, original):
@@ -234,11 +238,12 @@ def count_design_calls(monkeypatch):
     modules = [m for name, m in sys.modules.items() if name.startswith("sparseroll")]
     for name, key in (("build_lifted", lambda a: ("build_lifted", a[3])),
                       ("build_tables", lambda a: "build_tables"),
-                      ("build_mpc_problem", lambda a: "build_mpc_problem")):
-        original = getattr(sr, name)
+                      ("build_mpc_problem", lambda a: "build_mpc_problem"),
+                      ("solve_dares", lambda a: "solve_dares")):
+        original = getattr(sr.riccati if name == "solve_dares" else sr, name)
         wrapper = counted(key, original)
         for module in modules:
-            if vars(module).get(name) is original:
+            if vars(module).get(name) is original and module is not sr.riccati:
                 monkeypatch.setattr(module, name, wrapper)
     return counts
 
@@ -255,29 +260,35 @@ def test_each_command_designs_once(tmp_path, monkeypatch, capsys):
         counts.clear()
         return cli.main([command, "--config", str(config), "--out", str(tmp_path), *flags])
 
-    # verify makes one model and one design of all three methods, shared by every check
+    # verify makes one model and one design of all three methods, shared by every check; one
+    # Riccati stack holds every candidate period, the rollout base and the MPC terminal
     run("verify", BENCHMARK_CONFIG, "--trials", "2")
     assert counts == {"build_model": 1, "build_tables": 1, "build_mpc_problem": 1,
-                      **{("build_lifted", p): 1 for p in (1, 2, 3, 6)}}
+                      "solve_dares": 1, **{("build_lifted", p): 1 for p in (1, 2, 3, 6)}}
     # the rollout base of period p = 1 is the candidate design; the negative control builds
     # its own tables
     run("verify", SCALAR_CONFIG, "--trials", "4", "--corrupt-terminal")
     assert counts == {"build_model": 1, "build_tables": 2, "build_mpc_problem": 1,
-                      **{("build_lifted", p): 1 for p in (1, 2, 3)}}
-    # a rollout base off the candidates is designed once on its own
+                      "solve_dares": 1, **{("build_lifted", p): 1 for p in (1, 2, 3)}}
+    # a rollout base off the candidates is lifted once and solved in the candidates' stack
     for command in ("design", "sweep"):
         assert run(command, path) == 0
-        assert counts == {"build_model": 1, "build_tables": 1,
+        assert counts == {"build_model": 1, "build_tables": 1, "solve_dares": 1,
                           **{("build_lifted", p): 1 for p in (1, 2, 6)}}, command
 
 
 def test_verify_design_failure_fails_only_the_checks_that_need_it(monkeypatch):
     # a periodic design that raises fails the periodic checks, naming the exception; the
-    # rollout and MPC checks run on their own designs
-    def pathological(*args):
-        raise AssumptionViolatedError("pathological sampling")
+    # rollout and MPC checks run on their own outcomes of the one design
+    design_periods = simulate.design_periods
 
-    monkeypatch.setattr(simulate, "design_candidates", pathological)
+    def pathological(*args):
+        # every candidate period but the rollout base p = 6 fails its check
+        designs, extra = design_periods(*args)
+        designs.update({p: AssumptionViolatedError("pathological sampling") for p in (1, 2, 3)})
+        return designs, extra
+
+    monkeypatch.setattr(simulate, "design_periods", pathological)
     cfg = parse_config(small_config_dict(methods=["rollout", "periodic", "sparse_mpc"]))
     results = {c.name: c for c in verify.run_verification(cfg)}
     assert results["periodic_formula_vs_sim"] == verify.CheckResult(
@@ -325,13 +336,18 @@ def test_cmd_design_periodic_table(tmp_path, capsys):
 
 
 def test_cmd_design_digest_of_benchmark_tables(tmp_path, capsys):
-    # the digest hashes every pattern's (h+1, n, n) cost matrices in pattern order
-    out = tmp_path / "out"
-    assert cli.main(["design", "--config", str(BENCHMARK_CONFIG), "--out", str(out)]) == 0
-    report = (out / "design_report.txt").read_text()
-    assert "patterns = 64\n" in report
-    assert ("cost_matrices_sha256 = "
-            "88cf014b1535ed7e3a9e2a955652e3c41a15b223e74ad875dfb81ac8b68e7396\n") in report
+    # the digest hashes the (2^(h+1) - 1, n, n) suffix tree of cost matrices as stored; the
+    # workload (h = 14) is only read
+    for config, patterns, digest in [
+            (BENCHMARK_CONFIG, 64,
+             "174354be46eee613d6d4387f9641f41ffcc7b9f25c4bd69bc141aaff9b0d4b38"),
+            (REPO / "perfbench" / "workloads" / "mpc-deep-lookahead.yaml", 2**14,
+             "3f12ad7a652ac62e890c66abe5912fc4cb92722be55c52624343e882a97d6e27")]:
+        out = tmp_path / config.stem
+        assert cli.main(["design", "--config", str(config), "--out", str(out)]) == 0
+        report = (out / "design_report.txt").read_text()
+        assert f"patterns = {patterns}\n" in report
+        assert f"cost_matrices_sha256 = {digest}\n" in report
 
 
 def test_cmd_design_config_error_exit(tmp_path, capsys):

@@ -1,9 +1,14 @@
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
+import yaml
 
 import sparseroll as sr
+from sparseroll import cli
+from sparseroll.exceptions import NonFiniteError
 
 BENCH = sr.ExperimentConfig()  # the benchmark study
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -159,3 +164,30 @@ def test_steady_kalman_rejects_iteration_cap_below_one(scalar_model):
     for max_iter in (0, -1):
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
             sr.steady_kalman(scalar_model, max_iter=max_iter)
+
+
+def test_diverging_filter_covariance_fails_at_its_first_nonfinite_iterate(tmp_path, capsys):
+    # with C = 0 the unstable mode's covariance grows by 2.25 a step until its norm
+    # overflows, where the relative step finite / inf = 0 would pass the stop test
+    model = {"a": [[1.5, 0.0], [0.0, 0.5]], "b": [[1.0], [1.0]], "c": [[0.0, 0.0]],
+             "proc_cov": [[1.0, 0.0], [0.0, 1.0]], "meas_cov": [[1.0]],
+             "init_mean": [0.0, 0.0], "init_cov": [[1.0, 0.0], [0.0, 1.0]]}
+    dm = sr.DiscreteModel(**{key: np.array(value) for key, value in model.items()})
+    (tmp_path / "model.yaml").write_text(yaml.safe_dump(model))
+    config = tmp_path / "cfg.yaml"
+    config.write_text(yaml.safe_dump({
+        "model": {"source": "matrices-from-file", "file": "model.yaml"},
+        "cost": {"q": np.eye(2).tolist(), "r": [[1.0]]}, "methods": ["rollout", "periodic"],
+        "rollout": {"h": 2, "p": 1}, "periodic": {"candidates": [1, 2]},
+        "sim": {"trials": 2, "horizon_steps": 10, "seed_base": 1}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=r"^filter covariance norm is inf/nan at "
+                                                 r"iteration 437$"):
+            sr.steady_kalman(dm)
+        # the same model from a file: `design` fails as a numerical failure, at once
+        start = time.perf_counter()
+        assert cli.main(["design", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == ("numerical failure: filter covariance norm is inf/nan "
+                                       "at iteration 437\n")

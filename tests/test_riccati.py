@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparseroll as sr
-from sparseroll.exceptions import IllConditionedError, NonConvergenceError
+from sparseroll.exceptions import IllConditionedError, NonConvergenceError, NonFiniteError
 from sparseroll.riccati import COND_LIMIT, psd_sqrt, riccati_residual, solve_dares
 
 BENCH = sr.ExperimentConfig()  # the benchmark study
@@ -193,7 +194,7 @@ def _outcome(solve, *args, **kwargs):
     """What a solve gives: the solution's bits and diagnostics, or the error's type and data."""
     try:
         result = solve(*args, **kwargs)
-    except (IllConditionedError, NonConvergenceError) as exc:
+    except (IllConditionedError, NonConvergenceError, NonFiniteError) as exc:
         result = exc
     if isinstance(result, Exception):
         return (type(result), str(result), getattr(result, "residual", None),
@@ -234,16 +235,37 @@ def test_lockstep_failures_match_each_problem_alone(rng):
 
 
 def test_nan_inner_matrix_fails_only_its_problem():
-    # with B = 0 the diverging P overflows and B'PB turns NaN, whose SVD fails; the other
-    # problem, still iterating, keeps its solution
+    # with B = 0 the diverging P overflows; it fails at its first non-finite iterate, before
+    # B'PB can turn NaN, and the other problem, still iterating, keeps its solution
     diverging = scalar_problem(a=2.0, b=0.0)
     slow = scalar_problem(a=1.0, b=1.0, q=1e-4)
     with np.errstate(over="ignore", invalid="ignore"):
         got = solve_dares([diverging, slow])
         alone = [_outcome(sr.solve_dare, prob) for prob in (diverging, slow)]
-    assert isinstance(got[0], IllConditionedError) and "nan" in str(got[0])
+    assert isinstance(got[0], NonFiniteError) and "nan" in str(got[0])
     assert [_outcome(lambda r=r: r) for r in got] == alone
     assert alone[1][3] > 600  # still in the stack when the other one fails
+
+
+def test_overflowing_problem_fails_at_its_first_nonfinite_iterate(rng):
+    # a mode that B cannot reach grows until the iterate's norm overflows, where the relative
+    # step finite / inf = 0 would pass the stop test; that problem fails there with
+    # NonFiniteError, alone or stacked, a good problem in its stack keeps its solo bits, and
+    # no warning escapes, also from a map that overflows (a = 1e200)
+    diverging = [sr.RiccatiProblem(np.diag([a, 0.5]), [[0.0], [1.0]], np.eye(2),
+                                   np.zeros((2, 1)), [[1.0]]) for a in (1.5, 1.1, 1e200)]
+    good = random_problem(rng, n=2, q=1, with_cross=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = [_outcome(sr.solve_dare, prob) for prob in (*diverging, good)]
+        stacked = [solve_dares([diverging[0], good, diverging[1], diverging[2]]),
+                   solve_dares([diverging[2], good, *diverging[1::-1]])]
+    for outcome, it in zip(alone, (437, 1853, 1)):
+        assert outcome == (NonFiniteError, f"Riccati iterate norm is inf/nan at iteration {it}",
+                           None, None)
+    assert alone[3] == _outcome(_reference_dare, good) and alone[3][0] != NonFiniteError
+    assert [_outcome(lambda r=r: r) for r in stacked[0]] == [alone[0], alone[3], *alone[1:3]]
+    assert [_outcome(lambda r=r: r) for r in stacked[1]] == [alone[2], alone[3], *alone[1::-1]]
 
 
 def test_solution_independent_of_memory_layout(benchmark_model):

@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ import scipy.linalg as sla
 
 import sparseroll as sr
 from sparseroll import simulate
+from sparseroll.config import load_config
 from sparseroll.exceptions import ConfigError, NonConvergenceError, NonFiniteError
 from sparseroll.simulate import PeriodicController, SparseMpcController
 from sparseroll.sparse_mpc import admm_factor
 
 BENCH = sr.ExperimentConfig()  # the benchmark study
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def bench_cfg(**kw):
@@ -238,6 +241,52 @@ def test_theta_sweep_design_failure_stays_in_its_method():
             assert np.isfinite(cell.metrics.total)
 
 
+def test_design_rollout_base_failure_stays_in_rollout(monkeypatch):
+    # only the rollout base's lifted equation diverges (B = 0, A = 2 I, off the candidates):
+    # rollout fails with its own error, and the periodic and sparse-MPC entries, solved in
+    # the same stack, have the bits of a design made without rollout
+    lift = sr.periodic.build_lifted
+
+    def diverging_p6(dm, q_w, r_w, p):
+        lifted = lift(dm, q_w, r_w, p)
+        return lifted if p != 6 else replace(lifted, a_lift=2.0 * np.eye(4),
+                                             b_lift=np.zeros_like(lifted.b_lift))
+
+    monkeypatch.setattr(sr.periodic, "build_lifted", diverging_p6)
+    cfg = bench_cfg(candidates=(1, 2, 3), methods=("rollout", "periodic", "sparse_mpc"))
+    designed = sr.design(cfg)
+    without = sr.design(cfg, methods=("periodic", "sparse_mpc"))
+    rollout = designed.methods["rollout"]
+    assert isinstance(rollout, NonFiniteError), rollout
+    assert str(rollout).startswith("Riccati iterate norm is inf/nan at iteration ")
+    assert list(designed["periodic"]) == list(without["periodic"]) == [1, 2, 3]
+    for p, pol in designed["periodic"].items():
+        ref = without["periodic"][p]
+        for name in ("feedback_gain", "cost_matrix", "gain_quadratic"):
+            assert getattr(pol, name).tobytes() == getattr(ref, name).tobytes(), (p, name)
+    (problem, (factor, rho)), (ref_problem, (ref_factor, ref_rho)) = (
+        designed["sparse_mpc"], without["sparse_mpc"])
+    for name in ("terminal_weight", "quad_matrix", "lin_matrix"):
+        assert getattr(problem, name).tobytes() == getattr(ref_problem, name).tobytes(), name
+    assert factor[0].tobytes() == ref_factor[0].tobytes() and rho == ref_rho
+
+
+@pytest.mark.parametrize("name", ["benchmark", "scalar"])
+def test_design_stack_keeps_each_equation_solo_bits(name):
+    # the MPC terminal, solved in the stack of every lifted equation, is the period-1 Riccati
+    # cost matrix of the plain model solved alone, bit for bit, and so is each period's policy
+    cfg = load_config(CONFIGS / f"{name}.yaml")
+    designed = sr.design(cfg, methods=("rollout", "periodic", "sparse_mpc"))
+    dm = designed.model
+    terminal = sr.solve_dare(sr.RiccatiProblem(dm.a, dm.b, cfg.q_weight, np.zeros(dm.b.shape),
+                                               cfg.r_weight)).cost_matrix
+    assert designed["sparse_mpc"][0].terminal_weight.tobytes() == terminal.tobytes()
+    for p, pol in [*designed["periodic"].items(), (cfg.p, designed["rollout"][0])]:
+        alone = sr.design_periodic(dm, cfg.q_weight, cfg.r_weight, p)
+        assert pol.cost_matrix.tobytes() == alone.cost_matrix.tobytes(), p
+        assert pol.feedback_gain.tobytes() == alone.feedback_gain.tobytes(), p
+
+
 def test_nonfinite_error_names_step_and_trial():
     dm = sr.DiscreteModel(a=[[4.0]], b=[[1.0]], c=[[1.0]], proc_cov=[[1.0]],
                           meas_cov=[[1.0]], init_mean=[1.0], init_cov=[[1.0]])
@@ -295,7 +344,7 @@ def test_theta_sweep_designs_once_per_call(monkeypatch):
         assert np.array_equal(cell.metrics.per_trial_rate, expect.metrics.per_trial_rate)
 
 
-def test_theta_sweep_records_admm_nonconvergence(benchmark_model):
+def test_theta_sweep_records_admm_nonconvergence(benchmark_model, mpc_problem):
     # the batched solver keeps the failure type; the cell status names a trial
     cfg = bench_cfg(trials=3, horizon_steps=12, methods=("sparse_mpc",), mpc_max_iter=2,
                     theta_grid=(0.1, 0.3))
@@ -305,7 +354,7 @@ def test_theta_sweep_records_admm_nonconvergence(benchmark_model):
         assert re.fullmatch(r"error: NonConvergenceError: ADMM did not converge in 2 iterations "
                             r"for trial [0-2] of the batch \(primal .*, dual .*\)",
                             cell.status), cell.status
-    prob = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight, 30)
+    prob = mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight, 30)
     controller = SparseMpcController(prob, 0.1, admm_factor(prob, 1.0), 1e-8, 2)
     with pytest.raises(NonConvergenceError) as err:
         sr.simulate_trials(cfg, benchmark_model, controller, range(3))
@@ -315,15 +364,15 @@ def test_theta_sweep_records_admm_nonconvergence(benchmark_model):
 def test_theta_sweep_stacked_cells_match_cells_alone(monkeypatch):
     # one closed loop per method gives every cell the bits it has alone; a failing cell
     # (non-finite state, ADMM cap) keeps the status it has alone, and the rest their bits
-    candidates = simulate.design_candidates
+    design_periods = simulate.design_periods
 
     def overflowing_p3(*args):
         # the p = 3 gain scaled by 1e300 drives the state to inf at its second actuation
-        designs = candidates(*args)
+        designs, extra = design_periods(*args)
         designs[3] = replace(designs[3], feedback_gain=designs[3].feedback_gain * 1e300)
-        return designs
+        return designs, extra
 
-    monkeypatch.setattr(simulate, "design_candidates", overflowing_p3)
+    monkeypatch.setattr(simulate, "design_periods", overflowing_p3)
     # theta = 0.1 picks p = 3 and needs about 60 ADMM iterations; 10 and 25 pick p = 6
     # and need at most about 40
     cfg = bench_cfg(trials=3, horizon_steps=60, theta_grid=(10.0, 0.1, 25.0), mpc_max_iter=50,
@@ -414,7 +463,7 @@ def _reference_trial(dm, q_w, r_w, noise, steady, decide):
     return np.array(costs), np.array(triggers)
 
 
-def _reference_deciders(method, dm, theta):
+def _reference_deciders(method, dm, theta, mpc_problem):
     """Per-trial decision functions built straight from the design routines."""
     q_w, r_w = BENCH.q_weight, BENCH.r_weight
     if method == "periodic":
@@ -441,7 +490,7 @@ def _reference_deciders(method, dm, theta):
             return decide
 
         return make, pol
-    prob = sr.build_mpc_problem(dm, q_w, r_w, horizon=30)
+    prob = mpc_problem(dm, q_w, r_w, horizon=30)
     dim, q, rho, relax, tol = prob.quad_matrix.shape[0], prob.group_size, 1.0, 1.5, 1e-8
     factor = sla.cho_factor(prob.quad_matrix + rho * np.eye(dim))
 
@@ -492,14 +541,15 @@ def _reference_deciders(method, dm, theta):
 @pytest.mark.parametrize("method", ["rollout", "periodic", "sparse_mpc", "periodic-unitcov",
                                     "rollout-unitcov"])
 @pytest.mark.parametrize("seed_base", [123, 2024])
-def test_batched_engine_matches_per_trial_reference(benchmark_model, method, seed_base):
+def test_batched_engine_matches_per_trial_reference(benchmark_model, mpc_problem, method,
+                                                   seed_base):
     # the -unitcov model draws x0 from init_cov = I; the filter still runs at the stationary gain
     method, _, unit_cov = method.partition("-")
     dm = (benchmark_model.with_init(benchmark_model.init_mean, np.eye(4)) if unit_cov
           else benchmark_model)
     steady = sr.steady_kalman(benchmark_model)
     cfg = bench_cfg(horizon_steps=36 if method == "sparse_mpc" else 120, seed_base=seed_base)
-    make, controller = _reference_deciders(method, benchmark_model, theta=0.2)
+    make, controller = _reference_deciders(method, benchmark_model, 0.2, mpc_problem)
     trials = [0, 1, 5]
     traces = sr.simulate_trials(cfg, dm, controller, trials, steady=steady)
     for row, trial in enumerate(trials):

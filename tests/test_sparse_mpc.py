@@ -22,8 +22,8 @@ def mpc_objective(prob, u_flat, f, theta):
 
 
 @pytest.fixture(scope="module")
-def bench_problem(benchmark_model):
-    return sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight, horizon=30)
+def bench_problem(benchmark_model, mpc_problem):
+    return mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight, horizon=30)
 
 
 def _cold(prob, rows):
@@ -133,8 +133,8 @@ def _ista_reference(prob, f, theta, n_iter=60_000):
     return u
 
 
-def test_objective_matches_proximal_gradient_reference(benchmark_model, rng):
-    prob = sr.build_mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight, horizon=10)
+def test_objective_matches_proximal_gradient_reference(benchmark_model, mpc_problem, rng):
+    prob = mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight, horizon=10)
     theta = 0.3
     x = rng.standard_normal(4) * 2.0
     f = prob.lin_matrix @ x
