@@ -289,7 +289,11 @@ def _theta_values(section):
     start, stop, step = (_number(section[key], f"theta.{key}") for key in keys)
     if step <= 0.0:
         raise ConfigError("theta.step must be > 0")
-    count = int(round((stop - start) / step)) + 1
+    span = (stop - start) / step  # inf when the step underflows
+    count = round(span) + 1 if math.isfinite(span) else math.inf
+    # one design row per value is a lower bound of the lookahead budget: check it before building
+    if memory_estimate(1, 1, 1, count) > LOOKAHEAD_MEMORY_BUDGET:
+        raise ConfigError(f"theta start/stop/step give {count} values, above the memory budget")
     return [round(start + i * step, 12) for i in range(count)]
 
 

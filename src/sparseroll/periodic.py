@@ -28,8 +28,8 @@ class PeriodicPolicy:
 
 
 def design_periodic(dm: DiscreteModel, q_weight, r_weight, p: int) -> PeriodicPolicy:
-    """The period-p policy of :func:`design_candidates`."""
-    return design_candidates(dm, q_weight, r_weight, [p])[p]
+    """The period-p policy of :func:`design_periods`; raises its failure."""
+    return period_policies(design_periods(dm, q_weight, r_weight, [p])[0], [p])[p]
 
 
 def periodic_average_cost(pol: PeriodicPolicy, err_cov, theta: float) -> float:
@@ -83,18 +83,8 @@ def period_policies(designs: dict, periods) -> dict:
     return chosen
 
 
-def design_candidates(dm: DiscreteModel, q_weight, r_weight, candidates) -> dict:
-    """``{p: policy}``, in ascending p, of the period-p policies optimal in long-run average cost.
-
-    The candidates' :func:`design_periods`; raises the first failure in ascending p.
-    """
-    if not candidates:
-        raise ValueError("candidate set must be non-empty")
-    return period_policies(design_periods(dm, q_weight, r_weight, candidates)[0], candidates)
-
-
 def cheapest_period(designs: dict, err_cov, theta: float):
-    """Smallest-period argmin of the average cost over :func:`design_candidates`; (p, cost)."""
+    """Smallest-period argmin of the average cost over ``{p: policy}``; (p, cost)."""
     costs = {p: periodic_average_cost(designs[p], err_cov, theta) for p in sorted(designs)}
     best = min(costs, key=costs.get)  # the first of equal minima: the smallest period
     return best, costs[best]
@@ -102,4 +92,5 @@ def cheapest_period(designs: dict, err_cov, theta: float):
 
 def best_periodic(dm: DiscreteModel, q_weight, r_weight, candidates, err_cov, theta: float):
     """Smallest-period argmin of the average cost over candidate periods; (p, cost)."""
-    return cheapest_period(design_candidates(dm, q_weight, r_weight, candidates), err_cov, theta)
+    designs = design_periods(dm, q_weight, r_weight, candidates)[0]
+    return cheapest_period(period_policies(designs, candidates), err_cov, theta)

@@ -1,12 +1,10 @@
 """Discrete-time algebraic Riccati equations and structural checks.
 
-Every design here solves the cross-weighted, undiscounted equation
+Every design here solves the cross-weighted equation
 
     P = Q + A'PA - (A'PB + S)(B'PB + R)^{-1} (B'PA + S'),
 
-with Q >= 0 and R > 0.  ``RiccatiProblem.discount`` (g in (0, 1], scaling
-A'PA, A'PB and B'PB) is always 1.0; it stays while the benchmark's Riccati
-cross-check reads it.  One :func:`solve_dares` stack solves all of a design's
+with Q >= 0 and R > 0.  One :func:`solve_dares` stack solves all of a design's
 equations.  The structural predicates (observability and non-pathological
 sampling) gate every periodic design built on this module.
 
@@ -23,7 +21,7 @@ from .exceptions import IllConditionedError, NonConvergenceError, NonFiniteError
 # Relative tolerance used for symmetry / definiteness validation of inputs.
 SYM_TOL = 1e-8
 
-# Condition-number ceiling for the inner (g B'PB + R) inverse.
+# Condition-number ceiling for the inner (B'PB + R) inverse.
 COND_LIMIT = 1e12
 
 
@@ -61,18 +59,13 @@ def psd_sqrt(m: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RiccatiProblem:
-    """One discounted LQ design problem in fixed-point form.
-
-    ``discount`` multiplies both quadratic propagation terms; 1.0 gives the
-    undiscounted equation.  ``cross_weight`` may be zero.
-    """
+    """One LQ design problem in fixed-point form; ``cross_weight`` may be zero."""
 
     state_matrix: np.ndarray
     input_matrix: np.ndarray
     state_weight: np.ndarray
     cross_weight: np.ndarray
     input_weight: np.ndarray
-    discount: float = 1.0
 
     def __post_init__(self):
         a = _as_matrix(self.state_matrix)
@@ -94,38 +87,26 @@ class RiccatiProblem:
             raise ValueError("state_weight must be positive semidefinite")
         if r.shape[0] > 0 and min_eigenvalue(r) <= 0.0:
             raise ValueError("input_weight must be positive definite")
-        if not 0.0 < self.discount <= 1.0:
-            raise ValueError("discount must lie in (0, 1]")
         # C-contiguous, as the bits of the solvers' matrix products depend on the layout
         object.__setattr__(self, "state_matrix", np.ascontiguousarray(a))
         object.__setattr__(self, "input_matrix", np.ascontiguousarray(b))
         object.__setattr__(self, "state_weight", symmetrize(q))
         object.__setattr__(self, "cross_weight", np.ascontiguousarray(s))
         object.__setattr__(self, "input_weight", symmetrize(r))
-        object.__setattr__(self, "discount", float(self.discount))
-
-    @property
-    def n_states(self) -> int:
-        return self.state_matrix.shape[0]
-
-    @property
-    def n_inputs(self) -> int:
-        return self.input_matrix.shape[1]
 
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Converged cost matrix, the associated feedback gain and diagnostics."""
+    """Converged cost matrix, the associated feedback gain and the iteration count."""
 
     cost_matrix: np.ndarray
     gain: np.ndarray
-    residual_norm: float
     iterations: int
 
 
 def _stack(problems) -> tuple:
-    """A, B, Q, S, R and g of same-shaped problems as (K, ...) arrays, g as (K, 1, 1)."""
-    return tuple(np.stack([np.atleast_2d(getattr(prob, f.name)) for prob in problems])
+    """A, B, Q, S and R of same-shaped problems as (K, ...) arrays."""
+    return tuple(np.stack([getattr(prob, f.name) for prob in problems])
                  for f in fields(RiccatiProblem))
 
 
@@ -139,9 +120,9 @@ def _riccati_map(stack: tuple, p: np.ndarray):
 
     A row errs when its inner inverse is ill-conditioned; then next P and gain are None.
     """
-    a, b, q, s, r, g = stack
+    a, b, q, s, r = stack
     btp = b.transpose(0, 2, 1) @ p
-    denom = g * (btp @ b) + r
+    denom = btp @ b + r
     try:
         cond = np.linalg.cond(denom).tolist() if denom.shape[-1] else [1.0] * len(p)
     except np.linalg.LinAlgError:  # the SVD of a NaN matrix fails the whole stack
@@ -150,9 +131,9 @@ def _riccati_map(stack: tuple, p: np.ndarray):
         f"inner inverse condition number {c:.3e} exceeds {COND_LIMIT:.1e}") for c in cond]
     if any(errors):
         return None, None, errors
-    gain = -np.linalg.solve(denom, g * (btp @ a) + s.transpose(0, 2, 1))
+    gain = -np.linalg.solve(denom, btp @ a + s.transpose(0, 2, 1))
     atp = a.transpose(0, 2, 1) @ p
-    return symmetrize(q + g * (atp @ a) + (g * (atp @ b) + s) @ gain), gain, errors
+    return symmetrize(q + atp @ a + (atp @ b + s) @ gain), gain, errors
 
 
 def riccati_residual(prob: RiccatiProblem, p: np.ndarray) -> float:
@@ -169,10 +150,10 @@ def solve_dares(problems, tol: float = 1e-10, max_iter: int = 100_000) -> list:
     """Solve same-shaped Riccati equations in lockstep by fixed-point iteration.
 
     Iterates the map on the stack from P = state_weight, symmetrizing each step, until a
-    problem's relative Frobenius update falls below ``tol``.  A problem leaves at its failure
-    or after one more map, which gives its ``residual_norm``, so its iterates, count, residual
-    and error are the ones it has alone.  Returns its :class:`RiccatiSolution` or error (a
-    :class:`NonFiniteError` at the first iterate whose norm is not finite).
+    problem's relative Frobenius update falls below ``tol``.  A problem leaves at its
+    convergence or failure, so its iterates, count and error are the ones it has alone.
+    Returns its :class:`RiccatiSolution` or error (a :class:`NonFiniteError` at the first
+    iterate whose norm is not finite).  :func:`riccati_residual` checks a solution.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -182,7 +163,6 @@ def solve_dares(problems, tol: float = 1e-10, max_iter: int = 100_000) -> list:
     stack = _stack(problems)
     p = stack[2]
     rows = list(range(len(problems)))  # the problem of each stacked row
-    converged = {}  # problem -> its gain and iteration count at its stopping iteration
     it = 0
     while rows:
         p_next, gain, errors = _riccati_map(stack, p)
@@ -193,13 +173,10 @@ def solve_dares(problems, tol: float = 1e-10, max_iter: int = 100_000) -> list:
             it += 1
             steps = p_next - p
             for i, k in enumerate(rows):
-                if k in converged:  # the map at the converged P gives its residual
-                    res = _fro(steps[i]) / max(1.0, _fro(p[i]))
-                    results[k] = RiccatiSolution(p[i].copy(), residual_norm=res, **converged[k])
-                elif not math.isfinite(norm := _fro(p_next[i])):
+                if not math.isfinite(norm := _fro(p_next[i])):
                     results[k] = NonFiniteError(f"Riccati iterate norm is inf/nan at iteration {it}")
                 elif (rel := _fro(steps[i]) / max(1.0, norm)) < tol:
-                    converged[k] = {"gain": gain[i].copy(), "iterations": it}
+                    results[k] = RiccatiSolution(p_next[i].copy(), gain[i].copy(), it)
                 elif it >= max_iter:
                     results[k] = NonConvergenceError(
                         f"Riccati iteration did not converge in {max_iter} iterations "

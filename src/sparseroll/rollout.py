@@ -114,6 +114,8 @@ def _base_value(h: int, p: int) -> int:
     """Integer value of the periodic pattern's bits (time 0 most significant)."""
     if h < 1:
         raise ValueError("horizon must be >= 1")
+    if p < 1:
+        raise ValueError("period must be >= 1")
     if h % p != 0:
         raise HorizonMismatchError(f"horizon h={h} is not a multiple of period p={p}")
     return sum(1 << (h - 1 - k) for k in range(0, h, p))

@@ -407,6 +407,8 @@ def check_mean_square_stability(traces, window_len: int):
     middle windows and the fitted slope over windows is not significantly
     positive (slope <= 3 sigma).  Returns (bounded, report).
     """
+    if window_len < 1:
+        raise ValueError("window_len must be >= 1")
     traces = list(traces)
     n_steps = traces[0].states.shape[0]
     if n_steps < 4 * window_len:

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -79,6 +80,24 @@ def test_lookahead_memory_budget_counts_every_theta_row():
     with pytest.raises(ConfigError, match="scores of 1000 rows"):
         ExperimentConfig(h=16, p=8, trials=50, horizon_steps=640)
     assert ExperimentConfig(h=16, p=8, trials=50, horizon_steps=640, theta_grid=(0.2,)).h == 16
+
+
+def test_theta_range_over_the_budget_is_rejected_before_it_is_built(tmp_path, capsys):
+    # a step that underflows the value count to inf used to raise OverflowError, and a
+    # count whose rows alone pass the lookahead budget is rejected before its list exists
+    for step in (1e-320, 1e-8):
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="memory budget"):
+            parse_config({"theta": {"start": 0.0, "stop": 1.0, "step": step}})
+        assert time.perf_counter() - start < 0.1
+    # 1e6 values pass that bound, so they are built, and the config's own checks reject them
+    with pytest.raises(ConfigError):
+        parse_config({"theta": {"start": 0.0, "stop": 1.0, "step": 1e-6}})
+    raw = small_config_dict()
+    raw["theta"] = {"start": 0.0, "stop": 1.0, "step": 1e-320}
+    path = write_config(tmp_path, raw)
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "memory budget" in capsys.readouterr().err
 
 
 def test_config_validation_failures(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 import sparseroll as sr
 from sparseroll.exceptions import AssumptionViolatedError, IllConditionedError
-from sparseroll.periodic import design_candidates
+from sparseroll.periodic import design_periods, period_policies
 
 BENCH = sr.ExperimentConfig()  # the benchmark study
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -18,8 +18,7 @@ def test_p1_matches_unlifted_lqg(benchmark_model):
     assert np.array_equal(lift.a_lift, dm.a) and np.array_equal(lift.b_lift, dm.b)
     assert np.array_equal(lift.q_lift, np.atleast_2d(BENCH.q_weight))
     pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 1)
-    prob = sr.RiccatiProblem(dm.a, dm.b, BENCH.q_weight, np.zeros((4, 1)),
-                             BENCH.r_weight, discount=1.0)
+    prob = sr.RiccatiProblem(dm.a, dm.b, BENCH.q_weight, np.zeros((4, 1)), BENCH.r_weight)
     sol = sr.solve_dare(prob)
     assert np.allclose(pol.feedback_gain, sol.gain, rtol=0, atol=1e-12)
     assert np.allclose(pol.cost_matrix, sol.cost_matrix, rtol=1e-12)
@@ -171,10 +170,14 @@ def test_candidates_raise_the_smallest_period_failure():
                           proc_cov=np.eye(2), meas_cov=np.eye(2),
                           init_mean=np.zeros(2), init_cov=np.eye(2))
     tiny_r = 1e-15 * np.eye(2)
+
+    def policies(r_weight, periods):
+        return period_policies(design_periods(dm, np.eye(2), r_weight, periods)[0], periods)
+
     with pytest.raises(IllConditionedError):
-        design_candidates(dm, np.eye(2), tiny_r, [2, 1])
+        policies(tiny_r, [2, 1])
     with pytest.raises(AssumptionViolatedError, match="p=2"):
-        design_candidates(dm, np.eye(2), np.eye(2), [1, 2])
+        policies(np.eye(2), [1, 2])
     with pytest.raises(AssumptionViolatedError, match="p=2"):
-        design_candidates(dm, np.eye(2), tiny_r, [2])
-    assert list(design_candidates(dm, np.eye(2), np.eye(2), [1])) == [1]
+        policies(tiny_r, [2])
+    assert list(policies(np.eye(2), [1])) == [1]

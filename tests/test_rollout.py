@@ -100,6 +100,21 @@ def test_enumeration_horizon_mismatch():
         sr.pattern_bits(5, 2)
 
 
+def test_nonpositive_period_is_a_value_error(benchmark_model, benchmark_steady):
+    # a zero period used to fail in h % p with ZeroDivisionError, a negative one gave no base
+    dm = benchmark_model
+    terminal = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 1).cost_matrix
+    err_cov = benchmark_steady[1]
+    for p in (0, -2):
+        with pytest.raises(ValueError, match="period must be >= 1"):
+            sr.pattern_bits(6, p)
+        with pytest.raises(ValueError, match="period must be >= 1"):
+            sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, terminal, 6, p, err_cov)
+        with pytest.raises(ValueError, match="period must be >= 1"):
+            sr.oracle_select(dm, BENCH.q_weight, BENCH.r_weight, terminal, 6, p, 0.1,
+                             np.zeros(4), err_cov)
+
+
 def test_base_pattern_recovers_terminal(benchmark_tables):
     _, pol, _, tables = benchmark_tables
     resid = (np.linalg.norm(tables.cost_matrix(1, 0) - pol.cost_matrix, "fro")
@@ -272,7 +287,7 @@ def test_free_actuation_reduces_to_lqg(scalar_model):
     assert abs(tables.gain(1, 0)[0, 0] - pol.feedback_gain[0, 0]) < 1e-10
 
 
-# the ids end in the discount 1.0 of the long-run average cost that the tables price
+# the ids end in 1.0, the alpha of the long-run average cost that the tables price
 @pytest.mark.parametrize("h,p", [(1, 1), (6, 6), (6, 3), (10, 2)],
                          ids=["1-1-1.0", "6-6-1.0", "6-3-1.0", "10-2-1.0"])
 @pytest.mark.parametrize("stacked", [False, True])

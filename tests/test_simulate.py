@@ -1,6 +1,7 @@
 import re
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -570,6 +571,15 @@ def test_stability_report_contents(benchmark_model, benchmark_steady):
     assert bounded
     assert report.window_means.shape == (12,)
     assert report.slope <= 3.0 * report.slope_stderr
+
+
+def test_stability_window_must_be_positive():
+    # a zero window used to fail in n_steps // window_len with ZeroDivisionError
+    traces = [SimpleNamespace(states=np.ones((40, 2)))]
+    for window_len in (0, -1):
+        with pytest.raises(ValueError, match="window_len must be >= 1"):
+            sr.check_mean_square_stability(traces, window_len=window_len)
+    assert sr.check_mean_square_stability(traces, window_len=10)[0]
 
 
 def test_experiment_config_validation():

@@ -70,7 +70,7 @@ def test_block_soft_threshold_examples():
 
 def test_terminal_weight_defaults_to_cost_to_go(benchmark_model, bench_problem):
     prob = sr.RiccatiProblem(benchmark_model.a, benchmark_model.b, BENCH.q_weight,
-                             np.zeros((4, 1)), BENCH.r_weight, discount=1.0)
+                             np.zeros((4, 1)), BENCH.r_weight)
     expected = sr.solve_dare(prob).cost_matrix
     assert np.allclose(bench_problem.terminal_weight, expected, rtol=1e-10)
 
