@@ -12,7 +12,7 @@ the YAML sections over the defaults.
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,30 +35,8 @@ LOOKAHEAD_MEMORY_BUDGET = 1 << 30  # bytes for the lookahead tables and scores o
 
 _MODEL_SOURCES = ("builtin-benchmark", "matrices-from-file")
 
-# YAML location of each field: (section, key), or (key,) at the top level.
-_YAML_KEYS = {
-    "model_source": ("model", "source"),
-    "sample_period": ("model", "sample_period"),
-    "model_file": ("model", "file"),
-    "init_mean": ("model", "init_mean"),
-    "q_weight": ("cost", "q"),
-    "r_weight": ("cost", "r"),
-    "theta_grid": ("theta", "grid"),
-    "methods": ("methods",),
-    "h": ("rollout", "h"),
-    "p": ("rollout", "p"),
-    "candidates": ("periodic", "candidates"),
-    "mpc_horizon": ("sparse_mpc", "horizon"),
-    "mpc_penalty": ("sparse_mpc", "penalty"),
-    "mpc_tol": ("sparse_mpc", "tol"),
-    "mpc_max_iter": ("sparse_mpc", "max_iter"),
-    "trials": ("sim", "trials"),
-    "horizon_steps": ("sim", "horizon_steps"),
-    "seed_base": ("sim", "seed_base"),
-    "output_dir": ("output_dir",),
-}
 # The other keys of the YAML form: the theta range and the criterion of older files.
-_EXTRA_KEYS = (("theta", "start"), ("theta", "stop"), ("theta", "step"), ("rollout", "alpha"))
+_EXTRA_KEYS = ("theta.start", "theta.stop", "theta.step", "rollout.alpha")
 
 
 def _number(value, label) -> float:
@@ -89,34 +67,24 @@ def _matrix(value, label) -> np.ndarray:
     return m
 
 
-def _list_of(convert):
+def _list_of(convert, distinct=False):
     def converter(value, label):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{label} must be a list, got {value!r}")
-        return tuple(convert(v, f"{label}[{i}]") for i, v in enumerate(value))
+        out = tuple(convert(v, f"{label}[{i}]") for i, v in enumerate(value))
+        if distinct and len(set(out)) < len(out):
+            raise ConfigError(f"{label} must not repeat an entry, got {list(value)!r}")
+        return out
     return converter
 
 
-# Normalises each field to its type; raises ConfigError naming the YAML key.
-_CONVERT = {
-    "sample_period": _number,
-    "init_mean": lambda value, label: None if value is None else _list_of(_number)(value, label),
-    "q_weight": _matrix,
-    "r_weight": _matrix,
-    "theta_grid": _list_of(_number),
-    "methods": _list_of(_method),
-    "h": _integer,
-    "p": _integer,
-    "candidates": _list_of(_integer),
-    "mpc_horizon": _integer,
-    "mpc_penalty": _number,
-    "mpc_tol": _number,
-    "mpc_max_iter": _integer,
-    "trials": _integer,
-    "horizon_steps": _integer,
-    "seed_base": _integer,
-    "output_dir": lambda value, label: str(value),
-}
+def _key(path: str, default, convert=lambda value, label: value):
+    """A schema field: its dotted YAML path, its default (an array is copied for each
+    config) and its converter to the field's type, which raises ConfigError naming the path."""
+    metadata = {"yaml": path, "convert": convert}
+    if isinstance(default, np.ndarray):
+        return field(default_factory=default.copy, metadata=metadata)
+    return field(default=default, metadata=metadata)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,36 +98,41 @@ class ExperimentConfig:
     both raise :class:`ConfigError`.
     """
 
-    model_source: str = "builtin-benchmark"
-    sample_period: float = 0.1
-    model_file: str | None = None
-    init_mean: tuple[float, ...] | None = None
-    q_weight: np.ndarray = field(default_factory=lambda: np.array([
+    model_source: str = _key("model.source", "builtin-benchmark")
+    sample_period: float = _key("model.sample_period", 0.1, _number)
+    model_file: str | None = _key("model.file", None)
+    init_mean: tuple[float, ...] | None = _key(
+        "model.init_mean", None,
+        lambda value, label: None if value is None else _list_of(_number)(value, label))
+    q_weight: np.ndarray = _key("cost.q", np.array([
         [0.1336, -0.0936, -0.0327, 0.0347],
         [-0.0936, 0.1336, 0.0347, -0.0327],
         [-0.0327, 0.0347, 0.0377, 0.0024],
         [0.0347, -0.0327, 0.0024, 0.0377],
-    ]))
-    r_weight: np.ndarray = field(default_factory=lambda: np.array([[0.1]]))
-    theta_grid: tuple[float, ...] = tuple(round(0.02 * k, 2) for k in range(1, 21))
-    methods: tuple[str, ...] = METHODS
-    h: int = 6
-    p: int = 6
-    candidates: tuple[int, ...] = (1, 2, 3, 6)
-    mpc_horizon: int = 30
-    mpc_penalty: float = 1.0
-    mpc_tol: float = 1e-8
-    mpc_max_iter: int = 10_000
-    trials: int = 50
-    horizon_steps: int = 600
-    seed_base: int = 20240601
-    output_dir: str = "results"
+    ]), _matrix)
+    r_weight: np.ndarray = _key("cost.r", np.array([[0.1]]), _matrix)
+    theta_grid: tuple[float, ...] = _key(
+        "theta.grid", tuple(round(0.02 * k, 2) for k in range(1, 21)), _list_of(_number))
+    methods: tuple[str, ...] = _key("methods", METHODS, _list_of(_method, distinct=True))
+    h: int = _key("rollout.h", 6, _integer)
+    p: int = _key("rollout.p", 6, _integer)
+    candidates: tuple[int, ...] = _key(
+        "periodic.candidates", (1, 2, 3, 6), _list_of(_integer, distinct=True))
+    mpc_horizon: int = _key("sparse_mpc.horizon", 30, _integer)
+    mpc_penalty: float = _key("sparse_mpc.penalty", 1.0, _number)
+    mpc_tol: float = _key("sparse_mpc.tol", 1e-8, _number)
+    mpc_max_iter: int = _key("sparse_mpc.max_iter", 10_000, _integer)
+    trials: int = _key("sim.trials", 50, _integer)
+    horizon_steps: int = _key("sim.horizon_steps", 600, _integer)
+    seed_base: int = _key("sim.seed_base", 20240601, _integer)
+    output_dir: str = _key("output_dir", "results", lambda value, label: str(value))
     source_path: str | None = None
 
     def __post_init__(self):
-        for name, convert in _CONVERT.items():
-            value = convert(getattr(self, name), ".".join(_YAML_KEYS[name]))
-            object.__setattr__(self, name, value)
+        # theta's values are converted last, once their count has passed the memory budget
+        for name in _SCHEMA:
+            if name != "theta_grid":
+                self._convert(name)
 
         if self.model_source not in _MODEL_SOURCES:
             raise ConfigError(f"model.source must be one of {_MODEL_SOURCES}")
@@ -167,10 +140,6 @@ class ExperimentConfig:
             raise ConfigError("model.source matrices-from-file requires model.file")
         if self.sample_period <= 0.0:
             raise ConfigError("model.sample_period must be > 0")
-        if not self.theta_grid:
-            raise ConfigError("theta grid must be non-empty")
-        if any(t <= 0.0 for t in self.theta_grid):
-            raise ConfigError("every theta must be > 0")
         if not self.methods:
             raise ConfigError("at least one method must be enabled")
         if self.trials < 1 or self.horizon_steps < 1:
@@ -200,7 +169,8 @@ class ExperimentConfig:
         if min_eigenvalue(self.r_weight) <= 0.0:
             raise ConfigError("cost.r must be positive definite")
 
-        rows = self.trials * len(self.theta_grid)  # one block scores every (theta, trial) row
+        grid = self.theta_grid  # one block scores every (theta, trial) row; a non-list fails below
+        rows = self.trials * (len(grid) if isinstance(grid, (list, tuple)) else 0)
         need = memory_estimate(self.h, len(self.q_weight), len(self.r_weight), rows)
         if need > LOOKAHEAD_MEMORY_BUDGET:
             raise ConfigError(
@@ -208,6 +178,16 @@ class ExperimentConfig:
                 f"and the scores of {rows} rows, above the "
                 f"{LOOKAHEAD_MEMORY_BUDGET / 2**20:.0f} MB budget"
             )
+
+        self._convert("theta_grid")
+        if not self.theta_grid:
+            raise ConfigError("theta grid must be non-empty")
+        if any(t <= 0.0 for t in self.theta_grid):
+            raise ConfigError("every theta must be > 0")
+
+    def _convert(self, name):
+        meta = _SCHEMA[name].metadata
+        object.__setattr__(self, name, meta["convert"](getattr(self, name), meta["yaml"]))
 
     def build_model(self) -> DiscreteModel:
         """The config's model, checked against the config: dimensions and lifting periods."""
@@ -256,17 +236,19 @@ class ExperimentConfig:
     def canonical_dict(self) -> dict:
         """Normalized content for round-trip and determinism checks, in the YAML layout."""
         out: dict = {}
-        for name, (*sections, key) in _YAML_KEYS.items():
+        for name, f in _SCHEMA.items():
             value = getattr(self, name)
             if isinstance(value, np.ndarray):
                 value = value.tolist()
             elif isinstance(value, tuple):
                 value = list(value)
-            target = out
-            for section in sections:
-                target = target.setdefault(section, {})
-            target[key] = value
+            section, _, key = f.metadata["yaml"].rpartition(".")
+            (out.setdefault(section, {}) if section else out)[key] = value
         return out
+
+
+# The fields of the YAML schema, by name, in declaration order.
+_SCHEMA = {f.name: f for f in fields(ExperimentConfig) if "yaml" in f.metadata}
 
 
 def _expect_mapping(raw, name):
@@ -281,9 +263,11 @@ def _theta_values(section):
     """The theta grid as written: a list, ``{grid: [...]}`` or ``{start, stop, step}``."""
     if not isinstance(section, dict):
         return section
-    if "grid" in section:
-        return section["grid"]
     keys = ("start", "stop", "step")
+    if "grid" in section:
+        if any(key in section for key in keys):
+            raise ConfigError("theta section takes either 'grid' or start/stop/step, not both")
+        return section["grid"]
     if any(section.get(key) is None for key in keys):
         raise ConfigError("theta section needs either 'grid' or start/stop/step")
     start, stop, step = (_number(section[key], f"theta.{key}") for key in keys)
@@ -299,7 +283,7 @@ def _theta_values(section):
 
 def _reject_unknown_keys(raw: dict):
     """ConfigError naming the dotted path of the first key outside the YAML schema."""
-    known = {".".join(path) for path in (*_YAML_KEYS.values(), *_EXTRA_KEYS)}
+    known = {f.metadata["yaml"] for f in _SCHEMA.values()} | set(_EXTRA_KEYS)
     sections = {path.split(".")[0] for path in known if "." in path}
     for name, value in raw.items():
         if name not in known and name not in sections:
@@ -320,15 +304,14 @@ def parse_config(raw: dict, source_path: str | None = None) -> ExperimentConfig:
     rollout = _expect_mapping(raw.get("rollout"), "rollout")
     if "alpha" in rollout and _number(rollout["alpha"], "rollout.alpha") != 1.0:
         raise ConfigError("rollout.alpha must be 1.0 (the long-run average cost)")
+    if "theta" in raw:
+        raw = {**raw, "theta": {"grid": _theta_values(raw["theta"])}}
     values = {}
-    for name, (*sections, key) in _YAML_KEYS.items():
-        if name == "theta_grid":
-            continue
-        source = _expect_mapping(raw.get(sections[0]), sections[0]) if sections else raw
+    for name, f in _SCHEMA.items():
+        section, _, key = f.metadata["yaml"].rpartition(".")
+        source = _expect_mapping(raw.get(section), section) if section else raw
         if key in source and not (name in ("q_weight", "r_weight") and source[key] == "benchmark"):
             values[name] = source[key]
-    if "theta" in raw:
-        values["theta_grid"] = _theta_values(raw["theta"])
     return ExperimentConfig(**values, source_path=source_path)
 
 

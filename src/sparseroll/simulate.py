@@ -410,6 +410,8 @@ def check_mean_square_stability(traces, window_len: int):
     if window_len < 1:
         raise ValueError("window_len must be >= 1")
     traces = list(traces)
+    if not traces:
+        raise ValueError("need at least one trace")
     n_steps = traces[0].states.shape[0]
     if n_steps < 4 * window_len:
         raise ValueError("need at least four windows")

@@ -2,7 +2,7 @@ import json
 import sys
 import time
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -90,9 +90,12 @@ def test_theta_range_over_the_budget_is_rejected_before_it_is_built(tmp_path, ca
         with pytest.raises(ConfigError, match="memory budget"):
             parse_config({"theta": {"start": 0.0, "stop": 1.0, "step": step}})
         assert time.perf_counter() - start < 0.1
-    # 1e6 values pass that bound, so they are built, and the config's own checks reject them
+    # 1e6 values pass that bound, so they are built (about 0.6 s), and the config rejects
+    # their count before it converts any of them
+    start = time.perf_counter()
     with pytest.raises(ConfigError):
         parse_config({"theta": {"start": 0.0, "stop": 1.0, "step": 1e-6}})
+    assert time.perf_counter() - start < 1.5
     raw = small_config_dict()
     raw["theta"] = {"start": 0.0, "stop": 1.0, "step": 1e-320}
     path = write_config(tmp_path, raw)
@@ -115,6 +118,43 @@ def test_config_validation_failures(tmp_path):
         parse_config(small_config_dict(cost={"q": [[1.0]], "r": "benchmark"})).build_model()
     with pytest.raises(ConfigError):
         parse_config(small_config_dict(model={"source": "matrices-from-file"}))
+
+
+REPEATED = {"methods": ("methods", ["periodic", "periodic"]),
+            "candidates": ("periodic.candidates", [2, 2])}
+
+
+@pytest.mark.parametrize("key,value", REPEATED.values(), ids=REPEATED.keys())
+def test_repeated_entry_is_a_config_error(tmp_path, capsys, key, value):
+    # a repeated method ran twice and wrote its CSV rows twice; a repeated period printed its
+    # design report row and column twice
+    raw = small_config_dict()
+    section, _, leaf = key.rpartition(".")
+    (raw[section] if section else raw)[leaf] = value
+    with pytest.raises(ConfigError, match=f"^{key} must not repeat an entry"):
+        parse_config(raw)
+    with pytest.raises(ConfigError, match=f"^{key} must not repeat an entry"):
+        replace(ExperimentConfig(), **{leaf: tuple(value)})
+    path = write_config(tmp_path, raw)
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{key} must not repeat" in capsys.readouterr().err
+
+
+def test_theta_grid_and_range_together_is_a_config_error():
+    # the range used to be ignored silently
+    theta = {"grid": [0.3], "start": 0.1, "stop": 0.2, "step": 0.1}
+    with pytest.raises(ConfigError, match="either 'grid' or start/stop/step"):
+        parse_config(small_config_dict(theta=theta))
+
+
+def test_readme_config_block_covers_the_schema():
+    # the YAML block under README "Configuration" loads and names every schema key
+    readme = (REPO / "README.md").read_text().split("## Configuration", 1)[1]
+    raw = yaml.safe_load(readme.split("```yaml\n", 1)[1].split("```", 1)[0])
+    parse_config(raw)
+    named = set(raw) | {f"{k}.{key}" for k, v in raw.items() if isinstance(v, dict) for key in v}
+    schema = {f.metadata["yaml"] for f in fields(ExperimentConfig) if "yaml" in f.metadata}
+    assert len(schema) == 19 and schema <= named, schema - named
 
 
 MALFORMED = {

@@ -579,6 +579,8 @@ def test_stability_window_must_be_positive():
     for window_len in (0, -1):
         with pytest.raises(ValueError, match="window_len must be >= 1"):
             sr.check_mean_square_stability(traces, window_len=window_len)
+    with pytest.raises(ValueError, match="need at least one trace"):  # was IndexError
+        sr.check_mean_square_stability([], window_len=10)
     assert sr.check_mean_square_stability(traces, window_len=10)[0]
 
 
