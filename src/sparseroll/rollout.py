@@ -138,9 +138,9 @@ def pattern_bits(h: int, p: int) -> np.ndarray:
 def _backward_tree(a, b, q, r, terminal, h: int, base: int):
     """The suffix tree of cost matrices with the gains and gain quadratics (see RolloutTables).
 
-    Each level is one batched update of the level below: its idle half the
-    open-loop update, its actuated half the Riccati update.  ``base`` is the
-    bit value of the base pattern, which level 0 puts first.
+    Each level is one batched update of the level below, written in place: its
+    idle half the open-loop update, its actuated half the Riccati update.
+    ``base`` is the bit value of the base pattern, which level 0 puts first.
     """
     n, nu = b.shape
     m_count = 1 << h
@@ -148,38 +148,49 @@ def _backward_tree(a, b, q, r, terminal, h: int, base: int):
     gains = np.empty((m_count - 1, nu, n))
     gain_quadratics = np.empty((m_count - 1, n, n))
     cost_matrices[0] = terminal
+    work = np.empty((m_count // 2, n, n))  # open-loop updates; p_new borrows gain_quadratics
 
-    # overflow in the open-loop branch is caught by the finiteness check of the caller
+    # overflow in the open-loop branch is caught by the finiteness check of each level
     with np.errstate(over="ignore", invalid="ignore"):
         for s in reversed(range(h)):
             # level s + 1 is [lo, lo + k); level s, its idle then its actuated parents, follows
             k = 1 << (h - s - 1)
             lo = k - 1
             p_stack = cost_matrices[lo:lo + k]
-            open_update = q + a.T @ p_stack @ a
-            idle = 0.5 * (open_update + np.swapaxes(open_update, 1, 2))
+            level = cost_matrices[lo + k:lo + 3 * k]
+            open_update, p_new = work[:k], gain_quadratics[lo:lo + k]
+            np.matmul(np.matmul(a.T, p_stack, out=p_new), a, out=open_update)
+            np.add(q, open_update, out=open_update)
             btp = b.T @ p_stack                                     # (k, q, n)
             denom = btp @ b + r                                     # (k, q, q)
             btpa = btp @ a
             gain = np.linalg.solve(denom, btpa)
-            f = -gain
-            gains[lo:lo + k] = f
-            mq = np.swapaxes(f, 1, 2) @ denom @ f
-            gain_quadratics[lo:lo + k] = 0.5 * (mq + np.swapaxes(mq, 1, 2))
-            p_new = open_update - np.swapaxes(btpa, 1, 2) @ gain
-            actuated = 0.5 * (p_new + np.swapaxes(p_new, 1, 2))
-            level = cost_matrices[lo + k:lo + 3 * k]
+            f = np.negative(gain, out=gains[lo:lo + k])
+            np.subtract(open_update, np.matmul(np.swapaxes(btpa, 1, 2), gain, out=p_new), out=p_new)
             if s:
-                level[:k] = idle
-                level[k:] = actuated
+                _symmetrize(open_update, level[:k])
+                _symmetrize(p_new, level[k:])
             else:
                 # pattern order; every idle-first pattern precedes the base, which starts actuated
-                level[1:k + 1] = idle
+                _symmetrize(open_update, level[1:k + 1])
+                actuated = _symmetrize(p_new, open_update)
                 j = base - k
                 level[0] = actuated[j]
                 level[k + 1:base + 1] = actuated[:j]
                 level[base + 1:] = actuated[j + 1:]
+            mq = np.matmul(np.swapaxes(f, 1, 2) @ denom, f, out=open_update)
+            _symmetrize(mq, gain_quadratics[lo:lo + k])
+            built = cost_matrices[lo:lo + 3 * k]  # levels s + 1 and s; min and max propagate NaN
+            if not (np.isfinite(built.min()) and np.isfinite(built.max())):
+                raise NonFiniteError("non-finite entry in backward recursion (unstable open-loop "
+                                     "growth)")
     return cost_matrices, gains, gain_quadratics
+
+
+def _symmetrize(x, out):
+    """out = (x + x') / 2 for a stack of square matrices; out must not overlap x."""
+    np.add(x, np.swapaxes(x, 1, 2), out=out)
+    return np.multiply(0.5, out, out=out)
 
 
 def build_tables(dm: DiscreteModel, q_weight, r_weight, terminal, h: int, p: int,
@@ -201,9 +212,6 @@ def build_tables(dm: DiscreteModel, q_weight, r_weight, terminal, h: int, p: int
     base = _base_value(h, p)
     m_count = 1 << h
     cost_matrices, gains, gain_quadratics = _backward_tree(dm.a, dm.b, q, r, terminal, h, base)
-
-    if not np.isfinite(cost_matrices).all():
-        raise NonFiniteError("non-finite entry in backward recursion (unstable open-loop growth)")
 
     # The step-t noise and estimation terms of every pattern, rows by bit value.  Each
     # einsum form sums tr(X C) in the order of the per-pattern form it replaces.
@@ -236,13 +244,13 @@ def memory_estimate(h: int, n: int, nu: int, rows: int) -> int:
     """Peak bytes of a lookahead design: its tables, build temporaries and block scores.
 
     The tables are the arrays :func:`build_tables` returns.  Its temporaries
-    peak at the level-0 update, about seven (2^(h-1), n, n) stacks, or at
-    the (2^h, h) noise-score terms.  Scoring a block of ``rows`` estimates
-    holds about three (rows, 2^h) arrays.
+    peak at the level-0 update, one (2^(h-1), n, n) stack and its gain terms,
+    or at the (2^h, h) noise-score terms, plus up to 128 KB of numpy buffers.
+    Scoring a block of ``rows`` estimates holds about three (rows, 2^h) arrays.
     """
     m = 1 << h
     tables = 8 * ((2 * m - 1) * n * n + (m - 1) * (nu * n + n * n) + 3 * m) + m * h
-    build = 8 * max(7 * (m // 2) * n * n, m * h)
+    build = 8 * max((m // 2) * (n * n + 4 * nu * n + nu * nu), m * (h + 3)) + (1 << 17)
     scores = 8 * 3 * rows * m
     return tables + build + scores
 

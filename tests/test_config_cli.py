@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -76,7 +78,7 @@ def test_lookahead_memory_budget_at_load():
 
 def test_lookahead_memory_budget_counts_every_theta_row():
     # one block scores the rows of every theta cell at once: 20 thetas x 50 trials at h = 16
-    # need about 1.56 GB, one theta about 131 MB
+    # need about 1.50 GB, one theta about 113 MB
     with pytest.raises(ConfigError, match="scores of 1000 rows"):
         ExperimentConfig(h=16, p=8, trials=50, horizon_steps=640)
     assert ExperimentConfig(h=16, p=8, trials=50, horizon_steps=640, theta_grid=(0.2,)).h == 16
@@ -428,6 +430,26 @@ def test_cmd_sweep_outputs(tmp_path):
     assert len(pertrial) == 1 + 2 * 2 * 2  # rows x trials
     failures = (out / "failures.csv").read_text().splitlines()
     assert failures == [cli.FAILURES_HEADER]
+
+
+def test_design_and_sweep_do_not_load_the_quadrature(tmp_path):
+    # only the verify command's discretization check needs scipy.integrate (and with it
+    # scipy.optimize); design and sweep must not pay for importing them
+    script = """
+import sys
+from sparseroll.cli import main
+config, out = sys.argv[1:]
+for command in ("design", "sweep"):
+    assert main([command, "--config", config, "--out", out]) == 0
+print(sorted(m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules))
+"""
+    path = write_config(tmp_path, small_config_dict(methods=list(sr.config.METHODS)))
+    pythonpath = [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    done = subprocess.run([sys.executable, "-c", script, str(path), str(tmp_path / "out")],
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_cmd_sweep_periodic_rate_exact(tmp_path):

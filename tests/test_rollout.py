@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sparseroll as sr
 from sparseroll.exceptions import HorizonMismatchError, NonFiniteError
+from sparseroll.rollout import _base_value, memory_estimate
 
 BENCH = sr.ExperimentConfig()  # the benchmark study
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -64,6 +66,43 @@ def _flat_recursion(dm, q_weight, r_weight, terminal, h, p, err_cov):
     est_trace = np.einsum("mtij,tji->mt", gain_quadratics, cov_seq)
     noise_score = (noise_trace + est_trace).sum(axis=1)
     return bits, cost_matrices, gains, gain_quadratics, noise_score
+
+
+def _out_of_place_tree(a, b, q, r, terminal, h, base):
+    """The suffix-tree build as it was before it wrote each level in place into the tree."""
+    n, nu = b.shape
+    m_count = 1 << h
+    cost_matrices = np.empty((2 * m_count - 1, n, n))
+    gains = np.empty((m_count - 1, nu, n))
+    gain_quadratics = np.empty((m_count - 1, n, n))
+    cost_matrices[0] = terminal
+    for s in reversed(range(h)):
+        k = 1 << (h - s - 1)
+        lo = k - 1
+        p_stack = cost_matrices[lo:lo + k]
+        open_update = q + a.T @ p_stack @ a
+        idle = 0.5 * (open_update + np.swapaxes(open_update, 1, 2))
+        btp = b.T @ p_stack
+        denom = btp @ b + r
+        btpa = btp @ a
+        gain = np.linalg.solve(denom, btpa)
+        f = -gain
+        gains[lo:lo + k] = f
+        mq = np.swapaxes(f, 1, 2) @ denom @ f
+        gain_quadratics[lo:lo + k] = 0.5 * (mq + np.swapaxes(mq, 1, 2))
+        p_new = open_update - np.swapaxes(btpa, 1, 2) @ gain
+        actuated = 0.5 * (p_new + np.swapaxes(p_new, 1, 2))
+        level = cost_matrices[lo + k:lo + 3 * k]
+        if s:
+            level[:k] = idle
+            level[k:] = actuated
+        else:
+            level[1:k + 1] = idle
+            j = base - k
+            level[0] = actuated[j]
+            level[k + 1:base + 1] = actuated[:j]
+            level[base + 1:] = actuated[j + 1:]
+    return cost_matrices, gains, gain_quadratics
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +362,33 @@ def test_tree_matches_flat_recursion(benchmark_model, h, p, stacked):
             assert np.array_equal(tables.cost_matrix(m, s), costs[m - 1, s])
             assert np.array_equal(tables.gain(m, s), gains[m - 1, s])
         assert np.array_equal(tables.cost_matrix(m, h), costs[m - 1, h])
+
+
+@pytest.mark.parametrize("h,p", sorted({(h, p) for h in range(1, 11) for p in (1, h)}))
+def test_in_place_tree_matches_out_of_place_build(benchmark_model, benchmark_steady, h, p):
+    # p = 1 puts the all-ones pattern first, p = h the first actuated row of level 0
+    dm = benchmark_model
+    terminal = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 1).cost_matrix
+    tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, terminal, h, p,
+                             benchmark_steady[1])
+    expected = _out_of_place_tree(dm.a, dm.b, np.asarray(BENCH.q_weight),
+                                  np.atleast_2d(BENCH.r_weight), terminal, h, _base_value(h, p))
+    got = (tables.cost_matrices, tables.gains, tables.gain_quadratics)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
+
+
+@pytest.mark.parametrize("h", [8, 10, 12])
+def test_memory_estimate_bounds_the_build_peak(benchmark_model, benchmark_steady, h):
+    # rows = 0 leaves the tables and build terms; numpy reports its arrays to tracemalloc
+    dm = benchmark_model
+    terminal = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 2).cost_matrix
+    tracemalloc.start()
+    try:
+        sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, terminal, h, 2, benchmark_steady[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= memory_estimate(h, dm.n_states, dm.n_inputs, 0)
 
 
 def test_pattern_index_out_of_range(benchmark_tables):
