@@ -228,7 +228,6 @@ class ExperimentConfig:
                 init_mean=np.array(raw["init_mean"] if self.init_mean is None else self.init_mean,
                                    dtype=float),
                 init_cov=np.array(raw["init_cov"], dtype=float),
-                sample_period=raw.get("sample_period"),
             )
         except (OSError, KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"model file {base}: {exc}") from exc
@@ -274,7 +273,8 @@ def _theta_values(section):
     if step <= 0.0:
         raise ConfigError("theta.step must be > 0")
     span = (stop - start) / step  # inf when the step underflows
-    count = round(span) + 1 if math.isfinite(span) else math.inf
+    # the values up to stop; 1e-9 takes a span such as 5.999... as the 6 steps it means
+    count = math.floor(span + 1e-9) + 1 if math.isfinite(span) else math.inf
     # one design row per value is a lower bound of the lookahead budget: check it before building
     if memory_estimate(1, 1, 1, count) > LOOKAHEAD_MEMORY_BUDGET:
         raise ConfigError(f"theta start/stop/step give {count} values, above the memory budget")

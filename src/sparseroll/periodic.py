@@ -29,7 +29,7 @@ class PeriodicPolicy:
 
 def design_periodic(dm: DiscreteModel, q_weight, r_weight, p: int) -> PeriodicPolicy:
     """The period-p policy of :func:`design_periods`; raises its failure."""
-    return period_policies(design_periods(dm, q_weight, r_weight, [p])[0], [p])[p]
+    return period_policies(design_periods(dm, q_weight, r_weight, [p]), [p])[p]
 
 
 def periodic_average_cost(pol: PeriodicPolicy, err_cov, theta: float) -> float:
@@ -45,11 +45,12 @@ def periodic_average_cost(pol: PeriodicPolicy, err_cov, theta: float) -> float:
     return (noise_term + gain_term + lift.d_avg) / p + theta / p
 
 
-def design_periods(dm: DiscreteModel, q_weight, r_weight, periods, extra=()) -> tuple:
-    """``({p: PeriodicPolicy or error}, [RiccatiSolution or error of each extra problem])``.
+def design_periods(dm: DiscreteModel, q_weight, r_weight, periods) -> dict:
+    """``{p: PeriodicPolicy or error}`` over the distinct ``periods``, in ascending p.
 
     Checks observability once and sampling per period, lifts, and solves the lifted equations
-    and the same-shaped ``extra`` in one :func:`solve_dares`; a failed period maps to its error.
+    in one :func:`solve_dares`, each with the bits and failure it has alone; a failed period
+    maps to its error.  The period-1 equation is the plain model's, (A, B, Q, 0, R).
     """
     observable = check_observability(dm.a, psd_sqrt(q_weight))
     designs = {}
@@ -63,7 +64,7 @@ def design_periods(dm: DiscreteModel, q_weight, r_weight, periods, extra=()) -> 
             designs[p] = build_lifted(dm, q_weight, r_weight, p)
     lifts = {p: lift for p, lift in designs.items() if isinstance(lift, LiftedSystem)}
     solutions = solve_dares([RiccatiProblem(lift.a_lift, lift.b_lift, lift.q_lift, lift.s_lift,
-                                            lift.r_lift) for lift in lifts.values()] + list(extra))
+                                            lift.r_lift) for lift in lifts.values()])
     for (p, lift), sol in zip(lifts.items(), solutions):
         if not isinstance(sol, Exception):
             denom = lift.b_lift.T @ sol.cost_matrix @ lift.b_lift + lift.r_lift
@@ -71,7 +72,7 @@ def design_periods(dm: DiscreteModel, q_weight, r_weight, periods, extra=()) -> 
                                  gain_quadratic=symmetrize(sol.gain.T @ denom @ sol.gain),
                                  lifted=lift)
         designs[p] = sol
-    return designs, solutions[len(lifts):]
+    return designs
 
 
 def period_policies(designs: dict, periods) -> dict:
@@ -92,5 +93,5 @@ def cheapest_period(designs: dict, err_cov, theta: float):
 
 def best_periodic(dm: DiscreteModel, q_weight, r_weight, candidates, err_cov, theta: float):
     """Smallest-period argmin of the average cost over candidate periods; (p, cost)."""
-    designs = design_periods(dm, q_weight, r_weight, candidates)[0]
+    designs = design_periods(dm, q_weight, r_weight, candidates)
     return cheapest_period(period_policies(designs, candidates), err_cov, theta)

@@ -65,7 +65,6 @@ class DiscreteModel:
     meas_cov: np.ndarray
     init_mean: np.ndarray
     init_cov: np.ndarray
-    sample_period: float | None = None
 
     def __post_init__(self):
         a = _mat(self.a)
@@ -180,7 +179,6 @@ def discretize(cm: ContinuousModel, ts: float) -> DiscreteModel:
         meas_cov=meas_cov,
         init_mean=np.zeros(n_states),
         init_cov=np.zeros((n_states, n_states)),
-        sample_period=ts,
     )
 
 

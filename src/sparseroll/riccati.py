@@ -24,6 +24,12 @@ SYM_TOL = 1e-8
 # Condition-number ceiling for the inner (B'PB + R) inverse.
 COND_LIMIT = 1e12
 
+# Relative singular-value floor of the observability rank test.
+RANK_TOL = 1e-9
+
+# Distance below which two eigenvalues coincide in the sampling test.
+SAMPLING_TOL = 1e-9
+
 
 def _as_matrix(x) -> np.ndarray:
     return np.atleast_2d(np.asarray(x, dtype=float))
@@ -34,9 +40,9 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
-def require_symmetric(m: np.ndarray, name: str, tol: float = SYM_TOL) -> None:
+def require_symmetric(m: np.ndarray, name: str) -> None:
     scale = max(1.0, float(np.linalg.norm(m, "fro")))
-    if np.linalg.norm(m - m.T, "fro") > tol * scale:
+    if np.linalg.norm(m - m.T, "fro") > SYM_TOL * scale:
         raise ValueError(f"{name} must be symmetric")
 
 
@@ -46,13 +52,13 @@ def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(symmetrize(m)).min())
 
 
-def psd_sqrt(m: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Symmetric square root of a PSD matrix, clipping roundoff negatives."""
     m = _as_matrix(m)
     require_symmetric(m, "matrix")
     w, v = np.linalg.eigh(symmetrize(m))
     scale = max(1.0, float(abs(w).max()) if w.size else 1.0)
-    if w.min(initial=0.0) < -tol * scale:
+    if w.min(initial=0.0) < -SYM_TOL * scale:
         raise ValueError("matrix is not positive semidefinite")
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
@@ -197,14 +203,14 @@ def solve_dare(prob: RiccatiProblem, tol: float = 1e-10, max_iter: int = 100_000
     return result
 
 
-def _numeric_rank(m: np.ndarray, tol_rank: float) -> int:
+def _numeric_rank(m: np.ndarray) -> int:
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol_rank * s[0]))
+    return int(np.sum(s > RANK_TOL * s[0]))
 
 
-def check_observability(a: np.ndarray, c_half: np.ndarray, tol_rank: float = 1e-9) -> bool:
+def check_observability(a: np.ndarray, c_half: np.ndarray) -> bool:
     """Numeric rank test on the stacked observability matrix of (a, c_half)."""
     a = _as_matrix(a)
     c = _as_matrix(c_half)
@@ -214,14 +220,14 @@ def check_observability(a: np.ndarray, c_half: np.ndarray, tol_rank: float = 1e-
     for _ in range(n):
         blocks.append(row)
         row = row @ a
-    return _numeric_rank(np.vstack(blocks), tol_rank) == n
+    return _numeric_rank(np.vstack(blocks)) == n
 
 
-def check_pathological_sampling(a: np.ndarray, p: int, tol: float = 1e-9) -> bool:
+def check_pathological_sampling(a: np.ndarray, p: int) -> bool:
     """True iff lifting by period p cannot destroy stabilizability.
 
     Flags an eigenvalue pair (l1, l2) when l1 coincides with l2 rotated by a
-    p-th root of unity.  A pair of equal eigenvalues (within tol) with the
+    p-th root of unity.  A pair of equal eigenvalues (within ``SAMPLING_TOL``) with the
     identity rotation does not count: the same mode trivially maps to itself.
     """
     if p < 1:
@@ -230,10 +236,10 @@ def check_pathological_sampling(a: np.ndarray, p: int, tol: float = 1e-9) -> boo
     rotations = np.exp(2j * np.pi * np.arange(p) / p)
     for l1 in eig:
         for l2 in eig:
-            same = abs(l1 - l2) <= tol
+            same = abs(l1 - l2) <= SAMPLING_TOL
             for q, rot in enumerate(rotations):
                 if same and q == 0:
                     continue
-                if abs(l1 - l2 * rot) < tol:
+                if abs(l1 - l2 * rot) < SAMPLING_TOL:
                     return False
     return True

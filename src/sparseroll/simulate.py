@@ -20,7 +20,6 @@ from .estimator import kalman_init, kalman_step, row_product, steady_kalman
 from .exceptions import NonFiniteError
 from .periodic import cheapest_period, design_periods, period_policies
 from .plant import DiscreteModel
-from .riccati import RiccatiProblem
 from .rollout import RolloutPolicy, build_tables
 from .sparse_mpc import admm_factor, build_mpc_problem, first_inputs, solve_admm
 
@@ -248,8 +247,8 @@ class Design:
     the exception that building it raised: ``periodic`` to ``{p: PeriodicPolicy}`` (or the
     first failure in ascending candidate p), ``rollout`` to (base policy of period p,
     :class:`RolloutTables`) and ``sparse_mpc`` to (problem, :func:`admm_factor` at the
-    configured penalty).  Their Riccati equations share one lockstep solve, in which each
-    keeps the bits and the failure it has alone.
+    configured penalty), whose terminal weight is the period-1 policy's cost matrix.  Every
+    policy comes out of one :func:`design_periods` stack.
     """
 
     model: DiscreteModel
@@ -267,37 +266,32 @@ class Design:
 def design(cfg: ExperimentConfig, dm: DiscreteModel | None = None, methods=None) -> Design:
     """The model, filter and design of each of ``methods`` (by default ``cfg.methods``), made once.
 
-    The model is ``cfg.build_model()`` unless ``dm`` is given.  One :func:`design_periods`
-    call solves every Riccati equation the methods need in one stack: the lifted ones of the
-    candidate periods and of p, and the sparse-MPC terminal.
+    The model is ``cfg.build_model()`` unless ``dm`` is given.  Each method reads the policies
+    of its periods: periodic its candidates, rollout its base p and sparse MPC the period 1,
+    whose cost matrix is its stabilizing terminal weight.  One :func:`design_periods` call
+    designs their union, and a method fails with the first failure among its own periods.
     """
     dm = cfg.build_model() if dm is None else dm
     steady = steady_kalman(dm)
     q_w, r_w = cfg.q_weight, cfg.r_weight
     methods = cfg.methods if methods is None else methods
-    periods = {*(cfg.candidates if "periodic" in methods else ()),
-               *((cfg.p,) if "rollout" in methods else ())}
-    terminal = ([RiccatiProblem(dm.a, dm.b, q_w, np.zeros(dm.b.shape), r_w)]
-                if "sparse_mpc" in methods else [])
-    policies, terminal = design_periods(dm, q_w, r_w, periods, terminal)
+    periods = {"periodic": cfg.candidates, "rollout": (cfg.p,), "sparse_mpc": (1,)}
+    policies = design_periods(dm, q_w, r_w, {p for method in methods for p in periods[method]})
 
-    def rollout():
-        (base,) = period_policies(policies, [cfg.p]).values()
-        return base, build_tables(dm, q_w, r_w, base.cost_matrix, cfg.h, cfg.p, steady[1])
+    def rollout(pols):
+        return pols[cfg.p], build_tables(dm, q_w, r_w, pols[cfg.p].cost_matrix, cfg.h, cfg.p,
+                                         steady[1])
 
-    def sparse_mpc():
-        if isinstance(solution := terminal[0], Exception):
-            raise solution
-        problem = build_mpc_problem(dm, q_w, r_w, cfg.mpc_horizon, solution.cost_matrix)
+    def sparse_mpc(pols):
+        problem = build_mpc_problem(dm, q_w, r_w, cfg.mpc_horizon, pols[1].cost_matrix)
         return problem, admm_factor(problem, cfg.mpc_penalty)
 
-    builders = {"periodic": lambda: period_policies(policies, cfg.candidates),
-                "rollout": rollout, "sparse_mpc": sparse_mpc}
     designs = {}
+    builders = {"periodic": lambda pols: pols, "rollout": rollout, "sparse_mpc": sparse_mpc}
     for method, build in builders.items():
         if method in methods:
             try:
-                designs[method] = build()
+                designs[method] = build(period_policies(policies, periods[method]))
             except Exception as exc:  # noqa: BLE001 - a failed design fails what needs it
                 designs[method] = exc
     return Design(dm, steady, designs)
@@ -396,8 +390,6 @@ class StabilityReport:
     window_means: np.ndarray
     slope: float
     slope_stderr: float
-    last_window_ratio: float
-    bounded: bool
 
 
 def check_mean_square_stability(traces, window_len: int):
@@ -419,10 +411,7 @@ def check_mean_square_stability(traces, window_len: int):
     n_windows = n_steps // window_len
     means = sq[: n_windows * window_len].reshape(n_windows, window_len).mean(axis=1)
 
-    middle = means[1:-1]
-    denom = max(float(middle.max()), 1e-300)
-    last_ratio = float(means[-1]) / denom
-    last_ok = means[-1] <= 1.5 * middle.max()
+    last_ok = means[-1] <= 1.5 * means[1:-1].max()
 
     idx = np.arange(n_windows, dtype=float)
     x_c = idx - idx.mean()
@@ -433,12 +422,4 @@ def check_mean_square_stability(traces, window_len: int):
     slope_se = math.sqrt(max(float(resid @ resid), 0.0) / dof / sxx)
     slope_ok = slope <= 3.0 * slope_se
 
-    bounded = bool(last_ok and slope_ok)
-    report = StabilityReport(
-        window_means=means,
-        slope=slope,
-        slope_stderr=slope_se,
-        last_window_ratio=last_ratio,
-        bounded=bounded,
-    )
-    return bounded, report
+    return bool(last_ok and slope_ok), StabilityReport(means, slope, slope_se)

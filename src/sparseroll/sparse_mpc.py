@@ -63,7 +63,8 @@ def build_mpc_problem(dm: DiscreteModel, q_weight, r_weight, horizon: int,
     """Condense the prediction model and cost over the given horizon.
 
     ``terminal`` (n, n) is the terminal cost-to-go weight; :func:`~sparseroll.simulate.design`
-    passes the period-1 Riccati cost matrix, the standard stabilizing choice.
+    passes the cost matrix of the period-1 policy of :func:`~sparseroll.periodic.design_periods`,
+    the stabilizing LQ cost-to-go, which needs (A, Q^1/2) observable.
     """
     if horizon < 1:
         raise ValueError("prediction horizon must be >= 1")

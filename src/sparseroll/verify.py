@@ -34,6 +34,9 @@ from .sparse_mpc import kkt_residuals, solve_admm
 
 GOLDEN_PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
+# Random states at which the oracle check compares the tables with the exhaustive oracle.
+ORACLE_DRAWS = 100
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -95,14 +98,13 @@ def _base_cost_identity_check(cfg: ExperimentConfig, designed: Design,
     return CheckResult("base_cost_identity", resid < 1e-8, f"relative residual = {resid:.3e}")
 
 
-def _oracle_agreement_check(cfg: ExperimentConfig, designed: Design,
-                            n_draws: int = 100) -> CheckResult:
+def _oracle_agreement_check(cfg: ExperimentConfig, designed: Design) -> CheckResult:
     dm, err_cov = designed.model, designed.steady[1]
     theta = cfg.theta_grid[len(cfg.theta_grid) // 2]
     pol, tables = designed["rollout"]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed_base)))
     worst = 0.0
-    for _ in range(n_draws):
+    for _ in range(ORACLE_DRAWS):
         x = rng.standard_normal(dm.n_states) * rng.uniform(0.05, 2.5)
         res = oracle_select(dm, cfg.q_weight, cfg.r_weight, pol.cost_matrix, cfg.h, cfg.p,
                             theta, x, err_cov)
@@ -113,7 +115,7 @@ def _oracle_agreement_check(cfg: ExperimentConfig, designed: Design,
         score = pattern_scores(tables, x, theta)[sel - 1]
         worst = max(worst, abs(score - res.best_score) / max(1e-12, abs(res.best_score)))
     return CheckResult("oracle_agreement", worst < 1e-8,
-                       f"{n_draws} draws, worst relative score gap = {worst:.3e}")
+                       f"{ORACLE_DRAWS} draws, worst relative score gap = {worst:.3e}")
 
 
 def _performance_bound_check(cfg: ExperimentConfig, cells) -> CheckResult:

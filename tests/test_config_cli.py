@@ -149,6 +149,19 @@ def test_theta_grid_and_range_together_is_a_config_error():
         parse_config(small_config_dict(theta=theta))
 
 
+def test_theta_range_stops_at_stop():
+    # a stop between two steps ends the range at the last value below it; a span that falls
+    # a rounding error short of a whole step count still reaches stop
+    def grid(start, stop, step):
+        return parse_config({"theta": {"start": start, "stop": stop, "step": step}}).theta_grid
+
+    assert grid(0.1, 0.28, 0.1) == (0.1, 0.2)
+    assert grid(1, 2.6, 1) == (1.0, 2.0)
+    assert grid(0.1, 0.7, 0.1) == (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
+    bench = load_config(BENCHMARK_CONFIG).theta_grid
+    assert len(bench) == 20 and (bench[0], bench[-1]) == (0.02, 0.4)
+
+
 def test_readme_config_block_covers_the_schema():
     # the YAML block under README "Configuration" loads and names every schema key
     readme = (REPO / "README.md").read_text().split("## Configuration", 1)[1]
@@ -339,24 +352,32 @@ def test_each_command_designs_once(tmp_path, monkeypatch, capsys):
 
 
 def test_verify_design_failure_fails_only_the_checks_that_need_it(monkeypatch):
-    # a periodic design that raises fails the periodic checks, naming the exception; the
-    # rollout and MPC checks run on their own outcomes of the one design
+    # a periodic design that raises fails the checks of the methods that read its period,
+    # naming the exception; the others run on their own outcomes of the one design
     design_periods = simulate.design_periods
+    broken = ()
 
     def pathological(*args):
-        # every candidate period but the rollout base p = 6 fails its check
-        designs, extra = design_periods(*args)
-        designs.update({p: AssumptionViolatedError("pathological sampling") for p in (1, 2, 3)})
-        return designs, extra
+        # the broken candidate periods fail their check; the rollout base p = 6 does not
+        designs = design_periods(*args)
+        designs.update({p: AssumptionViolatedError("pathological sampling") for p in broken})
+        return designs
 
     monkeypatch.setattr(simulate, "design_periods", pathological)
     cfg = parse_config(small_config_dict(methods=["rollout", "periodic", "sparse_mpc"]))
-    results = {c.name: c for c in verify.run_verification(cfg)}
-    assert results["periodic_formula_vs_sim"] == verify.CheckResult(
-        "periodic_formula_vs_sim", False, "AssumptionViolatedError: pathological sampling")
-    assert results["performance_bound"].detail == "cell failure at theta=0.1"
-    failed = {name for name, c in results.items() if not c.passed}
-    assert failed == {"periodic_formula_vs_sim", "performance_bound"}
+    # the MPC terminal is the period-1 policy: its checks fail with p = 1 alone
+    for broken, mpc_failed in (((1, 2, 3), {"mpc_optimality", "tradeoff_ordering"}),
+                               ((2, 3), set())):
+        results = {c.name: c for c in verify.run_verification(cfg)}
+        assert results["periodic_formula_vs_sim"] == verify.CheckResult(
+            "periodic_formula_vs_sim", False, "AssumptionViolatedError: pathological sampling")
+        assert results["performance_bound"].detail == "cell failure at theta=0.1"
+        failed = {name for name, c in results.items() if not c.passed}
+        assert failed == {"periodic_formula_vs_sim", "performance_bound", *mpc_failed}, broken
+        if mpc_failed:
+            assert results["mpc_optimality"] == verify.CheckResult(
+                "mpc_optimality", False, "AssumptionViolatedError: pathological sampling")
+            assert results["tradeoff_ordering"].detail == "cell failure"
 
 
 def test_cmd_design_report(tmp_path, capsys):

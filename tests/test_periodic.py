@@ -172,7 +172,7 @@ def test_candidates_raise_the_smallest_period_failure():
     tiny_r = 1e-15 * np.eye(2)
 
     def policies(r_weight, periods):
-        return period_policies(design_periods(dm, np.eye(2), r_weight, periods)[0], periods)
+        return period_policies(design_periods(dm, np.eye(2), r_weight, periods), periods)
 
     with pytest.raises(IllConditionedError):
         policies(tiny_r, [2, 1])

@@ -8,9 +8,10 @@ import pytest
 import scipy.linalg as sla
 
 import sparseroll as sr
-from sparseroll import simulate
+from sparseroll import periodic, simulate
 from sparseroll.config import load_config
-from sparseroll.exceptions import ConfigError, NonConvergenceError, NonFiniteError
+from sparseroll.exceptions import (AssumptionViolatedError, ConfigError, NonConvergenceError,
+                                   NonFiniteError)
 from sparseroll.simulate import PeriodicController, SparseMpcController
 from sparseroll.sparse_mpc import admm_factor
 
@@ -288,6 +289,40 @@ def test_design_stack_keeps_each_equation_solo_bits(name):
         assert pol.feedback_gain.tobytes() == alone.feedback_gain.tobytes(), p
 
 
+@pytest.mark.parametrize("path, problems", [
+    (CONFIGS / "benchmark.yaml", 4), (CONFIGS / "scalar.yaml", 3),
+    (CONFIGS.parent / "perfbench" / "workloads" / "mpc-deep-lookahead.yaml", 5)],
+    ids=["benchmark", "scalar", "mpc-deep-lookahead"])
+def test_design_solves_each_period_once(monkeypatch, path, problems):
+    # one lifted equation per distinct period of the three methods: the MPC terminal is the
+    # period-1 equation, solved once even when 1 is also a candidate
+    stacks = []
+    solve_dares = periodic.solve_dares
+
+    def counted(stack):
+        stacks.append(len(stack))
+        return solve_dares(stack)
+
+    monkeypatch.setattr(periodic, "solve_dares", counted)
+    designed = sr.design(load_config(path), methods=("rollout", "periodic", "sparse_mpc"))
+    assert stacks == [problems]
+    assert designed["sparse_mpc"][0].terminal_weight is designed["periodic"][1].cost_matrix
+
+
+def test_unobservable_state_weight_fails_the_mpc_design():
+    # the second mode is stable but unseen by Q: the stabilizing terminal needs (A, Q^1/2)
+    # observable, so sparse MPC fails as the periodic designs do
+    dm = sr.DiscreteModel(a=np.diag([0.5, 0.9]), b=[[1.0], [1.0]], c=np.eye(2),
+                          proc_cov=np.eye(2), meas_cov=np.eye(2), init_mean=np.zeros(2),
+                          init_cov=np.eye(2))
+    cfg = sr.ExperimentConfig(q_weight=np.diag([1.0, 0.0]), r_weight=[[1.0]], h=2, p=1,
+                              candidates=(1,), methods=("sparse_mpc", "periodic"))
+    designed = sr.design(cfg, dm=dm)
+    for method in ("sparse_mpc", "periodic"):
+        with pytest.raises(AssumptionViolatedError, match="observable"):
+            designed[method]
+
+
 def test_nonfinite_error_names_step_and_trial():
     dm = sr.DiscreteModel(a=[[4.0]], b=[[1.0]], c=[[1.0]], proc_cov=[[1.0]],
                           meas_cov=[[1.0]], init_mean=[1.0], init_cov=[[1.0]])
@@ -369,9 +404,9 @@ def test_theta_sweep_stacked_cells_match_cells_alone(monkeypatch):
 
     def overflowing_p3(*args):
         # the p = 3 gain scaled by 1e300 drives the state to inf at its second actuation
-        designs, extra = design_periods(*args)
+        designs = design_periods(*args)
         designs[3] = replace(designs[3], feedback_gain=designs[3].feedback_gain * 1e300)
-        return designs, extra
+        return designs
 
     monkeypatch.setattr(simulate, "design_periods", overflowing_p3)
     # theta = 0.1 picks p = 3 and needs about 60 ADMM iterations; 10 and 25 pick p = 6
