@@ -36,10 +36,9 @@ from .plant import (
 from .riccati import (
     RiccatiProblem,
     RiccatiSolution,
-    check_observability,
-    check_pathological_sampling,
     riccati_residual,
     solve_dare,
+    uncontrollable_mode,
 )
 from .rollout import (
     RolloutPolicy,

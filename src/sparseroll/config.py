@@ -5,9 +5,9 @@ cost, theta grid, per-method parameters, trial counts, seeds), and its
 defaults are the benchmark study.  It validates itself on construction, so
 ``dataclasses.replace`` and the CLI overrides are checked like a loaded
 file, and :meth:`ExperimentConfig.build_model` adds the checks that need the
-model (dimensions and non-pathological sampling), so runs fail before any
-design work.  :func:`parse_config` rejects keys outside the schema and reads
-the YAML sections over the defaults.
+model (dimensions, stabilizability of each lifted pair a method reads and
+detectability), so runs fail before any design work.  :func:`parse_config`
+rejects keys outside the schema and reads the YAML sections over the defaults.
 """
 
 import math
@@ -19,13 +19,9 @@ import numpy as np
 import yaml
 
 from .estimator import steady_kalman
-from .exceptions import ConfigError
+from .exceptions import ConfigError, NonFiniteError
 from .plant import DiscreteModel, build_benchmark_model, discretize
-from .riccati import (
-    check_pathological_sampling,
-    min_eigenvalue,
-    require_symmetric,
-)
+from .riccati import min_eigenvalue, require_symmetric, uncontrollable_mode
 from .rollout import memory_estimate
 
 METHODS = ("rollout", "periodic", "sparse_mpc")
@@ -189,8 +185,14 @@ class ExperimentConfig:
         meta = _SCHEMA[name].metadata
         object.__setattr__(self, name, meta["convert"](getattr(self, name), meta["yaml"]))
 
+    @property
+    def method_periods(self) -> dict:
+        """The periods whose policies each method reads (sparse MPC: its terminal weight)."""
+        return {"periodic": self.candidates, "rollout": (self.p,), "sparse_mpc": (1,)}
+
     def build_model(self) -> DiscreteModel:
-        """The config's model, checked against the config: dimensions and lifting periods."""
+        """The config's model, checked against the config: dimensions, stabilizable lifted pairs
+        (A^p, A^(p-1) B) at the periods of :attr:`method_periods` and detectable (A, C)."""
         try:
             dm = self._model()
         except ConfigError:
@@ -202,9 +204,22 @@ class ExperimentConfig:
             raise ConfigError(f"cost.q must be {n}x{n} for this model")
         if self.r_weight.shape != (dm.n_inputs, dm.n_inputs):
             raise ConfigError(f"cost.r must be {dm.n_inputs}x{dm.n_inputs} for this model")
-        for p in set(self.candidates) | {self.p}:
-            if not check_pathological_sampling(dm.a, p):
-                raise ConfigError(f"pathological sampling at period p={p}")
+        periods = set().union(*self.method_periods.values())  # verify designs every method
+        power = np.eye(n)  # A^p, multiplied up as build_lifted does
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p in range(1, max(periods) + 1):
+                b_p, power = power @ dm.b, dm.a @ power
+                try:
+                    mode = uncontrollable_mode(power, b_p) if p in periods else None
+                except NonFiniteError:
+                    raise ConfigError(f"lifting by period p={p} overflows") from None
+                if mode is not None:
+                    raise ConfigError(("(A, B) must be stabilizable" if p == 1 else
+                                       f"pathological sampling at period p={p}")
+                                      + f": mode {mode:.6g} of A^{p} is uncontrollable")
+        mode = uncontrollable_mode(dm.a.T, dm.c.T)
+        if mode is not None:
+            raise ConfigError(f"(A, C) must be detectable: mode {mode:.6g} is unobservable")
         return dm
 
     def _model(self) -> DiscreteModel:
@@ -258,7 +273,7 @@ def _expect_mapping(raw, name):
     return raw
 
 
-def _theta_values(section):
+def _theta_values(section, trials: int):
     """The theta grid as written: a list, ``{grid: [...]}`` or ``{start, stop, step}``."""
     if not isinstance(section, dict):
         return section
@@ -275,8 +290,8 @@ def _theta_values(section):
     span = (stop - start) / step  # inf when the step underflows
     # the values up to stop; 1e-9 takes a span such as 5.999... as the 6 steps it means
     count = math.floor(span + 1e-9) + 1 if math.isfinite(span) else math.inf
-    # one design row per value is a lower bound of the lookahead budget: check it before building
-    if memory_estimate(1, 1, 1, count) > LOOKAHEAD_MEMORY_BUDGET:
+    # `trials` rows per value in the smallest design: a lower bound of the lookahead budget
+    if memory_estimate(1, 1, 1, count * trials) > LOOKAHEAD_MEMORY_BUDGET:
         raise ConfigError(f"theta start/stop/step give {count} values, above the memory budget")
     return [round(start + i * step, 12) for i in range(count)]
 
@@ -305,7 +320,10 @@ def parse_config(raw: dict, source_path: str | None = None) -> ExperimentConfig:
     if "alpha" in rollout and _number(rollout["alpha"], "rollout.alpha") != 1.0:
         raise ConfigError("rollout.alpha must be 1.0 (the long-run average cost)")
     if "theta" in raw:
-        raw = {**raw, "theta": {"grid": _theta_values(raw["theta"])}}
+        sim = raw.get("sim") or {}  # its trials, or 1 where they are not valid: a lower bound
+        trials = sim.get("trials", _SCHEMA["trials"].default) if isinstance(sim, dict) else 1
+        trials = max(trials, 1) if isinstance(trials, int) else 1
+        raw = {**raw, "theta": {"grid": _theta_values(raw["theta"], trials)}}
     values = {}
     for name, f in _SCHEMA.items():
         section, _, key = f.metadata["yaml"].rpartition(".")

@@ -10,10 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import AssumptionViolatedError
+from .exceptions import AssumptionViolatedError, NonFiniteError
 from .plant import DiscreteModel, LiftedSystem, build_lifted
-from .riccati import (RiccatiProblem, check_observability, check_pathological_sampling,
-                      psd_sqrt, solve_dares, symmetrize)
+from .riccati import RiccatiProblem, solve_dares, symmetrize, uncontrollable_mode
 
 
 @dataclass(frozen=True)
@@ -48,20 +47,27 @@ def periodic_average_cost(pol: PeriodicPolicy, err_cov, theta: float) -> float:
 def design_periods(dm: DiscreteModel, q_weight, r_weight, periods) -> dict:
     """``{p: PeriodicPolicy or error}`` over the distinct ``periods``, in ascending p.
 
-    Checks observability once and sampling per period, lifts, and solves the lifted equations
-    in one :func:`solve_dares`, each with the bits and failure it has alone; a failed period
-    maps to its error.  The period-1 equation is the plain model's, (A, B, Q, 0, R).
+    Checks (A, B) once, each lifted pair, then (A, Q^1/2) with :func:`uncontrollable_mode`,
+    and solves the lifted equations in one :func:`solve_dares`, each with the bits and failure
+    it has alone; a failed period maps to its error.  The period-1 equation is (A, B, Q, 0, R).
     """
-    observable = check_observability(dm.a, psd_sqrt(q_weight))
+    stabilizable = uncontrollable_mode(dm.a, dm.b) is None
+    # (A, Q^1/2) and (A, Q) share their unobservable modes, as Q^1/2 and Q share a null space
+    observable = uncontrollable_mode(dm.a.T, q_weight, unstable_only=False) is None
     designs = {}
     for p in sorted(set(int(p) for p in periods)):
-        if not check_pathological_sampling(dm.a, p):
-            designs[p] = AssumptionViolatedError(
-                f"pathological sampling: lifting by p={p} breaks stabilizability")
-        elif not observable:
-            designs[p] = AssumptionViolatedError("(A, Q^{1/2}) must be observable")
-        else:
-            designs[p] = build_lifted(dm, q_weight, r_weight, p)
+        if not stabilizable:
+            designs[p] = AssumptionViolatedError("(A, B) must be stabilizable")
+            continue
+        lift = designs[p] = build_lifted(dm, q_weight, r_weight, p)
+        try:
+            if uncontrollable_mode(lift.a_lift, lift.b_lift) is not None:
+                designs[p] = AssumptionViolatedError(
+                    f"pathological sampling: lifting by p={p} breaks stabilizability")
+            elif not observable:
+                designs[p] = AssumptionViolatedError("(A, Q^{1/2}) must be observable")
+        except NonFiniteError as exc:
+            designs[p] = exc
     lifts = {p: lift for p, lift in designs.items() if isinstance(lift, LiftedSystem)}
     solutions = solve_dares([RiccatiProblem(lift.a_lift, lift.b_lift, lift.q_lift, lift.s_lift,
                                             lift.r_lift) for lift in lifts.values()])

@@ -48,6 +48,12 @@ class SimTrace:
         return float(self.triggers.mean())
 
 
+def _stderr(values: np.ndarray) -> float:
+    """Standard error of the mean of per-trial values; 0 for a single trial."""
+    n = len(values)
+    return float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+
+
 @dataclass(frozen=True)
 class Metrics:
     """Across-trial averages of control cost and actuation rate."""
@@ -68,12 +74,9 @@ class Metrics:
     @classmethod
     def of(cls, costs: np.ndarray, rates: np.ndarray, theta: float) -> "Metrics":
         """Means and standard errors of the per-trial costs and rates."""
-        n = len(costs)
-        se_c = float(costs.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        se_r = float(rates.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         avg_c, avg_r = float(costs.mean()), float(rates.mean())
         return cls(avg_control_cost=avg_c, avg_actuation_rate=avg_r, total=avg_c + theta * avg_r,
-                   stderr_control_cost=se_c, stderr_rate=se_r, theta=theta,
+                   stderr_control_cost=_stderr(costs), stderr_rate=_stderr(rates), theta=theta,
                    per_trial_cost=costs, per_trial_rate=rates)
 
 
@@ -267,15 +270,15 @@ def design(cfg: ExperimentConfig, dm: DiscreteModel | None = None, methods=None)
     """The model, filter and design of each of ``methods`` (by default ``cfg.methods``), made once.
 
     The model is ``cfg.build_model()`` unless ``dm`` is given.  Each method reads the policies
-    of its periods: periodic its candidates, rollout its base p and sparse MPC the period 1,
-    whose cost matrix is its stabilizing terminal weight.  One :func:`design_periods` call
-    designs their union, and a method fails with the first failure among its own periods.
+    of its periods in ``cfg.method_periods``; the period-1 cost matrix is the sparse-MPC
+    terminal weight.  One :func:`design_periods` call designs their union, and a method fails
+    with the first failure among its own periods.
     """
     dm = cfg.build_model() if dm is None else dm
     steady = steady_kalman(dm)
     q_w, r_w = cfg.q_weight, cfg.r_weight
     methods = cfg.methods if methods is None else methods
-    periods = {"periodic": cfg.candidates, "rollout": (cfg.p,), "sparse_mpc": (1,)}
+    periods = cfg.method_periods
     policies = design_periods(dm, q_w, r_w, {p for method in methods for p in periods[method]})
 
     def rollout(pols):
@@ -377,9 +380,7 @@ def check_performance_bound(metrics_rollout: Metrics, metrics_periodic: Metrics,
     theta = metrics_rollout.theta
     tot_ro = metrics_rollout.per_trial_cost + theta * metrics_rollout.per_trial_rate
     tot_pe = metrics_periodic.per_trial_cost + theta * metrics_periodic.per_trial_rate
-    se_ro = tot_ro.std(ddof=1) / math.sqrt(len(tot_ro)) if len(tot_ro) > 1 else 0.0
-    se_pe = tot_pe.std(ddof=1) / math.sqrt(len(tot_pe)) if len(tot_pe) > 1 else 0.0
-    pooled = math.sqrt(se_ro**2 + se_pe**2)
+    pooled = math.sqrt(_stderr(tot_ro)**2 + _stderr(tot_pe)**2)
     bound = metrics_periodic.total + 1.0 / h + 3.0 * pooled
     margin = bound - metrics_rollout.total
     return margin >= 0.0, float(margin)

@@ -204,8 +204,6 @@ def _mpc_kkt_check(cfg: ExperimentConfig, designed: Design, thetas) -> CheckResu
 
 def _ordering_check(cfg: ExperimentConfig, designed: Design, cells) -> CheckResult:
     """Sparse MPC at the middle theta against the first trials of the sweep's rollout cell."""
-    if "sparse_mpc" not in cfg.methods:
-        return CheckResult("tradeoff_ordering", True, "skipped (sparse_mpc disabled)")
     if isinstance(cells, ConfigError):
         return CheckResult("tradeoff_ordering", False, f"ConfigError: {cells}")
     theta = cfg.theta_grid[len(cfg.theta_grid) // 2]
@@ -260,5 +258,7 @@ def run_verification(cfg: ExperimentConfig, corrupt_terminal: bool = False) -> l
         needs("periodic", "periodic_formula_vs_sim", _periodic_formula_check),
         needs("sparse_mpc", "mpc_optimality", _mpc_kkt_check,
               [cfg.theta_grid[len(cfg.theta_grid) // 2]]),
-        _ordering_check(cfg, designed, cells),
+        needs("sparse_mpc", "tradeoff_ordering", _ordering_check, cells)
+        if "sparse_mpc" in cfg.methods else
+        CheckResult("tradeoff_ordering", True, "skipped (sparse_mpc disabled)"),
     ]

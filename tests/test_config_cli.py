@@ -7,6 +7,7 @@ from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -86,18 +87,18 @@ def test_lookahead_memory_budget_counts_every_theta_row():
 
 def test_theta_range_over_the_budget_is_rejected_before_it_is_built(tmp_path, capsys):
     # a step that underflows the value count to inf used to raise OverflowError, and a
-    # count whose rows alone pass the lookahead budget is rejected before its list exists
+    # count whose rows, the config's trials per value, pass the lookahead budget is
+    # rejected before its list exists
     for step in (1e-320, 1e-8):
         start = time.perf_counter()
         with pytest.raises(ConfigError, match="memory budget"):
             parse_config({"theta": {"start": 0.0, "stop": 1.0, "step": step}})
         assert time.perf_counter() - start < 0.1
-    # 1e6 values pass that bound, so they are built (about 0.6 s), and the config rejects
-    # their count before it converts any of them
+    # 1e6 values fit the budget at one row each, but not at the default 50 trials each
     start = time.perf_counter()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="memory budget"):
         parse_config({"theta": {"start": 0.0, "stop": 1.0, "step": 1e-6}})
-    assert time.perf_counter() - start < 1.5
+    assert time.perf_counter() - start < 0.1
     raw = small_config_dict()
     raw["theta"] = {"start": 0.0, "stop": 1.0, "step": 1e-320}
     path = write_config(tmp_path, raw)
@@ -377,7 +378,8 @@ def test_verify_design_failure_fails_only_the_checks_that_need_it(monkeypatch):
         if mpc_failed:
             assert results["mpc_optimality"] == verify.CheckResult(
                 "mpc_optimality", False, "AssumptionViolatedError: pathological sampling")
-            assert results["tradeoff_ordering"].detail == "cell failure"
+            assert results["tradeoff_ordering"] == verify.CheckResult(
+                "tradeoff_ordering", False, "AssumptionViolatedError: pathological sampling")
 
 
 def test_cmd_design_report(tmp_path, capsys):
@@ -623,6 +625,45 @@ def test_config_rejects_pathological_candidates(tmp_path, monkeypatch, capsys):
                      "--out", str(tmp_path / "out")]) == 2
     assert "pathological sampling" in capsys.readouterr().err
     assert counts == {"build_model": 1}
+
+
+def file_model_config(tmp_path, a, b, c, **overrides):
+    """A parsed config of the periodic method on a model file with unit noise."""
+    n = len(a)
+    model = {"a": a, "b": b, "c": c, "proc_cov": np.eye(n).tolist(),
+             "meas_cov": np.eye(len(c)).tolist(), "init_mean": [0.0] * n,
+             "init_cov": np.eye(n).tolist()}
+    (tmp_path / "model.yaml").write_text(yaml.safe_dump(model))
+    raw = small_config_dict(
+        model={"source": "matrices-from-file", "file": str(tmp_path / "model.yaml")},
+        cost={"q": np.eye(n).tolist(), "r": np.eye(len(b[0])).tolist()},
+        methods=["periodic"], periodic={"candidates": [1]}, rollout={"h": 2, "p": 1},
+        sim={"trials": 1, "horizon_steps": 30, "seed_base": 3})
+    return parse_config({**raw, **overrides}, source_path=str(tmp_path / "cfg.yaml"))
+
+
+def test_config_rejects_undesignable_models_at_load(tmp_path):
+    # the mode that no input reaches, no output sees or a lift overflows is named at load
+    cases = [
+        ([[1.5, 0.0], [0.0, 0.5]], [[0.0], [1.0]], [[1.0, 1.0]], {},
+         "(A, B) must be stabilizable: mode 1.5 of A^1 is uncontrollable"),
+        ([[1.5, 0.0], [0.0, 0.5]], [[1.0], [1.0]], [[0.0, 0.0]], {},
+         "(A, C) must be detectable: mode 1.5 is unobservable"),
+        ([[2.0]], [[1.0]], [[1.0]], {"periodic": {"candidates": [2000]}},
+         "lifting by period p=2000 overflows"),
+    ]
+    for a, b, c, overrides, message in cases:
+        with pytest.raises(ConfigError) as err:
+            file_model_config(tmp_path, a, b, c, **overrides).build_model()
+        assert str(err.value).startswith(message), err.value
+    # the undetectable model is rejected before its filter iterates
+    cfg = file_model_config(tmp_path, *cases[1][:3])
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="detectable"):
+        cfg.build_model()
+    assert time.perf_counter() - start < 0.01
+    # the same model with an output that sees the unstable mode loads
+    assert file_model_config(tmp_path, *cases[1][:2], [[1.0, 0.0]]).build_model().n_states == 2
 
 
 def test_outdir_env_fallback(tmp_path, monkeypatch):

@@ -185,9 +185,8 @@ def test_diverging_filter_covariance_fails_at_its_first_nonfinite_iterate(tmp_pa
         with pytest.raises(NonFiniteError, match=r"^filter covariance norm is inf/nan at "
                                                  r"iteration 437$"):
             sr.steady_kalman(dm)
-        # the same model from a file: `design` fails as a numerical failure, at once
+        # the same model from a file: (A, C) is not detectable, so `design` rejects it at load
         start = time.perf_counter()
-        assert cli.main(["design", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        assert cli.main(["design", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().err == ("numerical failure: filter covariance norm is inf/nan "
-                                       "at iteration 437\n")
+    assert "(A, C) must be detectable: mode 1.5 is unobservable" in capsys.readouterr().err

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparseroll as sr
 from sparseroll.exceptions import AssumptionViolatedError, IllConditionedError
@@ -41,6 +43,60 @@ def test_design_rejects_pathological_period():
                           init_mean=np.zeros(2), init_cov=np.eye(2))
     with pytest.raises(AssumptionViolatedError):
         sr.design_periodic(dm, np.eye(2), [[1.0]], 2)
+
+
+def test_stable_modes_that_alias_do_not_stop_a_design():
+    # 0.5 and -0.5 coincide in A^2, but a stable mode needs no input: the lifted pair stays
+    # stabilizable and the period-2 policy is designed
+    dm = sr.DiscreteModel(a=np.diag([0.5, -0.5]), b=[[1.0], [1.0]], c=np.eye(2),
+                          proc_cov=np.eye(2), meas_cov=np.eye(2),
+                          init_mean=np.zeros(2), init_cov=np.eye(2))
+    pol = sr.design_periodic(dm, np.eye(2), [[1.0]], 2)
+    assert pol.period == 2 and np.linalg.eigvalsh(pol.cost_matrix).min() > 0.0
+
+
+def test_unstabilizable_pair_fails_every_period():
+    dm = sr.DiscreteModel(a=np.diag([1.5, 0.5]), b=[[0.0], [1.0]], c=np.eye(2),
+                          proc_cov=np.eye(2), meas_cov=np.eye(2),
+                          init_mean=np.zeros(2), init_cov=np.eye(2))
+    designs = design_periods(dm, np.eye(2), [[1.0]], [1, 2])
+    for p in (1, 2):
+        assert isinstance(designs[p], AssumptionViolatedError)
+        assert str(designs[p]) == "(A, B) must be stabilizable"
+
+
+# Block spectra of the drawn models: real modes, and rotations at angles some period aliases
+REAL_MODES = [-1.0, -0.5, 0.3, 0.9, 1.0, 1.2]
+ROTATIONS = [(w, r) for w in (np.pi / 2, 2 * np.pi / 3, 2 * np.pi / 5, 1.0)
+             for r in (0.8, 1.0, 1.1)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(blocks=st.lists(st.one_of(st.sampled_from(REAL_MODES), st.sampled_from(ROTATIONS)),
+                       min_size=1, max_size=2),
+       n_inputs=st.integers(1, 2), p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_a_lifted_pair_that_passes_the_rank_test_designs(blocks, n_inputs, p, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    parts = [np.array([[mode]]) if np.isscalar(mode) else
+             mode[1] * np.array([[np.cos(mode[0]), -np.sin(mode[0])],
+                                 [np.sin(mode[0]), np.cos(mode[0])]]) for mode in blocks]
+    n = sum(len(m) for m in parts)
+    jordan = np.zeros((n, n))
+    i = 0
+    for m in parts:
+        jordan[i:i + len(m), i:i + len(m)] = m
+        i += len(m)
+    t = np.linalg.qr(rng.standard_normal((n, n)))[0] @ np.diag(np.exp(rng.uniform(-0.7, 0.7, n)))
+    dm = sr.DiscreteModel(a=t @ jordan @ np.linalg.inv(t), b=rng.standard_normal((n, n_inputs)),
+                          c=np.eye(n), proc_cov=np.eye(n), meas_cov=np.eye(n),
+                          init_mean=np.zeros(n), init_cov=np.eye(n))
+    lift = sr.build_lifted(dm, np.eye(n), np.eye(n_inputs), p)
+    design = design_periods(dm, np.eye(n), np.eye(n_inputs), [p])[p]
+    if (sr.uncontrollable_mode(dm.a, dm.b) is None
+            and sr.uncontrollable_mode(lift.a_lift, lift.b_lift) is None):
+        assert isinstance(design, sr.PeriodicPolicy), design
+    else:
+        assert isinstance(design, AssumptionViolatedError)
 
 
 def test_gain_first_order_optimality(benchmark_model):

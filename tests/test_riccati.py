@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import sparseroll as sr
 from sparseroll.exceptions import IllConditionedError, NonConvergenceError, NonFiniteError
-from sparseroll.riccati import COND_LIMIT, psd_sqrt, riccati_residual, solve_dares
+from sparseroll.riccati import COND_LIMIT, riccati_residual, solve_dares
 
 BENCH = sr.ExperimentConfig()  # the benchmark study
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -106,21 +106,126 @@ def test_residual_checked_independently(rng):
     assert riccati_residual(prob, sol.cost_matrix) < 1e-11
 
 
+def lifted_pair(a, b, p):
+    """(A^p, A^(p-1) B), multiplied up as build_lifted does."""
+    a, power = np.asarray(a, dtype=float), np.eye(len(a))
+    for _ in range(p - 1):
+        power = a @ power
+    return a @ power, power @ np.asarray(b, dtype=float)
+
+
+def rotation(w, r=1.0):
+    return r * np.array([[np.cos(w), -np.sin(w)], [np.sin(w), np.cos(w)]])
+
+
+def observability_matrix_rank_test(a, c_half):
+    """Full rank of the stacked observability matrix: an independent oracle of observability."""
+    a, c = np.atleast_2d(a), np.atleast_2d(c_half)
+    blocks, row = [], c
+    for _ in range(len(a)):
+        blocks.append(row)
+        row = row @ a
+    s = np.linalg.svd(np.vstack(blocks), compute_uv=False)
+    return bool(s.size > 0 and s[0] > 0.0 and np.sum(s > 1e-9 * s[0]) == len(a))
+
+
+def observable(a, c):
+    return sr.uncontrollable_mode(np.transpose(a), np.transpose(c), unstable_only=False) is None
+
+
 def test_observability_examples(benchmark_model):
-    assert not sr.check_observability(np.eye(2), np.array([[1.0, 0.0]]))
-    assert sr.check_observability(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[1.0, 0.0]]))
-    assert sr.check_observability(benchmark_model.a, psd_sqrt(BENCH.q_weight))
+    assert not observable(np.eye(2), np.array([[1.0, 0.0]]))
+    assert observable(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[1.0, 0.0]]))
+    assert observable(benchmark_model.a, BENCH.q_weight)
 
 
 def test_pathological_sampling_examples(benchmark_model):
-    assert not sr.check_pathological_sampling(np.diag([1.0, -1.0]), 2)
-    assert sr.check_pathological_sampling(np.diag([0.5, 0.9]), 3)
-    for p in (1, 2, 3, 6):
-        assert sr.check_pathological_sampling(benchmark_model.a, p)
+    # a controllable pair whose lifted pair (A^p, A^(p-1) B) loses the modes that alias
+    b = [[1.0], [1.0]]
+    assert sr.uncontrollable_mode(np.diag([1.0, -1.0]), b) is None
+    assert sr.uncontrollable_mode(*lifted_pair(np.diag([1.0, -1.0]), b, 2)) == 1.0
+    assert sr.uncontrollable_mode(*lifted_pair(np.diag([0.5, 0.9]), np.zeros((2, 1)), 3)) is None
+    dm = benchmark_model
+    for p in (1, 2, 3, 6, 7):
+        assert sr.uncontrollable_mode(*lifted_pair(dm.a, dm.b, p)) is None, p
+    for p in (5, 10):
+        assert sr.uncontrollable_mode(*lifted_pair(dm.a, dm.b, p)) is not None, p
     # oscillator pair aliasing under its own rotation
-    w = 2.0 * np.pi / 5.0
-    rot = np.array([[np.cos(w), -np.sin(w)], [np.sin(w), np.cos(w)]])
-    assert not sr.check_pathological_sampling(rot, 5)
+    rot = rotation(2.0 * np.pi / 5.0)
+    assert sr.uncontrollable_mode(rot, [[1.0], [0.0]]) is None
+    mode = sr.uncontrollable_mode(*lifted_pair(rot, [[1.0], [0.0]], 5))
+    assert abs(mode - 1.0) < 1e-9
+
+
+def test_zero_input_is_rejected_whatever_the_scale_of_a():
+    # B = 0 with A^3 = I under a similarity: every singular value of the lifted pencil is
+    # roundoff, so a floor relative to the largest one would pass the pair
+    rng = np.random.Generator(np.random.Philox(7))
+    t = rng.standard_normal((2, 2)) + 2.0 * np.eye(2)
+    a = t @ rotation(2.0 * np.pi / 3.0) @ np.linalg.inv(t)
+    a3, b3 = lifted_pair(a, np.zeros((2, 1)), 3)
+    assert np.abs(a3 - np.eye(2)).max() < 1e-12
+    assert sr.uncontrollable_mode(a3, b3) is not None
+    assert sr.uncontrollable_mode(a, np.zeros((2, 1))) is not None
+
+
+def test_rank_test_of_a_pair_that_is_not_finite():
+    with pytest.raises(NonFiniteError):
+        sr.uncontrollable_mode([[np.inf]], [[1.0]])
+    with pytest.raises(NonFiniteError):
+        sr.uncontrollable_mode([[2.0]], [[np.nan]])
+
+
+def similarity(rng, n):
+    """A random transform with condition number at most e^1.4."""
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q1 @ np.diag(np.exp(rng.uniform(-0.7, 0.7, n))) @ q2
+
+
+def planted(seed, n1, spectrum, n_inputs):
+    """(A, B) with a random controllable n1-block and an uncontrollable block, under a
+    random similarity; the block is stable (|lambda| <= 0.95), at +-1 or a rotation."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    if spectrum == "rotation":
+        a2 = rotation(rng.uniform(0.1, np.pi - 0.1))
+    elif spectrum == "unit":
+        a2 = np.diag(rng.choice([-1.0, 1.0], rng.integers(1, 4 - n1)))
+    elif rng.random() < 0.5:
+        a2 = rotation(rng.uniform(0.0, np.pi), rng.uniform(0.0, 0.95))
+    else:
+        a2 = np.diag(rng.uniform(-0.95, 0.95, rng.integers(1, 4 - n1)))
+    n2 = len(a2)
+    a = np.block([[rng.standard_normal((n1, n1)), rng.standard_normal((n1, n2))],
+                  [np.zeros((n2, n1)), a2]])
+    b = np.vstack([rng.standard_normal((n1, n_inputs)), np.zeros((n2, n_inputs))])
+    t = similarity(rng, n1 + n2)
+    return t @ a @ np.linalg.inv(t), t @ b
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n1=st.integers(0, 2), n_inputs=st.integers(1, 2),
+       spectrum=st.sampled_from(["stable", "unit", "rotation"]))
+def test_rank_test_finds_an_uncontrollable_block_iff_it_is_unstable(seed, n1, spectrum,
+                                                                    n_inputs):
+    a, b = planted(seed, n1, spectrum, n_inputs)
+    mode = sr.uncontrollable_mode(a, b)
+    if spectrum == "stable":
+        assert mode is None
+    else:
+        assert mode is not None and abs(abs(mode) - 1.0) < 1e-6
+    # read as (A', C'), the pair is unobservable at the planted block whatever its |lambda|,
+    # and the rank of the stacked observability matrix agrees
+    assert not observable(a.T, b.T) and not observability_matrix_rank_test(a.T, b.T)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), outputs=st.integers(1, 4))
+def test_observability_agrees_with_the_observability_matrix(seed, n, outputs):
+    rng = np.random.Generator(np.random.Philox(seed))
+    a = rng.standard_normal((n, n))
+    c = rng.standard_normal((min(outputs, n), n))
+    assert observable(a, c) == observability_matrix_rank_test(a, c)
 
 
 def test_problem_validation():

@@ -244,15 +244,16 @@ def test_theta_sweep_design_failure_stays_in_its_method():
 
 
 def test_design_rollout_base_failure_stays_in_rollout(monkeypatch):
-    # only the rollout base's lifted equation diverges (B = 0, A = 2 I, off the candidates):
-    # rollout fails with its own error, and the periodic and sparse-MPC entries, solved in
-    # the same stack, have the bits of a design made without rollout
+    # only the rollout base's lifted equation overflows (A and B scaled by 1e100, off the
+    # candidates; the scaled pair keeps its rank): rollout fails with its own error, and the
+    # periodic and sparse-MPC entries, solved in the same stack, have the bits of a design
+    # made without rollout
     lift = sr.periodic.build_lifted
 
     def diverging_p6(dm, q_w, r_w, p):
         lifted = lift(dm, q_w, r_w, p)
-        return lifted if p != 6 else replace(lifted, a_lift=2.0 * np.eye(4),
-                                             b_lift=np.zeros_like(lifted.b_lift))
+        return lifted if p != 6 else replace(lifted, a_lift=1e100 * lifted.a_lift,
+                                             b_lift=1e100 * lifted.b_lift)
 
     monkeypatch.setattr(sr.periodic, "build_lifted", diverging_p6)
     cfg = bench_cfg(candidates=(1, 2, 3), methods=("rollout", "periodic", "sparse_mpc"))
