@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ExperimentConfig, load_config
 from .exceptions import ConfigError, SparseRollError
-from .periodic import periodic_average_cost
+from .periodic import cheapest_period, periodic_average_cost
 from .simulate import design, theta_sweep
 from .verify import base_cost_residual, run_verification
 
@@ -93,7 +93,7 @@ def cmd_design(cfg: ExperimentConfig, out_dir: Path) -> int:
     lines.append(header)
     for theta in cfg.theta_grid:
         costs = {p: periodic_average_cost(pol, err_cov, theta) for p, pol in designs.items()}
-        best = min(costs, key=costs.get)  # designs ascend in p: ties go to the smallest
+        best = cheapest_period(designs, err_cov, theta)[0]
         lines.append(f"{theta:<9.4g}  " + "  ".join(
             f"{costs[p]:.6f}" + ("*" if p == best else " ") for p in cfg.candidates))
     lines.append("")

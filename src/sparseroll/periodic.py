@@ -39,7 +39,7 @@ def periodic_average_cost(pol: PeriodicPolicy, err_cov, theta: float) -> float:
     lift = pol.lifted
     err_cov = np.atleast_2d(np.asarray(err_cov, dtype=float))
     p = pol.period
-    noise_term = float(np.trace(pol.cost_matrix @ lift.d_lift @ lift.proc_cov_lift @ lift.d_lift.T))
+    noise_term = float(np.trace(pol.cost_matrix @ lift.noise_cov_lift))
     gain_term = float(np.trace(pol.gain_quadratic @ err_cov))
     return (noise_term + gain_term + lift.d_avg) / p + theta / p
 

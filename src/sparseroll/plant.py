@@ -124,8 +124,7 @@ class LiftedSystem:
     period: int
     a_lift: np.ndarray          # A^p
     b_lift: np.ndarray          # A^{p-1} B
-    d_lift: np.ndarray          # [A^{p-1} ... I]
-    proc_cov_lift: np.ndarray   # I_p kron proc_cov
+    noise_cov_lift: np.ndarray  # sum_{j<p} A^j W A^j', the covariance of the lifted noise
     q_lift: np.ndarray
     s_lift: np.ndarray
     r_lift: np.ndarray
@@ -185,8 +184,10 @@ def discretize(cm: ContinuousModel, ts: float) -> DiscreteModel:
 def build_lifted(dm: DiscreteModel, q_weight, r_weight, p: int) -> LiftedSystem:
     """Aggregate p steps (input at the block start) into one lifted step.
 
-    Also evaluates the in-period noise cost constant of the average cost,
-    the sum of tr(Q A^j W A^j') over the strictly-upper triangle of the period.
+    One pass over the powers A^0..A^p, holding two of them at a time.  Also
+    evaluates the in-period noise cost constant of the average cost, the sum
+    of tr(Q A^j W A^j') over the strictly-upper triangle of the period, as
+    the sum over j of (p - 1 - j) tr(Q A^j W A^j').
     """
     if p < 1:
         raise ValueError("period must be >= 1")
@@ -197,31 +198,23 @@ def build_lifted(dm: DiscreteModel, q_weight, r_weight, p: int) -> LiftedSystem:
     require_symmetric(q, "q_weight")
     require_symmetric(r, "r_weight")
 
-    powers = [np.eye(n)]
-    for _ in range(p - 1):
-        powers.append(a @ powers[-1])
-    a_lift = a @ powers[-1]
-    b_lift = powers[p - 1] @ b
-
-    q_lift = sum((ai.T @ q @ ai for ai in powers), start=np.zeros((n, n)))
-    s_lift = np.zeros((n, dm.n_inputs))
-    r_lift = r.copy()
-    for i in range(1, p):
-        s_lift += powers[i].T @ q @ powers[i - 1] @ b
-        r_lift += b.T @ powers[i - 1].T @ q @ powers[i - 1] @ b
-
-    d_lift = np.hstack([powers[p - 1 - i] for i in range(p)])
-    proc_cov_lift = np.kron(np.eye(p), w)
-
-    noise_traces = [float(np.trace(q @ ai @ w @ ai.T)) for ai in powers]
-    d_avg = sum(noise_traces[j] for i in range(1, p) for j in range(i))
+    q_lift, s_lift, r_lift = np.zeros((n, n)), np.zeros((n, dm.n_inputs)), r.copy()
+    noise_cov, d_avg = np.zeros((n, n)), 0.0
+    prev, power = None, np.eye(n)  # A^(j-1), A^j
+    for j in range(p):
+        if j:
+            s_lift += power.T @ q @ prev @ b
+            r_lift += b.T @ prev.T @ q @ prev @ b
+        q_lift += power.T @ q @ power
+        noise_cov += power @ w @ power.T
+        d_avg += (p - 1 - j) * float(np.trace(q @ power @ w @ power.T))
+        prev, power = power, a @ power
 
     return LiftedSystem(
         period=p,
-        a_lift=a_lift,
-        b_lift=b_lift,
-        d_lift=d_lift,
-        proc_cov_lift=proc_cov_lift,
+        a_lift=power,
+        b_lift=prev @ b,
+        noise_cov_lift=symmetrize(noise_cov),
         q_lift=symmetrize(q_lift),
         s_lift=s_lift,
         r_lift=symmetrize(r_lift),

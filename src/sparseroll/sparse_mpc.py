@@ -12,19 +12,17 @@ exact zero blocks, so triggering decisions fall out of the solution.
 Solved by scaled ADMM with over-relaxation.  Theta enters only the shrink
 threshold theta / rho and the optimality test, never the condensed problem:
 the quadratic subproblem of every iteration is a solve with H + rho I, which
-depends on neither theta nor the estimate, so one problem and one Cholesky
-factor serve every theta of a sweep.  The rows of a batch, each with its
-own theta, are solved in lockstep over (T, H q) arrays: one LAPACK ``potrs``
-call per iteration covers every active row, and a row leaves the batch at
-the iteration it converges, so each row follows the same iterates as when
-it is solved alone.
+depends on neither theta nor the estimate, so one problem and one cached
+inverse (H + rho I)^-1 serve every theta of a sweep.  The rows of a batch,
+each with its own theta, are solved in lockstep over (T, H q) arrays: one
+``row_product`` with the inverse per iteration covers every active row, and
+a row leaves the batch at the iteration it converges, so each row follows
+the same iterates as when it is solved alone.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .estimator import row_product
 from .exceptions import NonConvergenceError
@@ -36,9 +34,6 @@ ZERO_TOL = 1e-9
 
 # Over-relaxation factor of the ADMM iteration.
 RELAX = 1.5
-
-# Called directly: cho_solve's argument checks cost as much as the solve.
-_potrs = get_lapack_funcs("potrs")
 
 
 @dataclass(frozen=True)
@@ -82,9 +77,10 @@ def build_mpc_problem(dm: DiscreteModel, q_weight, r_weight, horizon: int,
         for j in range(i):
             psi[(i - 1) * n:i * n, j * q:(j + 1) * q] = powers[i - 1 - j] @ b
 
-    state_weights = [q_weight] * (horizon - 1) + [terminal]
-    qt = sla.block_diag(*state_weights)
-    rt = sla.block_diag(*([r_weight] * horizon))
+    qt, rt = np.zeros((horizon * n,) * 2), np.zeros((horizon * q,) * 2)  # block diagonals
+    for i in range(horizon):
+        qt[i * n:(i + 1) * n, i * n:(i + 1) * n] = q_weight if i < horizon - 1 else terminal
+        rt[i * q:(i + 1) * q, i * q:(i + 1) * q] = r_weight
     quad = 2.0 * (psi.T @ qt @ psi + rt)
     lin = 2.0 * (psi.T @ qt @ phi)
     return MpcProblem(
@@ -99,10 +95,10 @@ def build_mpc_problem(dm: DiscreteModel, q_weight, r_weight, horizon: int,
 
 
 def admm_factor(prob: MpcProblem, rho: float):
-    """``((c, lower), rho)``: the Cholesky factor of H + rho I with its penalty rho > 0."""
+    """``(inverse, rho)``: (H + rho I)^-1, which exists as H is positive definite, and rho > 0."""
     if not 0.0 < rho < np.inf:
         raise ValueError("the ADMM penalty rho must be positive and finite")
-    return sla.cho_factor(prob.quad_matrix + rho * np.eye(prob.quad_matrix.shape[0])), rho
+    return np.linalg.inv(prob.quad_matrix + rho * np.eye(prob.quad_matrix.shape[0])), rho
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -165,7 +161,7 @@ def solve_admm(prob: MpcProblem, estimates, theta, warm, factor, tol: float,
     the first batch row still active after ``max_iter`` iterations, with its residuals.
     """
     f = row_product(np.asarray(estimates, dtype=float), prob.lin_matrix)
-    (c, lower), rho = factor
+    inverse, rho = factor
     n_rows, dim = f.shape
     theta = np.broadcast_to(np.asarray(theta, dtype=float), (n_rows,))
     if (theta < 0.0).any():
@@ -185,7 +181,7 @@ def solve_admm(prob: MpcProblem, estimates, theta, warm, factor, tol: float,
         rhs = z - w
         rhs *= rho
         rhs -= f
-        u = _potrs(c, rhs.T, lower=lower, overwrite_b=True)[0].T
+        u = row_product(rhs, inverse)
         v = RELAX * u + (1.0 - RELAX) * z
         v += w
         z_old, z = z, _shrink(v.reshape(blocks), kappa).reshape(len(rows), dim)

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .config import ExperimentConfig
 from .estimator import row_product, steady_kalman
@@ -67,8 +66,9 @@ def _scalar_kalman_check() -> CheckResult:
 def _discretization_check(cfg: ExperimentConfig, designed: Design) -> CheckResult:
     if cfg.model_source != "builtin-benchmark":
         return CheckResult("discretization_quadrature", True, "skipped (file-based model)")
-    # imported here: scipy.integrate also loads scipy.optimize, which no other command needs
+    # scipy only here: scipy.integrate also loads scipy.optimize, which no other command needs
     from scipy.integrate import quad_vec
+    from scipy.linalg import expm
 
     cm = build_benchmark_model()
     w = cm.d_cont @ cm.d_cont.T

@@ -457,13 +457,22 @@ def test_cmd_sweep_outputs(tmp_path):
 
 def test_design_and_sweep_do_not_load_the_quadrature(tmp_path):
     # only the verify command's discretization check needs scipy.integrate (and with it
-    # scipy.optimize); design and sweep must not pay for importing them
+    # scipy.optimize); design and sweep must not pay for importing them, and of the
+    # package's modules only plant (for expm) binds a scipy module or function
     script = """
-import sys
+import sys, types
 from sparseroll.cli import main
 config, out = sys.argv[1:]
 for command in ("design", "sweep"):
     assert main([command, "--config", config, "--out", out]) == 0
+
+def from_scipy(value):
+    name = value.__name__ if isinstance(value, types.ModuleType) else (
+        getattr(value, "__module__", None) if callable(value) else None)
+    return isinstance(name, str) and name.split(".")[0] == "scipy"
+
+ours = [name for name in list(sys.modules) if name.split(".")[0] == "sparseroll"]
+print(sorted(name for name in ours if any(map(from_scipy, vars(sys.modules[name]).values()))))
 print(sorted(m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules))
 """
     path = write_config(tmp_path, small_config_dict(methods=list(sr.config.METHODS)))
@@ -472,7 +481,7 @@ print(sorted(m for m in ("scipy.integrate", "scipy.optimize") if m in sys.module
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)},
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert done.stdout.splitlines()[-2:] == ["['sparseroll.plant']", "[]"]
 
 
 def test_cmd_sweep_periodic_rate_exact(tmp_path):

@@ -117,7 +117,7 @@ def test_oracle_base_score_matches_lifted_value(setup):
     # exhaustive cost of the base pattern equals the lifted closed form
     dm, pol, err_cov, tables = setup
     lift = sr.build_lifted(dm, BENCH.q_weight, BENCH.r_weight, 6)
-    beta1 = (float(np.trace(pol.cost_matrix @ lift.d_lift @ lift.proc_cov_lift @ lift.d_lift.T))
+    beta1 = (float(np.trace(pol.cost_matrix @ lift.noise_cov_lift))
              + float(np.trace(pol.gain_quadratic @ err_cov)) + lift.d_avg)
     x = np.array([0.7, -0.4, 0.1, 0.2])
     res = sr.oracle_select(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,

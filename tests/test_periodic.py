@@ -116,7 +116,7 @@ def test_policy_carries_its_lifted_system(benchmark_model):
         pol = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, p)
         lift = sr.build_lifted(benchmark_model, BENCH.q_weight, BENCH.r_weight, p)
         assert pol.lifted.period == p and pol.lifted.d_avg == lift.d_avg
-        for name in ("a_lift", "b_lift", "d_lift", "proc_cov_lift", "q_lift", "s_lift", "r_lift"):
+        for name in ("a_lift", "b_lift", "noise_cov_lift", "q_lift", "s_lift", "r_lift"):
             assert np.array_equal(getattr(pol.lifted, name), getattr(lift, name)), name
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
@@ -82,8 +84,9 @@ def test_benchmark_continuous_matrices():
 
 def test_build_lifted_identity_at_p1(benchmark_model):
     lift = sr.build_lifted(benchmark_model, BENCH.q_weight, BENCH.r_weight, 1)
+    assert np.array_equal(lift.a_lift, benchmark_model.a)
     assert np.array_equal(lift.b_lift, benchmark_model.b)
-    assert np.array_equal(lift.d_lift, np.eye(4))
+    assert np.array_equal(lift.noise_cov_lift, benchmark_model.proc_cov)
     assert np.allclose(lift.q_lift, BENCH.q_weight)
     assert np.allclose(lift.r_lift, BENCH.r_weight)
     assert np.all(lift.s_lift == 0.0)
@@ -121,7 +124,9 @@ def test_lifted_step_equivalence(rng):
         for i in range(p):
             u = u0 if i == 0 else np.zeros(1)
             x = dm.a @ x + dm.b @ u + noise[i]
-        lifted = lift.a_lift @ x0 + lift.b_lift @ u0 + lift.d_lift @ noise.reshape(-1)
+        # the noise of step i reaches the period's end through A^(p-1-i)
+        powers = [np.linalg.matrix_power(dm.a, p - 1 - i) for i in range(p)]
+        lifted = lift.a_lift @ x0 + lift.b_lift @ u0 + sum(m @ e for m, e in zip(powers, noise))
         assert np.linalg.norm(x - lifted) < 1e-10 * max(1.0, np.linalg.norm(x))
 
 
@@ -143,8 +148,22 @@ def test_lifted_symmetry_and_definiteness(rng):
         for m in (lift.q_lift, lift.r_lift):
             assert np.linalg.norm(m - m.T, "fro") <= 1e-12 * max(1.0, np.linalg.norm(m, "fro"))
         assert np.linalg.eigvalsh(lift.r_lift).min() > 0.0
-        expected_block = np.kron(np.eye(p), dm.proc_cov)
-        assert np.array_equal(lift.proc_cov_lift, expected_block)
+        # the covariance of the lifted noise in its Kronecker form, D (I_p kron W) D'
+        d = np.hstack([np.linalg.matrix_power(dm.a, p - 1 - i) for i in range(p)])
+        kron_form = d @ np.kron(np.eye(p), dm.proc_cov) @ d.T
+        assert np.array_equal(lift.noise_cov_lift, lift.noise_cov_lift.T)
+        assert np.allclose(lift.noise_cov_lift, kron_form, rtol=1e-12, atol=1e-14)
+
+
+def test_build_lifted_memory_independent_of_period(benchmark_model):
+    # one pass over the powers: a long period holds a few (n, n) matrices, not (p n)^2 floats
+    tracemalloc.start()
+    try:
+        sr.build_lifted(benchmark_model, BENCH.q_weight, BENCH.r_weight, 1001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_model_validation_errors():

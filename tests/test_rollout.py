@@ -196,7 +196,7 @@ def test_base_pattern_score_closed_form(benchmark_tables):
     cap_h = h // p
     lift = sr.build_lifted(dm, BENCH.q_weight, BENCH.r_weight, p)
     beta1_closed = cap_h * (
-        float(np.trace(pol.cost_matrix @ lift.d_lift @ lift.proc_cov_lift @ lift.d_lift.T))
+        float(np.trace(pol.cost_matrix @ lift.noise_cov_lift))
         + float(np.trace(pol.gain_quadratic @ err_cov))
         + lift.d_avg
     )

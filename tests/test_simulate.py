@@ -267,11 +267,11 @@ def test_design_rollout_base_failure_stays_in_rollout(monkeypatch):
         ref = without["periodic"][p]
         for name in ("feedback_gain", "cost_matrix", "gain_quadratic"):
             assert getattr(pol, name).tobytes() == getattr(ref, name).tobytes(), (p, name)
-    (problem, (factor, rho)), (ref_problem, (ref_factor, ref_rho)) = (
+    (problem, (inverse, rho)), (ref_problem, (ref_inverse, ref_rho)) = (
         designed["sparse_mpc"], without["sparse_mpc"])
     for name in ("terminal_weight", "quad_matrix", "lin_matrix"):
         assert getattr(problem, name).tobytes() == getattr(ref_problem, name).tobytes(), name
-    assert factor[0].tobytes() == ref_factor[0].tobytes() and rho == ref_rho
+    assert inverse.tobytes() == ref_inverse.tobytes() and rho == ref_rho
 
 
 @pytest.mark.parametrize("name", ["benchmark", "scalar"])
@@ -364,7 +364,7 @@ def test_theta_sweep_designs_once_per_call(monkeypatch):
         assert all(c.status == "ok" for c in cells)
         # the candidate design of p = 6 is the rollout base: each period is designed once
         assert sorted(periods) == [1, 2, 3, 6] and tables == [6]
-        # one condensed problem and one Cholesky factor of H + rho I per sweep
+        # one condensed problem and one inverse of H + rho I per sweep
         assert mpc_problems == [30] and factors == [1.0]
     # one closed loop per method, its controller holding the theta of each row
     rollout, mpc, periodic = controllers

@@ -2,7 +2,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import get_lapack_funcs
 
 import sparseroll as sr
 from sparseroll import simulate, verify
@@ -198,6 +197,19 @@ def test_admm_rows_independent_of_batch(bench_problem, rng):
         warm = tuple(_shifted(v, bench_problem.group_size) for v in (z, w))
         estimates = estimates * 0.9
 
+    # batches of many widths, drawn from one pool at two offsets, against each row alone
+    pool = rng.standard_normal((40, 4)) * np.geomspace(0.01, 4.0, 40)[:, None]
+    alone = [solve_admm(bench_problem, x[None], THETA, _cold(bench_problem, 1), factor, 1e-8,
+                        10_000) for x in pool]
+    for offset in (0, 7):
+        for width in (1, 2, 3, 4, 5, 8, 16, 33):
+            z, w, iters = solve_admm(bench_problem, pool[offset:offset + width], THETA,
+                                     _cold(bench_problem, width), factor, 1e-8, 10_000)
+            for i in range(width):
+                z1, w1, iters1 = alone[offset + i]
+                assert z[i].tobytes() == z1[0].tobytes() and w[i].tobytes() == w1[0].tobytes()
+                assert iters[i] == iters1[0]
+
 
 def test_admm_per_row_theta_matches_scalar_solves(bench_problem, rng):
     # each row with its own theta follows the iterates of its scalar-theta solve
@@ -226,9 +238,8 @@ def _masked_shrink(v, kappa):
 def _reference_admm(prob, estimates, theta, warm, factor, tol, max_iter, on_iterate=None):
     """Reference for solve_admm: the lockstep loop with every residual of every active row."""
     row_norms = lambda v: np.sqrt(np.add.reduce(v * v, axis=-1))  # noqa: E731
-    potrs = get_lapack_funcs("potrs")
     f = np.einsum("...j,ij->...i", np.asarray(estimates, dtype=float), prob.lin_matrix)
-    (c, lower), rho = factor
+    inverse, rho = factor
     n_rows, dim = f.shape
     theta = np.broadcast_to(np.asarray(theta, dtype=float), (n_rows,))
     kappa = (theta / rho)[:, None, None]
@@ -238,7 +249,7 @@ def _reference_admm(prob, estimates, theta, warm, factor, tol, max_iter, on_iter
     rows = np.arange(n_rows)
     z, w = warm
     for it in range(1, max_iter + 1):
-        u = potrs(c, (rho * (z - w) - f).T, lower=lower, overwrite_b=True)[0].T
+        u = np.einsum("...j,ij->...i", rho * (z - w) - f, inverse)
         u_relaxed = RELAX * u + (1.0 - RELAX) * z
         v = (u_relaxed + w).reshape(blocks)
         z_old, z = z, _masked_shrink(v, kappa).reshape(len(rows), dim)
