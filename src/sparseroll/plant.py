@@ -7,16 +7,22 @@ at the block start only) into one lifted step together with the matching
 cost reformulation.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as sla
 
 from .exceptions import IllConditionedError
 from .riccati import min_eigenvalue, require_symmetric, symmetrize
 
 # Relative agreement required between e^{M t} and (e^{M t/2})^2.
 _EXPM_SELFCHECK_TOL = 1e-8
+
+# Pade degree m -> largest ||M||_1 at which the backward error of the degree-m
+# approximant of e^M is within the unit roundoff (Higham, SIAM J. Matrix Anal. Appl.
+# 26, 2005, Table 2.3).
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+               9: 2.097847961257068, 13: 5.371920351148152}
 
 
 def _mat(x) -> np.ndarray:
@@ -79,6 +85,8 @@ class DiscreteModel:
             raise ValueError("inconsistent state dimensions")
         if pv.shape != (c.shape[0],) * 2 or mean.shape != (n,):
             raise ValueError("inconsistent output/init dimensions")
+        if not all(np.isfinite(x).all() for x in (a, b, c, pw, pv, mean, cov)):
+            raise ValueError("model matrices must be finite")
         require_symmetric(pw, "proc_cov")
         require_symmetric(pv, "meas_cov")
         require_symmetric(cov, "init_cov")
@@ -131,9 +139,42 @@ class LiftedSystem:
     d_avg: float                # in-period noise cost constant of the average cost
 
 
+def _expm(m: np.ndarray) -> np.ndarray:
+    """e^M by scaling and squaring with a diagonal Pade approximant (Higham 2005).
+
+    The lowest degree whose theta bounds ||M||_1; past theta_13, degree 13 on
+    M / 2^s, squared s times.  The numerator is even + odd and the denominator
+    even - odd, from the coefficients (2m - k)! / (k! (m - k)!) of x^k.
+    """
+    norm = float(np.abs(m).sum(axis=0).max())
+    m_deg = next((d for d in (3, 5, 7, 9) if norm <= _PADE_THETA[d]), 13)
+    # frexp's exponent is the least s with norm / 2^s < theta_13 (one more at an exact
+    # power of two); it is 0 for inf and nan, which leave a non-finite result
+    s = max(0, math.frexp(norm / _PADE_THETA[13])[1]) if m_deg == 13 else 0
+    x = m / 2.0**s
+    b = [float(math.factorial(2 * m_deg - k) // (math.factorial(k) * math.factorial(m_deg - k)))
+         for k in range(m_deg + 1)]
+    eye, x2 = np.eye(len(x)), x @ x
+    if m_deg == 13:  # Higham's evaluation in x^2, x^4, x^6: six products in all
+        x4 = x2 @ x2
+        x6 = x4 @ x2
+        odd = x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2) + b[7] * x6 + b[5] * x4 + b[3] * x2
+        even = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2
+        odd, even = odd + b[1] * eye, even + b[0] * eye
+    else:  # Horner in x^2
+        odd, even = b[m_deg] * eye, b[m_deg - 1] * eye
+        for k in range(m_deg - 2, 0, -2):
+            odd, even = odd @ x2 + b[k] * eye, even @ x2 + b[k - 1] * eye
+    odd = x @ odd
+    e = np.linalg.solve(even - odd, even + odd)
+    for _ in range(s):
+        e = e @ e
+    return e
+
+
 def _expm_checked(m: np.ndarray) -> np.ndarray:
-    full = sla.expm(m)
-    half = sla.expm(0.5 * m)
+    full = _expm(m)
+    half = _expm(0.5 * m)
     err = np.linalg.norm(full - half @ half, "fro")
     if not np.isfinite(err) or err > _EXPM_SELFCHECK_TOL * max(1.0, np.linalg.norm(full, "fro")):
         raise IllConditionedError("matrix exponential failed its internal accuracy check")
@@ -156,17 +197,21 @@ def discretize(cm: ContinuousModel, ts: float) -> DiscreteModel:
     aug = np.zeros((n + q, n + q))
     aug[:n, :n] = a_c
     aug[:n, n:] = b_c
-    e_aug = _expm_checked(aug * ts)
-    a_d = e_aug[:n, :n]
-    b_d = e_aug[:n, n:]
-
     w = d_c @ d_c.T
     vl = np.zeros((2 * n, 2 * n))
     vl[:n, :n] = -a_c
     vl[:n, n:] = w
     vl[n:, n:] = a_c.T
-    e_vl = _expm_checked(vl * ts)
-    proc_cov = symmetrize(e_vl[n:, n:].T @ e_vl[:n, n:])
+    # a diverging exponential overflows in a self-check or in the covariance product; it
+    # ends in an IllConditionedError (there or below), not in a floating-point warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_aug = _expm_checked(aug * ts)
+        e_vl = _expm_checked(vl * ts)
+        proc_cov = e_vl[n:, n:].T @ e_vl[:n, n:]
+    a_d, b_d = e_aug[:n, :n], e_aug[:n, n:]
+    if not all(np.isfinite(x).all() for x in (a_d, b_d, proc_cov)):
+        raise IllConditionedError("the discretized model is not finite")
+    proc_cov = symmetrize(proc_cov)
 
     meas_cov = cm.meas_noise_intensity / ts
     n_states = a_c.shape[0]

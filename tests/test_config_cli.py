@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import yaml
 
 import sparseroll as sr
@@ -419,19 +422,39 @@ def test_cmd_design_periodic_table(tmp_path, capsys):
     assert starred == [1, 2, 3, 6]
 
 
-def test_cmd_design_digest_of_benchmark_tables(tmp_path, capsys):
+def test_cmd_design_digest_of_benchmark_tables(tmp_path, capsys, monkeypatch):
     # the digest hashes the (2^(h+1) - 1, n, n) suffix tree of cost matrices as stored; the
-    # workload (h = 14) is only read
-    for config, patterns, digest in [
+    # workload (h = 14) is only read. Its bits move with the last bits of A and B, so each
+    # config pins two digests: of the shipped numpy exponential, and of scipy.linalg.expm
+    # in its place (the digest of earlier releases); the two table sets agree to 1e-12
+    # and pick the same patterns
+    for config, patterns, digest, scipy_digest in [
             (BENCHMARK_CONFIG, 64,
+             "42a06fcaefaf79f73e548091b95897bbf0f0980aed81d2300c12eece4cd36ecc",
              "174354be46eee613d6d4387f9641f41ffcc7b9f25c4bd69bc141aaff9b0d4b38"),
             (REPO / "perfbench" / "workloads" / "mpc-deep-lookahead.yaml", 2**14,
+             "e50060894f5db30043b680f710032fd8f50a4c74ec6837462e1dac32c1a957cd",
              "3f12ad7a652ac62e890c66abe5912fc4cb92722be55c52624343e882a97d6e27")]:
         out = tmp_path / config.stem
         assert cli.main(["design", "--config", str(config), "--out", str(out)]) == 0
         report = (out / "design_report.txt").read_text()
         assert f"patterns = {patterns}\n" in report
         assert f"cost_matrices_sha256 = {digest}\n" in report
+
+        cfg = load_config(config)
+        tables = simulate.design(cfg, methods=("rollout",))["rollout"][1]
+        with monkeypatch.context() as patch:
+            patch.setattr(sr.plant, "_expm", scipy.linalg.expm)
+            oracle = simulate.design(cfg, methods=("rollout",))["rollout"][1]
+        assert hashlib.sha256(oracle.cost_matrices).hexdigest() == scipy_digest
+        assert hashlib.sha256(tables.cost_matrices).hexdigest() == digest
+        gap = np.linalg.norm(tables.cost_matrices - oracle.cost_matrices, axis=(1, 2))
+        assert (gap <= 1e-12 * np.linalg.norm(oracle.cost_matrices, axis=(1, 2))).all()
+        rng = np.random.default_rng(7)
+        estimates = rng.standard_normal((200, 4)) * np.geomspace(0.01, 3.0, 200)[:, None]
+        for theta in cfg.theta_grid:
+            assert np.array_equal(sr.select_pattern(tables, estimates, theta),
+                                  sr.select_pattern(oracle, estimates, theta))
 
 
 def test_cmd_design_config_error_exit(tmp_path, capsys):
@@ -456,9 +479,9 @@ def test_cmd_sweep_outputs(tmp_path):
 
 
 def test_design_and_sweep_do_not_load_the_quadrature(tmp_path):
-    # only the verify command's discretization check needs scipy.integrate (and with it
-    # scipy.optimize); design and sweep must not pay for importing them, and of the
-    # package's modules only plant (for expm) binds a scipy module or function
+    # only the verify command's discretization check needs scipy (scipy.linalg, and
+    # scipy.integrate, which loads scipy.optimize); design and sweep must not pay for
+    # importing them, and no module of the package binds a scipy module or function
     script = """
 import sys, types
 from sparseroll.cli import main
@@ -473,7 +496,7 @@ def from_scipy(value):
 
 ours = [name for name in list(sys.modules) if name.split(".")[0] == "sparseroll"]
 print(sorted(name for name in ours if any(map(from_scipy, vars(sys.modules[name]).values()))))
-print(sorted(m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules))
+print(sorted(m for m in ("scipy.linalg", "scipy.integrate", "scipy.optimize") if m in sys.modules))
 """
     path = write_config(tmp_path, small_config_dict(methods=list(sr.config.METHODS)))
     pythonpath = [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
@@ -481,7 +504,7 @@ print(sorted(m for m in ("scipy.integrate", "scipy.optimize") if m in sys.module
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)},
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-2:] == ["['sparseroll.plant']", "[]"]
+    assert done.stdout.splitlines()[-2:] == ["[]", "[]"]
 
 
 def test_cmd_sweep_periodic_rate_exact(tmp_path):
@@ -673,6 +696,16 @@ def test_config_rejects_undesignable_models_at_load(tmp_path):
     assert time.perf_counter() - start < 0.01
     # the same model with an output that sees the unstable mode loads
     assert file_model_config(tmp_path, *cases[1][:2], [[1.0, 0.0]]).build_model().n_states == 2
+
+
+def test_config_rejects_non_finite_model_file_entries(tmp_path):
+    cfg = file_model_config(tmp_path, [[0.5]], [[1.0]], [[1.0]])
+    good = yaml.safe_load((tmp_path / "model.yaml").read_text())
+    for key, bad in [("a", [[math.inf]]), ("proc_cov", [[math.inf]]),
+                     ("init_cov", [[math.nan]]), ("init_mean", [math.nan])]:
+        (tmp_path / "model.yaml").write_text(yaml.safe_dump({**good, key: bad}))
+        with pytest.raises(ConfigError, match="model matrices must be finite"):
+            cfg.build_model()
 
 
 def test_outdir_env_fallback(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
 import sparseroll as sr
+from sparseroll.plant import _expm
 
 BENCH = sr.ExperimentConfig()  # the benchmark study
 
@@ -58,6 +59,69 @@ def test_discretize_benchmark_against_quadrature(benchmark_model):
     ref, _ = quad_vec(integrand, 0.0, 0.1, epsabs=1e-13, epsrel=1e-13)
     assert np.abs(benchmark_model.proc_cov - ref).max() < 1e-9
     assert np.abs(benchmark_model.a - expm(cm.a_cont * 0.1)).max() < 1e-12
+
+
+def norm1(m):
+    return float(np.abs(m).sum(axis=0).max())
+
+
+def expm_bound(m):
+    # 1e-13 relative in the 1-norm up to ||M||_1 = 1. Above it the bound grows like
+    # ||M||_1^2: two backward-stable exponentials differ by about the unit roundoff times
+    # the condition number of e^M, which grows with ||M|| (faster than linearly for
+    # non-normal M), and each squaring doubles the error of the scaled one. The benchmark's
+    # augmented matrices have ||M||_1 = 3.95 and 3.96 (1.2e-16 from scipy measured)
+    return 1e-13 * max(1.0, norm1(m)) ** 2
+
+
+def expm_error(m, reference):
+    return norm1(_expm(m) - reference) / norm1(reference)
+
+
+def test_expm_closed_forms(rng):
+    assert np.array_equal(_expm(np.zeros((3, 3))), np.eye(3))
+    cases = [np.diag(d) for d in ([0.01, -0.02], [-3.0, 0.2, 1.5], [20.0, -20.0])]
+    expected = [np.diag(np.exp(np.diag(m))) for m in cases]
+    for scale in (0.1, 1.0, 3.0):  # nilpotent: the series ends at N^3
+        n = np.triu(rng.standard_normal((4, 4)), 1)
+        n *= scale / norm1(n)
+        cases.append(n)
+        expected.append(np.eye(4) + n + n @ n / 2 + n @ n @ n / 6)
+    for w in (0.01, 0.5, 1.0, 3.0, 10.0, 30.0):  # rotation generator
+        cases.append(np.array([[0.0, -w], [w, 0.0]]))
+        expected.append(np.array([[np.cos(w), -np.sin(w)], [np.sin(w), np.cos(w)]]))
+    for lam in (-5.0, -0.3, 0.4, 2.0, 10.0):  # Jordan block
+        cases.append(np.array([[lam, 1.0], [0.0, lam]]))
+        expected.append(np.exp(lam) * np.array([[1.0, 1.0], [0.0, 1.0]]))
+    for m, ref in zip(cases, expected):
+        assert expm_error(m, ref) <= expm_bound(m), m
+    # stiff: each of the s = 11 squarings doubles the relative error of e^(M/2^s), so here
+    # the error grows like u ||M||_1 / theta_13; 1.6e-13 measured
+    stiff = np.diag([-1e4, -1.0, 0.5])
+    assert expm_error(stiff, np.diag(np.exp(np.diag(stiff)))) <= 1e-16 * norm1(stiff)
+
+
+def test_expm_matches_scipy_on_random_matrices(rng):
+    # each Pade degree (3, 5, 7, 9 and 13 up to theta_13 = 5.37) and scaling by up to 2^3
+    for n in range(1, 9):
+        for norm in (0.01, 0.1, 0.5, 1.0, 2.0, 10.0, 30.0):
+            m = rng.standard_normal((n, n))
+            m *= norm / norm1(m)
+            assert expm_error(m, expm(m)) <= expm_bound(m), (n, norm)
+
+
+def test_diverging_discretization_fails_typed():
+    # under the suite's error::RuntimeWarning an overflow warning would be the error raised;
+    # e^1000 overflows in the self-check, e^400 in the process-noise covariance product
+    for lam in (1000.0, 400.0):
+        with pytest.raises(sr.IllConditionedError):
+            sr.discretize(scalar_continuous(lam), 1.0)
+    good = dict(a=[[1.0]], b=[[1.0]], c=[[1.0]], proc_cov=[[1.0]], meas_cov=[[1.0]],
+                init_mean=[0.0], init_cov=[[1.0]])
+    for name in ("a", "b", "c", "proc_cov", "meas_cov", "init_cov"):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="must be finite"):
+                sr.DiscreteModel(**{**good, name: [[bad]]})
 
 
 def test_discretize_first_order_consistency():
