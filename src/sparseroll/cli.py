@@ -102,8 +102,8 @@ def cmd_design(cfg: ExperimentConfig, out_dir: Path) -> int:
     resid = base_cost_residual(tables, base.cost_matrix)
     lines.append(f"# Lookahead tables (h={cfg.h}, p={cfg.p})")
     lines.append(f"patterns = {len(tables.bits)}")
-    # the suffix tree exactly as stored, (2^(h+1) - 1, n, n) in C order
-    lines.append(f"cost_matrices_sha256 = {hashlib.sha256(tables.cost_matrices).hexdigest()}")
+    # the step-0 cost matrices exactly as stored, (2^h, n, n) by pattern index in C order
+    lines.append(f"p0_sha256 = {hashlib.sha256(tables.p0).hexdigest()}")
     lines.append(f"base_cost_identity_residual = {resid:.6e}")
 
     report = "\n".join(lines) + "\n"

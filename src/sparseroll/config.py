@@ -21,7 +21,7 @@ import yaml
 from .estimator import steady_kalman
 from .exceptions import ConfigError, NonFiniteError
 from .plant import DiscreteModel, build_benchmark_model, discretize
-from .riccati import min_eigenvalue, require_symmetric, uncontrollable_mode
+from .riccati import min_eigenvalue, require_psd, require_symmetric, uncontrollable_mode
 from .rollout import memory_estimate
 
 METHODS = ("rollout", "periodic", "sparse_mpc")
@@ -157,11 +157,9 @@ class ExperimentConfig:
 
         try:
             require_symmetric(self.q_weight, "cost.q")
+            require_psd(self.q_weight, "cost.q", 1e-10)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        q_scale = max(1.0, float(np.linalg.norm(self.q_weight, "fro")))
-        if min_eigenvalue(self.q_weight) < -1e-10 * q_scale:
-            raise ConfigError("cost.q must be positive semidefinite")
         if min_eigenvalue(self.r_weight) <= 0.0:
             raise ConfigError("cost.r must be positive definite")
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .plant import DiscreteModel
-from .rollout import RolloutTables, pattern_bits
+from .rollout import RolloutTables, _base_value, pattern_bits
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,11 @@ def oracle_select(dm: DiscreteModel, q_weight, r_weight, terminal, h: int, p: in
     For each pattern the expected cost is accumulated step by step from the
     conditional moments of the estimate; the estimation-error contribution
     enters through the stationary covariance and the innovation-driven
-    estimate noise.  Ties resolve to the smallest pattern index.
+    estimate noise.  Patterns are indexed by the value of their bits, as in
+    the tables.  An exact tie with the base pattern resolves to it, any other
+    tie to the smallest index.
     """
+    base = _base_value(h, p)
     a, b, c = dm.a, dm.b, dm.c
     q = np.atleast_2d(np.asarray(q_weight, dtype=float))
     r = np.atleast_2d(np.asarray(r_weight, dtype=float))
@@ -74,7 +77,7 @@ def oracle_select(dm: DiscreteModel, q_weight, r_weight, terminal, h: int, p: in
     trace_term_sigma = float(np.trace(terminal @ sigma))
 
     scores: dict[int, float] = {}
-    for index, bits in enumerate(pattern_bits(h, p).tolist(), start=1):
+    for index, bits in enumerate(pattern_bits(h).tolist()):
         gains = _pattern_gains(a, b, q, r, terminal, bits)
         second = np.outer(x_hat, x_hat)
         cost = 0.0
@@ -90,7 +93,7 @@ def oracle_select(dm: DiscreteModel, q_weight, r_weight, terminal, h: int, p: in
         cost += float(np.trace(terminal @ second)) + trace_term_sigma
         scores[index] = cost
 
-    best = min(scores, key=lambda m: (scores[m], m))
+    best = min(scores, key=lambda m: (scores[m], m != base, m))
     return OracleResult(best_pattern=best, best_score=scores[best], all_scores=scores)
 
 
@@ -108,7 +111,7 @@ def closed_loop_matrices(tables: RolloutTables, m: int):
     h = tables.horizon
     n = a.shape[0]
 
-    thetas = [a + b @ gains[s] if tables.bits[m - 1, s] else a for s in range(h)]
+    thetas = [a + b @ gains[s] if tables.bits[m, s] else a for s in range(h)]
 
     blocks = [np.eye(n)] * h
     for j in reversed(range(h - 1)):

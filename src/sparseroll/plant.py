@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import IllConditionedError
-from .riccati import min_eigenvalue, require_symmetric, symmetrize
+from .riccati import min_eigenvalue, require_psd, require_symmetric, symmetrize
 
 # Relative agreement required between e^{M t} and (e^{M t/2})^2.
 _EXPM_SELFCHECK_TOL = 1e-8
@@ -98,9 +98,7 @@ class DiscreteModel:
             raise ValueError("proc_cov must be positive (semi)definite")
         if min_eigenvalue(pv) <= 0.0:
             raise ValueError("meas_cov must be positive definite")
-        cov_scale = max(1.0, float(np.linalg.norm(cov, "fro")))
-        if min_eigenvalue(cov) < -1e-10 * cov_scale:
-            raise ValueError("init_cov must be positive semidefinite")
+        require_psd(cov, "init_cov", 1e-10)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)

@@ -40,10 +40,24 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
+def _unit_scaled(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """m / c and c = max(1, max |m_ij|): the scale at which no Frobenius norm overflows."""
+    c = max(1.0, float(np.abs(m).max(initial=0.0)))
+    return m / c, c
+
+
 def require_symmetric(m: np.ndarray, name: str) -> None:
-    scale = max(1.0, float(np.linalg.norm(m, "fro")))
-    if np.linalg.norm(m - m.T, "fro") > SYM_TOL * scale:
+    """ValueError unless ||m - m'|| <= SYM_TOL max(1, ||m||) (Frobenius), tested on m / c."""
+    s, c = _unit_scaled(m)
+    if np.linalg.norm(s - s.T, "fro") > SYM_TOL * max(1.0 / c, float(np.linalg.norm(s, "fro"))):
         raise ValueError(f"{name} must be symmetric")
+
+
+def require_psd(m: np.ndarray, name: str, tol: float) -> None:
+    """ValueError unless the least eigenvalue of m is >= -tol max(1, ||m||), tested on m / c."""
+    s, c = _unit_scaled(m)
+    if min_eigenvalue(s) < -tol * max(1.0 / c, float(np.linalg.norm(s, "fro"))):
+        raise ValueError(f"{name} must be positive semidefinite")
 
 
 def min_eigenvalue(m: np.ndarray) -> float:
@@ -77,9 +91,7 @@ class RiccatiProblem:
             raise ValueError("inconsistent problem dimensions")
         require_symmetric(q, "state_weight")
         require_symmetric(r, "input_weight")
-        q_scale = max(1.0, float(np.linalg.norm(q, "fro")))
-        if min_eigenvalue(q) < -SYM_TOL * q_scale:
-            raise ValueError("state_weight must be positive semidefinite")
+        require_psd(q, "state_weight", SYM_TOL)
         if r.shape[0] > 0 and min_eigenvalue(r) <= 0.0:
             raise ValueError("input_weight must be positive definite")
         # C-contiguous, as the bits of the solvers' matrix products depend on the layout

@@ -15,20 +15,19 @@ pattern once per block and plays its gains open-loop within the block; a
 batch of trials picks one pattern per trial in a single scoring call.
 
 The cost matrix of a pattern at step s depends only on its bits from s on,
-so the passes share their suffixes: the tables are a binary suffix tree
-whose level s holds the 2^(h-s) distinct matrices of step s, and each level
-is one batched update of the level below it.  That is 2^(h+1) - 1 stored
-matrices instead of (h+1) 2^h, and 2^h - 1 Riccati updates instead of
-h 2^(h-1).
+so the passes share their suffixes: level s of a binary suffix tree holds
+the 2^(h-s) distinct matrices of step s, and each level is one batched
+update of the level below it, 2^h - 1 Riccati updates instead of
+h 2^(h-1).  The build holds two levels at a time and keeps only what
+scoring and play read: the step-0 matrices, the gains and the score terms.
 
-Pattern index 1 is always the periodic pattern of the base policy; the
-remaining bit strings follow in lexicographic order (time 0 most
-significant).  Ties in the argmin go to the smallest index, so the base
-pattern wins any exact tie.
+A pattern's index is the integer value of its bits, time 0 most
+significant; ``RolloutTables.base`` is the index of the base policy's
+periodic pattern.  An exact tie in the argmin goes to the base pattern, any
+other tie to the smallest index.
 """
 
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -38,76 +37,43 @@ from .plant import DiscreteModel
 
 @dataclass(frozen=True)
 class RolloutTables:
-    """The backward recursions of all 2^h patterns of one lookahead design, as a suffix tree.
+    """The step-0 cost matrices, gains and score terms of all 2^h patterns of one lookahead design.
 
-    ``cost_matrices`` (2^(h+1) - 1, n, n) holds the tree level by level,
-    from the terminal matrix (level h, index 0) down to level 0.  Level s
-    starts at index 2^(h-s) - 1 and holds the matrices of step s by the
-    integer value of the suffix bits[s:] (time s most significant), except
-    level 0, which holds P0 in pattern order (:attr:`p0`).  ``gains``
-    (2^h - 1, q, n) and ``gain_quadratics`` (2^h - 1, n, n) sit at the
-    index of the matrix they are computed from: the gain of an actuated
-    step s at the index of the pattern's matrix at step s + 1.  ``bits``
-    (M, h), ``error_trace``, ``noise_score`` and ``trigger_weight`` (M,) are
-    in pattern order.  The error trace is tr(P0[m] Sigma) at the stationary
-    filter covariance Sigma that :func:`build_tables` is given, so the tables
-    hold for that filter only; the trigger weight is the actuation count
-    sum_t bits_t, which :func:`pattern_scores` multiplies by theta.
-    :meth:`nodes` gives a pattern's path through the tree.
+    Every per-pattern array is indexed by the pattern index m, the integer
+    value of the pattern's bits (time 0 most significant), and ``base`` is
+    the index of the base policy's periodic pattern.  ``p0`` (M, n, n) holds
+    the step-0 cost matrix of each pattern, and ``bits`` (M, h),
+    ``error_trace``, ``noise_score`` and ``trigger_weight`` (M,) its bits and
+    score terms.  ``gains`` (2^h - 1, q, n) is a suffix tree: the gain of an
+    actuated step s depends only on the suffix bits[s+1:], and sits at index
+    2^(h-s-1) - 1 plus the suffix's value.  The error trace is tr(P0[m] Sigma)
+    at the stationary filter covariance Sigma that :func:`build_tables` is
+    given, so the tables hold for that filter only; the trigger weight is the
+    actuation count sum_t bits_t, which :func:`pattern_scores` multiplies by
+    theta.
     """
 
     horizon: int
+    base: int
     bits: np.ndarray
-    cost_matrices: np.ndarray
+    p0: np.ndarray
     gains: np.ndarray
-    gain_quadratics: np.ndarray
     error_trace: np.ndarray
     noise_score: np.ndarray
     trigger_weight: np.ndarray
     model: DiscreteModel
-
-    @property
-    def p0(self) -> np.ndarray:
-        """The step-0 cost matrix of every pattern, (M, n, n); a contiguous view."""
-        return self.cost_matrices[len(self.bits) - 1:]
-
-    def nodes(self, m) -> np.ndarray:
-        """Tree index of the cost matrix of pattern m (1-based) at steps 0..h, (..., h+1)."""
-        pos, bits = self._rows(m)
-        idx = self._suffix_nodes(bits)
-        idx[..., 0] = len(self.bits) - 1 + pos  # level 0 is in pattern order
-        return idx
-
-    def cost_matrix(self, m: int, s: int) -> np.ndarray:
-        """Cost-to-go matrix (n, n) of pattern m (1-based) at step s in 0..h."""
-        return self.cost_matrices[self.nodes(m)[s]]
 
     def gain(self, m: int, s: int) -> np.ndarray:
         """Feedback gain (q, n) of pattern m at step s in 0..h-1; zero on an idle step."""
         return self.path_gains(m)[s]
 
     def path_gains(self, m) -> np.ndarray:
-        """Gains (..., h, q, n) of the patterns m (1-based) at steps 0..h-1; zero when idle."""
-        _, bits = self._rows(m)
-        return self.gains[self._suffix_nodes(bits)[..., 1:]] * bits[..., None, None]
-
-    def _rows(self, m):
-        pos = np.asarray(m) - 1
-        if pos.size and not (0 <= pos.min() and pos.max() < len(self.bits)):
+        """Gains (..., h, q, n) of the patterns m at steps 0..h-1; zero when idle."""
+        m = np.asarray(m)
+        if m.size and not (0 <= m.min() and m.max() < len(self.bits)):
             raise ValueError(f"pattern index {m} out of range")
-        return pos, self.bits[pos]
-
-    def _suffix_nodes(self, bits):
-        # level s starts at 2^(h-s) - 1 and is indexed by the low h-s bits of the pattern's
-        # value; at s = 0 that is the bit-value order, not the pattern order of the tree
-        place, masks = _level_masks(self.horizon)
-        return masks + (bits.dot(place)[..., None] & masks)
-
-
-@cache
-def _level_masks(h: int) -> tuple[np.ndarray, np.ndarray]:
-    """The place value of each of h bits, and 2^(h-s) - 1 for s = 0..h."""
-    return 1 << np.arange(h - 1, -1, -1), (1 << np.arange(h, -1, -1)) - 1
+        starts = (1 << np.arange(self.horizon - 1, -1, -1)) - 1  # of the level each gain sits at
+        return self.gains[starts + (m[..., None] & starts)] * self.bits[m][..., None, None]
 
 
 def _base_value(h: int, p: int) -> int:
@@ -121,44 +87,46 @@ def _base_value(h: int, p: int) -> int:
     return sum(1 << (h - 1 - k) for k in range(0, h, p))
 
 
-def _in_pattern_order(rows: np.ndarray, base: int) -> np.ndarray:
-    """Rows indexed by bit value, reordered: the base row first, then the others in order."""
-    return np.concatenate([rows[base:base + 1], rows[:base], rows[base + 1:]])
-
-
-def pattern_bits(h: int, p: int) -> np.ndarray:
-    """The (2^h, h) int8 bits of every pattern in pattern order; row m-1 is pattern m."""
-    base = _base_value(h, p)
+def pattern_bits(h: int) -> np.ndarray:
+    """The (2^h, h) int8 bits of every pattern; row m holds the bits of m, time 0 first."""
     bits = np.zeros((1 << h, h), dtype=np.int8)
     for s in range(h):
         bits.reshape(1 << s, 2, -1, h)[:, 1, :, s] = 1
-    return _in_pattern_order(bits, base)
+    return bits
 
 
-def _backward_tree(a, b, q, r, terminal, h: int, base: int):
-    """The suffix tree of cost matrices with the gains and gain quadratics (see RolloutTables).
+def _backward_tree(a, b, q, r, terminal, h: int, proc_cov_t, err_cov):
+    """P0, the gain tree (see RolloutTables) and the noise and estimation trace of each node.
 
-    Each level is one batched update of the level below, written in place: its
-    idle half the open-loop update, its actuated half the Riccati update.
-    ``base`` is the bit value of the base pattern, which level 0 puts first.
+    Level s is one batched update of level s + 1, its idle half the open-loop
+    update and its actuated half the Riccati update.  Two (2^(h-1), n, n)
+    buffers hold the levels above 0, which is written into P0.  The node at
+    index i of level s + 1 (tree index 2^(h-s-1) - 1 + i) gets tr(P W) and
+    tr(M Sigma), with M = F' (B' P B + R) F of the gain F taken from P; each
+    einsum sums in the order of the per-pattern form it replaces, which is
+    why W comes transposed and C-contiguous (``proc_cov_t``).
     """
     n, nu = b.shape
     m_count = 1 << h
-    cost_matrices = np.empty((2 * m_count - 1, n, n))
+    p0 = np.empty((m_count, n, n))
     gains = np.empty((m_count - 1, nu, n))
-    gain_quadratics = np.empty((m_count - 1, n, n))
-    cost_matrices[0] = terminal
-    work = np.empty((m_count // 2, n, n))  # open-loop updates; p_new borrows gain_quadratics
+    noise_node = np.empty(m_count - 1)
+    est_node = np.empty(m_count - 1)
+    buffers = np.empty((2, m_count // 2, n, n))
+    buffers[h % 2, 0] = terminal
 
     # overflow in the open-loop branch is caught by the finiteness check of each level
     with np.errstate(over="ignore", invalid="ignore"):
         for s in reversed(range(h)):
-            # level s + 1 is [lo, lo + k); level s, its idle then its actuated parents, follows
+            # level s + 1 is the first k of one buffer; level s, its idle then its actuated
+            # parents, the first 2k of the other, or P0; the open-loop update borrows P0
             k = 1 << (h - s - 1)
             lo = k - 1
-            p_stack = cost_matrices[lo:lo + k]
-            level = cost_matrices[lo + k:lo + 3 * k]
-            open_update, p_new = work[:k], gain_quadratics[lo:lo + k]
+            p_stack = buffers[(s + 1) % 2, :k]
+            level = buffers[s % 2, :2 * k] if s else p0
+            open_update = (p0 if s else buffers[0])[:k]
+            p_new = level[:k]  # the idle half, until the idle matrices are written
+            noise_node[lo:lo + k] = np.einsum("sij,ij->s", p_stack, proc_cov_t)
             np.matmul(np.matmul(a.T, p_stack, out=p_new), a, out=open_update)
             np.add(q, open_update, out=open_update)
             btp = b.T @ p_stack                                     # (k, q, n)
@@ -167,24 +135,29 @@ def _backward_tree(a, b, q, r, terminal, h: int, base: int):
             gain = np.linalg.solve(denom, btpa)
             f = np.negative(gain, out=gains[lo:lo + k])
             np.subtract(open_update, np.matmul(np.swapaxes(btpa, 1, 2), gain, out=p_new), out=p_new)
-            if s:
-                _symmetrize(open_update, level[:k])
-                _symmetrize(p_new, level[k:])
-            else:
-                # pattern order; every idle-first pattern precedes the base, which starts actuated
-                _symmetrize(open_update, level[1:k + 1])
-                actuated = _symmetrize(p_new, open_update)
-                j = base - k
-                level[0] = actuated[j]
-                level[k + 1:base + 1] = actuated[:j]
-                level[base + 1:] = actuated[j + 1:]
+            _symmetrize(p_new, level[k:])
+            _symmetrize(open_update, level[:k])
             mq = np.matmul(np.swapaxes(f, 1, 2) @ denom, f, out=open_update)
-            _symmetrize(mq, gain_quadratics[lo:lo + k])
-            built = cost_matrices[lo:lo + 3 * k]  # levels s + 1 and s; min and max propagate NaN
-            if not (np.isfinite(built.min()) and np.isfinite(built.max())):
+            est_node[lo:lo + k] = np.einsum("sij,ji->s", _symmetrize(mq, p_stack), err_cov)
+            if not (np.isfinite(level.min()) and np.isfinite(level.max())):  # both propagate NaN
                 raise NonFiniteError("non-finite entry in backward recursion (unstable open-loop "
                                      "growth)")
-    return cost_matrices, gains, gain_quadratics
+    return p0, gains, noise_node, est_node
+
+
+def _noise_score(noise_node, est_node, h: int) -> np.ndarray:
+    """Sum over steps t of each pattern's tr(P_{t+1} W), plus tr(M_t Sigma) where it actuates.
+
+    The (2^h, h) terms are summed row by row, in the order of the per-pattern
+    recursion they replace.
+    """
+    terms = np.empty((1 << h, h))
+    for t in range(h):
+        k = 1 << (h - t - 1)
+        lo = k - 1
+        terms.reshape(-1, k, h)[:, :, t] = noise_node[lo:lo + k]
+        terms.reshape(-1, 2, k, h)[:, 1, :, t] += est_node[lo:lo + k]
+    return terms.sum(axis=1)
 
 
 def _symmetrize(x, out):
@@ -210,31 +183,17 @@ def build_tables(dm: DiscreteModel, q_weight, r_weight, terminal, h: int, p: int
         raise ValueError("err_cov must be the (n, n) filter covariance")
 
     base = _base_value(h, p)
-    m_count = 1 << h
-    cost_matrices, gains, gain_quadratics = _backward_tree(dm.a, dm.b, q, r, terminal, h, base)
-
-    # The step-t noise and estimation terms of every pattern, rows by bit value.  Each
-    # einsum form sums tr(X C) in the order of the per-pattern form it replaces.
-    noise_node = np.einsum("sij,ij->s", cost_matrices[:m_count - 1],
-                           np.ascontiguousarray(dm.proc_cov.T))
-    est_node = np.einsum("sij,ji->s", gain_quadratics, err_cov)
-    terms = np.empty((m_count, h))
-    for t in range(h):
-        k = 1 << (h - t - 1)
-        lo = k - 1
-        terms.reshape(-1, k, h)[:, :, t] = noise_node[lo:lo + k]
-        terms.reshape(-1, 2, k, h)[:, 1, :, t] += est_node[lo:lo + k]
-    noise_score = _in_pattern_order(terms.sum(axis=1), base)
-
-    bits = pattern_bits(h, p)
+    p0, gains, noise_node, est_node = _backward_tree(
+        dm.a, dm.b, q, r, terminal, h, np.ascontiguousarray(dm.proc_cov.T), err_cov)
+    bits = pattern_bits(h)
     return RolloutTables(
         horizon=h,
+        base=base,
         bits=bits,
-        cost_matrices=cost_matrices,
+        p0=p0,
         gains=gains,
-        gain_quadratics=gain_quadratics,
-        error_trace=np.einsum("mij,ji->m", cost_matrices[m_count - 1:], err_cov),
-        noise_score=noise_score,
+        error_trace=np.einsum("mij,ji->m", p0, err_cov),
+        noise_score=_noise_score(noise_node, est_node, h),
         trigger_weight=bits.sum(axis=1, dtype=float),
         model=dm,
     )
@@ -244,13 +203,14 @@ def memory_estimate(h: int, n: int, nu: int, rows: int) -> int:
     """Peak bytes of a lookahead design: its tables, build temporaries and block scores.
 
     The tables are the arrays :func:`build_tables` returns.  Its temporaries
-    peak at the level-0 update, one (2^(h-1), n, n) stack and its gain terms,
-    or at the (2^h, h) noise-score terms, plus up to 128 KB of numpy buffers.
-    Scoring a block of ``rows`` estimates holds about three (rows, 2^h) arrays.
+    peak at the level-0 update, two (2^(h-1), n, n) level buffers and the
+    gain terms of one, or at the (2^h, h) noise-score terms; the per-node
+    traces and up to 128 KB of numpy buffers come on top.  Scoring a block
+    of ``rows`` estimates holds about three (rows, 2^h) arrays.
     """
     m = 1 << h
-    tables = 8 * ((2 * m - 1) * n * n + (m - 1) * (nu * n + n * n) + 3 * m) + m * h
-    build = 8 * max((m // 2) * (n * n + 4 * nu * n + nu * nu), m * (h + 3)) + (1 << 17)
+    tables = 8 * (m * n * n + (m - 1) * nu * n + 3 * m) + m * h
+    build = 8 * (max(m * n * n + (m // 2) * (4 * nu * n + 2 * nu * nu), m * h) + 2 * m) + (1 << 17)
     scores = 8 * 3 * rows * m
     return tables + build + scores
 
@@ -269,11 +229,15 @@ def pattern_scores(tables: RolloutTables, estimate, theta) -> np.ndarray:
 
 
 def select_pattern(tables: RolloutTables, estimate, theta):
-    """Argmin pattern index at theta, one weight or one per row; ties go to the smallest index.
+    """Argmin pattern index at theta, one weight or one per row.
 
-    Returns an int for one estimate and an int array for a batch (T, n).
+    An exact tie with the base pattern goes to ``tables.base``, any other tie
+    to the smallest index.  Returns an int for one estimate and an int array
+    for a batch (T, n).
     """
-    picks = np.argmin(pattern_scores(tables, estimate, theta), axis=-1) + 1
+    scores = pattern_scores(tables, estimate, theta)
+    base = tables.base
+    picks = np.where(scores[..., base] == scores.min(axis=-1), base, scores.argmin(axis=-1))
     return int(picks) if picks.ndim == 0 else picks
 
 
@@ -282,8 +246,8 @@ class RolloutPolicy:
     """Receding-horizon block controller over a batch of rows at actuation weight theta.
 
     ``theta`` is one weight or one per row.  ``forced_pattern`` pins the
-    selection (diagnostic hook used to compare against the base policy on
-    identical noise).
+    selection to one pattern index (diagnostic hook: ``tables.base`` plays the
+    base policy, to compare against it on identical noise).
     """
 
     tables: RolloutTables
@@ -300,7 +264,7 @@ class RolloutPolicy:
                 picks = select_pattern(tables, x_hat, self.theta)
             else:
                 picks = np.full(len(x_hat), self.forced_pattern)
-            self._block = (tables.bits[picks - 1], tables.path_gains(picks))
+            self._block = (tables.bits[picks], tables.path_gains(picks))
         bits, gains = self._block
         u = np.einsum("tqn,tn->tq", gains[:, tau], x_hat)
         return np.where(bits[:, tau, None] == 1, u, 0.0), bits[:, tau]

@@ -84,7 +84,7 @@ def _discretization_check(cfg: ExperimentConfig, designed: Design) -> CheckResul
 
 def base_cost_residual(tables: RolloutTables, base_cost) -> float:
     """Relative Frobenius gap between the base pattern's step-0 cost matrix and ``base_cost``."""
-    return float(np.linalg.norm(tables.cost_matrix(1, 0) - base_cost, "fro")
+    return float(np.linalg.norm(tables.p0[tables.base] - base_cost, "fro")
                  / np.linalg.norm(base_cost, "fro"))
 
 
@@ -112,7 +112,7 @@ def _oracle_agreement_check(cfg: ExperimentConfig, designed: Design) -> CheckRes
         if sel != res.best_pattern:
             return CheckResult("oracle_agreement", False,
                                f"pattern mismatch {sel} vs {res.best_pattern}")
-        score = pattern_scores(tables, x, theta)[sel - 1]
+        score = pattern_scores(tables, x, theta)[sel]
         worst = max(worst, abs(score - res.best_score) / max(1e-12, abs(res.best_score)))
     return CheckResult("oracle_agreement", worst < 1e-8,
                        f"{ORACLE_DRAWS} draws, worst relative score gap = {worst:.3e}")

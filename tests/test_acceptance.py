@@ -129,8 +129,8 @@ def test_criterion_6_decision_monotonicity(bench):
         t1 = gen.uniform(0.005, 0.8)
         t2 = t1 + gen.uniform(0.005, 0.8)
         x = gen.standard_normal(4) * gen.uniform(0.02, 3.0)
-        c1 = tables.bits[sr.select_pattern(tables, x, t1) - 1].sum()
-        c2 = tables.bits[sr.select_pattern(tables, x, t2) - 1].sum()
+        c1 = tables.bits[sr.select_pattern(tables, x, t1)].sum()
+        c2 = tables.bits[sr.select_pattern(tables, x, t2)].sum()
         violations += c2 > c1
     assert violations == 0
     _report("criterion 6 (decision monotonicity in theta)", "1000 draws, 0 violations")

@@ -82,7 +82,7 @@ def test_lookahead_memory_budget_at_load():
 
 def test_lookahead_memory_budget_counts_every_theta_row():
     # one block scores the rows of every theta cell at once: 20 thetas x 50 trials at h = 16
-    # need about 1.50 GB, one theta about 113 MB
+    # need about 1.49 GB, one theta about 101 MB
     with pytest.raises(ConfigError, match="scores of 1000 rows"):
         ExperimentConfig(h=16, p=8, trials=50, horizon_steps=640)
     assert ExperimentConfig(h=16, p=8, trials=50, horizon_steps=640, theta_grid=(0.2,)).h == 16
@@ -392,7 +392,7 @@ def test_cmd_design_report(tmp_path, capsys):
     report = (tmp_path / "out" / "design_report.txt").read_text()
     assert "0.1336" in report
     assert "base_cost_identity_residual" in report
-    assert "cost_matrices_sha256" in report
+    assert "p0_sha256" in report
 
 
 def test_cmd_design_periodic_table(tmp_path, capsys):
@@ -423,33 +423,33 @@ def test_cmd_design_periodic_table(tmp_path, capsys):
 
 
 def test_cmd_design_digest_of_benchmark_tables(tmp_path, capsys, monkeypatch):
-    # the digest hashes the (2^(h+1) - 1, n, n) suffix tree of cost matrices as stored; the
-    # workload (h = 14) is only read. Its bits move with the last bits of A and B, so each
-    # config pins two digests: of the shipped numpy exponential, and of scipy.linalg.expm
-    # in its place (the digest of earlier releases); the two table sets agree to 1e-12
-    # and pick the same patterns
+    # the digest hashes the (2^h, n, n) step-0 cost matrices as stored; the workload (h = 14)
+    # is only read. Their bits move with the last bits of A and B, so each config pins two
+    # digests: of the shipped numpy exponential, and of scipy.linalg.expm in its place; the
+    # two table sets agree to 1e-12 and pick the same patterns
     for config, patterns, digest, scipy_digest in [
             (BENCHMARK_CONFIG, 64,
-             "42a06fcaefaf79f73e548091b95897bbf0f0980aed81d2300c12eece4cd36ecc",
-             "174354be46eee613d6d4387f9641f41ffcc7b9f25c4bd69bc141aaff9b0d4b38"),
+             "0956022c26a7442cbef7b547b22a3634a98cb9b58886fd476a2cb6597a9c2fc4",
+             "5c6a0a644ffb65d8f57ae743230e5edef5d17e357468041888ce012734fc7014"),
             (REPO / "perfbench" / "workloads" / "mpc-deep-lookahead.yaml", 2**14,
-             "e50060894f5db30043b680f710032fd8f50a4c74ec6837462e1dac32c1a957cd",
-             "3f12ad7a652ac62e890c66abe5912fc4cb92722be55c52624343e882a97d6e27")]:
+             "f5c89c4d0aaf18f3cb55251613a8ec6b1afaad68476a99e51e847ea06d9eab91",
+             "791c5d00a84828392e96fb8615698d7174ea1675fe9789238e540c990a709536")]:
         out = tmp_path / config.stem
         assert cli.main(["design", "--config", str(config), "--out", str(out)]) == 0
         report = (out / "design_report.txt").read_text()
         assert f"patterns = {patterns}\n" in report
-        assert f"cost_matrices_sha256 = {digest}\n" in report
+        assert f"p0_sha256 = {digest}\n" in report
 
         cfg = load_config(config)
         tables = simulate.design(cfg, methods=("rollout",))["rollout"][1]
         with monkeypatch.context() as patch:
             patch.setattr(sr.plant, "_expm", scipy.linalg.expm)
             oracle = simulate.design(cfg, methods=("rollout",))["rollout"][1]
-        assert hashlib.sha256(oracle.cost_matrices).hexdigest() == scipy_digest
-        assert hashlib.sha256(tables.cost_matrices).hexdigest() == digest
-        gap = np.linalg.norm(tables.cost_matrices - oracle.cost_matrices, axis=(1, 2))
-        assert (gap <= 1e-12 * np.linalg.norm(oracle.cost_matrices, axis=(1, 2))).all()
+        assert hashlib.sha256(oracle.p0).hexdigest() == scipy_digest
+        assert hashlib.sha256(tables.p0).hexdigest() == digest
+        for got, expected in [(tables.p0, oracle.p0), (tables.gains, oracle.gains)]:
+            gap = np.linalg.norm(got - expected, axis=(1, 2))
+            assert (gap <= 1e-12 * np.linalg.norm(expected, axis=(1, 2))).all()
         rng = np.random.default_rng(7)
         estimates = rng.standard_normal((200, 4)) * np.geomspace(0.01, 3.0, 200)[:, None]
         for theta in cfg.theta_grid:

@@ -24,18 +24,19 @@ def test_agreement_with_table_selection(setup, rng):
                                6, 6, 0.2, x, err_cov)
         sel = sr.select_pattern(tables, x, 0.2)
         assert sel == res.best_pattern
-        score = sr.pattern_scores(tables, x, 0.2)[sel - 1]
+        score = sr.pattern_scores(tables, x, 0.2)[sel]
         assert abs(score - res.best_score) < 1e-8 * max(1.0, abs(res.best_score))
 
 
 def test_result_invariants(setup):
-    dm, pol, err_cov, _ = setup
+    dm, pol, err_cov, tables = setup
     res = sr.oracle_select(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                            6, 6, 0.2, np.array([1.0, -1.0, 0.0, 0.0]), err_cov)
     assert len(res.all_scores) == 64
     assert res.best_score == min(res.all_scores.values())
+    assert sorted(res.all_scores) == list(range(64))
     ties = [m for m, s in res.all_scores.items() if s == res.best_score]
-    assert res.best_pattern == min(ties)
+    assert res.best_pattern == (tables.base if tables.base in ties else min(ties))
 
 
 def test_two_pattern_closed_form(scalar_model):
@@ -57,8 +58,8 @@ def test_two_pattern_closed_form(scalar_model):
                     + pt * (((a + b * f_gain) * x) ** 2 + est_noise) + pt * sigma)
         cost_idle = q * x**2 + q * sigma + pt * ((a * x) ** 2 + est_noise) + pt * sigma
         assert abs(res.all_scores[1] - cost_act) < 1e-10 * max(1.0, abs(cost_act))
-        assert abs(res.all_scores[2] - cost_idle) < 1e-10 * max(1.0, abs(cost_idle))
-        assert res.best_pattern == (1 if cost_act <= cost_idle else 2)
+        assert abs(res.all_scores[0] - cost_idle) < 1e-10 * max(1.0, abs(cost_idle))
+        assert res.best_pattern == (1 if cost_act <= cost_idle else 0)
 
 
 def test_scaling_moves_toward_more_actuation(setup, rng):
@@ -69,14 +70,14 @@ def test_scaling_moves_toward_more_actuation(setup, rng):
         for c in (1.0, 2.0):
             res = sr.oracle_select(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                                    6, 6, 0.2, c * x, err_cov)
-            counts.append(sr.pattern_bits(6, 6)[res.best_pattern - 1].sum())
+            counts.append(sr.pattern_bits(6)[res.best_pattern].sum())
         assert counts[1] >= counts[0]
 
 
 def test_closed_loop_matrices_no_feedback(setup):
     dm, _, err_cov, tables = setup
-    all_zero = [m for m, bits in enumerate(tables.bits, start=1) if bits.sum() == 0][0]
-    phi, gamma = sr.closed_loop_matrices(tables, all_zero)
+    assert tables.bits[0].sum() == 0
+    phi, gamma = sr.closed_loop_matrices(tables, 0)
     a6 = np.linalg.matrix_power(dm.a, 6)
     assert np.allclose(phi, a6, rtol=1e-12)
     expected = np.hstack([np.linalg.matrix_power(dm.a, 5 - j) for j in range(6)])
@@ -87,7 +88,7 @@ def test_closed_loop_estimate_propagation(setup, rng):
     # one block of filter steps must reduce to phi x + gamma [innovation terms]
     dm, _, err_cov, tables = setup
     gain, _, _ = sr.steady_kalman(dm)
-    m = 17
+    m = 0b001111
     phi, gamma_map = sr.closed_loop_matrices(tables, m)
 
     x_hat = rng.standard_normal(4)
@@ -97,7 +98,7 @@ def test_closed_loop_estimate_propagation(setup, rng):
     x = x_true
     for s in range(6):
         err = x - est
-        u = tables.gain(m, s) @ est if tables.bits[m - 1, s] else np.zeros(1)
+        u = tables.gain(m, s) @ est if tables.bits[m, s] else np.zeros(1)
         w = rng.multivariate_normal(np.zeros(4), dm.proc_cov)
         v = rng.multivariate_normal(np.zeros(2), dm.meas_cov)
         omegas.append(gain @ (dm.c @ (dm.a @ err + w) + v))
@@ -109,7 +110,7 @@ def test_closed_loop_estimate_propagation(setup, rng):
 
 def test_base_pattern_closed_loop_stable(setup):
     _, _, _, tables = setup
-    phi, _ = sr.closed_loop_matrices(tables, 1)
+    phi, _ = sr.closed_loop_matrices(tables, tables.base)
     assert np.abs(np.linalg.eigvals(phi)).max() < 1.0
 
 
@@ -124,4 +125,4 @@ def test_oracle_base_score_matches_lifted_value(setup):
                            6, 6, 0.2, x, err_cov)
     closed = (float(x @ pol.cost_matrix @ x) + float(np.trace(pol.cost_matrix @ err_cov))
               + beta1 + 0.2)
-    assert abs(res.all_scores[1] - closed) < 1e-8 * abs(closed)
+    assert abs(res.all_scores[tables.base] - closed) < 1e-8 * abs(closed)

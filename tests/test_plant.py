@@ -124,6 +124,27 @@ def test_diverging_discretization_fails_typed():
                 sr.DiscreteModel(**{**good, name: [[bad]]})
 
 
+def test_input_checks_of_huge_matrices_do_not_overflow():
+    # the symmetry and definiteness checks scale a matrix to entries <= 1 before any norm;
+    # under the suite's error::RuntimeWarning an overflow warning would be the error raised
+    dm = sr.discretize(scalar_continuous(300.0), 1.0)  # proc_cov about 6e257
+    assert np.isfinite(dm.proc_cov).all() and dm.proc_cov[0, 0] > 1e257
+    cfg = sr.ExperimentConfig(q_weight=np.diag([1e200, 1.0, 1.0, 1.0]))
+    assert cfg.q_weight[0, 0] == 1e200
+    assert np.isfinite(sr.RiccatiProblem([[1.0]], [[1.0]], [[1e300]], [[0.0]], [[1.0]])
+                       .state_weight).all()
+    # the same relative tests at any scale
+    for scale in (1.0, 1e300):
+        asym = scale * np.array([[1.0, 0.0], [1e-6, 1.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            sr.DiscreteModel(a=np.eye(2), b=np.ones((2, 1)), c=np.eye(2), proc_cov=np.eye(2),
+                             meas_cov=np.eye(2), init_mean=[0.0, 0.0], init_cov=asym)
+        with pytest.raises(sr.ConfigError, match="positive semidefinite"):
+            sr.ExperimentConfig(q_weight=np.diag([scale, 1.0, 1.0, -1e-6 * scale]))
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            sr.RiccatiProblem([[1.0]], [[1.0]], [[-scale]], [[0.0]], [[1.0]])
+
+
 def test_discretize_first_order_consistency():
     cm = sr.build_benchmark_model()
     errs = []

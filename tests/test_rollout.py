@@ -1,32 +1,26 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparseroll as sr
 from sparseroll.exceptions import HorizonMismatchError, NonFiniteError
-from sparseroll.rollout import _base_value, memory_estimate
+from sparseroll.rollout import _backward_tree, _base_value, memory_estimate
 
 BENCH = sr.ExperimentConfig()  # the benchmark study
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 THETA = 0.2  # actuation weight the benchmark tables are scored at
 
 
-def _flat(tables):
-    """The tables in the per-pattern layout: costs (M, h+1, n, n), gains, gain quadratics."""
-    nodes = tables.nodes(np.arange(1, len(tables.bits) + 1))
-    actuated = (tables.bits == 1)[..., None, None]
-    return (tables.cost_matrices[nodes],
-            np.where(actuated, tables.gains[nodes[:, 1:]], 0.0),
-            np.where(actuated, tables.gain_quadratics[nodes[:, 1:]], 0.0))
-
-
-def _flat_recursion(dm, q_weight, r_weight, terminal, h, p, err_cov):
+def _flat_recursion(dm, q_weight, r_weight, terminal, h, err_cov):
     """The per-pattern backward recursion that the suffix tree replaced, as it was.
 
     Returns bits, cost matrices (M, h+1, n, n), gains (M, h, q, n), gain
-    quadratics (M, h, n, n) and noise scores (M,) in pattern order.
+    quadratics (M, h, n, n) and noise scores (M,), row m the pattern of value m.
     """
     a, b = dm.a, dm.b
     n, nu = dm.n_states, dm.n_inputs
@@ -34,8 +28,7 @@ def _flat_recursion(dm, q_weight, r_weight, terminal, h, p, err_cov):
     r = np.atleast_2d(np.asarray(r_weight, dtype=float))
     terminal = np.atleast_2d(np.asarray(terminal, dtype=float))
     err_cov = np.asarray(err_cov, dtype=float)
-    cov_seq = np.broadcast_to(err_cov, (h, n, n))
-    bits = sr.pattern_bits(h, p)
+    bits = sr.pattern_bits(h)
     m_count = len(bits)
     cost_matrices = np.empty((m_count, h + 1, n, n))
     gains = np.zeros((m_count, h, nu, n))
@@ -62,14 +55,24 @@ def _flat_recursion(dm, q_weight, r_weight, terminal, h, p, err_cov):
             p_new = open_update[idle]
             p_stack[idle] = 0.5 * (p_new + np.swapaxes(p_new, 1, 2))
         cost_matrices[:, s] = p_stack
-    noise_trace = np.einsum("mtij,ji->mt", cost_matrices[:, 1:], dm.proc_cov)
-    est_trace = np.einsum("mtij,tji->mt", gain_quadratics, cov_seq)
+    # each trace runs over a flat (M h, n, n) stack, whose length does not change the order
+    # numpy sums a trace's n^2 products in; over the (M, h) form that order is one way for
+    # h > 1 and another for h = 1, which moved h = 1 scores off the tables by an ulp
+    w_t = np.ascontiguousarray(dm.proc_cov.T)
+    noise_trace = np.einsum("sij,ij->s", cost_matrices[:, 1:].reshape(-1, n, n),
+                            w_t).reshape(m_count, h)
+    est_trace = np.einsum("sij,ji->s", gain_quadratics.reshape(-1, n, n),
+                          err_cov).reshape(m_count, h)
     noise_score = (noise_trace + est_trace).sum(axis=1)
     return bits, cost_matrices, gains, gain_quadratics, noise_score
 
 
-def _out_of_place_tree(a, b, q, r, terminal, h, base):
-    """The suffix-tree build as it was before it wrote each level in place into the tree."""
+def _out_of_place_tree(a, b, q, r, terminal, h):
+    """The suffix-tree build as it was before it wrote each level in place into the tree.
+
+    Returns the whole tree of cost matrices (2^(h+1) - 1, n, n), level 0 last and
+    by bit value, with the gains and gain quadratics (2^h - 1, ...) of its nodes.
+    """
     n, nu = b.shape
     m_count = 1 << h
     cost_matrices = np.empty((2 * m_count - 1, n, n))
@@ -92,16 +95,8 @@ def _out_of_place_tree(a, b, q, r, terminal, h, base):
         gain_quadratics[lo:lo + k] = 0.5 * (mq + np.swapaxes(mq, 1, 2))
         p_new = open_update - np.swapaxes(btpa, 1, 2) @ gain
         actuated = 0.5 * (p_new + np.swapaxes(p_new, 1, 2))
-        level = cost_matrices[lo + k:lo + 3 * k]
-        if s:
-            level[:k] = idle
-            level[k:] = actuated
-        else:
-            level[1:k + 1] = idle
-            j = base - k
-            level[0] = actuated[j]
-            level[k + 1:base + 1] = actuated[:j]
-            level[base + 1:] = actuated[j + 1:]
+        cost_matrices[lo + k:lo + 2 * k] = idle
+        cost_matrices[lo + 2 * k:lo + 3 * k] = actuated
     return cost_matrices, gains, gain_quadratics
 
 
@@ -116,27 +111,35 @@ def benchmark_tables(benchmark_model):
 
 
 def test_enumeration_h2_p2():
-    # pattern m is row m - 1 (the base pattern first); its actuation count is the row sum
-    bits = sr.pattern_bits(2, 2)
+    # pattern m is row m, the bits of m with time 0 most significant; its actuation count is
+    # the row sum, and the base pattern of p = 2 is 0b10
+    bits = sr.pattern_bits(2)
     assert bits.dtype == np.int8
-    assert [bits[m - 1].tolist() for m in (1, 2, 3, 4)] == [[1, 0], [0, 0], [0, 1], [1, 1]]
-    assert [int(bits[m - 1].sum()) for m in (1, 2, 3, 4)] == [1, 0, 1, 2]
+    assert bits.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert bits.sum(axis=1).tolist() == [0, 1, 1, 2]
+    assert _base_value(2, 2) == 2
 
 
 def test_enumeration_h1_p1():
-    assert sr.pattern_bits(1, 1).tolist() == [[1], [0]]
+    assert sr.pattern_bits(1).tolist() == [[0], [1]]
+    assert _base_value(1, 1) == 1
 
 
 def test_enumeration_h6_p6():
-    bits = sr.pattern_bits(6, 6)
-    assert bits.shape == (64, 6)  # indices 1..64
-    assert bits[0].tolist() == [1, 0, 0, 0, 0, 0]
-    assert len({tuple(row) for row in bits.tolist()}) == 64
+    bits = sr.pattern_bits(6)
+    assert bits.shape == (64, 6)  # indices 0..63
+    assert bits[_base_value(6, 6)].tolist() == [1, 0, 0, 0, 0, 0]
+    assert bits[_base_value(6, 2)].tolist() == [1, 0, 1, 0, 1, 0]
+    assert np.array_equal(bits @ (1 << np.arange(5, -1, -1)), np.arange(64))
 
 
-def test_enumeration_horizon_mismatch():
+def test_enumeration_horizon_mismatch(benchmark_model, benchmark_steady):
+    dm = benchmark_model
+    terminal = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 2).cost_matrix
     with pytest.raises(HorizonMismatchError):
-        sr.pattern_bits(5, 2)
+        _base_value(5, 2)
+    with pytest.raises(HorizonMismatchError):
+        sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, terminal, 5, 2, benchmark_steady[1])
 
 
 def test_nonpositive_period_is_a_value_error(benchmark_model, benchmark_steady):
@@ -146,7 +149,7 @@ def test_nonpositive_period_is_a_value_error(benchmark_model, benchmark_steady):
     err_cov = benchmark_steady[1]
     for p in (0, -2):
         with pytest.raises(ValueError, match="period must be >= 1"):
-            sr.pattern_bits(6, p)
+            _base_value(6, p)
         with pytest.raises(ValueError, match="period must be >= 1"):
             sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, terminal, 6, p, err_cov)
         with pytest.raises(ValueError, match="period must be >= 1"):
@@ -156,10 +159,10 @@ def test_nonpositive_period_is_a_value_error(benchmark_model, benchmark_steady):
 
 def test_base_pattern_recovers_terminal(benchmark_tables):
     _, pol, _, tables = benchmark_tables
-    resid = (np.linalg.norm(tables.cost_matrix(1, 0) - pol.cost_matrix, "fro")
+    assert tables.base == 0b100000 and tables.bits[tables.base].tolist() == [1, 0, 0, 0, 0, 0]
+    resid = (np.linalg.norm(tables.p0[tables.base] - pol.cost_matrix, "fro")
              / np.linalg.norm(pol.cost_matrix, "fro"))
     assert resid < 1e-8
-    assert np.array_equal(_flat(tables)[0][:, 6], np.broadcast_to(pol.cost_matrix, (64, 4, 4)))
 
 
 def test_scalar_all_ones_single_step_fixed_point(scalar_model):
@@ -167,7 +170,8 @@ def test_scalar_all_ones_single_step_fixed_point(scalar_model):
     terminal = np.array([[PHI]])
     tables = sr.build_tables(scalar_model, [[1.0]], [[1.0]], terminal, 1, 1,
                              err_cov=[[PHI - 1.0]])
-    actuated = tables.cost_matrix(1, 0)[0, 0]
+    assert tables.base == 1
+    actuated = tables.p0[1, 0, 0]
     assert abs(actuated - PHI) < 1e-12
     by_hand = 1.0 + PHI - PHI**2 / (PHI + 1.0)
     assert abs(actuated - by_hand) < 1e-12
@@ -201,24 +205,24 @@ def test_base_pattern_score_closed_form(benchmark_tables):
         + lift.d_avg
     )
     gamma1_closed = cap_h * theta
-    assert abs(tables.noise_score[0] - beta1_closed) < 1e-8 * abs(beta1_closed)
-    assert abs(theta * tables.trigger_weight[0] - gamma1_closed) < 1e-12
+    base = tables.base
+    assert abs(tables.noise_score[base] - beta1_closed) < 1e-8 * abs(beta1_closed)
+    assert abs(theta * tables.trigger_weight[base] - gamma1_closed) < 1e-12
 
     rng = np.random.default_rng(5)
     for _ in range(10):
         x = rng.standard_normal(4)
-        gap = (sr.pattern_scores(tables, x, theta)[0]
+        gap = (sr.pattern_scores(tables, x, theta)[base]
                - float(np.trace(pol.cost_matrix @ err_cov)) - beta1_closed - gamma1_closed)
         assert abs(gap - x @ pol.cost_matrix @ x) < 1e-8 * max(1.0, abs(gap))
 
 
 def test_score_at_zero_estimate(benchmark_tables):
     _, _, err_cov, tables = benchmark_tables
-    for m in (1, 5, 64):
-        expected = (float(np.trace(tables.cost_matrix(m, 0) @ err_cov))
-                    + tables.noise_score[m - 1] + THETA * tables.trigger_weight[m - 1])
-        assert abs(sr.pattern_scores(tables, np.zeros(4), THETA)[m - 1]
-                   - expected) < 1e-12
+    for m in (tables.base, 3, 63):
+        expected = (float(np.trace(tables.p0[m] @ err_cov))
+                    + tables.noise_score[m] + THETA * tables.trigger_weight[m])
+        assert abs(sr.pattern_scores(tables, np.zeros(4), THETA)[m] - expected) < 1e-12
 
 
 def test_score_even_in_estimate(benchmark_tables, rng):
@@ -244,8 +248,8 @@ def test_error_trace_is_the_stored_sigma_term(benchmark_tables, rng):
     pol = sr.RolloutPolicy(tables=tables, theta=THETA)
     _, bits = pol.decide(x, 0)
     picks = sr.select_pattern(tables, x, THETA)
-    assert np.array_equal(bits, tables.bits[picks - 1, 0])
-    assert np.array_equal(pol._block[0], tables.bits[picks - 1])
+    assert np.array_equal(bits, tables.bits[picks, 0])
+    assert np.array_equal(pol._block[0], tables.bits[picks])
 
 
 def test_huge_theta_selects_all_zero(benchmark_model):
@@ -255,7 +259,7 @@ def test_huge_theta_selects_all_zero(benchmark_model):
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                              6, 6, err_cov)
     m = sr.select_pattern(tables, np.array([1.0, -1.0, 0.3, 0.2]), 1e9)
-    assert tables.bits[m - 1].sum() == 0
+    assert m == 0 and tables.bits[m].sum() == 0
 
 
 def test_lookahead_dominance(benchmark_tables, rng):
@@ -263,7 +267,7 @@ def test_lookahead_dominance(benchmark_tables, rng):
     for _ in range(50):
         x = rng.standard_normal(4) * rng.uniform(0.05, 3.0)
         scores = sr.pattern_scores(tables, x, THETA)
-        assert scores.min() <= scores[0] + 1e-12
+        assert scores.min() <= scores[tables.base] + 1e-12
 
 
 def test_theta_monotone_actuation(benchmark_model, rng):
@@ -278,26 +282,23 @@ def test_theta_monotone_actuation(benchmark_model, rng):
         x = rng.standard_normal(4) * rng.uniform(0.05, 2.0)
         m1 = sr.select_pattern(tables, x, t1)
         m2 = sr.select_pattern(tables, x, t2)
-        assert tables.bits[m2 - 1].sum() <= tables.bits[m1 - 1].sum()
+        assert tables.bits[m2].sum() <= tables.bits[m1].sum()
 
 
 def test_cost_matrices_symmetric_psd(benchmark_tables):
     _, _, _, tables = benchmark_tables
-    pm = _flat(tables)[0]
-    assert np.abs(pm - np.swapaxes(pm, -1, -2)).max() < 1e-12
-    eigs = np.linalg.eigvalsh(pm.reshape(-1, 4, 4))
-    assert eigs.min() > -1e-9
+    pm = tables.p0
+    assert np.array_equal(pm, np.swapaxes(pm, -1, -2))
+    assert np.linalg.eigvalsh(pm).min() > -1e-9
 
 
-def test_gain_quadratics_zero_on_idle_steps(benchmark_tables):
+def test_gains_zero_on_idle_steps(benchmark_tables):
     _, _, _, tables = benchmark_tables
-    _, gains, gain_quadratics = _flat(tables)
-    for mi, bits in enumerate(tables.bits.tolist()):
+    gains = tables.path_gains(np.arange(64))
+    for m, bits in enumerate(tables.bits.tolist()):
         for s, bit in enumerate(bits):
-            if not bit:
-                assert np.all(gains[mi, s] == 0.0)
-                assert np.all(tables.gain(mi + 1, s) == 0.0)
-                assert np.all(gain_quadratics[mi, s] == 0.0)
+            assert np.all(gains[m, s] == 0.0) == (not bit)
+            assert np.array_equal(tables.gain(m, s), gains[m, s])
 
 
 def test_nonfinite_recursion_detected():
@@ -315,15 +316,25 @@ def test_free_actuation_reduces_to_lqg(scalar_model):
     pol = sr.design_periodic(dm, [[1.0]], [[1.0]], 1)
     tables = sr.build_tables(dm, [[1.0]], [[1.0]], pol.cost_matrix, 1, 1,
                              err_cov=err_cov)
-    p_act = tables.cost_matrix(1, 0)[0, 0]
-    p_idle = tables.cost_matrix(2, 0)[0, 0]
+    p_act = tables.p0[1, 0, 0]
+    p_idle = tables.p0[0, 0, 0]
     assert p_act < p_idle  # scalar Riccati gap is positive
     for x in np.linspace(-3.0, 3.0, 25):
         if abs(x) < 1e-2:
             continue  # the gap vanishes exactly at the origin
-        assert sr.select_pattern(tables, np.array([x]), 0.0) == 1
+        assert sr.select_pattern(tables, np.array([x]), 0.0) == 1 == tables.base
     # and the applied gain is the standard LQG feedback
     assert abs(tables.gain(1, 0)[0, 0] - pol.feedback_gain[0, 0]) < 1e-10
+
+
+def _tree_layout(flat_gains, h):
+    """Per-pattern gains (M, h, q, n) gathered into the suffix-tree layout of the table gains.
+
+    Level s + 1 starts at 2^(h-s-1) - 1, and its node v holds the step-s gain of
+    pattern 2^(h-s-1) + v: bit s set, suffix v and no other bit.
+    """
+    return np.concatenate([flat_gains[1 << (h - s - 1):1 << (h - s), s]
+                           for s in reversed(range(h))])
 
 
 # the ids end in 1.0, the alpha of the long-run average cost that the tables price
@@ -331,8 +342,8 @@ def test_free_actuation_reduces_to_lqg(scalar_model):
                          ids=["1-1-1.0", "6-6-1.0", "6-3-1.0", "10-2-1.0"])
 @pytest.mark.parametrize("stacked", [False, True])
 def test_tree_matches_flat_recursion(benchmark_model, h, p, stacked):
-    # every (pattern, step) entry of the tree is bit-identical to the per-pattern recursion;
-    # the tables take the stationary (n, n) covariance only, never a stack of h of them
+    # every stored array is bit-identical to the per-pattern recursion, row m the pattern of
+    # value m; the tables take the stationary (n, n) covariance only, never a stack of h
     dm = benchmark_model
     _, err_cov, _ = sr.steady_kalman(dm)
     pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, p)
@@ -344,40 +355,102 @@ def test_tree_matches_flat_recursion(benchmark_model, h, p, stacked):
         return
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                              h, p, err_cov)
-    bits, costs, gains, gain_quadratics, noise_score = _flat_recursion(
-        dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix, h, p, err_cov)
-    assert tables.cost_matrices.shape == (2 ** (h + 1) - 1, 4, 4)
+    _assert_tables_match_flat_recursion(tables, dm, BENCH.q_weight, BENCH.r_weight,
+                                        pol.cost_matrix, err_cov)
+    assert tables.base == _base_value(h, p)
     assert tables.gains.shape == (2**h - 1, 1, 4)
+
+
+def _assert_tables_match_flat_recursion(tables, dm, q_weight, r_weight, terminal, err_cov):
+    h = tables.horizon
+    bits, costs, gains, _, noise_score = _flat_recursion(dm, q_weight, r_weight, terminal, h,
+                                                         err_cov)
     assert np.array_equal(tables.bits, bits)
-    assert np.array_equal(tables.bits, sr.pattern_bits(h, p))
-    tree_costs, tree_gains, tree_quadratics = _flat(tables)
-    assert np.array_equal(tree_costs, costs)
-    assert np.array_equal(tree_gains, gains)
-    assert np.array_equal(tree_quadratics, gain_quadratics)
-    assert np.array_equal(tables.noise_score, noise_score)
-    assert np.array_equal(tables.p0, costs[:, 0])
-    assert np.array_equal(tables.path_gains(np.arange(1, len(bits) + 1)), gains)
-    for m in range(1, min(len(bits), 64) + 1):
-        for s in range(h):
-            assert np.array_equal(tables.cost_matrix(m, s), costs[m - 1, s])
-            assert np.array_equal(tables.gain(m, s), gains[m - 1, s])
-        assert np.array_equal(tables.cost_matrix(m, h), costs[m - 1, h])
+    assert tables.p0.tobytes() == costs[:, 0].tobytes()
+    assert tables.gains.tobytes() == _tree_layout(gains, h).tobytes()
+    # an idle step's gain is the stored gain times 0, so its zeros may carry a sign
+    assert np.array_equal(tables.path_gains(np.arange(len(bits))), gains)
+    assert tables.noise_score.tobytes() == noise_score.tobytes()
+    expected_trace = np.einsum("mij,ji->m", costs[:, 0], np.asarray(err_cov, dtype=float))
+    assert tables.error_trace.tobytes() == expected_trace.tobytes()
+    assert tables.trigger_weight.tobytes() == bits.sum(axis=1, dtype=float).tobytes()
+
+
+def _spd(rng, n, floor):
+    m = rng.standard_normal((n, n))
+    return m @ m.T + floor * np.eye(n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), nu=st.integers(1, 2),
+       hp=st.sampled_from([(h, p) for h in range(1, 9) for p in range(1, h + 1) if h % p == 0]))
+def test_tables_match_the_recursion_and_the_oracle_on_random_models(seed, n, nu, hp):
+    # a random model with every state measured, so the stationary filter exists; the terminal
+    # is any positive definite matrix, which the oracle takes as given
+    h, p = hp
+    rng = np.random.Generator(np.random.Philox(seed))
+    dm = sr.DiscreteModel(a=rng.standard_normal((n, n)) / math.sqrt(n),
+                          b=rng.standard_normal((n, nu)),
+                          c=np.eye(n) + 0.3 * rng.standard_normal((n, n)),
+                          proc_cov=_spd(rng, n, 0.1), meas_cov=_spd(rng, n, 0.1),
+                          init_mean=np.zeros(n), init_cov=np.eye(n))
+    q, r, terminal = _spd(rng, n, 0.0), _spd(rng, nu, 0.1), _spd(rng, n, 0.1)
+    err_cov = sr.steady_kalman(dm)[1]
+    tables = sr.build_tables(dm, q, r, terminal, h, p, err_cov)
+    _assert_tables_match_flat_recursion(tables, dm, q, r, terminal, err_cov)
+    for _ in range(2):
+        x = rng.standard_normal(n) * rng.uniform(0.05, 3.0)
+        theta = rng.uniform(0.0, 0.5)
+        res = sr.oracle_select(dm, q, r, terminal, h, p, theta, x, err_cov)
+        best, second = sorted(res.all_scores.values())[:2]
+        sel = sr.select_pattern(tables, x, theta)
+        if second - best > 1e-9 * abs(best):
+            assert sel == res.best_pattern
+        score = sr.pattern_scores(tables, x, theta)[sel]
+        assert abs(score - res.best_score) <= 1e-8 * abs(res.best_score)
+
+
+def test_exact_tie_with_the_base_goes_to_the_base(benchmark_tables):
+    # at x = 0 and theta = 0 the score is error_trace + noise_score; pattern 5, below the
+    # base 32, is made to tie the base exactly and every other pattern to lose
+    _, _, _, tables = benchmark_tables
+    base, m = tables.base, 5
+    noise = np.full(64, 1e6)
+    noise[base] = tables.noise_score[base]
+    noise[m] = tables.error_trace[base] + noise[base] - tables.error_trace[m]
+    tied = dataclasses.replace(tables, noise_score=noise)
+    scores = sr.pattern_scores(tied, np.zeros(4), 0.0)
+    assert scores[m] == scores[base] == scores.min() and np.argmin(scores) == m
+    assert sr.select_pattern(tied, np.zeros(4), 0.0) == base
+    assert sr.select_pattern(tied, np.zeros((3, 4)), 0.0).tolist() == [base] * 3
+    # one step off the tie, the smaller index wins
+    noise[m] = np.nextafter(noise[m], -np.inf)
+    assert sr.select_pattern(tied, np.zeros(4), 0.0) == m
 
 
 @pytest.mark.parametrize("h,p", sorted({(h, p) for h in range(1, 11) for p in (1, h)}))
 def test_in_place_tree_matches_out_of_place_build(benchmark_model, benchmark_steady, h, p):
-    # p = 1 puts the all-ones pattern first, p = h the first actuated row of level 0
+    # the two-level build keeps level 0 and the gains of the tree built out of place, and
+    # takes each node's noise and estimation traces as it goes, with the same bits; p moves
+    # only the base, which the tree does not depend on
     dm = benchmark_model
+    err_cov = benchmark_steady[1]
+    q, r = np.asarray(BENCH.q_weight, dtype=float), np.atleast_2d(BENCH.r_weight)
     terminal = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 1).cost_matrix
-    tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, terminal, h, p,
-                             benchmark_steady[1])
-    expected = _out_of_place_tree(dm.a, dm.b, np.asarray(BENCH.q_weight),
-                                  np.atleast_2d(BENCH.r_weight), terminal, h, _base_value(h, p))
-    got = (tables.cost_matrices, tables.gains, tables.gain_quadratics)
+    tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, terminal, h, p, err_cov)
+    costs, gains, quadratics = _out_of_place_tree(dm.a, dm.b, q, r, terminal, h)
+    m_count = 2**h
+    proc_cov_t = np.ascontiguousarray(dm.proc_cov.T)
+    expected = (costs[m_count - 1:], gains,
+                np.einsum("sij,ij->s", costs[:m_count - 1], proc_cov_t),
+                np.einsum("sij,ji->s", quadratics, err_cov))
+    got = _backward_tree(dm.a, dm.b, q, r, terminal, h, proc_cov_t, err_cov)
     assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
+    assert [tables.p0.tobytes(), tables.gains.tobytes()] == [x.tobytes() for x in expected[:2]]
+    assert tables.base == _base_value(h, p)
 
 
-@pytest.mark.parametrize("h", [8, 10, 12])
+@pytest.mark.parametrize("h", [8, 10, 12, 14])
 def test_memory_estimate_bounds_the_build_peak(benchmark_model, benchmark_steady, h):
     # rows = 0 leaves the tables and build terms; numpy reports its arrays to tracemalloc
     dm = benchmark_model
@@ -388,25 +461,30 @@ def test_memory_estimate_bounds_the_build_peak(benchmark_model, benchmark_steady
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= memory_estimate(h, dm.n_states, dm.n_inputs, 0)
+    estimate = memory_estimate(h, dm.n_states, dm.n_inputs, 0)
+    assert peak <= estimate
+    if h == 14:
+        assert estimate <= 2 * peak
 
 
 def test_pattern_index_out_of_range(benchmark_tables):
     _, _, err_cov, tables = benchmark_tables
-    for m in (0, 65):
+    for m in (-1, 64):
         with pytest.raises(ValueError, match="out of range"):
-            tables.cost_matrix(m, 0)
+            tables.gain(m, 0)
         with pytest.raises(ValueError, match="out of range"):
             sr.closed_loop_matrices(tables, m)
 
 
 def test_deep_lookahead_tables_are_small(benchmark_model):
-    # h = 14 stores 2^15 - 1 cost matrices, not 15 * 2^14
+    # h = 14 keeps the 2^14 step-0 matrices and the 2^14 - 1 gains, not the 2^15 - 1 cost
+    # matrices of the whole tree
     dm = benchmark_model
     _, err_cov, _ = sr.steady_kalman(dm)
     pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 7)
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                              14, 7, err_cov)
-    total = sum(v.nbytes for v in vars(tables).values() if isinstance(v, np.ndarray))
-    assert total < 10 * 2**20
+    arrays = [v for v in vars(tables).values() if isinstance(v, np.ndarray)]
+    assert sum(v.nbytes for v in arrays) < 3.5e6
+    assert all(v.shape != (2**15 - 1, 4, 4) for v in arrays)
     assert len(tables.bits) == 2**14 and tables.p0.shape == (2**14, 4, 4)

@@ -113,7 +113,8 @@ def test_common_random_numbers_across_methods(benchmark_model, benchmark_steady)
 
 def test_forced_base_pattern_equals_periodic(benchmark_model, benchmark_steady):
     cfg = bench_cfg(trials=1)
-    pol, base = rollout_policy(benchmark_model, forced=1)
+    pol, base = rollout_policy(benchmark_model, forced=0b100000)  # the base pattern
+    assert pol.tables.base == pol.forced_pattern
     t_ro = sr.simulate_trial(cfg, benchmark_model, pol, 2, steady=benchmark_steady)
     t_pe = sr.simulate_trial(cfg, benchmark_model,
                              PeriodicController(base.feedback_gain, 6), 2,
@@ -126,7 +127,7 @@ def test_forced_base_pattern_equals_periodic(benchmark_model, benchmark_steady):
 
 def test_check_performance_bound_forced_base(benchmark_model, benchmark_steady):
     cfg = bench_cfg(trials=5)
-    pol, base = rollout_policy(benchmark_model, forced=1)
+    pol, base = rollout_policy(benchmark_model, forced=0b100000)  # the base pattern
     ro = [sr.simulate_trial(cfg, benchmark_model, pol, t, steady=benchmark_steady)
           for t in range(5)]
     pe = [sr.simulate_trial(cfg, benchmark_model,
@@ -520,7 +521,7 @@ def _reference_deciders(method, dm, theta, mpc_problem):
                 if k % 6 == 0:
                     chosen["m"] = sr.select_pattern(pol.tables, xhat, theta)
                 m, tau = chosen["m"], k % 6
-                if pol.tables.bits[m - 1, tau]:
+                if pol.tables.bits[m, tau]:
                     return pol.tables.gain(m, tau) @ xhat, 1
                 return np.zeros(1), 0
 
