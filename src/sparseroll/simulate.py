@@ -1,7 +1,7 @@
 """Closed-loop Monte Carlo simulation and trade-off estimation.
 
-One engine runs a batch of rows, such as every (theta, trial) pair of a
-sweep method, as a single closed loop over (rows, n) arrays; a single trial
+One engine runs a batch of rows, such as every (method, theta, trial) row
+of a sweep, as a single closed loop over (rows, n) arrays; a single trial
 is the batch of one.  The per-step order follows the information structure
 of the problem: measure, update the estimate, decide (u, delta), pay the
 stage cost, then evolve the plant.  Noise is drawn from counter-based
@@ -112,10 +112,15 @@ class PeriodicController:
     def __init__(self, gain: np.ndarray, period):
         self.gain = gain
         self.period = period
+        self._rows = ()
 
     def decide(self, x_hat, k: int):
-        gain = np.broadcast_to(self.gain, (len(x_hat),) + self.gain.shape[-2:])
-        on = np.broadcast_to(k % np.asarray(self.period) == 0, (len(x_hat),))
+        if k == 0:  # per-row views of the gain and the period, made once per run
+            rows = len(x_hat)
+            self._rows = (np.broadcast_to(self.gain, (rows,) + self.gain.shape[-2:]),
+                          np.broadcast_to(np.asarray(self.period), (rows,)))
+        gain, period = self._rows
+        on = k % period == 0
         return (np.where(on[:, None], np.einsum("tqn,tn->tq", gain, x_hat), 0.0),
                 on.astype(np.int8))
 
@@ -153,6 +158,24 @@ class SparseMpcController:
         return first_inputs(z, q)
 
 
+class _Stacked:
+    """Controllers of consecutive row blocks, run as one: each ``parts`` entry decides its rows.
+
+    ``sizes`` holds each part's row count; the (u, delta) of the parts are
+    concatenated in order.
+    """
+
+    def __init__(self, parts, sizes):
+        self.parts = tuple(parts)
+        ends = np.cumsum(sizes)
+        self._rows = [slice(end - size, end) for end, size in zip(ends, sizes)]
+
+    def decide(self, x_hat, k: int):
+        u, delta = zip(*(part.decide(x_hat[rows], k)
+                         for part, rows in zip(self.parts, self._rows)))
+        return np.concatenate(u), np.concatenate(delta)
+
+
 def _stacked_noise(dm: DiscreteModel, seed_base: int, keys, n_steps: int):
     """Each key's :func:`noise_streams`, stacked: x0 (K, n), w (N, K, n), v (N+1, K, m)."""
     x0s, w_seqs, v_seqs = zip(*(noise_streams(dm, seed_base, t, n_steps) for t in keys))
@@ -171,11 +194,14 @@ def simulate_trials(cfg: ExperimentConfig, dm: DiscreteModel, controller, trials
     (x0 (K, n), w (N, K, n), v (N+1, K, m)) realization of the K distinct
     keys in ascending order.  The rows selected by ``keep_traces`` (a bool
     or a mask) record full traces.  A non-finite state raises
-    :class:`NonFiniteError` naming the step and the row's trial key.
+    :class:`NonFiniteError` naming the step and the row's trial key.  A
+    :class:`RolloutPolicy`, alone or as one of a stacked controller's
+    ``parts``, needs ``horizon_steps`` to be a multiple of its block length.
     """
     trials = tuple(int(t) for t in trials)
     n_steps = cfg.horizon_steps
-    if isinstance(controller, RolloutPolicy) and n_steps % controller.tables.horizon != 0:
+    if any(isinstance(part, RolloutPolicy) and n_steps % part.tables.horizon != 0
+           for part in getattr(controller, "parts", (controller,))):
         raise ValueError("horizon_steps must be a multiple of the block length")
     keys, pick = np.unique(trials, return_inverse=True)  # pick: row -> noise column
     x0, w, v = _stacked_noise(dm, cfg.seed_base, keys, n_steps) if noise is None else noise
@@ -316,58 +342,65 @@ def theta_sweep(cfg: ExperimentConfig, designed: Design | None = None, keep_trac
 
     The designs do not depend on theta: ``designed`` is the :class:`Design`
     of (at least) ``cfg``'s methods, made here when not given, and the noise
-    of every trial is drawn once on its model.  Each method then runs once,
-    row g T + t being trial t of theta cell g at that cell's theta.  The
-    (theta, method) cells in ``keep_traces`` keep their full traces.  A
+    of every trial is drawn once on its model.  The sweep then runs one
+    closed loop: each method's controller takes its own block of rows, row
+    g T + t of a block being trial t of theta cell g at that cell's theta.
+    The (theta, method) cells in ``keep_traces`` keep their full traces.  A
     failure is recorded in the status of the cells it affects, as
-    ``error: <ExceptionType>: <message>``, and the sweep continues: when a
-    method's closed loop raises, each of its cells runs alone, for its own
-    status.
+    ``error: <ExceptionType>: <message>``, and the sweep continues: when the
+    closed loop raises, each method runs alone, and when a method's loop
+    raises, each of its cells runs alone, for its own status.
     """
     if designed is None:
         designed = design(cfg)
     dm, steady = designed.model, designed.steady
     grid, n_trials = cfg.theta_grid, cfg.trials
 
-    def run(method, batch):
-        # one closed loop over the rows of the cells in batch, split back into cells
-        thetas = [grid[i] for i in batch]
-        rows_theta = np.repeat(thetas, n_trials)
+    def controller(method, part):
+        # the controller of one method over the rows of its theta cells in part
+        rows_theta = np.repeat([grid[i] for i in part], n_trials)
         if method == "rollout":
-            controller = RolloutPolicy(designed[method][1], rows_theta)
-        elif method == "sparse_mpc":
+            return RolloutPolicy(designed[method][1], rows_theta)
+        if method == "sparse_mpc":
             problem, factor = designed[method]
-            controller = SparseMpcController(problem, rows_theta, factor, cfg.mpc_tol,
-                                             cfg.mpc_max_iter)
-        else:
-            candidates = designed[method]
-            periods = np.repeat([cheapest_period(candidates, steady[1], t)[0] for t in thetas],
-                                n_trials)
-            controller = PeriodicController(
-                np.array([candidates[p].feedback_gain for p in periods]), periods)
-        keep = np.repeat([(theta, method) in keep_traces for theta in thetas], n_trials)
-        traces = simulate_trials(cfg, dm, controller, list(range(n_trials)) * len(batch),
+            return SparseMpcController(problem, rows_theta, factor, cfg.mpc_tol,
+                                       cfg.mpc_max_iter)
+        candidates = designed[method]
+        periods = np.repeat([cheapest_period(candidates, steady[1], grid[i])[0] for i in part],
+                            n_trials)
+        return PeriodicController(np.array([candidates[p].feedback_gain for p in periods]),
+                                  periods)
+
+    def run(batch):
+        # one closed loop over the rows of every (method, cells) part of batch, split into cells
+        loop = _Stacked([controller(method, part) for method, part in batch],
+                        [len(part) * n_trials for _, part in batch])
+        order = [(method, i) for method, part in batch for i in part]
+        keep = np.repeat([(grid[i], method) in keep_traces for method, i in order], n_trials)
+        traces = simulate_trials(cfg, dm, loop, list(range(n_trials)) * len(order),
                                  steady=steady, noise=noise, keep_traces=keep)
-        for g, i in enumerate(batch):
+        for g, (method, i) in enumerate(order):
             rows = traces[g * n_trials:(g + 1) * n_trials]
             cells[i, method] = SweepCell(float(grid[i]), method, estimate_metrics(rows, grid[i]),
                                          traces=rows if keep[g * n_trials] else None)
 
     noise = _stacked_noise(dm, cfg.seed_base, range(n_trials), cfg.horizon_steps)
     cells = {}
-    for method in cfg.methods:
-        batches = [list(range(len(grid)))]            # theta cells that run as one batch
-        while batches:
-            batch = batches.pop()
-            try:
-                run(method, batch)
-            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                if len(batch) > 1:
-                    batches += [[i] for i in batch]
-                else:
-                    cells[batch[0], method] = SweepCell(
-                        float(grid[batch[0]]), method, None,
-                        status=f"error: {type(exc).__name__}: {exc}")
+    # (method, theta cells) parts that run as one loop
+    batches = [[(method, list(range(len(grid)))) for method in cfg.methods]]
+    while batches:
+        batch = batches.pop()
+        try:
+            run(batch)
+        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+            (method, part), *others = batch
+            if others:
+                batches += [[entry] for entry in batch]
+            elif len(part) > 1:
+                batches += [[(method, [i])] for i in part]
+            else:
+                cells[part[0], method] = SweepCell(float(grid[part[0]]), method, None,
+                                                   status=f"error: {type(exc).__name__}: {exc}")
     return [cells[i, method] for i in range(len(grid)) for method in cfg.methods]
 
 

@@ -335,6 +335,30 @@ def test_nonfinite_error_names_step_and_trial():
         sr.simulate_trials(cfg, dm, PeriodicController(np.zeros((1, 1)), 1), [5, 6])
 
 
+def test_rollout_needs_whole_blocks_alone_and_stacked(benchmark_model, benchmark_steady):
+    # 100 steps are not whole blocks of 6: the engine refuses a rollout policy before the
+    # first step, alone or as one part of a multi-method loop
+    cfg = bench_cfg(horizon_steps=100, methods=("periodic",))
+    pol, base = rollout_policy(benchmark_model)
+    periodic = PeriodicController(base.feedback_gain, 6)
+    stacked = simulate._Stacked([periodic, pol], [2, 2])
+    for controller in (pol, stacked):
+        with pytest.raises(ValueError, match="^horizon_steps must be a multiple of the block "
+                                             "length$"):
+            sr.simulate_trials(cfg, benchmark_model, controller, [0, 1, 0, 1],
+                               steady=benchmark_steady)
+    # whole blocks pass the guard, and each part's rows keep the bits they have alone
+    cfg = bench_cfg(horizon_steps=96, methods=("periodic",))
+    traces = sr.simulate_trials(cfg, benchmark_model, stacked, [0, 1, 0, 1],
+                                steady=benchmark_steady)
+    for controller, rows in ((periodic, traces[:2]), (pol, traces[2:])):
+        alone = sr.simulate_trials(cfg, benchmark_model, controller, [0, 1],
+                                   steady=benchmark_steady)
+        for trace, ref in zip(rows, alone):
+            assert trace.stage_costs.tobytes() == ref.stage_costs.tobytes()
+            assert trace.triggers.tobytes() == ref.triggers.tobytes()
+
+
 def test_theta_sweep_designs_once_per_call(monkeypatch):
     # theta-independent designs are shared by the cells of one sweep, not across sweeps
     periods, tables, mpc_problems, factors, controllers = [], [], [], [], []
@@ -367,8 +391,10 @@ def test_theta_sweep_designs_once_per_call(monkeypatch):
         assert sorted(periods) == [1, 2, 3, 6] and tables == [6]
         # one condensed problem and one inverse of H + rho I per sweep
         assert mpc_problems == [30] and factors == [1.0]
-    # one closed loop per method, its controller holding the theta of each row
-    rollout, mpc, periodic = controllers
+        # one closed loop per sweep
+        assert len(controllers) == 1
+    # its controller holds one part per method, each part the theta of each of its rows
+    rollout, mpc, periodic = controllers[0].parts
     assert isinstance(rollout, sr.RolloutPolicy)
     assert np.array_equal(rollout.theta, np.repeat(grid, cfg.trials))
     assert isinstance(mpc, SparseMpcController)
@@ -400,14 +426,15 @@ def test_theta_sweep_records_admm_nonconvergence(benchmark_model, mpc_problem):
 
 
 def test_theta_sweep_stacked_cells_match_cells_alone(monkeypatch):
-    # one closed loop per method gives every cell the bits it has alone; a failing cell
+    # one closed loop per sweep gives every cell the bits it has alone; a failing cell
     # (non-finite state, ADMM cap) keeps the status it has alone, and the rest their bits
     design_periods = simulate.design_periods
 
     def overflowing_p3(*args):
         # the p = 3 gain scaled by 1e300 drives the state to inf at its second actuation
         designs = design_periods(*args)
-        designs[3] = replace(designs[3], feedback_gain=designs[3].feedback_gain * 1e300)
+        if 3 in designs:  # a sweep of rollout or sparse MPC alone designs no p = 3
+            designs[3] = replace(designs[3], feedback_gain=designs[3].feedback_gain * 1e300)
         return designs
 
     monkeypatch.setattr(simulate, "design_periods", overflowing_p3)
@@ -422,6 +449,15 @@ def test_theta_sweep_stacked_cells_match_cells_alone(monkeypatch):
     assert [(c.theta, c.method) for c in cells] == [(c.theta, c.method) for c in alone]
     for cell, ref in zip(cells, alone):
         assert cell.status == ref.status, (cell.theta, cell.method)
+        if ref.status == "ok":
+            assert np.array_equal(cell.metrics.per_trial_cost, ref.metrics.per_trial_cost)
+            assert np.array_equal(cell.metrics.per_trial_rate, ref.metrics.per_trial_rate)
+    # and every method's cells have the bits and statuses of the same sweep of that method alone
+    with np.errstate(over="ignore", invalid="ignore"):
+        by_method = {m: sr.theta_sweep(replace(cfg, methods=(m,))) for m in cfg.methods}
+    for cell in cells:
+        ref = by_method[cell.method][cfg.theta_grid.index(cell.theta)]
+        assert (ref.theta, ref.method, ref.status) == (cell.theta, cell.method, cell.status)
         if ref.status == "ok":
             assert np.array_equal(cell.metrics.per_trial_cost, ref.metrics.per_trial_cost)
             assert np.array_equal(cell.metrics.per_trial_rate, ref.metrics.per_trial_rate)
