@@ -22,7 +22,7 @@ from .oracle import OracleResult, closed_loop_matrices, oracle_select
 from .periodic import (
     PeriodicPolicy,
     best_periodic,
-    design_periodic,
+    design_periods,
     periodic_average_cost,
 )
 from .plant import (
@@ -59,13 +59,11 @@ from .simulate import (
     design,
     estimate_metrics,
     noise_streams,
-    simulate_trial,
     simulate_trials,
     theta_sweep,
 )
 from .sparse_mpc import (
     MpcProblem,
-    block_soft_threshold,
     build_mpc_problem,
 )
 

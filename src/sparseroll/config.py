@@ -203,12 +203,11 @@ class ExperimentConfig:
         if self.r_weight.shape != (dm.n_inputs, dm.n_inputs):
             raise ConfigError(f"cost.r must be {dm.n_inputs}x{dm.n_inputs} for this model")
         periods = set().union(*self.method_periods.values())  # verify designs every method
-        power = np.eye(n)  # A^p, multiplied up as build_lifted does
         with np.errstate(over="ignore", invalid="ignore"):
-            for p in range(1, max(periods) + 1):
-                b_p, power = power @ dm.b, dm.a @ power
+            for p in sorted(periods):
                 try:
-                    mode = uncontrollable_mode(power, b_p) if p in periods else None
+                    mode = uncontrollable_mode(np.linalg.matrix_power(dm.a, p),
+                                               np.linalg.matrix_power(dm.a, p - 1) @ dm.b)
                 except NonFiniteError:
                     raise ConfigError(f"lifting by period p={p} overflows") from None
                 if mode is not None:

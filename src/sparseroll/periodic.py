@@ -26,11 +26,6 @@ class PeriodicPolicy:
     lifted: LiftedSystem
 
 
-def design_periodic(dm: DiscreteModel, q_weight, r_weight, p: int) -> PeriodicPolicy:
-    """The period-p policy of :func:`design_periods`; raises its failure."""
-    return period_policies(design_periods(dm, q_weight, r_weight, [p]), [p])[p]
-
-
 def periodic_average_cost(pol: PeriodicPolicy, err_cov, theta: float) -> float:
     """Long-run average cost of the periodic policy, including theta/p.
 

@@ -63,10 +63,6 @@ class RolloutTables:
     trigger_weight: np.ndarray
     model: DiscreteModel
 
-    def gain(self, m: int, s: int) -> np.ndarray:
-        """Feedback gain (q, n) of pattern m at step s in 0..h-1; zero on an idle step."""
-        return self.path_gains(m)[s]
-
     def path_gains(self, m) -> np.ndarray:
         """Gains (..., h, q, n) of the patterns m at steps 0..h-1; zero when idle."""
         m = np.asarray(m)
@@ -245,14 +241,11 @@ def select_pattern(tables: RolloutTables, estimate, theta):
 class RolloutPolicy:
     """Receding-horizon block controller over a batch of rows at actuation weight theta.
 
-    ``theta`` is one weight or one per row.  ``forced_pattern`` pins the
-    selection to one pattern index (diagnostic hook: ``tables.base`` plays the
-    base policy, to compare against it on identical noise).
+    ``theta`` is one weight or one per row.
     """
 
     tables: RolloutTables
     theta: float | np.ndarray
-    forced_pattern: int | None = None
     _block: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def decide(self, x_hat, k: int):
@@ -260,10 +253,7 @@ class RolloutPolicy:
         tables = self.tables
         tau = k % tables.horizon
         if tau == 0:
-            if self.forced_pattern is None:
-                picks = select_pattern(tables, x_hat, self.theta)
-            else:
-                picks = np.full(len(x_hat), self.forced_pattern)
+            picks = select_pattern(tables, x_hat, self.theta)
             self._block = (tables.bits[picks], tables.path_gains(picks))
         bits, gains = self._block
         u = np.einsum("tqn,tn->tq", gains[:, tau], x_hat)

@@ -29,7 +29,7 @@ class SimTrace:
     """Per-step closed-loop records of one trial.
 
     A sweep keeps only the stage costs and triggers; the other records are
-    filled for :func:`simulate_trial` and ``keep_traces``.
+    filled for the rows of ``keep_traces``.
     """
 
     triggers: np.ndarray
@@ -187,10 +187,10 @@ def simulate_trials(cfg: ExperimentConfig, dm: DiscreteModel, controller, trials
     """Run the given rows as one closed loop over (rows, n) arrays; one trace per row.
 
     ``controller.decide(x_hat, k)`` gets the estimates (rows, n) and returns
-    u (rows, q) and delta (rows,), or values that broadcast to them.  The
-    filter runs at the gain of ``steady``, the :func:`steady_kalman` triple
-    (solved here when not given).  ``trials`` holds each row's trial key;
-    rows of one key share its noise draw, or ``noise``, the stacked
+    float u (rows, q) and delta (rows,).  The filter runs at the gain of
+    ``steady``, the :func:`steady_kalman` triple (solved here when not
+    given).  ``trials`` holds each row's trial key; rows of one key share
+    its noise draw, or ``noise``, the stacked
     (x0 (K, n), w (N, K, n), v (N+1, K, m)) realization of the K distinct
     keys in ascending order.  The rows selected by ``keep_traces`` (a bool
     or a mask) record full traces.  A non-finite state raises
@@ -219,9 +219,6 @@ def simulate_trials(cfg: ExperimentConfig, dm: DiscreteModel, controller, trials
         ("inputs", dm.n_inputs), ("outputs", dm.n_outputs))} if keep.any() else {}
     for k in range(n_steps):
         u, delta = controller.decide(x_hat, k)
-        u = np.asarray(u, dtype=float)
-        if u.shape != (n_rows, dm.n_inputs):
-            u = np.broadcast_to(u, (n_rows, dm.n_inputs))
         triggers[:, k] = delta
         stage_costs[:, k] = (np.einsum("ti,ij,tj->t", x, cfg.q_weight, x)
                              + np.einsum("ti,ij,tj->t", u, cfg.r_weight, u))
@@ -243,19 +240,6 @@ def simulate_trials(cfg: ExperimentConfig, dm: DiscreteModel, controller, trials
             SimTrace(triggers=triggers[r].copy(), stage_costs=stage_costs[r].copy(),
                      **{name: rec[slot[r]] for name, rec in records.items()})
             for r in range(n_rows)]
-
-
-def simulate_trial(cfg: ExperimentConfig, dm: DiscreteModel, controller, seed: int,
-                   steady=None, noise=None) -> SimTrace:
-    """Run one closed-loop trial: the batch-of-one call of :func:`simulate_trials`.
-
-    ``seed`` is the trial key; ``noise`` may inject an explicit
-    (x0, w_seq, v_seq) realization instead.
-    """
-    if noise is not None:  # the one realization as a stack of one key
-        noise = tuple(np.expand_dims(np.asarray(a, dtype=float), -2) for a in noise)
-    return simulate_trials(cfg, dm, controller, [seed], steady=steady, noise=noise,
-                           keep_traces=True)[0]
 
 
 def estimate_metrics(traces, theta: float) -> Metrics:

@@ -106,15 +106,8 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(v * v, axis=-1))
 
 
-def block_soft_threshold(v, kappa: float) -> np.ndarray:
-    """Proximal map of kappa * ||.||_2 on each last-axis block: shrink, exactly zero inside."""
-    if kappa < 0.0:
-        raise ValueError("kappa must be nonnegative")
-    return _shrink(np.asarray(v, dtype=float), kappa)
-
-
 def _shrink(v: np.ndarray, kappa) -> np.ndarray:
-    """:func:`block_soft_threshold` without the sign check; kappa (>= 0) broadcasts against v.
+    """Proximal map of kappa * ||.||_2 on each last-axis block; kappa (>= 0) broadcasts against v.
 
     Scales by (norm - kappa) / norm where norm > kappa, else +0, to the bit
     (NaN and overflow too) and without the masked divide, slow on large batches.

@@ -30,7 +30,7 @@ SCALAR_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "scalar.yaml"
 @pytest.fixture(scope="module")
 def bench(benchmark_model, benchmark_steady):
     _, err_cov, _ = benchmark_steady
-    base6 = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, 6)
+    base6 = sr.design_periods(benchmark_model, BENCH.q_weight, BENCH.r_weight, [6])[6]
     return benchmark_model, benchmark_steady, err_cov, base6
 
 
@@ -108,11 +108,12 @@ def test_criterion_5_mean_square_stability(benchmark_sweep):
 
     class Null:
         def decide(self, x_hat, k):
-            return np.zeros(1), 0
+            return np.zeros((len(x_hat), 1)), 0
 
     cfg = sr.ExperimentConfig(horizon_steps=N_STEPS, trials=10, seed_base=13,
                               q_weight=[[1.0]], r_weight=[[1.0]], methods=("periodic",))
-    traces = [sr.simulate_trial(cfg, unstable, Null(), t) for t in range(10)]
+    traces = [sr.simulate_trials(cfg, unstable, Null(), [t], keep_traces=True)[0]
+              for t in range(10)]
     bad_bounded, _ = sr.check_mean_square_stability(traces, window_len=50)
     assert not bad_bounded
     _report("criterion 5 (mean-square stability)",

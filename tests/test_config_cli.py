@@ -126,6 +126,70 @@ def test_config_validation_failures(tmp_path):
         parse_config(small_config_dict(model={"source": "matrices-from-file"}))
 
 
+def _theta_without_grid():
+    raw = small_config_dict()
+    raw["theta"] = {"start": 0.1}
+    return parse_config(raw)
+
+
+def _write_and_load(tmp_path, text):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    return load_config(path)
+
+
+# each remaining ConfigError branch of the schema: how to reach it, and its message prefix
+CONFIG_ERRORS = {
+    "model-source": (lambda tmp: parse_config(small_config_dict(model={"source": "mystery"})),
+                     "model.source must be one of"),
+    "sample-period": (lambda tmp: parse_config(small_config_dict(model={"sample_period": 0.0})),
+                      "model.sample_period must be > 0"),
+    "no-methods": (lambda tmp: parse_config(small_config_dict(methods=[])),
+                   "at least one method must be enabled"),
+    "h-below-1": (lambda tmp: parse_config(small_config_dict(rollout={"h": 0})),
+                  "rollout.h and rollout.p must be >= 1"),
+    "p-below-1": (lambda tmp: parse_config(small_config_dict(rollout={"p": 0})),
+                  "rollout.h and rollout.p must be >= 1"),
+    "h-above-max": (lambda tmp: parse_config(small_config_dict(rollout={"h": 21, "p": 1})),
+                    "rollout.h must be <= 20"),
+    "mpc-horizon": (lambda tmp: parse_config(small_config_dict(sparse_mpc={"horizon": 0})),
+                    "sparse_mpc.horizon must be >= 1"),
+    "mpc-penalty": (lambda tmp: parse_config(small_config_dict(sparse_mpc={"penalty": 0.0})),
+                    "sparse_mpc solver parameters must be positive"),
+    "mpc-tol": (lambda tmp: parse_config(small_config_dict(sparse_mpc={"tol": -1e-8})),
+                "sparse_mpc solver parameters must be positive"),
+    "mpc-max-iter": (lambda tmp: parse_config(small_config_dict(sparse_mpc={"max_iter": 0})),
+                     "sparse_mpc solver parameters must be positive"),
+    "candidate-below-1": (
+        lambda tmp: parse_config(small_config_dict(periodic={"candidates": [0, 1]})),
+        "periodic.candidates must be positive integers"),
+    "empty-theta-grid": (lambda tmp: parse_config(small_config_dict(theta={"grid": []})),
+                         "theta grid must be non-empty"),
+    "r-shape": (lambda tmp: parse_config(small_config_dict(
+        cost={"r": [[1.0, 0.0], [0.0, 1.0]]})).build_model(), "cost.r must be 1x1 for this model"),
+    "non-finite-matrix": (
+        lambda tmp: parse_config(small_config_dict(cost={"q": [[math.inf]]})),
+        "cost.q must be 'benchmark' or a finite matrix"),
+    "section-not-mapping": (lambda tmp: parse_config(small_config_dict(sim=5)),
+                            "section 'sim' must be a mapping"),
+    "theta-without-grid": (lambda tmp: _theta_without_grid(),
+                           "theta section needs either 'grid' or start/stop/step"),
+    "unreadable-file": (lambda tmp: load_config(tmp / "missing.yaml"), "cannot read config"),
+    "invalid-yaml": (lambda tmp: _write_and_load(tmp, "theta: [0.1, 0.2\n"),
+                     "cannot parse config"),
+    "builtin-construction": (
+        lambda tmp: parse_config(small_config_dict(model={"sample_period": 1e300})).build_model(),
+        "model construction failed: "),
+}
+
+
+@pytest.mark.parametrize("reach,prefix", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS.keys())
+def test_config_error_branches(tmp_path, reach, prefix):
+    with pytest.raises(ConfigError) as err:
+        reach(tmp_path)
+    assert str(err.value).startswith(prefix), str(err.value)
+
+
 REPEATED = {"methods": ("methods", ["periodic", "periodic"]),
             "candidates": ("periodic.candidates", [2, 2])}
 
@@ -414,7 +478,7 @@ def test_cmd_design_periodic_table(tmp_path, capsys):
         first, *entries = row.split()
         assert float(first) == theta and len(entries) == len(candidates)
         for p, entry in zip(candidates, entries):
-            pol = sr.design_periodic(dm, cfg.q_weight, cfg.r_weight, p)
+            pol = sr.design_periods(dm, cfg.q_weight, cfg.r_weight, [p])[p]
             assert entry.rstrip("*") == f"{sr.periodic_average_cost(pol, err_cov, theta):.6f}"
         best, _ = sr.best_periodic(dm, cfg.q_weight, cfg.r_weight, candidates, err_cov, theta)
         assert [p for p, entry in zip(candidates, entries) if entry.endswith("*")] == [best]
@@ -657,6 +721,15 @@ def test_config_rejects_pathological_candidates(tmp_path, monkeypatch, capsys):
                      "--out", str(tmp_path / "out")]) == 2
     assert "pathological sampling" in capsys.readouterr().err
     assert counts == {"build_model": 1}
+
+
+def test_load_time_does_not_grow_with_the_largest_candidate():
+    # each period's lifted pair comes from matrix_power, not from p - 1 products
+    cfg = replace(load_config(BENCHMARK_CONFIG), candidates=(1, 200001))
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="^pathological sampling at period p=200001: "):
+        cfg.build_model()
+    assert time.perf_counter() - start < 0.1
 
 
 def file_model_config(tmp_path, a, b, c, **overrides):

@@ -127,11 +127,11 @@ def test_innovation_whiteness(stationary_benchmark, benchmark_steady):
     cfg = sr.ExperimentConfig(horizon_steps=5000, trials=1, seed_base=3,
                               q_weight=BENCH.q_weight, r_weight=BENCH.r_weight,
                               methods=("periodic",), h=1, p=1)
-    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 2)
+    pol = sr.design_periods(dm, BENCH.q_weight, BENCH.r_weight, [2])[2]
     from sparseroll.simulate import PeriodicController
 
-    trace = sr.simulate_trial(cfg, dm, PeriodicController(pol.feedback_gain, 2), 0,
-                              steady=benchmark_steady)
+    trace, = sr.simulate_trials(cfg, dm, PeriodicController(pol.feedback_gain, 2), [0],
+                                steady=benchmark_steady, keep_traces=True)
     pred = trace.estimates[:-1] @ dm.a.T + trace.inputs[:-1] @ dm.b.T
     innov = trace.outputs[1:] - pred @ dm.c.T
     innov = innov - innov.mean(axis=0)

@@ -10,7 +10,7 @@ BENCH = sr.ExperimentConfig()  # the benchmark study
 def setup(benchmark_model):
     dm = benchmark_model
     _, err_cov, _ = sr.steady_kalman(dm)
-    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 6)
+    pol = sr.design_periods(dm, BENCH.q_weight, BENCH.r_weight, [6])[6]
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                              6, 6, err_cov)
     return dm, pol, err_cov, tables
@@ -43,7 +43,7 @@ def test_two_pattern_closed_form(scalar_model):
     # h=1, p=1, theta=0: actuate iff the quadratic-plus-trace gap is negative
     dm = scalar_model
     _, err_cov, _ = sr.steady_kalman(dm)
-    pol = sr.design_periodic(dm, [[1.0]], [[1.0]], 1)
+    pol = sr.design_periods(dm, [[1.0]], [[1.0]], [1])[1]
     pt = pol.cost_matrix[0, 0]
     a = b = q = r = 1.0
     sigma = err_cov[0, 0]
@@ -98,7 +98,7 @@ def test_closed_loop_estimate_propagation(setup, rng):
     x = x_true
     for s in range(6):
         err = x - est
-        u = tables.gain(m, s) @ est if tables.bits[m, s] else np.zeros(1)
+        u = tables.path_gains(m)[s] @ est if tables.bits[m, s] else np.zeros(1)
         w = rng.multivariate_normal(np.zeros(4), dm.proc_cov)
         v = rng.multivariate_normal(np.zeros(2), dm.meas_cov)
         omegas.append(gain @ (dm.c @ (dm.a @ err + w) + v))

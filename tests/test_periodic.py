@@ -19,7 +19,7 @@ def test_p1_matches_unlifted_lqg(benchmark_model):
     lift = sr.build_lifted(dm, BENCH.q_weight, BENCH.r_weight, 1)
     assert np.array_equal(lift.a_lift, dm.a) and np.array_equal(lift.b_lift, dm.b)
     assert np.array_equal(lift.q_lift, np.atleast_2d(BENCH.q_weight))
-    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 1)
+    pol = sr.design_periods(dm, BENCH.q_weight, BENCH.r_weight, [1])[1]
     prob = sr.RiccatiProblem(dm.a, dm.b, BENCH.q_weight, np.zeros((4, 1)), BENCH.r_weight)
     sol = sr.solve_dare(prob)
     assert np.allclose(pol.feedback_gain, sol.gain, rtol=0, atol=1e-12)
@@ -27,13 +27,13 @@ def test_p1_matches_unlifted_lqg(benchmark_model):
 
 
 def test_scalar_analytic_design(scalar_model):
-    pol = sr.design_periodic(scalar_model, [[1.0]], [[1.0]], 1)
+    pol = sr.design_periods(scalar_model, [[1.0]], [[1.0]], [1])[1]
     assert abs(pol.cost_matrix[0, 0] - PHI) < 1e-10
     assert abs(pol.feedback_gain[0, 0] + PHI / (PHI + 1.0)) < 1e-10
 
 
 def test_benchmark_p6_positive_definite(benchmark_model):
-    pol = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, 6)
+    pol = sr.design_periods(benchmark_model, BENCH.q_weight, BENCH.r_weight, [6])[6]
     assert np.linalg.eigvalsh(pol.cost_matrix).min() > 0.0
 
 
@@ -41,8 +41,9 @@ def test_design_rejects_pathological_period():
     dm = sr.DiscreteModel(a=np.diag([1.0, -1.0]), b=[[1.0], [1.0]], c=np.eye(2),
                           proc_cov=np.eye(2), meas_cov=np.eye(2),
                           init_mean=np.zeros(2), init_cov=np.eye(2))
-    with pytest.raises(AssumptionViolatedError):
-        sr.design_periodic(dm, np.eye(2), [[1.0]], 2)
+    design = sr.design_periods(dm, np.eye(2), [[1.0]], [2])[2]
+    assert isinstance(design, AssumptionViolatedError)
+    assert str(design) == "pathological sampling: lifting by p=2 breaks stabilizability"
 
 
 def test_stable_modes_that_alias_do_not_stop_a_design():
@@ -51,7 +52,7 @@ def test_stable_modes_that_alias_do_not_stop_a_design():
     dm = sr.DiscreteModel(a=np.diag([0.5, -0.5]), b=[[1.0], [1.0]], c=np.eye(2),
                           proc_cov=np.eye(2), meas_cov=np.eye(2),
                           init_mean=np.zeros(2), init_cov=np.eye(2))
-    pol = sr.design_periodic(dm, np.eye(2), [[1.0]], 2)
+    pol = sr.design_periods(dm, np.eye(2), [[1.0]], [2])[2]
     assert pol.period == 2 and np.linalg.eigvalsh(pol.cost_matrix).min() > 0.0
 
 
@@ -101,7 +102,7 @@ def test_a_lifted_pair_that_passes_the_rank_test_designs(blocks, n_inputs, p, se
 
 def test_gain_first_order_optimality(benchmark_model):
     for p in (1, 3, 6, 2):
-        pol = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, p)
+        pol = sr.design_periods(benchmark_model, BENCH.q_weight, BENCH.r_weight, [p])[p]
         lift = sr.build_lifted(benchmark_model, BENCH.q_weight, BENCH.r_weight, p)
         stationarity = (
             (lift.b_lift.T @ pol.cost_matrix @ lift.b_lift + lift.r_lift) @ pol.feedback_gain
@@ -113,7 +114,7 @@ def test_gain_first_order_optimality(benchmark_model):
 def test_policy_carries_its_lifted_system(benchmark_model):
     # the lifted system the gain was designed on, the one its average cost reads
     for p in (1, 3):
-        pol = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, p)
+        pol = sr.design_periods(benchmark_model, BENCH.q_weight, BENCH.r_weight, [p])[p]
         lift = sr.build_lifted(benchmark_model, BENCH.q_weight, BENCH.r_weight, p)
         assert pol.lifted.period == p and pol.lifted.d_avg == lift.d_avg
         for name in ("a_lift", "b_lift", "noise_cov_lift", "q_lift", "s_lift", "r_lift"):
@@ -121,7 +122,7 @@ def test_policy_carries_its_lifted_system(benchmark_model):
 
 
 def test_average_cost_degenerate_terms(scalar_model):
-    pol = sr.design_periodic(scalar_model, [[1.0]], [[1.0]], 1)
+    pol = sr.design_periods(scalar_model, [[1.0]], [[1.0]], [1])[1]
     cost = sr.periodic_average_cost(pol, err_cov=[[0.0]], theta=0.0)
     expected = np.trace(pol.cost_matrix @ scalar_model.proc_cov)
     assert abs(cost - expected) < 1e-12
@@ -130,7 +131,7 @@ def test_average_cost_degenerate_terms(scalar_model):
 def test_average_cost_theta_slope(benchmark_model, benchmark_steady):
     _, err_cov, _ = benchmark_steady
     for p in (1, 4):
-        pol = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, p)
+        pol = sr.design_periods(benchmark_model, BENCH.q_weight, BENCH.r_weight, [p])[p]
         c1 = sr.periodic_average_cost(pol, err_cov, theta=0.0)
         c2 = sr.periodic_average_cost(pol, err_cov, theta=0.4)
         assert abs((c2 - c1) - 0.4 / p) < 1e-14
@@ -138,7 +139,7 @@ def test_average_cost_theta_slope(benchmark_model, benchmark_steady):
 
 def test_p1_average_cost_is_classic_lqg(benchmark_model, benchmark_steady):
     _, err_cov, _ = benchmark_steady
-    pol = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, 1)
+    pol = sr.design_periods(benchmark_model, BENCH.q_weight, BENCH.r_weight, [1])[1]
     cost = sr.periodic_average_cost(pol, err_cov, theta=0.0)
     classic = (np.trace(pol.cost_matrix @ benchmark_model.proc_cov)
                + np.trace(pol.gain_quadratic @ err_cov))
@@ -150,7 +151,7 @@ def test_average_cost_monte_carlo_cross_check(stationary_benchmark, benchmark_st
     dm = stationary_benchmark
     gain, err_cov, _ = benchmark_steady
     p, theta = 2, 0.2
-    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, p)
+    pol = sr.design_periods(dm, BENCH.q_weight, BENCH.r_weight, [p])[p]
     formula = sr.periodic_average_cost(pol, err_cov, theta)
 
     n_steps = 1_000_000
@@ -194,7 +195,7 @@ def test_best_periodic_prefers_dense_when_control_free(rng):
     # direct comparison of the two formula values
     costs = {}
     for p in (1, 2):
-        pol = sr.design_periodic(dm, [[1.0]], [[1e-6]], p)
+        pol = sr.design_periods(dm, [[1.0]], [[1e-6]], [p])[p]
         costs[p] = sr.periodic_average_cost(pol, err_cov, 0.0)
     assert costs[1] < costs[2]
     assert abs(cost - costs[1]) < 1e-12

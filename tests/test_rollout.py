@@ -104,7 +104,7 @@ def _out_of_place_tree(a, b, q, r, terminal, h):
 def benchmark_tables(benchmark_model):
     dm = benchmark_model
     _, err_cov, _ = sr.steady_kalman(dm)
-    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 6)
+    pol = sr.design_periods(dm, BENCH.q_weight, BENCH.r_weight, [6])[6]
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                              6, 6, err_cov)
     return dm, pol, err_cov, tables
@@ -135,7 +135,7 @@ def test_enumeration_h6_p6():
 
 def test_enumeration_horizon_mismatch(benchmark_model, benchmark_steady):
     dm = benchmark_model
-    terminal = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 2).cost_matrix
+    terminal = sr.design_periods(dm, BENCH.q_weight, BENCH.r_weight, [2])[2].cost_matrix
     with pytest.raises(HorizonMismatchError):
         _base_value(5, 2)
     with pytest.raises(HorizonMismatchError):
@@ -145,7 +145,7 @@ def test_enumeration_horizon_mismatch(benchmark_model, benchmark_steady):
 def test_nonpositive_period_is_a_value_error(benchmark_model, benchmark_steady):
     # a zero period used to fail in h % p with ZeroDivisionError, a negative one gave no base
     dm = benchmark_model
-    terminal = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 1).cost_matrix
+    terminal = sr.design_periods(dm, BENCH.q_weight, BENCH.r_weight, [1])[1].cost_matrix
     err_cov = benchmark_steady[1]
     for p in (0, -2):
         with pytest.raises(ValueError, match="period must be >= 1"):
@@ -180,7 +180,7 @@ def test_scalar_all_ones_single_step_fixed_point(scalar_model):
 def test_trigger_score_values(benchmark_model):
     dm = benchmark_model
     _, err_cov, _ = sr.steady_kalman(dm)
-    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 2)
+    pol = sr.design_periods(dm, BENCH.q_weight, BENCH.r_weight, [2])[2]
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                              6, 2, err_cov)
     for bits, weight in zip(tables.bits, tables.trigger_weight):
@@ -255,7 +255,7 @@ def test_error_trace_is_the_stored_sigma_term(benchmark_tables, rng):
 def test_huge_theta_selects_all_zero(benchmark_model):
     dm = benchmark_model
     _, err_cov, _ = sr.steady_kalman(dm)
-    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 6)
+    pol = sr.design_periods(dm, BENCH.q_weight, BENCH.r_weight, [6])[6]
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                              6, 6, err_cov)
     m = sr.select_pattern(tables, np.array([1.0, -1.0, 0.3, 0.2]), 1e9)
@@ -273,7 +273,7 @@ def test_lookahead_dominance(benchmark_tables, rng):
 def test_theta_monotone_actuation(benchmark_model, rng):
     dm = benchmark_model
     _, err_cov, _ = sr.steady_kalman(dm)
-    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 6)
+    pol = sr.design_periods(dm, BENCH.q_weight, BENCH.r_weight, [6])[6]
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                              6, 6, err_cov)
     for _ in range(25):
@@ -298,7 +298,7 @@ def test_gains_zero_on_idle_steps(benchmark_tables):
     for m, bits in enumerate(tables.bits.tolist()):
         for s, bit in enumerate(bits):
             assert np.all(gains[m, s] == 0.0) == (not bit)
-            assert np.array_equal(tables.gain(m, s), gains[m, s])
+            assert np.array_equal(tables.path_gains(m)[s], gains[m, s])
 
 
 def test_nonfinite_recursion_detected():
@@ -313,7 +313,7 @@ def test_free_actuation_reduces_to_lqg(scalar_model):
     # cost-to-go is dominated by the idle one and the penalty is free
     dm = scalar_model
     _, err_cov, _ = sr.steady_kalman(dm)
-    pol = sr.design_periodic(dm, [[1.0]], [[1.0]], 1)
+    pol = sr.design_periods(dm, [[1.0]], [[1.0]], [1])[1]
     tables = sr.build_tables(dm, [[1.0]], [[1.0]], pol.cost_matrix, 1, 1,
                              err_cov=err_cov)
     p_act = tables.p0[1, 0, 0]
@@ -324,7 +324,7 @@ def test_free_actuation_reduces_to_lqg(scalar_model):
             continue  # the gap vanishes exactly at the origin
         assert sr.select_pattern(tables, np.array([x]), 0.0) == 1 == tables.base
     # and the applied gain is the standard LQG feedback
-    assert abs(tables.gain(1, 0)[0, 0] - pol.feedback_gain[0, 0]) < 1e-10
+    assert abs(tables.path_gains(1)[0, 0, 0] - pol.feedback_gain[0, 0]) < 1e-10
 
 
 def _tree_layout(flat_gains, h):
@@ -346,7 +346,7 @@ def test_tree_matches_flat_recursion(benchmark_model, h, p, stacked):
     # value m; the tables take the stationary (n, n) covariance only, never a stack of h
     dm = benchmark_model
     _, err_cov, _ = sr.steady_kalman(dm)
-    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, p)
+    pol = sr.design_periods(dm, BENCH.q_weight, BENCH.r_weight, [p])[p]
     if stacked:
         stack = np.stack([err_cov * (1.0 + 0.1 * t) for t in range(h)])
         with pytest.raises(ValueError, match=r"\(n, n\) filter covariance"):
@@ -436,7 +436,7 @@ def test_in_place_tree_matches_out_of_place_build(benchmark_model, benchmark_ste
     dm = benchmark_model
     err_cov = benchmark_steady[1]
     q, r = np.asarray(BENCH.q_weight, dtype=float), np.atleast_2d(BENCH.r_weight)
-    terminal = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 1).cost_matrix
+    terminal = sr.design_periods(dm, BENCH.q_weight, BENCH.r_weight, [1])[1].cost_matrix
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, terminal, h, p, err_cov)
     costs, gains, quadratics = _out_of_place_tree(dm.a, dm.b, q, r, terminal, h)
     m_count = 2**h
@@ -454,7 +454,7 @@ def test_in_place_tree_matches_out_of_place_build(benchmark_model, benchmark_ste
 def test_memory_estimate_bounds_the_build_peak(benchmark_model, benchmark_steady, h):
     # rows = 0 leaves the tables and build terms; numpy reports its arrays to tracemalloc
     dm = benchmark_model
-    terminal = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 2).cost_matrix
+    terminal = sr.design_periods(dm, BENCH.q_weight, BENCH.r_weight, [2])[2].cost_matrix
     tracemalloc.start()
     try:
         sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, terminal, h, 2, benchmark_steady[1])
@@ -471,7 +471,7 @@ def test_pattern_index_out_of_range(benchmark_tables):
     _, _, err_cov, tables = benchmark_tables
     for m in (-1, 64):
         with pytest.raises(ValueError, match="out of range"):
-            tables.gain(m, 0)
+            tables.path_gains(m)
         with pytest.raises(ValueError, match="out of range"):
             sr.closed_loop_matrices(tables, m)
 
@@ -481,7 +481,7 @@ def test_deep_lookahead_tables_are_small(benchmark_model):
     # matrices of the whole tree
     dm = benchmark_model
     _, err_cov, _ = sr.steady_kalman(dm)
-    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 7)
+    pol = sr.design_periods(dm, BENCH.q_weight, BENCH.r_weight, [7])[7]
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, pol.cost_matrix,
                              14, 7, err_cov)
     arrays = [v for v in vars(tables).values() if isinstance(v, np.ndarray)]

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import yaml
 
 import sparseroll as sr
 from sparseroll import periodic, simulate
@@ -26,27 +27,55 @@ def bench_cfg(**kw):
     return sr.ExperimentConfig(**base)
 
 
-def rollout_policy(dm, theta=0.2, h=6, p=6, forced=None):
+def rollout_policy(dm, theta=0.2, h=6, p=6):
     _, err_cov, _ = sr.steady_kalman(dm)
-    base = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, p)
+    base = sr.design_periods(dm, BENCH.q_weight, BENCH.r_weight, [p])[p]
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, base.cost_matrix,
                              h, p, err_cov)
-    return sr.RolloutPolicy(tables=tables, theta=theta, forced_pattern=forced), base
+    return sr.RolloutPolicy(tables=tables, theta=theta), base
+
+
+def play_base_pattern(monkeypatch):
+    """Make every rollout block select the base pattern, which plays the base policy."""
+    monkeypatch.setattr(sr.rollout, "select_pattern",
+                        lambda tables, x_hat, theta: np.full(len(x_hat), tables.base))
 
 
 def test_same_seed_bit_identical(benchmark_model, benchmark_steady):
     cfg = bench_cfg()
     pol, _ = rollout_policy(benchmark_model)
-    t1 = sr.simulate_trial(cfg, benchmark_model, pol, 0, steady=benchmark_steady)
-    t2 = sr.simulate_trial(cfg, benchmark_model, pol, 0, steady=benchmark_steady)
+    t1, = sr.simulate_trials(cfg, benchmark_model, pol, [0], steady=benchmark_steady,
+                             keep_traces=True)
+    t2, = sr.simulate_trials(cfg, benchmark_model, pol, [0], steady=benchmark_steady,
+                             keep_traces=True)
     for field in ("states", "estimates", "inputs", "triggers", "outputs", "stage_costs"):
         assert np.array_equal(getattr(t1, field), getattr(t2, field))
+
+
+def test_deterministic_start(tmp_path):
+    # a zero initial covariance has no Cholesky factor: every trial starts at the mean exactly,
+    # and the rollout and periodic cells run
+    model = yaml.safe_load((CONFIGS / "scalar_model.yaml").read_text())
+    (tmp_path / "model.yaml").write_text(yaml.safe_dump({**model, "init_mean": [2.5],
+                                                         "init_cov": [[0.0]]}))
+    raw = yaml.safe_load((CONFIGS / "scalar.yaml").read_text())
+    raw["model"]["file"] = "model.yaml"
+    raw["sim"] = {"trials": 3, "horizon_steps": 30, "seed_base": 7}
+    (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(raw))
+    cfg = load_config(tmp_path / "cfg.yaml")
+    dm = cfg.build_model()
+    for trial in range(cfg.trials):
+        x0, _, _ = sr.noise_streams(dm, cfg.seed_base, trial, cfg.horizon_steps)
+        assert np.array_equal(x0, dm.init_mean)
+    cells = sr.theta_sweep(cfg)
+    assert [c.status for c in cells] == ["ok"] * 4
 
 
 def test_trigger_input_consistency(benchmark_model, benchmark_steady):
     cfg = bench_cfg(trials=1)
     pol, _ = rollout_policy(benchmark_model, theta=0.35)
-    trace = sr.simulate_trial(cfg, benchmark_model, pol, 1, steady=benchmark_steady)
+    trace, = sr.simulate_trials(cfg, benchmark_model, pol, [1], steady=benchmark_steady,
+                                keep_traces=True)
     idle = trace.triggers == 0
     assert np.all(trace.inputs[idle] == 0.0)
     assert np.all(trace.stage_costs >= 0.0)
@@ -56,10 +85,11 @@ def test_zero_noise_matches_linear_recursion(benchmark_model, benchmark_steady):
     # deterministic closed loop equals the matrix recursion with a perfect estimate
     dm = benchmark_model
     cfg = bench_cfg(methods=("periodic",), horizon_steps=120, trials=1)
-    pol = sr.design_periodic(dm, BENCH.q_weight, BENCH.r_weight, 1)
-    noise = (dm.init_mean.copy(), np.zeros((120, 4)), np.zeros((121, 2)))
-    trace = sr.simulate_trial(cfg, dm, PeriodicController(pol.feedback_gain, 1), 0,
-                              steady=benchmark_steady, noise=noise)
+    pol = sr.design_periods(dm, BENCH.q_weight, BENCH.r_weight, [1])[1]
+    # the stacked (x0, w, v) realization of the one trial key
+    noise = (dm.init_mean[None], np.zeros((120, 1, 4)), np.zeros((121, 1, 2)))
+    trace, = sr.simulate_trials(cfg, dm, PeriodicController(pol.feedback_gain, 1), [0],
+                                steady=benchmark_steady, noise=noise, keep_traces=True)
     closed_loop = dm.a + dm.b @ pol.feedback_gain
     x = dm.init_mean.copy()
     for k in range(120):
@@ -70,10 +100,10 @@ def test_zero_noise_matches_linear_recursion(benchmark_model, benchmark_steady):
 
 def test_metrics_periodic_rate_exact(benchmark_model, benchmark_steady):
     cfg = bench_cfg(methods=("periodic",), trials=2)
-    pol = sr.design_periodic(benchmark_model, BENCH.q_weight, BENCH.r_weight, 3)
+    pol = sr.design_periods(benchmark_model, BENCH.q_weight, BENCH.r_weight, [3])[3]
     traces = [
-        sr.simulate_trial(cfg, benchmark_model, PeriodicController(pol.feedback_gain, 3), t,
-                          steady=benchmark_steady)
+        sr.simulate_trials(cfg, benchmark_model, PeriodicController(pol.feedback_gain, 3), [t],
+                           steady=benchmark_steady, keep_traces=True)[0]
         for t in range(2)
     ]
     metrics = sr.estimate_metrics(traces, theta=0.2)
@@ -88,10 +118,10 @@ def test_metrics_single_step_cost(benchmark_model, benchmark_steady):
 
     class NullController:
         def decide(self, x_hat, k):
-            return np.zeros(1), 0
+            return np.zeros((len(x_hat), 1)), 0
 
-    trace = sr.simulate_trial(cfg, benchmark_model, NullController(), 0,
-                              steady=benchmark_steady)
+    trace, = sr.simulate_trials(cfg, benchmark_model, NullController(), [0],
+                                steady=benchmark_steady, keep_traces=True)
     metrics = sr.estimate_metrics([trace], theta=0.0)
     x0 = trace.states[0]
     assert abs(metrics.avg_control_cost - x0 @ BENCH.q_weight @ x0) < 1e-12
@@ -100,10 +130,11 @@ def test_metrics_single_step_cost(benchmark_model, benchmark_steady):
 def test_common_random_numbers_across_methods(benchmark_model, benchmark_steady):
     cfg = bench_cfg(trials=1)
     pol, base = rollout_policy(benchmark_model)
-    t_ro = sr.simulate_trial(cfg, benchmark_model, pol, 4, steady=benchmark_steady)
-    t_pe = sr.simulate_trial(cfg, benchmark_model,
-                             PeriodicController(base.feedback_gain, 6), 4,
-                             steady=benchmark_steady)
+    t_ro, = sr.simulate_trials(cfg, benchmark_model, pol, [4], steady=benchmark_steady,
+                               keep_traces=True)
+    t_pe, = sr.simulate_trials(cfg, benchmark_model,
+                               PeriodicController(base.feedback_gain, 6), [4],
+                               steady=benchmark_steady, keep_traces=True)
     assert np.array_equal(t_ro.states[0], t_pe.states[0])
     assert np.array_equal(t_ro.outputs[0], t_pe.outputs[0])
     x0a, wa, va = sr.noise_streams(benchmark_model, cfg.seed_base, 4, cfg.horizon_steps)
@@ -111,28 +142,32 @@ def test_common_random_numbers_across_methods(benchmark_model, benchmark_steady)
     assert np.array_equal(wa, wb) and np.array_equal(va, vb) and np.array_equal(x0a, x0b)
 
 
-def test_forced_base_pattern_equals_periodic(benchmark_model, benchmark_steady):
+def test_forced_base_pattern_equals_periodic(benchmark_model, benchmark_steady, monkeypatch):
     cfg = bench_cfg(trials=1)
-    pol, base = rollout_policy(benchmark_model, forced=0b100000)  # the base pattern
-    assert pol.tables.base == pol.forced_pattern
-    t_ro = sr.simulate_trial(cfg, benchmark_model, pol, 2, steady=benchmark_steady)
-    t_pe = sr.simulate_trial(cfg, benchmark_model,
-                             PeriodicController(base.feedback_gain, 6), 2,
-                             steady=benchmark_steady)
+    pol, base = rollout_policy(benchmark_model)
+    assert pol.tables.base == 0b100000  # the base pattern
+    play_base_pattern(monkeypatch)
+    t_ro, = sr.simulate_trials(cfg, benchmark_model, pol, [2], steady=benchmark_steady,
+                               keep_traces=True)
+    t_pe, = sr.simulate_trials(cfg, benchmark_model,
+                               PeriodicController(base.feedback_gain, 6), [2],
+                               steady=benchmark_steady, keep_traces=True)
     assert np.array_equal(t_ro.triggers, t_pe.triggers)
     scale = max(1.0, np.abs(t_pe.states).max())
     assert np.abs(t_ro.states - t_pe.states).max() < 1e-9 * scale
     assert np.abs(t_ro.inputs - t_pe.inputs).max() < 1e-9
 
 
-def test_check_performance_bound_forced_base(benchmark_model, benchmark_steady):
+def test_check_performance_bound_forced_base(benchmark_model, benchmark_steady, monkeypatch):
     cfg = bench_cfg(trials=5)
-    pol, base = rollout_policy(benchmark_model, forced=0b100000)  # the base pattern
-    ro = [sr.simulate_trial(cfg, benchmark_model, pol, t, steady=benchmark_steady)
+    pol, base = rollout_policy(benchmark_model)
+    play_base_pattern(monkeypatch)
+    ro = [sr.simulate_trials(cfg, benchmark_model, pol, [t], steady=benchmark_steady,
+                             keep_traces=True)[0]
           for t in range(5)]
-    pe = [sr.simulate_trial(cfg, benchmark_model,
-                            PeriodicController(base.feedback_gain, 6), t,
-                            steady=benchmark_steady)
+    pe = [sr.simulate_trials(cfg, benchmark_model,
+                             PeriodicController(base.feedback_gain, 6), [t],
+                             steady=benchmark_steady, keep_traces=True)[0]
           for t in range(5)]
     m_ro = sr.estimate_metrics(ro, 0.2)
     m_pe = sr.estimate_metrics(pe, 0.2)
@@ -147,7 +182,7 @@ def test_check_performance_bound_scalar_monte_carlo(scalar_model):
     steady = sr.steady_kalman(dm)
     _, err_cov, _ = steady
     h, p, theta, trials, n_steps = 4, 2, 0.3, 200, 200
-    base = sr.design_periodic(dm, [[1.0]], [[1.0]], p)
+    base = sr.design_periods(dm, [[1.0]], [[1.0]], [p])[p]
     tables = sr.build_tables(dm, [[1.0]], [[1.0]], base.cost_matrix, h, p, err_cov)
     cfg = sr.ExperimentConfig(horizon_steps=n_steps, trials=trials, seed_base=55,
                               q_weight=[[1.0]], r_weight=[[1.0]],
@@ -155,9 +190,9 @@ def test_check_performance_bound_scalar_monte_carlo(scalar_model):
     ro_traces, pe_traces = [], []
     for t in range(trials):
         pol = sr.RolloutPolicy(tables=tables, theta=theta)
-        ro_traces.append(sr.simulate_trial(cfg, dm, pol, t, steady=steady))
-        pe_traces.append(sr.simulate_trial(
-            cfg, dm, PeriodicController(base.feedback_gain, p), t, steady=steady))
+        ro_traces += sr.simulate_trials(cfg, dm, pol, [t], steady=steady, keep_traces=True)
+        pe_traces += sr.simulate_trials(cfg, dm, PeriodicController(base.feedback_gain, p), [t],
+                                        steady=steady, keep_traces=True)
     holds, margin = sr.check_performance_bound(sr.estimate_metrics(ro_traces, theta),
                                       sr.estimate_metrics(pe_traces, theta), h)
     assert holds, f"margin {margin:.4f}"
@@ -166,7 +201,8 @@ def test_check_performance_bound_scalar_monte_carlo(scalar_model):
 def test_rollout_runs_in_blocks(benchmark_model, benchmark_steady):
     cfg = bench_cfg(trials=1)
     pol, _ = rollout_policy(benchmark_model)
-    trace = sr.simulate_trial(cfg, benchmark_model, pol, 0, steady=benchmark_steady)
+    trace, = sr.simulate_trials(cfg, benchmark_model, pol, [0], steady=benchmark_steady,
+                                keep_traces=True)
     assert trace.states.shape == (600, 4)
     # within every 6-step block the triggers follow a single pattern
     bits = trace.triggers.reshape(100, 6)
@@ -182,14 +218,15 @@ def test_mean_square_stability_controls():
 
     class Null:
         def decide(self, x_hat, k):
-            return np.zeros(1), 0
+            return np.zeros((len(x_hat), 1)), 0
 
     for dm, expect in ((stable, True), (unstable, False)):
         cfg = sr.ExperimentConfig(horizon_steps=600, trials=8, seed_base=31,
                                   q_weight=[[1.0]], r_weight=[[1.0]],
                                   methods=("periodic",))
         with np.errstate(over="ignore"):
-            traces = [sr.simulate_trial(cfg, dm, Null(), t) for t in range(8)]
+            traces = [sr.simulate_trials(cfg, dm, Null(), [t], keep_traces=True)[0]
+                      for t in range(8)]
         bounded, report = sr.check_mean_square_stability(traces, window_len=50)
         assert bounded is expect, report
 
@@ -200,12 +237,12 @@ def test_nonfinite_state_aborts():
 
     class Null:
         def decide(self, x_hat, k):
-            return np.zeros(1), 0
+            return np.zeros((len(x_hat), 1)), 0
 
     cfg = sr.ExperimentConfig(horizon_steps=600, trials=1, seed_base=2,
                               q_weight=[[1.0]], r_weight=[[1.0]], methods=("periodic",))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-        sr.simulate_trial(cfg, dm, Null(), 0)
+        sr.simulate_trials(cfg, dm, Null(), [0], keep_traces=True)
 
 
 def test_theta_sweep_isolates_cell_failures():
@@ -286,7 +323,7 @@ def test_design_stack_keeps_each_equation_solo_bits(name):
                                                cfg.r_weight)).cost_matrix
     assert designed["sparse_mpc"][0].terminal_weight.tobytes() == terminal.tobytes()
     for p, pol in [*designed["periodic"].items(), (cfg.p, designed["rollout"][0])]:
-        alone = sr.design_periodic(dm, cfg.q_weight, cfg.r_weight, p)
+        alone = sr.design_periods(dm, cfg.q_weight, cfg.r_weight, [p])[p]
         assert pol.cost_matrix.tobytes() == alone.cost_matrix.tobytes(), p
         assert pol.feedback_gain.tobytes() == alone.feedback_gain.tobytes(), p
 
@@ -508,7 +545,8 @@ def test_single_trial_is_the_batch_of_one(benchmark_model, benchmark_steady):
                               keep_traces=True)
     lean = sr.simulate_trials(cfg, benchmark_model, pol, [3, 7, 9], steady=benchmark_steady)
     for row, trial in enumerate((3, 7, 9)):
-        alone = sr.simulate_trial(cfg, benchmark_model, pol, trial, steady=benchmark_steady)
+        alone, = sr.simulate_trials(cfg, benchmark_model, pol, [trial], steady=benchmark_steady,
+                                    keep_traces=True)
         for name in ("states", "estimates", "inputs", "triggers", "outputs", "stage_costs"):
             assert np.array_equal(getattr(alone, name), getattr(kept[row], name)), name
         assert np.array_equal(alone.stage_costs, lean[row].stage_costs)
@@ -541,7 +579,7 @@ def _reference_deciders(method, dm, theta, mpc_problem):
     """Per-trial decision functions built straight from the design routines."""
     q_w, r_w = BENCH.q_weight, BENCH.r_weight
     if method == "periodic":
-        gain = sr.design_periodic(dm, q_w, r_w, 3).feedback_gain
+        gain = sr.design_periods(dm, q_w, r_w, [3])[3].feedback_gain
 
         def make():
             return lambda xhat, k: ((gain @ xhat, 1) if k % 3 == 0 else (np.zeros(1), 0))
@@ -558,7 +596,7 @@ def _reference_deciders(method, dm, theta, mpc_problem):
                     chosen["m"] = sr.select_pattern(pol.tables, xhat, theta)
                 m, tau = chosen["m"], k % 6
                 if pol.tables.bits[m, tau]:
-                    return pol.tables.gain(m, tau) @ xhat, 1
+                    return pol.tables.path_gains(m)[tau] @ xhat, 1
                 return np.zeros(1), 0
 
             return decide
@@ -638,7 +676,8 @@ def test_batched_engine_matches_per_trial_reference(benchmark_model, mpc_problem
 def test_stability_report_contents(benchmark_model, benchmark_steady):
     cfg = bench_cfg(trials=3)
     pol, _ = rollout_policy(benchmark_model, theta=0.2)
-    traces = [sr.simulate_trial(cfg, benchmark_model, pol, t, steady=benchmark_steady)
+    traces = [sr.simulate_trials(cfg, benchmark_model, pol, [t], steady=benchmark_steady,
+                                 keep_traces=True)[0]
               for t in range(3)]
     bounded, report = sr.check_mean_square_stability(traces, window_len=50)
     assert bounded

@@ -43,19 +43,17 @@ def _kkt(prob, z, x, theta):
 
 
 def test_block_soft_threshold_examples():
-    assert np.array_equal(sr.block_soft_threshold([3.0, 4.0], 5.0), np.zeros(2))
-    assert np.allclose(sr.block_soft_threshold([3.0, 4.0], 2.5), [1.5, 2.0])
-    assert np.array_equal(sr.block_soft_threshold(np.zeros(3), 7.0), np.zeros(3))
-    shrunk = sr.block_soft_threshold([3.0, 4.0], 6.0)
+    assert np.array_equal(_shrink(np.array([3.0, 4.0]), 5.0), np.zeros(2))
+    assert np.allclose(_shrink(np.array([3.0, 4.0]), 2.5), [1.5, 2.0])
+    assert np.array_equal(_shrink(np.zeros(3), 7.0), np.zeros(3))
+    shrunk = _shrink(np.array([3.0, 4.0]), 6.0)
     assert shrunk.dtype == float and np.all(shrunk == 0.0)
-    with pytest.raises(ValueError):
-        sr.block_soft_threshold([1.0], -0.1)
 
     # a (2, 3, 2) batch shrinks each last-axis block on its own
     v = np.array([[[3.0, 4.0], [0.3, 0.4], [0.0, 0.0]],
                   [[-6.0, 8.0], [1.2, -1.6], [0.0, 5.0]]])
     kappa = 1.0
-    out = sr.block_soft_threshold(v, kappa)
+    out = _shrink(v, kappa)
     assert out.shape == v.shape
     for block, got in zip(v.reshape(-1, 2), out.reshape(-1, 2)):
         norm = float(np.linalg.norm(block))
@@ -64,7 +62,7 @@ def test_block_soft_threshold_examples():
         else:
             assert np.allclose(got, (1.0 - kappa / norm) * block, rtol=1e-15, atol=0.0)
     assert np.array_equal(out[0, 1], np.zeros(2)) and np.array_equal(out[0, 2], np.zeros(2))
-    assert np.array_equal(sr.block_soft_threshold(v, 0.0), v)
+    assert np.array_equal(_shrink(v, 0.0), v)
 
 
 def test_terminal_weight_defaults_to_cost_to_go(benchmark_model, bench_problem):
@@ -364,8 +362,6 @@ def test_shrink_matches_masked_form_on_edge_blocks(q, rng):
             got = _shrink(v, kappa)
             assert got.tobytes() == _masked_shrink(v, kappa).tobytes()
             assert np.isnan(got[:2, 7]).all() or np.isinf(kappa)
-            if np.ndim(kappa) == 0:
-                assert sr.block_soft_threshold(v, kappa).tobytes() == got.tobytes()
 
 
 def test_admm_rejects_negative_theta(bench_problem):
@@ -441,7 +437,7 @@ def test_closed_loop_actuation_rate_interior(benchmark_model, bench_problem):
                               methods=("sparse_mpc",))
     controller = SparseMpcController(bench_problem, THETA, admm_factor(bench_problem, 1.0),
                                      1e-8, 10_000)
-    trace = sr.simulate_trial(cfg, benchmark_model, controller, 0)
+    trace, = sr.simulate_trials(cfg, benchmark_model, controller, [0], keep_traces=True)
     rate = trace.actuation_rate
     assert 0.0 < rate < 1.0
     # trigger/input consistency on the recorded trace
