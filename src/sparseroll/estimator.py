@@ -1,21 +1,21 @@
 """Stationary Kalman filtering: steady-state design and per-step estimate updates.
 
-The steady gain solves the predictive covariance fixed point
+The predictive covariance solves the filter Riccati equation
 
-    X = A X A' + W - A X C' (C X C' + V)^{-1} C X A'
+    X = A X A' + W - A X C' (C X C' + V)^{-1} C X A',
 
-by direct iteration of the covariance recursion.  The filter runs at this
-gain from the first measurement on, so its error covariance is the
-stationary Sigma at every step (Anderson & Moore, *Optimal Filtering*,
-1979, ch. 4); a model's ``init_cov`` enters only as the distribution of
-x0 and as the start of the iteration.
+the control equation of the dual problem (A', C', W, 0, V), so
+:func:`~sparseroll.riccati.solve_dares` solves it, started from the model's
+``init_cov``.  The filter runs at this gain from the first measurement on, so
+its error covariance is the stationary Sigma at every step (Anderson & Moore,
+*Optimal Filtering*, 1979, ch. 4); ``init_cov`` enters only as the
+distribution of x0 and as the start of the iteration.
 """
 
 import numpy as np
 
-from .exceptions import NonConvergenceError, NonFiniteError
 from .plant import DiscreteModel
-from .riccati import symmetrize
+from .riccati import RiccatiProblem, solve_dares, symmetrize
 
 
 def row_product(x, m):
@@ -27,41 +27,19 @@ def row_product(x, m):
     return np.einsum("...j,ij->...i", x, m)
 
 
-def _filter_step_cov(a, c, w, v, x):
-    """Map a predictive covariance through one measurement/time update."""
-    innov = c @ x @ c.T + v
-    gain_t = np.linalg.solve(innov, c @ x)           # (m, n) = innov^{-1} C X
-    post = symmetrize(x - x @ c.T @ gain_t)
-    nxt = symmetrize(a @ post @ a.T + w)
-    return nxt, post, gain_t.T
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a diverging covariance fails at its overflow
-def steady_kalman(dm: DiscreteModel, tol: float = 1e-12, max_iter: int = 200_000):
+def steady_kalman(dm: DiscreteModel):
     """Stationary Kalman gain with its posterior and predictive covariances.
 
-    Returns (gain, err_cov, prior_cov).  Requires (A, proc_cov^{1/2}) controllable and (A, C)
-    observable for convergence; a covariance whose norm is not finite raises NonFiniteError.
+    Returns (gain, err_cov, prior_cov): the dual Riccati solution X at ``tol=1e-12`` and the
+    measurement update at X.  Raises the error of :func:`~sparseroll.riccati.solve_dares`.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    a, c, w, v = dm.a, dm.c, dm.proc_cov, dm.meas_cov
-    x = dm.init_cov.copy()
-    for it in range(1, max_iter + 1):
-        x_next, post, gain = _filter_step_cov(a, c, w, v, x)
-        if not np.isfinite(norm := np.linalg.norm(x_next, "fro")):
-            raise NonFiniteError(f"filter covariance norm is inf/nan at iteration {it}")
-        rel = np.linalg.norm(x_next - x, "fro") / max(1.0, norm)
-        x = x_next
-        if rel < tol:
-            # one more half-step so gain/posterior correspond to the fixed point
-            _, post, gain = _filter_step_cov(a, c, w, v, x)
-            return gain, post, x
-    raise NonConvergenceError(
-        f"filter covariance iteration did not converge in {max_iter} iterations",
-        residual=float(rel),
-        iterations=max_iter,
-    )
+    dual = RiccatiProblem(dm.a.T, dm.c.T, dm.proc_cov, np.zeros(dm.c.T.shape), dm.meas_cov)
+    (sol,) = solve_dares([dual], tol=1e-12, max_iter=200_000, start=dm.init_cov[None])
+    if isinstance(sol, Exception):
+        raise sol
+    x, c = sol.cost_matrix, dm.c
+    gain_t = np.linalg.solve(c @ x @ c.T + dm.meas_cov, c @ x)  # (m, n) = innov^{-1} C X
+    return gain_t.T, symmetrize(x - x @ c.T @ gain_t), x
 
 
 def kalman_init(dm: DiscreteModel, y0, gain):

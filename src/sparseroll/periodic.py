@@ -12,7 +12,8 @@ import numpy as np
 
 from .exceptions import AssumptionViolatedError, NonFiniteError
 from .plant import DiscreteModel, LiftedSystem, build_lifted
-from .riccati import RiccatiProblem, solve_dares, symmetrize, uncontrollable_mode
+from .riccati import (RiccatiProblem, range_basis, solve_dares, symmetrize,
+                      uncontrollable_mode)
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,9 @@ def design_periods(dm: DiscreteModel, q_weight, r_weight, periods) -> dict:
     it has alone; a failed period maps to its error.  The period-1 equation is (A, B, Q, 0, R).
     """
     stabilizable = uncontrollable_mode(dm.a, dm.b) is None
-    # (A, Q^1/2) and (A, Q) share their unobservable modes, as Q^1/2 and Q share a null space
-    observable = uncontrollable_mode(dm.a.T, q_weight, unstable_only=False) is None
+    # (A, Q^1/2) and (A, Q) share their unobservable modes, as Q^1/2 and Q share a null space;
+    # tested on Q's range, the rank floor does not grow with the scale of Q
+    observable = uncontrollable_mode(dm.a.T, range_basis(q_weight), unstable_only=False) is None
     designs = {}
     for p in sorted(set(int(p) for p in periods)):
         if not stabilizable:

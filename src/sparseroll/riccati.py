@@ -5,8 +5,9 @@ Every design here solves the cross-weighted equation
     P = Q + A'PA - (A'PB + S)(B'PB + R)^{-1} (B'PA + S'),
 
 with Q >= 0 and R > 0.  One :func:`solve_dares` stack solves all of a design's
-equations.  One rank test, :func:`uncontrollable_mode`, checks the structural
-assumptions that gate every design built on this module.
+equations; the Kalman filter's is the dual problem (A', C', W, 0, V).  One rank
+test, :func:`uncontrollable_mode`, checks the structural assumptions that gate
+every design built on this module.
 
 All functions are pure; returned matrices are freshly allocated.
 """
@@ -153,14 +154,14 @@ def riccati_residual(prob: RiccatiProblem, p: np.ndarray) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverging row fails alone, at its overflow
-def solve_dares(problems, tol: float = 1e-10, max_iter: int = 100_000) -> list:
+def solve_dares(problems, tol: float = 1e-10, max_iter: int = 100_000, start=None) -> list:
     """Solve same-shaped Riccati equations in lockstep by fixed-point iteration.
 
-    Iterates the map on the stack from P = state_weight, symmetrizing each step, until a
-    problem's relative Frobenius update falls below ``tol``.  A problem leaves at its
-    convergence or failure, so its iterates, count and error are the ones it has alone.
-    Returns its :class:`RiccatiSolution` or error (a :class:`NonFiniteError` at the first
-    iterate whose norm is not finite).  :func:`riccati_residual` checks a solution.
+    Iterates the map on the stack from P = ``start`` (K, n, n; default: the state weights),
+    symmetrizing each step, until a problem's relative Frobenius update falls below ``tol``.
+    A problem leaves at its convergence or failure, so its iterates, count and error are the
+    ones it has alone.  Returns its :class:`RiccatiSolution` or error (a :class:`NonFiniteError`
+    at the first iterate whose norm is not finite).  :func:`riccati_residual` checks a solution.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -168,7 +169,7 @@ def solve_dares(problems, tol: float = 1e-10, max_iter: int = 100_000) -> list:
     if not problems:
         return results
     stack = _stack(problems)
-    p = stack[2]
+    p = stack[2] if start is None else np.asarray(start, dtype=float)
     rows = list(range(len(problems)))  # the problem of each stacked row
     it = 0
     while rows:
@@ -202,6 +203,14 @@ def solve_dare(prob: RiccatiProblem, tol: float = 1e-10, max_iter: int = 100_000
     if isinstance(result, Exception):
         raise result
     return result
+
+
+def range_basis(m) -> np.ndarray:
+    """Orthonormal (n, r) basis of the range of a symmetric PSD m: the eigenvectors of eigenvalue
+    above n eps lambda_max.  The PBH test of (a', basis) finds the unobservable modes of (a, m)
+    at the scale of a alone, however m is scaled."""
+    lam, vec = np.linalg.eigh(_as_matrix(m))
+    return vec[:, lam > len(lam) * np.finfo(float).eps * lam.max(initial=0.0)]
 
 
 def uncontrollable_mode(a: np.ndarray, b: np.ndarray, unstable_only: bool = True):

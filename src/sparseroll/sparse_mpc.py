@@ -136,8 +136,7 @@ def kkt_residuals(prob: MpcProblem, u: np.ndarray, f: np.ndarray, theta) -> np.n
                     np.maximum(_row_norms(grad) - theta[..., 0], 0.0)).max(axis=1)
 
 
-def solve_admm(prob: MpcProblem, estimates, theta, warm, factor, tol: float,
-               max_iter: int, on_iterate=None):
+def solve_admm(prob: MpcProblem, estimates, theta, warm, factor, tol: float, max_iter: int):
     """Solve the instances at the estimates (T, n) in lockstep by over-relaxed scaled ADMM.
 
     ``theta`` is a scalar or (T,).  ``warm`` is the (z, w) pair of (T, H q)
@@ -146,7 +145,6 @@ def solve_admm(prob: MpcProblem, estimates, theta, warm, factor, tol: float,
     frozen and leaves the batch at the first iteration where its primal and
     dual residuals are below ``tol`` and its subgradient residual is at most
     ``tol``, so a row's iterates and count do not depend on the other rows.
-    ``on_iterate(z, f)`` sees the active rows after every iteration.
 
     Returns (z, w, iterations): the solutions (T, H q), whose zero blocks
     are exact zeros from the proximal step, the scaled duals and the
@@ -180,8 +178,6 @@ def solve_admm(prob: MpcProblem, estimates, theta, warm, factor, tol: float,
         z_old, z = z, _shrink(v.reshape(blocks), kappa).reshape(len(rows), dim)
         w = v - z  # the bits of w + relaxed u - z, as addition commutes
         primal_res = _row_norms(u - z)
-        if on_iterate is not None:
-            on_iterate(z, f)
         done = primal_res < tol
         if not np.count_nonzero(done):
             continue

@@ -364,29 +364,30 @@ def test_verify_one_sweep_serves_bound_and_stability(monkeypatch):
 def count_design_calls(monkeypatch):
     """Count model builds and the designs' building blocks; build_lifted by period.
 
-    ``solve_dares`` is counted where the designs call it, outside :mod:`sparseroll.riccati`:
-    ``solve_dare``, the batch of one that the ``scalar_dare`` check solves, is not a design.
+    ``solve_dares`` is counted by the module that calls it, outside :mod:`sparseroll.riccati`
+    (``solve_dare``, the batch of one that the ``scalar_dare`` check solves, is not a design):
+    ``("solve_dares", "periodic")`` is a design stack and ``("solve_dares", "estimator")`` a
+    one-problem stack of the filter's dual equation.
     """
     counts = Counter()
 
-    def counted(key, original):
+    def counted(key, original, module):
         def wrapper(*args, **kwargs):
-            counts[key(args)] += 1
+            counts[key(args, module.__name__.rpartition(".")[2])] += 1
             return original(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(ExperimentConfig, "build_model",
-                        counted(lambda a: "build_model", ExperimentConfig.build_model))
+    monkeypatch.setattr(ExperimentConfig, "build_model", counted(
+        lambda a, m: "build_model", ExperimentConfig.build_model, sr.config))
     modules = [m for name, m in sys.modules.items() if name.startswith("sparseroll")]
-    for name, key in (("build_lifted", lambda a: ("build_lifted", a[3])),
-                      ("build_tables", lambda a: "build_tables"),
-                      ("build_mpc_problem", lambda a: "build_mpc_problem"),
-                      ("solve_dares", lambda a: "solve_dares")):
+    for name, key in (("build_lifted", lambda a, m: ("build_lifted", a[3])),
+                      ("build_tables", lambda a, m: "build_tables"),
+                      ("build_mpc_problem", lambda a, m: "build_mpc_problem"),
+                      ("solve_dares", lambda a, m: ("solve_dares", m))):
         original = getattr(sr.riccati if name == "solve_dares" else sr, name)
-        wrapper = counted(key, original)
         for module in modules:
             if vars(module).get(name) is original and module is not sr.riccati:
-                monkeypatch.setattr(module, name, wrapper)
+                monkeypatch.setattr(module, name, counted(key, original, module))
     return counts
 
 
@@ -403,19 +404,25 @@ def test_each_command_designs_once(tmp_path, monkeypatch, capsys):
         return cli.main([command, "--config", str(config), "--out", str(tmp_path), *flags])
 
     # verify makes one model and one design of all three methods, shared by every check; one
-    # Riccati stack holds every candidate period, the rollout base and the MPC terminal
+    # Riccati stack holds every candidate period, the rollout base and the MPC terminal.  The
+    # filter's dual equation is solved by the builtin model (its init_cov), the design and the
+    # scalar_kalman check
+    design_stack = {("solve_dares", "periodic"): 1}
     run("verify", BENCHMARK_CONFIG, "--trials", "2")
     assert counts == {"build_model": 1, "build_tables": 1, "build_mpc_problem": 1,
-                      "solve_dares": 1, **{("build_lifted", p): 1 for p in (1, 2, 3, 6)}}
+                      **design_stack, ("solve_dares", "estimator"): 3,
+                      **{("build_lifted", p): 1 for p in (1, 2, 3, 6)}}
     # the rollout base of period p = 1 is the candidate design; the negative control builds
-    # its own tables
+    # its own tables; a model from a file solves no filter equation
     run("verify", SCALAR_CONFIG, "--trials", "4", "--corrupt-terminal")
     assert counts == {"build_model": 1, "build_tables": 2, "build_mpc_problem": 1,
-                      "solve_dares": 1, **{("build_lifted", p): 1 for p in (1, 2, 3)}}
+                      **design_stack, ("solve_dares", "estimator"): 2,
+                      **{("build_lifted", p): 1 for p in (1, 2, 3)}}
     # a rollout base off the candidates is lifted once and solved in the candidates' stack
     for command in ("design", "sweep"):
         assert run(command, path) == 0
-        assert counts == {"build_model": 1, "build_tables": 1, "solve_dares": 1,
+        assert counts == {"build_model": 1, "build_tables": 1, **design_stack,
+                          ("solve_dares", "estimator"): 2,
                           **{("build_lifted", p): 1 for p in (1, 2, 6)}}, command
 
 

@@ -1,6 +1,7 @@
 import math
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ import yaml
 
 import sparseroll as sr
 from sparseroll import cli
-from sparseroll.exceptions import NonFiniteError
+from sparseroll.config import load_config
+from sparseroll.exceptions import IllConditionedError, NonFiniteError
+from sparseroll.riccati import riccati_residual
 
 BENCH = sr.ExperimentConfig()  # the benchmark study
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
@@ -160,10 +164,32 @@ def test_filter_is_deterministic_function_of_records(benchmark_model, benchmark_
     assert np.array_equal(run(), run())
 
 
-def test_steady_kalman_rejects_iteration_cap_below_one(scalar_model):
-    for max_iter in (0, -1):
-        with pytest.raises(ValueError, match="max_iter must be >= 1"):
-            sr.steady_kalman(scalar_model, max_iter=max_iter)
+@pytest.mark.parametrize("config", ["benchmark.yaml", "scalar.yaml"])
+def test_steady_prior_matches_scipy_dual_dare(config):
+    # the filter's prior solves the DARE of the dual problem (A', C', W, 0, V)
+    from scipy.linalg import solve_discrete_are
+
+    dm = load_config(CONFIGS / config).build_model()
+    gain, err_cov, prior = sr.steady_kalman(dm)
+    exact = solve_discrete_are(dm.a.T, dm.c.T, dm.proc_cov, dm.meas_cov)
+    assert np.allclose(prior, exact, rtol=1e-8, atol=0.0)
+    dual = sr.RiccatiProblem(dm.a.T, dm.c.T, dm.proc_cov, np.zeros(dm.c.T.shape), dm.meas_cov)
+    assert riccati_residual(dual, prior) <= 1e-10
+    # the gain and posterior are one measurement update at the prior
+    innov = dm.c @ prior @ dm.c.T + dm.meas_cov
+    assert np.allclose(gain, prior @ dm.c.T @ np.linalg.inv(innov), rtol=1e-10, atol=1e-14)
+    assert np.allclose(err_cov, prior - gain @ dm.c @ prior, rtol=1e-10, atol=1e-14)
+
+
+def test_ill_conditioned_innovation_covariance_fails_typed():
+    # the second output is almost noise-free and its state unexcited, so C X C' + V tends to
+    # diag(1.13, 1e-13): condition 1.7e13, above COND_LIMIT
+    dm = sr.DiscreteModel(a=0.5 * np.eye(2), b=[[1.0], [0.0]], c=np.eye(2),
+                          proc_cov=np.diag([1.0, 0.0]), meas_cov=np.diag([1.0, 1e-13]),
+                          init_mean=[0.0, 0.0], init_cov=np.eye(2))
+    with pytest.raises(IllConditionedError, match=r"^inner inverse condition number 1\.700e\+13 "
+                                                  r"exceeds 1\.0e\+12$"):
+        sr.steady_kalman(dm)
 
 
 def test_diverging_filter_covariance_fails_at_its_first_nonfinite_iterate(tmp_path, capsys):
@@ -182,7 +208,7 @@ def test_diverging_filter_covariance_fails_at_its_first_nonfinite_iterate(tmp_pa
         "sim": {"trials": 2, "horizon_steps": 10, "seed_base": 1}}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteError, match=r"^filter covariance norm is inf/nan at "
+        with pytest.raises(NonFiniteError, match=r"^Riccati iterate norm is inf/nan at "
                                                  r"iteration 437$"):
             sr.steady_kalman(dm)
         # the same model from a file: (A, C) is not detectable, so `design` rejects it at load

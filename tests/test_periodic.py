@@ -66,6 +66,31 @@ def test_unstabilizable_pair_fails_every_period():
         assert str(designs[p]) == "(A, B) must be stabilizable"
 
 
+def test_observability_gate_holds_at_every_scale_of_q(benchmark_model, monkeypatch):
+    # the PBH test runs on an orthonormal basis of Q's range, so a positive definite Q passes
+    # however it is scaled and a Q blind to a mode fails however it is scaled.  The stub stands
+    # in for the fixed point, which takes seconds at condition 1e10
+    stacks = []
+    monkeypatch.setattr(sr.periodic, "solve_dares", lambda problems: stacks.append(
+        len(problems)) or [ValueError("not solved")] * len(problems))
+    r = BENCH.r_weight
+    for s in (1.0, 1e6, 1e10, 1e12, 1e200):
+        for q in (np.diag([s, 1.0, 1.0, 1.0]), s * np.diag([1.0, 0.0, 0.0, 0.0])):
+            designs = design_periods(benchmark_model, q, r, [1, 2])
+            assert [str(d) for d in designs.values()] == ["not solved"] * 2, s
+    blind = sr.DiscreteModel(a=np.diag([1.2, 0.5, 1.0]), b=[[1.0], [1.0], [1.0]], c=np.eye(3),
+                             proc_cov=np.eye(3), meas_cov=np.eye(3),
+                             init_mean=np.zeros(3), init_cov=np.eye(3))
+    for s in (1.0, 1e10, 1e200):
+        designs = design_periods(blind, np.diag([s, 0.0, 1.0]), [[1.0]], [1, 2])
+        assert all(isinstance(d, AssumptionViolatedError) for d in designs.values())
+        assert {str(d) for d in designs.values()} == {"(A, Q^{1/2}) must be observable"}
+    # an eigenvalue counts in the range above 3 eps lambda_max: 1e-3 next to 1e10 does
+    for s in (1.0, 1e10):
+        assert str(design_periods(blind, np.diag([s, 1e-3, 1.0]), [[1.0]], [1])[1]) == "not solved"
+    assert stacks == [2] * 10 + [0] * 3 + [1] * 2
+
+
 # Block spectra of the drawn models: real modes, and rotations at angles some period aliases
 REAL_MODES = [-1.0, -0.5, 0.3, 0.9, 1.0, 1.2]
 ROTATIONS = [(w, r) for w in (np.pi / 2, 2 * np.pi / 3, 2 * np.pi / 5, 1.0)

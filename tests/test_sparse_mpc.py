@@ -30,11 +30,11 @@ def _cold(prob, rows):
     return zeros, zeros
 
 
-def _solve(prob, x, theta, tol=1e-8, rho=1.0, warm=None, max_iter=10_000, on_iterate=None):
+def _solve(prob, x, theta, tol=1e-8, rho=1.0, warm=None, max_iter=10_000):
     """One instance as the batch of one: (z, w, iterations) of its row."""
     warm = _cold(prob, 1) if warm is None else tuple(v[None] for v in warm)
     z, w, iters = solve_admm(prob, np.asarray(x, dtype=float)[None], theta, warm,
-                             admm_factor(prob, rho), tol, max_iter, on_iterate)
+                             admm_factor(prob, rho), tol, max_iter)
     return z[0], w[0], int(iters[0])
 
 
@@ -144,13 +144,16 @@ def test_objective_matches_proximal_gradient_reference(benchmark_model, mpc_prob
 
 
 def test_objective_monotone_after_burn_in(bench_problem, rng):
+    # the objective along the reference loop's iterates, which are solve_admm's to the byte
+    # (test_admm_matches_reference_loop_bit_for_bit)
     prob = bench_problem
     for _ in range(5):
         x = rng.standard_normal(4) * rng.uniform(0.5, 2.0)
         objs = []
-        _, _, iters = _solve(prob, x, THETA, on_iterate=lambda z, f: objs.append(
-            mpc_objective(prob, z[0], f[0], THETA)))
-        assert len(objs) == iters
+        _, _, iters = _reference_admm(prob, x[None], THETA, _cold(prob, 1), admm_factor(prob, 1.0),
+                                      1e-8, 10_000, lambda z, f: objs.append(
+                                          mpc_objective(prob, z[0], f[0], THETA)))
+        assert len(objs) == iters[0] == _solve(prob, x, THETA)[2]
         objs = np.asarray(objs)
         burn = min(100, len(objs) // 2)
         increases = np.diff(objs[burn:])
@@ -280,27 +283,20 @@ def _reference_admm(prob, estimates, theta, warm, factor, tol, max_iter, on_iter
     return z_out, w_out, iterations
 
 
-def _recorder(log):
-    return lambda z, f: log.append(z.tobytes() + f.tobytes())
-
-
 def test_admm_matches_reference_loop_bit_for_bit(bench_problem, rng):
-    # the iterates, counts and on_iterate views of every row equal the reference loop's bytes
+    # the solutions, duals and counts of every row equal the reference loop's bytes
     factor = admm_factor(bench_problem, 1.0)
     estimates = rng.standard_normal((6, 4)) * np.array([[0.0], [0.05], [0.5], [1.0], [2.0], [4.0]])
     for theta in (np.array([0.0, 0.02, 0.2, 0.0, 0.4, 1.0]), THETA):
         warm = _cold(bench_problem, 6)
         for _ in range(3):
             # a cold start, then two shifted warm starts, as in the controller
-            seen, expected = [], []
-            z, w, iters = solve_admm(bench_problem, estimates, theta, warm, factor, 1e-8,
-                                     10_000, _recorder(seen))
+            z, w, iters = solve_admm(bench_problem, estimates, theta, warm, factor, 1e-8, 10_000)
             z0, w0, iters0 = _reference_admm(bench_problem, estimates, theta, warm, factor,
-                                             1e-8, 10_000, _recorder(expected))
+                                             1e-8, 10_000)
             assert len(set(iters.tolist())) > 1
             assert iters.tobytes() == iters0.tobytes()
             assert z.tobytes() == z0.tobytes() and w.tobytes() == w0.tobytes()
-            assert seen == expected
             warm = tuple(_shifted(v, bench_problem.group_size) for v in (z, w))
         estimates = estimates * 0.9
 
@@ -337,11 +333,10 @@ def test_admm_nonconvergence_reports_the_named_row(bench_problem):
 
 
 def test_admm_empty_batch(bench_problem):
-    seen = []
     z, w, iters = solve_admm(bench_problem, np.zeros((0, 4)), THETA, _cold(bench_problem, 0),
-                             admm_factor(bench_problem, 1.0), 1e-8, 50, _recorder(seen))
+                             admm_factor(bench_problem, 1.0), 1e-8, 50)
     dim = bench_problem.horizon * bench_problem.group_size
-    assert z.shape == w.shape == (0, dim) and iters.shape == (0,) and not seen
+    assert z.shape == w.shape == (0, dim) and iters.shape == (0,)
 
 
 @pytest.mark.parametrize("q", [1, 2])
