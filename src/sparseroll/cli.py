@@ -1,7 +1,7 @@
 """Command-line surface: design reports, trade-off sweeps, verification, plot data.
 
-Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
-failure, 4 sweep with no successful cell, 5 verification failure.
+Exit codes: 0 success, 2 configuration/validation failure or unusable input or output
+file, 3 numerical failure, 4 sweep with no successful cell, 5 verification failure.
 All outputs are deterministic for a fixed configuration and seed.
 """
 
@@ -149,17 +149,16 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, corrupt_terminal: bool = Fa
 
 
 def cmd_plotdata(sweep_csv: str, out_dir: Path) -> int:
-    path = Path(sweep_csv)
-    if not path.exists():
-        sys.stderr.write(f"sweep file not found: {path}\n")
+    try:
+        with open(sweep_csv, newline="") as fh:
+            reader = csv.DictReader(fh)
+            header, rows = reader.fieldnames, list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        sys.stderr.write(f"cannot read sweep file: {exc}\n")
         return 2
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = TRADEOFF_HEADER.split(",")
-        if reader.fieldnames != expected:
-            sys.stderr.write("sweep file has an unexpected header\n")
-            return 2
-        rows = list(reader)
+    if header != TRADEOFF_HEADER.split(","):
+        sys.stderr.write("sweep file has an unexpected header\n")
+        return 2
     if not rows:
         sys.stderr.write("sweep file has no data rows\n")
         return 2
@@ -228,6 +227,9 @@ def main(argv=None) -> int:
     except SparseRollError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
+    except OSError as exc:  # inputs fail where they are read: this is an output directory or file
+        sys.stderr.write(f"cannot write output: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

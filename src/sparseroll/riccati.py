@@ -131,8 +131,9 @@ def _riccati_map(stack: tuple, p: np.ndarray):
     a, b, q, s, r = stack
     btp = b.transpose(0, 2, 1) @ p
     denom = btp @ b + r
-    try:
-        cond = np.linalg.cond(denom).tolist() if denom.shape[-1] else [1.0] * len(p)
+    try:  # an empty or a finite nonzero 1x1 matrix has condition number 1.0 (|d|/|d|): no SVD
+        trivial = denom.shape[-1] <= 1 and np.isfinite(denom).all() and denom.all()
+        cond = [1.0] * len(p) if trivial else np.linalg.cond(denom).tolist()
     except np.linalg.LinAlgError:  # the SVD of a NaN matrix fails the whole stack
         cond = [np.linalg.cond(d) if np.isfinite(d).all() else np.nan for d in denom]
     errors = [None if c <= COND_LIMIT else IllConditionedError(

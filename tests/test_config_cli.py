@@ -16,7 +16,7 @@ import yaml
 
 import sparseroll as sr
 import sparseroll.cli as cli
-from sparseroll import simulate, verify
+from sparseroll import config, simulate, verify
 from sparseroll.config import ExperimentConfig, load_config, parse_config
 from sparseroll.exceptions import AssumptionViolatedError, ConfigError
 
@@ -24,6 +24,7 @@ REPO = Path(__file__).resolve().parents[1]
 BENCHMARK_CONFIG = REPO / "configs" / "benchmark.yaml"
 SCALAR_CONFIG = REPO / "configs" / "scalar.yaml"
 WORKLOADS = sorted((REPO / "perfbench" / "workloads").glob("*.yaml"))
+SCALAR_MODEL = REPO / "configs" / "scalar_model.yaml"
 
 
 def small_config_dict(**overrides):
@@ -132,10 +133,35 @@ def _theta_without_grid():
     return parse_config(raw)
 
 
+@pytest.mark.parametrize("loader", [config.YAML_LOADER, yaml.SafeLoader], ids=["default", "pure"])
+def test_yaml_loader_reads_the_shipped_files_as_safe_load(tmp_path, monkeypatch, loader):
+    # libyaml's loader where PyYAML has it, or the pure-Python loader it falls back to, gives
+    # every shipped config the safe_load config, the model its arrays, and bad YAML its error
+    assert config.YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    monkeypatch.setattr(config, "YAML_LOADER", loader)
+    for path in sorted((REPO / "configs").glob("*.yaml")) + WORKLOADS:
+        if path != SCALAR_MODEL:
+            expected = parse_config(yaml.safe_load(path.read_text()), source_path=str(path))
+            assert load_config(path).canonical_dict() == expected.canonical_dict(), path
+    model = load_config(SCALAR_CONFIG).build_model()
+    expected = sr.DiscreteModel(**yaml.safe_load(SCALAR_MODEL.read_text()))
+    for f in fields(sr.DiscreteModel):
+        got, want = getattr(model, f.name), getattr(expected, f.name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), f.name
+    with pytest.raises(ConfigError, match="^cannot parse config"):
+        _write_and_load(tmp_path, "theta: [0.1, 0.2\n")
+
+
 def _write_and_load(tmp_path, text):
     path = tmp_path / "cfg.yaml"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     return load_config(path)
+
+
+def _model_file_config(tmp_path, text):
+    (tmp_path / "model.yaml").write_text(text)
+    return parse_config(small_config_dict(
+        model={"source": "matrices-from-file", "file": str(tmp_path / "model.yaml")}))
 
 
 # each remaining ConfigError branch of the schema: how to reach it, and its message prefix
@@ -177,6 +203,9 @@ CONFIG_ERRORS = {
     "unreadable-file": (lambda tmp: load_config(tmp / "missing.yaml"), "cannot read config"),
     "invalid-yaml": (lambda tmp: _write_and_load(tmp, "theta: [0.1, 0.2\n"),
                      "cannot parse config"),
+    "config-not-utf8": (lambda tmp: _write_and_load(tmp, b"\xff\xfe"), "cannot parse config"),
+    "invalid-model-yaml": (lambda tmp: _model_file_config(tmp, "a: [1.0\n").build_model(),
+                           "model file "),
     "builtin-construction": (
         lambda tmp: parse_config(small_config_dict(model={"sample_period": 1e300})).build_model(),
         "model construction failed: "),
@@ -637,6 +666,32 @@ def test_cmd_plotdata_rejects_empty(tmp_path):
     missing_header = tmp_path / "bad.csv"
     missing_header.write_text("foo,bar\n1,2\n")
     assert cli.main(["plotdata", str(missing_header), "--out", str(tmp_path)]) == 2
+
+
+def test_unusable_input_or_output_is_exit_2_with_one_line(tmp_path, capsys):
+    # a sweep file that cannot be read or parsed, an --out below a file, or an output name a
+    # directory holds, ends in exit 2 and one line on stderr, not a traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    sweep = tmp_path / "tradeoff.csv"
+    sweep.write_text(cli.TRADEOFF_HEADER + "\n0.1,periodic,1.0,0.5,1.05,0.1,0.01,2,7\n")
+    huge_field = tmp_path / "huge.csv"
+    huge_field.write_text(cli.TRADEOFF_HEADER + "\n" + "9" * 200_000 + "\n")
+    taken = tmp_path / "taken"
+    for name in ("design_report.txt", "fig_tradeoff.csv"):
+        (taken / name).mkdir(parents=True)
+    cases = [(["plotdata", str(path), "--out", str(tmp_path)], "cannot read sweep file: ")
+             for path in (tmp_path / "missing.csv", tmp_path, huge_field)]
+    cases += [(argv, "cannot write output: ") for argv in (
+        ["design", "--config", str(SCALAR_CONFIG), "--out", str(blocker / "sub")],
+        ["plotdata", str(sweep), "--out", str(blocker / "x")],
+        ["design", "--config", str(SCALAR_CONFIG), "--out", str(taken)],
+        ["plotdata", str(sweep), "--out", str(taken)])]
+    for argv, prefix in cases:
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1, err
 
 
 def test_cmd_verify_scalar_and_negative_control(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import sparseroll as sr
 from sparseroll.exceptions import IllConditionedError, NonConvergenceError, NonFiniteError
-from sparseroll.riccati import COND_LIMIT, riccati_residual, solve_dares
+from sparseroll.riccati import COND_LIMIT, _riccati_map, _stack, riccati_residual, solve_dares
 
 BENCH = sr.ExperimentConfig()  # the benchmark study
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -385,3 +385,42 @@ def test_lockstep_rejects_mismatched_shapes_and_iteration_caps(rng):
             sr.solve_dare(scalar_problem(), max_iter=max_iter)
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
             solve_dares([scalar_problem()], max_iter=max_iter)
+
+
+def test_degenerate_scalar_inner_matrices_end_as_with_the_svd():
+    # a 1x1 inner matrix d = B'PB + R skips the SVD only when it is finite and nonzero; every
+    # other d keeps the condition number np.linalg.cond gives it, and its error message
+    overflow = _outcome(sr.solve_dare, scalar_problem(b=1e200))  # d = +inf
+    assert overflow == (IllConditionedError,
+                        "inner inverse condition number inf exceeds 1.0e+12", None, None)
+    subnormal = scalar_problem(a=0.5, b=0.0, r=1e-320)  # d = 1e-320 at every iterate
+    solved = _outcome(sr.solve_dare, subnormal)
+    assert solved == _outcome(_reference_dare, subnormal) and solved[-1] == 17
+    stack = _stack([scalar_problem()])
+    for p, cond in ((-1.0, "inf"), (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "inf")):
+        p_next, gain, (error,) = _riccati_map(stack, np.array([[[p]]]))  # d = p + 1
+        assert p_next is None and gain is None and type(error) is IllConditionedError
+        assert str(error) == f"inner inverse condition number {cond} exceeds 1.0e+12"
+
+
+class SvdReached(Exception):
+    pass
+
+
+def test_scalar_inner_matrices_skip_the_svd(monkeypatch, benchmark_model):
+    # the single-input benchmark designs every period without an SVD, with the bits of the
+    # one-problem loop that takes each condition number; the two-output filter still takes it
+    dm, periods = benchmark_model, (1, 2, 3, 6)
+    reference = [_outcome(_reference_dare, sr.RiccatiProblem(
+        lift.a_lift, lift.b_lift, lift.q_lift, lift.s_lift, lift.r_lift))
+        for lift in (sr.build_lifted(dm, BENCH.q_weight, BENCH.r_weight, p) for p in periods)]
+
+    def no_svd(*args, **kwargs):
+        raise SvdReached
+    monkeypatch.setattr(np.linalg, "cond", no_svd)
+    designs = sr.design_periods(dm, BENCH.q_weight, BENCH.r_weight, periods)
+    assert [(pol.cost_matrix.tobytes(), pol.feedback_gain.tobytes())
+            for pol in designs.values()] == [outcome[:2] for outcome in reference]
+    assert dm.c.shape[0] == 2
+    with pytest.raises(SvdReached):
+        sr.steady_kalman(dm)
