@@ -30,6 +30,8 @@ PERTRIAL_HEADER = "theta,method,trial,control_cost,actuation_rate,total_cost,see
 FAILURES_HEADER = "theta,method,status"
 FIG_TRADEOFF_HEADER = "method,theta,avg_actuation_rate,avg_control_cost"
 FIG_THETA_HEADER = "theta,method,avg_control_cost,stderr_cost,avg_actuation_rate,stderr_rate"
+OUTPUTS = {"design": ("design_report.txt",), "verify": ("verify_report.json",),
+           "sweep": ("tradeoff.csv", "pertrial.csv", "failures.csv")}  # by configured command
 
 
 def _fmt(x) -> str:
@@ -214,13 +216,16 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         cfg = _apply_overrides(cfg, args)
         out_dir = _resolve_outdir(args, cfg)
+        for path in (out_dir / name for name in OUTPUTS[args.command]):  # fail before the work
+            made = not path.exists()
+            open(path, "a").close()  # "a" keeps an existing file's bytes
+            if made:
+                path.unlink()
         if args.command == "design":
             return cmd_design(cfg, out_dir)
         if args.command == "sweep":
             return cmd_sweep(cfg, out_dir)
-        if args.command == "verify":
-            return cmd_verify(cfg, out_dir, corrupt_terminal=args.corrupt_terminal)
-        raise AssertionError(f"unhandled command {args.command}")
+        return cmd_verify(cfg, out_dir, corrupt_terminal=args.corrupt_terminal)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

@@ -5,8 +5,8 @@ cost, theta grid, per-method parameters, trial counts, seeds), and its
 defaults are the benchmark study.  It validates itself on construction, so
 ``dataclasses.replace`` and the CLI overrides are checked like a loaded
 file, and :meth:`ExperimentConfig.build_model` adds the checks that need the
-model (dimensions, stabilizability of each lifted pair a method reads and
-detectability), so runs fail before any design work.  :func:`parse_config`
+model (dimensions, the structural assumptions of each period a method reads and
+detectability), so runs fail before any Riccati iteration.  :func:`parse_config`
 rejects keys outside the schema and reads the YAML sections over the defaults.
 """
 
@@ -19,7 +19,8 @@ import numpy as np
 import yaml
 
 from .estimator import steady_kalman
-from .exceptions import ConfigError, NonFiniteError
+from .exceptions import ConfigError
+from .periodic import assumption_errors
 from .plant import DiscreteModel, build_benchmark_model, discretize
 from .riccati import min_eigenvalue, require_psd, require_symmetric, uncontrollable_mode
 from .rollout import memory_estimate
@@ -161,6 +162,7 @@ class ExperimentConfig:
         try:
             require_symmetric(self.q_weight, "cost.q")
             require_psd(self.q_weight, "cost.q", 1e-10)
+            require_symmetric(self.r_weight, "cost.r")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if min_eigenvalue(self.r_weight) <= 0.0:
@@ -192,42 +194,32 @@ class ExperimentConfig:
         return {"periodic": self.candidates, "rollout": (self.p,), "sparse_mpc": (1,)}
 
     def build_model(self) -> DiscreteModel:
-        """The config's model, checked against the config: dimensions, stabilizable lifted pairs
-        (A^p, A^(p-1) B) at the periods of :attr:`method_periods` and detectable (A, C)."""
+        """The config's model, checked before any Riccati iteration: dimensions, the
+        :func:`~sparseroll.periodic.assumption_errors` of the periods in :attr:`method_periods`
+        and detectable (A, C); a builtin model then takes the filter fixed point as ``init_cov``."""
         try:
             dm = self._model()
+            for key, m, n in (("q", self.q_weight, dm.n_states), ("r", self.r_weight, dm.n_inputs)):
+                if m.shape != (n, n):
+                    raise ConfigError(f"cost.{key} must be {n}x{n} for this model")
+            periods = set().union(*self.method_periods.values())  # verify designs every method
+            for error in filter(None, assumption_errors(dm, self.q_weight, periods).values()):
+                raise ConfigError(str(error))
+            mode = uncontrollable_mode(dm.a.T, dm.c.T)
+            if mode is not None:
+                raise ConfigError(f"(A, C) must be detectable: mode {mode:.6g} is unobservable")
+            if self.model_source == "builtin-benchmark":
+                mean = (1.0, -1.0, 0.0, 0.0) if self.init_mean is None else self.init_mean
+                dm = dm.with_init(np.array(mean), steady_kalman(dm)[2])
         except ConfigError:
             raise
         except Exception as exc:
             raise ConfigError(f"model construction failed: {exc}") from exc
-        n = dm.n_states
-        if self.q_weight.shape != (n, n):
-            raise ConfigError(f"cost.q must be {n}x{n} for this model")
-        if self.r_weight.shape != (dm.n_inputs, dm.n_inputs):
-            raise ConfigError(f"cost.r must be {dm.n_inputs}x{dm.n_inputs} for this model")
-        periods = set().union(*self.method_periods.values())  # verify designs every method
-        with np.errstate(over="ignore", invalid="ignore"):
-            for p in sorted(periods):
-                try:
-                    mode = uncontrollable_mode(np.linalg.matrix_power(dm.a, p),
-                                               np.linalg.matrix_power(dm.a, p - 1) @ dm.b)
-                except NonFiniteError:
-                    raise ConfigError(f"lifting by period p={p} overflows") from None
-                if mode is not None:
-                    raise ConfigError(("(A, B) must be stabilizable" if p == 1 else
-                                       f"pathological sampling at period p={p}")
-                                      + f": mode {mode:.6g} of A^{p} is uncontrollable")
-        mode = uncontrollable_mode(dm.a.T, dm.c.T)
-        if mode is not None:
-            raise ConfigError(f"(A, C) must be detectable: mode {mode:.6g} is unobservable")
         return dm
 
     def _model(self) -> DiscreteModel:
         if self.model_source == "builtin-benchmark":
-            dm = discretize(build_benchmark_model(), self.sample_period)
-            _, _, prior_cov = steady_kalman(dm)
-            mean = (1.0, -1.0, 0.0, 0.0) if self.init_mean is None else self.init_mean
-            return dm.with_init(np.array(mean), prior_cov)
+            return discretize(build_benchmark_model(), self.sample_period)
         base = Path(self.model_file)
         if not base.is_absolute() and self.source_path:
             base = Path(self.source_path).parent / base

@@ -40,32 +40,41 @@ def periodic_average_cost(pol: PeriodicPolicy, err_cov, theta: float) -> float:
     return (noise_term + gain_term + lift.d_avg) / p + theta / p
 
 
-def design_periods(dm: DiscreteModel, q_weight, r_weight, periods) -> dict:
-    """``{p: PeriodicPolicy or error}`` over the distinct ``periods``, in ascending p.
-
-    Checks (A, B) once, each lifted pair, then (A, Q^1/2) with :func:`uncontrollable_mode`,
-    and solves the lifted equations in one :func:`solve_dares`, each with the bits and failure
-    it has alone; a failed period maps to its error.  The period-1 equation is (A, B, Q, 0, R).
-    """
-    stabilizable = uncontrollable_mode(dm.a, dm.b) is None
+@np.errstate(over="ignore", invalid="ignore")  # a lift that overflows is an error, not a warning
+def assumption_errors(dm: DiscreteModel, q_weight, periods) -> dict:
+    """``{p: error or None}`` over the distinct ``periods``, in ascending p, by the PBH test
+    (:func:`uncontrollable_mode`): (A, B) stabilizable (else every period fails), each lifted pair
+    (A^p, A^(p-1) B) stabilizable (a lift that overflows is a :class:`NonFiniteError`) and
+    (A, Q^1/2) observable.  Config loading and :func:`design_periods` both gate on it."""
+    periods = sorted(set(int(p) for p in periods))
+    mode = uncontrollable_mode(dm.a, dm.b)
+    if mode is not None:
+        return dict.fromkeys(periods, AssumptionViolatedError(
+            f"(A, B) must be stabilizable: mode {mode:.6g} of A^1 is uncontrollable"))
     # (A, Q^1/2) and (A, Q) share their unobservable modes, as Q^1/2 and Q share a null space;
     # tested on Q's range, the rank floor does not grow with the scale of Q
-    observable = uncontrollable_mode(dm.a.T, range_basis(q_weight), unstable_only=False) is None
-    designs = {}
-    for p in sorted(set(int(p) for p in periods)):
-        if not stabilizable:
-            designs[p] = AssumptionViolatedError("(A, B) must be stabilizable")
-            continue
-        lift = designs[p] = build_lifted(dm, q_weight, r_weight, p)
+    mode = uncontrollable_mode(dm.a.T, range_basis(q_weight), unstable_only=False)
+    errors = dict.fromkeys(periods, None if mode is None else AssumptionViolatedError(
+        f"(A, Q^{{1/2}}) must be observable: mode {mode:.6g} is unobservable"))
+    for p in (p for p in periods if p > 1):  # the period-1 pair is (A, B)
         try:
-            if uncontrollable_mode(lift.a_lift, lift.b_lift) is not None:
-                designs[p] = AssumptionViolatedError(
-                    f"pathological sampling: lifting by p={p} breaks stabilizability")
-            elif not observable:
-                designs[p] = AssumptionViolatedError("(A, Q^{1/2}) must be observable")
-        except NonFiniteError as exc:
-            designs[p] = exc
-    lifts = {p: lift for p, lift in designs.items() if isinstance(lift, LiftedSystem)}
+            mode = uncontrollable_mode(np.linalg.matrix_power(dm.a, p),
+                                       np.linalg.matrix_power(dm.a, p - 1) @ dm.b)
+            if mode is not None:
+                errors[p] = AssumptionViolatedError(f"pathological sampling at period p={p}: "
+                                                    f"mode {mode:.6g} of A^{p} is uncontrollable")
+        except NonFiniteError:
+            errors[p] = NonFiniteError(f"lifting by period p={p} overflows")
+    return errors
+
+
+def design_periods(dm: DiscreteModel, q_weight, r_weight, periods) -> dict:
+    """``{p: PeriodicPolicy or error}`` over the distinct ``periods``, in ascending p: each period
+    that passes :func:`assumption_errors` is lifted and solved in one :func:`solve_dares`, with the
+    bits and failure it has alone.  The period-1 equation is (A, B, Q, 0, R)."""
+    designs = assumption_errors(dm, q_weight, periods)
+    lifts = {p: build_lifted(dm, q_weight, r_weight, p)
+             for p, error in designs.items() if error is None}
     solutions = solve_dares([RiccatiProblem(lift.a_lift, lift.b_lift, lift.q_lift, lift.s_lift,
                                             lift.r_lift) for lift in lifts.values()])
     for (p, lift), sol in zip(lifts.items(), solutions):

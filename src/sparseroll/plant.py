@@ -18,11 +18,9 @@ from .riccati import min_eigenvalue, require_psd, require_symmetric, symmetrize
 # Relative agreement required between e^{M t} and (e^{M t/2})^2.
 _EXPM_SELFCHECK_TOL = 1e-8
 
-# Pade degree m -> largest ||M||_1 at which the backward error of the degree-m
-# approximant of e^M is within the unit roundoff (Higham, SIAM J. Matrix Anal. Appl.
-# 26, 2005, Table 2.3).
-_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
-               9: 2.097847961257068, 13: 5.371920351148152}
+# Largest ||M||_1 at which the backward error of the degree-13 diagonal Pade approximant of
+# e^M is within the unit roundoff (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, Table 2.3).
+_PADE_THETA = 5.371920351148152
 
 
 def _mat(x) -> np.ndarray:
@@ -138,32 +136,27 @@ class LiftedSystem:
 
 
 def _expm(m: np.ndarray) -> np.ndarray:
-    """e^M by scaling and squaring with a diagonal Pade approximant (Higham 2005).
+    """e^M by scaling and squaring with the degree-13 diagonal Pade approximant (Higham 2005).
 
-    The lowest degree whose theta bounds ||M||_1; past theta_13, degree 13 on
-    M / 2^s, squared s times.  The numerator is even + odd and the denominator
-    even - odd, from the coefficients (2m - k)! / (k! (m - k)!) of x^k.
+    The approximant of M / 2^s, with ||M / 2^s||_1 <= theta_13, squared s times.  Its numerator
+    is even + odd and its denominator even - odd, x^k weighted by (26 - k)! / (k! (13 - k)!).
     """
     norm = float(np.abs(m).sum(axis=0).max())
-    m_deg = next((d for d in (3, 5, 7, 9) if norm <= _PADE_THETA[d]), 13)
+    if norm == 0.0:  # exactly I, where the solve below leaves 1 - 2^-53 on the diagonal
+        return np.eye(len(m))
     # frexp's exponent is the least s with norm / 2^s < theta_13 (one more at an exact
     # power of two); it is 0 for inf and nan, which leave a non-finite result
-    s = max(0, math.frexp(norm / _PADE_THETA[13])[1]) if m_deg == 13 else 0
+    s = max(0, math.frexp(norm / _PADE_THETA)[1])
     x = m / 2.0**s
-    b = [float(math.factorial(2 * m_deg - k) // (math.factorial(k) * math.factorial(m_deg - k)))
-         for k in range(m_deg + 1)]
+    b = [float(math.factorial(26 - k) // (math.factorial(k) * math.factorial(13 - k)))
+         for k in range(14)]
     eye, x2 = np.eye(len(x)), x @ x
-    if m_deg == 13:  # Higham's evaluation in x^2, x^4, x^6: six products in all
-        x4 = x2 @ x2
-        x6 = x4 @ x2
-        odd = x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2) + b[7] * x6 + b[5] * x4 + b[3] * x2
-        even = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2
-        odd, even = odd + b[1] * eye, even + b[0] * eye
-    else:  # Horner in x^2
-        odd, even = b[m_deg] * eye, b[m_deg - 1] * eye
-        for k in range(m_deg - 2, 0, -2):
-            odd, even = odd @ x2 + b[k] * eye, even @ x2 + b[k - 1] * eye
-    odd = x @ odd
+    x4 = x2 @ x2  # Higham's evaluation in x^2, x^4, x^6: six products in all
+    x6 = x4 @ x2
+    odd = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2) + b[7] * x6 + b[5] * x4 + b[3] * x2
+               + b[1] * eye)
+    even = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2
+            + b[0] * eye)
     e = np.linalg.solve(even - odd, even + odd)
     for _ in range(s):
         e = e @ e

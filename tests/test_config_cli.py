@@ -694,6 +694,25 @@ def test_unusable_input_or_output_is_exit_2_with_one_line(tmp_path, capsys):
         assert err.startswith(prefix) and err.count("\n") == 1, err
 
 
+def test_unusable_output_fails_before_the_work(tmp_path, monkeypatch, capsys):
+    # every output is opened for appending before the sweep or the checks run, so an output a
+    # directory holds fails at once, and an output that exists keeps its bytes until written
+    def never(*args, **kwargs):
+        raise AssertionError("the work ran before the outputs were probed")
+
+    monkeypatch.setattr(cli, "theta_sweep", never)
+    monkeypatch.setattr(cli, "run_verification", never)
+    for command, taken in (("sweep", "pertrial.csv"), ("verify", "verify_report.json")):
+        out = tmp_path / command
+        (out / taken).mkdir(parents=True)
+        (out / "tradeoff.csv").write_text("earlier run\n")
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(SCALAR_CONFIG), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: ") and err.count("\n") == 1, err
+        assert (out / "tradeoff.csv").read_text() == "earlier run\n"
+
+
 def test_cmd_verify_scalar_and_negative_control(tmp_path):
     out = tmp_path / "out"
     code = cli.main(["verify", "--config", str(SCALAR_CONFIG), "--out", str(out),
@@ -725,11 +744,12 @@ def test_cmd_sweep_all_cells_failing_exit4(tmp_path):
     assert "error" in lines[1]
 
 
-def test_cmd_design_numeric_failure_exit3(tmp_path):
-    # state-weight pair unobservable on an unstable mode: design must fail
+def two_input_config(tmp_path, r):
+    """A config file of the periodic method on a stable 2-state model whose second input
+    reaches nothing, with input weight ``r``."""
     model = {
-        "a": [[0.5, 0.0], [0.0, 2.0]],
-        "b": [[1.0], [1.0]],
+        "a": [[0.5, 0.0], [0.0, 0.5]],
+        "b": [[1.0, 0.0], [0.0, 0.0]],
         "c": [[1.0, 0.0], [0.0, 1.0]],
         "proc_cov": [[1.0, 0.0], [0.0, 1.0]],
         "meas_cov": [[1.0, 0.0], [0.0, 1.0]],
@@ -738,15 +758,68 @@ def test_cmd_design_numeric_failure_exit3(tmp_path):
     }
     model_path = tmp_path / "model.yaml"
     model_path.write_text(yaml.safe_dump(model))
-    raw = small_config_dict(
+    return write_config(tmp_path, small_config_dict(
         model={"source": "matrices-from-file", "file": str(model_path)},
-        cost={"q": [[1.0, 0.0], [0.0, 0.0]], "r": [[1.0]]},
+        cost={"q": [[1.0, 0.0], [0.0, 1.0]], "r": r},
         methods=["periodic"],
         periodic={"candidates": [1]},
+        rollout={"h": 2, "p": 1},
         sim={"trials": 1, "horizon_steps": 30, "seed_base": 3},
-    )
-    path = write_config(tmp_path, raw)
+    ))
+
+
+def test_cmd_design_numeric_failure_exit3(tmp_path, capsys):
+    # the model passes every load check; the period-1 design's inner matrix B'PB + R is
+    # diag(P11 + 1, 1e-13), whose condition number is past the limit: design must fail
+    path = two_input_config(tmp_path, [[1.0, 0.0], [0.0, 1e-13]])
     assert cli.main(["design", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: inner inverse condition number 2.000e+13 exceeds 1.0e+12\n")
+
+
+def test_non_symmetric_cost_r_is_a_config_error(tmp_path, capsys):
+    # a non-symmetric R used to pass min_eigenvalue, which symmetrizes, and end in a
+    # ValueError traceback from the lift
+    r = [[1.0, 0.5], [0.0, 1.0]]
+    with pytest.raises(ConfigError, match="^cost.r must be symmetric$"):
+        ExperimentConfig(r_weight=r)
+    path = two_input_config(tmp_path, r)
+    for command in ("design", "sweep", "verify"):
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: cost.r must be symmetric\n", command
+
+
+BLIND_Q = {"zero": np.zeros((4, 4)),
+           "relative-position": np.pad([[1.0, -1.0], [-1.0, 1.0]], ((0, 2), (0, 2)))}
+
+
+@pytest.mark.parametrize("q", BLIND_Q.values(), ids=BLIND_Q.keys())
+def test_blind_state_weight_is_rejected_before_any_riccati_iteration(tmp_path, monkeypatch,
+                                                                      capsys, q):
+    # a Q blind to a mode of the benchmark (the centre of mass drifts unseen when Q weighs only
+    # the spring) used to load and then fail every design; now every command exits 2 at load
+    path = write_config(tmp_path, small_config_dict(cost={"q": q.tolist()}))
+    counts = count_design_calls(monkeypatch)
+    for command in ("design", "sweep", "verify"):
+        counts.clear()
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: (A, Q^{1/2}) must be observable: mode ")
+        assert err.endswith(" is unobservable\n") and err.count("\n") == 1, err
+        assert counts == {"build_model": 1}, command
+        assert not any((tmp_path / "o").iterdir()), command  # the output probe made no file
+
+
+def test_mis_sampled_builtin_model_is_rejected_before_the_filter_solve():
+    # at these sample periods the benchmark's oscillation aliases onto the rigid-body mode or
+    # onto -1; the PBH test names the mode before the filter's fixed point could stall
+    for ts in (0.5, 1.0, 2.0, 10.0, 100.0, 1000.0):
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=r"^\(A, B\) must be stabilizable: mode "):
+            ExperimentConfig(sample_period=ts).build_model()
+        assert time.perf_counter() - start < 0.5, ts
 
 
 def test_config_rejects_pathological_candidates(tmp_path, monkeypatch, capsys):

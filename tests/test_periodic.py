@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparseroll as sr
-from sparseroll.exceptions import AssumptionViolatedError, IllConditionedError
+from sparseroll.exceptions import (AssumptionViolatedError, ConfigError, IllConditionedError,
+                                  NonFiniteError)
 from sparseroll.periodic import design_periods, period_policies
+from sparseroll.riccati import symmetrize
 
 BENCH = sr.ExperimentConfig()  # the benchmark study
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -43,7 +46,7 @@ def test_design_rejects_pathological_period():
                           init_mean=np.zeros(2), init_cov=np.eye(2))
     design = sr.design_periods(dm, np.eye(2), [[1.0]], [2])[2]
     assert isinstance(design, AssumptionViolatedError)
-    assert str(design) == "pathological sampling: lifting by p=2 breaks stabilizability"
+    assert str(design) == "pathological sampling at period p=2: mode 1 of A^2 is uncontrollable"
 
 
 def test_stable_modes_that_alias_do_not_stop_a_design():
@@ -63,7 +66,7 @@ def test_unstabilizable_pair_fails_every_period():
     designs = design_periods(dm, np.eye(2), [[1.0]], [1, 2])
     for p in (1, 2):
         assert isinstance(designs[p], AssumptionViolatedError)
-        assert str(designs[p]) == "(A, B) must be stabilizable"
+        assert str(designs[p]) == "(A, B) must be stabilizable: mode 1.5 of A^1 is uncontrollable"
 
 
 def test_observability_gate_holds_at_every_scale_of_q(benchmark_model, monkeypatch):
@@ -84,7 +87,8 @@ def test_observability_gate_holds_at_every_scale_of_q(benchmark_model, monkeypat
     for s in (1.0, 1e10, 1e200):
         designs = design_periods(blind, np.diag([s, 0.0, 1.0]), [[1.0]], [1, 2])
         assert all(isinstance(d, AssumptionViolatedError) for d in designs.values())
-        assert {str(d) for d in designs.values()} == {"(A, Q^{1/2}) must be observable"}
+        assert {str(d) for d in designs.values()} == {
+            "(A, Q^{1/2}) must be observable: mode 0.5 is unobservable"}
     # an eigenvalue counts in the range above 3 eps lambda_max: 1e-3 next to 1e10 does
     for s in (1.0, 1e10):
         assert str(design_periods(blind, np.diag([s, 1e-3, 1.0]), [[1.0]], [1])[1]) == "not solved"
@@ -97,11 +101,14 @@ ROTATIONS = [(w, r) for w in (np.pi / 2, 2 * np.pi / 3, 2 * np.pi / 5, 1.0)
              for r in (0.8, 1.0, 1.1)]
 
 
-@settings(max_examples=50, deadline=None)
-@given(blocks=st.lists(st.one_of(st.sampled_from(REAL_MODES), st.sampled_from(ROTATIONS)),
-                       min_size=1, max_size=2),
-       n_inputs=st.integers(1, 2), p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
-def test_a_lifted_pair_that_passes_the_rank_test_designs(blocks, n_inputs, p, seed):
+DRAWN_MODEL = dict(
+    blocks=st.lists(st.one_of(st.sampled_from(REAL_MODES), st.sampled_from(ROTATIONS)),
+                    min_size=1, max_size=2),
+    n_inputs=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+
+
+def drawn_model(blocks, n_inputs, seed):
+    """A model whose A is similar to the drawn block diagonal, with a random B; and the rng."""
     rng = np.random.Generator(np.random.Philox(seed))
     parts = [np.array([[mode]]) if np.isscalar(mode) else
              mode[1] * np.array([[np.cos(mode[0]), -np.sin(mode[0])],
@@ -116,13 +123,56 @@ def test_a_lifted_pair_that_passes_the_rank_test_designs(blocks, n_inputs, p, se
     dm = sr.DiscreteModel(a=t @ jordan @ np.linalg.inv(t), b=rng.standard_normal((n, n_inputs)),
                           c=np.eye(n), proc_cov=np.eye(n), meas_cov=np.eye(n),
                           init_mean=np.zeros(n), init_cov=np.eye(n))
-    lift = sr.build_lifted(dm, np.eye(n), np.eye(n_inputs), p)
+    return dm, rng
+
+
+@settings(max_examples=50, deadline=None)
+@given(p=st.integers(1, 6), **DRAWN_MODEL)
+def test_a_lifted_pair_that_passes_the_rank_test_designs(blocks, n_inputs, p, seed):
+    dm, _ = drawn_model(blocks, n_inputs, seed)
+    n = dm.n_states
     design = design_periods(dm, np.eye(n), np.eye(n_inputs), [p])[p]
-    if (sr.uncontrollable_mode(dm.a, dm.b) is None
-            and sr.uncontrollable_mode(lift.a_lift, lift.b_lift) is None):
+    # the lifted pair of the rank test, with its powers from matrix_power
+    lifted = (np.linalg.matrix_power(dm.a, p), np.linalg.matrix_power(dm.a, p - 1) @ dm.b)
+    if sr.uncontrollable_mode(dm.a, dm.b) is None and sr.uncontrollable_mode(*lifted) is None:
         assert isinstance(design, sr.PeriodicPolicy), design
     else:
         assert isinstance(design, AssumptionViolatedError)
+
+
+@settings(max_examples=50, deadline=None)
+@given(q_rank=st.integers(0, 4), candidates=st.sets(st.integers(1, 6), min_size=1),
+       rollout_p=st.integers(1, 6), **DRAWN_MODEL)
+def test_load_and_design_reject_the_same_periods_with_the_same_message(
+        tmp_path_factory, blocks, n_inputs, seed, q_rank, candidates, rollout_p):
+    # config loading and design_periods gate on one test: a file config fails to load exactly
+    # when some period its methods read fails its design structurally, with that message.
+    # The stub stands in for the fixed point, which the gate runs before
+    dm, rng = drawn_model(blocks, n_inputs, seed)
+    n = dm.n_states
+    g = rng.standard_normal((n, min(q_rank, n)))
+    q = symmetrize(g @ g.T)  # positive semidefinite of rank q_rank (at most n)
+    model = {name: getattr(dm, name).tolist() for name in
+             ("a", "b", "c", "proc_cov", "meas_cov", "init_mean", "init_cov")}
+    path = tmp_path_factory.mktemp("drawn") / "model.yaml"
+    path.write_text(yaml.safe_dump(model))
+    cfg = sr.ExperimentConfig(model_source="matrices-from-file", model_file=str(path),
+                              q_weight=q, r_weight=np.eye(n_inputs), methods=("periodic",),
+                              candidates=tuple(sorted(candidates)), h=rollout_p, p=rollout_p,
+                              horizon_steps=60, trials=1, theta_grid=(0.1,))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sr.periodic, "solve_dares",
+                      lambda problems: [ValueError("not solved")] * len(problems))
+        designs = design_periods(cfg._model(), q, cfg.r_weight,
+                                 set().union(*cfg.method_periods.values()))
+        failures = [d for d in designs.values()
+                    if isinstance(d, (AssumptionViolatedError, NonFiniteError))]
+        if failures:
+            with pytest.raises(ConfigError) as err:
+                cfg.build_model()
+            assert str(err.value) == str(failures[0])
+        else:
+            assert np.array_equal(cfg.build_model().a, dm.a)
 
 
 def test_gain_first_order_optimality(benchmark_model):

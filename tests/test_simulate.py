@@ -273,8 +273,8 @@ def test_theta_sweep_design_failure_stays_in_its_method():
         (0.1, "rollout"), (0.1, "periodic"), (0.2, "rollout"), (0.2, "periodic")]
     for cell in cells:
         if cell.method == "periodic":
-            assert cell.status == ("error: AssumptionViolatedError: pathological sampling: "
-                                   "lifting by p=2 breaks stabilizability")
+            assert cell.status == ("error: AssumptionViolatedError: pathological sampling at "
+                                   "period p=2: mode 1 of A^2 is uncontrollable")
             assert cell.metrics is None
         else:
             assert cell.status == "ok" and cell.metrics.trials == 2
