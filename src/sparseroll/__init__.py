@@ -37,7 +37,6 @@ from .riccati import (
     RiccatiProblem,
     RiccatiSolution,
     riccati_residual,
-    solve_dare,
     uncontrollable_mode,
 )
 from .rollout import (

@@ -53,11 +53,8 @@ def _resolve_outdir(args, cfg: ExperimentConfig) -> Path:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    if args.seed is not None:
-        updates["seed_base"] = args.seed
-    if args.trials is not None:
-        updates["trials"] = args.trials
+    updates = {key: value for key, value in (("seed_base", args.seed), ("trials", args.trials))
+               if value is not None}
     return replace(cfg, **updates) if updates else cfg
 
 
@@ -136,8 +133,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0 if ok_cells else 4
 
 
-def cmd_verify(cfg: ExperimentConfig, out_dir: Path, corrupt_terminal: bool = False) -> int:
-    results = run_verification(cfg, corrupt_terminal=corrupt_terminal)
+def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
+    results = run_verification(cfg)
     payload = {
         "all_passed": bool(all(r.passed for r in results)),
         "checks": [
@@ -187,9 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="path to the YAML experiment config")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="path to the YAML experiment config")
         p.add_argument("--out", default=None,
                        help=f"output directory (default: ${OUTDIR_ENV} or config output_dir)")
         p.add_argument("--seed", type=int, default=None, help="override sim.seed_base")
@@ -197,9 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_common(sub.add_parser("design", help="write the controller design report"))
     add_common(sub.add_parser("sweep", help="run the theta sweep and write CSVs"))
-    verify_p = sub.add_parser("verify", help="run the verification suite")
-    add_common(verify_p)
-    verify_p.add_argument("--corrupt-terminal", action="store_true", help=argparse.SUPPRESS)
+    add_common(sub.add_parser("verify", help="run the verification suite"))
     plot_p = sub.add_parser("plotdata", help="derive plot-ready CSVs from a sweep")
     plot_p.add_argument("sweep_csv", help="path to tradeoff.csv")
     plot_p.add_argument("--out", default=None)
@@ -225,7 +219,7 @@ def main(argv=None) -> int:
             return cmd_design(cfg, out_dir)
         if args.command == "sweep":
             return cmd_sweep(cfg, out_dir)
-        return cmd_verify(cfg, out_dir, corrupt_terminal=args.corrupt_terminal)
+        return cmd_verify(cfg, out_dir)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

@@ -5,8 +5,8 @@ cost, theta grid, per-method parameters, trial counts, seeds), and its
 defaults are the benchmark study.  It validates itself on construction, so
 ``dataclasses.replace`` and the CLI overrides are checked like a loaded
 file, and :meth:`ExperimentConfig.build_model` adds the checks that need the
-model (dimensions, the structural assumptions of each period a method reads and
-detectability), so runs fail before any Riccati iteration.  :func:`parse_config`
+model (dimensions, the sweep's memory, the structural assumptions of each period
+a method reads and detectability), so runs fail before any Riccati iteration.  :func:`parse_config`
 rejects keys outside the schema and reads the YAML sections over the defaults.
 """
 
@@ -28,7 +28,7 @@ from .rollout import memory_estimate
 METHODS = ("rollout", "periodic", "sparse_mpc")
 
 MAX_LOOKAHEAD = 20  # 2^h patterns are enumerated exhaustively
-LOOKAHEAD_MEMORY_BUDGET = 1 << 30  # bytes for the lookahead tables and scores of one design
+MEMORY_BUDGET = 1 << 30  # bytes for a lookahead design, and for the noise and records of a sweep
 
 # libyaml's safe loader where PyYAML was built with it (the same documents, ~8x faster)
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -144,6 +144,8 @@ class ExperimentConfig:
             raise ConfigError("at least one method must be enabled")
         if self.trials < 1 or self.horizon_steps < 1:
             raise ConfigError("sim.trials and sim.horizon_steps must be >= 1")
+        if not 0 <= self.seed_base < 2**64:  # the key of every noise generator
+            raise ConfigError(f"sim.seed_base must be in [0, 2**64), got {self.seed_base}")
         if self.h < 1 or self.p < 1:
             raise ConfigError("rollout.h and rollout.p must be >= 1")
         if self.h > MAX_LOOKAHEAD:
@@ -171,11 +173,11 @@ class ExperimentConfig:
         grid = self.theta_grid  # one block scores every (theta, trial) row; a non-list fails below
         rows = self.trials * (len(grid) if isinstance(grid, (list, tuple)) else 0)
         need = memory_estimate(self.h, len(self.q_weight), len(self.r_weight), rows)
-        if need > LOOKAHEAD_MEMORY_BUDGET:
+        if need > MEMORY_BUDGET:
             raise ConfigError(
                 f"rollout.h={self.h} needs about {need / 2**20:.0f} MB for the lookahead tables "
                 f"and the scores of {rows} rows, above the "
-                f"{LOOKAHEAD_MEMORY_BUDGET / 2**20:.0f} MB budget"
+                f"{MEMORY_BUDGET / 2**20:.0f} MB budget"
             )
 
         self._convert("theta_grid")
@@ -194,7 +196,7 @@ class ExperimentConfig:
         return {"periodic": self.candidates, "rollout": (self.p,), "sparse_mpc": (1,)}
 
     def build_model(self) -> DiscreteModel:
-        """The config's model, checked before any Riccati iteration: dimensions, the
+        """The config's model, checked before any Riccati iteration: dimensions, sweep memory, the
         :func:`~sparseroll.periodic.assumption_errors` of the periods in :attr:`method_periods`
         and detectable (A, C); a builtin model then takes the filter fixed point as ``init_cov``."""
         try:
@@ -202,6 +204,13 @@ class ExperimentConfig:
             for key, m, n in (("q", self.q_weight, dm.n_states), ("r", self.r_weight, dm.n_inputs)):
                 if m.shape != (n, n):
                     raise ConfigError(f"cost.{key} must be {n}x{n} for this model")
+            steps = self.horizon_steps  # sweep's noise and (rows, N) stage-cost and trigger records
+            rows = self.trials * len(self.theta_grid) * max(len(self.methods), 2)  # or verify's
+            need = 8 * self.trials * (steps + 1) * (dm.n_states + dm.n_outputs) + 9 * rows * steps
+            if need > MEMORY_BUDGET:
+                raise ConfigError(f"sim.horizon_steps={steps} needs about {need >> 20} MB for the "
+                                  f"noise and the records of {rows} rows, above the "
+                                  f"{MEMORY_BUDGET >> 20} MB budget")
             periods = set().union(*self.method_periods.values())  # verify designs every method
             for error in filter(None, assumption_errors(dm, self.q_weight, periods).values()):
                 raise ConfigError(str(error))
@@ -283,7 +292,7 @@ def _theta_values(section, trials: int):
     # the values up to stop; 1e-9 takes a span such as 5.999... as the 6 steps it means
     count = math.floor(span + 1e-9) + 1 if math.isfinite(span) else math.inf
     # `trials` rows per value in the smallest design: a lower bound of the lookahead budget
-    if memory_estimate(1, 1, 1, count * trials) > LOOKAHEAD_MEMORY_BUDGET:
+    if memory_estimate(1, 1, 1, count * trials) > MEMORY_BUDGET:
         raise ConfigError(f"theta start/stop/step give {count} values, above the memory budget")
     return [round(start + i * step, 12) for i in range(count)]
 

@@ -198,14 +198,6 @@ def solve_dares(problems, tol: float = 1e-10, max_iter: int = 100_000, start=Non
     return results
 
 
-def solve_dare(prob: RiccatiProblem, tol: float = 1e-10, max_iter: int = 100_000) -> RiccatiSolution:
-    """:func:`solve_dares` of one problem; raises the error it reports."""
-    (result,) = solve_dares([prob], tol, max_iter)
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def range_basis(m) -> np.ndarray:
     """Orthonormal (n, r) basis of the range of a symmetric PSD m: the eigenvectors of eigenvalue
     above n eps lambda_max.  The PBH test of (a', basis) finds the unobservable modes of (a, m)

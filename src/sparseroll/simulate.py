@@ -88,40 +88,36 @@ def _cov_factor(cov: np.ndarray) -> np.ndarray:
         return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def noise_streams(dm: DiscreteModel, seed_base: int, trial: int, n_steps: int):
-    """Deterministic (x0, process, measurement) noise for one trial.
+def noise_streams(dm: DiscreteModel, seed_base: int, keys, n_steps: int):
+    """Deterministic (x0, process, measurement) noise of each trial key, stacked as
+    x0 (K, n), w (N, K, n) and v (N+1, K, m).
 
-    A counter-based Philox generator keyed on (seed_base, trial) draws the
-    initial state, then all process noises, then all measurement noises, so
-    the realization depends only on the key, never on scheduling.
+    A counter-based Philox generator keyed on (seed_base, key) draws the key's initial state,
+    then all its process noises, then all its measurement noises, so its realization depends
+    only on the key, never on the other keys.  Each covariance is factored once per call.
     """
-    seq = np.random.SeedSequence(entropy=[int(seed_base) & (2**64 - 1), int(trial)])
-    gen = np.random.Generator(np.random.Philox(seq))
-    lx = _cov_factor(dm.init_cov)
-    lw = _cov_factor(dm.proc_cov)
-    lv = _cov_factor(dm.meas_cov)
-    x0 = dm.init_mean + lx @ gen.standard_normal(dm.n_states)
-    w_seq = gen.standard_normal((n_steps, dm.n_states)) @ lw.T
-    v_seq = gen.standard_normal((n_steps + 1, dm.n_outputs)) @ lv.T
-    return x0, w_seq, v_seq
+    lx, lw, lv = (_cov_factor(cov) for cov in (dm.init_cov, dm.proc_cov, dm.meas_cov))
+
+    def draw(key):
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed_base, int(key)])))
+        return (dm.init_mean + lx @ gen.standard_normal(dm.n_states),
+                gen.standard_normal((n_steps, dm.n_states)) @ lw.T,
+                gen.standard_normal((n_steps + 1, dm.n_outputs)) @ lv.T)
+
+    x0s, w_seqs, v_seqs = zip(*map(draw, keys))
+    return np.array(x0s), np.stack(w_seqs, axis=1), np.stack(v_seqs, axis=1)
 
 
 class PeriodicController:
-    """Apply the gain at multiples of the period, zero otherwise; both may be given per row."""
+    """Apply each row's gain (rows, q, n) at the multiples of its period (rows,), zero otherwise."""
 
-    def __init__(self, gain: np.ndarray, period):
+    def __init__(self, gain: np.ndarray, period: np.ndarray):
         self.gain = gain
         self.period = period
-        self._rows = ()
 
     def decide(self, x_hat, k: int):
-        if k == 0:  # per-row views of the gain and the period, made once per run
-            rows = len(x_hat)
-            self._rows = (np.broadcast_to(self.gain, (rows,) + self.gain.shape[-2:]),
-                          np.broadcast_to(np.asarray(self.period), (rows,)))
-        gain, period = self._rows
-        on = k % period == 0
-        return (np.where(on[:, None], np.einsum("tqn,tn->tq", gain, x_hat), 0.0),
+        on = k % self.period == 0
+        return (np.where(on[:, None], np.einsum("tqn,tn->tq", self.gain, x_hat), 0.0),
                 on.astype(np.int8))
 
 
@@ -176,27 +172,20 @@ class _Stacked:
         return np.concatenate(u), np.concatenate(delta)
 
 
-def _stacked_noise(dm: DiscreteModel, seed_base: int, keys, n_steps: int):
-    """Each key's :func:`noise_streams`, stacked: x0 (K, n), w (N, K, n), v (N+1, K, m)."""
-    x0s, w_seqs, v_seqs = zip(*(noise_streams(dm, seed_base, t, n_steps) for t in keys))
-    return np.array(x0s), np.stack(w_seqs, axis=1), np.stack(v_seqs, axis=1)
-
-
-def simulate_trials(cfg: ExperimentConfig, dm: DiscreteModel, controller, trials, steady=None,
+def simulate_trials(cfg: ExperimentConfig, dm: DiscreteModel, controller, trials, steady,
                     noise=None, keep_traces=False) -> list[SimTrace]:
     """Run the given rows as one closed loop over (rows, n) arrays; one trace per row.
 
     ``controller.decide(x_hat, k)`` gets the estimates (rows, n) and returns
     float u (rows, q) and delta (rows,).  The filter runs at the gain of
-    ``steady``, the :func:`steady_kalman` triple (solved here when not
-    given).  ``trials`` holds each row's trial key; rows of one key share
-    its noise draw, or ``noise``, the stacked
-    (x0 (K, n), w (N, K, n), v (N+1, K, m)) realization of the K distinct
-    keys in ascending order.  The rows selected by ``keep_traces`` (a bool
-    or a mask) record full traces.  A non-finite state raises
-    :class:`NonFiniteError` naming the step and the row's trial key.  A
-    :class:`RolloutPolicy`, alone or as one of a stacked controller's
-    ``parts``, needs ``horizon_steps`` to be a multiple of its block length.
+    ``steady``, the :func:`steady_kalman` triple of ``dm``.  ``trials`` holds
+    each row's trial key; rows of one key share its noise, ``noise`` or else
+    the :func:`noise_streams` of the distinct keys in ascending order.  The
+    rows selected by ``keep_traces`` (a bool or a mask) record full traces.
+    A non-finite state raises :class:`NonFiniteError` naming the step and the
+    row's trial key.  A :class:`RolloutPolicy`, alone or as one of a stacked
+    controller's ``parts``, needs ``horizon_steps`` to be a multiple of its
+    block length.
     """
     trials = tuple(int(t) for t in trials)
     n_steps = cfg.horizon_steps
@@ -204,10 +193,10 @@ def simulate_trials(cfg: ExperimentConfig, dm: DiscreteModel, controller, trials
            for part in getattr(controller, "parts", (controller,))):
         raise ValueError("horizon_steps must be a multiple of the block length")
     keys, pick = np.unique(trials, return_inverse=True)  # pick: row -> noise column
-    x0, w, v = _stacked_noise(dm, cfg.seed_base, keys, n_steps) if noise is None else noise
+    x0, w, v = noise_streams(dm, cfg.seed_base, keys, n_steps) if noise is None else noise
     x = x0[pick]
     y = row_product(x, dm.c) + v[0, pick]
-    gain = (steady_kalman(dm) if steady is None else steady)[0]
+    gain = steady[0]
     x_hat = kalman_init(dm, y, gain)
 
     n_rows = len(trials)
@@ -276,15 +265,15 @@ class Design:
         return entry
 
 
-def design(cfg: ExperimentConfig, dm: DiscreteModel | None = None, methods=None) -> Design:
+def design(cfg: ExperimentConfig, methods=None) -> Design:
     """The model, filter and design of each of ``methods`` (by default ``cfg.methods``), made once.
 
-    The model is ``cfg.build_model()`` unless ``dm`` is given.  Each method reads the policies
-    of its periods in ``cfg.method_periods``; the period-1 cost matrix is the sparse-MPC
-    terminal weight.  One :func:`design_periods` call designs their union, and a method fails
-    with the first failure among its own periods.
+    The model is ``cfg.build_model()``.  Each method reads the policies of its periods in
+    ``cfg.method_periods``; the period-1 cost matrix is the sparse-MPC terminal weight.  One
+    :func:`design_periods` call designs their union, and a method fails with the first failure
+    among its own periods.
     """
-    dm = cfg.build_model() if dm is None else dm
+    dm = cfg.build_model()
     steady = steady_kalman(dm)
     q_w, r_w = cfg.q_weight, cfg.r_weight
     methods = cfg.methods if methods is None else methods
@@ -368,7 +357,7 @@ def theta_sweep(cfg: ExperimentConfig, designed: Design | None = None, keep_trac
             cells[i, method] = SweepCell(float(grid[i]), method, estimate_metrics(rows, grid[i]),
                                          traces=rows if keep[g * n_trials] else None)
 
-    noise = _stacked_noise(dm, cfg.seed_base, range(n_trials), cfg.horizon_steps)
+    noise = noise_streams(dm, cfg.seed_base, range(n_trials), cfg.horizon_steps)
     cells = {}
     # (method, theta cells) parts that run as one loop
     batches = [[(method, list(range(len(grid)))) for method in cfg.methods]]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sparseroll as sr
+from sparseroll.riccati import solve_dares
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -38,8 +39,9 @@ def scalar_model():
 def mpc_problem():
     """Builds the condensed sparse-MPC problem at the period-1 Riccati terminal, as design does."""
     def build(dm, q_weight, r_weight, horizon):
-        terminal = sr.solve_dare(sr.RiccatiProblem(dm.a, dm.b, q_weight, np.zeros(dm.b.shape),
-                                                   r_weight)).cost_matrix
+        (sol,) = solve_dares([sr.RiccatiProblem(dm.a, dm.b, q_weight, np.zeros(dm.b.shape),
+                                                r_weight)])
+        terminal = sol.cost_matrix
         return sr.build_mpc_problem(dm, q_weight, r_weight, horizon, terminal)
     return build
 

@@ -45,7 +45,7 @@ def _check(check, cfg, method, *args):
 
 def test_criterion_1_base_cost_identity():
     start = time.perf_counter()
-    check = _check(verify._base_cost_identity_check, BENCH, "rollout", False)
+    check = _check(verify._base_cost_identity_check, BENCH, "rollout")
     elapsed = time.perf_counter() - start
     assert check.passed, check.detail
     assert elapsed < 1.0
@@ -112,7 +112,8 @@ def test_criterion_5_mean_square_stability(benchmark_sweep):
 
     cfg = sr.ExperimentConfig(horizon_steps=N_STEPS, trials=10, seed_base=13,
                               q_weight=[[1.0]], r_weight=[[1.0]], methods=("periodic",))
-    traces = [sr.simulate_trials(cfg, unstable, Null(), [t], keep_traces=True)[0]
+    traces = [sr.simulate_trials(cfg, unstable, Null(), [t], sr.steady_kalman(unstable),
+                                 keep_traces=True)[0]
               for t in range(10)]
     bad_bounded, _ = sr.check_mean_square_stability(traces, window_len=50)
     assert not bad_bounded

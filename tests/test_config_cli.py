@@ -333,6 +333,57 @@ def test_cli_overrides_are_validated(tmp_path, capsys, command):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["design", "sweep", "verify"])
+@pytest.mark.parametrize("seed", ["-3", str(2**64)])
+def test_seed_outside_the_key_range_is_exit_2_with_one_line(tmp_path, capsys, command, seed):
+    # a negative --seed ended verify in a ValueError traceback from its SeedSequence, while
+    # sweep masked it to 64 bits; every command now rejects it at load
+    code = cli.main([command, "--config", str(SCALAR_CONFIG), "--out", str(tmp_path / "out"),
+                     "--seed", seed, "--trials", "4"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: sim.seed_base must be in [0, 2**64), got {seed}\n")
+
+
+def test_seed_base_range_at_load(tmp_path, capsys):
+    for seed in (-1, -(2**63), 2**64):
+        with pytest.raises(ConfigError, match=r"^sim\.seed_base must be in \[0, 2\*\*64\)"):
+            ExperimentConfig(seed_base=seed)
+        path = write_config(tmp_path, small_config_dict(sim={"seed_base": seed}))
+        with pytest.raises(ConfigError, match=r"^sim\.seed_base must be in"):
+            load_config(path)
+    # both ends of the range key the noise; the top one was the mask's fixed point
+    for seed in (0, 2**64 - 1):
+        assert cli.main(["sweep", "--config", str(SCALAR_CONFIG), "--out", str(tmp_path / "o"),
+                         "--seed", str(seed), "--trials", "2"]) == 0
+        rows = (tmp_path / "o" / "tradeoff.csv").read_text().splitlines()[1:]
+        assert rows and all(row.endswith(f",{seed}") for row in rows)
+
+
+def test_sweep_memory_budget_at_load(tmp_path, capsys):
+    # one trial of a 1e10-step horizon drew 74.5 GiB of noise until numpy failed to allocate
+    # it; the sweep's noise and its per-step records are counted when the model is built
+    cfg = ExperimentConfig(horizon_steps=10**10, trials=1, theta_grid=(0.1,),
+                           methods=("periodic",))
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match=r"^sim\.horizon_steps=10000000000 needs about "
+                                          r"629425 MB for the noise and the records of 2 rows, "
+                                          r"above the 1024 MB budget$"):
+        cfg.build_model()
+    assert time.perf_counter() - start < 0.1
+    # 50 trials of 20 thetas and three methods: 8 B x 50 x 6 of noise and 9 B x 3000 of
+    # records per step put the edge of the budget between 36516 and 36522 steps
+    assert ExperimentConfig(horizon_steps=36516).build_model().n_states == 4
+    with pytest.raises(ConfigError, match="records of 3000 rows, above the 1024 MB budget"):
+        ExperimentConfig(horizon_steps=36522).build_model()
+    raw = small_config_dict(methods=["periodic"], sim={"trials": 1, "horizon_steps": 10**10})
+    path = write_config(tmp_path, raw)
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sim.horizon_steps=10000000000 needs about ")
+    assert err.count("\n") == 1 and not any((tmp_path / "out").iterdir())
+
+
 def test_cmd_verify_short_horizon_fails_stability(tmp_path):
     raw = yaml.safe_load(SCALAR_CONFIG.read_text())
     raw["model"]["file"] = str(SCALAR_CONFIG.parent / raw["model"]["file"])
@@ -393,10 +444,10 @@ def test_verify_one_sweep_serves_bound_and_stability(monkeypatch):
 def count_design_calls(monkeypatch):
     """Count model builds and the designs' building blocks; build_lifted by period.
 
-    ``solve_dares`` is counted by the module that calls it, outside :mod:`sparseroll.riccati`
-    (``solve_dare``, the batch of one that the ``scalar_dare`` check solves, is not a design):
-    ``("solve_dares", "periodic")`` is a design stack and ``("solve_dares", "estimator")`` a
-    one-problem stack of the filter's dual equation.
+    ``solve_dares`` is counted by the module that calls it, outside :mod:`sparseroll.riccati`:
+    ``("solve_dares", "periodic")`` is a design stack, ``("solve_dares", "estimator")`` a
+    one-problem stack of the filter's dual equation and ``("solve_dares", "verify")`` the
+    batch of one that the ``scalar_dare`` check solves, which is not a design.
     """
     counts = Counter()
 
@@ -435,17 +486,18 @@ def test_each_command_designs_once(tmp_path, monkeypatch, capsys):
     # verify makes one model and one design of all three methods, shared by every check; one
     # Riccati stack holds every candidate period, the rollout base and the MPC terminal.  The
     # filter's dual equation is solved by the builtin model (its init_cov), the design and the
-    # scalar_kalman check
+    # scalar_kalman check; the scalar_dare check solves its golden equation
     design_stack = {("solve_dares", "periodic"): 1}
+    golden = {("solve_dares", "verify"): 1}
     run("verify", BENCHMARK_CONFIG, "--trials", "2")
     assert counts == {"build_model": 1, "build_tables": 1, "build_mpc_problem": 1,
-                      **design_stack, ("solve_dares", "estimator"): 3,
+                      **design_stack, **golden, ("solve_dares", "estimator"): 3,
                       **{("build_lifted", p): 1 for p in (1, 2, 3, 6)}}
-    # the rollout base of period p = 1 is the candidate design; the negative control builds
-    # its own tables; a model from a file solves no filter equation
-    run("verify", SCALAR_CONFIG, "--trials", "4", "--corrupt-terminal")
-    assert counts == {"build_model": 1, "build_tables": 2, "build_mpc_problem": 1,
-                      **design_stack, ("solve_dares", "estimator"): 2,
+    # the rollout base of period p = 1 is the candidate design; a model from a file solves no
+    # filter equation
+    run("verify", SCALAR_CONFIG, "--trials", "4")
+    assert counts == {"build_model": 1, "build_tables": 1, "build_mpc_problem": 1,
+                      **design_stack, **golden, ("solve_dares", "estimator"): 2,
                       **{("build_lifted", p): 1 for p in (1, 2, 3)}}
     # a rollout base off the candidates is lifted once and solved in the candidates' stack
     for command in ("design", "sweep"):
@@ -713,7 +765,21 @@ def test_unusable_output_fails_before_the_work(tmp_path, monkeypatch, capsys):
         assert (out / "tradeoff.csv").read_text() == "earlier run\n"
 
 
-def test_cmd_verify_scalar_and_negative_control(tmp_path):
+def corrupt_terminal(monkeypatch):
+    """Make verify's design return rollout tables built on 1.10 x the base cost matrix."""
+    make = verify.design
+
+    def corrupted(cfg, methods=None):
+        designed = make(cfg, methods)
+        pol, _ = designed["rollout"]
+        tables = sr.build_tables(designed.model, cfg.q_weight, cfg.r_weight,
+                                 pol.cost_matrix * 1.10, cfg.h, cfg.p, designed.steady[1])
+        return replace(designed, methods={**designed.methods, "rollout": (pol, tables)})
+
+    monkeypatch.setattr(verify, "design", corrupted)
+
+
+def test_cmd_verify_scalar_and_negative_control(tmp_path, monkeypatch):
     out = tmp_path / "out"
     code = cli.main(["verify", "--config", str(SCALAR_CONFIG), "--out", str(out),
                      "--trials", "6"])
@@ -723,8 +789,14 @@ def test_cmd_verify_scalar_and_negative_control(tmp_path):
     names = [c["name"] for c in payload["checks"]]
     assert "base_cost_identity" in names and "performance_bound" in names
 
+    # the corrupted terminal is built here: the command has no hidden flag for it
+    with pytest.raises(SystemExit) as exit_:
+        cli.build_parser().parse_args(["verify", "--config", str(SCALAR_CONFIG),
+                                       "--corrupt-terminal"])
+    assert exit_.value.code == 2
+    corrupt_terminal(monkeypatch)
     code = cli.main(["verify", "--config", str(SCALAR_CONFIG), "--out", str(out),
-                     "--trials", "6", "--corrupt-terminal"])
+                     "--trials", "6"])
     assert code == 5
     payload = json.loads((out / "verify_report.json").read_text())
     failed = {c["name"] for c in payload["checks"] if not c["passed"]}

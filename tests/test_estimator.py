@@ -134,7 +134,8 @@ def test_innovation_whiteness(stationary_benchmark, benchmark_steady):
     pol = sr.design_periods(dm, BENCH.q_weight, BENCH.r_weight, [2])[2]
     from sparseroll.simulate import PeriodicController
 
-    trace, = sr.simulate_trials(cfg, dm, PeriodicController(pol.feedback_gain, 2), [0],
+    periodic = PeriodicController(pol.feedback_gain[None], np.array([2]))  # one row
+    trace, = sr.simulate_trials(cfg, dm, periodic, [0],
                                 steady=benchmark_steady, keep_traces=True)
     pred = trace.estimates[:-1] @ dm.a.T + trace.inputs[:-1] @ dm.b.T
     innov = trace.outputs[1:] - pred @ dm.c.T

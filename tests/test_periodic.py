@@ -10,7 +10,7 @@ import sparseroll as sr
 from sparseroll.exceptions import (AssumptionViolatedError, ConfigError, IllConditionedError,
                                   NonFiniteError)
 from sparseroll.periodic import design_periods, period_policies
-from sparseroll.riccati import symmetrize
+from sparseroll.riccati import solve_dares, symmetrize
 
 BENCH = sr.ExperimentConfig()  # the benchmark study
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -24,7 +24,7 @@ def test_p1_matches_unlifted_lqg(benchmark_model):
     assert np.array_equal(lift.q_lift, np.atleast_2d(BENCH.q_weight))
     pol = sr.design_periods(dm, BENCH.q_weight, BENCH.r_weight, [1])[1]
     prob = sr.RiccatiProblem(dm.a, dm.b, BENCH.q_weight, np.zeros((4, 1)), BENCH.r_weight)
-    sol = sr.solve_dare(prob)
+    (sol,) = solve_dares([prob])
     assert np.allclose(pol.feedback_gain, sol.gain, rtol=0, atol=1e-12)
     assert np.allclose(pol.cost_matrix, sol.cost_matrix, rtol=1e-12)
 

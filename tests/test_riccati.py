@@ -37,14 +37,14 @@ def random_problem(rng, n=3, q=2, with_cross=False):
 
 def test_scalar_golden_value():
     prob = scalar_problem()
-    sol = sr.solve_dare(prob)
+    (sol,) = solve_dares([prob])
     assert abs(sol.cost_matrix[0, 0] - PHI) < 1e-10
     assert abs(sol.gain[0, 0] - (-PHI / (PHI + 1.0))) < 1e-10
     assert riccati_residual(prob, sol.cost_matrix) < 1e-10
 
 
 def test_lyapunov_case_zero_input():
-    sol = sr.solve_dare(scalar_problem(a=0.5, b=0.0, q=1.0, r=1.0))
+    (sol,) = solve_dares([scalar_problem(a=0.5, b=0.0, q=1.0, r=1.0)])
     assert abs(sol.cost_matrix[0, 0] - 4.0 / 3.0) < 1e-10
     assert sol.gain[0, 0] == 0.0
 
@@ -52,7 +52,7 @@ def test_lyapunov_case_zero_input():
 def test_benchmark_lifted_p1_residual(benchmark_model):
     dm = benchmark_model
     prob = sr.RiccatiProblem(dm.a, dm.b, BENCH.q_weight, np.zeros((4, 1)), BENCH.r_weight)
-    sol = sr.solve_dare(prob)
+    (sol,) = solve_dares([prob])
     assert riccati_residual(prob, sol.cost_matrix) < 1e-8
     # independent residual: re-apply the map inline
     p = sol.cost_matrix
@@ -65,7 +65,7 @@ def test_benchmark_lifted_p1_residual(benchmark_model):
 
 def test_solution_symmetric(rng):
     for _ in range(5):
-        sol = sr.solve_dare(random_problem(rng, with_cross=True))
+        (sol,) = solve_dares([random_problem(rng, with_cross=True)])
         p = sol.cost_matrix
         assert np.linalg.norm(p - p.T, "fro") < 1e-10 * np.linalg.norm(p, "fro")
 
@@ -74,13 +74,13 @@ def test_positive_definite_under_observability(rng):
     # PD state weight makes (A, Q^{1/2}) observable; the solution is PD.
     for _ in range(5):
         prob = random_problem(rng)
-        sol = sr.solve_dare(prob)
+        (sol,) = solve_dares([prob])
         assert np.linalg.eigvalsh(sol.cost_matrix).min() > 0.0
 
 
 def test_matches_scipy_dare(rng):
     prob = random_problem(rng, with_cross=True)
-    sol = sr.solve_dare(prob, tol=1e-13)
+    (sol,) = solve_dares([prob], tol=1e-13)
     ref = sla.solve_discrete_are(prob.state_matrix, prob.input_matrix,
                                  prob.state_weight, prob.input_weight, s=prob.cross_weight)
     assert np.allclose(sol.cost_matrix, ref, rtol=1e-8, atol=1e-10)
@@ -89,20 +89,20 @@ def test_matches_scipy_dare(rng):
 def test_state_weight_monotonicity(rng):
     for _ in range(5):
         prob = random_problem(rng)
-        base = sr.solve_dare(prob).cost_matrix
+        base = solve_dares([prob])[0].cost_matrix
         eps = 0.3
         bumped = sr.RiccatiProblem(
             prob.state_matrix, prob.input_matrix,
             prob.state_weight + eps * np.eye(len(prob.state_matrix)),
             prob.cross_weight, prob.input_weight,
         )
-        inflated = sr.solve_dare(bumped).cost_matrix
+        inflated = solve_dares([bumped])[0].cost_matrix
         assert np.linalg.eigvalsh(inflated - base).min() > -1e-9
 
 
 def test_residual_checked_independently(rng):
     prob = random_problem(rng, with_cross=True)
-    sol = sr.solve_dare(prob, tol=1e-12)
+    (sol,) = solve_dares([prob], tol=1e-12)
     assert riccati_residual(prob, sol.cost_matrix) < 1e-11
 
 
@@ -238,10 +238,10 @@ def test_problem_validation():
 def test_nonconvergence_reports_residual():
     # unobservable unstable mode: the iteration diverges
     prob = scalar_problem(a=2.0, b=0.0, q=1.0, r=1.0)
-    with pytest.raises(NonConvergenceError) as err:
-        sr.solve_dare(prob, max_iter=50)
-    assert err.value.iterations == 50
-    assert err.value.residual is not None
+    (error,) = solve_dares([prob], max_iter=50)
+    assert isinstance(error, NonConvergenceError)
+    assert error.iterations == 50
+    assert error.residual is not None
 
 
 def test_ill_conditioned_inner_inverse():
@@ -253,8 +253,8 @@ def test_ill_conditioned_inner_inverse():
         cross_weight=np.zeros((2, 2)),
         input_weight=1e-15 * np.eye(2),
     )
-    with pytest.raises(IllConditionedError):
-        sr.solve_dare(prob)
+    (error,) = solve_dares([prob])
+    assert isinstance(error, IllConditionedError)
 
 
 def _reference_dare(prob, tol=1e-10, max_iter=100_000):
@@ -283,6 +283,12 @@ def _reference_dare(prob, tol=1e-10, max_iter=100_000):
         residual=float(rel), iterations=max_iter)
 
 
+def _solo(prob, **kwargs):
+    """What ``prob`` gives solved alone: the batch of one."""
+    (result,) = solve_dares([prob], **kwargs)
+    return result
+
+
 def _outcome(solve, *args, **kwargs):
     """What a solve gives, its iteration count last: the solution's bits, or the error's data."""
     try:
@@ -304,7 +310,7 @@ def test_lockstep_matches_each_problem_alone(n, q, seed, k):
     rng = np.random.default_rng(seed)
     probs = [random_problem(rng, n, q, with_cross=True) for _ in range(k)]
     for prob, got in zip(probs, solve_dares(probs)):
-        alone = _outcome(sr.solve_dare, prob)
+        alone = _outcome(_solo, prob)
         assert _outcome(lambda: got) == alone == _outcome(_reference_dare, prob)
         assert isinstance(got, sr.RiccatiSolution)
 
@@ -316,7 +322,7 @@ def test_lockstep_failures_match_each_problem_alone(rng):
     diverging = sr.RiccatiProblem(2.0 * np.eye(2), np.zeros((2, 2)), np.eye(2),
                                   np.zeros((2, 2)), np.eye(2))
     good = random_problem(rng, n=2, q=2, with_cross=True)
-    alone = [_outcome(sr.solve_dare, prob, max_iter=50) for prob in (ill, diverging, good)]
+    alone = [_outcome(_solo, prob, max_iter=50) for prob in (ill, diverging, good)]
     assert [a[0] for a in alone[:2]] == [IllConditionedError, NonConvergenceError]
     assert alone[1][-1] == 50 and alone[2][-1] < 50
     assert alone == [_outcome(_reference_dare, prob, max_iter=50)
@@ -333,7 +339,7 @@ def test_nan_inner_matrix_fails_only_its_problem():
     slow = scalar_problem(a=1.0, b=1.0, q=1e-4)
     with np.errstate(over="ignore", invalid="ignore"):
         got = solve_dares([diverging, slow])
-        alone = [_outcome(sr.solve_dare, prob) for prob in (diverging, slow)]
+        alone = [_outcome(_solo, prob) for prob in (diverging, slow)]
     assert isinstance(got[0], NonFiniteError) and "nan" in str(got[0])
     assert [_outcome(lambda r=r: r) for r in got] == alone
     assert alone[1][-1] > 600  # still in the stack when the other one fails
@@ -349,7 +355,7 @@ def test_overflowing_problem_fails_at_its_first_nonfinite_iterate(rng):
     good = random_problem(rng, n=2, q=1, with_cross=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        alone = [_outcome(sr.solve_dare, prob) for prob in (*diverging, good)]
+        alone = [_outcome(_solo, prob) for prob in (*diverging, good)]
         stacked = [solve_dares([diverging[0], good, diverging[1], diverging[2]]),
                    solve_dares([diverging[2], good, *diverging[1::-1]])]
     for outcome, it in zip(alone, (437, 1853, 1)):
@@ -370,7 +376,7 @@ def test_solution_independent_of_memory_layout(benchmark_model):
     fortran = sr.RiccatiProblem(np.asfortranarray(dm.a), np.asfortranarray(dm.b), *args)
     assert all(prob.state_matrix.flags.c_contiguous and prob.input_matrix.flags.c_contiguous
                for prob in (strided, fortran))
-    outcomes = [_outcome(sr.solve_dare, prob) for prob in (strided, contiguous, fortran)]
+    outcomes = [_outcome(_solo, prob) for prob in (strided, contiguous, fortran)]
     assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
@@ -382,19 +388,17 @@ def test_lockstep_rejects_mismatched_shapes_and_iteration_caps(rng):
     assert solve_dares([]) == []
     for max_iter in (0, -1):
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
-            sr.solve_dare(scalar_problem(), max_iter=max_iter)
-        with pytest.raises(ValueError, match="max_iter must be >= 1"):
             solve_dares([scalar_problem()], max_iter=max_iter)
 
 
 def test_degenerate_scalar_inner_matrices_end_as_with_the_svd():
     # a 1x1 inner matrix d = B'PB + R skips the SVD only when it is finite and nonzero; every
     # other d keeps the condition number np.linalg.cond gives it, and its error message
-    overflow = _outcome(sr.solve_dare, scalar_problem(b=1e200))  # d = +inf
+    overflow = _outcome(_solo, scalar_problem(b=1e200))  # d = +inf
     assert overflow == (IllConditionedError,
                         "inner inverse condition number inf exceeds 1.0e+12", None, None)
     subnormal = scalar_problem(a=0.5, b=0.0, r=1e-320)  # d = 1e-320 at every iterate
-    solved = _outcome(sr.solve_dare, subnormal)
+    solved = _outcome(_solo, subnormal)
     assert solved == _outcome(_reference_dare, subnormal) and solved[-1] == 17
     stack = _stack([scalar_problem()])
     for p, cond in ((-1.0, "inf"), (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "inf")):

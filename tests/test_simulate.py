@@ -13,6 +13,7 @@ from sparseroll import periodic, simulate
 from sparseroll.config import load_config
 from sparseroll.exceptions import (AssumptionViolatedError, ConfigError, NonConvergenceError,
                                    NonFiniteError)
+from sparseroll.riccati import solve_dares
 from sparseroll.simulate import PeriodicController, SparseMpcController
 from sparseroll.sparse_mpc import admm_factor
 
@@ -33,6 +34,18 @@ def rollout_policy(dm, theta=0.2, h=6, p=6):
     tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, base.cost_matrix,
                              h, p, err_cov)
     return sr.RolloutPolicy(tables=tables, theta=theta), base
+
+
+def periodic_rows(gain, period, rows=1):
+    """A PeriodicController of ``rows`` rows that all apply ``gain`` every ``period`` steps."""
+    return PeriodicController(np.repeat(np.asarray(gain)[None], rows, axis=0),
+                              np.full(rows, period))
+
+
+def one_key(dm, seed_base, key, n_steps):
+    """The (x0, w, v) of one trial key: column 0 of its batch of one."""
+    x0, w, v = sr.noise_streams(dm, seed_base, [key], n_steps)
+    return x0[0], w[:, 0], v[:, 0]
 
 
 def play_base_pattern(monkeypatch):
@@ -64,11 +77,27 @@ def test_deterministic_start(tmp_path):
     (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(raw))
     cfg = load_config(tmp_path / "cfg.yaml")
     dm = cfg.build_model()
-    for trial in range(cfg.trials):
-        x0, _, _ = sr.noise_streams(dm, cfg.seed_base, trial, cfg.horizon_steps)
-        assert np.array_equal(x0, dm.init_mean)
+    x0, _, _ = sr.noise_streams(dm, cfg.seed_base, range(cfg.trials), cfg.horizon_steps)
+    assert x0.shape == (cfg.trials, 1)
+    for row in x0:
+        assert np.array_equal(row, dm.init_mean)
     cells = sr.theta_sweep(cfg)
     assert [c.status for c in cells] == ["ok"] * 4
+
+
+def test_noise_of_a_key_does_not_depend_on_the_other_keys(benchmark_model, monkeypatch):
+    # each key draws from its own generator: key 3 alone is column 1 of keys [1, 3, 7], bit
+    # for bit, and one call factors each of the three covariances once
+    factored, factor = [], simulate._cov_factor
+    monkeypatch.setattr(simulate, "_cov_factor", lambda cov: factored.append(cov) or factor(cov))
+    alone = sr.noise_streams(benchmark_model, 123, [3], 50)
+    factored.clear()
+    batch = sr.noise_streams(benchmark_model, 123, [1, 3, 7], 50)
+    assert len(factored) == 3
+    assert [a.shape for a in batch] == [(3, 4), (50, 3, 4), (51, 3, 2)]
+    assert alone[0][0].tobytes() == batch[0][1].tobytes()
+    assert alone[1][:, 0].tobytes() == batch[1][:, 1].tobytes()
+    assert alone[2][:, 0].tobytes() == batch[2][:, 1].tobytes()
 
 
 def test_trigger_input_consistency(benchmark_model, benchmark_steady):
@@ -88,7 +117,7 @@ def test_zero_noise_matches_linear_recursion(benchmark_model, benchmark_steady):
     pol = sr.design_periods(dm, BENCH.q_weight, BENCH.r_weight, [1])[1]
     # the stacked (x0, w, v) realization of the one trial key
     noise = (dm.init_mean[None], np.zeros((120, 1, 4)), np.zeros((121, 1, 2)))
-    trace, = sr.simulate_trials(cfg, dm, PeriodicController(pol.feedback_gain, 1), [0],
+    trace, = sr.simulate_trials(cfg, dm, periodic_rows(pol.feedback_gain, 1), [0],
                                 steady=benchmark_steady, noise=noise, keep_traces=True)
     closed_loop = dm.a + dm.b @ pol.feedback_gain
     x = dm.init_mean.copy()
@@ -102,7 +131,7 @@ def test_metrics_periodic_rate_exact(benchmark_model, benchmark_steady):
     cfg = bench_cfg(methods=("periodic",), trials=2)
     pol = sr.design_periods(benchmark_model, BENCH.q_weight, BENCH.r_weight, [3])[3]
     traces = [
-        sr.simulate_trials(cfg, benchmark_model, PeriodicController(pol.feedback_gain, 3), [t],
+        sr.simulate_trials(cfg, benchmark_model, periodic_rows(pol.feedback_gain, 3), [t],
                            steady=benchmark_steady, keep_traces=True)[0]
         for t in range(2)
     ]
@@ -133,12 +162,12 @@ def test_common_random_numbers_across_methods(benchmark_model, benchmark_steady)
     t_ro, = sr.simulate_trials(cfg, benchmark_model, pol, [4], steady=benchmark_steady,
                                keep_traces=True)
     t_pe, = sr.simulate_trials(cfg, benchmark_model,
-                               PeriodicController(base.feedback_gain, 6), [4],
+                               periodic_rows(base.feedback_gain, 6), [4],
                                steady=benchmark_steady, keep_traces=True)
     assert np.array_equal(t_ro.states[0], t_pe.states[0])
     assert np.array_equal(t_ro.outputs[0], t_pe.outputs[0])
-    x0a, wa, va = sr.noise_streams(benchmark_model, cfg.seed_base, 4, cfg.horizon_steps)
-    x0b, wb, vb = sr.noise_streams(benchmark_model, cfg.seed_base, 4, cfg.horizon_steps)
+    x0a, wa, va = sr.noise_streams(benchmark_model, cfg.seed_base, [4], cfg.horizon_steps)
+    x0b, wb, vb = sr.noise_streams(benchmark_model, cfg.seed_base, [4], cfg.horizon_steps)
     assert np.array_equal(wa, wb) and np.array_equal(va, vb) and np.array_equal(x0a, x0b)
 
 
@@ -150,7 +179,7 @@ def test_forced_base_pattern_equals_periodic(benchmark_model, benchmark_steady, 
     t_ro, = sr.simulate_trials(cfg, benchmark_model, pol, [2], steady=benchmark_steady,
                                keep_traces=True)
     t_pe, = sr.simulate_trials(cfg, benchmark_model,
-                               PeriodicController(base.feedback_gain, 6), [2],
+                               periodic_rows(base.feedback_gain, 6), [2],
                                steady=benchmark_steady, keep_traces=True)
     assert np.array_equal(t_ro.triggers, t_pe.triggers)
     scale = max(1.0, np.abs(t_pe.states).max())
@@ -166,7 +195,7 @@ def test_check_performance_bound_forced_base(benchmark_model, benchmark_steady, 
                              keep_traces=True)[0]
           for t in range(5)]
     pe = [sr.simulate_trials(cfg, benchmark_model,
-                             PeriodicController(base.feedback_gain, 6), [t],
+                             periodic_rows(base.feedback_gain, 6), [t],
                              steady=benchmark_steady, keep_traces=True)[0]
           for t in range(5)]
     m_ro = sr.estimate_metrics(ro, 0.2)
@@ -191,7 +220,7 @@ def test_check_performance_bound_scalar_monte_carlo(scalar_model):
     for t in range(trials):
         pol = sr.RolloutPolicy(tables=tables, theta=theta)
         ro_traces += sr.simulate_trials(cfg, dm, pol, [t], steady=steady, keep_traces=True)
-        pe_traces += sr.simulate_trials(cfg, dm, PeriodicController(base.feedback_gain, p), [t],
+        pe_traces += sr.simulate_trials(cfg, dm, periodic_rows(base.feedback_gain, p), [t],
                                         steady=steady, keep_traces=True)
     holds, margin = sr.check_performance_bound(sr.estimate_metrics(ro_traces, theta),
                                       sr.estimate_metrics(pe_traces, theta), h)
@@ -225,7 +254,8 @@ def test_mean_square_stability_controls():
                                   q_weight=[[1.0]], r_weight=[[1.0]],
                                   methods=("periodic",))
         with np.errstate(over="ignore"):
-            traces = [sr.simulate_trials(cfg, dm, Null(), [t], keep_traces=True)[0]
+            traces = [sr.simulate_trials(cfg, dm, Null(), [t], sr.steady_kalman(dm),
+                                         keep_traces=True)[0]
                       for t in range(8)]
         bounded, report = sr.check_mean_square_stability(traces, window_len=50)
         assert bounded is expect, report
@@ -242,17 +272,19 @@ def test_nonfinite_state_aborts():
     cfg = sr.ExperimentConfig(horizon_steps=600, trials=1, seed_base=2,
                               q_weight=[[1.0]], r_weight=[[1.0]], methods=("periodic",))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-        sr.simulate_trials(cfg, dm, Null(), [0], keep_traces=True)
+        sr.simulate_trials(cfg, dm, Null(), [0], sr.steady_kalman(dm), keep_traces=True)
 
 
-def test_theta_sweep_isolates_cell_failures():
+def test_theta_sweep_isolates_cell_failures(monkeypatch):
     dm = sr.DiscreteModel(a=np.diag([1.0, -1.0]), b=[[1.0], [1.0]], c=np.eye(2),
                           proc_cov=np.eye(2), meas_cov=np.eye(2),
                           init_mean=np.zeros(2), init_cov=np.eye(2))
     cfg = sr.ExperimentConfig(horizon_steps=20, trials=1, seed_base=1,
                               q_weight=np.eye(2), r_weight=[[1.0]],
                               methods=("periodic",), candidates=(2,), theta_grid=(0.1, 0.2))
-    cells = sr.theta_sweep(cfg, sr.design(cfg, dm))
+    # the load gate rejects this model; the design's own gate is under test
+    monkeypatch.setattr(sr.ExperimentConfig, "build_model", lambda self: dm)
+    cells = sr.theta_sweep(cfg, sr.design(cfg))
     assert len(cells) == 2
     # a failed design is not shared: every cell that needs it records the failure
     for cell in cells:
@@ -260,7 +292,7 @@ def test_theta_sweep_isolates_cell_failures():
         assert cell.metrics is None
 
 
-def test_theta_sweep_design_failure_stays_in_its_method():
+def test_theta_sweep_design_failure_stays_in_its_method(monkeypatch):
     # the period-2 design is pathological; the rollout base at p = 1 is designed on its own
     dm = sr.DiscreteModel(a=np.diag([1.0, -1.0]), b=[[1.0], [1.0]], c=np.eye(2),
                           proc_cov=np.eye(2), meas_cov=np.eye(2),
@@ -268,7 +300,8 @@ def test_theta_sweep_design_failure_stays_in_its_method():
     cfg = sr.ExperimentConfig(horizon_steps=20, trials=2, seed_base=1,
                               q_weight=np.eye(2), r_weight=[[1.0]], theta_grid=(0.1, 0.2),
                               methods=("rollout", "periodic"), h=2, p=1, candidates=(2,))
-    cells = sr.theta_sweep(cfg, sr.design(cfg, dm))
+    monkeypatch.setattr(sr.ExperimentConfig, "build_model", lambda self: dm)  # past the load gate
+    cells = sr.theta_sweep(cfg, sr.design(cfg))
     assert [(c.theta, c.method) for c in cells] == [
         (0.1, "rollout"), (0.1, "periodic"), (0.2, "rollout"), (0.2, "periodic")]
     for cell in cells:
@@ -319,8 +352,9 @@ def test_design_stack_keeps_each_equation_solo_bits(name):
     cfg = load_config(CONFIGS / f"{name}.yaml")
     designed = sr.design(cfg, methods=("rollout", "periodic", "sparse_mpc"))
     dm = designed.model
-    terminal = sr.solve_dare(sr.RiccatiProblem(dm.a, dm.b, cfg.q_weight, np.zeros(dm.b.shape),
-                                               cfg.r_weight)).cost_matrix
+    (sol,) = solve_dares([sr.RiccatiProblem(dm.a, dm.b, cfg.q_weight, np.zeros(dm.b.shape),
+                                            cfg.r_weight)])
+    terminal = sol.cost_matrix
     assert designed["sparse_mpc"][0].terminal_weight.tobytes() == terminal.tobytes()
     for p, pol in [*designed["periodic"].items(), (cfg.p, designed["rollout"][0])]:
         alone = sr.design_periods(dm, cfg.q_weight, cfg.r_weight, [p])[p]
@@ -348,7 +382,7 @@ def test_design_solves_each_period_once(monkeypatch, path, problems):
     assert designed["sparse_mpc"][0].terminal_weight is designed["periodic"][1].cost_matrix
 
 
-def test_unobservable_state_weight_fails_the_mpc_design():
+def test_unobservable_state_weight_fails_the_mpc_design(monkeypatch):
     # the second mode is stable but unseen by Q: the stabilizing terminal needs (A, Q^1/2)
     # observable, so sparse MPC fails as the periodic designs do
     dm = sr.DiscreteModel(a=np.diag([0.5, 0.9]), b=[[1.0], [1.0]], c=np.eye(2),
@@ -356,7 +390,8 @@ def test_unobservable_state_weight_fails_the_mpc_design():
                           init_cov=np.eye(2))
     cfg = sr.ExperimentConfig(q_weight=np.diag([1.0, 0.0]), r_weight=[[1.0]], h=2, p=1,
                               candidates=(1,), methods=("sparse_mpc", "periodic"))
-    designed = sr.design(cfg, dm=dm)
+    monkeypatch.setattr(sr.ExperimentConfig, "build_model", lambda self: dm)  # past the load gate
+    designed = sr.design(cfg)
     for method in ("sparse_mpc", "periodic"):
         with pytest.raises(AssumptionViolatedError, match="observable"):
             designed[method]
@@ -369,7 +404,8 @@ def test_nonfinite_error_names_step_and_trial():
                               q_weight=[[1.0]], r_weight=[[1.0]], methods=("periodic",))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError,
                                                    match=r"at step \d+ in trial (5|6)$"):
-        sr.simulate_trials(cfg, dm, PeriodicController(np.zeros((1, 1)), 1), [5, 6])
+        sr.simulate_trials(cfg, dm, periodic_rows(np.zeros((1, 1)), 1, rows=2), [5, 6],
+                           sr.steady_kalman(dm))
 
 
 def test_rollout_needs_whole_blocks_alone_and_stacked(benchmark_model, benchmark_steady):
@@ -377,7 +413,7 @@ def test_rollout_needs_whole_blocks_alone_and_stacked(benchmark_model, benchmark
     # first step, alone or as one part of a multi-method loop
     cfg = bench_cfg(horizon_steps=100, methods=("periodic",))
     pol, base = rollout_policy(benchmark_model)
-    periodic = PeriodicController(base.feedback_gain, 6)
+    periodic = periodic_rows(base.feedback_gain, 6, rows=2)
     stacked = simulate._Stacked([periodic, pol], [2, 2])
     for controller in (pol, stacked):
         with pytest.raises(ValueError, match="^horizon_steps must be a multiple of the block "
@@ -458,7 +494,8 @@ def test_theta_sweep_records_admm_nonconvergence(benchmark_model, mpc_problem):
     prob = mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight, 30)
     controller = SparseMpcController(prob, 0.1, admm_factor(prob, 1.0), 1e-8, 2)
     with pytest.raises(NonConvergenceError) as err:
-        sr.simulate_trials(cfg, benchmark_model, controller, range(3))
+        sr.simulate_trials(cfg, benchmark_model, controller, range(3),
+                           sr.steady_kalman(benchmark_model))
     assert err.value.iterations == 2 and err.value.residual > 0.0
 
 
@@ -584,7 +621,7 @@ def _reference_deciders(method, dm, theta, mpc_problem):
         def make():
             return lambda xhat, k: ((gain @ xhat, 1) if k % 3 == 0 else (np.zeros(1), 0))
 
-        return make, PeriodicController(gain, 3)
+        return make, periodic_rows(gain, 3, rows=3)
     if method == "rollout":
         pol, _ = rollout_policy(dm, theta=theta)
 
@@ -665,7 +702,7 @@ def test_batched_engine_matches_per_trial_reference(benchmark_model, mpc_problem
     trials = [0, 1, 5]
     traces = sr.simulate_trials(cfg, dm, controller, trials, steady=steady)
     for row, trial in enumerate(trials):
-        noise = sr.noise_streams(dm, seed_base, trial, cfg.horizon_steps)
+        noise = one_key(dm, seed_base, trial, cfg.horizon_steps)
         costs, triggers = _reference_trial(dm, BENCH.q_weight, BENCH.r_weight, noise, steady,
                                            make())
         assert np.array_equal(traces[row].triggers, triggers)

@@ -6,6 +6,7 @@ import pytest
 import sparseroll as sr
 from sparseroll import simulate, verify
 from sparseroll.exceptions import NonConvergenceError
+from sparseroll.riccati import solve_dares
 from sparseroll.simulate import SparseMpcController
 from sparseroll.sparse_mpc import RELAX, ZERO_TOL, _shrink, admm_factor, kkt_residuals, solve_admm
 
@@ -68,7 +69,7 @@ def test_block_soft_threshold_examples():
 def test_terminal_weight_defaults_to_cost_to_go(benchmark_model, bench_problem):
     prob = sr.RiccatiProblem(benchmark_model.a, benchmark_model.b, BENCH.q_weight,
                              np.zeros((4, 1)), BENCH.r_weight)
-    expected = sr.solve_dare(prob).cost_matrix
+    expected = solve_dares([prob])[0].cost_matrix
     assert np.allclose(bench_problem.terminal_weight, expected, rtol=1e-10)
 
 
@@ -432,7 +433,8 @@ def test_closed_loop_actuation_rate_interior(benchmark_model, bench_problem):
                               methods=("sparse_mpc",))
     controller = SparseMpcController(bench_problem, THETA, admm_factor(bench_problem, 1.0),
                                      1e-8, 10_000)
-    trace, = sr.simulate_trials(cfg, benchmark_model, controller, [0], keep_traces=True)
+    trace, = sr.simulate_trials(cfg, benchmark_model, controller, [0],
+                                sr.steady_kalman(benchmark_model), keep_traces=True)
     rate = trace.actuation_rate
     assert 0.0 < rate < 1.0
     # trigger/input consistency on the recorded trace
