@@ -41,8 +41,6 @@ class MpcProblem:
     """Condensed sparse-MPC data for one prediction horizon; theta is a solve argument."""
 
     horizon: int
-    phi: np.ndarray            # stacked A^1..A^H          (H n, n)
-    psi: np.ndarray            # block lower-triangular    (H n, H q)
     quad_matrix: np.ndarray    # H in the objective        (H q, H q)
     lin_matrix: np.ndarray     # f(x) = lin_matrix @ x     (H q, n)
     group_size: int            # q
@@ -85,8 +83,6 @@ def build_mpc_problem(dm: DiscreteModel, q_weight, r_weight, horizon: int,
     lin = 2.0 * (psi.T @ qt @ phi)
     return MpcProblem(
         horizon=horizon,
-        phi=phi,
-        psi=psi,
         quad_matrix=0.5 * (quad + quad.T),
         lin_matrix=lin,
         group_size=q,

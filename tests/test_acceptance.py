@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.linalg
 import yaml
 
 import sparseroll as sr
@@ -138,11 +140,29 @@ def test_criterion_6_decision_monotonicity(bench):
     _report("criterion 6 (decision monotonicity in theta)", "1000 draws, 0 violations")
 
 
-def test_criterion_7_discretization_oracle():
-    cfg = sr.ExperimentConfig()
-    check = verify._discretization_check(cfg, sr.design(cfg, methods=()))
-    assert check.passed, check.detail
-    _report("criterion 7 (discretization oracle)", check.detail)
+@pytest.mark.parametrize("sample_period, scale", [(0.05, 1.0), (0.1, 1.0), (0.3, 1.0),
+                                                   (0.1, 1.0 + 1e-6)],
+                         ids=["ts0.05", "ts0.1", "ts0.3", "ts0.1-perturbed"])
+def test_criterion_7_discretization_oracle(sample_period, scale):
+    # 2, 4 and 12 panels of the numpy rule, which scipy's adaptive quadrature confirms; a
+    # covariance off by a relative 1e-6 must fail the check
+    cfg = replace(BENCH, sample_period=sample_period)
+    cm = sr.plant.build_benchmark_model()
+    w = cm.d_cont @ cm.d_cont.T
+
+    def integrand(tau):
+        e = scipy.linalg.expm(cm.a_cont * tau)
+        return e @ w @ e.T
+
+    ref, _ = scipy.integrate.quad_vec(integrand, 0.0, sample_period, epsabs=1e-13, epsrel=1e-13)
+    assert np.abs(verify._noise_quadrature(cm, sample_period) - ref).max() <= 1e-15
+    designed = sr.design(cfg, methods=())
+    designed = replace(designed, model=replace(designed.model,
+                                               proc_cov=scale * designed.model.proc_cov))
+    check = verify._discretization_check(cfg, designed)
+    assert check.passed == (scale == 1.0), check.detail
+    _report("criterion 7 (discretization oracle)", f"sample_period {sample_period}, covariance "
+            f"x {scale} {'passes' if check.passed else 'fails'}: {check.detail}")
 
 
 def test_criterion_8_sparse_mpc_optimality():

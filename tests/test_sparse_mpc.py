@@ -74,17 +74,22 @@ def test_terminal_weight_defaults_to_cost_to_go(benchmark_model, bench_problem):
 
 
 def test_prediction_matrices_consistent(benchmark_model, bench_problem, rng):
-    # stacked maps must reproduce a direct rollout of the prediction model
-    dm = benchmark_model
+    # the condensed cost is a direct rollout's: J(U) - J(0) = 0.5 U'HU + (lin_matrix x0)'U
+    dm, prob = benchmark_model, bench_problem
+
+    def rollout_cost(u):
+        x, cost = x0, 0.0
+        for i in range(30):
+            x = dm.a @ x + dm.b @ u[i]
+            cost += x @ (BENCH.q_weight if i < 29 else prob.terminal_weight) @ x
+            cost += u[i] @ BENCH.r_weight @ u[i]
+        return cost
+
     x0 = rng.standard_normal(4)
     u = rng.standard_normal((30, 1))
-    states = []
-    x = x0
-    for i in range(30):
-        x = dm.a @ x + dm.b @ u[i]
-        states.append(x)
-    stacked = bench_problem.phi @ x0 + bench_problem.psi @ u.reshape(-1)
-    assert np.allclose(stacked, np.concatenate(states), rtol=1e-12)
+    condensed = 0.5 * u.ravel() @ prob.quad_matrix @ u.ravel() + (prob.lin_matrix @ x0) @ u.ravel()
+    assert np.isclose(rollout_cost(u) - rollout_cost(np.zeros((30, 1))), condensed,
+                      rtol=1e-12, atol=0.0)
 
 
 def test_zero_theta_matches_direct_solve(bench_problem, rng):
