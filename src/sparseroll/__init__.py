@@ -50,13 +50,11 @@ from .rollout import (
 from .simulate import (
     Design,
     Metrics,
-    SimTrace,
     StabilityReport,
     SweepCell,
     check_mean_square_stability,
     check_performance_bound,
     design,
-    estimate_metrics,
     noise_streams,
     simulate_trials,
     theta_sweep,

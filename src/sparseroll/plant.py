@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import IllConditionedError
-from .riccati import min_eigenvalue, require_psd, require_symmetric, symmetrize
+from .riccati import as_matrix, min_eigenvalue, require_psd, require_symmetric, symmetrize
 
 # Relative agreement required between e^{M t} and (e^{M t/2})^2.
 _EXPM_SELFCHECK_TOL = 1e-8
@@ -21,10 +21,6 @@ _EXPM_SELFCHECK_TOL = 1e-8
 # Largest ||M||_1 at which the backward error of the degree-13 diagonal Pade approximant of
 # e^M is within the unit roundoff (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, Table 2.3).
 _PADE_THETA = 5.371920351148152
-
-
-def _mat(x) -> np.ndarray:
-    return np.atleast_2d(np.asarray(x, dtype=float))
 
 
 def _vec(x) -> np.ndarray:
@@ -42,12 +38,12 @@ class ContinuousModel:
     meas_noise_intensity: np.ndarray
 
     def __post_init__(self):
-        a = _mat(self.a_cont)
+        a = as_matrix(self.a_cont)
         n = a.shape[0]
         b = np.asarray(self.b_cont, dtype=float).reshape(n, -1)
         d = np.asarray(self.d_cont, dtype=float).reshape(n, -1)
         c = np.asarray(self.c_cont, dtype=float).reshape(-1, n)
-        e = _mat(self.meas_noise_intensity)
+        e = as_matrix(self.meas_noise_intensity)
         if a.shape != (n, n) or e.shape != (c.shape[0],) * 2:
             raise ValueError("inconsistent continuous-model dimensions")
         require_symmetric(e, "meas_noise_intensity")
@@ -71,14 +67,14 @@ class DiscreteModel:
     init_cov: np.ndarray
 
     def __post_init__(self):
-        a = _mat(self.a)
+        a = as_matrix(self.a)
         n = a.shape[0]
         b = np.asarray(self.b, dtype=float).reshape(n, -1)
         c = np.asarray(self.c, dtype=float).reshape(-1, n)
-        pw = _mat(self.proc_cov)
-        pv = _mat(self.meas_cov)
+        pw = as_matrix(self.proc_cov)
+        pv = as_matrix(self.meas_cov)
         mean = _vec(self.init_mean)
-        cov = _mat(self.init_cov)
+        cov = as_matrix(self.init_cov)
         if a.shape != (n, n) or pw.shape != (n, n) or cov.shape != (n, n):
             raise ValueError("inconsistent state dimensions")
         if pv.shape != (c.shape[0],) * 2 or mean.shape != (n,):
@@ -118,7 +114,7 @@ class DiscreteModel:
         return self.c.shape[0]
 
     def with_init(self, mean, cov) -> "DiscreteModel":
-        return replace(self, init_mean=_vec(mean), init_cov=_mat(cov))
+        return replace(self, init_mean=_vec(mean), init_cov=as_matrix(cov))
 
 
 @dataclass(frozen=True)
@@ -229,8 +225,8 @@ def build_lifted(dm: DiscreteModel, q_weight, r_weight, p: int) -> LiftedSystem:
         raise ValueError("period must be >= 1")
     a, b, w = dm.a, dm.b, dm.proc_cov
     n = dm.n_states
-    q = _mat(q_weight)
-    r = _mat(r_weight)
+    q = as_matrix(q_weight)
+    r = as_matrix(r_weight)
     require_symmetric(q, "q_weight")
     require_symmetric(r, "r_weight")
 

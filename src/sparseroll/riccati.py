@@ -32,7 +32,7 @@ RANK_TOL = 1e-9
 UNIT_CIRCLE_TOL = 1e-6
 
 
-def _as_matrix(x) -> np.ndarray:
+def as_matrix(x) -> np.ndarray:
     return np.atleast_2d(np.asarray(x, dtype=float))
 
 
@@ -78,16 +78,16 @@ class RiccatiProblem:
     input_weight: np.ndarray
 
     def __post_init__(self):
-        a = _as_matrix(self.state_matrix)
+        a = as_matrix(self.state_matrix)
         n = a.shape[0]
         if a.shape != (n, n):
             raise ValueError("state_matrix must be square")
         b = np.asarray(self.input_matrix, dtype=float)
         if b.ndim == 1:
             b = b.reshape(n, -1)
-        q = _as_matrix(self.state_weight)
+        q = as_matrix(self.state_weight)
         s = np.asarray(self.cross_weight, dtype=float).reshape(n, b.shape[1])
-        r = _as_matrix(self.input_weight)
+        r = as_matrix(self.input_weight)
         if b.shape[0] != n or q.shape != (n, n) or r.shape != (b.shape[1],) * 2:
             raise ValueError("inconsistent problem dimensions")
         require_symmetric(q, "state_weight")
@@ -202,7 +202,7 @@ def range_basis(m) -> np.ndarray:
     """Orthonormal (n, r) basis of the range of a symmetric PSD m: the eigenvectors of eigenvalue
     above n eps lambda_max.  The PBH test of (a', basis) finds the unobservable modes of (a, m)
     at the scale of a alone, however m is scaled."""
-    lam, vec = np.linalg.eigh(_as_matrix(m))
+    lam, vec = np.linalg.eigh(as_matrix(m))
     return vec[:, lam > len(lam) * np.finfo(float).eps * lam.max(initial=0.0)]
 
 
@@ -214,7 +214,7 @@ def uncontrollable_mode(a: np.ndarray, b: np.ndarray, unstable_only: bool = True
     is detectable (observable).  The floor of the pencil's n-th singular value is ``RANK_TOL``
     times the larger spectral norm of a and b; a pair that is not finite is a NonFiniteError.
     """
-    a = _as_matrix(a)
+    a = as_matrix(a)
     b = np.asarray(b, dtype=float).reshape(len(a), -1)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise NonFiniteError("the pair (A, B) of the rank test is not finite")

@@ -24,30 +24,6 @@ from .rollout import RolloutPolicy, build_tables
 from .sparse_mpc import admm_factor, build_mpc_problem, first_inputs, solve_admm
 
 
-@dataclass(frozen=True)
-class SimTrace:
-    """Per-step closed-loop records of one trial.
-
-    A sweep keeps only the stage costs and triggers; the other records are
-    filled for the rows of ``keep_traces``.
-    """
-
-    triggers: np.ndarray
-    stage_costs: np.ndarray
-    states: np.ndarray | None = None
-    estimates: np.ndarray | None = None
-    inputs: np.ndarray | None = None
-    outputs: np.ndarray | None = None
-
-    @property
-    def control_cost(self) -> float:
-        return float(self.stage_costs.mean())
-
-    @property
-    def actuation_rate(self) -> float:
-        return float(self.triggers.mean())
-
-
 def _stderr(values: np.ndarray) -> float:
     """Standard error of the mean of per-trial values; 0 for a single trial."""
     n = len(values)
@@ -173,16 +149,19 @@ class _Stacked:
 
 
 def simulate_trials(cfg: ExperimentConfig, dm: DiscreteModel, controller, trials, steady,
-                    noise=None, keep_traces=False) -> list[SimTrace]:
-    """Run the given rows as one closed loop over (rows, n) arrays; one trace per row.
+                    noise=None, keep_states=False):
+    """Run the given rows as one closed loop over (rows, n) arrays.
+
+    Returns each row's average stage cost (rows,), its actuation rate (rows,)
+    and the states (kept rows, N, n) of the rows that ``keep_states`` (a bool
+    or a mask) selects; only a loop that keeps some row records states.
 
     ``controller.decide(x_hat, k)`` gets the estimates (rows, n) and returns
     float u (rows, q) and delta (rows,).  The filter runs at the gain of
     ``steady``, the :func:`steady_kalman` triple of ``dm``.  ``trials`` holds
     each row's trial key; rows of one key share its noise, ``noise`` or else
-    the :func:`noise_streams` of the distinct keys in ascending order.  The
-    rows selected by ``keep_traces`` (a bool or a mask) record full traces.
-    A non-finite state raises :class:`NonFiniteError` naming the step and the
+    the :func:`noise_streams` of the distinct keys in ascending order.  A
+    non-finite state raises :class:`NonFiniteError` naming the step and the
     row's trial key.  A :class:`RolloutPolicy`, alone or as one of a stacked
     controller's ``parts``, needs ``horizon_steps`` to be a multiple of its
     block length.
@@ -200,21 +179,17 @@ def simulate_trials(cfg: ExperimentConfig, dm: DiscreteModel, controller, trials
     x_hat = kalman_init(dm, y, gain)
 
     n_rows = len(trials)
-    keep = np.broadcast_to(keep_traces, (n_rows,))
+    keep = np.broadcast_to(keep_states, (n_rows,))
     stage_costs = np.empty((n_rows, n_steps))
     triggers = np.empty((n_rows, n_steps), dtype=np.int8)
-    records = {name: np.empty((keep.sum(), n_steps, dim)) for name, dim in (
-        ("states", dm.n_states), ("estimates", dm.n_states),
-        ("inputs", dm.n_inputs), ("outputs", dm.n_outputs))} if keep.any() else {}
+    states = np.empty((keep.sum(), n_steps, dm.n_states))
     for k in range(n_steps):
         u, delta = controller.decide(x_hat, k)
         triggers[:, k] = delta
         stage_costs[:, k] = (np.einsum("ti,ij,tj->t", x, cfg.q_weight, x)
                              + np.einsum("ti,ij,tj->t", u, cfg.r_weight, u))
-        if records:
-            for name, value in (("states", x), ("estimates", x_hat),
-                                ("inputs", u), ("outputs", y)):
-                records[name][:, k] = value[keep]
+        if len(states):
+            states[:, k] = x[keep]
         x = row_product(x, dm.a) + row_product(u, dm.b) + w[k, pick]
         if not np.isfinite(x).all():
             row = int(np.argmin(np.isfinite(x).all(axis=1)))
@@ -223,21 +198,7 @@ def simulate_trials(cfg: ExperimentConfig, dm: DiscreteModel, controller, trials
         y = row_product(x, dm.c) + v[k + 1, pick]
         x_hat = kalman_step(x_hat, u, y, dm, gain)
 
-    # a kept trace owns its rows, so it does not hold the arrays of the whole batch alive
-    slot = np.cumsum(keep) - 1
-    return [SimTrace(triggers=triggers[r], stage_costs=stage_costs[r]) if not keep[r] else
-            SimTrace(triggers=triggers[r].copy(), stage_costs=stage_costs[r].copy(),
-                     **{name: rec[slot[r]] for name, rec in records.items()})
-            for r in range(n_rows)]
-
-
-def estimate_metrics(traces, theta: float) -> Metrics:
-    """Across-trial means and standard errors of cost and actuation rate."""
-    traces = list(traces)
-    if not traces:
-        raise ValueError("need at least one trace")
-    return Metrics.of(np.array([t.control_cost for t in traces]),
-                      np.array([t.actuation_rate for t in traces]), theta)
+    return stage_costs.mean(axis=1), triggers.mean(axis=1), states
 
 
 @dataclass(frozen=True)
@@ -301,16 +262,16 @@ def design(cfg: ExperimentConfig, methods=None) -> Design:
 
 @dataclass(frozen=True)
 class SweepCell:
-    """One (theta, method) aggregate of a sweep; metrics None on failure, traces when kept."""
+    """One (theta, method) aggregate of a sweep; metrics None on failure, states when kept."""
 
     theta: float
     method: str
     metrics: Metrics | None
     status: str = "ok"
-    traces: list[SimTrace] | None = field(default=None, repr=False)
+    states: np.ndarray | None = field(default=None, repr=False)
 
 
-def theta_sweep(cfg: ExperimentConfig, designed: Design | None = None, keep_traces=()):
+def theta_sweep(cfg: ExperimentConfig, designed: Design | None = None, keep_states=()):
     """Run every method of ``cfg`` over its theta grid with common random numbers.
 
     The designs do not depend on theta: ``designed`` is the :class:`Design`
@@ -318,7 +279,7 @@ def theta_sweep(cfg: ExperimentConfig, designed: Design | None = None, keep_trac
     of every trial is drawn once on its model.  The sweep then runs one
     closed loop: each method's controller takes its own block of rows, row
     g T + t of a block being trial t of theta cell g at that cell's theta.
-    The (theta, method) cells in ``keep_traces`` keep their full traces.  A
+    The (theta, method) cells in ``keep_states`` keep their states.  A
     failure is recorded in the status of the cells it affects, as
     ``error: <ExceptionType>: <message>``, and the sweep continues: when the
     closed loop raises, each method runs alone, and when a method's loop
@@ -349,13 +310,15 @@ def theta_sweep(cfg: ExperimentConfig, designed: Design | None = None, keep_trac
         loop = _Stacked([controller(method, part) for method, part in batch],
                         [len(part) * n_trials for _, part in batch])
         order = [(method, i) for method, part in batch for i in part]
-        keep = np.repeat([(grid[i], method) in keep_traces for method, i in order], n_trials)
-        traces = simulate_trials(cfg, dm, loop, list(range(n_trials)) * len(order),
-                                 steady=steady, noise=noise, keep_traces=keep)
+        keep = np.repeat([(grid[i], method) in keep_states for method, i in order], n_trials)
+        costs, rates, states = simulate_trials(cfg, dm, loop, list(range(n_trials)) * len(order),
+                                               steady=steady, noise=noise, keep_states=keep)
+        kept = iter(states.reshape(-1, n_trials, *states.shape[1:]))  # the kept cells in order
         for g, (method, i) in enumerate(order):
-            rows = traces[g * n_trials:(g + 1) * n_trials]
-            cells[i, method] = SweepCell(float(grid[i]), method, estimate_metrics(rows, grid[i]),
-                                         traces=rows if keep[g * n_trials] else None)
+            rows = slice(g * n_trials, (g + 1) * n_trials)
+            cells[i, method] = SweepCell(float(grid[i]), method,
+                                         Metrics.of(costs[rows], rates[rows], grid[i]),
+                                         states=next(kept) if keep[rows.start] else None)
 
     noise = noise_streams(dm, cfg.seed_base, range(n_trials), cfg.horizon_steps)
     cells = {}
@@ -399,8 +362,8 @@ class StabilityReport:
     slope_stderr: float
 
 
-def check_mean_square_stability(traces, window_len: int):
-    """Windowed trend test of E||x_k||^2 across trials.
+def check_mean_square_stability(states, window_len: int):
+    """Windowed trend test of E||x_k||^2 across the trials of ``states`` (T, N, n).
 
     Bounded iff the last-window mean stays within 1.5x the maximum of the
     middle windows and the fitted slope over windows is not significantly
@@ -408,13 +371,12 @@ def check_mean_square_stability(traces, window_len: int):
     """
     if window_len < 1:
         raise ValueError("window_len must be >= 1")
-    traces = list(traces)
-    if not traces:
-        raise ValueError("need at least one trace")
-    n_steps = traces[0].states.shape[0]
+    if not len(states):
+        raise ValueError("need at least one trial")
+    n_steps = states.shape[1]
     if n_steps < 4 * window_len:
         raise ValueError("need at least four windows")
-    sq = np.mean([np.sum(t.states**2, axis=1) for t in traces], axis=0)
+    sq = np.sum(states**2, axis=2).mean(axis=0)
     n_windows = n_steps // window_len
     means = sq[: n_windows * window_len].reshape(n_windows, window_len).mean(axis=1)
 

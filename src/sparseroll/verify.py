@@ -25,7 +25,6 @@ from .simulate import (
     check_mean_square_stability,
     check_performance_bound,
     design,
-    estimate_metrics,
     simulate_trials,
     theta_sweep,
 )
@@ -158,7 +157,7 @@ def _stability_check(cfg: ExperimentConfig, cells, probe) -> CheckResult:
         cell = by_theta[theta]
         if cell.status != "ok":
             return CheckResult("mean_square_stability", False, f"cell failure at theta={theta}")
-        bounded, report = check_mean_square_stability(cell.traces, window)
+        bounded, report = check_mean_square_stability(cell.states, window)
         if not bounded:
             return CheckResult(
                 "mean_square_stability", False,
@@ -176,12 +175,14 @@ def _periodic_formula_check(cfg: ExperimentConfig, designed: Design) -> CheckRes
     designs = designed["periodic"]
     n = cfg.trials  # one batch: row g n + t is trial t of the g-th candidate period
     gains = np.repeat([pol.feedback_gain for pol in designs.values()], n, axis=0)
-    traces = simulate_trials(cfg, dm, PeriodicController(gains, np.repeat(list(designs), n)),
-                             list(range(n)) * len(designs), steady=steady)
+    costs, rates, _ = simulate_trials(cfg, dm,
+                                      PeriodicController(gains, np.repeat(list(designs), n)),
+                                      list(range(n)) * len(designs), steady=steady)
     details = []
     for g, (p, pol) in enumerate(designs.items()):
         formula = periodic_average_cost(pol, steady[1], theta=0.0)
-        metrics = estimate_metrics(traces[g * n:(g + 1) * n], theta=0.0)
+        rows = slice(g * n, (g + 1) * n)
+        metrics = Metrics.of(costs[rows], rates[rows], theta=0.0)
         gap = abs(metrics.avg_control_cost - formula)
         limit = 3.0 * max(metrics.stderr_control_cost, 1e-12)
         rate_err = abs(metrics.avg_actuation_rate - 1.0 / p)
@@ -245,7 +246,7 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckResult]:
     designed = design(cfg, methods=("rollout", "periodic", "sparse_mpc"))
     try:  # one sweep serves the bound, the stability test at the probe and the ordering
         cells = theta_sweep(replace(cfg, methods=("rollout", "periodic")), designed,
-                            keep_traces=[(theta, "rollout") for theta in probe])
+                            keep_states=[(theta, "rollout") for theta in probe])
     except ConfigError as exc:
         cells = exc
 

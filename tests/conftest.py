@@ -46,6 +46,36 @@ def mpc_problem():
     return build
 
 
+class Recorder:
+    """Wraps a controller for one closed loop and records each step's x_hat, u and delta.
+
+    ``estimates`` (rows, N, n), ``inputs`` (rows, N, q) and ``triggers`` (rows, N) stack
+    them by row.
+    """
+
+    def __init__(self, controller):
+        self.controller = controller
+        self._steps = []
+
+    def decide(self, x_hat, k):
+        u, delta = self.controller.decide(x_hat, k)
+        self._steps.append((x_hat, u, delta))
+        return u, delta
+
+    def _stacked(self, i):
+        return np.stack([step[i] for step in self._steps], axis=1)
+
+    estimates = property(lambda self: self._stacked(0))
+    inputs = property(lambda self: self._stacked(1))
+    triggers = property(lambda self: self._stacked(2))
+
+
+@pytest.fixture(scope="session")
+def record():
+    """The :class:`Recorder` wrapper: ``record(controller)``."""
+    return Recorder
+
+
 @pytest.fixture()
 def rng():
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(20240601)))

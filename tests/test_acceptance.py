@@ -75,7 +75,7 @@ def benchmark_sweep():
                               theta_grid=THETA_GRID, methods=("rollout", "periodic"), h=6, p=6,
                               candidates=BENCH.candidates)
     start = time.perf_counter()
-    cells = sr.theta_sweep(cfg, keep_traces=[(theta, "rollout") for theta in STABILITY_THETAS])
+    cells = sr.theta_sweep(cfg, keep_states=[(theta, "rollout") for theta in STABILITY_THETAS])
     elapsed = time.perf_counter() - start
     return cfg, cells, elapsed
 
@@ -114,10 +114,10 @@ def test_criterion_5_mean_square_stability(benchmark_sweep):
 
     cfg = sr.ExperimentConfig(horizon_steps=N_STEPS, trials=10, seed_base=13,
                               q_weight=[[1.0]], r_weight=[[1.0]], methods=("periodic",))
-    traces = [sr.simulate_trials(cfg, unstable, Null(), [t], sr.steady_kalman(unstable),
-                                 keep_traces=True)[0]
-              for t in range(10)]
-    bad_bounded, _ = sr.check_mean_square_stability(traces, window_len=50)
+    _, _, states = sr.simulate_trials(cfg, unstable, Null(), range(10),
+                                      sr.steady_kalman(unstable), keep_states=True)
+    assert states.shape == (10, N_STEPS, 1)
+    bad_bounded, _ = sr.check_mean_square_stability(states, window_len=50)
     assert not bad_bounded
     _report("criterion 5 (mean-square stability)",
             "bounded at theta in {0.02, 0.2, 0.4}; negative control rejected")

@@ -413,12 +413,12 @@ def test_cmd_verify_config_that_cannot_run_rollout(tmp_path):
 
 
 def test_verify_one_sweep_serves_bound_and_stability(monkeypatch):
-    # the bound, stability and ordering checks read one rollout/periodic sweep, rollout traces
+    # the bound, stability and ordering checks read one rollout/periodic sweep, rollout states
     # kept at the probe; the ordering check adds only the sparse-MPC cell at the middle theta
     calls = []
     sweep = verify.theta_sweep
-    monkeypatch.setattr(verify, "theta_sweep", lambda cfg, designed, keep_traces=(): calls.append(
-        (cfg.methods, list(keep_traces))) or sweep(cfg, designed, keep_traces))
+    monkeypatch.setattr(verify, "theta_sweep", lambda cfg, designed, keep_states=(): calls.append(
+        (cfg.methods, list(keep_states))) or sweep(cfg, designed, keep_states))
     cfg = parse_config(small_config_dict(theta={"grid": [0.1, 0.2, 0.3, 0.4]},
                                          methods=["rollout", "periodic", "sparse_mpc"]))
     results = {c.name: c for c in verify.run_verification(cfg)}
@@ -427,7 +427,7 @@ def test_verify_one_sweep_serves_bound_and_stability(monkeypatch):
     kept = [(theta, "rollout") for theta in probe]
     assert calls == [(("rollout", "periodic"), kept), (("sparse_mpc",), [])]
     # the same result as a sweep of the rollout cells at the probe thetas alone
-    alone = sweep(replace(cfg, theta_grid=probe, methods=("rollout",)), keep_traces=kept)
+    alone = sweep(replace(cfg, theta_grid=probe, methods=("rollout",)), keep_states=kept)
     assert verify._stability_check(cfg, alone, probe) == results["mean_square_stability"]
     # the ordering reads the first 15 rollout trials of the sweep: the figures of a separate
     # 15-trial sweep of both methods at the middle theta

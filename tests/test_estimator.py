@@ -126,7 +126,7 @@ def test_step_is_linear_in_inputs(benchmark_model, benchmark_steady, rng):
         assert np.allclose(combined, superposed, atol=1e-12)
 
 
-def test_innovation_whiteness(stationary_benchmark, benchmark_steady):
+def test_innovation_whiteness(stationary_benchmark, benchmark_steady, record):
     dm = stationary_benchmark
     cfg = sr.ExperimentConfig(horizon_steps=5000, trials=1, seed_base=3,
                               q_weight=BENCH.q_weight, r_weight=BENCH.r_weight,
@@ -134,11 +134,18 @@ def test_innovation_whiteness(stationary_benchmark, benchmark_steady):
     pol = sr.design_periods(dm, BENCH.q_weight, BENCH.r_weight, [2])[2]
     from sparseroll.simulate import PeriodicController
 
-    periodic = PeriodicController(pol.feedback_gain[None], np.array([2]))  # one row
-    trace, = sr.simulate_trials(cfg, dm, periodic, [0],
-                                steady=benchmark_steady, keep_traces=True)
-    pred = trace.estimates[:-1] @ dm.a.T + trace.inputs[:-1] @ dm.b.T
-    innov = trace.outputs[1:] - pred @ dm.c.T
+    rec = record(PeriodicController(pol.feedback_gain[None], np.array([2])))  # one row
+    _, _, (states,) = sr.simulate_trials(cfg, dm, rec, [0], steady=benchmark_steady,
+                                         keep_states=True)
+    (estimates,), (inputs,) = rec.estimates, rec.inputs
+    # the loop measures y_k = C x_k + v_k, v_k of the trial's own noise stream
+    _, _, v = sr.noise_streams(dm, cfg.seed_base, [0], cfg.horizon_steps)
+    outputs = states @ dm.c.T + v[:-1, 0]
+    # the filter ran on these outputs: each estimate is the step from the one before
+    assert np.allclose(sr.kalman_step(estimates[:-1], inputs[:-1], outputs[1:], dm,
+                                      benchmark_steady[0]), estimates[1:], rtol=0, atol=1e-12)
+    pred = estimates[:-1] @ dm.a.T + inputs[:-1] @ dm.b.T
+    innov = outputs[1:] - pred @ dm.c.T
     innov = innov - innov.mean(axis=0)
     n = innov.shape[0]
     scale = innov.std(axis=0, ddof=1)

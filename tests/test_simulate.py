@@ -1,7 +1,6 @@
 import re
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -54,15 +53,18 @@ def play_base_pattern(monkeypatch):
                         lambda tables, x_hat, theta: np.full(len(x_hat), tables.base))
 
 
-def test_same_seed_bit_identical(benchmark_model, benchmark_steady):
+def test_same_seed_bit_identical(benchmark_model, benchmark_steady, record):
     cfg = bench_cfg()
     pol, _ = rollout_policy(benchmark_model)
-    t1, = sr.simulate_trials(cfg, benchmark_model, pol, [0], steady=benchmark_steady,
-                             keep_traces=True)
-    t2, = sr.simulate_trials(cfg, benchmark_model, pol, [0], steady=benchmark_steady,
-                             keep_traces=True)
-    for field in ("states", "estimates", "inputs", "triggers", "outputs", "stage_costs"):
-        assert np.array_equal(getattr(t1, field), getattr(t2, field))
+    runs = []
+    for _ in range(2):
+        rec = record(pol)
+        runs.append((*sr.simulate_trials(cfg, benchmark_model, rec, [0], steady=benchmark_steady,
+                                         keep_states=True),
+                     rec.estimates, rec.inputs, rec.triggers))
+    # cost, rate, states, estimates, inputs and triggers
+    for first, second in zip(*runs):
+        assert first.tobytes() == second.tobytes()
 
 
 def test_deterministic_start(tmp_path):
@@ -100,42 +102,49 @@ def test_noise_of_a_key_does_not_depend_on_the_other_keys(benchmark_model, monke
     assert alone[2][:, 0].tobytes() == batch[2][:, 1].tobytes()
 
 
-def test_trigger_input_consistency(benchmark_model, benchmark_steady):
+def test_trigger_input_consistency(benchmark_model, benchmark_steady, record):
     cfg = bench_cfg(trials=1)
     pol, _ = rollout_policy(benchmark_model, theta=0.35)
-    trace, = sr.simulate_trials(cfg, benchmark_model, pol, [1], steady=benchmark_steady,
-                                keep_traces=True)
-    idle = trace.triggers == 0
-    assert np.all(trace.inputs[idle] == 0.0)
-    assert np.all(trace.stage_costs >= 0.0)
+    rec = record(pol)
+    (cost,), (rate,), (states,) = sr.simulate_trials(cfg, benchmark_model, rec, [1],
+                                                     steady=benchmark_steady, keep_states=True)
+    (triggers,), (inputs,) = rec.triggers, rec.inputs
+    idle = triggers == 0
+    assert np.all(inputs[idle] == 0.0)
+    assert rate == triggers.mean()
+    # each step's cost x'Qx + u'Ru is nonnegative, and the engine's cost is their mean
+    stage_costs = (np.einsum("ki,ij,kj->k", states, BENCH.q_weight, states)
+                   + np.einsum("ki,ij,kj->k", inputs, BENCH.r_weight, inputs))
+    assert np.all(stage_costs >= 0.0)
+    assert abs(cost - stage_costs.mean()) <= 1e-12 * cost
 
 
-def test_zero_noise_matches_linear_recursion(benchmark_model, benchmark_steady):
+def test_zero_noise_matches_linear_recursion(benchmark_model, benchmark_steady, record):
     # deterministic closed loop equals the matrix recursion with a perfect estimate
     dm = benchmark_model
     cfg = bench_cfg(methods=("periodic",), horizon_steps=120, trials=1)
     pol = sr.design_periods(dm, BENCH.q_weight, BENCH.r_weight, [1])[1]
     # the stacked (x0, w, v) realization of the one trial key
     noise = (dm.init_mean[None], np.zeros((120, 1, 4)), np.zeros((121, 1, 2)))
-    trace, = sr.simulate_trials(cfg, dm, periodic_rows(pol.feedback_gain, 1), [0],
-                                steady=benchmark_steady, noise=noise, keep_traces=True)
+    rec = record(periodic_rows(pol.feedback_gain, 1))
+    _, _, (states,) = sr.simulate_trials(cfg, dm, rec, [0], steady=benchmark_steady, noise=noise,
+                                         keep_states=True)
     closed_loop = dm.a + dm.b @ pol.feedback_gain
     x = dm.init_mean.copy()
     for k in range(120):
-        assert np.allclose(trace.states[k], x, atol=1e-10)
+        assert np.allclose(states[k], x, atol=1e-10)
         x = closed_loop @ x
-    assert np.allclose(trace.estimates, trace.states, atol=1e-9)
+    assert np.allclose(rec.estimates[0], states, atol=1e-9)
 
 
 def test_metrics_periodic_rate_exact(benchmark_model, benchmark_steady):
     cfg = bench_cfg(methods=("periodic",), trials=2)
     pol = sr.design_periods(benchmark_model, BENCH.q_weight, BENCH.r_weight, [3])[3]
-    traces = [
-        sr.simulate_trials(cfg, benchmark_model, periodic_rows(pol.feedback_gain, 3), [t],
-                           steady=benchmark_steady, keep_traces=True)[0]
-        for t in range(2)
-    ]
-    metrics = sr.estimate_metrics(traces, theta=0.2)
+    costs, rates, _ = sr.simulate_trials(cfg, benchmark_model,
+                                         periodic_rows(pol.feedback_gain, 3, rows=2), [0, 1],
+                                         steady=benchmark_steady)
+    assert np.all(rates == 200.0 / 600.0)
+    metrics = sr.Metrics.of(costs, rates, theta=0.2)
     assert metrics.avg_actuation_rate == 200.0 / 600.0
     assert metrics.total == metrics.avg_control_cost + 0.2 * metrics.avg_actuation_rate
 
@@ -149,57 +158,58 @@ def test_metrics_single_step_cost(benchmark_model, benchmark_steady):
         def decide(self, x_hat, k):
             return np.zeros((len(x_hat), 1)), 0
 
-    trace, = sr.simulate_trials(cfg, benchmark_model, NullController(), [0],
-                                steady=benchmark_steady, keep_traces=True)
-    metrics = sr.estimate_metrics([trace], theta=0.0)
-    x0 = trace.states[0]
+    cost, rate, (states,) = sr.simulate_trials(cfg, benchmark_model, NullController(), [0],
+                                               steady=benchmark_steady, keep_states=True)
+    metrics = sr.Metrics.of(cost, rate, theta=0.0)
+    x0 = states[0]
     assert abs(metrics.avg_control_cost - x0 @ BENCH.q_weight @ x0) < 1e-12
 
 
-def test_common_random_numbers_across_methods(benchmark_model, benchmark_steady):
+def test_common_random_numbers_across_methods(benchmark_model, benchmark_steady, record):
     cfg = bench_cfg(trials=1)
     pol, base = rollout_policy(benchmark_model)
-    t_ro, = sr.simulate_trials(cfg, benchmark_model, pol, [4], steady=benchmark_steady,
-                               keep_traces=True)
-    t_pe, = sr.simulate_trials(cfg, benchmark_model,
-                               periodic_rows(base.feedback_gain, 6), [4],
-                               steady=benchmark_steady, keep_traces=True)
-    assert np.array_equal(t_ro.states[0], t_pe.states[0])
-    assert np.array_equal(t_ro.outputs[0], t_pe.outputs[0])
+    ro, pe = record(pol), record(periodic_rows(base.feedback_gain, 6))
+    _, _, (states_ro,) = sr.simulate_trials(cfg, benchmark_model, ro, [4],
+                                            steady=benchmark_steady, keep_states=True)
+    _, _, (states_pe,) = sr.simulate_trials(cfg, benchmark_model, pe, [4],
+                                            steady=benchmark_steady, keep_states=True)
+    assert np.array_equal(states_ro[0], states_pe[0])
+    # the first estimate is the filter's start on the first output: both loops measured alike
+    assert np.array_equal(ro.estimates[0, 0], pe.estimates[0, 0])
     x0a, wa, va = sr.noise_streams(benchmark_model, cfg.seed_base, [4], cfg.horizon_steps)
     x0b, wb, vb = sr.noise_streams(benchmark_model, cfg.seed_base, [4], cfg.horizon_steps)
     assert np.array_equal(wa, wb) and np.array_equal(va, vb) and np.array_equal(x0a, x0b)
 
 
-def test_forced_base_pattern_equals_periodic(benchmark_model, benchmark_steady, monkeypatch):
+def test_forced_base_pattern_equals_periodic(benchmark_model, benchmark_steady, monkeypatch,
+                                             record):
     cfg = bench_cfg(trials=1)
     pol, base = rollout_policy(benchmark_model)
     assert pol.tables.base == 0b100000  # the base pattern
     play_base_pattern(monkeypatch)
-    t_ro, = sr.simulate_trials(cfg, benchmark_model, pol, [2], steady=benchmark_steady,
-                               keep_traces=True)
-    t_pe, = sr.simulate_trials(cfg, benchmark_model,
-                               periodic_rows(base.feedback_gain, 6), [2],
-                               steady=benchmark_steady, keep_traces=True)
-    assert np.array_equal(t_ro.triggers, t_pe.triggers)
-    scale = max(1.0, np.abs(t_pe.states).max())
-    assert np.abs(t_ro.states - t_pe.states).max() < 1e-9 * scale
-    assert np.abs(t_ro.inputs - t_pe.inputs).max() < 1e-9
+    ro, pe = record(pol), record(periodic_rows(base.feedback_gain, 6))
+    _, _, states_ro = sr.simulate_trials(cfg, benchmark_model, ro, [2], steady=benchmark_steady,
+                                         keep_states=True)
+    _, _, states_pe = sr.simulate_trials(cfg, benchmark_model, pe, [2], steady=benchmark_steady,
+                                         keep_states=True)
+    assert np.array_equal(ro.triggers, pe.triggers)
+    scale = max(1.0, np.abs(states_pe).max())
+    assert np.abs(states_ro - states_pe).max() < 1e-9 * scale
+    assert np.abs(ro.inputs - pe.inputs).max() < 1e-9
 
 
 def test_check_performance_bound_forced_base(benchmark_model, benchmark_steady, monkeypatch):
     cfg = bench_cfg(trials=5)
     pol, base = rollout_policy(benchmark_model)
     play_base_pattern(monkeypatch)
-    ro = [sr.simulate_trials(cfg, benchmark_model, pol, [t], steady=benchmark_steady,
-                             keep_traces=True)[0]
-          for t in range(5)]
-    pe = [sr.simulate_trials(cfg, benchmark_model,
-                             periodic_rows(base.feedback_gain, 6), [t],
-                             steady=benchmark_steady, keep_traces=True)[0]
-          for t in range(5)]
-    m_ro = sr.estimate_metrics(ro, 0.2)
-    m_pe = sr.estimate_metrics(pe, 0.2)
+    costs, rates, _ = sr.simulate_trials(cfg, benchmark_model, pol, range(5),
+                                         steady=benchmark_steady)
+    m_ro = sr.Metrics.of(costs, rates, 0.2)
+    costs, rates, _ = sr.simulate_trials(cfg, benchmark_model,
+                                         periodic_rows(base.feedback_gain, 6, rows=5), range(5),
+                                         steady=benchmark_steady)
+    m_pe = sr.Metrics.of(costs, rates, 0.2)
+    assert m_ro.trials == m_pe.trials == 5
     assert abs(m_ro.total - m_pe.total) < 1e-9
     holds, margin = sr.check_performance_bound(m_ro, m_pe, h=6)
     assert holds and margin >= 1.0 / 6.0 - 1e-9
@@ -216,25 +226,24 @@ def test_check_performance_bound_scalar_monte_carlo(scalar_model):
     cfg = sr.ExperimentConfig(horizon_steps=n_steps, trials=trials, seed_base=55,
                               q_weight=[[1.0]], r_weight=[[1.0]],
                               methods=("rollout",), h=h, p=p)
-    ro_traces, pe_traces = [], []
-    for t in range(trials):
-        pol = sr.RolloutPolicy(tables=tables, theta=theta)
-        ro_traces += sr.simulate_trials(cfg, dm, pol, [t], steady=steady, keep_traces=True)
-        pe_traces += sr.simulate_trials(cfg, dm, periodic_rows(base.feedback_gain, p), [t],
-                                        steady=steady, keep_traces=True)
-    holds, margin = sr.check_performance_bound(sr.estimate_metrics(ro_traces, theta),
-                                      sr.estimate_metrics(pe_traces, theta), h)
+    ro = sr.simulate_trials(cfg, dm, sr.RolloutPolicy(tables=tables, theta=theta),
+                            range(trials), steady=steady)
+    pe = sr.simulate_trials(cfg, dm, periodic_rows(base.feedback_gain, p, rows=trials),
+                            range(trials), steady=steady)
+    holds, margin = sr.check_performance_bound(sr.Metrics.of(*ro[:2], theta),
+                                               sr.Metrics.of(*pe[:2], theta), h)
     assert holds, f"margin {margin:.4f}"
 
 
-def test_rollout_runs_in_blocks(benchmark_model, benchmark_steady):
+def test_rollout_runs_in_blocks(benchmark_model, benchmark_steady, record):
     cfg = bench_cfg(trials=1)
     pol, _ = rollout_policy(benchmark_model)
-    trace, = sr.simulate_trials(cfg, benchmark_model, pol, [0], steady=benchmark_steady,
-                                keep_traces=True)
-    assert trace.states.shape == (600, 4)
+    rec = record(pol)
+    _, _, states = sr.simulate_trials(cfg, benchmark_model, rec, [0], steady=benchmark_steady,
+                                      keep_states=True)
+    assert states.shape == (1, 600, 4)
     # within every 6-step block the triggers follow a single pattern
-    bits = trace.triggers.reshape(100, 6)
+    bits = rec.triggers.reshape(100, 6)
     known = {tuple(bits) for bits in pol.tables.bits.tolist()}
     assert all(tuple(row) in known for row in bits)
 
@@ -254,10 +263,10 @@ def test_mean_square_stability_controls():
                                   q_weight=[[1.0]], r_weight=[[1.0]],
                                   methods=("periodic",))
         with np.errstate(over="ignore"):
-            traces = [sr.simulate_trials(cfg, dm, Null(), [t], sr.steady_kalman(dm),
-                                         keep_traces=True)[0]
-                      for t in range(8)]
-        bounded, report = sr.check_mean_square_stability(traces, window_len=50)
+            _, _, states = sr.simulate_trials(cfg, dm, Null(), range(8), sr.steady_kalman(dm),
+                                              keep_states=True)
+        assert states.shape == (8, 600, 1)
+        bounded, report = sr.check_mean_square_stability(states, window_len=50)
         assert bounded is expect, report
 
 
@@ -272,7 +281,7 @@ def test_nonfinite_state_aborts():
     cfg = sr.ExperimentConfig(horizon_steps=600, trials=1, seed_base=2,
                               q_weight=[[1.0]], r_weight=[[1.0]], methods=("periodic",))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-        sr.simulate_trials(cfg, dm, Null(), [0], sr.steady_kalman(dm), keep_traces=True)
+        sr.simulate_trials(cfg, dm, Null(), [0], sr.steady_kalman(dm), keep_states=True)
 
 
 def test_theta_sweep_isolates_cell_failures(monkeypatch):
@@ -408,7 +417,8 @@ def test_nonfinite_error_names_step_and_trial():
                            sr.steady_kalman(dm))
 
 
-def test_rollout_needs_whole_blocks_alone_and_stacked(benchmark_model, benchmark_steady):
+def test_rollout_needs_whole_blocks_alone_and_stacked(benchmark_model, benchmark_steady,
+                                                      record):
     # 100 steps are not whole blocks of 6: the engine refuses a rollout policy before the
     # first step, alone or as one part of a multi-method loop
     cfg = bench_cfg(horizon_steps=100, methods=("periodic",))
@@ -422,14 +432,17 @@ def test_rollout_needs_whole_blocks_alone_and_stacked(benchmark_model, benchmark
                                steady=benchmark_steady)
     # whole blocks pass the guard, and each part's rows keep the bits they have alone
     cfg = bench_cfg(horizon_steps=96, methods=("periodic",))
-    traces = sr.simulate_trials(cfg, benchmark_model, stacked, [0, 1, 0, 1],
-                                steady=benchmark_steady)
-    for controller, rows in ((periodic, traces[:2]), (pol, traces[2:])):
-        alone = sr.simulate_trials(cfg, benchmark_model, controller, [0, 1],
-                                   steady=benchmark_steady)
-        for trace, ref in zip(rows, alone):
-            assert trace.stage_costs.tobytes() == ref.stage_costs.tobytes()
-            assert trace.triggers.tobytes() == ref.triggers.tobytes()
+    rec = record(stacked)
+    got = sr.simulate_trials(cfg, benchmark_model, rec, [0, 1, 0, 1], steady=benchmark_steady,
+                             keep_states=True)
+    for controller, rows in ((periodic, slice(0, 2)), (pol, slice(2, 4))):
+        alone = record(controller)
+        ref = sr.simulate_trials(cfg, benchmark_model, alone, [0, 1], steady=benchmark_steady,
+                                 keep_states=True)
+        for name, value, expect in zip(("cost", "rate", "states"), got, ref):
+            assert value[rows].tobytes() == expect.tobytes(), name
+        assert rec.inputs[rows].tobytes() == alone.inputs.tobytes()
+        assert rec.triggers[rows].tobytes() == alone.triggers.tobytes()
 
 
 def test_theta_sweep_designs_once_per_call(monkeypatch):
@@ -575,20 +588,53 @@ def test_theta_sweep_batch_composition_invariance():
         assert np.array_equal(a.metrics.per_trial_rate, c.metrics.per_trial_rate[:4])
 
 
-def test_single_trial_is_the_batch_of_one(benchmark_model, benchmark_steady):
+@pytest.mark.parametrize("kept_first", [False, True], ids=["periodic", "rollout+periodic"])
+def test_theta_sweep_keeps_the_states_of_the_named_cells(kept_first):
+    # the (0.4, periodic) cell is the last block of the loop: its states are those of its
+    # controller's rows run alone, also behind a kept cell of the first block, and no other
+    # cell keeps states
+    grid = (0.02, 0.4)
+    cfg = bench_cfg(trials=3, horizon_steps=60, theta_grid=grid, methods=("rollout", "periodic"))
+    designed = sr.design(cfg)
+    dm, steady = designed.model, designed.steady
+    candidates = designed["periodic"]
+    p = periodic.cheapest_period(candidates, steady[1], grid[1])[0]
+    alone = {(grid[1], "periodic"): periodic_rows(candidates[p].feedback_gain, p, rows=3)}
+    if kept_first:
+        alone[grid[0], "rollout"] = sr.RolloutPolicy(designed["rollout"][1], grid[0])
+    cells = sr.theta_sweep(cfg, designed, keep_states=list(alone))
+    assert [cell.status for cell in cells] == ["ok"] * 4
+    for cell in cells:
+        key = (cell.theta, cell.method)
+        if key not in alone:
+            assert cell.states is None, key
+            continue
+        costs, rates, states = sr.simulate_trials(cfg, dm, alone[key], range(3), steady,
+                                                  keep_states=True)
+        assert cell.states.tobytes() == states.tobytes(), key
+        assert cell.metrics.per_trial_cost.tobytes() == costs.tobytes(), key
+        assert cell.metrics.per_trial_rate.tobytes() == rates.tobytes(), key
+
+
+def test_single_trial_is_the_batch_of_one(benchmark_model, benchmark_steady, record):
     cfg = bench_cfg(horizon_steps=60)
     pol, _ = rollout_policy(benchmark_model)
-    kept = sr.simulate_trials(cfg, benchmark_model, pol, [3, 7, 9], steady=benchmark_steady,
-                              keep_traces=True)
+    rec = record(pol)
+    kept = sr.simulate_trials(cfg, benchmark_model, rec, [3, 7, 9], steady=benchmark_steady,
+                              keep_states=True)
+    kept += (rec.estimates, rec.inputs, rec.triggers)
     lean = sr.simulate_trials(cfg, benchmark_model, pol, [3, 7, 9], steady=benchmark_steady)
+    assert lean[2].shape == (0, 60, 4)  # a loop that keeps no row records no state
+    names = ("cost", "rate", "states", "estimates", "inputs", "triggers")
     for row, trial in enumerate((3, 7, 9)):
-        alone, = sr.simulate_trials(cfg, benchmark_model, pol, [trial], steady=benchmark_steady,
-                                    keep_traces=True)
-        for name in ("states", "estimates", "inputs", "triggers", "outputs", "stage_costs"):
-            assert np.array_equal(getattr(alone, name), getattr(kept[row], name)), name
-        assert np.array_equal(alone.stage_costs, lean[row].stage_costs)
-        assert np.array_equal(alone.triggers, lean[row].triggers)
-        assert lean[row].states is None
+        rec = record(pol)
+        alone = sr.simulate_trials(cfg, benchmark_model, rec, [trial], steady=benchmark_steady,
+                                   keep_states=True)
+        alone += (rec.estimates, rec.inputs, rec.triggers)
+        for name, value, expect in zip(names, alone, kept):
+            assert value[0].tobytes() == expect[row].tobytes(), name
+        for name, value, expect in zip(names, alone, lean[:2]):
+            assert value[0].tobytes() == expect[row].tobytes(), name
 
 
 def _reference_trial(dm, q_w, r_w, noise, steady, decide):
@@ -690,8 +736,8 @@ def _reference_deciders(method, dm, theta, mpc_problem):
 @pytest.mark.parametrize("method", ["rollout", "periodic", "sparse_mpc", "periodic-unitcov",
                                     "rollout-unitcov"])
 @pytest.mark.parametrize("seed_base", [123, 2024])
-def test_batched_engine_matches_per_trial_reference(benchmark_model, mpc_problem, method,
-                                                   seed_base):
+def test_batched_engine_matches_per_trial_reference(benchmark_model, mpc_problem, record,
+                                                   method, seed_base):
     # the -unitcov model draws x0 from init_cov = I; the filter still runs at the stationary gain
     method, _, unit_cov = method.partition("-")
     dm = (benchmark_model.with_init(benchmark_model.init_mean, np.eye(4)) if unit_cov
@@ -700,23 +746,24 @@ def test_batched_engine_matches_per_trial_reference(benchmark_model, mpc_problem
     cfg = bench_cfg(horizon_steps=36 if method == "sparse_mpc" else 120, seed_base=seed_base)
     make, controller = _reference_deciders(method, benchmark_model, 0.2, mpc_problem)
     trials = [0, 1, 5]
-    traces = sr.simulate_trials(cfg, dm, controller, trials, steady=steady)
+    rec = record(controller)
+    got_costs, got_rates, _ = sr.simulate_trials(cfg, dm, rec, trials, steady=steady)
     for row, trial in enumerate(trials):
         noise = one_key(dm, seed_base, trial, cfg.horizon_steps)
         costs, triggers = _reference_trial(dm, BENCH.q_weight, BENCH.r_weight, noise, steady,
                                            make())
-        assert np.array_equal(traces[row].triggers, triggers)
-        ref, got = costs.mean(), traces[row].control_cost
+        assert np.array_equal(rec.triggers[row], triggers)
+        assert got_rates[row] == triggers.mean()
+        ref, got = costs.mean(), got_costs[row]
         assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 def test_stability_report_contents(benchmark_model, benchmark_steady):
     cfg = bench_cfg(trials=3)
     pol, _ = rollout_policy(benchmark_model, theta=0.2)
-    traces = [sr.simulate_trials(cfg, benchmark_model, pol, [t], steady=benchmark_steady,
-                                 keep_traces=True)[0]
-              for t in range(3)]
-    bounded, report = sr.check_mean_square_stability(traces, window_len=50)
+    _, _, states = sr.simulate_trials(cfg, benchmark_model, pol, range(3),
+                                      steady=benchmark_steady, keep_states=True)
+    bounded, report = sr.check_mean_square_stability(states, window_len=50)
     assert bounded
     assert report.window_means.shape == (12,)
     assert report.slope <= 3.0 * report.slope_stderr
@@ -724,13 +771,13 @@ def test_stability_report_contents(benchmark_model, benchmark_steady):
 
 def test_stability_window_must_be_positive():
     # a zero window used to fail in n_steps // window_len with ZeroDivisionError
-    traces = [SimpleNamespace(states=np.ones((40, 2)))]
+    states = np.ones((1, 40, 2))  # one trial of 40 steps
     for window_len in (0, -1):
         with pytest.raises(ValueError, match="window_len must be >= 1"):
-            sr.check_mean_square_stability(traces, window_len=window_len)
-    with pytest.raises(ValueError, match="need at least one trace"):  # was IndexError
-        sr.check_mean_square_stability([], window_len=10)
-    assert sr.check_mean_square_stability(traces, window_len=10)[0]
+            sr.check_mean_square_stability(states, window_len=window_len)
+    with pytest.raises(ValueError, match="need at least one trial"):  # was IndexError
+        sr.check_mean_square_stability(np.empty((0, 40, 2)), window_len=10)
+    assert sr.check_mean_square_stability(states, window_len=10)[0]
 
 
 def test_experiment_config_validation():

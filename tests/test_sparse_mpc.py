@@ -432,19 +432,20 @@ def test_controller_step_theta_zero_triggers(bench_problem, rng):
     assert np.linalg.norm(u) > ZERO_TOL
 
 
-def test_closed_loop_actuation_rate_interior(benchmark_model, bench_problem):
+def test_closed_loop_actuation_rate_interior(benchmark_model, bench_problem, record):
     cfg = sr.ExperimentConfig(horizon_steps=600, trials=1, seed_base=17,
                               q_weight=BENCH.q_weight, r_weight=BENCH.r_weight,
                               methods=("sparse_mpc",))
     controller = SparseMpcController(bench_problem, THETA, admm_factor(bench_problem, 1.0),
                                      1e-8, 10_000)
-    trace, = sr.simulate_trials(cfg, benchmark_model, controller, [0],
-                                sr.steady_kalman(benchmark_model), keep_traces=True)
-    rate = trace.actuation_rate
+    rec = record(controller)
+    _, (rate,), _ = sr.simulate_trials(cfg, benchmark_model, rec, [0],
+                                       sr.steady_kalman(benchmark_model))
     assert 0.0 < rate < 1.0
-    # trigger/input consistency on the recorded trace
-    zero_rows = trace.triggers == 0
-    assert np.all(trace.inputs[zero_rows] == 0.0)
+    assert rate == rec.triggers.mean()
+    # trigger/input consistency on the recorded steps
+    zero_rows = rec.triggers == 0
+    assert np.all(rec.inputs[zero_rows] == 0.0)
 
 
 def test_kkt_check_builds_one_problem_and_factor(monkeypatch):
