@@ -170,13 +170,13 @@ class ExperimentConfig:
         if min_eigenvalue(self.r_weight) <= 0.0:
             raise ConfigError("cost.r must be positive definite")
 
-        grid = self.theta_grid  # one block scores every (theta, trial) row; a non-list fails below
+        grid = self.theta_grid  # one block holds every (theta, trial) row; a non-list fails below
         rows = self.trials * (len(grid) if isinstance(grid, (list, tuple)) else 0)
         need = memory_estimate(self.h, len(self.q_weight), len(self.r_weight), rows)
         if need > MEMORY_BUDGET:
             raise ConfigError(
                 f"rollout.h={self.h} needs about {need / 2**20:.0f} MB for the lookahead tables "
-                f"and the scores of {rows} rows, above the "
+                f"and a block of {rows} rows, above the "
                 f"{MEMORY_BUDGET / 2**20:.0f} MB budget"
             )
 

@@ -74,19 +74,27 @@ def test_config_round_trip(tmp_path):
 
 
 def test_lookahead_memory_budget_at_load():
-    # the estimate rejects a 2^20-pattern design before any table is built
+    # the estimate rejects a design over the budget before any table is built: at h = 20 the
+    # tables of 11 states need about 1109 MB, those of 10 about 932 MB; the benchmark's 4
+    # states with 50 trials on the default grid need about 208 MB
+    start = time.perf_counter()
     with pytest.raises(ConfigError, match="MB budget"):
-        ExperimentConfig(h=20, p=2, trials=50, horizon_steps=600)
+        ExperimentConfig(h=20, p=2, trials=50, horizon_steps=600, q_weight=np.eye(11))
+    assert time.perf_counter() - start < 0.1
+    assert ExperimentConfig(h=20, p=2, trials=50, horizon_steps=600, q_weight=np.eye(10)).h == 20
     load_config(BENCHMARK_CONFIG)
-    assert ExperimentConfig(h=14, p=7, trials=50, horizon_steps=294).h == 14
+    cfg = ExperimentConfig(h=20, p=2, trials=50, horizon_steps=600)
+    assert cfg.h == 20 and len(cfg.theta_grid) == 20
 
 
 def test_lookahead_memory_budget_counts_every_theta_row():
-    # one block scores the rows of every theta cell at once: 20 thetas x 50 trials at h = 16
-    # need about 1.49 GB, one theta about 101 MB
-    with pytest.raises(ConfigError, match="scores of 1000 rows"):
-        ExperimentConfig(h=16, p=8, trials=50, horizon_steps=640)
-    assert ExperimentConfig(h=16, p=8, trials=50, horizon_steps=640, theta_grid=(0.2,)).h == 16
+    # one block holds the rows of every theta cell at once, each with its running argmin and
+    # the gains it plays: 20 thetas x 30000 trials at h = 20 need about 1091 MB, one theta
+    # about 250 MB
+    with pytest.raises(ConfigError, match="a block of 600000 rows"):
+        ExperimentConfig(h=20, p=2, trials=30000, horizon_steps=600)
+    assert ExperimentConfig(h=20, p=2, trials=30000, horizon_steps=600,
+                            theta_grid=(0.2,)).h == 20
 
 
 def test_theta_range_over_the_budget_is_rejected_before_it_is_built(tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import sparseroll as sr
 from sparseroll.exceptions import HorizonMismatchError, NonFiniteError
+from sparseroll import rollout
 from sparseroll.rollout import _backward_tree, _base_value, memory_estimate
 
 BENCH = sr.ExperimentConfig()  # the benchmark study
@@ -428,6 +429,77 @@ def test_exact_tie_with_the_base_goes_to_the_base(benchmark_tables):
     assert sr.select_pattern(tied, np.zeros(4), 0.0) == m
 
 
+def _unchunked_argmin(tables, x, theta):
+    """The argmin over all 2^h scores at once, with the tie rule of select_pattern."""
+    scores = sr.pattern_scores(tables, x, theta)
+    base = tables.base
+    return np.where(scores[..., base] == scores.min(axis=-1), base, scores.argmin(axis=-1))
+
+
+@pytest.mark.parametrize("width", [1, 3, 64, 2**10])
+def test_chunked_argmin_matches_the_unchunked_argmin(benchmark_model, benchmark_steady, rng,
+                                                      monkeypatch, width):
+    # a chunk of `width` patterns per row: the running minimum picks what the argmin over
+    # all 2^10 scores picks, and each chunk's scores are the bits of the full scores
+    dm = benchmark_model
+    terminal = sr.design_periods(dm, BENCH.q_weight, BENCH.r_weight, [2])[2].cost_matrix
+    tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, terminal, 10, 2,
+                             benchmark_steady[1])
+    for rows in (1, 7, 40):
+        monkeypatch.setattr(rollout, "_SCORE_ELEMS", width * rows)
+        x = rng.standard_normal((rows, 4)) * rng.uniform(0.01, 3.0, (rows, 1))
+        theta = rng.uniform(0.0, 0.5, rows)
+        assert np.array_equal(sr.select_pattern(tables, x, theta),
+                              _unchunked_argmin(tables, x, theta))
+        assert sr.select_pattern(tables, x[0], 0.2) == _unchunked_argmin(tables, x[0], 0.2)
+        full = sr.pattern_scores(tables, x, theta)
+        for lo in range(0, 2**10, width):
+            chunk = sr.pattern_scores(tables, x, theta, slice(lo, lo + width))
+            assert chunk.tobytes() == np.ascontiguousarray(full[:, lo:lo + width]).tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 3, 16])
+def test_exact_tie_with_the_base_holds_across_chunks(benchmark_tables, monkeypatch, width):
+    # the tie of test_exact_tie_with_the_base_goes_to_the_base with pattern 5 and the base 32
+    # in different chunks, and a tie between two other patterns in different chunks
+    _, _, _, tables = benchmark_tables
+    base, m, other = tables.base, 5, 40
+    noise = np.full(64, 1e6)
+    noise[base] = tables.noise_score[base]
+    noise[m] = tables.error_trace[base] + noise[base] - tables.error_trace[m]
+    tied = dataclasses.replace(tables, noise_score=noise)
+    monkeypatch.setattr(rollout, "_SCORE_ELEMS", 3 * width)
+    assert sr.select_pattern(tied, np.zeros((3, 4)), 0.0).tolist() == [base] * 3
+    noise[m] = np.nextafter(noise[m], -np.inf)
+    noise[other] = tables.error_trace[m] + noise[m] - tables.error_trace[other]
+    scores = sr.pattern_scores(tied, np.zeros(4), 0.0)
+    assert scores[m] == scores[other] == scores.min()
+    assert sr.select_pattern(tied, np.zeros((3, 4)), 0.0).tolist() == [m] * 3
+    # a NaN score wins, as it does in argmin
+    assert sr.select_pattern(tied, np.full((3, 4), np.nan), 0.0).tolist() == [0] * 3
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 4])
+def test_chunked_tree_matches_out_of_place_build(benchmark_model, benchmark_steady,
+                                                  monkeypatch, chunk):
+    # levels and noise-score terms built a few nodes at a time keep the bits of the tree
+    # built out of place and of the per-pattern recursion
+    dm = benchmark_model
+    err_cov = benchmark_steady[1]
+    q, r = np.asarray(BENCH.q_weight, dtype=float), np.atleast_2d(BENCH.r_weight)
+    terminal = sr.design_periods(dm, BENCH.q_weight, BENCH.r_weight, [3])[3].cost_matrix
+    monkeypatch.setattr(rollout, "_CHUNK", chunk)
+    for h in (3, 6):
+        costs, gains, _ = _out_of_place_tree(dm.a, dm.b, q, r, terminal, h)
+        got = _backward_tree(dm.a, dm.b, q, r, terminal, h,
+                             np.ascontiguousarray(dm.proc_cov.T), err_cov)
+        assert [got[0].tobytes(), got[1].tobytes()] == [costs[2**h - 1:].tobytes(),
+                                                        gains.tobytes()]
+        tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, terminal, h, 3, err_cov)
+        _assert_tables_match_flat_recursion(tables, dm, BENCH.q_weight, BENCH.r_weight,
+                                            terminal, err_cov)
+
+
 @pytest.mark.parametrize("h,p", sorted({(h, p) for h in range(1, 11) for p in (1, h)}))
 def test_in_place_tree_matches_out_of_place_build(benchmark_model, benchmark_steady, h, p):
     # the two-level build keeps level 0 and the gains of the tree built out of place, and
@@ -465,6 +537,30 @@ def test_memory_estimate_bounds_the_build_peak(benchmark_model, benchmark_steady
     assert peak <= estimate
     if h == 14:
         assert estimate <= 2 * peak
+
+
+def test_block_of_1000_rows_stays_under_the_estimate(benchmark_model, benchmark_steady, rng):
+    # a block's scores come a chunk of patterns at a time: at h = 12, 1000 rows used to peak
+    # at 93.8 MB in three (1000, 4096) arrays
+    dm = benchmark_model
+    terminal = sr.design_periods(dm, BENCH.q_weight, BENCH.r_weight, [2])[2].cost_matrix
+    h, rows = 12, 1000
+    tables = sr.build_tables(dm, BENCH.q_weight, BENCH.r_weight, terminal, h, 2,
+                             benchmark_steady[1])
+    x = rng.standard_normal((rows, dm.n_states))
+    theta = rng.uniform(0.0, 0.5, rows)
+    peaks = []
+    for call in (lambda: sr.select_pattern(tables, x, theta),
+                 lambda: sr.RolloutPolicy(tables, theta).decide(x, 0)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    term = (memory_estimate(h, dm.n_states, dm.n_inputs, rows)
+            - memory_estimate(h, dm.n_states, dm.n_inputs, 0))
+    assert peaks[0] <= peaks[1] <= term < 4 * 2**20
 
 
 def test_pattern_index_out_of_range(benchmark_tables):

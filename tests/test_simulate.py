@@ -559,10 +559,10 @@ def test_theta_sweep_stacked_cells_match_cells_alone(monkeypatch):
 
 def test_theta_sweep_scores_every_cell_in_one_call(monkeypatch):
     # the rollout rows of all thetas run as one batch and are scored in one call per block,
-    # each row at its own theta
+    # each row at its own theta; 15 rows x 64 patterns are one chunk of selection
     calls, scores = [], sr.rollout.pattern_scores
-    monkeypatch.setattr(sr.rollout, "pattern_scores", lambda tables, x, theta: calls.append(
-        (len(x), np.array(theta))) or scores(tables, x, theta))
+    monkeypatch.setattr(sr.rollout, "pattern_scores", lambda tables, x, theta, *patterns: (
+        calls.append((len(x), np.array(theta))) or scores(tables, x, theta, *patterns)))
     cfg = bench_cfg(trials=5, horizon_steps=60, theta_grid=(0.02, 0.2, 0.4),
                     methods=("rollout",))
     assert all(c.status == "ok" for c in sr.theta_sweep(cfg))
