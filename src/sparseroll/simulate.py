@@ -101,9 +101,10 @@ class SparseMpcController:
     """Warm-started receding-horizon sparse MPC at group weight theta.
 
     ``theta`` is one weight or one per row.  ``factor`` is :func:`admm_factor`
-    of ``problem``; neither depends on theta, so all rows share them.  The
-    rows are solved in lockstep, each with its own (z, w) warm start, so a
-    row sees the same solves whatever batch it runs in.
+    of ``problem``; neither depends on theta, so all rows share them, and the
+    factor's iterate history serves every step.  The rows are solved in
+    lockstep, each with its own (z, w) warm start, so a row sees the same
+    solves whatever batch it runs in.
     """
 
     def __init__(self, problem, theta, factor, tol: float, max_iter: int):
@@ -119,14 +120,13 @@ class SparseMpcController:
         if k == 0:
             if x_hat.shape[-1] != prob.lin_matrix.shape[1]:
                 raise ValueError("estimate dimension does not match the model")
-            zeros = np.zeros((len(x_hat), prob.quad_matrix.shape[0]))
-            self._warm = (zeros, zeros)
+            self._warm = np.zeros((2, len(x_hat), prob.quad_matrix.shape[0]))
         z, w, _ = solve_admm(prob, x_hat, self.theta, self._warm, self.factor, self.tol,
                              self.max_iter)
-        # receding horizon: start the next solve from these iterates, one block on
+        # receding horizon: start the next solve from these iterates, one block on (the last
+        # block of the warm start stays zero)
         q = prob.group_size
-        self._warm = tuple(np.concatenate([v[:, q:], np.zeros((len(v), q))], axis=1)
-                           for v in (z, w))
+        self._warm[0, :, :-q], self._warm[1, :, :-q] = z[:, q:], w[:, q:]
         return first_inputs(z, q)
 
 

@@ -9,17 +9,23 @@ cost-to-go weight.  The group penalty is the convex surrogate for the
 actuation count; its proximal operator (block soft thresholding) produces
 exact zero blocks, so triggering decisions fall out of the solution.
 
-Solved by scaled ADMM with over-relaxation.  Theta enters only the shrink
-threshold theta / rho and the optimality test, never the condensed problem:
-the quadratic subproblem of every iteration is a solve with H + rho I, which
-depends on neither theta nor the estimate, so one problem and one cached
-inverse (H + rho I)^-1 serve every theta of a sweep.  The rows of a batch,
-each with its own theta, are solved in lockstep over (T, H q) arrays: one
-``row_product`` with the inverse per iteration covers every active row, and
-a row leaves the batch at the iteration it converges, so each row follows
-the same iterates as when it is solved alone.
+Solved by over-relaxed scaled ADMM (Boyd et al., Found. Trends Mach. Learn.
+3(1), 2011, sec. 3.4.3), written as one linear recurrence.  With z = v - w,
+the relaxed point v = r u + (1 - r) z + w of an iteration is
+v' = [w, v, x] @ step, for a stacked matrix that depends on neither theta nor
+the estimate x, and the shrink is the Moreau form v - Pi(v), Pi the
+projection of each block onto the ball of radius theta / rho (Parikh & Boyd,
+Proximal Algorithms, 2014, sec. 2.5).  So one problem and one
+:class:`AdmmFactor` serve every theta of a sweep.  The rows of a batch, each
+with its own theta, are solved in lockstep: an iteration is one stacked
+matrix product, each row its own BLAS call of a fixed shape, and one
+projection, written into a reused history.  The stopping tests run once per
+chunk of iterations over that history, and each row returns the iterates of
+its first passing iteration, so each row follows the same iterates and stops
+at the same count as when it is solved alone.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +40,14 @@ ZERO_TOL = 1e-9
 
 # Over-relaxation factor of the ADMM iteration.
 RELAX = 1.5
+
+# Bytes of iterate history a solve keeps between two stopping tests, and the longest chunk
+# of iterations between them.
+HISTORY_BYTES = 1 << 20
+MAX_CHUNK = 32
+
+# Rows that passed leave the batch at a chunk's end once they are 1 / COMPACT_SHARE of it.
+COMPACT_SHARE = 8
 
 
 @dataclass(frozen=True)
@@ -90,11 +104,61 @@ def build_mpc_problem(dm: DiscreteModel, q_weight, r_weight, horizon: int,
     )
 
 
-def admm_factor(prob: MpcProblem, rho: float):
-    """``(inverse, rho)``: (H + rho I)^-1, which exists as H is positive definite, and rho > 0."""
-    if not 0.0 < rho < np.inf:
-        raise ValueError("the ADMM penalty rho must be positive and finite")
-    return np.linalg.inv(prob.quad_matrix + rho * np.eye(prob.quad_matrix.shape[0])), rho
+class AdmmFactor:
+    """The ADMM iteration at one problem and penalty, built once and shared by every solve.
+
+    With M = (H + rho I)^-1, r = RELAX and z = v - w, the scaled ADMM step
+    v' = A1 z + A2 v - r M f, where A1 = 2 r rho M - r I, A2 = I - r rho M and
+    f = L x for L = ``lin_matrix``, is v' = [w, v, x] @ ``step``: the stacked
+    (2 H q + n, H q) matrix [-A1'; (A1 + A2)'; -(r M L)'].  The factor also
+    owns the buffers the solves reuse, step after step: the iterate history
+    of a chunk (``history``) and the rows carried from one chunk's layout to
+    the next (``carry``).  Each grows to the largest size asked for, so the
+    solves that share a factor must run one at a time.
+    """
+
+    def __init__(self, prob: MpcProblem, rho: float):
+        if not 0.0 < rho < np.inf:
+            raise ValueError("the ADMM penalty rho must be positive and finite")
+        eye = np.eye(prob.quad_matrix.shape[0])
+        inverse = np.linalg.inv(prob.quad_matrix + rho * eye)
+        scaled = (RELAX * rho) * inverse
+        drive = 2.0 * scaled - RELAX * eye  # A1
+        self.rho = rho
+        self.horizon = prob.horizon
+        self.step = np.asfortranarray(np.vstack([-drive.T, (drive + eye - scaled).T,
+                                                 -(RELAX * inverse @ prob.lin_matrix).T]))
+        self._work, self._carry = np.empty(0), np.empty(0)
+
+    def history(self, n_iter: int, n_rows: int):
+        """Views of the history buffer: the rows [w, v, x] (n_iter + 1, rows, 2 H q + n), the
+        iterates z (n_iter + 1, rows, H q), a scratch (n_iter, rows, H q) and the projection
+        bounds kappa and -kappa (rows, H, 1)."""
+        width, dim = self.step.shape
+        return self._views("_work", [(n_iter + 1, n_rows, width), (n_iter + 1, n_rows, dim),
+                                     (n_iter, n_rows, dim), (n_rows, self.horizon, 1),
+                                     (n_rows, self.horizon, 1)])
+
+    def carry(self, n_rows: int):
+        """Views (rows, 2 H q + n) and (rows, H q) of the carry buffer, which holds a chunk's
+        last rows [w, v, x] and iterates z while the history takes a new layout."""
+        width, dim = self.step.shape
+        return self._views("_carry", [(n_rows, width), (n_rows, dim)])
+
+    def _views(self, name: str, shapes):
+        """Views of the named buffer in ``shapes``, end to end; it grows to fit them."""
+        ends = np.cumsum([math.prod(shape) for shape in shapes])
+        if getattr(self, name).size < ends[-1]:
+            setattr(self, name, np.empty(ends[-1]))
+        buffer = getattr(self, name)
+        return [buffer[end - math.prod(shape):end].reshape(shape)
+                for shape, end in zip(shapes, ends)]
+
+
+def admm_factor(prob: MpcProblem, rho: float) -> AdmmFactor:
+    """The :class:`AdmmFactor` of ``prob`` at penalty rho > 0 (H + rho I is invertible, as H is
+    positive definite)."""
+    return AdmmFactor(prob, rho)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -102,16 +166,20 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(v * v, axis=-1))
 
 
-def _shrink(v: np.ndarray, kappa) -> np.ndarray:
-    """Proximal map of kappa * ||.||_2 on each last-axis block; kappa (>= 0) broadcasts against v.
+def _project(v: np.ndarray, kappa, lower, out: np.ndarray) -> np.ndarray:
+    """Projection Pi of each last-axis block of v onto the ball of radius kappa, into ``out``.
 
-    Scales by (norm - kappa) / norm where norm > kappa, else +0, to the bit
-    (NaN and overflow too) and without the masked divide, slow on large batches.
+    A block of one is clipped to [lower, kappa], where lower = -kappa.  A
+    longer block is scaled by min(1, kappa / norm), a NaN ratio (0 / 0,
+    inf / inf) read as 1.  The proximal map of kappa * ||.||_2 is v - Pi(v)
+    (Moreau), so a block of norm at most kappa shrinks to an exact zero.
     """
+    if v.shape[-1] == 1:
+        return v.clip(lower, kappa, out=out)
     norms = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
-    scale = np.fmax(norms - kappa, 0.0)
-    scale /= np.fmax(norms, 5e-324)
-    return scale * v
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(kappa, norms, out=norms)
+    return np.multiply(v, np.fmin(norms, 1.0, out=norms), out=out)
 
 
 def kkt_residuals(prob: MpcProblem, u: np.ndarray, f: np.ndarray, theta) -> np.ndarray:
@@ -132,74 +200,120 @@ def kkt_residuals(prob: MpcProblem, u: np.ndarray, f: np.ndarray, theta) -> np.n
                     np.maximum(_row_norms(grad) - theta[..., 0], 0.0)).max(axis=1)
 
 
-def solve_admm(prob: MpcProblem, estimates, theta, warm, factor, tol: float, max_iter: int):
+def solve_admm(prob: MpcProblem, estimates, theta, warm, factor: AdmmFactor, tol: float,
+               max_iter: int):
     """Solve the instances at the estimates (T, n) in lockstep by over-relaxed scaled ADMM.
 
     ``theta`` is a scalar or (T,).  ``warm`` is the (z, w) pair of (T, H q)
     starting iterates: a previous solve's result, shifted, or zeros.
-    ``factor`` is :func:`admm_factor`, whose rho is the penalty.  A row is
-    frozen and leaves the batch at the first iteration where its primal and
-    dual residuals are below ``tol`` and its subgradient residual is at most
-    ``tol``, so a row's iterates and count do not depend on the other rows.
+    ``factor`` is :func:`admm_factor`, whose rho is the penalty.
+
+    From v = z + w, an iteration is v' = [w, v, x] @ ``factor.step``, then
+    w' = Pi(v') (:func:`_project`) and z' = v' - w'.  It passes when its
+    primal residual ||u - z'|| and its dual residual rho ||z' - z|| are below
+    ``tol`` and its subgradient residual (:func:`kkt_residuals`) is at most
+    ``tol``, where u = (v' - (1 - r) z - w) / r is the quadratic step.  The
+    tests run once per chunk of iterations, over the chunk's history, and
+    each row returns the iterates of its first passing iteration.  A chunk
+    keeps about ``HISTORY_BYTES`` of history (at least one iteration), is at
+    most ``MAX_CHUNK`` iterations long and ends at ``max_iter`` at the
+    latest.  Rows that passed leave the batch at a chunk's end, once they
+    are ``1 / COMPACT_SHARE`` of it; until then they iterate on unread.  A
+    row's iterates and count do not depend on the other rows.
 
     Returns (z, w, iterations): the solutions (T, H q), whose zero blocks
-    are exact zeros from the proximal step, the scaled duals and the
-    iteration count per row.  Raises :class:`NonConvergenceError` naming
-    the first batch row still active after ``max_iter`` iterations, with its residuals.
+    are exact zeros (every zero is +0), the scaled duals and the iteration
+    count per row.  Raises :class:`NonConvergenceError` naming the first
+    batch row still running after ``max_iter`` iterations, with its
+    residuals at that iteration.
     """
-    f = row_product(np.asarray(estimates, dtype=float), prob.lin_matrix)
-    inverse, rho = factor
-    n_rows, dim = f.shape
+    x = np.asarray(estimates, dtype=float)
+    rho, step = factor.rho, factor.step
+    n_rows, dim = len(x), step.shape[1]
     theta = np.broadcast_to(np.asarray(theta, dtype=float), (n_rows,))
     if (theta < 0.0).any():
         raise ValueError("theta must be nonnegative")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    kappa = (theta / rho)[:, None, None]
-    blocks = (-1, prob.horizon, prob.group_size)
     z_out, w_out = np.empty((n_rows, dim)), np.empty((n_rows, dim))
     iterations = np.zeros(n_rows, dtype=int)
     if not n_rows:
         return z_out, w_out, iterations
-    rows = np.arange(n_rows)
+    blocks = (prob.horizon, prob.group_size)
+    rows = np.arange(n_rows)  # the batch rows of the layout
+    live = np.ones(n_rows, dtype=bool)  # the layout's rows still running
     z, w = warm
+    done_iter, layout, carried = 0, None, None
+    while True:
+        size = len(rows)
+        n_iter = min(max(HISTORY_BYTES // (8 * (step.shape[0] + 2 * dim) * size) - 1, 1),
+                     MAX_CHUNK, max_iter - done_iter)
+        if layout != (n_iter, size):
+            layout = n_iter, size
+            hist, zs, scratch, kappa, lower = factor.history(n_iter, size)
+            if carried is None:  # the warm start, v = z + w
+                hist[0, :, :dim], zs[0] = w, z
+                np.add(z, w, out=hist[0, :, dim:2 * dim])
+            else:
+                hist[0], zs[0] = carried
+            hist[:, :, 2 * dim:] = x
+            kappa[...] = (theta / rho)[:, None, None]
+            np.negative(kappa, out=lower)
+            ws, vs = hist[..., :dim], hist[..., dim:2 * dim]
+            w_blocks, v_blocks = (a.reshape(n_iter + 1, size, *blocks) for a in (ws, vs))
+            rows_in, v_rows = hist[:, :, None], vs[:, :, None]
+        for j in range(n_iter):
+            np.matmul(rows_in[j], step, out=v_rows[j + 1])
+            _project(v_blocks[j + 1], kappa, lower, w_blocks[j + 1])
 
-    for it in range(1, max_iter + 1):
-        rhs = z - w
-        rhs *= rho
-        rhs -= f
-        u = row_product(rhs, inverse)
-        v = RELAX * u + (1.0 - RELAX) * z
-        v += w
-        z_old, z = z, _shrink(v.reshape(blocks), kappa).reshape(len(rows), dim)
-        w = v - z  # the bits of w + relaxed u - z, as addition commutes
-        primal_res = _row_norms(u - z)
-        done = primal_res < tol
-        if not np.count_nonzero(done):
+        # the stopping tests of every iteration of the chunk: the dual residual of each, then
+        # the primal one where the dual passes, with u rebuilt from the history
+        np.subtract(vs[1:], ws[1:], out=zs[1:])
+        np.subtract(zs[1:], zs[:-1], out=scratch)
+        dual_res = rho * np.sqrt(np.add.reduce(np.square(scratch, out=scratch), axis=-1))
+        its, cols = np.nonzero((dual_res < tol) & live)
+        if its.size:
+            u = (vs[its + 1, cols] - (1.0 - RELAX) * zs[its, cols] - ws[its, cols]) / RELAX
+            primal = _row_norms(u - zs[its + 1, cols]) < tol
+            pending = np.zeros((n_iter, size), dtype=bool)
+            pending[its[primal], cols[primal]] = True
+            while pending.any():
+                cols = np.flatnonzero(pending.any(axis=0))
+                its = pending[:, cols].argmax(axis=0)
+                f = row_product(x[cols], prob.lin_matrix)
+                ok = kkt_residuals(prob, zs[its + 1, cols], f, theta[cols]) <= tol
+                pending[:, cols[ok]] = False
+                pending[its[~ok], cols[~ok]] = False
+                its, cols = its[ok], cols[ok]
+                # + 0.0: a zero whose sign numpy's clip leaves open (a tie at 0) reads +0
+                z_out[rows[cols]] = zs[its + 1, cols] + 0.0
+                w_out[rows[cols]] = ws[its + 1, cols] + 0.0
+                iterations[rows[cols]] = done_iter + its + 1
+                live[cols] = False
+        done_iter += n_iter
+        if not live.any():
+            return z_out, w_out, iterations
+        if done_iter == max_iter:
+            row = np.flatnonzero(live)[0]
+            u = (vs[-1, row] - (1.0 - RELAX) * zs[-2, row] - ws[-2, row]) / RELAX
+            primal, dual = _row_norms(u - zs[-1, row]), dual_res[-1, row]
+            raise NonConvergenceError(
+                f"ADMM did not converge in {max_iter} iterations for trial {rows[row]} of the "
+                f"batch (primal {primal:.3e}, dual {dual:.3e})",
+                residual=float(max(primal, dual)),
+                iterations=max_iter,
+            )
+        compact = np.count_nonzero(~live) >= max(size // COMPACT_SHARE, 1)
+        if not compact and max_iter - done_iter >= n_iter:
+            hist[0], zs[0] = hist[-1], zs[-1]
             continue
-        done[done] = rho * _row_norms(z[done] - z_old[done]) < tol
-        if not np.count_nonzero(done):
-            continue
-        done[done] = kkt_residuals(prob, z[done], f[done], theta[done]) <= tol
-        if not np.count_nonzero(done):
-            continue
-        finished = rows[done]
-        z_out[finished], w_out[finished] = z[done], w[done]
-        iterations[finished] = it
-        keep = ~done
-        rows, f, z, w, z_old = rows[keep], f[keep], z[keep], w[keep], z_old[keep]
-        theta, kappa, primal_res = theta[keep], kappa[keep], primal_res[keep]
-        if not rows.size:
-            break
-    else:
-        dual_res = rho * _row_norms(z[:1] - z_old[:1])[0]
-        raise NonConvergenceError(
-            f"ADMM did not converge in {max_iter} iterations for trial {rows[0]} of the batch "
-            f"(primal {primal_res[0]:.3e}, dual {dual_res:.3e})",
-            residual=float(max(primal_res[0], dual_res)),
-            iterations=max_iter,
-        )
-    return z_out, w_out, iterations
+        # a new layout: without the rows that passed, or for a shorter last chunk
+        keep = np.flatnonzero(live) if compact else np.arange(size)
+        carried = factor.carry(len(keep))
+        np.take(hist[-1], keep, axis=0, out=carried[0], mode="clip")
+        np.take(zs[-1], keep, axis=0, out=carried[1], mode="clip")
+        rows, x, theta, live = rows[keep], x[keep], theta[keep], live[keep]
+        layout = None
 
 
 def first_inputs(z: np.ndarray, group_size: int):

@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .estimator import row_product, steady_kalman
-from .oracle import oracle_select
+from .oracle import oracle_picks
 from .exceptions import ConfigError
 from .periodic import periodic_average_cost
 from .plant import ContinuousModel, DiscreteModel, build_benchmark_model
@@ -110,17 +110,16 @@ def _oracle_agreement_check(cfg: ExperimentConfig, designed: Design) -> CheckRes
     theta = cfg.theta_grid[len(cfg.theta_grid) // 2]
     pol, tables = designed["rollout"]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed_base)))
+    xs = [rng.standard_normal(dm.n_states) * rng.uniform(0.05, 2.5) for _ in range(ORACLE_DRAWS)]
+    picks, best_scores = oracle_picks(dm, cfg.q_weight, cfg.r_weight, pol.cost_matrix, cfg.h,
+                                      cfg.p, theta, xs, err_cov)
     worst = 0.0
-    for _ in range(ORACLE_DRAWS):
-        x = rng.standard_normal(dm.n_states) * rng.uniform(0.05, 2.5)
-        res = oracle_select(dm, cfg.q_weight, cfg.r_weight, pol.cost_matrix, cfg.h, cfg.p,
-                            theta, x, err_cov)
+    for x, pick, best_score in zip(xs, picks, best_scores):
         sel = select_pattern(tables, x, theta)
-        if sel != res.best_pattern:
-            return CheckResult("oracle_agreement", False,
-                               f"pattern mismatch {sel} vs {res.best_pattern}")
+        if sel != pick:
+            return CheckResult("oracle_agreement", False, f"pattern mismatch {sel} vs {pick}")
         score = pattern_scores(tables, x, theta)[sel]
-        worst = max(worst, abs(score - res.best_score) / max(1e-12, abs(res.best_score)))
+        worst = max(worst, abs(score - best_score) / max(1e-12, abs(best_score)))
     return CheckResult("oracle_agreement", worst < 1e-8,
                        f"{ORACLE_DRAWS} draws, worst relative score gap = {worst:.3e}")
 

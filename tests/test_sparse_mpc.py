@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,8 @@ from sparseroll import simulate, verify
 from sparseroll.exceptions import NonConvergenceError
 from sparseroll.riccati import solve_dares
 from sparseroll.simulate import SparseMpcController
-from sparseroll.sparse_mpc import RELAX, ZERO_TOL, _shrink, admm_factor, kkt_residuals, solve_admm
+from sparseroll.sparse_mpc import (MAX_CHUNK, RELAX, ZERO_TOL, _project, admm_factor, first_inputs,
+                                   kkt_residuals, solve_admm)
 
 BENCH = sr.ExperimentConfig()  # the benchmark study
 THETA = 0.2  # group weight of the benchmark problem's solves
@@ -24,6 +26,13 @@ def mpc_objective(prob, u_flat, f, theta):
 @pytest.fixture(scope="module")
 def bench_problem(benchmark_model, mpc_problem):
     return mpc_problem(benchmark_model, BENCH.q_weight, BENCH.r_weight, horizon=30)
+
+
+@pytest.fixture(scope="module")
+def two_input_problem(benchmark_model, mpc_problem):
+    # the benchmark with a second force, on the other mass (states reordered by symmetry)
+    dm = replace(benchmark_model, b=np.hstack([benchmark_model.b, benchmark_model.b[[1, 0, 3, 2]]]))
+    return mpc_problem(dm, BENCH.q_weight, 0.1 * np.eye(2), horizon=15)
 
 
 def _cold(prob, rows):
@@ -43,18 +52,23 @@ def _kkt(prob, z, x, theta):
     return float(kkt_residuals(prob, z[None], (prob.lin_matrix @ x)[None], theta)[0])
 
 
+def _prox(v, kappa):
+    """The block shrink, the proximal map of kappa * ||.||_2, as v - Pi(v) (Moreau)."""
+    return v - _project(v, kappa, np.negative(kappa), np.empty_like(v))
+
+
 def test_block_soft_threshold_examples():
-    assert np.array_equal(_shrink(np.array([3.0, 4.0]), 5.0), np.zeros(2))
-    assert np.allclose(_shrink(np.array([3.0, 4.0]), 2.5), [1.5, 2.0])
-    assert np.array_equal(_shrink(np.zeros(3), 7.0), np.zeros(3))
-    shrunk = _shrink(np.array([3.0, 4.0]), 6.0)
+    assert np.array_equal(_prox(np.array([3.0, 4.0]), 5.0), np.zeros(2))
+    assert np.allclose(_prox(np.array([3.0, 4.0]), 2.5), [1.5, 2.0])
+    assert np.array_equal(_prox(np.zeros(3), 7.0), np.zeros(3))
+    shrunk = _prox(np.array([3.0, 4.0]), 6.0)
     assert shrunk.dtype == float and np.all(shrunk == 0.0)
 
     # a (2, 3, 2) batch shrinks each last-axis block on its own
     v = np.array([[[3.0, 4.0], [0.3, 0.4], [0.0, 0.0]],
                   [[-6.0, 8.0], [1.2, -1.6], [0.0, 5.0]]])
     kappa = 1.0
-    out = _shrink(v, kappa)
+    out = _prox(v, kappa)
     assert out.shape == v.shape
     for block, got in zip(v.reshape(-1, 2), out.reshape(-1, 2)):
         norm = float(np.linalg.norm(block))
@@ -63,7 +77,10 @@ def test_block_soft_threshold_examples():
         else:
             assert np.allclose(got, (1.0 - kappa / norm) * block, rtol=1e-15, atol=0.0)
     assert np.array_equal(out[0, 1], np.zeros(2)) and np.array_equal(out[0, 2], np.zeros(2))
-    assert np.array_equal(_shrink(v, 0.0), v)
+    assert np.array_equal(_prox(v, 0.0), v)
+    # a block of one is clipped: the shrink moves it by kappa towards 0, or to an exact 0
+    scalars = np.array([[-3.0], [-1.0], [-0.5], [0.0], [0.5], [1.0], [3.0]])
+    assert np.array_equal(_prox(scalars, 1.0), [[-2.0], [0.0], [0.0], [0.0], [0.0], [0.0], [2.0]])
 
 
 def test_terminal_weight_defaults_to_cost_to_go(benchmark_model, bench_problem):
@@ -185,7 +202,7 @@ def _shifted(v, q):
     return np.concatenate([v[:, q:], np.zeros((len(v), q))], axis=1)
 
 
-def test_admm_rows_independent_of_batch(bench_problem, rng):
+def test_admm_rows_independent_of_batch(bench_problem, two_input_problem, rng):
     # a row leaves the batch when it converges; alone or batched it follows the same iterates
     factor = admm_factor(bench_problem, 1.0)
     estimates = rng.standard_normal((6, 4)) * np.array([[0.0], [0.05], [0.5], [1.0], [2.0], [4.0]])
@@ -204,18 +221,25 @@ def test_admm_rows_independent_of_batch(bench_problem, rng):
         warm = tuple(_shifted(v, bench_problem.group_size) for v in (z, w))
         estimates = estimates * 0.9
 
-    # batches of many widths, drawn from one pool at two offsets, against each row alone
-    pool = rng.standard_normal((40, 4)) * np.geomspace(0.01, 4.0, 40)[:, None]
-    alone = [solve_admm(bench_problem, x[None], THETA, _cold(bench_problem, 1), factor, 1e-8,
-                        10_000) for x in pool]
-    for offset in (0, 7):
-        for width in (1, 2, 3, 4, 5, 8, 16, 33):
-            z, w, iters = solve_admm(bench_problem, pool[offset:offset + width], THETA,
-                                     _cold(bench_problem, width), factor, 1e-8, 10_000)
-            for i in range(width):
-                z1, w1, iters1 = alone[offset + i]
-                assert z[i].tobytes() == z1[0].tobytes() and w[i].tobytes() == w1[0].tobytes()
-                assert iters[i] == iters1[0]
+    # batches of many widths up to a sweep's 1000 rows, drawn from one pool at two offsets,
+    # against each row alone, for one input and for two: the chunk length and the leaving of
+    # passed rows follow the width
+    pool = rng.standard_normal((1007, 4)) * np.geomspace(0.01, 4.0, 1007)[:, None]
+    thetas = np.resize([THETA, 0.0, 0.02, 1.0], 1007)
+    for prob in (bench_problem, two_input_problem):
+        factor = admm_factor(prob, 1.0)
+        alone = [solve_admm(prob, x[None], theta, _cold(prob, 1), factor, 1e-8, 10_000)
+                 for x, theta in zip(pool, thetas)]
+        for offset in (0, 7):
+            for width in (1, 2, 3, 4, 5, 8, 16, 33, 64, 257, 1000):
+                rows = slice(offset, offset + width)
+                z, w, iters = solve_admm(prob, pool[rows], thetas[rows], _cold(prob, width),
+                                         factor, 1e-8, 10_000)
+                for i in range(width):
+                    z1, w1, iters1 = alone[offset + i]
+                    assert z[i].tobytes() == z1[0].tobytes()
+                    assert w[i].tobytes() == w1[0].tobytes()
+                    assert iters[i] == iters1[0]
 
 
 def test_admm_per_row_theta_matches_scalar_solves(bench_problem, rng):
@@ -234,35 +258,44 @@ def test_admm_per_row_theta_matches_scalar_solves(bench_problem, rng):
             kkt_residuals(bench_problem, z, f, thetas)[row]
 
 
-def _masked_shrink(v, kappa):
-    """The block shrink with a masked divide: (norm - kappa) / norm where norm > kappa, else 0."""
-    norms = np.sqrt(np.add.reduce(v * v, axis=-1))[..., None]
-    scale = np.zeros_like(norms)
-    np.divide(norms - kappa, norms, out=scale, where=norms > kappa)
-    return scale * v
+def _masked_project(v, kappa):
+    """The projection onto each last-axis block's kappa-ball, with masks: a block of one is
+    kappa where v >= kappa, -kappa where v <= -kappa, else v; a longer block is
+    kappa v / ||v|| where ||v|| > kappa, else v."""
+    kappa = np.broadcast_to(kappa, v.shape[:-1] + (1,))
+    if v.shape[-1] == 1:
+        return np.where(v >= kappa, kappa, np.where(v <= -kappa, -kappa, v))
+    norms = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+    out = v * 1.0
+    over = np.broadcast_to(norms > kappa, v.shape)
+    out[over] = (v * np.divide(kappa, norms, out=np.ones_like(norms), where=norms > kappa))[over]
+    return out
 
 
 def _reference_admm(prob, estimates, theta, warm, factor, tol, max_iter, on_iterate=None):
-    """Reference for solve_admm: the lockstep loop with every residual of every active row."""
+    """Reference for solve_admm: the recurrence one iteration at a time, every residual of
+    every active row at every iteration, each row leaving at its first passing iteration."""
     row_norms = lambda v: np.sqrt(np.add.reduce(v * v, axis=-1))  # noqa: E731
-    f = np.einsum("...j,ij->...i", np.asarray(estimates, dtype=float), prob.lin_matrix)
-    inverse, rho = factor
+    x = np.asarray(estimates, dtype=float)
+    f = np.einsum("...j,ij->...i", x, prob.lin_matrix)
+    rho = factor.rho
     n_rows, dim = f.shape
     theta = np.broadcast_to(np.asarray(theta, dtype=float), (n_rows,))
-    kappa = (theta / rho)[:, None, None]
     blocks = (-1, prob.horizon, prob.group_size)
     z_out, w_out = np.empty((n_rows, dim)), np.empty((n_rows, dim))
     iterations = np.zeros(n_rows, dtype=int)
     rows = np.arange(n_rows)
     z, w = warm
+    v = z + w
     for it in range(1, max_iter + 1):
-        u = np.einsum("...j,ij->...i", rho * (z - w) - f, inverse)
-        u_relaxed = RELAX * u + (1.0 - RELAX) * z
-        v = (u_relaxed + w).reshape(blocks)
-        z_old, z = z, _masked_shrink(v, kappa).reshape(len(rows), dim)
-        w = w + u_relaxed - z
-        primal_res = row_norms(u - z)
-        dual_res = rho * row_norms(z - z_old)
+        v_new = np.matmul(np.concatenate([w, v, x], axis=1)[:, None], factor.step)[:, 0]
+        w_new = _masked_project(v_new.reshape(blocks), (theta / rho)[:, None, None])
+        w_new = w_new.reshape(len(rows), dim)
+        z_new = v_new - w_new
+        u = (v_new - (1.0 - RELAX) * z - w) / RELAX
+        primal_res = row_norms(u - z_new)
+        dual_res = rho * row_norms(z_new - z)
+        z, w, v = z_new, w_new, v_new
         if on_iterate is not None:
             on_iterate(z, f)
         done = (primal_res < tol) & (dual_res < tol)
@@ -272,11 +305,10 @@ def _reference_admm(prob, estimates, theta, warm, factor, tol, max_iter, on_iter
         if not done.any():
             continue
         finished = rows[done]
-        z_out[finished], w_out[finished] = z[done], w[done]
+        z_out[finished], w_out[finished] = z[done] + 0.0, w[done] + 0.0
         iterations[finished] = it
         keep = ~done
-        rows, f, z, w = rows[keep], f[keep], z[keep], w[keep]
-        theta, kappa = theta[keep], kappa[keep]
+        rows, x, f, z, w, v, theta = (a[keep] for a in (rows, x, f, z, w, v, theta))
         if not rows.size:
             break
     else:
@@ -289,35 +321,109 @@ def _reference_admm(prob, estimates, theta, warm, factor, tol, max_iter, on_iter
     return z_out, w_out, iterations
 
 
-def test_admm_matches_reference_loop_bit_for_bit(bench_problem, rng):
-    # the solutions, duals and counts of every row equal the reference loop's bytes
-    factor = admm_factor(bench_problem, 1.0)
-    estimates = rng.standard_normal((6, 4)) * np.array([[0.0], [0.05], [0.5], [1.0], [2.0], [4.0]])
-    for theta in (np.array([0.0, 0.02, 0.2, 0.0, 0.4, 1.0]), THETA):
-        warm = _cold(bench_problem, 6)
+def test_admm_matches_reference_loop_bit_for_bit(bench_problem, two_input_problem, rng):
+    # the solutions, duals and counts of every row equal the reference loop's bytes, for one
+    # input and for two
+    cut = []
+    for prob, theta in itertools.product((bench_problem, two_input_problem),
+                                         (np.array([0.0, 0.02, 0.2, 0.0, 0.4, 1.0]), THETA)):
+        factor = admm_factor(prob, 1.0)
+        estimates = (rng.standard_normal((6, 4))
+                     * np.array([[0.0], [0.05], [0.5], [1.0], [2.0], [4.0]]))
+        warm = _cold(prob, 6)
         for _ in range(3):
             # a cold start, then two shifted warm starts, as in the controller
-            z, w, iters = solve_admm(bench_problem, estimates, theta, warm, factor, 1e-8, 10_000)
-            z0, w0, iters0 = _reference_admm(bench_problem, estimates, theta, warm, factor,
-                                             1e-8, 10_000)
+            z, w, iters = solve_admm(prob, estimates, theta, warm, factor, 1e-8, 10_000)
+            z0, w0, iters0 = _reference_admm(prob, estimates, theta, warm, factor, 1e-8, 10_000)
             assert len(set(iters.tolist())) > 1
             assert iters.tobytes() == iters0.tobytes()
             assert z.tobytes() == z0.tobytes() and w.tobytes() == w0.tobytes()
-            warm = tuple(_shifted(v, bench_problem.group_size) for v in (z, w))
-        estimates = estimates * 0.9
+            # capped at the last row's count, where the last chunk is cut short, it still passes
+            z1, w1, iters1 = solve_admm(prob, estimates, theta, warm, factor, 1e-8, iters.max())
+            assert iters1.tobytes() == iters.tobytes()
+            assert z1.tobytes() == z.tobytes() and w1.tobytes() == w.tobytes()
+            cut.append(iters.max() % MAX_CHUNK)
+            warm = tuple(_shifted(v, prob.group_size) for v in (z, w))
+            estimates = estimates * 0.9
+    assert any(cut)
 
 
 def test_admm_nonconvergence_error_matches_reference_loop(bench_problem):
     estimates = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, -1.0, 0.2, 0.1], [2.0, 0.0, 0.0, 1.0]])
     thetas = np.array([THETA, 0.0, 0.4])
-    args = (estimates, thetas, _cold(bench_problem, 3), admm_factor(bench_problem, 1.0), 1e-8, 2)
-    with pytest.raises(NonConvergenceError) as err:
-        solve_admm(bench_problem, *args)
-    with pytest.raises(NonConvergenceError) as expected:
-        _reference_admm(bench_problem, *args)
-    assert str(err.value) == str(expected.value)
-    assert err.value.residual == expected.value.residual
-    assert err.value.iterations == expected.value.iterations == 2
+    _, _, iters = solve_admm(bench_problem, estimates, thetas, _cold(bench_problem, 3),
+                             admm_factor(bench_problem, 1.0), 1e-8, 10_000)
+    # a cap in the first chunk, one past a chunk's end and one short of the last row's count
+    for max_iter in (2, 33, iters.max() - 1):
+        args = (estimates, thetas, _cold(bench_problem, 3), admm_factor(bench_problem, 1.0),
+                1e-8, max_iter)
+        with pytest.raises(NonConvergenceError) as err:
+            solve_admm(bench_problem, *args)
+        with pytest.raises(NonConvergenceError) as expected:
+            _reference_admm(bench_problem, *args)
+        assert str(err.value) == str(expected.value)
+        assert err.value.residual == expected.value.residual
+        assert err.value.iterations == expected.value.iterations == max_iter
+
+
+def _einsum_admm(prob, estimates, theta, warm, factor, tol, max_iter):
+    """The solver this one replaced, as an oracle: over-relaxed scaled ADMM in (z, w), with
+    u = (H + rho I)^-1 (rho (z - w) - f) by einsum and the block shrink, every test at every
+    iteration."""
+    row_norms = lambda v: np.sqrt(np.add.reduce(v * v, axis=-1))  # noqa: E731
+    f = np.einsum("...j,ij->...i", np.asarray(estimates, dtype=float), prob.lin_matrix)
+    rho = factor.rho
+    inverse = np.linalg.inv(prob.quad_matrix + rho * np.eye(prob.quad_matrix.shape[0]))
+    n_rows, dim = f.shape
+    theta = np.broadcast_to(np.asarray(theta, dtype=float), (n_rows,))
+    kappa = (theta / rho)[:, None, None]
+    blocks = (-1, prob.horizon, prob.group_size)
+    z_out, w_out = np.empty((n_rows, dim)), np.empty((n_rows, dim))
+    iterations = np.zeros(n_rows, dtype=int)
+    rows = np.arange(n_rows)
+    z, w = warm
+    for it in range(1, max_iter + 1):
+        u = np.einsum("...j,ij->...i", rho * (z - w) - f, inverse)
+        v = (RELAX * u + (1.0 - RELAX) * z + w).reshape(blocks)
+        norms = row_norms(v)[..., None]
+        scale = np.zeros_like(norms)
+        np.divide(norms - kappa, norms, out=scale, where=norms > kappa)
+        z_old, z = z, (scale * v).reshape(len(rows), dim)
+        w = v.reshape(len(rows), dim) - z
+        done = (row_norms(u - z) < tol) & (rho * row_norms(z - z_old) < tol)
+        if done.any():
+            done[done] = kkt_residuals(prob, z[done], f[done], theta[done]) <= tol
+        finished = rows[done]
+        z_out[finished], w_out[finished] = z[done], w[done]
+        iterations[finished] = it
+        rows, f, z, w, theta, kappa = (a[~done] for a in (rows, f, z, w, theta, kappa))
+        if not rows.size:
+            return z_out, w_out, iterations
+    raise NonConvergenceError("the einsum oracle did not converge", iterations=max_iter)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_admm_matches_einsum_oracle(bench_problem, two_input_problem, q, rng):
+    # the recurrence and the solver it replaced take the same iterations to the same zero
+    # blocks and triggers, with z and w within 1e-12 of the row's largest entry
+    prob = bench_problem if q == 1 else two_input_problem
+    factor = admm_factor(prob, 1.0)
+    thetas = np.repeat([0.0, 0.02, 0.2, 0.4, 1.0], 8)
+    scales = np.tile(np.geomspace(0.05, 4.0, 8), 5)[:, None]
+    estimates = rng.standard_normal((len(thetas), 4)) * scales
+    warm = _cold(prob, len(thetas))
+    for _ in range(4):
+        # a cold start, then shifted warm starts, the same for both solvers
+        z, w, iters = solve_admm(prob, estimates, thetas, warm, factor, 1e-8, 10_000)
+        z0, w0, iters0 = _einsum_admm(prob, estimates, thetas, warm, factor, 1e-8, 10_000)
+        assert np.array_equal(iters, iters0)
+        assert np.array_equal(z == 0.0, z0 == 0.0)
+        for got, ref in ((z, z0), (w, w0)):
+            scale = np.abs(ref).max(axis=1, keepdims=True)
+            assert (np.abs(got - ref) <= 1e-12 * scale).all()
+        assert np.array_equal(first_inputs(z, q)[1], first_inputs(z0, q)[1])
+        warm = tuple(_shifted(v, q) for v in (z0, w0))
+        estimates = estimates * 0.9 + 0.1 * rng.standard_normal(estimates.shape)
 
 
 def test_admm_nonconvergence_reports_the_named_row(bench_problem):
@@ -348,7 +454,8 @@ def test_admm_empty_batch(bench_problem):
 @pytest.mark.parametrize("q", [1, 2])
 def test_shrink_matches_masked_form_on_edge_blocks(q, rng):
     # zero and signed-zero blocks, norms at kappa, subnormal, overflowing and NaN blocks: the
-    # same bits as the masked divide, signed zeros included, and an overflowed block stays NaN
+    # projection has the bits of the masked form, and so has the shrink v - Pi(v).  A zero's
+    # sign is compared for q > 1 only: numpy's clip resolves a tie of zeros by its loop
     tiny, huge = 5e-324, 1e300
     edge = [np.full(q, 0.0), np.full(q, -0.0), np.array([-0.0, 0.0][:q]), np.full(q, 2.0),
             np.array([1.2, -1.6][:q]), np.full(q, tiny), np.array([-tiny, 3 * tiny][:q]),
@@ -360,9 +467,18 @@ def test_shrink_matches_masked_form_on_edge_blocks(q, rng):
     kappas = [0.0, -0.0, at_norm, 1.0, np.inf, np.array([[[0.0]], [[at_norm]], [[0.3]]])]
     with np.errstate(over="ignore", invalid="ignore"):
         for kappa in kappas:
-            got = _shrink(v, kappa)
-            assert got.tobytes() == _masked_shrink(v, kappa).tobytes()
-            assert np.isnan(got[:2, 7]).all() or np.isinf(kappa)
+            kappa = np.broadcast_to(kappa, v.shape[:-1] + (1,)).copy()
+            got = _project(v, kappa, np.negative(kappa), np.empty_like(v))
+            ref = _masked_project(v, kappa)
+            assert (got + 0.0).tobytes() == (ref + 0.0).tobytes()
+            assert (v - got + 0.0).tobytes() == (v - ref + 0.0).tobytes()
+            if q > 1:
+                assert got.tobytes() == ref.tobytes()
+            # a block whose norm overflows projects to 0 and shrinks to itself, the prox to
+            # within rounding (the NaN of the scaled shrink is gone), unless the ball is everything
+            overflowed = v[:2, 7:9]
+            expect = overflowed if np.isfinite(kappa).all() else 0.0 * overflowed
+            assert np.array_equal(overflowed - got[:2, 7:9], expect)
 
 
 def test_admm_rejects_negative_theta(bench_problem):
@@ -458,7 +574,7 @@ def test_kkt_check_builds_one_problem_and_factor(monkeypatch):
     monkeypatch.setattr(simulate, "admm_factor",
                         lambda *a, **kw: factors.append(a[1]) or factorise(*a, **kw))
     monkeypatch.setattr(verify, "solve_admm",
-                        lambda *a, **kw: solves.append(a[4][1]) or solve(*a, **kw))
+                        lambda *a, **kw: solves.append(a[4].rho) or solve(*a, **kw))
     cfg = replace(BENCH, mpc_penalty=2.0)
     check = verify._mpc_kkt_check(cfg, sr.design(cfg, methods=("sparse_mpc",)), (0.05, 0.2, 0.4))
     assert check.passed, check.detail
